@@ -70,10 +70,6 @@ NON_DEGENERATE = SurfaceType("non_degenerate")
 SURFACE_NOT_APPLICABLE = SurfaceType("not_applicable")
 
 
-def degenerate_type(k: int) -> SurfaceType:
-    return SurfaceType("degenerate", k=k)
-
-
 def unclassified(note: str = "") -> SurfaceType:
     return SurfaceType("unclassified", note=note)
 
@@ -103,10 +99,6 @@ def simple_corner(detail: str = "") -> SimpleStatus:
 
 def not_simple(detail: str = "") -> SimpleStatus:
     return SimpleStatus("not_simple", detail)
-
-
-def indeterminate_simple(detail: str) -> SimpleStatus:
-    return SimpleStatus("indeterminate", detail)
 
 
 @dataclass

@@ -102,12 +102,6 @@ class Poly(Expr):
     def degree(self):
         return len(self.coeffs) - 1
 
-    def exact_eval(self, t0: GaussRat) -> GaussRat:
-        out = GaussRat(0)
-        for c in reversed(self.coeffs):
-            out = out * t0 + c
-        return out
-
     def to_text(self):
         if not self.coeffs:
             return "0"

@@ -49,18 +49,8 @@ class VectorFieldGerm:
     def __setattr__(self, name, value):
         raise AttributeError("VectorFieldGerm is immutable")
 
-    @classmethod
-    def from_strings(cls, variables: Sequence[str], component_strs: Sequence[str], label: str = "root"):
-        from .dsl import parse_polynomial
-
-        comps = [parse_polynomial(s, variables) for s in component_strs]
-        return cls(variables, comps, label)
-
     def dim(self) -> int:
         return len(self.variables)
-
-    def with_label(self, label: str) -> "VectorFieldGerm":
-        return VectorFieldGerm(self.variables, self.components, label)
 
     def scale(self, c: GaussRat) -> "VectorFieldGerm":
         return VectorFieldGerm(self.variables, [p * c for p in self.components], self.label)

@@ -3,23 +3,34 @@
 Numbers a + b*i with a, b rational, kept exact through every field
 operation.  This is the coefficient field for all symbolic work in the
 package; floats only appear as numeric shadows via ``to_complex``.
+
+A GaussRat stores three ints ``(a, b, d)`` meaning (a + b*i)/d, with the
+invariant d > 0 and gcd(a, b, d) = 1, so every number has exactly one
+representation.  Each operation works on these integers over a common
+denominator and normalises its result with a single ``math.gcd`` (the
+representation of FLINT's ``fmpq``/``fmpzi``).  ``re`` and ``im`` present
+the parts as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-from typing import Union
-
-Scalar = Union[int, Fraction, "GaussRat"]
+from math import gcd, isqrt
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError("expected int or Fraction, got %s" % type(x).__name__)
+
+
+def _qstr(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else "%d/%d" % (n // g, d // g)
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -34,79 +45,95 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 class GaussRat:
-    """Immutable Gaussian rational a + b*i."""
+    """Immutable Gaussian rational (a + b*i)/d."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_abd",)
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            _set_abd(self, (re, im, 1))
+            return
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        _set_abd(self, _gauss(p * s, r * q, q * s)._abd)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
     @staticmethod
-    def coerce(x: Scalar) -> "GaussRat":
+    def coerce(x: int | Fraction | GaussRat) -> "GaussRat":
         if isinstance(x, GaussRat):
             return x
-        return GaussRat(_frac(x))
+        if type(x) is int:
+            return _gauss(x, 0, 1)
+        return GaussRat(x)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._abd[0], self._abd[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._abd[1], self._abd[2])
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def is_one(self) -> bool:
-        return self.re == 1 and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
+        return not (self._abd[0] or self._abd[1])
 
     def is_positive_rational(self) -> bool:
         """Strictly positive and real (the Q+ membership test)."""
-        return not self.im and self.re > 0
+        a, b, _ = self._abd
+        return not b and a > 0
 
     # -- arithmetic ---------------------------------------------------------
 
-    _COERCIBLE = (int, Fraction)
-
     def __add__(self, other):
-        if not isinstance(other, (GaussRat,) + GaussRat._COERCIBLE):
+        o = _abd_of(other)
+        if o is None:
             return NotImplemented
-        o = GaussRat.coerce(other)
-        return GaussRat(self.re + o.re, self.im + o.im)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = o
+        if d1 == d2:
+            return _gauss(a1 + a2, b1 + b2, d1)
+        return _gauss(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        a, b, d = self._abd
+        return _gauss(-a, -b, d)
 
     def __sub__(self, other):
-        if not isinstance(other, (GaussRat,) + GaussRat._COERCIBLE):
+        o = _abd_of(other)
+        if o is None:
             return NotImplemented
-        return self + (-GaussRat.coerce(other))
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = o
+        if d1 == d2:
+            return _gauss(a1 - a2, b1 - b2, d1)
+        return _gauss(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other):
-        if not isinstance(other, (GaussRat,) + GaussRat._COERCIBLE):
-            return NotImplemented
-        return GaussRat.coerce(other) + (-self)
+        return NotImplemented if _abd_of(other) is None else -self + other
 
     def __mul__(self, other):
-        if not isinstance(other, (GaussRat,) + GaussRat._COERCIBLE):
+        o = _abd_of(other)
+        if o is None:
             return NotImplemented
-        o = GaussRat.coerce(other)
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = o
+        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GaussRat.coerce(other)
-        n = o.abs2()
+        a2, b2, d2 = GaussRat.coerce(other)._abd
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat((self.re * o.re + self.im * o.im) / n,
-                        (self.im * o.re - self.re * o.im) / n)
+        a1, b1, d1 = self._abd
+        return _gauss((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
 
     def __rtruediv__(self, other):
         return GaussRat.coerce(other) / self
@@ -114,7 +141,7 @@ class GaussRat:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out, base = GaussRat(1), self
+        out, base = ONE, self
         while k:
             if k & 1:
                 out = out * base
@@ -122,64 +149,88 @@ class GaussRat:
         return out
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        a, b, d = self._abd
+        return _gauss(a, -b, d)
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._abd
+        return Fraction(a * a + b * b, d * d)
 
     def sqrt(self) -> "GaussRat | None":
-        """Exact square root inside Q(i), or None when it does not exist."""
-        if self.is_zero():
-            return GaussRat(0)
-        n = rational_sqrt(self.abs2())
-        if n is None:
+        """Exact square root inside Q(i), or None when it does not exist.
+
+        sqrt((a + b*i)/d) = sqrt(w)/d for the Gaussian integer w = (a + b*i)*d,
+        and a square root of w in Q(i) lies in Z[i]: x + y*i with
+        x^2 = (Re w + |w|)/2, y^2 = (|w| - Re w)/2, x >= 0, and y >= 0 when x = 0."""
+        a, b, d = self._abd
+        re, im = a * d, b * d
+        n2 = re * re + im * im
+        n = isqrt(n2)
+        if n * n != n2 or (re + n) & 1:
             return None
-        if not self.im:
-            if self.re > 0:
-                r = rational_sqrt(self.re)
-                return GaussRat(r) if r is not None else None
-            r = rational_sqrt(-self.re)
-            return GaussRat(0, r) if r is not None else None
-        x2 = (self.re + n) / 2
-        x = rational_sqrt(x2)
-        if x is None or x == 0:
+        x2 = (re + n) // 2
+        x = isqrt(x2)
+        if x * x != x2:
             return None
-        return GaussRat(x, self.im / (2 * x))
+        if x:
+            return _gauss(x, im // (2 * x), d)
+        y = isqrt(-re)
+        return _gauss(0, y, d) if y * y == -re else None
 
     # -- conversions and protocol ------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            o = GaussRat.coerce(other)
-            return self.re == o.re and self.im == o.im
-        return NotImplemented
+        o = _abd_of(other)
+        return NotImplemented if o is None else self._abd == o
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._abd[0] or self._abd[1])
 
     def __repr__(self):
-        return "GaussRat(%s, %s)" % (self.re, self.im)
+        a, b, d = self._abd
+        return "GaussRat(%s, %s)" % (_qstr(a, d), _qstr(b, d))
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return "%s*i" % self.im
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        istr = "i" if mag == 1 else "%s*i" % mag
-        return "%s%s%s" % (self.re, sign, istr)
+        a, b, d = self._abd
+        if not b:
+            return _qstr(a, d)
+        mag = _qstr(abs(b), d)
+        istr = ("" if b > 0 else "-") + ("i" if mag == "1" else mag + "*i")
+        if not a:
+            return istr
+        return _qstr(a, d) + ("+" if b > 0 else "") + istr
+
+
+_new = object.__new__
+_set_abd = GaussRat._abd.__set__
+
+
+def _gauss(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat (a + b*i)/d for d > 0, normalised to gcd(a, b, d) = 1."""
+    g = gcd(a, b, d)
+    z = _new(GaussRat)
+    _set_abd(z, (a, b, d) if g == 1 else (a // g, b // g, d // g))
+    return z
+
+
+def _abd_of(x) -> tuple[int, int, int] | None:
+    """The canonical (a, b, d) of a GaussRat, int or Fraction; None for
+    any other operand."""
+    if isinstance(x, GaussRat):
+        return x._abd
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
 
 
 ZERO = GaussRat(0)

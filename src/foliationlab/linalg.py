@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .gaussrat import GaussRat
+from .gaussrat import ZERO, GaussRat
 from . import unipoly
 
 Matrix = tuple[tuple[GaussRat, ...], ...]
@@ -36,17 +36,9 @@ def mat_scale(a: Matrix, c: GaussRat) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, m, p = len(a), len(b), len(b[0])
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), GaussRat(0)) for j in range(p))
+        tuple(sum((a[i][k] * b[k][j] for k in range(m)), ZERO) for j in range(p))
         for i in range(n)
     )
-
-
-def mat_vec(a: Matrix, v: Sequence[GaussRat]) -> Vector:
-    return tuple(sum((a[i][k] * v[k] for k in range(len(v))), GaussRat(0)) for i in range(len(a)))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def _rref(rows: list[list[GaussRat]]) -> tuple[list[list[GaussRat]], list[int]]:
@@ -153,19 +145,24 @@ def inverse(a: Matrix) -> Matrix | None:
 
 
 def char_poly(a: Matrix) -> list[GaussRat]:
-    """Characteristic polynomial det(tI - A), ascending coefficients,
-    by the Faddeev-LeVerrier recursion (exact; divisions by integers only)."""
+    """Characteristic polynomial det(tI - A), ascending coefficients: the
+    closed form t^2 - tr t + det for n <= 2, the Faddeev-LeVerrier
+    recursion (exact; divisions by integers only) beyond."""
     n = len(a)
+    if n == 1:
+        return [-a[0][0], GaussRat(1)]
+    if n == 2:
+        return [a[0][0] * a[1][1] - a[0][1] * a[1][0], -(a[0][0] + a[1][1]), GaussRat(1)]
     coeffs = [GaussRat(0)] * (n + 1)
     coeffs[n] = GaussRat(1)
     m = identity(n)
     for k in range(1, n + 1):
         am = mat_mul(a, m)
-        tr = sum((am[i][i] for i in range(n)), GaussRat(0))
+        tr = sum((am[i][i] for i in range(n)), ZERO)
         ck = -(tr / k)
         coeffs[n - k] = ck
         m = tuple(
-            tuple(am[i][j] + (ck if i == j else GaussRat(0)) for j in range(n))
+            tuple(am[i][j] + ck if i == j else am[i][j] for j in range(n))
             for i in range(n)
         )
     return coeffs

@@ -182,9 +182,6 @@ class MonomialIdeal:
     def is_trivial(self) -> bool:
         return (0,) * self.ambient_dim in self.generators
 
-    def is_principal(self) -> bool:
-        return len(self.generators) == 1
-
     def contains_monomial(self, exp: Exponent) -> bool:
         return any(all(g[i] <= exp[i] for i in range(self.ambient_dim)) for g in self.generators)
 

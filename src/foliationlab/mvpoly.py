@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .gaussrat import GaussRat
+from .gaussrat import ZERO, GaussRat
 
 Exponent = tuple[int, ...]
 
@@ -84,10 +85,10 @@ class MVPoly:
         return len(self.variables)
 
     def constant_term(self) -> GaussRat:
-        return self.terms.get((0,) * len(self.variables), GaussRat(0))
+        return self.terms.get((0,) * len(self.variables), ZERO)
 
     def coeff(self, exp: Exponent) -> GaussRat:
-        return self.terms.get(tuple(exp), GaussRat(0))
+        return self.terms.get(tuple(exp), ZERO)
 
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
@@ -120,11 +121,11 @@ class MVPoly:
         self._check_same_ring(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, GaussRat(0)) + c
-            if s.is_zero():
-                terms.pop(exp, None)
-            else:
+            s = terms[exp] + c if exp in terms else c
+            if s:
                 terms[exp] = s
+            else:
+                del terms[exp]
         return MVPoly(self.variables, terms)
 
     __radd__ = __add__
@@ -150,12 +151,12 @@ class MVPoly:
         out: dict[Exponent, GaussRat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, GaussRat(0)) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
+                e = tuple(map(add, e1, e2))
+                s = out[e] + c1 * c2 if e in out else c1 * c2
+                if s:
                     out[e] = s
+                else:
+                    del out[e]
         return MVPoly(self.variables, out)
 
     __rmul__ = __mul__
@@ -231,11 +232,11 @@ class MVPoly:
                     for j in range(m):
                         new[j] += e * img[j]
             key = tuple(new)
-            s = out.get(key, GaussRat(0)) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
+            s = out[key] + c if key in out else c
+            if s:
                 out[key] = s
+            else:
+                del out[key]
         return MVPoly(variables, out)
 
     def translate(self, point: Sequence[GaussRat]) -> "MVPoly":
@@ -256,16 +257,6 @@ class MVPoly:
         idx = set(indices)
         terms = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
         return MVPoly(self.variables, terms)
-
-    def restrict_vars(self, keep: Sequence[int]) -> "MVPoly":
-        """Project onto a subring: other variables must not occur."""
-        kept = tuple(self.variables[i] for i in keep)
-        terms = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in range(len(e)) if i not in keep):
-                raise ValueError("polynomial involves dropped variables")
-            terms[tuple(e[i] for i in keep)] = c
-        return MVPoly(kept, terms)
 
     # -- divisibility ------------------------------------------------------------
 
@@ -298,23 +289,13 @@ class MVPoly:
 
     def evaluate(self, point: Sequence[GaussRat]) -> GaussRat:
         point = [GaussRat.coerce(p) for p in point]
-        out = GaussRat(0)
+        out = ZERO
         for e, c in self.terms.items():
             v = c
             for i, k in enumerate(e):
                 if k:
                     v = v * point[i] ** k
             out = out + v
-        return out
-
-    def evaluate_complex(self, point: Sequence[complex]) -> complex:
-        out = 0j
-        for e, c in self.terms.items():
-            v = c.to_complex()
-            for i, k in enumerate(e):
-                if k:
-                    v *= point[i] ** k
-            out += v
         return out
 
     def __repr__(self):

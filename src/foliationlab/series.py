@@ -56,9 +56,6 @@ class TruncatedSeries:
                 return k
         return math.inf
 
-    def is_zero_to_order(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self

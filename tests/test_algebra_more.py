@@ -75,6 +75,41 @@ def test_eigenvalues_reproduce_char_poly(m):
     assert prod == unipoly.trim(cp)
 
 
+def _square_matrices():
+    coeff = st.builds(GaussRat, st.fractions(-9, 9, max_denominator=6), st.integers(-4, 4))
+    return st.integers(2, 4).flatmap(
+        lambda n: st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(lambda rows: tuple(tuple(r) for r in rows))
+
+
+@given(_square_matrices())
+@settings(max_examples=40, deadline=None)
+def test_char_poly_cayley_hamilton(m):
+    n = len(m)
+    cp = linalg.char_poly(m)
+    assert len(cp) == n + 1 and cp[n] == 1
+    total, power = linalg.mat_scale(linalg.identity(n), cp[0]), linalg.identity(n)
+    for c in cp[1:]:
+        power = linalg.mat_mul(power, m)
+        total = tuple(tuple(x + c * y for x, y in zip(rt, rp)) for rt, rp in zip(total, power))
+    assert all(x.is_zero() for row in total for x in row)
+
+
+@given(_square_matrices())
+@settings(max_examples=25, deadline=None)
+def test_char_poly_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(z):
+        return sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
+
+    t = sympy.Symbol("t")
+    want = sympy.Matrix([[to_sympy(x) for x in row] for row in m]).charpoly(t).all_coeffs()[::-1]
+    assert len(want) == len(linalg.char_poly(m))
+    for got, c in zip(linalg.char_poly(m), want):
+        assert sympy.expand(to_sympy(got) - c) == 0
+
+
 def test_eigenvalue_examples():
     assert sorted(str(e) for e in linalg.eigenvalues_exact(linalg.mat([[1, 0], [0, -1]]))) == ["-1", "1"]
     assert [str(e) for e in linalg.eigenvalues_exact(linalg.mat([[0, 1], [0, 0]]))] == ["0", "0"]
