@@ -295,19 +295,14 @@ class ELocus:
     notes: list[str] = field(default_factory=list)
 
 
-def _restrict_to_E_univariate(sat: SaturatedTransform) -> list[list[GaussRat]]:
-    """Dim-2 only: components of the saturated field restricted to u = 0, as
-    univariate coefficient lists in the direction coordinate."""
-    j = sat.chart.index
-    w = 1 - j
-    out = []
-    for comp in sat.saturated_field.components:
-        r = comp.set_vars_to_zero([j])
-        coeffs = [GaussRat(0)] * (r.degree_in(w) + 1)
-        for e, c in r.terms.items():
-            coeffs[e[w]] = c
-        out.append(unipoly.trim(coeffs))
-    return out
+def univariate_on_E(p: MVPoly, u: int, w: int) -> list[GaussRat]:
+    """Dim 2: p restricted to the exceptional divisor u = 0, as an ascending
+    coefficient list in the direction coordinate w."""
+    r = p.set_vars_to_zero([u])
+    coeffs = [GaussRat(0)] * (r.degree_in(w) + 1)
+    for e, c in r.terms.items():
+        coeffs[e[w]] = c
+    return unipoly.trim(coeffs)
 
 
 def _point_from_direction(e: Sequence[GaussRat], chart_j: int, n: int) -> tuple[GaussRat, ...] | None:
@@ -364,7 +359,7 @@ def singular_points_on_E(
     j, n = sat.chart.index, sat.chart.n
     f = sat.saturated_field
     if n == 2:
-        a, b = _restrict_to_E_univariate(sat)
+        a, b = (univariate_on_E(c, j, 1 - j) for c in f.components)
         if not a and not b:
             return ELocus(points=[], non_isolated=True, complete=True,
                           notes=["both components vanish on E after saturation (impossible)"])

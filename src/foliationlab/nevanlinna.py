@@ -51,7 +51,7 @@ def _zero_abs(t0) -> float:
 def _softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + e^x), stable for large |x|."""
     out = np.where(x > 36.0, x, np.log1p(np.exp(np.minimum(x, 36.0))))
-    return np.where(x < -36.0, np.exp(np.maximum(x, -700.0)), out)
+    return np.where(x < -36.0, np.exp(np.clip(x, -700.0, -36.0)), out)
 
 
 def _logsumexp(rows: list[np.ndarray]) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Adaptive quadrature for circle means and radial characteristics.
+"""Adaptive quadrature for circle means.
 
-Circle means use the periodic trapezoid rule with doubling; the
-a-posteriori bound is the last refinement delta.  Radial integrals use
-composite Simpson on segment grids whose breakpoints include every radius
-of interest, again with doubling.  A global evaluation budget can be
-capped through the FOLIATION_LAB_BUDGET environment variable.
+Circle means use the periodic trapezoid rule with doubling, from
+MIN_CIRCLE_POINTS up to MAX_CIRCLE_POINTS samples; the a-posteriori bound
+is the last refinement delta.  The FOLIATION_LAB_BUDGET environment
+variable, a positive integer, caps the evaluations of each circle mean and
+the total of a radial refinement in `nevanlinna.characteristic_on_grid`.
 """
 
 from __future__ import annotations
@@ -15,21 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_CIRCLE_POINTS = 64
+MAX_CIRCLE_POINTS = 1 << 16
+
 
 def _env_budget() -> int:
-    try:
-        return int(os.environ.get("FOLIATION_LAB_BUDGET", ""))
-    except ValueError:
+    raw = os.environ.get("FOLIATION_LAB_BUDGET")
+    if raw is None:
         return 1 << 24
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise ValueError("FOLIATION_LAB_BUDGET must be a positive integer, got %r" % raw)
+    return int(raw)
 
 
 @dataclass
 class QuadConfig:
     tol: float = 1e-8
-    min_circle_points: int = 64
-    max_circle_points: int = 1 << 16
-    radial_min_intervals: int = 64
-    radial_max_intervals: int = 1 << 13
     budget: int = 0
 
     def __post_init__(self):
@@ -65,14 +66,14 @@ def circle_mean(fn, r: float, cfg: QuadConfig) -> QuadResult:
 
     `fn(t_array) -> float array`; the trapezoid rule on a periodic domain
     doubles until two refinements agree to tolerance."""
-    n = cfg.min_circle_points
+    n = MIN_CIRCLE_POINTS
     evals = 0
     theta = 2.0 * math.pi * np.arange(n) / n
     vals = fn(r * np.exp(1j * theta))
     evals += n
     mean = float(np.mean(vals))
     bound = math.inf
-    while n < cfg.max_circle_points and evals + n <= cfg.budget:
+    while n < MAX_CIRCLE_POINTS and evals + n <= cfg.budget:
         theta_new = 2.0 * math.pi * (np.arange(n) + 0.5) / n
         vals_new = fn(r * np.exp(1j * theta_new))
         evals += n
@@ -83,32 +84,3 @@ def circle_mean(fn, r: float, cfg: QuadConfig) -> QuadResult:
         if bound <= cfg.tol * max(1.0, abs(mean)):
             return QuadResult(mean, bound, evals, True)
     return QuadResult(mean, bound, evals, bound <= cfg.tol * max(1.0, abs(mean)))
-
-
-def _simpson(ys: np.ndarray, h: float) -> float:
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
-
-
-def radial_integral(fn, a: float, b: float, cfg: QuadConfig, min_intervals: int | None = None) -> QuadResult:
-    """Composite Simpson of fn on [a, b] with doubling refinement."""
-    if b <= a:
-        return QuadResult(0.0, 0.0, 0, True)
-    n = min_intervals or cfg.radial_min_intervals
-    evals = 0
-    prev = None
-    value = 0.0
-    bound = math.inf
-    while n <= cfg.radial_max_intervals:
-        xs = np.linspace(a, b, n + 1)
-        ys = fn(xs)
-        evals += n + 1
-        value = _simpson(ys, (b - a) / n)
-        if prev is not None:
-            bound = abs(value - prev)
-            if bound <= cfg.tol * max(1.0, abs(value)):
-                return QuadResult(value, bound, evals, True)
-        prev = value
-        n *= 2
-        if evals > cfg.budget:
-            break
-    return QuadResult(value, bound, evals, False)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .gaussrat import GaussRat
-from .mvpoly import MVPoly
 from .foliation import (
     DivisorNotInvariant,
     FoliationError,
@@ -162,14 +161,6 @@ def _fmt_point(pt: Sequence[GaussRat]) -> tuple[str, ...]:
     return tuple(str(c) for c in pt)
 
 
-def _univar_on_E(p: MVPoly, u_idx: int, w_idx: int) -> list[GaussRat]:
-    r = p.set_vars_to_zero([u_idx])
-    coeffs = [GaussRat(0)] * (r.degree_in(w_idx) + 1)
-    for e, c in r.terms.items():
-        coeffs[e[w_idx]] = c
-    return unipoly.trim(coeffs)
-
-
 @dataclass
 class ClusterVerdict:
     poly: list[GaussRat]          # squarefree part carrying the points
@@ -191,13 +182,12 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
     j = sat.chart.index
     w = 1 - j
     a, b = sat.saturated_field.components[j], sat.saturated_field.components[w]
-    au = _univar_on_E(a.derivative(j), j, w)
-    aw = _univar_on_E(a.derivative(w), j, w)
-    bu = _univar_on_E(b.derivative(j), j, w)
-    bw = _univar_on_E(b.derivative(w), j, w)
+    au = blowup.univariate_on_E(a.derivative(j), j, w)
+    aw = blowup.univariate_on_E(a.derivative(w), j, w)
+    bu = blowup.univariate_on_E(b.derivative(j), j, w)
+    bw = blowup.univariate_on_E(b.derivative(w), j, w)
     # trace = au + bw, det = au*bw - aw*bu (as polynomials in the direction coordinate)
-    n = max(len(au), len(bw))
-    tr = unipoly.trim([(au[k] if k < len(au) else GaussRat(0)) + (bw[k] if k < len(bw) else GaussRat(0)) for k in range(n)])
+    tr = blowup.univariate_on_E(a.derivative(j) + b.derivative(w), j, w)
     det = unipoly.poly_sub(unipoly.poly_mul(au, bw), unipoly.poly_mul(aw, bu))
     h = list(cluster.min_poly)
     dh = unipoly.poly_derivative(h)

@@ -29,7 +29,7 @@ from .foliation import (
     divisor_at_point,
     translate_to_point,
 )
-from . import blowup, classify, linalg, unipoly
+from . import blowup, classify, linalg
 
 
 class ZeroEigenvalueDirection(FoliationError):
@@ -48,43 +48,13 @@ class CurveInDivisor(FoliationError):
     pass
 
 
-UPoly = list[GaussRat]
+_T = ("t",)
 
 
-def _poly_eval_at_curve(p: MVPoly, comps: Sequence[UPoly]) -> UPoly:
-    """Exact evaluation of a polynomial at polynomial curve components."""
-    cache: list[dict[int, UPoly]] = [{0: [GaussRat(1)]} for _ in comps]
-
-    def power(i: int, k: int) -> UPoly:
-        c = cache[i]
-        if k not in c:
-            half = power(i, k // 2)
-            out = unipoly.poly_mul(half, half)
-            if k & 1:
-                out = unipoly.poly_mul(out, comps[i])
-            c[k] = out
-        return c[k]
-
-    total: UPoly = []
-    for e, coeff in p.terms.items():
-        term: UPoly = [coeff]
-        for i, k in enumerate(e):
-            if k:
-                term = unipoly.poly_mul(term, power(i, k))
-        n = max(len(total), len(term))
-        total = unipoly.trim([
-            (total[j] if j < len(total) else GaussRat(0)) + (term[j] if j < len(term) else GaussRat(0))
-            for j in range(n)
-        ])
-    return total
-
-
-def _poly_coeff(p: UPoly, k: int) -> GaussRat:
-    return p[k] if k < len(p) else GaussRat(0)
-
-
-def _poly_derivative_list(p: UPoly) -> UPoly:
-    return unipoly.poly_derivative(p)
+def _tangency_residual(w: VectorFieldGerm, comps: Sequence[MVPoly]) -> list[MVPoly]:
+    """f_i' * w_1(f) - w_i(f) for i >= 2, at the graph-gauge curve f = comps."""
+    w1 = w.components[0].subs(comps)
+    return [comps[i].derivative(0) * w1 - w.components[i].subs(comps) for i in range(1, len(comps))]
 
 
 @dataclass(frozen=True)
@@ -169,60 +139,24 @@ def formal_separatrix(v: VectorFieldGerm, direction: int, order: int):
         raise FoliationError("no eigenvector found (cannot happen for an exact eigenvalue)")
     m = _completion_basis(e, n)
     w = v.conjugate_by(m).scale(GaussRat(1) / lam)
-    # graph gauge: components as exact polynomials in t
-    comps: list[UPoly] = [[GaussRat(0), GaussRat(1)]] + [[GaussRat(0)] for _ in range(n - 1)]
+    # graph gauge: the curve components are univariate MVPolys in t
+    comps = [MVPoly.var(_T, "t")] + [MVPoly.zero(_T) for _ in range(n - 1)]
     lres = w.linear_part()
-    notes = []
     for k in range(2, order + 1):
-        residual = [
-            unipoly.poly_sub(
-                unipoly.poly_mul(_poly_derivative_list(comps[i]), _poly_eval_at_curve(w.components[0], comps)),
-                _poly_eval_at_curve(w.components[i], comps),
-            )
-            for i in range(1, n)
-        ]
-        known = [_poly_coeff(r, k) for r in residual]
+        known = [r.coeff((k,)) for r in _tangency_residual(w, comps)]
         rows = tuple(
             tuple((GaussRat(k) if i == j else GaussRat(0)) - lres[i + 1][j + 1] for j in range(n - 1))
             for i in range(n - 1)
         )
-        rhs = tuple(-g for g in known)
-        sol = linalg.solve(rows, rhs)
+        sol = linalg.solve(rows, tuple(-g for g in known))
         if sol is None:
             return Resonance(order=k, obstruction=tuple(str(g) for g in known))
-        if linalg.det(rows).is_zero():
-            notes.append("order %d system singular but consistent; free coefficients set to 0" % k)
         for i in range(1, n):
-            row = comps[i]
-            while len(row) <= k:
-                row.append(GaussRat(0))
-            row[k] = row[k] + sol[i - 1]
-    residual = [
-        unipoly.poly_sub(
-            unipoly.poly_mul(_poly_derivative_list(comps[i]), _poly_eval_at_curve(w.components[0], comps)),
-            _poly_eval_at_curve(w.components[i], comps),
-        )
-        for i in range(1, n)
-    ]
-    res_order: int | float = math.inf
-    for r in residual:
-        r = unipoly.trim(r)
-        if r:
-            val = next(k for k, c in enumerate(r) if not c.is_zero())
-            res_order = min(res_order, val)
+            comps[i] = comps[i] + MVPoly.monomial(_T, (k,), sol[i - 1])
+    res_order = min((r.vanishing_order() for r in _tangency_residual(w, comps)), default=math.inf)
     # back to the original coordinates: f = M . f_graph
-    orig: list[UPoly] = []
-    for i in range(n):
-        acc: UPoly = []
-        for j in range(n):
-            if not m[i][j].is_zero():
-                term = [c * m[i][j] for c in comps[j]]
-                ln = max(len(acc), len(term))
-                acc = [
-                    (_poly_coeff(acc, t)) + (_poly_coeff(term, t)) for t in range(ln)
-                ]
-        orig.append(unipoly.trim(acc))
-    series = tuple(TruncatedSeries([_poly_coeff(c, k) for k in range(order + 1)], order) for c in orig)
+    orig = [sum((comps[j] * m[i][j] for j in range(n)), MVPoly.zero(_T)) for i in range(n)]
+    series = tuple(TruncatedSeries([c.coeff((k,)) for k in range(order + 1)], order) for c in orig)
     return FormalCurve(
         variables=v.variables,
         components=series,

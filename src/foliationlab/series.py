@@ -142,14 +142,6 @@ class TruncatedSeries:
             return TruncatedSeries.zero(0)
         return TruncatedSeries([self.coeffs[k] * k for k in range(1, self.order + 1)], self.order - 1)
 
-    def evaluate(self, t: GaussRat) -> GaussRat:
-        out = GaussRat(0)
-        tk = GaussRat(1)
-        for c in self.coeffs:
-            out = out + c * tk
-            tk = tk * t
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -253,84 +253,30 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _ftrim(x: list[Fraction]) -> list[Fraction]:
-    while x and x[-1] == 0:
-        x = x[:-1]
-    return x
-
-
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    r = _ftrim(list(a))
-    while r and len(r) >= len(b):
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        for j, bc in enumerate(b):
-            r[k + j] -= c * bc
-        r = _ftrim(r)
-    return r
-
-
-def _frac_gcd_poly(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    a, b = _ftrim(list(p)), _ftrim(list(q))
-    while b:
-        a, b = b, _frac_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def rational_roots_fraction(p: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a Q-coefficient polynomial (no multiplicity)."""
-    while p and p[-1] == 0:
-        p = p[:-1]
-    if not p or len(p) == 1:
-        return []
-    roots = []
-    if p[0] == 0:
-        roots.append(Fraction(0))
-        while p and p[0] == 0:
-            p = p[1:]
-        if len(p) <= 1:
-            return roots
-    from math import lcm
-
-    l = 1
-    for c in p:
-        l = lcm(l, c.denominator)
-    ints = [int(c * l) for c in p]
-    for num in _int_divisors(ints[0]):
-        for den in _int_divisors(ints[-1]):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                val = Fraction(0)
-                for c in reversed(p):
-                    val = val * cand + c
-                if val == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
-
-
 def real_rational_roots(p: Coeffs) -> list[Fraction]:
-    """Rational (real) roots of a Q(i)-coefficient polynomial.
+    """Rational (real) roots of a Q(i)-coefficient polynomial, sorted,
+    without multiplicity.
 
     A rational q is a root iff it is a common root of the real and
-    imaginary coefficient parts, i.e. a rational root of their gcd over Q.
+    imaginary coefficient parts, i.e. a rational root of their gcd over Q;
+    the rational root theorem bounds the candidates.
     """
     p = trim(list(p))
     if not p:
         raise ValueError("zero polynomial")
-    re = [c.re for c in p]
-    im = [c.im for c in p]
-    if all(v == 0 for v in im):
-        target = re
-    elif all(v == 0 for v in re):
-        target = im
-    else:
-        target = _frac_gcd_poly(re, im)
-        if len(target) <= 1:
-            return []
-    return rational_roots_fraction(list(target))
+    g = poly_gcd([GaussRat(c.re) for c in p], [GaussRat(c.im) for c in p])
+    roots = set()
+    while len(g) > 1 and g[0].is_zero():
+        roots.add(Fraction(0))
+        g = g[1:]
+    if len(g) > 1:
+        ints = _clear_denominators(g)
+        for num in _int_divisors(ints[0][0]):
+            for den in _int_divisors(ints[-1][0]):
+                for cand in (Fraction(num, den), Fraction(-num, den)):
+                    if poly_eval(g, GaussRat(cand)).is_zero():
+                        roots.add(cand)
+    return sorted(roots)
 
 
 def has_positive_rational_root(p: Coeffs) -> bool:

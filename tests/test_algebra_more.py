@@ -132,6 +132,30 @@ def test_root_multiplicity_and_real_roots():
     assert unipoly.has_positive_rational_root(p)
 
 
+def _from_roots(lead, roots, extra=(GaussRat(1),)):
+    p = [GaussRat.coerce(lead)]
+    for r in roots:
+        p = unipoly.poly_mul(p, [-GaussRat.coerce(r), GaussRat(1)])
+    return unipoly.poly_mul(p, list(extra))
+
+
+@pytest.mark.parametrize("p, expected", [
+    # zero root of multiplicity 2
+    (_from_roots(1, [0, 0, Fraction(3, 2)]), [Fraction(0), Fraction(3, 2)]),
+    # purely imaginary coefficients
+    (_from_roots(GaussRat(0, 1), [2, Fraction(-1, 3)]), [Fraction(-1, 3), Fraction(2)]),
+    # real and imaginary parts share (t^2 - 2)(t - 1/2)
+    (_from_roots(1, [Fraction(1, 2), GaussRat(0, -1)], [GaussRat(-2), GaussRat(0), GaussRat(1)]), [Fraction(1, 2)]),
+    # no rational root
+    (_from_roots(1, [GaussRat(1, 1)], [GaussRat(-2), GaussRat(0), GaussRat(1)]), []),
+    # non-integer leading coefficient
+    (_from_roots(Fraction(2, 3), [Fraction(3, 4), -5, Fraction(-5, 7)]), [Fraction(-5), Fraction(-5, 7), Fraction(3, 4)]),
+], ids=["zero_root", "imaginary", "gcd_degree_3", "none", "fractional_lead"])
+def test_real_rational_roots_cases(p, expected):
+    assert unipoly.real_rational_roots(p) == expected
+    assert unipoly.has_positive_rational_root(p) == any(r > 0 for r in expected)
+
+
 def test_gaussian_integer_root():
     # roots 1+i and 2
     p = unipoly.poly_mul([GaussRat(-1, -1), GaussRat(1)], [GaussRat(-2), GaussRat(1)])

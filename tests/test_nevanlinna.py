@@ -164,3 +164,40 @@ def test_declared_zero_verification():
         nv.ParametrizedCurve((_poly(0, 0, 1),), declared_zeros={"f1": [(GaussRat(0), 1)]})
     c = nv.ParametrizedCurve((_poly(0, 0, 1),), declared_zeros={"f1": [(GaussRat(0), 2)]})
     assert c.zeros_for("f1")
+
+
+def test_softplus_large_argument_no_overflow_warning():
+    import warnings
+
+    import numpy as np
+
+    x = np.array([1e6, 40.0, 0.0, -40.0, -1e6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = nv._softplus(x)
+    assert out[0] == 1e6 and out[1] == 40.0
+    assert out[2] == pytest.approx(math.log(2.0))
+    assert out[3] == math.exp(-40.0) and out[4] == math.exp(-700.0)
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "", "1.5"])
+def test_budget_env_rejects_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("FOLIATION_LAB_BUDGET", value)
+    with pytest.raises(ValueError, match="FOLIATION_LAB_BUDGET"):
+        QuadConfig()
+
+
+def test_budget_env_cli_exit_code(monkeypatch, capsys):
+    from foliationlab import cli
+
+    monkeypatch.setenv("FOLIATION_LAB_BUDGET", "abc")
+    assert cli.main(["nevanlinna", "f(t) = (exp(t))", "--check", "T", "--radii", "4:64:5"]) == 1
+    assert "FOLIATION_LAB_BUDGET" in capsys.readouterr().err
+
+
+def test_budget_env_default_and_value(monkeypatch):
+    monkeypatch.delenv("FOLIATION_LAB_BUDGET", raising=False)
+    assert QuadConfig().budget == 1 << 24
+    monkeypatch.setenv("FOLIATION_LAB_BUDGET", "5000")
+    assert QuadConfig().budget == 5000
+    assert QuadConfig(budget=7).budget == 7

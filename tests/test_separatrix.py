@@ -136,3 +136,51 @@ def test_jordan_block_dim3():
     fc = formal_separatrix(v, direction_of_eigenvalue(v, GaussRat(1)), 6)
     assert isinstance(fc, FormalCurve)
     assert fc.components[0].coeffs[1] == GaussRat(1)
+
+
+_VS3 = ("x", "y", "z")
+_X3, _Y3, _Z3 = (MVPoly.var(_VS3, n) for n in _VS3)
+
+# Full to_jsonable() records of three solves, recorded before the graph-gauge
+# curve moved onto MVPoly: a dense non-polynomial curve with a finite
+# residual order, a dim-3 curve, and a resonance obstruction.
+PINNED = [
+    (germ(X + Y * Y, -2 * Y + X * X + X * Y), 24, {
+        "variables": ["x", "y"],
+        "components": [
+            ["0", "1"] + ["0"] * 23,
+            ["0", "0", "1/4", "1/20", "1/120", "-11/3360", "-169/53760", "-1103/806400",
+             "-3581/20160000", "358627/1774080000", "7837499/42577920000",
+             "291308461/3874590720000", "1951290569/542442700800000",
+             "-270450921889/14793891840000000", "-74043533189533/5207449927680000000",
+             "-150081307096031/29508882923520000000", "25909157918417/59017765847040000000",
+             "433760591800703/236071063388160000000",
+             "18337549172943485321/14872476993454080000000000",
+             "137852420990705860259/381726909498654720000000000",
+             "-16362993619930648200593/151163856161467269120000000000",
+             "-74762344942958260638619/386307632412638576640000000000",
+             "-23456258298262948328986897/208606121502824831385600000000000",
+             "-1179077997095410884783196961/48426421063155764428800000000000000",
+             "54821181475242744871127833247/3204948593997945136742400000000000000"],
+        ],
+        "tangent_direction": 1, "eigenvalue": "1", "truncation_order": 24, "residual_order": 25,
+    }),
+    (VectorFieldGerm(_VS3, (_X3, -1 * _Y3 + _Z3 + _X3 * _X3, -1 * _Z3 + _X3 * _Y3)), 10, {
+        "variables": ["x", "y", "z"],
+        "components": [
+            ["0", "1"] + ["0"] * 9,
+            ["0", "0", "1/3", "1/48", "1/1200", "1/43200", "1/2116800", "1/135475200",
+             "1/10973491200", "1/1097349120000", "1/132779243520000"],
+            ["0", "0", "0", "1/12", "1/240", "1/7200", "1/302400", "1/16934400",
+             "1/1219276800", "1/109734912000", "1/12070840320000"],
+        ],
+        "tangent_direction": 2, "eigenvalue": "1", "truncation_order": 10, "residual_order": 11,
+    }),
+    (germ(X, 3 * Y + X * X * X + X * Y), 6, {"resonance_order": 3, "obstruction": ["-1"]}),
+]
+
+
+@pytest.mark.parametrize("v, order, expected", PINNED, ids=["dense_dim2", "dim3", "resonance"])
+def test_pinned_to_jsonable(v, order, expected):
+    result = formal_separatrix(v, direction_of_eigenvalue(v, GaussRat(1)), order)
+    assert result.to_jsonable() == expected
