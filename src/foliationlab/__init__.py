@@ -21,6 +21,7 @@ from .linalg import Indeterminate, char_poly, eigenvalues_exact
 from .blowup import (
     BlowupChart,
     SaturatedTransform,
+    blow_up,
     blowup_charts,
     effectivity_count,
     exceptional_multiplicity,

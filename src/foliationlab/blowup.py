@@ -10,6 +10,9 @@ Pulling a vector field back produces components with a common power u^s;
 the saturation exponent s is the twist recording whether the tangent
 bundle of the induced foliation equals the pullback bundle (s = 0) or
 fails by s * E.
+
+`blow_up` is one point blow-up: the saturated transform of every chart
+with its singular points on E, each fact of the center computed once.
 """
 
 from __future__ import annotations
@@ -95,7 +98,6 @@ class SaturatedTransform:
     saturated_field: VectorFieldGerm
     divisor: LogDivisor
     exceptional_invariant: bool
-    parent_multiplicity: int | float
 
     def to_jsonable(self):
         return {
@@ -151,7 +153,6 @@ def transform_vector_field(
                 axes[a] = divisor.history[a]
     if e_invariant:
         axes[j] = exceptional_tag(level)
-    mult = min(comp.vanishing_order() for comp in v.components)
     return SaturatedTransform(
         chart=chart,
         raw_field=raw,
@@ -159,7 +160,6 @@ def transform_vector_field(
         saturated_field=saturated,
         divisor=LogDivisor(axes.keys(), axes),
         exceptional_invariant=e_invariant,
-        parent_multiplicity=mult,
     )
 
 
@@ -305,41 +305,46 @@ def univariate_on_E(p: MVPoly, u: int, w: int) -> list[GaussRat]:
     return unipoly.trim(coeffs)
 
 
-def _point_from_direction(e: Sequence[GaussRat], chart_j: int, n: int) -> tuple[GaussRat, ...] | None:
-    if GaussRat.coerce(e[chart_j]).is_zero():
+def _eigendirection_loci(center: VectorFieldGerm, dedupe: bool) -> list[ELocus] | None:
+    """Sing on E, chart by chart, in the charts with s = 0 of a
+    multiplicity-one center in dim >= 3: exactly the eigendirections of the
+    center's linear part, from one eigenvalue computation.  None for any
+    other center."""
+    n = center.dim()
+    if n < 3 or min(c.vanishing_order() for c in center.components) != 1:
         return None
-    scale = GaussRat(1) / GaussRat.coerce(e[chart_j])
-    return tuple(GaussRat(0) if i == chart_j else GaussRat.coerce(e[i]) * scale for i in range(n))
-
-
-def _eigendirection_locus(parent_linear: linalg.Matrix, sat: SaturatedTransform, dedupe: bool) -> ELocus:
-    """Multiplicity-one, s = 0 case: Sing on E is exactly the set of
-    eigendirections of the parent linear part."""
-    j, n = sat.chart.index, sat.chart.n
-    ev = linalg.eigenvalues_exact(parent_linear)
+    linear = center.linear_part()
+    ev = linalg.eigenvalues_exact(linear)
     if isinstance(ev, linalg.Indeterminate):
-        return ELocus(points=[], complete=False,
-                      notes=["eigenvalues outside Q(i); direction enumeration incomplete"])
-    points = []
-    seen = set()
-    for lam in ev:
-        key = (lam.re, lam.im)
-        if key in seen:
-            continue
-        seen.add(key)
-        shifted = linalg.mat_sub(parent_linear, linalg.mat_scale(linalg.identity(n), lam))
-        basis = linalg.kernel_basis(shifted)
+        return [ELocus(points=[], complete=False,
+                       notes=["eigenvalues outside Q(i); direction enumeration incomplete"]) for _ in range(n)]
+    loci = [ELocus(points=[]) for _ in range(n)]
+    for lam in dict.fromkeys(ev):
+        basis = linalg.kernel_basis(linalg.mat_sub(linear, linalg.mat_scale(linalg.identity(n), lam)))
         if len(basis) >= 2:
-            return ELocus(points=[], complete=False, non_isolated=True,
-                          notes=["eigenspace of dimension >= 2: positive-dimensional eigendirection set"])
+            return [ELocus(points=[], complete=False, non_isolated=True,
+                           notes=["eigenspace of dimension >= 2: positive-dimensional eigendirection set"])
+                    for _ in range(n)]
         e = basis[0]
         first = next(i for i in range(n) if not e[i].is_zero())
-        if dedupe and first != j:
-            continue
-        pt = _point_from_direction(e, j, n)
-        if pt is not None:
-            points.append(pt)
-    return ELocus(points=points, complete=True)
+        for j in [first] if dedupe else range(n):
+            if not e[j].is_zero():
+                scale = GaussRat(1) / e[j]
+                loci[j].points.append(tuple(GaussRat(0) if i == j else e[i] * scale for i in range(n)))
+    return loci
+
+
+def blow_up(
+    v: VectorFieldGerm,
+    divisor: LogDivisor | None = None,
+    level: int = 1,
+) -> list[tuple[SaturatedTransform, ELocus]]:
+    """One point blow-up of v at the origin: the saturated transform of
+    every chart, each with its deduplicated singular points on E.  The
+    eigendirections of the center are computed once for all charts."""
+    sats = [transform_vector_field(v, chart, divisor, level) for chart in blowup_charts(v.dim())]
+    eigen = _eigendirection_loci(v, dedupe=True) if any(s.saturation_exponent == 0 for s in sats) else None
+    return [(sat, _locus_on_E(sat, eigen, dedupe=True)) for sat in sats]
 
 
 def singular_points_on_E(
@@ -356,6 +361,13 @@ def singular_points_on_E(
     enumeration is exact for multiplicity-one non-dicritical centers via
     eigendirections, and degrades to a documented incomplete probe
     otherwise."""
+    use_eigen = parent is not None and sat.saturation_exponent == 0
+    return _locus_on_E(sat, _eigendirection_loci(parent, dedupe) if use_eigen else None, dedupe)
+
+
+def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None, dedupe: bool) -> ELocus:
+    """`singular_points_on_E`, given the center's eigendirection loci
+    (or None); they answer for the charts with s = 0."""
     j, n = sat.chart.index, sat.chart.n
     f = sat.saturated_field
     if n == 2:
@@ -375,43 +387,33 @@ def singular_points_on_E(
             pt[1 - j] = w0
             points.append(tuple(pt))
         clusters = []
-        if not res.split_completely():
-            residual = unipoly.poly_monic(res.residual)
-            keep_cluster = not (dedupe and j > 0)
-            if keep_cluster:
-                clusters.append(SingularCluster(tuple(residual), res.exhaustive))
+        if not res.split_completely() and not (dedupe and j > 0):
+            clusters.append(SingularCluster(tuple(unipoly.poly_monic(res.residual)), res.exhaustive))
         # drop duplicate points, keep deterministic order
-        uniq = []
-        for p in sorted(points, key=lambda q: (str(q[0]), str(q[1]))):
-            if p not in uniq:
-                uniq.append(p)
+        uniq = sorted(set(points), key=lambda q: (str(q[0]), str(q[1])))
         return ELocus(points=uniq, clusters=clusters, complete=True)
 
-    if parent is not None and sat.parent_multiplicity == 1 and sat.saturation_exponent == 0:
-        return _eigendirection_locus(parent.linear_part(), sat, dedupe)
+    if eigen is not None and sat.saturation_exponent == 0:
+        return eigen[j]
 
     # restricted system on E, with dedupe constraints
     zero_idx = [j] + ([i for i in range(n) if i < j] if dedupe else [])
     restricted = [comp.set_vars_to_zero(zero_idx) for comp in f.components]
     if all(r.total_degree() <= 1 for r in restricted):
         keep = [i for i in range(n) if i not in zero_idx]
-        rows, rhs = [], []
-        for r in restricted:
-            rows.append([r.coeff(tuple(1 if t == i else 0 for t in range(n))) for i in keep])
-            rhs.append(-r.constant_term())
-        sol = linalg.solve(tuple(tuple(row) for row in rows), rhs)
+        units = [tuple(1 if t == i else 0 for t in range(n)) for i in keep]
+        rows = tuple(tuple(r.coeff(e) for e in units) for r in restricted)
+        sol = linalg.solve(rows, [-r.constant_term() for r in restricted])
         if sol is None:
             return ELocus(points=[], complete=True)
-        kern = linalg.kernel_basis(tuple(tuple(row) for row in rows))
-        if kern:
+        if linalg.kernel_basis(rows):
             return ELocus(points=[], complete=False, non_isolated=True,
                           notes=["linear restricted system has positive-dimensional solution set"])
         pt = [GaussRat(0)] * n
         for pos, i in enumerate(keep):
             pt[i] = sol[pos]
-        if all(c.evaluate(pt).is_zero() for c in f.components):
-            return ELocus(points=[tuple(pt)], complete=True)
-        return ELocus(points=[], complete=True)
+        singular = all(c.evaluate(pt).is_zero() for c in f.components)
+        return ELocus(points=[tuple(pt)] if singular else [], complete=True)
 
     origin = tuple(GaussRat(0) for _ in range(n))
     pts = [origin] if all(c.evaluate(origin).is_zero() for c in f.components) else []

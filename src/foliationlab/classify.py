@@ -3,7 +3,8 @@
 Covers algebraic multiplicity, the reduced test, the Seidenberg surface
 dichotomy (nondegenerate / degenerate of type k), simple points and
 corners relative to a log divisor, dicriticality, and a bounded probe of
-the absolutely-isolated condition.
+the absolutely-isolated condition.  Dicriticality is read from the tangent
+cone (the leading homogeneous part is radial) without blowing up.
 
 Eigenvalue-ratio exclusions are decided exactly even when eigenvalues do
 not live in Q(i): the multiplicity of the known eigenvalue comes from
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .gaussrat import GaussRat
+from .mvpoly import MVPoly
 from .foliation import (
     DivisorNotInvariant,
     FoliationError,
@@ -259,18 +261,34 @@ def classify_simple(v: VectorFieldGerm, divisor: LogDivisor) -> SimpleStatus:
 
 
 def is_dicritical(v: VectorFieldGerm, assume_isolated: bool = False) -> bool:
-    """One blow-up; dicritical iff the exceptional divisor fails invariance
-    in some chart."""
+    """Dicritical iff the exceptional divisor E of one blow-up is not
+    invariant, read from the tangent cone without blowing up: iff the
+    leading form a^(m) is radial, i.e. z_j a_i - z_i a_j vanishes to order
+    > m + 1 for all i < j, where m is the multiplicity.
+
+    Proof.  In chart j the pole-cleared components are P_j = O(u^(m+1))
+    and P_i = u^m (z_j a_i^(m) - z_i a_j^(m))|_{z_j=1} + O(u^(m+1)).  If
+    one of these homogeneous brackets is nonzero, then s = m - 1 and u
+    divides the saturated j-th component P_j / u^m: E is invariant.  If
+    all vanish, then a^(m) = h z with h != 0, so P_j = u^(m+1) h(w) +
+    O(u^(m+2)), every P_i is O(u^(m+1)), s = m, and the saturated j-th
+    component starts with h(w) != 0: E is not invariant.  A radial a^(m)
+    makes every bracket vanish, so the same case holds in every chart."""
     if not is_singular_at_origin(v):
         raise NonSingularPoint("germ is not singular at the origin")
     if v.dim() == 2 and not assume_isolated:
         if not polygcd.isolated_at_origin_dim2(v.components):
             raise FoliationError("singular locus is not isolated at the origin")
-    for chart in blowup.blowup_charts(v.dim()):
-        sat = blowup.transform_vector_field(v, chart)
-        if not sat.exceptional_invariant:
-            return True
-    return False
+    n = v.dim()
+    if n < 2:
+        raise ValueError("blow-up needs ambient dimension >= 2")
+    m = min(c.vanishing_order() for c in v.components)
+    if m is math.inf:
+        raise ValueError("cannot blow up the zero field")
+    z = [MVPoly.var(v.variables, name) for name in v.variables]
+    a = v.components
+    return all((z[j] * a[i] - z[i] * a[j]).vanishing_order() > m + 1
+               for i in range(n) for j in range(i + 1, n))
 
 
 def singularity_report(
@@ -344,10 +362,8 @@ def bounded_ais_probe(v: VectorFieldGerm, depth: int, node_budget: int = 2000) -
     if n == 2:
         if not polygcd.isolated_at_origin_dim2(v.components):
             return ProbeResult("non_isolated_found", level=0)
-    else:
-        if any(c.is_zero() for c in v.components):
-            return ProbeResult("non_isolated_found", level=0,
-                               notes=["a component vanishes identically"])
+    elif any(c.is_zero() for c in v.components):
+        return ProbeResult("non_isolated_found", level=0, notes=["a component vanishes identically"])
     queue: list[tuple[VectorFieldGerm, int]] = [(v, 0)]
     explored = 0
     blocked = False
@@ -360,9 +376,7 @@ def bounded_ais_probe(v: VectorFieldGerm, depth: int, node_budget: int = 2000) -
                                notes=notes + ["node budget exhausted"])
         if level >= depth:
             continue
-        for chart in blowup.blowup_charts(n):
-            sat = blowup.transform_vector_field(germ, chart)
-            locus = blowup.singular_points_on_E(sat, parent=germ, dedupe=True)
+        for sat, locus in blowup.blow_up(germ):
             if locus.non_isolated:
                 return ProbeResult("non_isolated_found", level=level + 1, nodes_explored=explored,
                                    notes=notes + locus.notes)

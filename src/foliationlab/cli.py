@@ -158,19 +158,16 @@ def cmd_classify(args, out) -> int:
 def cmd_blowup(args, out) -> int:
     germ = dsl.parse_vector_field(args.input)
     divisor = _divisor_for(args, germ)
-    charts = blowup.blowup_charts(germ.dim())
-    if args.chart is not None:
-        charts = [blowup.BlowupChart(germ.dim(), args.chart - 1)]
+    chart = None if args.chart is None else blowup.BlowupChart(germ.dim(), args.chart - 1)
+    entries = blowup.blow_up(germ, divisor)
     result = {}
-    for chart in charts:
-        sat = blowup.transform_vector_field(germ, chart, divisor)
+    for sat, locus in entries if chart is None else [entries[chart.index]]:
         entry = sat.to_jsonable()
         entry["raw_field"] = sat.raw_field.to_text()
-        locus = blowup.singular_points_on_E(sat, parent=germ, dedupe=True)
         entry["singular_points_on_E"] = [[str(c) for c in pt] for pt in locus.points]
         entry["clusters"] = [[str(c) for c in cl.min_poly] for cl in locus.clusters]
         entry["enumeration_complete"] = locus.complete
-        result["c%d" % (chart.index + 1)] = entry
+        result["c%d" % (sat.chart.index + 1)] = entry
     _emit_json("blowup", _sanitize(result), out)
     return EXIT_OK
 

@@ -222,7 +222,9 @@ def direction_map_density(gens_on_curve: Sequence[Expr]) -> Callable[[np.ndarray
 def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig) -> tuple[list[float], list[float], list[bool], int]:
     """T(r) = int_0^r q(rho) log(r/max(rho,1)) d rho for every r at once,
     with q(rho) = rho * mean-circle(density) * 2 pi.  Refines the radial
-    grid until the largest radius stabilizes."""
+    grid until the largest radius stabilizes.  The error bound of T(r) is
+    the last radial refinement delta plus the circle-mean bounds of the
+    final level, weighted like T."""
     r_grid = [float(r) for r in r_grid]
     breaks = sorted({0.0, 1.0, *r_grid})
     cache: dict[float, tuple[float, float, bool]] = {}
@@ -236,23 +238,28 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig) ->
             else:
                 res = circle_mean(density, rho, cfg)
                 evals += res.evaluations
-                cache[rho] = (2.0 * math.pi * rho * res.value, res.error_bound * rho, res.converged)
+                cache[rho] = (2.0 * math.pi * rho * res.value, 2.0 * math.pi * rho * res.error_bound,
+                              res.converged)
         return cache[rho]
 
     def run_level(mult: int):
         Ts = [0.0 for _ in r_grid]
+        errs = [0.0 for _ in r_grid]
         ok = True
         for a, b in zip(breaks[:-1], breaks[1:]):
             nseg = max(8, int(mult * 16 * (b - a) / max(1.0, breaks[-1] - 0.0)))
             nseg += nseg % 2
             xs = np.linspace(a, b, nseg + 1)
-            qs = []
+            qs, qbs = [], []
             for x in xs:
-                qv, _qb, qok = q_at(float(x))
+                qv, qb, qok = q_at(float(x))
                 ok = ok and qok
                 qs.append(qv)
-            qs = np.asarray(qs)
+                qbs.append(qb)
+            qs, qbs = np.asarray(qs), np.asarray(qbs)
             h = (b - a) / nseg
+            simpson = np.where(np.arange(nseg + 1) % 2, 4.0, 2.0)
+            simpson[[0, -1]] = 1.0
             for i, r in enumerate(r_grid):
                 if b <= r + 1e-15:
                     w = np.log(r / np.maximum(xs, 1.0))
@@ -261,21 +268,24 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig) ->
                                      + 4.0 * (qs[1:-1:2] * w[1:-1:2]).sum()
                                      + 2.0 * (qs[2:-2:2] * w[2:-2:2]).sum())
                     Ts[i] += float(seg)
-        return Ts, bool(ok)
+                    # a node of weight 0 adds nothing, even where its circle diverged
+                    weight = h / 3.0 * simpson * w
+                    errs[i] += float((weight * np.where(weight > 0.0, qbs, 0.0)).sum())
+        return Ts, errs, bool(ok)
 
-    prev, ok_prev = run_level(1)
+    prev, _, ok_prev = run_level(1)
     level = 2
-    bounds = [math.inf] * len(r_grid)
-    cur, ok_cur = prev, ok_prev
+    deltas = [math.inf] * len(r_grid)
+    cur, errs, ok_cur = prev, [0.0] * len(r_grid), ok_prev
     while level <= 16:
-        cur, ok_cur = run_level(level)
-        bounds = [abs(a - b) for a, b in zip(cur, prev)]
-        if max(bounds) <= max(cfg.tol, 1e-9) * max(1.0, max(abs(v) for v in cur)) or evals > cfg.budget:
+        cur, errs, ok_cur = run_level(level)
+        deltas = [abs(a - b) for a, b in zip(cur, prev)]
+        if max(deltas) <= max(cfg.tol, 1e-9) * max(1.0, max(abs(v) for v in cur)) or evals > cfg.budget:
             break
         prev = cur
         level *= 2
-    diverged = [bool(not ok_cur or b > 1e-3 * max(1.0, abs(v))) for b, v in zip(bounds, cur)]
-    return cur, bounds, diverged, evals
+    diverged = [bool(not ok_cur or b > 1e-3 * max(1.0, abs(v))) for b, v in zip(deltas, cur)]
+    return cur, [d + e for d, e in zip(deltas, errs)], diverged, evals
 
 
 # ---------------------------------------------------------------------------

@@ -157,18 +157,16 @@ class ResolutionTower:
 # helpers
 
 
-def _fmt_point(pt: Sequence[GaussRat]) -> tuple[str, ...]:
-    return tuple(str(c) for c in pt)
+def _fmt(coeffs: Sequence[GaussRat]) -> tuple[str, ...]:
+    return tuple(str(c) for c in coeffs)
 
 
 @dataclass
 class ClusterVerdict:
-    poly: list[GaussRat]          # squarefree part carrying the points
-    size: int
+    size: int  # degree of the squarefree part carrying the points
     all_reduced: bool
     nondegenerate_part: list[GaussRat]
     saddle_node_part: list[GaussRat]
-    nonreduced_part: list[GaussRat]
     dicritical_part: list[GaussRat]
 
 
@@ -200,7 +198,7 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
     g1 = unipoly.poly_gcd(h_sf, tr) if tr else list(h_sf)
     nonred = unipoly.poly_gcd(g1, det) if det else list(g1)
     if unipoly.degree(nonred) > 0:
-        return ClusterVerdict(h_sf, unipoly.degree(h_sf), False, [], [], nonred, [])
+        return ClusterVerdict(unipoly.degree(h_sf), False, [], [], [])
     sn = unipoly.poly_gcd(h_sf, det) if det else list(h_sf)
     if unipoly.degree(sn) > 0:
         nd, rem = unipoly.poly_divmod(h_sf, sn)
@@ -208,6 +206,7 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
     else:
         nd, sn = list(h_sf), []
     # dicritical cluster points have scalar Jacobian: aw = bu = 0 and au = bw
+    # (the m = 1 case of the radial tangent cone in classify.is_dicritical)
     diff = unipoly.poly_sub(au, bw)
     dic = list(nd)
     for q in (aw, bu, diff):
@@ -216,11 +215,7 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
         dic = unipoly.poly_gcd(dic, q) if q else dic
     if unipoly.degree(dic) <= 0:
         dic = []
-    return ClusterVerdict(h_sf, unipoly.degree(h_sf), True, nd, sn, [], dic)
-
-
-def _fmt_poly(p: Sequence[GaussRat]) -> tuple[str, ...]:
-    return tuple(str(c) for c in p)
+    return ClusterVerdict(unipoly.degree(h_sf), True, nd, sn, dic)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +236,14 @@ def _run_tower(
     divisor: LogDivisor | None,
     max_depth: int,
     goal: str,
-    is_terminal,
-    terminal_record,
+    terminal,
     node_budget: int = 4000,
 ) -> ResolutionTower:
     """Shared driver: blow up every non-terminal singular point, breadth
     first, until terminal everywhere or the depth cap is hit.
 
-    `is_terminal(item) -> (bool, payload)`; `terminal_record(item, payload)`
-    builds the TerminalSingularity for terminal items."""
+    `terminal(item)` returns the TerminalSingularity of a terminal item, or
+    the reason the item is not terminal."""
     n = v.dim()
     div0 = divisor if divisor is not None else LogDivisor.empty()
     tower = ResolutionTower(
@@ -259,7 +253,7 @@ def _run_tower(
     if not is_singular_at_origin(v):
         tower.notes.append("root germ is not singular at the origin; nothing to resolve")
         return tower
-    queue: list[_WorkItem] = [_WorkItem("", v, div0, 0, _fmt_point([GaussRat(0)] * n))]
+    queue: list[_WorkItem] = [_WorkItem("", v, div0, 0, _fmt([GaussRat(0)] * n))]
     depth_exceeded = False
     blocked_reason = ""
     explored = 0
@@ -271,26 +265,23 @@ def _run_tower(
             tower.reason = "node budget exhausted (%d)" % node_budget
             tower.pending.extend({"node": it.path, "location": list(it.location)} for it in queue)
             return tower
-        terminal, payload = is_terminal(item)
-        if terminal:
-            tower.terminals.append(terminal_record(item, payload))
+        outcome = terminal(item)
+        if isinstance(outcome, TerminalSingularity):
+            tower.terminals.append(outcome)
             continue
         if item.level >= max_depth:
             depth_exceeded = True
             tower.pending.append({"node": item.path, "location": list(item.location),
-                                  "why_not_terminal": payload})
+                                  "why_not_terminal": outcome})
             continue
         ev_index = len(tower.events) + 1
         level = item.level
         s_by_chart: dict[int, int] = {}
-        event = TowerEvent(ev_index, item.path, item.location, level, s_by_chart)
-        tower.events.append(event)
-        for chart in blowup.blowup_charts(n):
-            sat = blowup.transform_vector_field(item.germ, chart, item.divisor, level=ev_index)
-            s_by_chart[chart.index] = sat.saturation_exponent
-            child_path = (item.path + "/" if item.path else "") + "b%d.c%d" % (ev_index, chart.index + 1)
+        tower.events.append(TowerEvent(ev_index, item.path, item.location, level, s_by_chart))
+        for sat, locus in blowup.blow_up(item.germ, item.divisor, level=ev_index):
+            s_by_chart[sat.chart.index] = sat.saturation_exponent
+            child_path = (item.path + "/" if item.path else "") + "b%d.c%d" % (ev_index, sat.chart.index + 1)
             tower.nodes[child_path] = TowerNode(child_path, level + 1, sat)
-            locus = blowup.singular_points_on_E(sat, parent=item.germ, dedupe=True)
             if locus.non_isolated:
                 tower.status = "blocked"
                 tower.reason = "non-isolated singular locus on E at %s" % child_path
@@ -300,10 +291,10 @@ def _run_tower(
                     "singular-point enumeration incomplete at %s: %s"
                     % (child_path, "; ".join(locus.notes) or "unknown")
                 )
-            for pt in sorted(locus.points, key=lambda q: tuple(str(c) for c in q)):
+            for pt in sorted(locus.points, key=_fmt):
                 child = translate_to_point(sat.saturated_field, pt)
                 queue.append(_WorkItem(child_path, child, divisor_at_point(sat.divisor, pt),
-                                       level + 1, _fmt_point(pt)))
+                                       level + 1, _fmt(pt)))
             for cl in locus.clusters:
                 verdict = _cluster_verdict(sat, cl)
                 if verdict.dicritical_part:
@@ -312,22 +303,15 @@ def _run_tower(
                         "reduced but dicritical singular points at non-Q(i) locations on %s" % child_path)
                     return tower
                 if goal == "seidenberg" and verdict.all_reduced:
-                    if verdict.nondegenerate_part and unipoly.degree(verdict.nondegenerate_part) > 0:
-                        tower.terminals.append(TerminalSingularity(
-                            node_path=child_path, location=None,
-                            cluster_poly=_fmt_poly(verdict.nondegenerate_part),
-                            cluster_size=unipoly.degree(verdict.nondegenerate_part),
-                            reduced=True, surface_type=classify.NON_DEGENERATE,
-                            simple_status=None, dicritical=None, report=None))
-                    if verdict.saddle_node_part and unipoly.degree(verdict.saddle_node_part) > 0:
-                        tower.terminals.append(TerminalSingularity(
-                            node_path=child_path, location=None,
-                            cluster_poly=_fmt_poly(verdict.saddle_node_part),
-                            cluster_size=unipoly.degree(verdict.saddle_node_part),
-                            reduced=True,
-                            surface_type=classify.unclassified(
-                                "saddle-node cluster at non-Q(i) points: type-k normalization unavailable"),
-                            simple_status=None, dicritical=None, report=None))
+                    saddle_node = classify.unclassified(
+                        "saddle-node cluster at non-Q(i) points: type-k normalization unavailable")
+                    for part, surface_type in ((verdict.nondegenerate_part, classify.NON_DEGENERATE),
+                                               (verdict.saddle_node_part, saddle_node)):
+                        if part and unipoly.degree(part) > 0:
+                            tower.terminals.append(TerminalSingularity(
+                                node_path=child_path, location=None, cluster_poly=_fmt(part),
+                                cluster_size=unipoly.degree(part), reduced=True, surface_type=surface_type,
+                                simple_status=None, dicritical=None, report=None))
                 else:
                     tower.status = "blocked"
                     which = "non-reduced" if not verdict.all_reduced else goal
@@ -362,24 +346,20 @@ def seidenberg_reduce(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> Res
     if is_singular_at_origin(v) and not polygcd.isolated_at_origin_dim2(v.components):
         raise NonIsolatedSingularLocus("root singular locus is a curve")
 
-    def is_terminal(item: _WorkItem):
+    def terminal(item: _WorkItem):
         reduced, why = classify.classify_reduced(item.germ)
         if not reduced:
-            return False, why
-        dic = classify.is_dicritical(item.germ, assume_isolated=True)
-        if dic:
-            return False, "reduced but dicritical"
-        return True, dic
-
-    def record(item: _WorkItem, dic):
+            return why
+        if classify.is_dicritical(item.germ, assume_isolated=True):
+            return "reduced but dicritical"
         rep = classify.singularity_report(item.germ, divisor=None, with_dicritical=False)
-        rep.dicritical = dic
+        rep.dicritical = False
         return TerminalSingularity(
             node_path=item.path, location=item.location, cluster_poly=None, cluster_size=1,
             reduced=True, surface_type=rep.surface_type, simple_status=None,
-            dicritical=dic, report=rep)
+            dicritical=False, report=rep)
 
-    return _run_tower(v, None, max_depth, "seidenberg", is_terminal, record)
+    return _run_tower(v, None, max_depth, "seidenberg", terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -397,30 +377,25 @@ def resolve_simple(v: VectorFieldGerm, divisor: LogDivisor, max_depth: int = DEF
     if probe.status == "non_isolated_found":
         raise NonIsolatedSingularLocus("bounded A.I.S. probe found a non-isolated locus at level %s" % probe.level)
 
-    def is_terminal(item: _WorkItem):
+    def terminal(item: _WorkItem):
         if item.divisor.axis_count() == 0:
-            return False, "no divisor axis through the point"
+            return "no divisor axis through the point"
         try:
             status = classify.classify_simple(item.germ, item.divisor)
         except DivisorNotInvariant as exc:
-            return False, str(exc)
+            return str(exc)
         if not status.is_simple():
-            return False, status.detail or status.kind
-        dic = classify.is_dicritical(item.germ, assume_isolated=True)
-        if dic:
-            return False, "simple-looking but dicritical"
-        return True, (status, dic)
-
-    def record(item: _WorkItem, payload):
-        status, dic = payload
+            return status.detail or status.kind
+        if classify.is_dicritical(item.germ, assume_isolated=True):
+            return "simple-looking but dicritical"
         rep = classify.singularity_report(item.germ, divisor=item.divisor, with_dicritical=False)
-        rep.dicritical = dic
+        rep.dicritical = False
         return TerminalSingularity(
             node_path=item.path, location=item.location, cluster_poly=None, cluster_size=1,
             reduced=rep.reduced, surface_type=rep.surface_type if v.dim() == 2 else None,
-            simple_status=status, dicritical=dic, report=rep)
+            simple_status=status, dicritical=False, report=rep)
 
-    tower = _run_tower(v, divisor, max_depth, "simple", is_terminal, record)
+    tower = _run_tower(v, divisor, max_depth, "simple", terminal)
     if probe.status != "all_levels_finite":
         tower.notes.append("A.I.S. probe: %s" % probe.status)
     return tower

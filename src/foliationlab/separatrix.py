@@ -279,7 +279,6 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
     if not finite:
         raise FoliationError("curve is identically zero to working order")
     vmin, c = min(finite)
-    chart = blowup.BlowupChart(v.dim(), c)
     denom = curve.components[c]
     lifted: list[TruncatedSeries] = []
     point = []
@@ -291,7 +290,8 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
             q = comp.divide(denom)
             lifted.append(q)
             point.append(q.coeffs[0])
-    sat = blowup.transform_vector_field(v, chart, divisor)
+    entries = blowup.blow_up(v, divisor)
+    sat = entries[c][0]
     germ_at = translate_to_point(sat.saturated_field, point)
     div_at = divisor_at_point(sat.divisor, point)
     try:
@@ -303,11 +303,9 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
     notes = []
     simple_count = 0
     point_is_simple_point = st.kind in ("simple_point_A", "simple_point_B")
-    for ch in blowup.blowup_charts(v.dim()):
-        sat_ch = blowup.transform_vector_field(v, ch, divisor)
-        locus = blowup.singular_points_on_E(sat_ch, parent=v, dedupe=True)
+    for sat_ch, locus in entries:
         if not locus.complete:
-            notes.append("enumeration incomplete in chart %d" % (ch.index + 1))
+            notes.append("enumeration incomplete in chart %d" % (sat_ch.chart.index + 1))
         for pt in locus.points:
             g = translate_to_point(sat_ch.saturated_field, pt)
             d = divisor_at_point(sat_ch.divisor, pt)

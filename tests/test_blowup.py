@@ -9,6 +9,7 @@ from foliationlab.foliation import LogDivisor, VectorFieldGerm, is_singular_at_o
 from foliationlab.blowup import (
     BlowupChart,
     SectionExists,
+    blow_up,
     blowup_charts,
     ceil_nth_root,
     effectivity_count,
@@ -17,7 +18,8 @@ from foliationlab.blowup import (
     singular_points_on_E,
     transform_vector_field,
 )
-from foliationlab.corpus import oneform_corpus
+from foliationlab.corpus import jordan_fixtures, oneform_corpus, seidenberg_corpus
+from foliationlab.dsl import parse_vector_field
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -220,3 +222,39 @@ def test_singular_cluster_detected():
     st = transform_vector_field(v, BlowupChart(2, 0))
     locus = singular_points_on_E(st, parent=v)
     assert locus.clusters or locus.points
+
+
+def _chart_by_chart(v, divisor, level):
+    out = []
+    for chart in blowup_charts(v.dim()):
+        sat = transform_vector_field(v, chart, divisor, level)
+        out.append((sat, singular_points_on_E(sat, parent=v, dedupe=True)))
+    return out
+
+
+def _snapshot(sat, locus):
+    return (sat.to_jsonable(), sat.raw_field.to_text(), locus.points,
+            [(cl.min_poly, cl.exhaustive_search) for cl in locus.clusters],
+            locus.complete, locus.non_isolated, locus.notes)
+
+
+def test_blow_up_equals_chart_by_chart():
+    cases = [(fx["germ"], fx["divisor"], 1) for fx in jordan_fixtures()]
+    cases += [(v, None, 2) for v in seidenberg_corpus()[::5]]
+    for v, divisor, level in cases:
+        got = [_snapshot(*entry) for entry in blow_up(v, divisor, level)]
+        assert got == [_snapshot(*entry) for entry in _chart_by_chart(v, divisor, level)]
+
+
+@pytest.mark.parametrize("text, divisor, s, note", [
+    ("v = y d/dx + 2*x d/dy + z d/dz", None, 0, "eigenvalues outside Q(i)"),
+    ("v = x d/dx + y d/dy - z d/dz", LogDivisor({2}), 0, "eigenspace of dimension >= 2"),
+    # radial center: s = 1, so the restricted system on E answers
+    ("v = (x + y^2) d/dx + y d/dy + (z + x*z) d/dz", None, 1, None),
+])
+def test_blow_up_equals_chart_by_chart_dim3(text, divisor, s, note):
+    v = parse_vector_field(text)
+    got = blow_up(v, divisor, level=3)
+    assert [_snapshot(*entry) for entry in got] == [_snapshot(*entry) for entry in _chart_by_chart(v, divisor, 3)]
+    assert [sat.saturation_exponent for sat, _ in got] == [s] * 3
+    assert all((note in locus.notes[0]) if note else not locus.non_isolated for _, locus in got)

@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat, I
 from foliationlab.mvpoly import MVPoly
-from foliationlab.foliation import LogDivisor, VectorFieldGerm
-from foliationlab import classify, linalg
+from foliationlab.foliation import FoliationError, LogDivisor, VectorFieldGerm, is_singular_at_origin
+from foliationlab import blowup, classify, linalg, polygcd
 from foliationlab.classify import (
     DimensionMismatch,
     NonSingularPoint,
@@ -132,3 +135,84 @@ def test_report_serialization():
     # non-invariant divisor degrades to a note, not an error
     rep = singularity_report(germ(Y, X * X), LogDivisor({1}))
     assert rep.simple_status is None and rep.notes
+
+
+# -- is_dicritical against the one-blow-up definition ------------------------
+
+VARS4 = ("x", "y", "z", "w")
+
+
+def _dicritical_by_blowup(v, assume_isolated=False):
+    """Reference: blow up once and test E-invariance in every chart."""
+    if not is_singular_at_origin(v):
+        raise NonSingularPoint("germ is not singular at the origin")
+    if v.dim() == 2 and not assume_isolated:
+        if not polygcd.isolated_at_origin_dim2(v.components):
+            raise FoliationError("singular locus is not isolated at the origin")
+    for chart in blowup.blowup_charts(v.dim()):
+        sat = blowup.transform_vector_field(v, chart)
+        if not sat.exceptional_invariant:
+            return True
+    return False
+
+
+def _outcome(fn, v, **kw):
+    try:
+        return ("value", fn(v, **kw))
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+
+
+@st.composite
+def _germs(draw):
+    """Germs of dims 2-4 whose leading form has degree 1-3, half of them
+    radial (h * z), plus terms of the next two degrees."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 3))
+    variables = VARS4[:n]
+    coeff = st.builds(GaussRat, st.integers(-2, 2), st.integers(-1, 1))
+
+    def homogeneous(d):
+        mons = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+        return MVPoly(variables, draw(st.dictionaries(st.sampled_from(mons), coeff, max_size=3)))
+
+    if draw(st.booleans()):
+        h = homogeneous(m - 1)
+        lead = [h * MVPoly.var(variables, name) for name in variables]
+    else:
+        lead = [homogeneous(m) for _ in variables]
+    return VectorFieldGerm(variables, [a + homogeneous(m + 1) + homogeneous(m + 2) for a in lead])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_germs(), st.booleans())
+def test_is_dicritical_matches_one_blowup(v, assume_isolated):
+    assert _outcome(is_dicritical, v, assume_isolated=assume_isolated) == \
+        _outcome(_dicritical_by_blowup, v, assume_isolated=assume_isolated)
+
+
+def test_is_dicritical_errors_match_one_blowup():
+    vs3 = VARS4[:3]
+    cases = [
+        (germ(MVPoly.zero(VARS), MVPoly.zero(VARS)), True),  # zero field
+        (VectorFieldGerm(vs3, [MVPoly.zero(vs3)] * 3), False),  # zero field, dim 3
+        (germ(MVPoly.const(VARS, 1), X), False),  # nonsingular
+        (germ(X * Y, Y * Y), False),  # dim 2, not isolated
+        (parse_vector_field("v = x^2 d/dx"), False),  # dim 1
+    ]
+    for v, assume_isolated in cases:
+        got = _outcome(is_dicritical, v, assume_isolated=assume_isolated)
+        assert got[0] != "value"
+        assert got == _outcome(_dicritical_by_blowup, v, assume_isolated=assume_isolated)
+    # the isolation precondition is the caller's to waive
+    v = germ(X * Y, Y * Y)
+    assert is_dicritical(v, assume_isolated=True) is _dicritical_by_blowup(v, assume_isolated=True) is True
+
+
+def test_is_dicritical_makes_no_blowup(monkeypatch):
+    def no_blowup(*args, **kwargs):
+        raise AssertionError("is_dicritical blew up")
+
+    monkeypatch.setattr(blowup, "transform_vector_field", no_blowup)
+    assert is_dicritical(germ(X * X + Y * Y * Y, X * Y)) is True
+    assert is_dicritical(germ(X, -1 * Y)) is False

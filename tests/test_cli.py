@@ -104,3 +104,19 @@ def test_nevanlinna_taut_not_applicable():
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["applicable"] is False
+
+
+def test_blowup_chart_flag(capsys):
+    germ = "v = x d/dx + (x^2 - y) d/dy"
+    for k in ("0", "3"):
+        code, out = run_cli(["blowup", germ, "--chart", k])
+        assert code == 1 and out == ""
+        assert "chart index out of range" in capsys.readouterr().err
+    code, out_all = run_cli(["blowup", germ])
+    assert code == 0
+    code, out_c2 = run_cli(["blowup", germ, "--chart", "2"])
+    assert code == 0
+    doc_all, doc_c2 = json.loads(out_all), json.loads(out_c2)
+    assert doc_c2["result"] == {"c2": doc_all["result"]["c2"]}
+    assert out_c2 == json.dumps({**doc_all, "result": {"c2": doc_all["result"]["c2"]}},
+                                sort_keys=True, indent=2) + "\n"

@@ -201,3 +201,20 @@ def test_budget_env_default_and_value(monkeypatch):
     monkeypatch.setenv("FOLIATION_LAB_BUDGET", "5000")
     assert QuadConfig().budget == 5000
     assert QuadConfig(budget=7).budget == 7
+
+
+def test_T_error_bounds_cover_budget_cuts(monkeypatch):
+    from foliationlab.dsl import parse_curve
+
+    curve = parse_curve("f(t) = (exp(t))")
+    radii = [4.0, 8.0, 16.0, 32.0, 64.0]
+    monkeypatch.delenv("FOLIATION_LAB_BUDGET", raising=False)
+    ref = nv.characteristic_T(curve, "fs", radii, QuadConfig())
+    assert not any(ref.diverged)
+    for budget in ("1", "300"):
+        monkeypatch.setenv("FOLIATION_LAB_BUDGET", budget)
+        prof = nv.characteristic_T(curve, "fs", radii, QuadConfig())
+        assert all(prof.diverged)
+        assert not any(math.isnan(b) for b in prof.bounds + ref.bounds)
+        for T, b, T0, b0 in zip(prof.T, prof.bounds, ref.T, ref.bounds):
+            assert abs(T - T0) <= b + b0
