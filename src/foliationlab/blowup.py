@@ -305,7 +305,7 @@ def univariate_on_E(p: MVPoly, u: int, w: int) -> list[GaussRat]:
     return unipoly.trim(coeffs)
 
 
-def _eigendirection_loci(center: VectorFieldGerm, dedupe: bool) -> list[ELocus] | None:
+def _eigendirection_loci(center: VectorFieldGerm) -> list[ELocus] | None:
     """Sing on E, chart by chart, in the charts with s = 0 of a
     multiplicity-one center in dim >= 3: exactly the eigendirections of the
     center's linear part, from one eigenvalue computation.  None for any
@@ -326,11 +326,9 @@ def _eigendirection_loci(center: VectorFieldGerm, dedupe: bool) -> list[ELocus] 
                            notes=["eigenspace of dimension >= 2: positive-dimensional eigendirection set"])
                     for _ in range(n)]
         e = basis[0]
-        first = next(i for i in range(n) if not e[i].is_zero())
-        for j in [first] if dedupe else range(n):
-            if not e[j].is_zero():
-                scale = GaussRat(1) / e[j]
-                loci[j].points.append(tuple(GaussRat(0) if i == j else e[i] * scale for i in range(n)))
+        j = next(i for i in range(n) if not e[i].is_zero())  # the one chart that reports this direction
+        scale = GaussRat(1) / e[j]
+        loci[j].points.append(tuple(GaussRat(0) if i == j else e[i] * scale for i in range(n)))
     return loci
 
 
@@ -343,15 +341,11 @@ def blow_up(
     every chart, each with its deduplicated singular points on E.  The
     eigendirections of the center are computed once for all charts."""
     sats = [transform_vector_field(v, chart, divisor, level) for chart in blowup_charts(v.dim())]
-    eigen = _eigendirection_loci(v, dedupe=True) if any(s.saturation_exponent == 0 for s in sats) else None
-    return [(sat, _locus_on_E(sat, eigen, dedupe=True)) for sat in sats]
+    eigen = _eigendirection_loci(v) if any(s.saturation_exponent == 0 for s in sats) else None
+    return [(sat, _locus_on_E(sat, eigen)) for sat in sats]
 
 
-def singular_points_on_E(
-    sat: SaturatedTransform,
-    parent: VectorFieldGerm | None = None,
-    dedupe: bool = True,
-) -> ELocus:
+def singular_points_on_E(sat: SaturatedTransform, parent: VectorFieldGerm | None = None) -> ELocus:
     """Enumerate Sing(saturated field) on E in this chart.
 
     Deduplication keeps only points whose direction coordinates vanish at
@@ -362,10 +356,10 @@ def singular_points_on_E(
     eigendirections, and degrades to a documented incomplete probe
     otherwise."""
     use_eigen = parent is not None and sat.saturation_exponent == 0
-    return _locus_on_E(sat, _eigendirection_loci(parent, dedupe) if use_eigen else None, dedupe)
+    return _locus_on_E(sat, _eigendirection_loci(parent) if use_eigen else None)
 
 
-def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None, dedupe: bool) -> ELocus:
+def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
     """`singular_points_on_E`, given the center's eigendirection loci
     (or None); they answer for the charts with s = 0."""
     j, n = sat.chart.index, sat.chart.n
@@ -381,13 +375,13 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None, dedupe: boo
         res = unipoly.gaussian_rational_roots(g)
         points = []
         for w0 in res.roots:
-            if dedupe and j > 0 and not w0.is_zero():
+            if j > 0 and not w0.is_zero():
                 continue
             pt = [GaussRat(0), GaussRat(0)]
             pt[1 - j] = w0
             points.append(tuple(pt))
         clusters = []
-        if not res.split_completely() and not (dedupe and j > 0):
+        if not res.split_completely() and j == 0:
             clusters.append(SingularCluster(tuple(unipoly.poly_monic(res.residual)), res.exhaustive))
         # drop duplicate points, keep deterministic order
         uniq = sorted(set(points), key=lambda q: (str(q[0]), str(q[1])))
@@ -397,7 +391,7 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None, dedupe: boo
         return eigen[j]
 
     # restricted system on E, with dedupe constraints
-    zero_idx = [j] + ([i for i in range(n) if i < j] if dedupe else [])
+    zero_idx = [j] + [i for i in range(n) if i < j]
     restricted = [comp.set_vars_to_zero(zero_idx) for comp in f.components]
     if all(r.total_degree() <= 1 for r in restricted):
         keep = [i for i in range(n) if i not in zero_idx]

@@ -6,6 +6,11 @@ corners relative to a log divisor, dicriticality, and a bounded probe of
 the absolutely-isolated condition.  Dicriticality is read from the tangent
 cone (the leading homogeneous part is radial) without blowing up.
 
+The report and the terminal tests of the blow-up towers (which return a
+terminal germ's report, or the reason the germ is not terminal) read every
+verdict from one multiplicity, linear part and characteristic polynomial
+per germ, computed once.
+
 Eigenvalue-ratio exclusions are decided exactly even when eigenvalues do
 not live in Q(i): the multiplicity of the known eigenvalue comes from
 deflation of the characteristic polynomial, and a positive-rational-ratio
@@ -145,18 +150,25 @@ def algebraic_multiplicity(v: VectorFieldGerm) -> int:
     return int(m)
 
 
-def classify_reduced(v: VectorFieldGerm) -> tuple[bool, str]:
-    """Reduced iff multiplicity 1 and the linear part is not nilpotent.
+def _facts(v: VectorFieldGerm) -> tuple[int, linalg.Matrix, list[GaussRat], str]:
+    """Multiplicity, linear part, characteristic polynomial, and the reason the
+    germ is not reduced: "" for multiplicity 1 and a linear part that is not
+    nilpotent, i.e. a characteristic polynomial other than t^n."""
+    mult = algebraic_multiplicity(v)
+    lp = v.linear_part()
+    cp = linalg.char_poly(lp)
+    if mult != 1:
+        return mult, lp, cp, "multiplicity %d > 1" % mult
+    if all(c.is_zero() for c in cp[:-1]):
+        return mult, lp, cp, "nilpotent linear part (characteristic polynomial t^n)"
+    return mult, lp, cp, ""
 
-    A nonzero eigenvalue exists exactly when the characteristic polynomial
-    differs from t^n, so this is decidable without factoring."""
-    m = algebraic_multiplicity(v)
-    if m != 1:
-        return False, "multiplicity %d > 1" % m
-    cp = linalg.char_poly(v.linear_part())
-    if linalg.is_nilpotent_char_poly(cp):
-        return False, "nilpotent linear part (characteristic polynomial t^n)"
-    return True, ""
+
+def classify_reduced(v: VectorFieldGerm) -> tuple[bool, str]:
+    """Reduced iff multiplicity 1 and the linear part is not nilpotent;
+    returns the verdict and the reason when it is False."""
+    why = _facts(v)[3]
+    return not why, why
 
 
 def surface_seidenberg_type(v: VectorFieldGerm) -> SurfaceType:
@@ -168,9 +180,14 @@ def surface_seidenberg_type(v: VectorFieldGerm) -> SurfaceType:
     if not is_singular_at_origin(v):
         raise NonSingularPoint("germ is not singular at the origin")
     lp = v.linear_part()
-    if not linalg.det(lp).is_zero():
+    return _surface_type(v, lp, linalg.char_poly(lp))
+
+
+def _surface_type(v: VectorFieldGerm, lp: linalg.Matrix, cp: list[GaussRat]) -> SurfaceType:
+    """`surface_seidenberg_type` of a singular dim-2 germ; cp = t^2 - tr t + det."""
+    if not cp[0].is_zero():
         return NON_DEGENERATE
-    tr = lp[0][0] + lp[1][1]
+    tr = -cp[1]
     if tr.is_zero():
         return unclassified("linear part nilpotent or zero: not in the reduced list")
     lam = tr  # eigenvalues are (tr, 0) when the determinant vanishes
@@ -204,26 +221,34 @@ def _has_other_eigenvalue_with_positive_ratio(cp: list[GaussRat], lam: GaussRat)
     return unipoly.has_positive_rational_root(rescaled)
 
 
-def _log_coefficients(v: VectorFieldGerm, divisor: LogDivisor) -> dict[int, GaussRat]:
+def log_coefficients(v: VectorFieldGerm, divisor: LogDivisor) -> dict[int, GaussRat]:
     """Constants a_j(0) of the factored components z_j a_j along divisor axes."""
-    out = {}
-    for j in sorted(divisor.axes):
-        aj = v.components[j].divide_by_var_power(j, 1)
-        out[j] = aj.constant_term()
-    return out
+    return {j: v.components[j].divide_by_var_power(j, 1).constant_term() for j in sorted(divisor.axes)}
 
 
 def classify_simple(v: VectorFieldGerm, divisor: LogDivisor) -> SimpleStatus:
     """Simple point / simple corner test relative to the log divisor."""
     if not is_singular_at_origin(v):
         raise NonSingularPoint("germ is not singular at the origin")
+    if divisor.axis_count() == 0:
+        raise NoDivisorThroughPoint("no divisor axis through the origin")
+    status = _simple_status(v, divisor, lambda: linalg.char_poly(v.linear_part()))
+    if isinstance(status, str):
+        raise DivisorNotInvariant(status)
+    return status
+
+
+def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, char_poly) -> SimpleStatus | str:
+    """`classify_simple` of a singular germ, or the reason the divisor admits
+    no simple status there.  Only a single axis with a nonzero log
+    coefficient calls `char_poly()` for the characteristic polynomial."""
     e = divisor.axis_count()
     if e == 0:
-        raise NoDivisorThroughPoint("no divisor axis through the origin")
+        return "no divisor axis through the point"
     if not divisor_invariance_check(v, divisor):
-        raise DivisorNotInvariant("divisor axes %s not invariant" % sorted(divisor.axes))
+        return "divisor axes %s not invariant" % sorted(divisor.axes)
     n = v.dim()
-    lam0 = _log_coefficients(v, divisor)
+    lam0 = log_coefficients(v, divisor)
     if e >= 2:
         axes = sorted(divisor.axes)
         for p in axes:
@@ -237,7 +262,6 @@ def classify_simple(v: VectorFieldGerm, divisor: LogDivisor) -> SimpleStatus:
         return not_simple("every axis pair has a positive rational eigenvalue ratio (or zero pivot)")
     (j0,) = divisor.axes
     lam = lam0[j0]
-    lp = v.linear_part()
     if lam.is_zero():
         others = [i for i in range(n) if i != j0]
         axis_invariant = all(v.components[i].set_vars_to_zero(others).is_zero() for i in others)
@@ -252,7 +276,7 @@ def classify_simple(v: VectorFieldGerm, divisor: LogDivisor) -> SimpleStatus:
             return not_simple("transverse axis not invariant in the given coordinates "
                               "(a formal change of coordinates is not attempted)")
         return not_simple("restricted linear part has rank < n-1")
-    cp = linalg.char_poly(lp)
+    cp = char_poly()
     if unipoly.root_multiplicity(cp, lam) != 1:
         return not_simple("eigenvalue %s has multiplicity > 1" % lam)
     if _has_other_eigenvalue_with_positive_ratio(cp, lam):
@@ -263,8 +287,8 @@ def classify_simple(v: VectorFieldGerm, divisor: LogDivisor) -> SimpleStatus:
 def is_dicritical(v: VectorFieldGerm, assume_isolated: bool = False) -> bool:
     """Dicritical iff the exceptional divisor E of one blow-up is not
     invariant, read from the tangent cone without blowing up: iff the
-    leading form a^(m) is radial, i.e. z_j a_i - z_i a_j vanishes to order
-    > m + 1 for all i < j, where m is the multiplicity.
+    leading form a^(m) is radial, i.e. z_j a_i^(m) - z_i a_j^(m) = 0 for
+    all i < j, where m is the multiplicity.
 
     Proof.  In chart j the pole-cleared components are P_j = O(u^(m+1))
     and P_i = u^m (z_j a_i^(m) - z_i a_j^(m))|_{z_j=1} + O(u^(m+1)).  If
@@ -286,9 +310,25 @@ def is_dicritical(v: VectorFieldGerm, assume_isolated: bool = False) -> bool:
     if m is math.inf:
         raise ValueError("cannot blow up the zero field")
     z = [MVPoly.var(v.variables, name) for name in v.variables]
-    a = v.components
-    return all((z[j] * a[i] - z[i] * a[j]).vanishing_order() > m + 1
-               for i in range(n) for j in range(i + 1, n))
+    a = [MVPoly(v.variables, {e: c for e, c in comp.terms.items() if sum(e) == m}) for comp in v.components]
+    return all((z[j] * a[i] - z[i] * a[j]).is_zero() for i in range(n) for j in range(i + 1, n))
+
+
+def _report(v: VectorFieldGerm, mult: int, lp: linalg.Matrix, cp: list[GaussRat], why: str,
+            simple: SimpleStatus | str | None, dicritical: bool | None) -> SingularityReport:
+    """The report of a singular germ from its `_facts`.  `simple` is the simple
+    status, the note that stands in for it, or None without a divisor."""
+    notes = [why] if why else []
+    if v.dim() == 2:
+        st = _surface_type(v, lp, cp)
+        if st.note:
+            notes.append(st.note)
+    else:
+        st = SURFACE_NOT_APPLICABLE
+    if isinstance(simple, str):
+        notes.append(simple)
+        simple = None
+    return SingularityReport(mult, lp, linalg.eigenvalues_of_char_poly(cp), not why, st, simple, dicritical, notes)
 
 
 def singularity_report(
@@ -296,45 +336,42 @@ def singularity_report(
     divisor: LogDivisor | None = None,
     with_dicritical: bool = True,
 ) -> SingularityReport:
-    notes: list[str] = []
-    mult = algebraic_multiplicity(v)
-    lp = v.linear_part()
-    ev = linalg.eigenvalues_exact(lp)
-    reduced, why = classify_reduced(v)
-    if why:
-        notes.append(why)
-    if v.dim() == 2:
-        st = surface_seidenberg_type(v)
-        if st.note:
-            notes.append(st.note)
-    else:
-        st = SURFACE_NOT_APPLICABLE
-    simple = None
-    if divisor is not None:
+    mult, lp, cp, why = _facts(v)
+    rep = _report(v, mult, lp, cp, why, None if divisor is None else _simple_status(v, divisor, lambda: cp), None)
+    if with_dicritical and v.dim() < 2:
+        rep.notes.append("dicriticality unavailable: blow-up needs ambient dimension >= 2")
+    elif with_dicritical:
         try:
-            simple = classify_simple(v, divisor)
-        except NoDivisorThroughPoint:
-            simple = None
-            notes.append("no divisor axis through the point")
-        except DivisorNotInvariant as exc:
-            simple = None
-            notes.append(str(exc))
-    dic = None
-    if with_dicritical:
-        try:
-            dic = is_dicritical(v, assume_isolated=v.dim() > 2)
+            rep.dicritical = is_dicritical(v, assume_isolated=v.dim() > 2)
         except FoliationError as exc:
-            notes.append("dicriticality unavailable: %s" % exc)
-    return SingularityReport(
-        multiplicity=mult,
-        linear_part=lp,
-        eigenvalues=ev,
-        reduced=reduced,
-        surface_type=st,
-        simple_status=simple,
-        dicritical=dic,
-        notes=notes,
-    )
+            rep.notes.append("dicriticality unavailable: %s" % exc)
+    return rep
+
+
+def seidenberg_terminal(v: VectorFieldGerm) -> SingularityReport | str:
+    """Terminal test of a Seidenberg tower, reduced and not dicritical: the
+    report of a terminal germ, or the reason it is not terminal (a
+    non-terminal germ gets no spectrum and no surface type)."""
+    mult, lp, cp, why = _facts(v)
+    if why:
+        return why
+    if is_dicritical(v, assume_isolated=True):
+        return "reduced but dicritical"
+    return _report(v, mult, lp, cp, why, None, False)
+
+
+def simple_terminal(v: VectorFieldGerm, divisor: LogDivisor) -> SingularityReport | str:
+    """Terminal test of a simple-resolution tower, a simple point or corner
+    of the log divisor that is not dicritical, as `seidenberg_terminal`."""
+    mult, lp, cp, why = _facts(v)
+    status = _simple_status(v, divisor, lambda: cp)
+    if isinstance(status, str):
+        return status
+    if not status.is_simple():
+        return status.detail or status.kind
+    if is_dicritical(v, assume_isolated=True):
+        return "simple-looking but dicritical"
+    return _report(v, mult, lp, cp, why, status, False)
 
 
 # -- bounded absolutely-isolated probe -------------------------------------------

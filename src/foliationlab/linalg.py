@@ -197,7 +197,12 @@ def _approx_roots(cp: list[GaussRat]) -> list[complex]:
 def eigenvalues_exact(a: Matrix) -> list[GaussRat] | Indeterminate:
     """Exact eigenvalue multiset when the characteristic polynomial splits
     over Q(i); Indeterminate (a value, not an error) otherwise."""
-    cp = char_poly(a)
+    return eigenvalues_of_char_poly(char_poly(a))
+
+
+def eigenvalues_of_char_poly(cp: list[GaussRat]) -> list[GaussRat] | Indeterminate:
+    """`eigenvalues_exact` for a caller that already holds the
+    characteristic polynomial."""
     res = unipoly.gaussian_rational_roots(cp)
     if res.split_completely():
         return sorted(res.roots, key=lambda z: (z.re, z.im))
@@ -209,8 +214,3 @@ def eigenvector(a: Matrix, lam: GaussRat) -> Vector | None:
     shifted = mat_sub(a, mat_scale(identity(n), lam))
     basis = kernel_basis(shifted)
     return basis[0] if basis else None
-
-
-def is_nilpotent_char_poly(cp: list[GaussRat]) -> bool:
-    """True iff the characteristic polynomial is t^n."""
-    return all(c.is_zero() for c in cp[:-1])

@@ -242,8 +242,8 @@ def _run_tower(
     """Shared driver: blow up every non-terminal singular point, breadth
     first, until terminal everywhere or the depth cap is hit.
 
-    `terminal(item)` returns the TerminalSingularity of a terminal item, or
-    the reason the item is not terminal."""
+    `terminal(item)` returns the report of a terminal item, or the reason
+    the item is not terminal."""
     n = v.dim()
     div0 = divisor if divisor is not None else LogDivisor.empty()
     tower = ResolutionTower(
@@ -266,8 +266,11 @@ def _run_tower(
             tower.pending.extend({"node": it.path, "location": list(it.location)} for it in queue)
             return tower
         outcome = terminal(item)
-        if isinstance(outcome, TerminalSingularity):
-            tower.terminals.append(outcome)
+        if isinstance(outcome, classify.SingularityReport):
+            tower.terminals.append(TerminalSingularity(
+                node_path=item.path, location=item.location, cluster_poly=None, cluster_size=1,
+                reduced=outcome.reduced, surface_type=outcome.surface_type if n == 2 else None,
+                simple_status=outcome.simple_status, dicritical=False, report=outcome))
             continue
         if item.level >= max_depth:
             depth_exceeded = True
@@ -345,21 +348,7 @@ def seidenberg_reduce(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> Res
         raise classify.DimensionMismatch("Seidenberg reduction is the dim-2 driver")
     if is_singular_at_origin(v) and not polygcd.isolated_at_origin_dim2(v.components):
         raise NonIsolatedSingularLocus("root singular locus is a curve")
-
-    def terminal(item: _WorkItem):
-        reduced, why = classify.classify_reduced(item.germ)
-        if not reduced:
-            return why
-        if classify.is_dicritical(item.germ, assume_isolated=True):
-            return "reduced but dicritical"
-        rep = classify.singularity_report(item.germ, divisor=None, with_dicritical=False)
-        rep.dicritical = False
-        return TerminalSingularity(
-            node_path=item.path, location=item.location, cluster_poly=None, cluster_size=1,
-            reduced=True, surface_type=rep.surface_type, simple_status=None,
-            dicritical=False, report=rep)
-
-    return _run_tower(v, None, max_depth, "seidenberg", terminal)
+    return _run_tower(v, None, max_depth, "seidenberg", lambda item: classify.seidenberg_terminal(item.germ))
 
 
 # ---------------------------------------------------------------------------
@@ -371,31 +360,12 @@ def resolve_simple(v: VectorFieldGerm, divisor: LogDivisor, max_depth: int = DEF
     non-dicritical, per the log-triple conventions."""
     if divisor.axes and not divisor_invariance_check(v, divisor):
         raise DivisorNotInvariant("root divisor is not invariant")
-    if v.dim() == 2 and is_singular_at_origin(v) and not polygcd.isolated_at_origin_dim2(v.components):
-        raise NonIsolatedSingularLocus("root singular locus is a curve")
     probe = classify.bounded_ais_probe(v, min(max_depth, 3))
     if probe.status == "non_isolated_found":
-        raise NonIsolatedSingularLocus("bounded A.I.S. probe found a non-isolated locus at level %s" % probe.level)
-
-    def terminal(item: _WorkItem):
-        if item.divisor.axis_count() == 0:
-            return "no divisor axis through the point"
-        try:
-            status = classify.classify_simple(item.germ, item.divisor)
-        except DivisorNotInvariant as exc:
-            return str(exc)
-        if not status.is_simple():
-            return status.detail or status.kind
-        if classify.is_dicritical(item.germ, assume_isolated=True):
-            return "simple-looking but dicritical"
-        rep = classify.singularity_report(item.germ, divisor=item.divisor, with_dicritical=False)
-        rep.dicritical = False
-        return TerminalSingularity(
-            node_path=item.path, location=item.location, cluster_poly=None, cluster_size=1,
-            reduced=rep.reduced, surface_type=rep.surface_type if v.dim() == 2 else None,
-            simple_status=status, dicritical=False, report=rep)
-
-    tower = _run_tower(v, divisor, max_depth, "simple", terminal)
+        # level 0: a dim-2 root whose components share a factor, or a component that vanishes identically
+        raise NonIsolatedSingularLocus("root singular locus is a curve" if probe.level == 0 else
+                                       "bounded A.I.S. probe found a non-isolated locus at level %s" % probe.level)
+    tower = _run_tower(v, divisor, max_depth, "simple", lambda item: classify.simple_terminal(item.germ, item.divisor))
     if probe.status != "all_levels_finite":
         tower.notes.append("A.I.S. probe: %s" % probe.status)
     return tower

@@ -196,9 +196,7 @@ def corner_has_no_transverse_separatrix(v: VectorFieldGerm, divisor: LogDivisor,
     if status.kind != "simple_corner":
         raise NotACorner("classify_simple returned %s" % status.kind)
     axes = sorted(divisor.axes)
-    lam0 = {}
-    for j in axes:
-        lam0[j] = v.components[j].divide_by_var_power(j, 1).constant_term()
+    lam0 = classify.log_coefficients(v, divisor)
     witnesses = []
     for p in axes:
         if lam0[p].is_zero():

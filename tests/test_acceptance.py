@@ -66,7 +66,7 @@ def test_criterion_2_simple_stability():
         found = []
         for chart in blowup.blowup_charts(v.dim()):
             sat = blowup.transform_vector_field(v, chart, divisor)
-            locus = blowup.singular_points_on_E(sat, parent=v, dedupe=True)
+            locus = blowup.singular_points_on_E(sat, parent=v)
             assert locus.complete, (fx["name"], chart.index, locus.notes)
             assert not locus.clusters
             for pt in locus.points:

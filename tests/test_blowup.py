@@ -210,9 +210,6 @@ def test_singular_points_on_E_dedupe():
     l0 = singular_points_on_E(st0, parent=saddle)
     l1 = singular_points_on_E(st1, parent=saddle)
     assert len(l0.points) == 1 and len(l1.points) == 1
-    # without dedupe chart 0 still sees only w = 0 (the other direction is [0:1])
-    l0_full = singular_points_on_E(st0, parent=saddle, dedupe=False)
-    assert len(l0_full.points) == 1
 
 
 def test_singular_cluster_detected():
@@ -228,7 +225,7 @@ def _chart_by_chart(v, divisor, level):
     out = []
     for chart in blowup_charts(v.dim()):
         sat = transform_vector_field(v, chart, divisor, level)
-        out.append((sat, singular_points_on_E(sat, parent=v, dedupe=True)))
+        out.append((sat, singular_points_on_E(sat, parent=v)))
     return out
 
 

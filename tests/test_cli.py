@@ -120,3 +120,11 @@ def test_blowup_chart_flag(capsys):
     assert doc_c2["result"] == {"c2": doc_all["result"]["c2"]}
     assert out_c2 == json.dumps({**doc_all, "result": {"c2": doc_all["result"]["c2"]}},
                                 sort_keys=True, indent=2) + "\n"
+
+
+def test_classify_dim1_reports_without_dicriticality():
+    code, out = run_cli(["classify", "v = x^2 d/dx"])
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["dicritical"] is None
+    assert doc["notes"][-1] == "dicriticality unavailable: blow-up needs ambient dimension >= 2"

@@ -13,6 +13,7 @@ from foliationlab.resolution import (
     weakly_reduced_check,
 )
 from foliationlab.dsl import parse_vector_field
+from foliationlab import classify, linalg, unipoly
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -189,3 +190,61 @@ def test_tower_serialization():
     assert doc["status"] == "complete"
     assert doc["blowups"] == len(doc["events"])
     assert all(path.startswith("b") for path in doc["nodes"])
+
+
+def test_non_terminal_reasons():
+    # (goal, germ, divisor axes, depth) -> [(node, why_not_terminal)] of the pending points
+    cases = [
+        ("seidenberg", "v = x^2 d/dx + y^2 d/dy", None, 0, [("", "multiplicity 2 > 1")]),
+        ("seidenberg", "v = y d/dx + x^2 d/dy", None, 0,
+         [("", "nilpotent linear part (characteristic polynomial t^n)")]),
+        ("seidenberg", "v = x d/dx + y d/dy", None, 0, [("", "reduced but dicritical")]),
+        ("seidenberg", "v = y d/dx + x^2 d/dy", None, 1,
+         [("b1.c1", "nilpotent linear part (characteristic polynomial t^n)")]),
+        ("simple", "v = x d/dx - y d/dy", [], 0, [("", "no divisor axis through the point")]),
+        ("simple", "v = x d/dx + y d/dy", [0], 0, [("", "eigenvalue 1 has multiplicity > 1")]),
+        ("simple", "v = x^2 d/dx + y^2 d/dy", [0], 0, [("", "restricted linear part has rank < n-1")]),
+        ("simple", "v = x d/dx + 2*y d/dy", [0], 0,
+         [("", "another eigenvalue is a positive rational multiple of 1")]),
+        ("simple", "v = x d/dx + 2*y d/dy", [0, 1], 0,
+         [("", "every axis pair has a positive rational eigenvalue ratio (or zero pivot)")]),
+        ("simple", "v = x^2 d/dx + (y + x) d/dy", [0], 0,
+         [("", "transverse axis not invariant in the given coordinates "
+               "(a formal change of coordinates is not attempted)")]),
+        ("simple", "v = y d/dx + x^2 d/dy", [], 1, [("b1.c1", "restricted linear part has rank < n-1")]),
+        ("simple", "v = x^2 d/dx + y^2 d/dy", [0], 1, [("b1.c1", "eigenvalue 1 has multiplicity > 1")]),
+    ]
+    for goal, text, axes, depth, want in cases:
+        v = parse_vector_field(text)
+        t = seidenberg_reduce(v, depth) if goal == "seidenberg" else resolve_simple(v, LogDivisor(set(axes)), depth)
+        assert [(p["node"], p["why_not_terminal"]) for p in t.pending] == want, (goal, text)
+    # a tower keeps every divisor it carries invariant, so this reason shows only on a direct call
+    assert classify.simple_terminal(germ(Y, X), LogDivisor({0})) == "divisor axes [0] not invariant"
+
+
+def test_terminal_germ_has_one_char_poly(monkeypatch):
+    calls = {"char_poly": 0, "gaussian_rational_roots": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(linalg, "char_poly")
+    counted(unipoly, "gaussian_rational_roots")
+    for build in (lambda: seidenberg_reduce(germ(X, -1 * Y)),
+                  lambda: resolve_simple(germ(X, -1 * Y), LogDivisor({0}), 0)):
+        calls["char_poly"] = 0
+        tower = build()
+        assert len(tower.terminals) == 1 and tower.terminals[0].report is not None
+        assert calls["char_poly"] == 1
+    # non-terminal germs get no spectrum
+    calls["gaussian_rational_roots"] = 0
+    for tower in (seidenberg_reduce(germ(X, Y), 0), seidenberg_reduce(germ(X * X, Y * Y), 0),
+                  resolve_simple(germ(X, Y), LogDivisor({0}), 0)):
+        assert tower.pending and not tower.terminals
+    assert calls["gaussian_rational_roots"] == 0
