@@ -199,13 +199,13 @@ def cmd_separatrix(args, out) -> int:
         rep = separatrix.corner_has_no_transverse_separatrix(germ, divisor, args.order)
         _emit_json("separatrix", _sanitize(rep.to_jsonable()), out)
         return EXIT_REFUTED if rep.outcome == "counterexample_candidate" else EXIT_OK
-    direction = args.direction
+    direction, lam = args.direction, None
     if direction is None and args.eigenvalue is not None:
         lam = dsl.parse_polynomial(args.eigenvalue, ()).constant_term()
         direction = separatrix.direction_of_eigenvalue(germ, lam)
     if direction is None:
         raise FoliationError("separatrix solve needs --direction or --eigenvalue")
-    result = separatrix.formal_separatrix(germ, direction, args.order)
+    result = separatrix.formal_separatrix(germ, direction, args.order, lam)
     if isinstance(result, separatrix.Resonance):
         _emit_json("separatrix", _sanitize(result.to_jsonable()), out)
         return EXIT_OK

@@ -55,7 +55,9 @@ class Expr:
         return u * math.exp(a)
 
     def logabs2(self, t):
-        """log |value|^2 as a float array (-inf at exact zeros)."""
+        """log |value|^2 as a float array (-inf at exact zeros).  Nodes
+        whose log-modulus needs no phase override this; the results equal
+        2 * eval_scaled(t)[0] bit for bit, doubling being exact."""
         a, _ = self.eval_scaled(t)
         return 2.0 * a
 
@@ -89,6 +91,10 @@ class Poly(Expr):
 
     def eval_scaled(self, t):
         return _normalize(self.eval_plain(t))
+
+    def logabs2(self, t):
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.log(np.abs(self.eval_plain(t)))
 
     def diff(self):
         return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
@@ -134,6 +140,9 @@ class Exp(Expr):
         a = np.real(z)
         u = np.exp(1j * np.imag(z))
         return a, u
+
+    def logabs2(self, t):
+        return 2.0 * np.real(self.arg.eval_plain(t))
 
     def diff(self):
         return Mul([self.arg.diff(), self])
@@ -207,6 +216,12 @@ class Mul(Expr):
             u_tot = u_tot * u
         return a_tot, u_tot
 
+    def logabs2(self, t):
+        out = self.children[0].logabs2(t)
+        for c in self.children[1:]:
+            out = out + c.logabs2(t)
+        return out
+
     def diff(self):
         terms = []
         for i in range(len(self.children)):
@@ -240,6 +255,9 @@ class Pow(Expr):
     def eval_scaled(self, t):
         a, u = self.base.eval_scaled(t)
         return self.k * a, u**self.k
+
+    def logabs2(self, t):
+        return self.k * self.base.logabs2(t)
 
     def diff(self):
         if self.k == 0:

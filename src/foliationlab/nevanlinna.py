@@ -33,7 +33,7 @@ from .exprtree import (
     order_at_point,
     order_at_zero,
 )
-from .quadrature import QuadConfig, QuadResult, ZeroOnCircle, circle_mean, nudge_radius
+from .quadrature import QuadConfig, QuadResult, ZeroOnCircle, circle_mean, circle_means, nudge_radius
 
 Zero = tuple[complex, int]  # (location, multiplicity); locations may be exact GaussRat
 
@@ -224,39 +224,31 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig) ->
     with q(rho) = rho * mean-circle(density) * 2 pi.  Refines the radial
     grid until the largest radius stabilizes.  The error bound of T(r) is
     the last radial refinement delta plus the circle-mean bounds of the
-    final level, weighted like T."""
+    final level, weighted like T.  Each level's new circle means are one
+    batched call."""
     r_grid = [float(r) for r in r_grid]
     breaks = sorted({0.0, 1.0, *r_grid})
-    cache: dict[float, tuple[float, float, bool]] = {}
+    cache: dict[float, tuple[float, float, bool]] = {0.0: (0.0, 0.0, True)}
     evals = 0
 
-    def q_at(rho: float) -> tuple[float, float, bool]:
-        nonlocal evals
-        if rho not in cache:
-            if rho == 0.0:
-                cache[rho] = (0.0, 0.0, True)
-            else:
-                res = circle_mean(density, rho, cfg)
-                evals += res.evaluations
-                cache[rho] = (2.0 * math.pi * rho * res.value, 2.0 * math.pi * rho * res.error_bound,
-                              res.converged)
-        return cache[rho]
-
     def run_level(mult: int):
-        Ts = [0.0 for _ in r_grid]
-        errs = [0.0 for _ in r_grid]
-        ok = True
+        nonlocal evals
+        panels = []
         for a, b in zip(breaks[:-1], breaks[1:]):
             nseg = max(8, int(mult * 16 * (b - a) / max(1.0, breaks[-1] - 0.0)))
             nseg += nseg % 2
-            xs = np.linspace(a, b, nseg + 1)
-            qs, qbs = [], []
-            for x in xs:
-                qv, qb, qok = q_at(float(x))
-                ok = ok and qok
-                qs.append(qv)
-                qbs.append(qb)
-            qs, qbs = np.asarray(qs), np.asarray(qbs)
+            panels.append((a, b, nseg, np.linspace(a, b, nseg + 1)))
+        new = list(dict.fromkeys(float(x) for *_, xs in panels for x in xs if float(x) not in cache))
+        for rho, res in zip(new, circle_means(density, new, cfg)):
+            evals += res.evaluations
+            cache[rho] = (2.0 * math.pi * rho * res.value, 2.0 * math.pi * rho * res.error_bound,
+                          res.converged)
+        Ts = [0.0 for _ in r_grid]
+        errs = [0.0 for _ in r_grid]
+        ok = True
+        for a, b, nseg, xs in panels:
+            qs, qbs, oks = map(np.asarray, zip(*(cache[float(x)] for x in xs)))
+            ok = ok and bool(oks.all())
             h = (b - a) / nseg
             simpson = np.where(np.arange(nseg + 1) % 2, 4.0, 2.0)
             simpson[[0, -1]] = 1.0
@@ -349,8 +341,7 @@ def jensen_verify(p: Expr, zeros: Sequence[Zero], r: float, cfg: QuadConfig | No
     moduli = [_zero_abs(z) for z, _ in zeros]
     r_use = nudge_radius(r, moduli)
     one_use = nudge_radius(1.0, moduli)
-    avg_r = circle_mean(lambda t: p.logabs2(t), r_use, cfg)
-    avg_1 = circle_mean(lambda t: p.logabs2(t), one_use, cfg)
+    avg_r, avg_1 = circle_means(p.logabs2, [r_use, one_use], cfg)
     mass = 2.0 * _annulus_counting(zeros, r_use)
     counting = counting_function(zeros, r_use)
     correction = counting - _annulus_counting(zeros, r_use)
@@ -430,10 +421,7 @@ def fmt_verify(curve: ParametrizedCurve, ideal_gens: Sequence[MVPoly],
         las = [g.logabs2(t) for g in gens_on_curve]
         return 0.5 * (sum(_softplus(la) for la in las) - _logsumexp(las))
 
-    m_vals = []
-    for r in grid:
-        res = circle_mean(m_integrand, r, cfg)
-        m_vals.append(res.value)
+    m_vals = [res.value for res in circle_means(m_integrand, grid, cfg)]
     diffs = [T[i] - N[i] - m_vals[i] for i in range(len(grid))]
     logs = [math.log(r) for r in grid]
     slope = _fit_slope(logs, diffs)
@@ -558,11 +546,9 @@ def tautological_pairing(curve: ParametrizedCurve, r_grid: Sequence[float],
     moduli = [_zero_abs(z) for z, _ in mu_zeros]
     grid = [nudge_radius(float(r), moduli) for r in r_grid]
     t_prof = characteristic_T(curve, "fs", grid, cfg)
-    one_r = nudge_radius(1.0, moduli)
-    avg1 = circle_mean(log_fprime_omega, one_r, cfg)
+    avg1, *avgs = circle_means(log_fprime_omega, [nudge_radius(1.0, moduli), *grid], cfg)
     values, normalized = [], []
-    for i, r in enumerate(grid):
-        avg_r = circle_mean(log_fprime_omega, r, cfg)
+    for i, (r, avg_r) in enumerate(zip(grid, avgs)):
         val = _annulus_counting(mu_zeros, r) - 0.5 * avg_r.value + 0.5 * avg1.value
         values.append(val)
         normalized.append(val / t_prof.T[i] if t_prof.T[i] > 0 else math.inf)
@@ -599,7 +585,7 @@ def log_derivative_check(g: Expr, zeros: Sequence[Zero], r_grid: Sequence[float]
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, 0.5 * (gp.logabs2(t) - g.logabs2(t)))
 
-    lhs = [circle_mean(integrand, r, cfg).value for r in grid]
+    lhs = [res.value for res in circle_means(integrand, grid, cfg)]
     t_prof = characteristic_on_grid(fs_sum_density([g]), grid, cfg)[0]
     rows = np.vstack([
         np.log(np.maximum(t_prof, 1e-12)),

@@ -116,22 +116,25 @@ def direction_of_eigenvalue(v: VectorFieldGerm, lam: GaussRat) -> int:
     raise ValueError("%s is not an eigenvalue" % lam)
 
 
-def formal_separatrix(v: VectorFieldGerm, direction: int, order: int):
+def formal_separatrix(v: VectorFieldGerm, direction: int, order: int, lam: GaussRat | None = None):
     """Solve for an invariant curve tangent to the given eigendirection.
 
     `direction` indexes the canonically sorted exact eigenvalue list; the
-    eigenvalue there must be nonzero.  Returns a FormalCurve (components
-    certified to `order`) or a Resonance value."""
+    eigenvalue there must be nonzero.  A caller that holds the spectrum
+    already passes that eigenvalue as `lam`, and the spectrum is not
+    computed again.  Returns a FormalCurve (components certified to
+    `order`) or a Resonance value."""
     if order < 2:
         raise ValueError("truncation order must be >= 2")
     n = v.dim()
     lp = v.linear_part()
-    ev = linalg.eigenvalues_exact(lp)
-    if isinstance(ev, linalg.Indeterminate):
-        raise IndeterminateEigenvalues("linear part has eigenvalues outside Q(i)")
-    if not 0 <= direction < len(ev):
-        raise ValueError("direction index out of range")
-    lam = ev[direction]
+    if lam is None:
+        ev = linalg.eigenvalues_exact(lp)
+        if isinstance(ev, linalg.Indeterminate):
+            raise IndeterminateEigenvalues("linear part has eigenvalues outside Q(i)")
+        if not 0 <= direction < len(ev):
+            raise ValueError("direction index out of range")
+        lam = ev[direction]
     if lam.is_zero():
         raise ZeroEigenvalueDirection("chosen eigendirection has eigenvalue 0")
     e = linalg.eigenvector(lp, lam)
@@ -228,7 +231,7 @@ def corner_has_no_transverse_separatrix(v: VectorFieldGerm, divisor: LogDivisor,
         if lam.is_zero():
             notes.append("transverse eigendirection has eigenvalue 0: solver inapplicable")
             continue
-        result = formal_separatrix(v, idx, order)
+        result = formal_separatrix(v, idx, order, lam)
         if isinstance(result, Resonance):
             attempts.append({"direction": idx, "result": "resonance", "order": result.order})
             continue

@@ -128,3 +128,24 @@ def test_classify_dim1_reports_without_dicriticality():
     doc = json.loads(out)["result"]
     assert doc["dicritical"] is None
     assert doc["notes"][-1] == "dicriticality unavailable: blow-up needs ambient dimension >= 2"
+
+
+def test_separatrix_eigenvalue_spectrum_computed_once(monkeypatch):
+    from foliationlab import linalg, unipoly
+
+    calls = {"char_poly": 0, "gaussian_rational_roots": 0}
+
+    def counting(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counting(linalg, "char_poly")
+    counting(unipoly, "gaussian_rational_roots")
+    code, out = run_cli(["separatrix", "v = x d/dx - 2*y d/dy", "--eigenvalue", "1", "--order", "6"])
+    assert code == 0
+    assert json.loads(out)["result"]["eigenvalue"] == "1"
+    assert calls == {"char_poly": 1, "gaussian_rational_roots": 1}

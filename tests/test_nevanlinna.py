@@ -218,3 +218,85 @@ def test_T_error_bounds_cover_budget_cuts(monkeypatch):
         assert not any(math.isnan(b) for b in prof.bounds + ref.bounds)
         for T, b, T0, b0 in zip(prof.T, prof.bounds, ref.T, ref.bounds):
             assert abs(T - T0) <= b + b0
+
+
+def _serial_circle_mean(fn, r, cfg):
+    """The one-circle trapezoid doubling loop that circle_means batches."""
+    import numpy as np
+    from foliationlab.quadrature import MAX_CIRCLE_POINTS, MIN_CIRCLE_POINTS, QuadResult
+
+    n = evals = MIN_CIRCLE_POINTS
+    theta = 2.0 * math.pi * np.arange(n) / n
+    mean = float(np.mean(fn(r * np.exp(1j * theta))))
+    bound = math.inf
+    while n < MAX_CIRCLE_POINTS and evals + n <= cfg.budget:
+        theta_new = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+        vals = fn(r * np.exp(1j * theta_new))
+        evals += n
+        mean_new = 0.5 * (mean + float(np.mean(vals)))
+        bound, mean, n = abs(mean_new - mean), mean_new, 2 * n
+        if bound <= cfg.tol * max(1.0, abs(mean)):
+            return QuadResult(mean, bound, evals, True)
+    return QuadResult(mean, bound, evals, bound <= cfg.tol * max(1.0, abs(mean)))
+
+
+def test_circle_means_match_serial_doubling():
+    import numpy as np
+    from foliationlab.quadrature import CHUNK_POINTS, MAX_CIRCLE_POINTS, circle_means
+
+    z0 = 2.0 * np.exp(0.1j)  # a zero on |t| = 2, off every node
+    sizes = []
+
+    def log_dist(t):
+        if t.ndim == 2:  # the serial reference passes 1-D arrays
+            sizes.append(t.shape)
+        return 2.0 * np.log(np.abs(t - z0))
+
+    fs = nv.fs_sum_density([Exp(t_expr()), _poly(1, 0, 1)])
+    cases = [
+        (fs, list(np.linspace(0.25, 12.0, 150)), CFG),  # 150 rows: several arrays per pass
+        (log_dist, [1.0, 2.0, 4.0, 0.5], CFG),  # r = 2 runs to the cap, the rest stop at 128
+        (fs, [0.5, 3.0, 9.0], QuadConfig(tol=1e-14, budget=300)),
+        (fs, [7.5], CFG),
+        (lambda t: 1e6 + log_dist(t), [2.05, 2.5, 4.0], CFG),  # |mean| > 1 scales the stopping test
+    ]
+    for fn, radii, cfg in cases:
+        got = circle_means(fn, radii, cfg)
+        assert len(got) == len(radii)
+        for r, res in zip(radii, got):
+            ref = _serial_circle_mean(fn, r, cfg)
+            assert (res.evaluations, res.converged) == (ref.evaluations, ref.converged)
+            for a, b in ((res.value, ref.value), (res.error_bound, ref.error_bound)):
+                assert a == b or math.isclose(a, b, rel_tol=1e-13)
+    evals = [res.evaluations for res in circle_means(log_dist, [1.0, 2.0, 4.0], CFG)]
+    assert evals == [128, MAX_CIRCLE_POINTS, 128]
+    assert max(rows * cols for rows, cols in sizes) == MAX_CIRCLE_POINTS // 2
+    assert all(rows * cols <= CHUNK_POINTS for rows, cols in sizes if rows > 1)
+    capped = circle_means(fs, [0.5, 3.0, 9.0], QuadConfig(tol=1e-14, budget=300))
+    assert [(r.evaluations, r.converged) for r in capped] == [(128, True), (256, True), (256, False)]
+
+
+def test_logabs2_matches_scaled_evaluation():
+    import numpy as np
+    from foliationlab.exprtree import Add, Pow
+
+    t = np.array([[2.0, 0.0, -1.0 + 0j], [256.0, -256.0, 256j]])  # 2-D input
+    t = np.concatenate([t, 3.0 * np.exp(2j * math.pi * np.arange(6) / 6).reshape(2, 3)])
+    p = _poly(-2, 1)  # zero at t = 2
+    exprs = [
+        p,
+        Poly([]),
+        Exp(_poly(0, 2)),  # exp(2t): |value| = e^512 at t = 256
+        Mul([Exp(t_expr()), Pow(p, 3)]),
+        Pow(_poly(0, 0, 1), 2),
+        Add([Exp(t_expr()), _poly(-1)]),  # exp(0) - 1 = 0
+    ]
+    with np.errstate(over="raise"):
+        for e in exprs:
+            got = e.logabs2(t)
+            assert got.shape == t.shape
+            assert np.array_equal(got, 2.0 * e.eval_scaled(t)[0])
+        assert Exp(_poly(0, 2)).logabs2(t)[1, 0] == 1024.0
+    for e in (p, exprs[3], exprs[4], exprs[5]):
+        la = e.logabs2(t)
+        assert np.isneginf(la).any() and np.isfinite(la).any()
