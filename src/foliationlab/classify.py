@@ -362,15 +362,21 @@ def seidenberg_terminal(v: VectorFieldGerm) -> SingularityReport | str:
 
 def simple_terminal(v: VectorFieldGerm, divisor: LogDivisor) -> SingularityReport | str:
     """Terminal test of a simple-resolution tower, a simple point or corner
-    of the log divisor that is not dicritical, as `seidenberg_terminal`."""
+    of the log divisor, as `seidenberg_terminal`.
+
+    A simple germ in dim >= 2 is never dicritical: a radial leading form
+    cI with c != 0 makes c an n-fold eigenvalue and every corner ratio 1,
+    and c = 0 or multiplicity >= 2 leaves every log coefficient 0 and the
+    restricted linear part of rank < n-1.  A dim-1 germ has no blow-up, so
+    the tower cannot certify it."""
     mult, lp, cp, why = _facts(v)
     status = _simple_status(v, divisor, lambda: cp)
     if isinstance(status, str):
         return status
     if not status.is_simple():
         return status.detail or status.kind
-    if is_dicritical(v, assume_isolated=True):
-        return "simple-looking but dicritical"
+    if v.dim() < 2:
+        raise ValueError("blow-up needs ambient dimension >= 2")
     return _report(v, mult, lp, cp, why, status, False)
 
 

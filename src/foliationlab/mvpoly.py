@@ -50,6 +50,16 @@ class MVPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MVPoly is immutable")
 
+    @classmethod
+    def _canonical(cls, variables: tuple[str, ...], terms: dict[Exponent, GaussRat]) -> "MVPoly":
+        """Wrap a term dict that is canonical by construction (tuple exponents
+        of length len(variables), nonzero GaussRat coefficients) without
+        validating it again; outside input goes through ``MVPoly(...)``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -126,12 +136,12 @@ class MVPoly:
                 terms[exp] = s
             else:
                 del terms[exp]
-        return MVPoly(self.variables, terms)
+        return MVPoly._canonical(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MVPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MVPoly._canonical(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -146,7 +156,7 @@ class MVPoly:
             c = _coerce_coeff(other)
             if c.is_zero():
                 return MVPoly.zero(self.variables)
-            return MVPoly(self.variables, {e: cc * c for e, cc in self.terms.items()})
+            return MVPoly._canonical(self.variables, {e: cc * c for e, cc in self.terms.items()})
         self._check_same_ring(other)
         out: dict[Exponent, GaussRat] = {}
         for e1, c1 in self.terms.items():
@@ -157,7 +167,7 @@ class MVPoly:
                     out[e] = s
                 else:
                     del out[e]
-        return MVPoly(self.variables, out)
+        return MVPoly._canonical(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -237,7 +247,7 @@ class MVPoly:
                 out[key] = s
             else:
                 del out[key]
-        return MVPoly(variables, out)
+        return MVPoly._canonical(variables, out)
 
     def translate(self, point: Sequence[GaussRat]) -> "MVPoly":
         """Compose with z -> z + point."""

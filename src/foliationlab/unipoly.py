@@ -3,9 +3,14 @@
 Polynomials are ascending coefficient lists.  The root finder extracts
 Gaussian rational roots by the rational root theorem transported to Z[i]
 (a UFD, so candidate roots are ratios of Gaussian-integer divisors of the
-outer coefficients), plus the exact quadratic formula.  Anything that does
-not split this way is returned as an unfactored residual; callers treat
-residuals conservatively.
+outer coefficients), plus the exact quadratic formula.  The divisors of a
+Gaussian integer come from its factored norm: each rational prime splits
+into Gaussian primes, exact division of z fixes their exponents, and the
+products times the four units are every divisor.  Each candidate num/den
+is tested in integers by homogeneous Horner, sum C_k num^k den^(n-k) = 0,
+so only a root found becomes a GaussRat.  Anything that does not split this
+way, or whose outer coefficients have norm past ``DIVISOR_NORM_CAP``, is
+returned as an unfactored residual; callers treat residuals conservatively.
 """
 
 from __future__ import annotations
@@ -117,28 +122,59 @@ def deflate(p: Coeffs, root: GaussRat) -> Coeffs:
 # -- Gaussian integer helpers -------------------------------------------------
 
 
+def _two_squares(p: int) -> tuple[int, int]:
+    """(x, y) with x^2 + y^2 = p for a prime p = 1 (mod 4): the Euclidean
+    algorithm on p and a square root of -1 mod p stops at x (Hermite-Serret)."""
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    a, b = p, pow(c, (p - 1) // 4, p)
+    while b * b > p:
+        a, b = b, a % b
+    return b, isqrt(p - b * b)
+
+
 def _gauss_int_divisors(z: tuple[int, int], cap: int = DIVISOR_NORM_CAP) -> list[tuple[int, int]] | None:
-    """All divisors of the Gaussian integer z, or None past the search cap."""
+    """All divisors of the Gaussian integer z in (re, im) order, or None past
+    the search cap.
+
+    The Gaussian primes of z lie over the rational primes of its norm N:
+    1+i over 2, p itself for p = 3 (mod 4) (exponent half that in N), and
+    x +- iy with x^2 + y^2 = p for p = 1 (mod 4), where exact division of z
+    by x + iy splits the exponent of p between the two conjugates.
+    """
     a, b = z
     n = a * a + b * b
-    if n == 0:
+    if n == 0 or n > cap:
         return None
-    if n > cap:
-        return None
-    divs = []
-    r = isqrt(n)
-    for x in range(-r, r + 1):
-        ymax = isqrt(n - x * x)
-        for y in range(-ymax, ymax + 1):
-            m = x * x + y * y
-            if m == 0 or n % m:
-                continue
-            # (x+iy) | (a+ib)  iff  (a+ib)(x-iy) has both parts divisible by m
-            re = a * x + b * y
-            im = b * x - a * y
-            if re % m == 0 and im % m == 0:
-                divs.append((x, y))
-    return divs
+    primes: list[tuple[tuple[int, int], int]] = []  # (Gaussian prime, exponent in z)
+    m, p = n, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e and p == 2:
+            primes.append(((1, 1), e))
+        elif e and p % 4 == 3:
+            primes.append(((p, 0), e // 2))
+        elif e:
+            x, y = _two_squares(p)
+            k, (u, v) = 0, z
+            while k < e and (u * x + v * y) % p == 0 and (v * x - u * y) % p == 0:
+                u, v = (u * x + v * y) // p, (v * x - u * y) // p
+                k += 1
+            primes += [((x, y), k), ((x, -y), e - k)]
+        p += 1 if p == 2 else 2
+    divs = [(1, 0)]
+    for (x, y), k in primes:
+        powers = divs
+        for _ in range(k):
+            powers = [(u * x - v * y, u * y + v * x) for u, v in powers]
+            divs = divs + powers
+    return sorted(d for u, v in divs for d in ((u, v), (-v, u), (-u, -v), (v, -u)))
 
 
 def _clear_denominators(p: Coeffs) -> list[tuple[int, int]]:
@@ -150,23 +186,31 @@ def _clear_denominators(p: Coeffs) -> list[tuple[int, int]]:
     return [(int(c.re * l), int(c.im * l)) for c in p]
 
 
-def _candidate_roots(p: Coeffs) -> list[GaussRat] | None:
-    ints = _clear_denominators(p)
-    c0, cn = ints[0], ints[-1]
-    d0 = _gauss_int_divisors(c0)
-    dn = _gauss_int_divisors(cn)
-    if d0 is None or dn is None:
-        return None
-    cands = []
-    seen = set()
-    for (a, b) in d0:
-        for (c, d) in dn:
-            q = GaussRat(a, b) / GaussRat(c, d)
-            key = (q.re, q.im)
-            if key not in seen:
-                seen.add(key)
-                cands.append(q)
-    return cands
+def _first_root(ints: list[tuple[int, int]], d0: list[tuple[int, int]],
+                dn: list[tuple[int, int]]) -> GaussRat | None:
+    """The first root num/den, num in d0 (outer) and den in dn (inner), of the
+    Z[i] polynomial `ints`, or None.
+
+    Each pair is tested in integers by homogeneous Horner,
+    sum_k C_k num^k den^(n-k) = 0, over the terms C_k den^(n-k) computed once
+    per den; a quotient seen before has already failed, so the walk needs no
+    deduplication to return the same first root.
+    """
+    scaled = []  # per den: C_k den^(n-k) for k = n, ..., 0
+    for c, d in dn:
+        terms, pr, pi = [], 1, 0
+        for cr, ci in reversed(ints):
+            terms.append((cr * pr - ci * pi, cr * pi + ci * pr))
+            pr, pi = pr * c - pi * d, pr * d + pi * c
+        scaled.append(terms)
+    for a, b in d0:
+        for (c, d), terms in zip(dn, scaled):
+            sr = si = 0
+            for tr, ti in terms:
+                sr, si = sr * a - si * b + tr, sr * b + si * a + ti
+            if not (sr or si):
+                return GaussRat(a, b) / GaussRat(c, d)
+    return None
 
 
 class RootResult:
@@ -216,14 +260,12 @@ def gaussian_rational_roots(p: Coeffs) -> RootResult:
             roots.append((-b + s) / (2 * a))
             roots.append((-b - s) / (2 * a))
             return RootResult(roots, None, exhaustive)
-        cands = _candidate_roots(p)
-        if cands is None:
+        ints = _clear_denominators(p)
+        d0 = _gauss_int_divisors(ints[0])
+        dn = _gauss_int_divisors(ints[-1])
+        if d0 is None or dn is None:
             return RootResult(roots, p, False)
-        found = None
-        for cand in cands:
-            if poly_eval(p, cand).is_zero():
-                found = cand
-                break
+        found = _first_root(ints, d0, dn)
         if found is None:
             return RootResult(roots, p, exhaustive)
         roots.append(found)
@@ -269,7 +311,9 @@ def real_rational_roots(p: Coeffs) -> list[Fraction]:
     while len(g) > 1 and g[0].is_zero():
         roots.add(Fraction(0))
         g = g[1:]
-    if len(g) > 1:
+    if len(g) == 2:
+        roots.add((-g[0] / g[1]).re)
+    elif len(g) > 2:
         ints = _clear_denominators(g)
         for num in _int_divisors(ints[0][0]):
             for den in _int_divisors(ints[-1][0]):

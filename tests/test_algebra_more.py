@@ -1,9 +1,13 @@
 """Series, exact linear algebra, univariate roots, monomial ideals."""
 
+import collections
+import random
 from fractions import Fraction
+from math import isqrt
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
@@ -164,6 +168,107 @@ def test_gaussian_integer_root():
     assert not res.split_completely()
     assert {str(r) for r in res.roots} == {"1+i", "2"}
     assert unipoly.degree(res.residual) == 3
+
+
+def _lattice_divisors(z):
+    """Reference: walk every lattice point of norm <= N(z) and keep the divisors."""
+    a, b = z
+    n = a * a + b * b
+    if n == 0 or n > unipoly.DIVISOR_NORM_CAP:
+        return None
+    divs = []
+    r = isqrt(n)
+    for x in range(-r, r + 1):
+        ymax = isqrt(n - x * x)
+        for y in range(-ymax, ymax + 1):
+            m = x * x + y * y
+            # (x+iy) | (a+ib)  iff  (a+ib)(x-iy) has both parts divisible by m
+            if m and n % m == 0 and (a * x + b * y) % m == 0 and (b * x - a * y) % m == 0:
+                divs.append((x, y))
+    return divs
+
+
+def test_gauss_int_divisors_match_lattice_walk():
+    # associates share their divisors, so the walk runs on one associate of
+    # each z with |a|, |b| <= 40 and the other three are compared to it
+    for a in range(0, 41):
+        for b in range(0, 41):
+            want = _lattice_divisors((a, b))
+            for z in ((a, b), (-b, a), (-a, -b), (b, -a)):
+                assert unipoly._gauss_int_divisors(z) == want, z
+    rng = random.Random(7)
+    for _ in range(6):
+        while True:
+            z = (rng.randint(-447, 447), rng.randint(-447, 447))
+            if 0 < z[0] ** 2 + z[1] ** 2 <= unipoly.DIVISOR_NORM_CAP:
+                break
+        assert unipoly._gauss_int_divisors(z) == _lattice_divisors(z), z
+    # the cap is inclusive: norm 200,000 has a list, the next norm above it none
+    assert unipoly._gauss_int_divisors((400, 200)) == _lattice_divisors((400, 200))
+    assert unipoly._gauss_int_divisors((447, 15)) is None  # norm 200,034
+    assert unipoly._gauss_int_divisors((400, 200), cap=199_999) is None
+
+
+def _candidate_loop_first_root(ints, d0, dn):
+    """The candidate loop before the integer Horner test: deduplicated
+    GaussRat quotients in d0 x dn order, each tested by `poly_eval`."""
+    p = [GaussRat(a, b) for a, b in ints]
+    seen = set()
+    for (a, b) in d0:
+        for (c, d) in dn:
+            q = GaussRat(a, b) / GaussRat(c, d)
+            if (q.re, q.im) not in seen:
+                seen.add((q.re, q.im))
+                if unipoly.poly_eval(p, q).is_zero():
+                    return q
+    return None
+
+
+_IRREDUCIBLE_CUBICS = [
+    None,
+    [GaussRat(-2), GaussRat(0), GaussRat(0), GaussRat(1)],  # t^3 - 2
+    [GaussRat(1), GaussRat(1), GaussRat(0), GaussRat(1)],  # t^3 + t + 1
+    [GaussRat(-1, -2), GaussRat(0), GaussRat(0), GaussRat(3)],  # 3t^3 - (1+2i)
+]
+
+_small_q = st.fractions(-4, 4, max_denominator=3)
+_root_strategy = st.builds(GaussRat, _small_q, _small_q)
+
+
+@given(st.lists(_root_strategy, min_size=1, max_size=5), st.sampled_from(_IRREDUCIBLE_CUBICS),
+       st.builds(GaussRat, st.integers(1, 6), st.integers(-3, 3)))
+@example([GaussRat(-1, -2), GaussRat(0, -1), GaussRat(-1, -1)], None, GaussRat(1))  # order-sensitive
+@settings(max_examples=40, deadline=None)
+def test_gaussian_rational_roots_match_candidate_loop(roots, cubic, lead):
+    p = _from_roots(lead, roots, cubic or (GaussRat(1),))
+    res = unipoly.gaussian_rational_roots(p)
+    with mock.patch.object(unipoly, "_first_root", _candidate_loop_first_root):
+        want = unipoly.gaussian_rational_roots(p)
+    assert res.roots == want.roots
+    assert res.residual == want.residual
+    assert res.exhaustive == want.exhaustive
+
+
+@given(st.lists(_root_strategy, min_size=1, max_size=3), st.sampled_from(_IRREDUCIBLE_CUBICS))
+@settings(max_examples=12, deadline=None)
+def test_gaussian_rational_roots_match_sympy(roots, cubic):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(z):
+        return sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
+
+    p = _from_roots(1, roots, cubic or (GaussRat(1),))
+    t = sympy.Symbol("t")
+    want = sympy.roots(sum(to_sympy(c) * t ** k for k, c in enumerate(p)), t)
+    res = unipoly.gaussian_rational_roots(p)
+    got = collections.Counter(to_sympy(r) for r in res.roots)
+    assert sum(want.values()) == len(p) - 1
+    if not res.exhaustive:  # an outer coefficient's norm passed the cap: a partial split
+        assert all(want.get(r, 0) >= mult for r, mult in got.items())
+        return
+    assert all(want.get(r) == mult for r, mult in got.items())
+    assert sum(got.values()) == len(roots)
+    assert (res.residual is None) == (cubic is None)
 
 
 def test_simplex_basic():

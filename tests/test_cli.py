@@ -149,3 +149,25 @@ def test_separatrix_eigenvalue_spectrum_computed_once(monkeypatch):
     assert code == 0
     assert json.loads(out)["result"]["eigenvalue"] == "1"
     assert calls == {"char_poly": 1, "gaussian_rational_roots": 1}
+
+
+def test_resolve_simple_dim1_needs_blowup_dimension(capsys):
+    code = cli.main(["resolve", "v = x d/dx", "--mode", "simple", "--divisor", "{x}"])
+    assert code == 1
+    assert "blow-up needs ambient dimension >= 2" in capsys.readouterr().err
+
+
+def test_classify_huge_real_eigenvalue_ratio(monkeypatch):
+    # the ratio 1000000000000000000117 is read off the degree-1 gcd, with no
+    # trial division of a 22-digit integer
+    from foliationlab import unipoly
+
+    def no_trial_division(n):
+        raise AssertionError("trial division of %d" % n)
+
+    monkeypatch.setattr(unipoly, "_int_divisors", no_trial_division)
+    code, out = run_cli(["classify", "v = x d/dx + 1000000000000000000117*y d/dy", "--divisor", "{x}"])
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["eigenvalues"]["values"] == ["1", "1000000000000000000117"]
+    assert doc["simple_status"]["detail"] == "another eigenvalue is a positive rational multiple of 1"
