@@ -83,10 +83,13 @@ class Poly(Expr):
         self.coeffs = tuple(cs)
 
     def eval_plain(self, t):
+        """Horner's rule from the leading coefficient."""
         t = _as_array(t)
-        out = np.zeros_like(t)
-        for c in reversed(self.coeffs):
-            out = out * t + c.to_complex()
+        lead, *rest = [c.to_complex() for c in reversed(self.coeffs)] or [0j]
+        out = np.full_like(t, lead)
+        for c in rest:
+            out *= t
+            out += c
         return out
 
     def eval_scaled(self, t):

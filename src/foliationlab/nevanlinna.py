@@ -9,7 +9,11 @@ Conventions, pinned by self-tests:
 * Characteristics are reported in "form units": T for the Fubini-Study
   form on each projective-line factor matches T(r) = log sqrt(1+r^2) -
   log sqrt(2) for f(t) = t.  The order-swapped radial formula
-  T(r) = int_0^r q(rho) log(r/max(rho,1)) d rho is used throughout.
+  T(r) = int_0^r q(rho) log(r/max(rho,1)) d rho is used throughout, with
+  q(rho) the circle integral of the density.  It is integrated by adaptive
+  Gauss-Kronrod 7/15 over the circle means (`characteristic_on_grid`).
+  The error bound of T(r) adds the segments' Kronrod estimates, the circle
+  bounds weighted like T, and a round-off floor.
 * The First Main Theorem comparison smooths the ideal weight with
   delta = 1: psi = (1/2) log(1 + sum |g_i o f|^2).  Then T_psi - N - m is
   an exact constant in r, so a vanishing regression slope against log r is
@@ -29,13 +33,16 @@ from .mvpoly import MVPoly
 from .foliation import VectorFieldGerm
 from .exprtree import (
     Expr,
+    Poly,
     expr_from_mvpoly,
     order_at_point,
     order_at_zero,
 )
-from .quadrature import QuadConfig, QuadResult, ZeroOnCircle, circle_mean, circle_means, nudge_radius
+from .quadrature import (GK_NODES, GK_RULE, QuadConfig, QuadResult, ZeroOnCircle, circle_mean,
+                         circle_mean_arrays, circle_means, nudge_radius)
 
 Zero = tuple[complex, int]  # (location, multiplicity); locations may be exact GaussRat
+ROUNDOFF = 50.0 * np.finfo(float).eps  # relative round-off floor of a quadrature sum
 
 
 class NotALeaf(Exception):
@@ -157,17 +164,34 @@ class NevanlinnaProfile:
 # densities (all in form units: FS on P^1 integrates to 1)
 
 
+def _fs_term_log(g: Expr, gp: Expr, t: np.ndarray) -> np.ndarray:
+    """|g'|^2 / (1 + |g|^2)^2 in the log domain, safe for any magnitude."""
+    expo = gp.logabs2(t) - 2.0 * _softplus(g.logabs2(t))
+    return np.exp(np.maximum(expo, -745.0))
+
+
+def _fs_term_poly(g: Poly, gp: Poly, t: np.ndarray) -> np.ndarray:
+    """|g'|^2 / (1 + |g|^2)^2 evaluated directly, falling back to the log
+    domain where a square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows go to the log domain
+        den = (1.0 + np.abs(g.eval_plain(t)) ** 2) ** 2
+        out = np.abs(gp.eval_plain(t)) ** 2 / den
+    bad = ~np.isfinite(den) | ~np.isfinite(out)
+    if bad.any():
+        out[bad] = _fs_term_log(g, gp, t[bad])
+    return out
+
+
 def fs_sum_density(components: Sequence[Expr]) -> Callable[[np.ndarray], np.ndarray]:
-    comps = list(components)
-    derivs = [c.diff() for c in comps]
+    """Sum of the Fubini-Study pullback densities of the components.
+    Polynomial components are evaluated directly, the others in the log
+    domain."""
+    terms = [(_fs_term_poly if isinstance(c, Poly) else _fs_term_log, c, c.diff()) for c in components]
 
     def dens(t: np.ndarray) -> np.ndarray:
         total = np.zeros(t.shape, dtype=float)
-        for g, gp in zip(comps, derivs):
-            la = g.logabs2(t)
-            lap = gp.logabs2(t)
-            expo = lap - 2.0 * _softplus(la)
-            total = total + np.exp(np.maximum(expo, -745.0))
+        for term, g, gp in terms:
+            total += term(g, gp, t)
         return total / math.pi
 
     return dens
@@ -219,65 +243,84 @@ def direction_map_density(gens_on_curve: Sequence[Expr]) -> Callable[[np.ndarray
 # characteristic on a grid
 
 
-def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig) -> tuple[list[float], list[float], list[bool], int]:
+def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
+                           zero_moduli: Sequence[float] = ()) -> tuple[list[float], list[float], list[bool], int]:
     """T(r) = int_0^r q(rho) log(r/max(rho,1)) d rho for every r at once,
-    with q(rho) = rho * mean-circle(density) * 2 pi.  Refines the radial
-    grid until the largest radius stabilizes.  The error bound of T(r) is
-    the last radial refinement delta plus the circle-mean bounds of the
-    final level, weighted like T.  Each level's new circle means are one
-    batched call."""
-    r_grid = [float(r) for r in r_grid]
-    breaks = sorted({0.0, 1.0, *r_grid})
-    cache: dict[float, tuple[float, float, bool]] = {0.0: (0.0, 0.0, True)}
+    with q(rho) = 2 pi rho * (mean of density over |t| = rho).
+
+    Adaptive Gauss-Kronrod 7/15 on segments between the breakpoints
+    {0, 1, r_grid, zero moduli below max r_grid}; the nodes are interior, so
+    no circle passes through a declared zero.  Each segment carries
+    I0 = int q and I1 = int q log max(rho, 1), and
+    T(r) = log r * sum I0 - sum I1 over the segments inside [0, r].  Each
+    round evaluates the circles of every open segment in one batched call,
+    then bisects the segments with the largest K - G (the most any radius
+    sees) until the rest sum to at most tol * max(1, |T(max r)|) or to the
+    round-off floor, or until the total evaluations pass cfg.budget.
+
+    The error bound of T(r) is the sum over its segments of |K - G|, plus
+    the circle-mean bounds weighted by log(r / max(rho, 1)), plus a
+    round-off floor of 50 eps times the sum of the magnitudes added up.  A
+    radius is diverged when a circle below it did not converge, the budget
+    cut the refinement short, or its bound exceeds 1e-3 * max(1, |T(r)|).
+    Returns (T, bounds, diverged, evaluations)."""
+    radii = np.asarray([float(r) for r in r_grid])
+    r_max = radii.max()
+    # a segment's (I0, I1) row times (log r, -1) is its part of T(r); times
+    # (|log r|, 1) it is the magnitude of what T(r) adds up
+    weights = np.vstack([np.log(radii), -np.ones(radii.size)])
+    last = weights[:, radii.argmax()]  # the largest radius sees every segment
+    breaks = np.array(sorted({0.0, *(x for x in (1.0, *radii, *zero_moduli) if 0.0 < x <= r_max)}))
+    lo, hi = breaks[:-1], breaks[1:]
+    # per evaluated segment (they come first), the rule's (K, K - G) of q,
+    # q lg, |q|, |q| lg, qb and qb lg, and whether all its circles converged
+    seg, ok = np.zeros((0, 6, 2)), np.zeros(0, dtype=bool)
     evals = 0
-
-    def run_level(mult: int):
-        nonlocal evals
-        panels = []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            nseg = max(8, int(mult * 16 * (b - a) / max(1.0, breaks[-1] - 0.0)))
-            nseg += nseg % 2
-            panels.append((a, b, nseg, np.linspace(a, b, nseg + 1)))
-        new = list(dict.fromkeys(float(x) for *_, xs in panels for x in xs if float(x) not in cache))
-        for rho, res in zip(new, circle_means(density, new, cfg)):
-            evals += res.evaluations
-            cache[rho] = (2.0 * math.pi * rho * res.value, 2.0 * math.pi * rho * res.error_bound,
-                          res.converged)
-        Ts = [0.0 for _ in r_grid]
-        errs = [0.0 for _ in r_grid]
-        ok = True
-        for a, b, nseg, xs in panels:
-            qs, qbs, oks = map(np.asarray, zip(*(cache[float(x)] for x in xs)))
-            ok = ok and bool(oks.all())
-            h = (b - a) / nseg
-            simpson = np.where(np.arange(nseg + 1) % 2, 4.0, 2.0)
-            simpson[[0, -1]] = 1.0
-            for i, r in enumerate(r_grid):
-                if b <= r + 1e-15:
-                    w = np.log(r / np.maximum(xs, 1.0))
-                    w = np.maximum(w, 0.0)
-                    seg = h / 3.0 * (qs[0] * w[0] + qs[-1] * w[-1]
-                                     + 4.0 * (qs[1:-1:2] * w[1:-1:2]).sum()
-                                     + 2.0 * (qs[2:-2:2] * w[2:-2:2]).sum())
-                    Ts[i] += float(seg)
-                    # a node of weight 0 adds nothing, even where its circle diverged
-                    weight = h / 3.0 * simpson * w
-                    errs[i] += float((weight * np.where(weight > 0.0, qbs, 0.0)).sum())
-        return Ts, errs, bool(ok)
-
-    prev, _, ok_prev = run_level(1)
-    level = 2
-    deltas = [math.inf] * len(r_grid)
-    cur, errs, ok_cur = prev, [0.0] * len(r_grid), ok_prev
-    while level <= 16:
-        cur, errs, ok_cur = run_level(level)
-        deltas = [abs(a - b) for a, b in zip(cur, prev)]
-        if max(deltas) <= max(cfg.tol, 1e-9) * max(1.0, max(abs(v) for v in cur)) or evals > cfg.budget:
+    while True:
+        done = seg.shape[0]
+        half = 0.5 * (hi[done:] - lo[done:])
+        rho = (lo[done:] + half)[:, None] + half[:, None] * GK_NODES
+        mean, bound, counts, converged = circle_mean_arrays(density, rho, cfg)
+        evals += int(counts.sum())
+        scale = 2.0 * math.pi * half[:, None] * rho
+        q, qb = scale * mean.reshape(rho.shape), scale * bound.reshape(rho.shape)
+        lg = np.log(np.maximum(rho, 1.0))
+        with np.errstate(invalid="ignore"):  # infinite circle bounds give nan, read as inf below
+            f = np.stack([q, q * lg, np.abs(q), np.abs(q) * lg, qb, qb * lg], axis=1)
+            seg = np.concatenate([seg, f @ GK_RULE])
+        ok = np.concatenate([ok, converged.reshape(rho.shape).all(axis=1)])
+        # (I0, I1) rows: Kronrod values, their K - G, magnitudes, circle bounds
+        kron, est, mag, circ = seg[:, 0:2, 0], seg[:, 0:2, 1], seg[:, 2:4, 0], seg[:, 4:6, 0]
+        inside = hi[:, None] <= radii
+        # each segment's K - G at the radius that sees the most of it
+        errs = np.where(inside, np.abs(est @ weights), 0.0).max(axis=1)
+        target = max(cfg.tol * max(1.0, abs(kron.sum(axis=0) @ last)),
+                     ROUNDOFF * (mag.sum(axis=0) @ np.abs(last)))
+        if errs.sum() <= target or evals > cfg.budget:
             break
-        prev = cur
-        level *= 2
-    diverged = [bool(not ok_cur or b > 1e-3 * max(1.0, abs(v))) for b, v in zip(deltas, cur)]
-    return cur, [d + e for d, e in zip(deltas, errs)], diverged, evals
+        order = np.argsort(-errs)
+        rest = errs.sum() - np.cumsum(errs[order])
+        split = order[:int(np.argmax(rest <= target)) + 1]
+        split = split[hi[split] - lo[split] > 1e-9 * np.maximum(1.0, hi[split])]  # else floats end it
+        if not split.size:
+            break
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate([lo[keep], lo[split], mid])
+        hi = np.concatenate([hi[keep], mid, hi[split]])
+        seg, ok = seg[keep], ok[keep]
+
+    def total(per_segment):
+        return np.where(inside, per_segment, 0.0).sum(axis=0)
+
+    T = total(kron @ weights)
+    with np.errstate(invalid="ignore"):
+        circle = np.nan_to_num(np.abs(circ @ weights), nan=math.inf)
+    bounds = total(np.abs(est @ weights)) + total(circle) + ROUNDOFF * total(mag @ np.abs(weights))
+    diverged = ((inside & ~ok[:, None]).any(axis=0) | (evals > cfg.budget)
+                | (bounds > 1e-3 * np.maximum(1.0, np.abs(T))))
+    return T.tolist(), bounds.tolist(), diverged.tolist(), evals
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +407,8 @@ def characteristic_T(curve: ParametrizedCurve, form: str, r_grid: Sequence[float
         dens = euclidean_density(curve.components)
     else:
         raise ValueError("unknown form %r (use 'fs' or 'euclid')" % form)
-    T, bounds, diverged, _ = characteristic_on_grid(dens, r_grid, cfg)
+    moduli = [_zero_abs(z) for zeros in curve.declared_zeros.values() for z, _ in zeros]
+    T, bounds, diverged, _ = characteristic_on_grid(dens, r_grid, cfg, moduli)
     return NevanlinnaProfile(list(map(float, r_grid)), T, None, None, bounds, diverged)
 
 
@@ -402,26 +446,29 @@ def fmt_verify(curve: ParametrizedCurve, ideal_gens: Sequence[MVPoly],
     m(r) = (1/2) mean log( prod_i (1 + |G_i|^2) / sum_i |G_i|^2 ) >= 0,
     and T - N - m is constant in r up to quadrature error.  T comes from
     area quadrature, N from the declared zeros, m from circle averages, so
-    the three sides are computed independently."""
+    the three sides are computed independently.  The bounds add m's circle
+    bounds to T's, and a radius whose m circle did not converge reads
+    diverged."""
     cfg = cfg or QuadConfig()
     gens_on_curve = [expr_from_mvpoly(g, curve.components) for g in ideal_gens]
     moduli = [_zero_abs(z) for z, _ in ideal_zeros]
     grid = [nudge_radius(float(r), moduli) for r in r_grid]
-    T_fs, b1, d1, _ = characteristic_on_grid(fs_sum_density(gens_on_curve), grid, cfg)
+    T_fs, b1, d1, _ = characteristic_on_grid(fs_sum_density(gens_on_curve), grid, cfg, moduli)
     if len(gens_on_curve) > 1:
-        T_dir, b2, d2, _ = characteristic_on_grid(direction_map_density(gens_on_curve), grid, cfg)
+        T_dir, b2, d2, _ = characteristic_on_grid(direction_map_density(gens_on_curve), grid, cfg, moduli)
     else:
         T_dir, b2, d2 = [0.0] * len(grid), [0.0] * len(grid), [False] * len(grid)
-    T = [a - b for a, b in zip(T_fs, T_dir)]
-    bounds = [x + y for x, y in zip(b1, b2)]
-    diverged = [x or y for x, y in zip(d1, d2)]
     N = [counting_function(ideal_zeros, r) for r in grid]
 
     def m_integrand(t: np.ndarray) -> np.ndarray:
         las = [g.logabs2(t) for g in gens_on_curve]
         return 0.5 * (sum(_softplus(la) for la in las) - _logsumexp(las))
 
-    m_vals = [res.value for res in circle_means(m_integrand, grid, cfg)]
+    m_res = circle_means(m_integrand, grid, cfg)
+    m_vals = [res.value for res in m_res]
+    T = [a - b for a, b in zip(T_fs, T_dir)]
+    bounds = [x + y + res.error_bound for x, y, res in zip(b1, b2, m_res)]
+    diverged = [x or y or not res.converged for x, y, res in zip(d1, d2, m_res)]
     diffs = [T[i] - N[i] - m_vals[i] for i in range(len(grid))]
     logs = [math.log(r) for r in grid]
     slope = _fit_slope(logs, diffs)
@@ -566,6 +613,8 @@ def tautological_pairing(curve: ParametrizedCurve, r_grid: Sequence[float],
 class LogDerivativeReport:
     r_grid: list[float]
     lhs: list[float]
+    error_bounds: list[float]  # of the circle means in lhs
+    converged: list[bool]
     fit_coefficients: tuple[float, float, float]
     max_residual_top_half: float
     passed: bool
@@ -585,8 +634,9 @@ def log_derivative_check(g: Expr, zeros: Sequence[Zero], r_grid: Sequence[float]
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, 0.5 * (gp.logabs2(t) - g.logabs2(t)))
 
-    lhs = [res.value for res in circle_means(integrand, grid, cfg)]
-    t_prof = characteristic_on_grid(fs_sum_density([g]), grid, cfg)[0]
+    means = circle_means(integrand, grid, cfg)
+    lhs = [res.value for res in means]
+    t_prof = characteristic_on_grid(fs_sum_density([g]), grid, cfg, moduli)[0]
     rows = np.vstack([
         np.log(np.maximum(t_prof, 1e-12)),
         np.log(grid),
@@ -598,6 +648,6 @@ def log_derivative_check(g: Expr, zeros: Sequence[Zero], r_grid: Sequence[float]
     top = residuals[len(grid) // 2:]
     max_res = float(top.max()) if len(top) else 0.0
     return LogDerivativeReport(
-        grid, lhs, (float(sol[0]), float(sol[1]), float(sol[2])), max_res,
-        max_res <= residual_tol,
+        grid, lhs, [res.error_bound for res in means], [res.converged for res in means],
+        (float(sol[0]), float(sol[1]), float(sol[2])), max_res, max_res <= residual_tol,
     )

@@ -1,17 +1,27 @@
-"""Adaptive quadrature for circle means.
+"""Adaptive quadrature: circle means and the Gauss-Kronrod radial rule.
 
 Circle means use the periodic trapezoid rule with doubling, from
 MIN_CIRCLE_POINTS up to MAX_CIRCLE_POINTS samples; the a-posteriori bound
 is the last refinement delta.  The means over many radii are batched: each
 doubling pass evaluates the new angles of every circle still refining as
 one (radius x angle) array of at most CHUNK_POINTS points, so the
-integrand sees 2-D arrays.  The FOLIATION_LAB_BUDGET environment variable,
-a positive integer, caps the evaluations of each circle mean and the total
-of a radial refinement in `nevanlinna.characteristic_on_grid`.
+integrand sees 2-D arrays.  The unit roots of each doubling pass are
+computed once per process.
+
+Radial integrals use the 7-point Gauss / 15-point Kronrod pair (QUADPACK
+qk15, Piessens et al. 1983): GK_NODES on [-1, 1] and GK_RULE, whose columns
+are the Kronrod weights and the Kronrod minus Gauss weights.  So one
+product gives a segment's Kronrod value K and K - G, the error estimate
+by which `nevanlinna.characteristic_on_grid` bisects segments.
+
+The FOLIATION_LAB_BUDGET environment variable, a positive integer, caps
+the evaluations of each circle mean and stops the radial refinement of a
+profile once its total evaluations pass it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -65,32 +75,57 @@ def nudge_radius(r: float, zero_moduli, tol: float = 1e-9, bump: float = 1e-6) -
     return out
 
 
-def _row_means(fn, radii: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Trapezoid means of fn over the angles theta, one per radius."""
-    unit = np.exp(1j * theta)
-    rows = max(1, CHUNK_POINTS // theta.size)
+# Gauss-Kronrod 7/15 on [-1, 1], from QUADPACK qk15: the positive Kronrod
+# nodes (every other one, from the second, a Gauss node), Kronrod weights
+# with the centre's last, Gauss weights with the centre's last.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+GK_NODES = np.array([-x for x in _XGK] + [0.0] + list(_XGK[::-1]))
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = _WG + _WG[-2::-1]
+GK_RULE = np.array([_WGK + _WGK[-2::-1], _WGK + _WGK[-2::-1] - _GAUSS]).T  # f @ GK_RULE = (K, K - G)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_roots(n: int, shift: float) -> np.ndarray:
+    """exp(i theta) at theta = 2 pi (k + shift) / n, k < n: the angles of one
+    doubling pass, shared by every circle and every call."""
+    unit = np.exp(1j * (2.0 * math.pi * (np.arange(n) + shift) / n))
+    unit.flags.writeable = False
+    return unit
+
+
+def _row_means(fn, radii: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Trapezoid means of fn over the points radii x unit, one per radius."""
+    rows = max(1, CHUNK_POINTS // unit.size)
     return np.concatenate([np.mean(fn(radii[i:i + rows, None] * unit), axis=1)
                            for i in range(0, radii.size, rows)])
 
 
-def circle_means(fn, radii, cfg: QuadConfig) -> list[QuadResult]:
-    """Means over the circles |t| = r, r in radii, of a real-valued integrand.
+def circle_mean_arrays(fn, radii, cfg: QuadConfig):
+    """Means over the circles |t| = r, r in radii, of a real-valued integrand,
+    as the arrays (mean, error bound, evaluations, converged).
 
     `fn(t_array) -> float array` of the same shape; on each circle the
     trapezoid rule on a periodic domain doubles until two refinements agree
     to tolerance.  All circles still refining double together, so they
     share one evaluation count and one budget test."""
-    radii = np.asarray(radii, dtype=float)
-    if not radii.size:
-        return []
+    radii = np.asarray(radii, dtype=float).ravel()
     n = evals = MIN_CIRCLE_POINTS
-    mean = _row_means(fn, radii, 2.0 * math.pi * np.arange(n) / n)
+    mean = _row_means(fn, radii, _unit_roots(n, 0.0)) if radii.size else np.zeros(0)
     bound = np.full(radii.size, math.inf)
     counts = np.full(radii.size, n)
     live = np.arange(radii.size)
     while live.size and n < MAX_CIRCLE_POINTS and evals + n <= cfg.budget:
-        theta_new = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-        mean_new = 0.5 * (mean[live] + _row_means(fn, radii[live], theta_new))
+        mean_new = 0.5 * (mean[live] + _row_means(fn, radii[live], _unit_roots(n, 0.5)))
         bound[live] = np.abs(mean_new - mean[live])
         mean[live] = mean_new
         evals += n
@@ -98,8 +133,13 @@ def circle_means(fn, radii, cfg: QuadConfig) -> list[QuadResult]:
         counts[live] = evals
         live = live[~(bound[live] <= cfg.tol * np.maximum(1.0, np.abs(mean_new)))]
     converged = bound <= cfg.tol * np.maximum(1.0, np.abs(mean))
+    return mean, bound, counts, converged
+
+
+def circle_means(fn, radii, cfg: QuadConfig) -> list[QuadResult]:
+    """circle_mean_arrays as one QuadResult per radius."""
     return [QuadResult(float(m), float(b), int(e), bool(c))
-            for m, b, e, c in zip(mean, bound, counts, converged)]
+            for m, b, e, c in zip(*circle_mean_arrays(fn, radii, cfg))]
 
 
 def circle_mean(fn, r: float, cfg: QuadConfig) -> QuadResult:

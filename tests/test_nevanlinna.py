@@ -220,6 +220,114 @@ def test_T_error_bounds_cover_budget_cuts(monkeypatch):
             assert abs(T - T0) <= b + b0
 
 
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("c", [1, Fraction(1, 1000), Fraction(1, 30), 5])
+def test_T_closed_form_within_bound(c, d):
+    # f = c t^d: A(t) = d |c|^2 t^2d / (1 + |c|^2 t^2d), so
+    # T_fs(r) = (1/2) log((1 + |c|^2 r^2d) / (1 + |c|^2))
+    curve = nv.ParametrizedCurve((_poly(*[0] * d, c),))
+    radii = [2.0 ** k for k in range(1, 9)]
+    prof = nv.characteristic_T(curve, "fs", radii, QuadConfig())
+    c2 = float(c) ** 2
+    assert not any(prof.diverged)
+    for r, T, b in zip(radii, prof.T, prof.bounds):
+        exact = 0.5 * (math.log1p(c2 * r ** (2 * d)) - math.log1p(c2))
+        assert abs(T - exact) <= b, (r, T - exact, b)
+
+
+def test_T_budget_cut_within_bounds(monkeypatch):
+    # a profile cut short by FOLIATION_LAB_BUDGET must still bound its error
+    from foliationlab.dsl import parse_curve
+
+    curve = parse_curve("f(t) = (t^3 - 2, t)")
+    radii = [2.0 * 2 ** k for k in range(6)]  # 2:64:6
+    monkeypatch.delenv("FOLIATION_LAB_BUDGET", raising=False)
+    ref = nv.characteristic_T(curve, "fs", radii, QuadConfig())
+    monkeypatch.setenv("FOLIATION_LAB_BUDGET", "2000")
+    cut = nv.characteristic_T(curve, "fs", radii, QuadConfig())
+    assert all(cut.diverged) and not any(ref.diverged)
+    for T, b, T0, b0 in zip(cut.T, cut.bounds, ref.T, ref.bounds):
+        assert abs(T - T0) <= b + b0
+
+
+def _exp_T_reference(a: float, radii):
+    """T_fs(r) of exp(a t), |a| = a, by an independent route.  The density
+    a^2 / (4 pi cosh^2(a x)) depends on one coordinate x only, so the area of
+    |t| < rho is A(rho) = a^2 / (2 pi) int sqrt(rho^2 - x^2) sech^2(a x) dx,
+    and T(r) = int_1^r A(rho) / rho d rho; both integrals by Gauss-Legendre."""
+    import numpy as np
+
+    x_in, w_in = np.polynomial.legendre.leggauss(800)
+    x_out, w_out = np.polynomial.legendre.leggauss(30)
+
+    def area(rho):
+        cut = 25.0 / a  # sech^2 < e^-98 beyond
+        if rho > cut:
+            x = cut * x_in
+            return a * a / (2 * math.pi) * cut * np.dot(w_in, np.sqrt(rho * rho - x * x) / np.cosh(a * x) ** 2)
+        phi = 0.5 * math.pi * x_in  # x = rho sin(phi) takes out the square root
+        vals = np.cos(phi) ** 2 / np.cosh(a * rho * np.sin(phi)) ** 2
+        return a * a / (2 * math.pi) * rho * rho * 0.5 * math.pi * np.dot(w_in, vals)
+
+    out, acc, lo = [], 0.0, 1.0
+    for r in radii:
+        mid, half = 0.5 * (lo + r), 0.5 * (r - lo)
+        acc += half * sum(w * area(mid + half * x) / (mid + half * x) for x, w in zip(x_out, w_out))
+        out.append(acc)
+        lo = r
+    return out
+
+
+@pytest.mark.parametrize("text, a", [("f(t) = (exp(-i*t))", 1.0), ("f(t) = (exp(-2*t))", 2.0)])
+def test_T_exp_within_bound(text, a):
+    from foliationlab.dsl import parse_curve
+
+    curve = parse_curve(text)
+    radii = [4.0 * 2 ** k for k in range(7)]  # 4:256:7
+    prof = nv.characteristic_T(curve, "fs", radii, QuadConfig())
+    tight = nv.characteristic_T(curve, "fs", radii, QuadConfig(tol=1e-11))
+    assert not any(prof.diverged) and not any(tight.diverged)
+    for T, b, T0, ref in zip(prof.T, prof.bounds, tight.T, _exp_T_reference(a, radii)):
+        assert abs(T - T0) <= b
+        assert abs(T - ref) <= b
+
+
+def test_fmt_zero_on_a_grid_circle_converges():
+    # the ideal zero at -3 lies between grid radii; no radial node may put a
+    # circle through it
+    from foliationlab.dsl import parse_curve
+
+    curve = parse_curve("f(t) = (t + 3, (t + 3)^2) zeros: ideal at -3 order 1")
+    radii = [2.0 * 2 ** k for k in range(5)]  # 2:32:5
+    rep = nv.fmt_verify(curve, [X, Y], curve.zeros_for("ideal"), radii, QuadConfig())
+    assert not any(rep.profile.diverged)
+    assert rep.passed
+
+
+def test_checks_carry_circle_bounds(monkeypatch):
+    import numpy as np
+    from foliationlab.quadrature import QuadResult, circle_means
+
+    def unconverged(fn, radii, cfg):  # m's circle means, each off by up to 1
+        return [QuadResult(res.value, 1.0, res.evaluations, False) for res in circle_means(fn, radii, cfg)]
+
+    ec = nv.ParametrizedCurve((Exp(t_expr()), Exp(_poly(0, 2))))
+    radii = [4.0, 8.0, 16.0]
+    rep = nv.fmt_verify(ec, [X, Y], [], radii, CFG)
+    assert not any(rep.profile.diverged) and all(b < 1e-3 for b in rep.profile.bounds)
+    monkeypatch.setattr(nv, "circle_means", unconverged)
+    rep = nv.fmt_verify(ec, [X, Y], [], radii, CFG)
+    assert all(rep.profile.diverged) and all(b >= 1.0 for b in rep.profile.bounds)
+    monkeypatch.undo()
+    g = _poly(0, 0, 1)
+    rep = nv.log_derivative_check(g, [(GaussRat(0), 2)], radii, CFG)
+    means = circle_means(lambda t: np.maximum(0.0, 0.5 * (g.diff().logabs2(t) - g.logabs2(t))), radii, CFG)
+    assert rep.error_bounds == [m.error_bound for m in means]
+    assert rep.converged == [True] * 3
+    assert {"error_bounds", "converged"} <= set(rep.to_jsonable())
+
+
 def _serial_circle_mean(fn, r, cfg):
     """The one-circle trapezoid doubling loop that circle_means batches."""
     import numpy as np
