@@ -140,11 +140,9 @@ def transform_vector_field(
         raise ValueError("cannot blow up the zero field")
     c = int(c)
     drop = min(1, c)
-    raw = VectorFieldGerm(v.variables, [p.divide_by_var_power(j, drop) for p in cleared], v.label)
+    raw = VectorFieldGerm(v.variables, [p.divide_by_var_power(j, drop) for p in cleared])
     s = c - drop
-    saturated = VectorFieldGerm(
-        v.variables, [p.divide_by_var_power(j, s) for p in raw.components], v.label
-    )
+    saturated = VectorFieldGerm(v.variables, [p.divide_by_var_power(j, s) for p in raw.components])
     e_invariant = divisor_invariance_check(saturated, [j])
     axes = {}
     if divisor is not None:
@@ -295,14 +293,10 @@ class ELocus:
     notes: list[str] = field(default_factory=list)
 
 
-def univariate_on_E(p: MVPoly, u: int, w: int) -> list[GaussRat]:
+def univariate_on_E(p: MVPoly, u: int, w: int) -> unipoly.Coeffs:
     """Dim 2: p restricted to the exceptional divisor u = 0, as an ascending
     coefficient list in the direction coordinate w."""
-    r = p.set_vars_to_zero([u])
-    coeffs = [GaussRat(0)] * (r.degree_in(w) + 1)
-    for e, c in r.terms.items():
-        coeffs[e[w]] = c
-    return unipoly.trim(coeffs)
+    return unipoly.bivariate_rows(p.set_vars_to_zero([u]), w, u)[0]
 
 
 def _eigendirection_loci(center: VectorFieldGerm) -> list[ELocus] | None:
@@ -369,7 +363,7 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
         if not a and not b:
             return ELocus(points=[], non_isolated=True, complete=True,
                           notes=["both components vanish on E after saturation (impossible)"])
-        g = unipoly.poly_gcd(a, b) if (a and b) else unipoly.poly_monic(a or b)
+        g = unipoly.poly_gcd(a, b)
         if unipoly.degree(g) <= 0:
             return ELocus(points=[], complete=True)
         res = unipoly.gaussian_rational_roots(g)

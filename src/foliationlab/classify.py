@@ -331,16 +331,12 @@ def _report(v: VectorFieldGerm, mult: int, lp: linalg.Matrix, cp: list[GaussRat]
     return SingularityReport(mult, lp, linalg.eigenvalues_of_char_poly(cp), not why, st, simple, dicritical, notes)
 
 
-def singularity_report(
-    v: VectorFieldGerm,
-    divisor: LogDivisor | None = None,
-    with_dicritical: bool = True,
-) -> SingularityReport:
+def singularity_report(v: VectorFieldGerm, divisor: LogDivisor | None = None) -> SingularityReport:
     mult, lp, cp, why = _facts(v)
     rep = _report(v, mult, lp, cp, why, None if divisor is None else _simple_status(v, divisor, lambda: cp), None)
-    if with_dicritical and v.dim() < 2:
+    if v.dim() < 2:
         rep.notes.append("dicriticality unavailable: blow-up needs ambient dimension >= 2")
-    elif with_dicritical:
+    else:
         try:
             rep.dicritical = is_dicritical(v, assume_isolated=v.dim() > 2)
         except FoliationError as exc:
@@ -391,7 +387,10 @@ class ProbeResult:
     notes: list[str] = field(default_factory=list)
 
 
-def bounded_ais_probe(v: VectorFieldGerm, depth: int, node_budget: int = 2000) -> ProbeResult:
+PROBE_NODE_BUDGET = 2000
+
+
+def bounded_ais_probe(v: VectorFieldGerm, depth: int) -> ProbeResult:
     """Explore the full blow-up tree at singular points to `depth`,
     verifying finiteness of the singular locus at every node.
 
@@ -414,7 +413,7 @@ def bounded_ais_probe(v: VectorFieldGerm, depth: int, node_budget: int = 2000) -
     while queue:
         germ, level = queue.pop(0)
         explored += 1
-        if explored > node_budget:
+        if explored > PROBE_NODE_BUDGET:
             return ProbeResult("depth_exceeded", level=level, nodes_explored=explored,
                                notes=notes + ["node budget exhausted"])
         if level >= depth:

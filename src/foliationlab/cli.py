@@ -1,9 +1,9 @@
 """Command-line interface: parse the DSL, dispatch, emit JSON/CSV reports.
 
-Exit codes: 0 success (including depth-exceeded results), 1 operational
-errors (parse failures, bad preconditions), 2 mathematical refutations and
-self-test failures (Refuted, Mismatch, counterexample candidates), 3
-internal errors.
+Exit codes: 0 success (including depth-exceeded results and --help), 1
+operational errors (usage errors, parse failures, bad preconditions), 2
+mathematical refutations and self-test failures (Refuted, Mismatch,
+counterexample candidates), 3 internal errors.
 """
 
 from __future__ import annotations
@@ -365,7 +365,10 @@ def _charts_compatible(germ) -> bool:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_ERROR if exc.code else EXIT_OK
     out = sys.stdout
     handlers = {
         "classify": cmd_classify,

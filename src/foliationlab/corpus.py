@@ -17,7 +17,7 @@ from itertools import product
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
 from .foliation import LogDivisor, VectorFieldGerm, is_singular_at_origin
-from . import polygcd
+from . import polygcd, unipoly
 
 VARS2 = ("x", "y")
 
@@ -207,11 +207,7 @@ def jensen_corpus() -> list[tuple[list[GaussRat], list[tuple[GaussRat, int]]]]:
         zeros = [pool[rng.randrange(len(pool))] for _ in range(deg)]
         coeffs = [GaussRat(1)]
         for z in zeros:
-            new = [GaussRat(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                new[i + 1] = new[i + 1] + c
-                new[i] = new[i] - c * z
-            coeffs = new
+            coeffs = unipoly.poly_mul(coeffs, [-z, GaussRat(1)])
         counted: dict = {}
         for z in zeros:
             counted[z] = counted.get(z, 0) + 1

@@ -23,7 +23,8 @@ import re
 
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
-from .exprtree import Add, Exp, Expr, Mul, Poly, Pow, const_expr, t_expr
+from .exprtree import Add, Exp, Mul, Poly, Pow, const_expr, order_at, t_expr
+from . import unipoly
 
 
 class ParseError(Exception):
@@ -230,56 +231,36 @@ class _ExprAlgebra(_Algebra):
             toks.error("curves are functions of t only (found %r)" % name)
         return t_expr()
 
-    def _as_poly(self, a: Expr) -> Poly | None:
-        return a if isinstance(a, Poly) else None
-
     def add(self, a, b):
-        pa, pb = self._as_poly(a), self._as_poly(b)
-        if pa is not None and pb is not None:
-            n = max(len(pa.coeffs), len(pb.coeffs))
-            cs = [
-                (pa.coeffs[k] if k < len(pa.coeffs) else GaussRat(0))
-                + (pb.coeffs[k] if k < len(pb.coeffs) else GaussRat(0))
-                for k in range(n)
-            ]
-            return Poly(cs)
+        if isinstance(a, Poly) and isinstance(b, Poly):
+            return Poly(unipoly.poly_add(a.coeffs, b.coeffs))
         return Add([a, b])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        p = self._as_poly(a)
-        if p is not None:
-            return Poly([-c for c in p.coeffs])
+        if isinstance(a, Poly):
+            return Poly([-c for c in a.coeffs])
         return Mul([const_expr(-1), a])
 
     def mul(self, a, b):
-        pa, pb = self._as_poly(a), self._as_poly(b)
-        if pa is not None and pb is not None:
-            if not pa.coeffs or not pb.coeffs:
-                return Poly([])
-            out = [GaussRat(0)] * (len(pa.coeffs) + len(pb.coeffs) - 1)
-            for i, ca in enumerate(pa.coeffs):
-                for j, cb in enumerate(pb.coeffs):
-                    out[i + j] = out[i + j] + ca * cb
-            return Poly(out)
+        if isinstance(a, Poly) and isinstance(b, Poly):
+            return Poly(unipoly.poly_mul(a.coeffs, b.coeffs))
         return Mul([a, b])
 
     def div(self, a, b, toks):
-        p = self._as_poly(b)
-        if p is None or p.degree() > 0:
+        if not isinstance(b, Poly) or b.degree() > 0:
             raise ParseError("poles are not allowed in curve components (division by non-constant)")
-        if not p.coeffs:
+        if not b.coeffs:
             toks.error("division by zero")
-        return self.mul(a, const_expr(GaussRat(1) / p.coeffs[0]))
+        return self.mul(a, const_expr(GaussRat(1) / b.coeffs[0]))
 
     def pow(self, a, k):
-        p = self._as_poly(a)
-        if p is not None:
+        if isinstance(a, Poly):
             out = Poly([GaussRat(1)])
             for _ in range(k):
-                out = self.mul(out, p)
+                out = self.mul(out, a)
             return out
         return Pow(a, k)
 
@@ -364,7 +345,6 @@ def _parse_point(toks: _Tokens) -> GaussRat:
 def parse_curve(text: str):
     """Parse to a ParametrizedCurve with declared-zero data."""
     from .nevanlinna import ParametrizedCurve
-    from .exprtree import order_at_zero, order_at_point
 
     toks = _Tokens(text)
     kind, val, _ = toks.peek()
@@ -442,7 +422,7 @@ def parse_curve(text: str):
                 if expr is None:
                     raise ParseError("zero order required for target %r" % tgt)
                 z = point.to_complex()
-                order = order_at_zero(expr, 12) if z == 0 else order_at_point(expr, z, 12)
+                order = order_at(expr, z, 12)
                 if order == 0 or order is None:
                     raise ParseError("declared zero of %s at %s does not vanish" % (tgt, z))
             out.append((point, int(order)))

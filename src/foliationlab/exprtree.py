@@ -22,6 +22,7 @@ import numpy as np
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
 from .series import TruncatedSeries
+from . import unipoly
 
 
 class SeriesNotRational(Exception):
@@ -77,10 +78,7 @@ class Poly(Expr):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[GaussRat]):
-        cs = [GaussRat.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(unipoly.trim([GaussRat.coerce(c) for c in coeffs]))
 
     def eval_plain(self, t):
         """Horner's rule from the leading coefficient."""
@@ -100,7 +98,7 @@ class Poly(Expr):
             return 2.0 * np.log(np.abs(self.eval_plain(t)))
 
     def diff(self):
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
+        return Poly(unipoly.poly_derivative(self.coeffs))
 
     def series(self, order):
         return TruncatedSeries(list(self.coeffs[: order + 1]), order)
@@ -112,22 +110,7 @@ class Poly(Expr):
         return len(self.coeffs) - 1
 
     def to_text(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]) or (cs not in ("i", "-i") and "i" in cs):
-                cs = "(%s)" % cs
-            if k == 0:
-                parts.append(cs)
-            elif k == 1:
-                parts.append("t" if cs == "1" else "%s*t" % cs)
-            else:
-                parts.append("t^%d" % k if cs == "1" else "%s*t^%d" % (cs, k))
-        return " + ".join(parts)
+        return MVPoly(("t",), {(k,): c for k, c in enumerate(self.coeffs)}).to_string()
 
 
 class Exp(Expr):
@@ -303,22 +286,16 @@ def expr_from_mvpoly(p: MVPoly, components: Sequence[Expr]) -> Expr:
     return Add(terms) if len(terms) > 1 else terms[0]
 
 
-def order_at_zero(expr: Expr, max_order: int) -> int | float:
-    """Exact vanishing order at t = 0 via the rational series; falls back to
-    numeric derivative probing when the series is blocked by exp units."""
-    try:
-        s = expr.series(max_order)
-        v = s.valuation()
-        return v
-    except SeriesNotRational:
-        pass
-    g = expr
-    for m in range(max_order + 1):
-        val = g.eval_complex(0.0)
-        if abs(val) > 1e-9:
-            return m
-        g = g.diff()
-    return math.inf
+def order_at(expr: Expr, t0: complex, max_order: int) -> int | float:
+    """Vanishing order at t0: exact from the rational series at t0 = 0,
+    numeric derivative probing elsewhere and where exp units block the
+    series."""
+    if t0 == 0:
+        try:
+            return expr.series(max_order).valuation()
+        except SeriesNotRational:
+            pass
+    return order_at_point(expr, t0, max_order)
 
 
 def order_at_point(expr: Expr, t0: complex, max_order: int, tol: float = 1e-9) -> int | float:

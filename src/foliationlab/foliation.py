@@ -32,9 +32,9 @@ class DivisorNotInvariant(FoliationError):
 class VectorFieldGerm:
     """v = sum_i a_i d/dz_i with polynomial components over Q(i)."""
 
-    __slots__ = ("variables", "components", "label")
+    __slots__ = ("variables", "components")
 
-    def __init__(self, variables: Sequence[str], components: Sequence[MVPoly], label: str = "root"):
+    def __init__(self, variables: Sequence[str], components: Sequence[MVPoly]):
         variables = tuple(variables)
         components = tuple(components)
         if len(components) != len(variables):
@@ -44,7 +44,6 @@ class VectorFieldGerm:
                 raise ValueError("component in the wrong ring")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorFieldGerm is immutable")
@@ -53,7 +52,7 @@ class VectorFieldGerm:
         return len(self.variables)
 
     def scale(self, c: GaussRat) -> "VectorFieldGerm":
-        return VectorFieldGerm(self.variables, [p * c for p in self.components], self.label)
+        return VectorFieldGerm(self.variables, [p * c for p in self.components])
 
     def linear_part(self) -> linalg.Matrix:
         return linear_part_matrix(self.components)
@@ -80,7 +79,7 @@ class VectorFieldGerm:
                 if not minv[i][j].is_zero():
                     acc = acc + composed[j] * minv[i][j]
             new_comps.append(acc)
-        return VectorFieldGerm(self.variables, new_comps, self.label)
+        return VectorFieldGerm(self.variables, new_comps)
 
     def evaluate(self, point: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
         return tuple(c.evaluate(point) for c in self.components)
@@ -174,7 +173,7 @@ def translate_to_point(v: VectorFieldGerm, point: Sequence[GaussRat]) -> VectorF
     if all(p.is_zero() for p in pt):
         return v
     comps = [c.translate(pt) for c in v.components]
-    return VectorFieldGerm(v.variables, comps, v.label)
+    return VectorFieldGerm(v.variables, comps)
 
 
 def is_singular_at_origin(v: VectorFieldGerm) -> bool:

@@ -153,19 +153,18 @@ def char_poly(a: Matrix) -> list[GaussRat]:
         return [-a[0][0], GaussRat(1)]
     if n == 2:
         return [a[0][0] * a[1][1] - a[0][1] * a[1][0], -(a[0][0] + a[1][1]), GaussRat(1)]
-    coeffs = [GaussRat(0)] * (n + 1)
-    coeffs[n] = GaussRat(1)
+    descending = [GaussRat(1)]
     m = identity(n)
     for k in range(1, n + 1):
         am = mat_mul(a, m)
         tr = sum((am[i][i] for i in range(n)), ZERO)
         ck = -(tr / k)
-        coeffs[n - k] = ck
+        descending.append(ck)
         m = tuple(
             tuple(am[i][j] + ck if i == j else am[i][j] for j in range(n))
             for i in range(n)
         )
-    return coeffs
+    return descending[::-1]
 
 
 class Indeterminate:

@@ -227,12 +227,11 @@ class MVPoly:
             out = out + term
         return out
 
-    def subs_exponents(self, exp_images: Sequence[Exponent], variables: Sequence[str] | None = None) -> "MVPoly":
+    def subs_exponents(self, exp_images: Sequence[Exponent]) -> "MVPoly":
         """Monomial substitution: variable i maps to the monomial with
         exponent vector exp_images[i] (unit coefficient).  Used for blow-up
         charts, where it is exact and fast."""
-        variables = tuple(variables) if variables is not None else self.variables
-        m = len(exp_images[0]) if exp_images else len(variables)
+        m = len(self.variables)
         out: dict[Exponent, GaussRat] = {}
         for exp, c in self.terms.items():
             new = [0] * m
@@ -247,7 +246,7 @@ class MVPoly:
                 out[key] = s
             else:
                 del out[key]
-        return MVPoly._canonical(variables, out)
+        return MVPoly._canonical(self.variables, out)
 
     def translate(self, point: Sequence[GaussRat]) -> "MVPoly":
         """Compose with z -> z + point."""

@@ -35,8 +35,8 @@ from .exprtree import (
     Expr,
     Poly,
     expr_from_mvpoly,
+    order_at,
     order_at_point,
-    order_at_zero,
 )
 from .quadrature import (GK_NODES, GK_RULE, QuadConfig, QuadResult, ZeroOnCircle, circle_mean,
                          circle_mean_arrays, circle_means, nudge_radius)
@@ -89,8 +89,6 @@ class ParametrizedCurve:
 
     components: tuple[Expr, ...]
     declared_zeros: dict[str, list[Zero]] = field(default_factory=dict)
-    working_radius: float = 256.0
-    label: str = "f"
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -505,12 +503,6 @@ class BookkeepingResult:
         }
 
 
-def _expr_order(expr: Expr, t0: complex, max_order: int) -> int | float:
-    if t0 == 0:
-        return order_at_zero(expr, max_order)
-    return order_at_point(expr, t0, max_order)
-
-
 def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0,
                              max_order: int = 16, tol: float = 1e-7) -> BookkeepingResult:
     """Orders at t0 of f' (mu), of the reparametrization factor (eta), and
@@ -536,13 +528,13 @@ def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0,
                 scale = max(1.0, abs(lhs), abs(rhs))
                 if abs(lhs - rhs) > 1e-6 * scale:
                     raise NotALeaf("tangency residual %.2e at t = %s" % (abs(lhs - rhs) / scale, s))
-    mu = min(_expr_order(d, z0, max_order) for d in derivs)
-    nu = min(_expr_order(g, z0, max_order) for g in on_curve)
+    mu = min(order_at(d, z0, max_order) for d in derivs)
+    nu = min(order_at(g, z0, max_order) for g in on_curve)
     eta: int | float = math.inf
     for i in range(n):
-        oi = _expr_order(on_curve[i], z0, max_order)
+        oi = order_at(on_curve[i], z0, max_order)
         if oi is not math.inf:
-            di = _expr_order(derivs[i], z0, max_order)
+            di = order_at(derivs[i], z0, max_order)
             eta = di - oi
             break
     if eta is math.inf:
@@ -564,6 +556,8 @@ class TautologicalReport:
     normalized: list[float]
     trend: float | None
     violation: bool
+    error_bounds: list[float]  # of the T profile divided by
+    diverged: list[bool]
     note: str = ""
 
     def to_jsonable(self):
@@ -578,7 +572,7 @@ def tautological_pairing(curve: ParametrizedCurve, r_grid: Sequence[float],
     cfg = cfg or QuadConfig()
     if curve.is_algebraic():
         return TautologicalReport(
-            False, list(map(float, r_grid)), [], [], None, False,
+            False, list(map(float, r_grid)), [], [], None, False, [], [],
             "curve is algebraic (polynomial components): transcendence hypothesis violated")
     derivs = curve.derivative_exprs()
     comps = curve.components
@@ -602,7 +596,7 @@ def tautological_pairing(curve: ParametrizedCurve, r_grid: Sequence[float],
     top = normalized[len(normalized) // 2:]
     trend = min(top) if top else None
     violation = trend is not None and trend < -tol
-    return TautologicalReport(True, grid, values, normalized, trend, violation)
+    return TautologicalReport(True, grid, values, normalized, trend, violation, t_prof.bounds, t_prof.diverged)
 
 
 # ---------------------------------------------------------------------------

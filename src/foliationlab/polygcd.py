@@ -12,50 +12,27 @@ from .gaussrat import GaussRat
 from .mvpoly import MVPoly
 from . import unipoly
 
-UPoly = list[GaussRat]
+def _from_rows(rows: list[unipoly.Coeffs], variables: tuple[str, ...]) -> MVPoly:
+    return MVPoly(variables, {(dx, dy): c for dy, row in enumerate(rows) for dx, c in enumerate(row)})
 
 
-def _to_yx(p: MVPoly, x: int, y: int) -> list[UPoly]:
-    """Coefficients in y, each a univariate coefficient list in x."""
-    dy = p.degree_in(y)
-    out: list[UPoly] = [[] for _ in range(dy + 1)]
-    for e, c in p.terms.items():
-        row = out[e[y]]
-        while len(row) <= e[x]:
-            row.append(GaussRat(0))
-        row[e[x]] = row[e[x]] + c
-    return [unipoly.trim(row) for row in out]
-
-
-def _from_yx(rows: list[UPoly], p_template: MVPoly, x: int, y: int) -> MVPoly:
-    terms = {}
-    n = p_template.nvars()
-    for dy, row in enumerate(rows):
-        for dx, c in enumerate(row):
-            if not c.is_zero():
-                e = [0] * n
-                e[x], e[y] = dx, dy
-                terms[tuple(e)] = c
-    return MVPoly(p_template.variables, terms)
-
-
-def _ytrim(rows: list[UPoly]) -> list[UPoly]:
+def _ytrim(rows: list[unipoly.Coeffs]) -> list[unipoly.Coeffs]:
     while rows and not rows[-1]:
         rows = rows[:-1]
     return rows
 
 
-def _content(rows: list[UPoly]) -> UPoly:
-    g: UPoly = []
+def _content(rows: list[unipoly.Coeffs]) -> unipoly.Coeffs:
+    g: unipoly.Coeffs = []
     for row in rows:
         if row:
-            g = unipoly.poly_gcd(g, row) if g else unipoly.poly_monic(row)
+            g = unipoly.poly_gcd(g, row)
         if unipoly.degree(g) == 0 and g:
             return g
     return g
 
 
-def _divide_rows(rows: list[UPoly], d: UPoly) -> list[UPoly]:
+def _divide_rows(rows: list[unipoly.Coeffs], d: unipoly.Coeffs) -> list[unipoly.Coeffs]:
     out = []
     for row in rows:
         if not row:
@@ -68,11 +45,11 @@ def _divide_rows(rows: list[UPoly], d: UPoly) -> list[UPoly]:
     return out
 
 
-def _row_mul(rows: list[UPoly], f: UPoly) -> list[UPoly]:
+def _row_mul(rows: list[unipoly.Coeffs], f: unipoly.Coeffs) -> list[unipoly.Coeffs]:
     return [unipoly.poly_mul(row, f) if row else [] for row in rows]
 
 
-def _rows_sub(a: list[UPoly], b: list[UPoly]) -> list[UPoly]:
+def _rows_sub(a: list[unipoly.Coeffs], b: list[unipoly.Coeffs]) -> list[unipoly.Coeffs]:
     n = max(len(a), len(b))
     out = []
     for k in range(n):
@@ -82,7 +59,7 @@ def _rows_sub(a: list[UPoly], b: list[UPoly]) -> list[UPoly]:
     return _ytrim(out)
 
 
-def _pseudo_rem(f: list[UPoly], g: list[UPoly]) -> list[UPoly]:
+def _pseudo_rem(f: list[unipoly.Coeffs], g: list[unipoly.Coeffs]) -> list[unipoly.Coeffs]:
     f = _ytrim([list(r) for r in f])
     g = _ytrim([list(r) for r in g])
     df, dg = len(f) - 1, len(g) - 1
@@ -97,7 +74,7 @@ def _pseudo_rem(f: list[UPoly], g: list[UPoly]) -> list[UPoly]:
     return r
 
 
-def bivariate_gcd(p: MVPoly, q: MVPoly, x: int = 0, y: int = 1) -> MVPoly:
+def bivariate_gcd(p: MVPoly, q: MVPoly) -> MVPoly:
     """gcd in Q(i)[x, y], normalized with monic leading structure."""
     if p.variables != q.variables:
         raise ValueError("polynomials live in different rings")
@@ -105,10 +82,9 @@ def bivariate_gcd(p: MVPoly, q: MVPoly, x: int = 0, y: int = 1) -> MVPoly:
         return q
     if q.is_zero():
         return p
-    fp, fq = _to_yx(p, x, y), _to_yx(q, x, y)
+    fp, fq = unipoly.bivariate_rows(p, 0, 1), unipoly.bivariate_rows(q, 0, 1)
     if len(fp) == 1 and len(fq) == 1:
-        g = unipoly.poly_gcd(fp[0], fq[0])
-        return _from_yx([g], p, x, y)
+        return _from_rows([unipoly.poly_gcd(fp[0], fq[0])], p.variables)
     cp, cq = _content(fp), _content(fq)
     cont = unipoly.poly_gcd(cp, cq)
     a, b = _divide_rows(fp, cp), _divide_rows(fq, cq)
@@ -127,15 +103,10 @@ def bivariate_gcd(p: MVPoly, q: MVPoly, x: int = 0, y: int = 1) -> MVPoly:
     ca = _content(a)
     a = _divide_rows(a, ca)
     rows = [unipoly.poly_mul(row, cont) if row else [] for row in a]
-    g = _from_yx(rows, p, x, y)
+    g = _from_rows(rows, p.variables)
     # normalize so the canonical leading coefficient is 1
     lead = g.sorted_terms()[-1][1]
     return g * (GaussRat(1) / lead)
-
-
-def has_common_factor(p: MVPoly, q: MVPoly, x: int = 0, y: int = 1) -> bool:
-    g = bivariate_gcd(p, q, x, y)
-    return g.total_degree() >= 1
 
 
 def isolated_at_origin_dim2(components) -> bool:
@@ -147,4 +118,4 @@ def isolated_at_origin_dim2(components) -> bool:
     if a.is_zero() or b.is_zero():
         nz = a if not a.is_zero() else b
         return nz.total_degree() < 1
-    return not has_common_factor(a, b)
+    return bivariate_gcd(a, b).total_degree() < 1

@@ -38,6 +38,7 @@ class NonIsolatedSingularLocus(FoliationError):
 
 
 DEFAULT_DEPTH = 16
+TOWER_NODE_BUDGET = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +196,11 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
         assert not rem
     else:
         h_sf = unipoly.poly_monic(h)
-    g1 = unipoly.poly_gcd(h_sf, tr) if tr else list(h_sf)
-    nonred = unipoly.poly_gcd(g1, det) if det else list(g1)
+    g1 = unipoly.poly_gcd(h_sf, tr)
+    nonred = unipoly.poly_gcd(g1, det)
     if unipoly.degree(nonred) > 0:
         return ClusterVerdict(unipoly.degree(h_sf), False, [], [], [])
-    sn = unipoly.poly_gcd(h_sf, det) if det else list(h_sf)
+    sn = unipoly.poly_gcd(h_sf, det)
     if unipoly.degree(sn) > 0:
         nd, rem = unipoly.poly_divmod(h_sf, sn)
         assert not rem
@@ -212,7 +213,7 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
     for q in (aw, bu, diff):
         if unipoly.degree(dic) <= 0:
             break
-        dic = unipoly.poly_gcd(dic, q) if q else dic
+        dic = unipoly.poly_gcd(dic, q)
     if unipoly.degree(dic) <= 0:
         dic = []
     return ClusterVerdict(unipoly.degree(h_sf), True, nd, sn, dic)
@@ -237,7 +238,6 @@ def _run_tower(
     max_depth: int,
     goal: str,
     terminal,
-    node_budget: int = 4000,
 ) -> ResolutionTower:
     """Shared driver: blow up every non-terminal singular point, breadth
     first, until terminal everywhere or the depth cap is hit.
@@ -260,9 +260,9 @@ def _run_tower(
     while queue:
         item = queue.pop(0)
         explored += 1
-        if explored > node_budget:
+        if explored > TOWER_NODE_BUDGET:
             tower.status = "blocked"
-            tower.reason = "node budget exhausted (%d)" % node_budget
+            tower.reason = "node budget exhausted (%d)" % TOWER_NODE_BUDGET
             tower.pending.extend({"node": it.path, "location": list(it.location)} for it in queue)
             return tower
         outcome = terminal(item)

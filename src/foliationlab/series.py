@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
+from . import unipoly
 
 
 class TruncatedSeries:
@@ -90,15 +91,7 @@ class TruncatedSeries:
             return TruncatedSeries([x * c for x in self.coeffs], self.order)
         o = self._coerce(other)
         n = min(self.order, o.order)
-        out = [GaussRat(0)] * (n + 1)
-        for a, ca in enumerate(self.coeffs):
-            if ca.is_zero() or a > n:
-                continue
-            for b in range(0, n - a + 1):
-                cb = o.coeffs[b]
-                if not cb.is_zero():
-                    out[a + b] = out[a + b] + ca * cb
-        return TruncatedSeries(out, n)
+        return TruncatedSeries(unipoly.poly_mul(self.coeffs[: n + 1], o.coeffs[: n + 1]), n)
 
     __rmul__ = __mul__
 
@@ -138,9 +131,7 @@ class TruncatedSeries:
         return TruncatedSeries(out, n)
 
     def derivative(self) -> "TruncatedSeries":
-        if self.order == 0:
-            return TruncatedSeries.zero(0)
-        return TruncatedSeries([self.coeffs[k] * k for k in range(1, self.order + 1)], self.order - 1)
+        return TruncatedSeries(unipoly.poly_derivative(self.coeffs), max(self.order - 1, 0))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -1,7 +1,9 @@
-"""Univariate polynomial utilities over the Gaussian rationals.
+"""The one dense univariate polynomial over the Gaussian rationals.
 
-Polynomials are ascending coefficient lists.  The root finder extracts
-Gaussian rational roots by the rational root theorem transported to Z[i]
+Polynomials are ascending coefficient lists.  This module holds their
+arithmetic, gcd and root extraction; other modules call it rather than do
+arithmetic on the lists.  The root finder extracts Gaussian rational roots
+by the rational root theorem transported to Z[i]
 (a UFD, so candidate roots are ratios of Gaussian-integer divisors of the
 outer coefficients), plus the exact quadratic formula.  The divisors of a
 Gaussian integer come from its factored norm: each rational prime splits
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .gaussrat import GaussRat
+from .gaussrat import ZERO, GaussRat
 
 Coeffs = list[GaussRat]
 
@@ -30,6 +32,17 @@ def trim(p: Coeffs) -> Coeffs:
     while p and p[-1].is_zero():
         p = p[:-1]
     return p
+
+
+def bivariate_rows(p, x: int, y: int) -> list[Coeffs]:
+    """The MVPoly p in two variables as coefficients in variable y, each an
+    ascending coefficient list in variable x; at least one row."""
+    out: list[Coeffs] = [[] for _ in range(max(p.degree_in(y), 0) + 1)]
+    for e, c in p.terms.items():
+        row = out[e[y]]
+        row.extend([ZERO] * (e[x] + 1 - len(row)))
+        row[e[x]] = c
+    return out
 
 
 def degree(p: Coeffs) -> int:
@@ -44,25 +57,26 @@ def poly_eval(p: Sequence[GaussRat], x: GaussRat) -> GaussRat:
     return out
 
 
+def poly_add(p: Coeffs, q: Coeffs) -> Coeffs:
+    if len(p) < len(q):
+        p, q = q, p
+    return trim([a + b for a, b in zip(p, q)] + list(p[len(q):]))
+
+
+def poly_sub(p: Coeffs, q: Coeffs) -> Coeffs:
+    return poly_add(p, [-c for c in q])
+
+
 def poly_mul(p: Coeffs, q: Coeffs) -> Coeffs:
     if not p or not q:
         return []
     out = [GaussRat(0)] * (len(p) + len(q) - 1)
+    q_terms = [(j, b) for j, b in enumerate(q) if not b.is_zero()]
     for i, a in enumerate(p):
         if a.is_zero():
             continue
-        for j, b in enumerate(q):
+        for j, b in q_terms:
             out[i + j] = out[i + j] + a * b
-    return trim(out)
-
-
-def poly_sub(p: Coeffs, q: Coeffs) -> Coeffs:
-    n = max(len(p), len(q))
-    out = []
-    for k in range(n):
-        a = p[k] if k < len(p) else GaussRat(0)
-        b = q[k] if k < len(q) else GaussRat(0)
-        out.append(a - b)
     return trim(out)
 
 
@@ -94,6 +108,8 @@ def poly_monic(p: Coeffs) -> Coeffs:
 def poly_gcd(p: Coeffs, q: Coeffs) -> Coeffs:
     """Monic gcd over Q(i)."""
     a, b = trim(list(p)), trim(list(q))
+    if len(a) < len(b):  # the first remainder step would only swap them
+        a, b = b, a
     while b:
         _, r = poly_divmod(a, b)
         a, b = b, r

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly
 from foliationlab.series import TruncatedSeries, poly_eval_series
-from foliationlab import linalg, unipoly
+from foliationlab import linalg, polygcd, unipoly
 from foliationlab.monomial import (
     MonomialIdeal,
     multiplier_ideal_trivial_monomial,
@@ -303,3 +303,28 @@ def test_minimalization_and_ops():
     assert q.generators == frozenset({(1, 0), (0, 1)})
     assert q.cosupport_is_origin()
     assert not MonomialIdeal(3, [(1, 0, 0), (0, 1, 0)]).cosupport_is_origin()
+
+
+_biv = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.builds(GaussRat, st.integers(-3, 3), st.integers(-2, 2)),
+    max_size=4,
+).map(lambda d: MVPoly(("x", "y"), d))
+
+
+@given(_biv, _biv, _biv)
+@settings(max_examples=80, deadline=None)
+def test_bivariate_gcd_matches_sympy(a, b, g):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(p):  # over sympy's Gaussian rationals QQ_I, i.e. Q(i)
+        return sympy.Poly({e: sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for e, c in p.terms.items()},
+                          x, y, domain="QQ_I")
+
+    p, q = a * g, b * g
+    if p.is_zero() and q.is_zero():
+        return
+    got = to_sympy(polygcd.bivariate_gcd(p, q))
+    want = to_sympy(p).gcd(to_sympy(q))
+    assert not got.is_zero
+    assert got * want.LC() == want * got.LC()  # equal up to a constant factor

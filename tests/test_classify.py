@@ -110,10 +110,10 @@ def test_conjugation_invariance():
         linalg.mat([[1, -2], [1, 3]]),
     ]
     for v in germs:
-        rep = singularity_report(v, with_dicritical=True)
+        rep = singularity_report(v)
         for p in mats:
             w = v.conjugate_by(p)
-            rep2 = singularity_report(w, with_dicritical=True)
+            rep2 = singularity_report(w)
             assert rep.multiplicity == rep2.multiplicity
             assert rep.reduced == rep2.reduced
             assert rep.dicritical == rep2.dicritical

@@ -45,6 +45,17 @@ def test_exit_codes():
     assert code == 1
 
 
+def test_usage_errors_exit_one(capsys):
+    # argparse exits 2 on its own; 2 is reserved for mathematical refutations
+    assert cli.main(["classify"]) == 1
+    assert cli.main(["nevanlinna", "f(t) = (t)", "--check", "bogus"]) == 1
+    assert cli.main([]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["classify", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_resolve_depth_exceeded_exit_zero():
     code, out = run_cli(["resolve", "v = y d/dx + x^2 d/dy", "--depth", "1"])
     assert code == 0

@@ -147,6 +147,25 @@ def test_taut_cross_check_exp():
     assert rep.applicable and not rep.violation
 
 
+def test_taut_carries_T_bounds_and_divergence(monkeypatch, capsys):
+    import json
+
+    from foliationlab import cli
+
+    argv = ["nevanlinna", "f(t) = (exp(t))", "--check", "taut", "--radii", "4:256:7"]
+    monkeypatch.delenv("FOLIATION_LAB_BUDGET", raising=False)
+    cli.main(argv)
+    rep = json.loads(capsys.readouterr().out)["result"]
+    assert len(rep["error_bounds"]) == 7 and not any(rep["diverged"])
+    monkeypatch.setenv("FOLIATION_LAB_BUDGET", "1")
+    cli.main(argv)
+    rep = json.loads(capsys.readouterr().out)["result"]
+    assert len(rep["diverged"]) == 7 and all(rep["diverged"])
+    cli.main(["nevanlinna", "f(t) = (t)", "--check", "taut", "--radii", "4:8:2"])  # algebraic: no T profile
+    rep = json.loads(capsys.readouterr().out)["result"]
+    assert rep["error_bounds"] == rep["diverged"] == []
+
+
 def test_logderiv_fixtures():
     rep = nv.log_derivative_check(Exp(t_expr()), [], [2.0, 4.0, 8.0], CFG)
     assert rep.passed and all(abs(v) < 1e-12 for v in rep.lhs)
