@@ -9,6 +9,7 @@ counterexample candidates), 3 internal errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -85,7 +86,10 @@ def _ideal_gens(spec: str, nvars: int):
     return gens
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later
+    one; callers must not mutate it."""
     p = argparse.ArgumentParser(
         prog="foliation-lab",
         description="Singularity lab for holomorphic foliations by curves",
@@ -363,25 +367,25 @@ def _charts_compatible(germ) -> bool:
     return True
 
 
+HANDLERS = {
+    "classify": cmd_classify,
+    "blowup": cmd_blowup,
+    "resolve": cmd_resolve,
+    "weakly-reduced": cmd_weakly_reduced,
+    "separatrix": cmd_separatrix,
+    "nevanlinna": cmd_nevanlinna,
+    "effectivity": cmd_effectivity,
+    "selftest": cmd_selftest,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_ERROR if exc.code else EXIT_OK
-    out = sys.stdout
-    handlers = {
-        "classify": cmd_classify,
-        "blowup": cmd_blowup,
-        "resolve": cmd_resolve,
-        "weakly-reduced": cmd_weakly_reduced,
-        "separatrix": cmd_separatrix,
-        "nevanlinna": cmd_nevanlinna,
-        "effectivity": cmd_effectivity,
-        "selftest": cmd_selftest,
-    }
     try:
-        return handlers[args.verb](args, out)
+        return HANDLERS[args.verb](args, sys.stdout)
     except (dsl.ParseError, FoliationError, resolution.NonIsolatedSingularLocus, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_ERROR

@@ -240,9 +240,13 @@ class Pow(Expr):
 
     def eval_scaled(self, t):
         a, u = self.base.eval_scaled(t)
+        if self.k == 0:  # b^0 = 1 also where b = 0, and 0 * log|0| is nan
+            return np.zeros_like(a), np.ones_like(u)
         return self.k * a, u**self.k
 
     def logabs2(self, t):
+        if self.k == 0:
+            return np.zeros(np.shape(t))
         return self.k * self.base.logabs2(t)
 
     def diff(self):

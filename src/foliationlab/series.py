@@ -116,17 +116,16 @@ class TruncatedSeries:
         n = min(self.order, den.order) - v
         if n < 0:
             raise ValueError("not enough known coefficients to divide")
-        num = self.coeffs[v: v + n + 1] if sv is not math.inf else [GaussRat(0)] * (n + 1)
         if sv is math.inf:
             return TruncatedSeries.zero(n)
+        num = self.coeffs[v: v + n + 1]
         dc = den.coeffs[v: v + n + 1]
         lead = dc[0]
         out = [GaussRat(0)] * (n + 1)
         for k in range(n + 1):
-            acc = num[k] if k < len(num) else GaussRat(0)
+            acc = num[k]
             for j in range(k):
-                if j + 1 < len(dc) + 1 and k - j < len(dc):
-                    acc = acc - out[j] * dc[k - j]
+                acc = acc - out[j] * dc[k - j]
             out[k] = acc / lead
         return TruncatedSeries(out, n)
 

@@ -40,6 +40,38 @@ def test_series_division():
         den.divide(num)
 
 
+@st.composite
+def _divisions(draw):
+    """(num, den) with val(den) = v <= val(num) and a quotient of order n."""
+    gauss = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=3), st.integers(-2, 2))
+    v, n = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    den_order, num_order = v + n + draw(st.integers(0, 1)), v + n + draw(st.integers(0, 1))
+    lead = draw(gauss.filter(lambda c: not c.is_zero()))
+    den_rest = draw(st.lists(gauss, min_size=den_order - v, max_size=den_order - v))
+    num_coeffs = [0] * draw(st.integers(v, v + 2)) + draw(st.lists(gauss, min_size=num_order + 1, max_size=num_order + 1))
+    num, den = TruncatedSeries(num_coeffs, num_order), TruncatedSeries([0] * v + [lead] + den_rest, den_order)
+    return num, den
+
+
+@given(_divisions())
+@example((TruncatedSeries([0, 1, GaussRat(0, 1), -2, 1, 3], 5), TruncatedSeries([0, 2, 1, -1, GaussRat(1, 1), 1], 5)))
+@settings(max_examples=12, deadline=None)
+def test_series_division_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(z):
+        return sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
+
+    num, den = case
+    t = sympy.Symbol("t")
+    q = num.divide(den)
+    assert q.order == min(num.order, den.order) - den.valuation()
+    ratio = sum(to_sympy(c) * t ** k for k, c in enumerate(num.coeffs)) / sum(
+        to_sympy(c) * t ** k for k, c in enumerate(den.coeffs))
+    want = sympy.expand(sympy.series(ratio, t, 0, q.order + 1).removeO())
+    assert [sympy.expand(to_sympy(c) - want.coeff(t, k)) for k, c in enumerate(q.coeffs)] == [0] * (q.order + 1)
+
+
 def test_poly_eval_series():
     vs = ("x", "y")
     p = MVPoly.var(vs, "x") * MVPoly.var(vs, "y") + MVPoly.const(vs, 3)

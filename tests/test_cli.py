@@ -56,6 +56,37 @@ def test_usage_errors_exit_one(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+def test_shared_parser_built_once_with_fresh_parser_output(monkeypatch, capsys):
+    usage = (["classify"], ["nevanlinna", "f(t) = (t)", "--check", "bogus"], [], ["--help"], ["classify", "--help"])
+    verbs = (
+        ["classify", "v = y d/dx + x^2 d/dy"],
+        ["blowup", "v = x d/dx + y d/dy", "--chart", "2"],
+        ["resolve", "v = x^2 d/dx - y d/dy", "--mode", "simple", "--divisor", "{x}"],
+        ["weakly-reduced", "v = x d/dx + y d/dy"],
+        ["separatrix", "v = x d/dx + (-y + x^2) d/dy", "--eigenvalue", "1", "--order", "8"],
+        ["nevanlinna", "f(t) = (t - 2) zeros: f1 at 2", "--check", "jensen", "--radii", "4:16:3", "--format", "csv"],
+        ["effectivity", "--dim", "2", "--power", "4", "--alpha", "3"],
+        ["selftest", "--seed", "7"],
+    )
+
+    def call(argv):
+        code = cli.main(list(argv))
+        return (code, *capsys.readouterr())
+
+    cli.build_parser.cache_clear()
+    shared, fresh = {}, {}
+    for columns, requests in (("80", usage + verbs), ("40", usage)):
+        monkeypatch.setenv("COLUMNS", columns)
+        shared[columns] = [call(argv) for argv in requests]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh[columns] = [call(argv) for argv in requests]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared["80"]] == [1, 1, 1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
+    assert shared["40"][3] != shared["80"][3]  # the help text follows the width at print time
+
+
 def test_resolve_depth_exceeded_exit_zero():
     code, out = run_cli(["resolve", "v = y d/dx + x^2 d/dy", "--depth", "1"])
     assert code == 0

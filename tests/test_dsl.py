@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliationlab.exprtree import Poly
 from foliationlab.gaussrat import GaussRat
+from foliationlab.series import TruncatedSeries
 from foliationlab.dsl import (
     NonPolynomial,
     ParseError,
@@ -61,6 +63,17 @@ def test_curve_examples():
         parse_curve("f(t) = (1/t, t)")
     c = parse_curve("f(t) = (t - 1/2) zeros: f1 at 1/2 order 1")
     assert c.declared_zeros["f1"][0][0] == GaussRat(Fraction(1, 2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_zeroth_power_is_one_at_a_zero_of_its_base():
+    comp = parse_curve("f(t) = ((exp(t) - 1)^0)").components[0]
+    t = np.array([0j, 1.0, 2j])
+    a, u = comp.eval_scaled(t)
+    assert a.tolist() == [0.0] * 3 and u.tolist() == [1] * 3
+    assert comp.logabs2(t).tolist() == [0.0] * 3
+    assert comp.eval_complex(0) == 1
+    assert comp.series(4) == TruncatedSeries.const(1, 4)
 
 
 def test_divisor_parsing():
