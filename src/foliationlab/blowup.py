@@ -28,6 +28,7 @@ from .foliation import (
     VectorFieldGerm,
     divisor_invariance_check,
     exceptional_tag,
+    is_singular_at_origin,
 )
 from . import linalg, unipoly
 
@@ -363,19 +364,17 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
         if not a and not b:
             return ELocus(points=[], non_isolated=True, complete=True,
                           notes=["both components vanish on E after saturation (impossible)"])
+        if j == 1:
+            # chart 2 reports only w = 0, a root of gcd(a, b) iff a(0) = b(0) = 0
+            origin = (GaussRat(0), GaussRat(0))
+            return ELocus(points=[origin] if is_singular_at_origin(f) else [], complete=True)
         g = unipoly.poly_gcd(a, b)
         if unipoly.degree(g) <= 0:
             return ELocus(points=[], complete=True)
         res = unipoly.gaussian_rational_roots(g)
-        points = []
-        for w0 in res.roots:
-            if j > 0 and not w0.is_zero():
-                continue
-            pt = [GaussRat(0), GaussRat(0)]
-            pt[1 - j] = w0
-            points.append(tuple(pt))
+        points = [(GaussRat(0), w0) for w0 in res.roots]
         clusters = []
-        if not res.split_completely() and j == 0:
+        if not res.split_completely():
             clusters.append(SingularCluster(tuple(unipoly.poly_monic(res.residual)), res.exhaustive))
         # drop duplicate points, keep deterministic order
         uniq = sorted(set(points), key=lambda q: (str(q[0]), str(q[1])))

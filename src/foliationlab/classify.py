@@ -205,7 +205,7 @@ def _surface_type(v: VectorFieldGerm, lp: linalg.Matrix, cp: list[GaussRat]) -> 
     if k < 2:
         return unclassified("kernel-axis order %d < 2 after normalization" % k)
     for comp in w.components:
-        for e in comp.terms:
+        for e in comp.num:
             if e[0] >= 1 or e[1] >= k:
                 continue
             return unclassified("monomial z1^%d z2^%d escapes (z1, z2^%d): surrogate criterion fails" % (e[0], e[1], k))
@@ -310,7 +310,7 @@ def is_dicritical(v: VectorFieldGerm, assume_isolated: bool = False) -> bool:
     if m is math.inf:
         raise ValueError("cannot blow up the zero field")
     z = [MVPoly.var(v.variables, name) for name in v.variables]
-    a = [MVPoly(v.variables, {e: c for e, c in comp.terms.items() if sum(e) == m}) for comp in v.components]
+    a = [comp.homogeneous_part(m) for comp in v.components]
     return all((z[j] * a[i] - z[i] * a[j]).is_zero() for i in range(n) for j in range(i + 1, n))
 
 
@@ -347,11 +347,18 @@ def singularity_report(v: VectorFieldGerm, divisor: LogDivisor | None = None) ->
 def seidenberg_terminal(v: VectorFieldGerm) -> SingularityReport | str:
     """Terminal test of a Seidenberg tower, reduced and not dicritical: the
     report of a terminal germ, or the reason it is not terminal (a
-    non-terminal germ gets no spectrum and no surface type)."""
+    non-terminal germ gets no spectrum and no surface type).
+
+    A reduced germ is dicritical iff its linear part is scalar.  Its
+    multiplicity is 1, so its leading form is a^(1) = lp z, and by
+    `is_dicritical` it is dicritical iff lp z = h z for a homogeneous h of
+    degree 0, a constant c: iff lp = cI.  A dim-1 germ has no blow-up."""
     mult, lp, cp, why = _facts(v)
     if why:
         return why
-    if is_dicritical(v, assume_isolated=True):
+    if v.dim() < 2:
+        raise ValueError("blow-up needs ambient dimension >= 2")
+    if lp == linalg.mat_scale(linalg.identity(v.dim()), lp[0][0]):
         return "reduced but dicritical"
     return _report(v, mult, lp, cp, why, None, False)
 

@@ -464,11 +464,3 @@ def parse_divisor(text: str, variables) -> "object":
     if not toks.at_end():
         toks.error("trailing input after divisor")
     return LogDivisor(axes)
-
-
-def curve_to_text(curve) -> str:
-    return "f(t) = (%s)" % ", ".join(c.to_text() for c in curve.components)
-
-
-def divisor_to_text(divisor, variables) -> str:
-    return "D = {%s}" % ", ".join(variables[a] for a in sorted(divisor.axes))

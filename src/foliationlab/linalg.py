@@ -17,10 +17,6 @@ Matrix = tuple[tuple[GaussRat, ...], ...]
 Vector = tuple[GaussRat, ...]
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(GaussRat.coerce(x) for x in row) for row in rows)
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(GaussRat(1 if i == j else 0) for j in range(n)) for i in range(n))
 

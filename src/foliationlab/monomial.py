@@ -171,7 +171,7 @@ class MonomialIdeal:
                 continue
             if not p.is_monomial():
                 return None
-            gens.append(next(iter(p.terms)))
+            gens.append(next(iter(p.num)))
         if not gens:
             raise ValueError("zero ideal")
         return cls(dim, gens)
@@ -181,9 +181,6 @@ class MonomialIdeal:
 
     def is_trivial(self) -> bool:
         return (0,) * self.ambient_dim in self.generators
-
-    def contains_monomial(self, exp: Exponent) -> bool:
-        return any(all(g[i] <= exp[i] for i in range(self.ambient_dim)) for g in self.generators)
 
     def common_factor(self) -> Exponent:
         return tuple(min(g[i] for g in self.generators) for i in range(self.ambient_dim))

@@ -131,12 +131,6 @@ class ResolutionTower:
     discrepancies: list[DiscrepancyEntry] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def blowup_count(self) -> int:
-        return len(self.events)
-
-    def max_level(self) -> int:
-        return max((e.level + 1 for e in self.events), default=0)
-
     def to_jsonable(self):
         return {
             "goal": self.goal,

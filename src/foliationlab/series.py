@@ -57,11 +57,6 @@ class TruncatedSeries:
                 return k
         return math.inf
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1], order)
-
     def _coerce(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             return other

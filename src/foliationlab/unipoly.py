@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .gaussrat import ZERO, GaussRat
+from .gaussrat import ZERO, GaussRat, _gauss
 
 Coeffs = list[GaussRat]
 
@@ -38,10 +38,11 @@ def bivariate_rows(p, x: int, y: int) -> list[Coeffs]:
     """The MVPoly p in two variables as coefficients in variable y, each an
     ascending coefficient list in variable x; at least one row."""
     out: list[Coeffs] = [[] for _ in range(max(p.degree_in(y), 0) + 1)]
-    for e, c in p.terms.items():
+    den = p.den
+    for e, (a, b) in p.num.items():
         row = out[e[y]]
         row.extend([ZERO] * (e[x] + 1 - len(row)))
-        row[e[x]] = c
+        row[e[x]] = _gauss(a, b, den)
     return out
 
 

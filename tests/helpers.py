@@ -1,0 +1,136 @@
+"""Fixtures shared by the test modules: the Jordan-form stability fixtures,
+the Jensen corpus, the towers of the seeded corpora, and a matrix literal
+helper."""
+
+import functools
+import random
+from fractions import Fraction
+
+from foliationlab import unipoly
+from foliationlab.corpus import seidenberg_corpus
+from foliationlab.dsl import parse_polynomial
+from foliationlab.foliation import LogDivisor, VectorFieldGerm
+from foliationlab.gaussrat import GaussRat
+from foliationlab.resolution import seidenberg_reduce
+
+
+def mat(rows):
+    """Matrix literal: a tuple of GaussRat rows from ints, Fractions or GaussRats."""
+    return tuple(tuple(GaussRat.coerce(x) for x in row) for row in rows)
+
+
+@functools.cache
+def seeded_towers() -> list:
+    """Depth-8 Seidenberg towers of every germ of the seed 0-3 corpora."""
+    return [seidenberg_reduce(v, 8) for seed in range(4) for v in seidenberg_corpus(seed=seed)]
+
+
+# ---------------------------------------------------------------------------
+# Jordan-form stability fixtures
+
+
+def jordan_fixtures() -> list[dict]:
+    """Twenty fixtures for one-blow-up stability of simple singularities.
+
+    Each entry: germ, divisor, the root classification kind, and the
+    expected singular points on E as (1-based chart, status kind).  The
+    chart list follows the blown-up Jordan structure: the eigendirection
+    chart of each eigenvalue carries the singular point; the root's own
+    type survives at chart 1, every other point is a corner."""
+    fixtures: list[dict] = []
+
+    def fx(name, variables, comp_strs, axes, root_kind, expected):
+        comps = [parse_polynomial(s, variables) for s in comp_strs]
+        fixtures.append({
+            "name": name,
+            "germ": VectorFieldGerm(tuple(variables), comps),
+            "divisor": LogDivisor(axes),
+            "root_kind": root_kind,
+            "expected": expected,
+        })
+
+    v2 = ("x", "y")
+    v3 = ("x", "y", "z")
+    v4 = ("x", "y", "z", "w")
+
+    # dim 2, type (B) simple points
+    fx("B de(1,-1)", v2, ["x", "-y"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner")])
+    fx("B de(1,-2)", v2, ["x", "-2*y"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner")])
+    fx("B de(2,-1)", v2, ["2*x", "-y"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner")])
+    fx("B de(1,i)", v2, ["x", "i*y"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner")])
+    fx("B de(1,-1/2)", v2, ["2*x", "-1*y"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner")])
+    fx("B unit-scaled", v2, ["x + x*y", "-y"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner")])
+    # dim 2, type (A) simple points (saddle-node along the divisor)
+    fx("A x^2", v2, ["x^2", "-y"], {0}, "simple_point_A",
+       [(1, "simple_point_A"), (2, "simple_corner")])
+    fx("A x^3", v2, ["x^3", "-y"], {0}, "simple_point_A",
+       [(1, "simple_point_A"), (2, "simple_corner")])
+    fx("A x^2 alt", v2, ["x^2", "y + y^2"], {0}, "simple_point_A",
+       [(1, "simple_point_A"), (2, "simple_corner")])
+    # dim 2 corners
+    fx("corner (1,-1)", v2, ["x", "-y"], {0, 1}, "simple_corner",
+       [(1, "simple_corner"), (2, "simple_corner")])
+    fx("corner (1,i)", v2, ["x", "i*y"], {0, 1}, "simple_corner",
+       [(1, "simple_corner"), (2, "simple_corner")])
+    fx("corner (2,-1)", v2, ["2*x", "-y"], {0, 1}, "simple_corner",
+       [(1, "simple_corner"), (2, "simple_corner")])
+    fx("corner (1,-2) perturbed", v2, ["x + x*y", "-2*y"], {0, 1}, "simple_corner",
+       [(1, "simple_corner"), (2, "simple_corner")])
+    # dim 3, distinct eigenvalues
+    fx("B de(1,-1,i)", v3, ["x", "-y", "i*z"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner"), (3, "simple_corner")])
+    fx("B de(1,-2,2i)", v3, ["x", "-2*y", "2*i*z"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner"), (3, "simple_corner")])
+    fx("corner3 (1,-1,i)", v3, ["x", "-y", "i*z"], {0, 1}, "simple_corner",
+       [(1, "simple_corner"), (2, "simple_corner"), (3, "simple_corner")])
+    # dim 3, one Jordan block: eigenvalues 1 and -1 (block size 2)
+    fx("block3 (1 | -1 r2)", v3, ["x", "-y + z", "-z"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner")])
+    fx("block3 (1 | i r2)", v3, ["x", "i*y + z", "i*z"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner")])
+    # dim 4
+    fx("B de(1,-1,i,-i)", v4, ["x", "-y", "i*z", "-i*w"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner"), (3, "simple_corner"), (4, "simple_corner")])
+    fx("block4 (1,-1 | 2i r2)", v4, ["x", "-y", "2*i*z + w", "2*i*w"], {0}, "simple_point_B",
+       [(1, "simple_point_B"), (2, "simple_corner"), (3, "simple_corner")])
+    assert len(fixtures) == 20
+    return fixtures
+
+
+# ---------------------------------------------------------------------------
+# Jensen corpus
+
+
+def jensen_corpus() -> list[tuple[list[GaussRat], list[tuple[GaussRat, int]]]]:
+    """Twenty polynomials with Gaussian-rational zeros kept away from the
+    test circles r in {2, 5, 10}; returned as (coefficients, zeros)."""
+    half = Fraction(1, 2)
+    pool = [
+        GaussRat(half), GaussRat(Fraction(3, 2)), GaussRat(3), GaussRat(4),
+        GaussRat(7), GaussRat(-3), GaussRat(Fraction(-5, 4)), GaussRat(12),
+        GaussRat(1, 1), GaussRat(3, 2), GaussRat(-4, 1), GaussRat(0, 3),
+        GaussRat(6, -1), GaussRat(Fraction(5, 2), Fraction(5, 2)), GaussRat(-8),
+        GaussRat(0, Fraction(-7, 2)), GaussRat(1, -3), GaussRat(Fraction(13, 4)),
+    ]
+    for z in pool:
+        dist = min(abs(float(z.abs2()) ** 0.5 - r) for r in (2.0, 5.0, 10.0))
+        assert dist > 0.25, "zero %s too close to a test circle" % z
+    rng = random.Random(1729)
+    corpus = []
+    for k in range(20):
+        deg = 1 + (k % 5)
+        zeros = [pool[rng.randrange(len(pool))] for _ in range(deg)]
+        coeffs = [GaussRat(1)]
+        for z in zeros:
+            coeffs = unipoly.poly_mul(coeffs, [-z, GaussRat(1)])
+        counted: dict = {}
+        for z in zeros:
+            counted[z] = counted.get(z, 0) + 1
+        corpus.append((coeffs, sorted(counted.items(), key=lambda kv: str(kv[0]))))
+    return corpus

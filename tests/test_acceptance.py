@@ -24,10 +24,12 @@ from foliationlab.separatrix import (
     direction_of_eigenvalue,
     formal_separatrix,
 )
-from foliationlab.corpus import jensen_corpus, jordan_fixtures, oneform_corpus, seidenberg_corpus
+from foliationlab.corpus import oneform_corpus, seidenberg_corpus
 from foliationlab.exprtree import Exp, Poly, t_expr
 from foliationlab.quadrature import QuadConfig
 from foliationlab import nevanlinna as nv
+
+from helpers import jensen_corpus, jordan_fixtures
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -48,7 +50,7 @@ def test_criterion_1_seidenberg_corpus():
     for v in corpus:
         tower = seidenberg_reduce(v, max_depth=8)
         assert tower.status == "complete", (v.to_text(), tower.status, tower.reason)
-        assert tower.max_level() <= 8
+        assert max((e.level + 1 for e in tower.events), default=0) <= 8
         for term in tower.terminals:
             assert term.reduced, (v.to_text(), term)
     elapsed = time.time() - t0

@@ -21,6 +21,8 @@ from foliationlab.monomial import (
     simplex_min,
 )
 
+from helpers import mat
+
 
 def test_series_arithmetic_and_truncation():
     t = TruncatedSeries.t(5)
@@ -81,14 +83,14 @@ def test_poly_eval_series():
 
 
 def test_solve_and_kernel():
-    m = linalg.mat([[1, 2], [2, 4]])
+    m = mat([[1, 2], [2, 4]])
     assert linalg.solve(m, [GaussRat(1), GaussRat(2)]) is not None
     assert linalg.solve(m, [GaussRat(1), GaussRat(3)]) is None
     assert len(linalg.kernel_basis(m)) == 1
     assert linalg.rank(m) == 1
     assert linalg.det(m).is_zero()
-    inv = linalg.inverse(linalg.mat([[1, 1], [0, 1]]))
-    assert inv == linalg.mat([[1, -1], [0, 1]])
+    inv = linalg.inverse(mat([[1, 1], [0, 1]]))
+    assert inv == mat([[1, -1], [0, 1]])
 
 
 def _matrix_strategy():
@@ -147,11 +149,11 @@ def test_char_poly_matches_sympy(m):
 
 
 def test_eigenvalue_examples():
-    assert sorted(str(e) for e in linalg.eigenvalues_exact(linalg.mat([[1, 0], [0, -1]]))) == ["-1", "1"]
-    assert [str(e) for e in linalg.eigenvalues_exact(linalg.mat([[0, 1], [0, 0]]))] == ["0", "0"]
-    ev = linalg.eigenvalues_exact(linalg.mat([[0, -1], [1, 0]]))
+    assert sorted(str(e) for e in linalg.eigenvalues_exact(mat([[1, 0], [0, -1]]))) == ["-1", "1"]
+    assert [str(e) for e in linalg.eigenvalues_exact(mat([[0, 1], [0, 0]]))] == ["0", "0"]
+    ev = linalg.eigenvalues_exact(mat([[0, -1], [1, 0]]))
     assert {str(e) for e in ev} == {"i", "-i"}
-    ind = linalg.eigenvalues_exact(linalg.mat([[0, 2], [1, 0]]))  # +-sqrt(2)
+    ind = linalg.eigenvalues_exact(mat([[0, 2], [1, 0]]))  # +-sqrt(2)
     assert isinstance(ind, linalg.Indeterminate)
     assert len(ind.approx) == 2
 

@@ -17,9 +17,13 @@ from foliationlab.blowup import (
     pullback_one_form,
     singular_points_on_E,
     transform_vector_field,
+    univariate_on_E,
 )
-from foliationlab.corpus import jordan_fixtures, oneform_corpus, seidenberg_corpus
+from foliationlab import unipoly
+from foliationlab.corpus import oneform_corpus, seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
+
+from helpers import jordan_fixtures, seeded_towers
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -255,3 +259,28 @@ def test_blow_up_equals_chart_by_chart_dim3(text, divisor, s, note):
     assert [_snapshot(*entry) for entry in got] == [_snapshot(*entry) for entry in _chart_by_chart(v, divisor, 3)]
     assert [sat.saturation_exponent for sat, _ in got] == [s] * 3
     assert all((note in locus.notes[0]) if note else not locus.non_isolated for _, locus in got)
+
+
+def _chart2_points_by_root_search(sat):
+    """Chart 2's points on E by the general path: the roots of gcd(a, b) on
+    E, of which the chart keeps only w = 0."""
+    a, b = (univariate_on_E(c, 1, 0) for c in sat.saturated_field.components)
+    g = unipoly.poly_gcd(a, b)
+    if unipoly.degree(g) <= 0:
+        return []
+    roots = unipoly.gaussian_rational_roots(g).roots
+    return [(GaussRat(0), GaussRat(0))] if any(w0.is_zero() for w0 in roots) else []
+
+
+def test_chart2_locus_matches_root_search_on_seeded_towers():
+    found = {True: 0, False: 0}
+    for tower in seeded_towers():
+        for node in tower.nodes.values():
+            sat = node.transform
+            if sat.chart.index != 1:
+                continue
+            locus = singular_points_on_E(sat)
+            assert not locus.non_isolated and locus.complete and not locus.clusters
+            assert locus.points == _chart2_points_by_root_search(sat)
+            found[bool(locus.points)] += 1
+    assert found[True] and found[False]

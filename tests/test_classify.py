@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat, I
 from foliationlab.mvpoly import MVPoly
-from foliationlab.foliation import FoliationError, LogDivisor, VectorFieldGerm, is_singular_at_origin
+from foliationlab.foliation import FoliationError, LogDivisor, VectorFieldGerm, is_singular_at_origin, translate_to_point
 from foliationlab import blowup, classify, linalg, polygcd
 from foliationlab.classify import (
     DimensionMismatch,
@@ -22,6 +22,8 @@ from foliationlab.classify import (
     surface_seidenberg_type,
 )
 from foliationlab.dsl import parse_vector_field
+
+from helpers import mat, seeded_towers
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -105,9 +107,9 @@ def test_conjugation_invariance():
     rng = random.Random(3)
     germs = [germ(X, -1 * Y), germ(Y, X * X), germ(X * X, Y), germ(X, 2 * Y)]
     mats = [
-        linalg.mat([[1, 1], [0, 1]]),
-        linalg.mat([[2, 1], [1, 1]]),
-        linalg.mat([[1, -2], [1, 3]]),
+        mat([[1, 1], [0, 1]]),
+        mat([[2, 1], [1, 1]]),
+        mat([[1, -2], [1, 3]]),
     ]
     for v in germs:
         rep = singularity_report(v)
@@ -216,3 +218,26 @@ def test_is_dicritical_makes_no_blowup(monkeypatch):
     monkeypatch.setattr(blowup, "transform_vector_field", no_blowup)
     assert is_dicritical(germ(X * X + Y * Y * Y, X * Y)) is True
     assert is_dicritical(germ(X, -1 * Y)) is False
+
+
+def test_seidenberg_terminal_dicritical_iff_scalar_linear_part():
+    """A multiplicity-1 germ is dicritical iff its linear part is scalar, the
+    test `seidenberg_terminal` makes: checked against `is_dicritical` on the
+    roots of the seed 0-3 corpora and every singular point of their towers."""
+    germs = []
+    for tower in seeded_towers():
+        germs.append(tower.root)
+        for node in tower.nodes.values():
+            points = blowup.singular_points_on_E(node.transform).points
+            germs += [translate_to_point(node.transform.saturated_field, pt) for pt in points]
+    found = {True: 0, False: 0}
+    for v in germs:
+        if not is_singular_at_origin(v) or algebraic_multiplicity(v) != 1:
+            continue
+        lp = v.linear_part()
+        scalar = lp == linalg.mat_scale(linalg.identity(2), lp[0][0])
+        assert is_dicritical(v, assume_isolated=True) == scalar
+        if classify_reduced(v)[0]:
+            assert (classify.seidenberg_terminal(v) == "reduced but dicritical") == scalar
+        found[scalar] += 1
+    assert found[True] and found[False]

@@ -14,6 +14,8 @@ from foliationlab.foliation import (
 from foliationlab.monomial import MonomialIdeal
 from foliationlab.dsl import parse_vector_field
 
+from helpers import mat
+
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
 Y = MVPoly.var(VARS, "y")
@@ -87,7 +89,7 @@ def test_jf_contained_in_jfd_monomial_cases():
             if jf is None or jfd is None:
                 continue
             for g in jf.sorted_generators():
-                assert jfd.contains_monomial(g)
+                assert any(all(h[i] <= g[i] for i in range(jfd.ambient_dim)) for h in jfd.generators)
 
 
 def test_serialization_round_trip():
@@ -105,7 +107,7 @@ def test_conjugation():
     v = germ(Y, X * X)
     from foliationlab import linalg
 
-    p = linalg.mat([[1, 1], [0, 1]])
+    p = mat([[1, 1], [0, 1]])
     w = v.conjugate_by(p)
     back = w.conjugate_by(linalg.inverse(p))
     assert back == v

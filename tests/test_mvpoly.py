@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliationlab.gaussrat import GaussRat
+from foliationlab.gaussrat import ONE, ZERO, GaussRat
 from foliationlab.mvpoly import MVPoly, linear_part_matrix
 
 VARS = ("x", "y")
@@ -80,3 +82,133 @@ def test_linear_part():
     x, y = MVPoly.var(VARS, "x"), MVPoly.var(VARS, "y")
     m = linear_part_matrix([y + x**2, 2 * x - y])
     assert m == ((GaussRat(0), GaussRat(1)), (GaussRat(2), GaussRat(-1)))
+
+
+# -- oracle: a plain dict exponent -> nonzero GaussRat ---------------------------
+
+BIG = 2**70
+INTS = st.one_of(st.integers(-6, 6), st.integers(-BIG, BIG))
+DENS = st.one_of(st.integers(1, 12), st.sampled_from([2**64 + 13, 3**41]))
+COEFFS = st.builds(lambda a, b, d, e: GaussRat(Fraction(a, d), Fraction(b, e)), INTS, INTS, DENS, DENS)
+EXPS = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3)
+REFS = st.dictionaries(EXPS, COEFFS, max_size=4).map(lambda d: {e: c for e, c in d.items() if c})
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, ZERO) + c * sign
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, ZERO) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_subs(p, images):
+    out = {}
+    for e, c in p.items():
+        term = {(0, 0): c}
+        for image, k in zip(images, e):
+            for _ in range(k):
+                term = ref_mul(term, image)
+        out = ref_add(out, term)
+    return out
+
+
+def ref_to_string(p, variables=VARS):
+    """MVPoly's text format, computed from the GaussRat terms."""
+    if not p:
+        return "0"
+    parts = []
+    for exp, c in sorted(p.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        cs = str(c)
+        if ("+" in cs[1:]) or ("-" in cs[1:]) or ("i" in cs and cs not in ("i", "-i")):
+            cs = "(%s)" % cs
+        factors = [name if e == 1 else "%s^%d" % (name, e) for name, e in zip(variables, exp) if e]
+        if not factors:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append("*".join(factors))
+        elif cs == "-1":
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append(cs + "*" + "*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def check(p: MVPoly, ref: dict):
+    """p is canonical and has the terms of ref."""
+    assert p.den > 0 and all(re or im for re, im in p.num.values())
+    assert math.gcd(p.den, *(x for pair in p.num.values() for x in pair)) == 1
+    assert dict(p.terms) == ref
+    assert p.to_string() == ref_to_string(ref)
+
+
+@given(REFS, REFS, COEFFS, st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_ring_operations_match_oracle(rp, rq, c, k):
+    p, q = MVPoly(VARS, rp), MVPoly(VARS, rq)
+    check(p, rp)
+    check(p + q, ref_add(rp, rq))
+    check(p - q, ref_add(rp, rq, -1))
+    check(-p, ref_add({}, rp, -1))
+    check(p * q, ref_mul(rp, rq))
+    check(p * c, {e: x * c for e, x in rp.items() if x * c})
+    check(p + c, ref_add(rp, {(0, 0): c} if c else {}))
+    power = {(0, 0): ONE}
+    for _ in range(k):
+        power = ref_mul(power, rp)
+    check(p**k, power)
+    for e in list(rp) + [(3, 0)]:
+        assert p.coeff(e) == rp.get(e, ZERO)
+    assert p.constant_term() == rp.get((0, 0), ZERO)
+
+
+@given(REFS, REFS, REFS, COEFFS, COEFFS)
+@settings(max_examples=60, deadline=None)
+def test_substitutions_match_oracle(rp, ra, rb, u, w):
+    p = MVPoly(VARS, rp)
+    check(p.subs([MVPoly(VARS, ra), MVPoly(VARS, rb)]), ref_subs(rp, [ra, rb]))
+    check(p.translate([u, w]), ref_subs(rp, [{(1, 0): ONE, (0, 0): u}, {(0, 1): ONE, (0, 0): w}]))
+    chart = [(1, 0), (1, 1)]  # x -> x, y -> x*y
+    check(p.subs_exponents(chart), ref_subs(rp, [{(1, 0): ONE}, {(1, 1): ONE}]))
+    for i in (0, 1):
+        unit = tuple(int(j == i) for j in range(2))
+        check(p.derivative(i), {tuple(a - b for a, b in zip(e, unit)): c * e[i] for e, c in rp.items() if e[i]})
+        check(p.set_vars_to_zero([i]), {e: c for e, c in rp.items() if not e[i]})
+        shifted = MVPoly(VARS, {tuple(a + 2 * b for a, b in zip(e, unit)): c for e, c in rp.items()})
+        check(shifted.divide_by_var_power(i, 2), rp)
+
+
+@given(REFS, REFS, COEFFS)
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_is_unique(rp, rq, c):
+    p, q = MVPoly(VARS, rp), MVPoly(VARS, rq)
+    routes = [(p + q) - q, p * 1, MVPoly(VARS, p.terms), p.translate([c, ONE]).translate([-c, -ONE])]
+    if c:
+        routes.append(p * c * (ONE / c))
+    routes.append((p * q + p).subs([MVPoly.var(VARS, "x"), MVPoly.var(VARS, "y")]) - p * q)
+    for r in routes:
+        assert r == p and r.den == p.den and r.num == p.num and hash(r) == hash(p)
+
+
+@given(REFS, REFS, COEFFS)
+@settings(max_examples=40, deadline=None)
+def test_operations_leave_operands_unchanged(rp, rq, c):
+    p, q = MVPoly(VARS, rp), MVPoly(VARS, rq)
+    before = [(dict(x.num), x.den) for x in (p, q)]
+    for _ in (p + q, p - q, p * q, p * c, p**2, p.subs([q, p]), p.translate([c, c]), p.derivative(0),
+              p.set_vars_to_zero([1]), p.subs_exponents([(1, 0), (1, 1)]), -p):
+        pass
+    assert [(dict(x.num), x.den) for x in (p, q)] == before
+    for name in ("variables", "num", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = ONE

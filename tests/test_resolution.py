@@ -26,7 +26,7 @@ def germ(*comps):
 
 def test_seidenberg_sadle_trivial():
     t = seidenberg_reduce(germ(X, -1 * Y))
-    assert t.status == "complete" and t.blowup_count() == 0
+    assert t.status == "complete" and len(t.events) == 0
     assert len(t.terminals) == 1
     assert t.terminals[0].surface_type.kind == "non_degenerate"
 
@@ -34,14 +34,14 @@ def test_seidenberg_sadle_trivial():
 def test_seidenberg_radial_one_blowup():
     t = seidenberg_reduce(germ(X, Y))
     assert t.status == "complete"
-    assert t.blowup_count() == 1
+    assert len(t.events) == 1
     assert len(t.terminals) == 0  # dicritical blow-up leaves no singularities
 
 
 def test_seidenberg_nilpotent_tower():
     t = seidenberg_reduce(germ(Y, X * X), max_depth=8)
     assert t.status == "complete"
-    assert t.blowup_count() >= 2
+    assert len(t.events) >= 2
     assert t.terminals and all(term.reduced for term in t.terminals)
     for term in t.terminals:
         assert term.surface_type.kind in ("non_degenerate", "degenerate")
@@ -161,7 +161,7 @@ def test_oracle_agreement_sample():
 
 def test_resolve_simple_fixtures():
     t = resolve_simple(germ(X * X, -1 * Y), LogDivisor({0}))
-    assert t.status == "complete" and t.blowup_count() == 0
+    assert t.status == "complete" and len(t.events) == 0
     assert t.terminals[0].simple_status.kind == "simple_point_A"
     assert t.terminals[0].dicritical is False
 

@@ -73,7 +73,8 @@ def test_residual_certification():
         fc = formal_separatrix(v, d, order)
         a1 = poly_eval_series(v.components[0], list(fc.components))
         a2 = poly_eval_series(v.components[1], list(fc.components))
-        wedge = fc.components[0].derivative() * a2.truncate(order - 1) - fc.components[1].derivative() * a1.truncate(order - 1)
+        a1, a2 = (TruncatedSeries(a.coeffs[:order], order - 1) for a in (a1, a2))
+        wedge = fc.components[0].derivative() * a2 - fc.components[1].derivative() * a1
         val = wedge.valuation()
         assert val is math.inf or val >= order
 
