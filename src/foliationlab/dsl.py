@@ -23,8 +23,7 @@ import re
 
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
-from .exprtree import Add, Exp, Mul, Poly, Pow, const_expr, order_at, t_expr
-from . import unipoly
+from .exprtree import Exp, Poly, add, const_expr, mul, order_at, power, t_expr
 
 
 class ParseError(Exception):
@@ -232,22 +231,16 @@ class _ExprAlgebra(_Algebra):
         return t_expr()
 
     def add(self, a, b):
-        if isinstance(a, Poly) and isinstance(b, Poly):
-            return Poly(unipoly.poly_add(a.coeffs, b.coeffs))
-        return Add([a, b])
+        return add([a, b])
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return add([a, self.neg(b)])
 
     def neg(self, a):
-        if isinstance(a, Poly):
-            return Poly([-c for c in a.coeffs])
-        return Mul([const_expr(-1), a])
+        return mul([const_expr(-1), a])
 
     def mul(self, a, b):
-        if isinstance(a, Poly) and isinstance(b, Poly):
-            return Poly(unipoly.poly_mul(a.coeffs, b.coeffs))
-        return Mul([a, b])
+        return mul([a, b])
 
     def div(self, a, b, toks):
         if not isinstance(b, Poly) or b.degree() > 0:
@@ -257,12 +250,7 @@ class _ExprAlgebra(_Algebra):
         return self.mul(a, const_expr(GaussRat(1) / b.coeffs[0]))
 
     def pow(self, a, k):
-        if isinstance(a, Poly):
-            out = Poly([GaussRat(1)])
-            for _ in range(k):
-                out = self.mul(out, a)
-            return out
-        return Pow(a, k)
+        return power(a, k)
 
     def exp(self, a, toks):
         if not isinstance(a, Poly):
@@ -416,7 +404,7 @@ def parse_curve(text: str):
                 if re.fullmatch(r"f\d+", tgt):
                     expr = comps[int(tgt[1:]) - 1]
                 elif tgt == "fprime":
-                    expr = Add([c.diff() for c in comps]) if len(comps) > 1 else comps[0].diff()
+                    expr = add([c.diff() for c in comps])
                 else:
                     expr = None
                 if expr is None:

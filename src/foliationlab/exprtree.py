@@ -9,17 +9,26 @@ arguments are restricted to polynomials, which keeps the scale exact.
 Series expansions at t = 0 are exact over Q(i) whenever every exp argument
 vanishes at 0; otherwise SeriesNotRational is raised and callers fall back
 to numeric order detection.
+
+Every tree is built through one folding algebra, `add`, `mul` and `power`
+(the DSL, `expr_from_mvpoly` and each `diff()` call it; the node classes
+never fold): polynomial operands fold exactly into one `Poly` at the place
+of the first, zero terms and unit factors drop out, a zero factor zeroes
+the product, a lone child is unwrapped, and other children keep their order
+and structure.  So a tree of polynomials is a `Poly`, as is its derivative,
+and takes the float engine's direct Horner path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .gaussrat import GaussRat
+from .gaussrat import ONE, GaussRat
 from .mvpoly import MVPoly
 from .series import TruncatedSeries
 from . import unipoly
@@ -75,15 +84,17 @@ def _normalize(v):
 
 
 class Poly(Expr):
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "horner")
 
     def __init__(self, coeffs: Sequence[GaussRat]):
         self.coeffs = tuple(unipoly.trim([GaussRat.coerce(c) for c in coeffs]))
+        # the coefficients as complex numbers, leading first, for eval_plain
+        self.horner = tuple(map(GaussRat.to_complex, reversed(self.coeffs))) or (0j,)
 
     def eval_plain(self, t):
         """Horner's rule from the leading coefficient."""
         t = _as_array(t)
-        lead, *rest = [c.to_complex() for c in reversed(self.coeffs)] or [0j]
+        lead, *rest = self.horner
         out = np.full_like(t, lead)
         for c in rest:
             out *= t
@@ -131,7 +142,7 @@ class Exp(Expr):
         return 2.0 * np.real(self.arg.eval_plain(t))
 
     def diff(self):
-        return Mul([self.arg.diff(), self])
+        return mul([self.arg.diff(), self])
 
     def series(self, order):
         s = self.arg.series(order)
@@ -173,7 +184,7 @@ class Add(Expr):
         return a2, u2
 
     def diff(self):
-        return Add([c.diff() for c in self.children])
+        return add([c.diff() for c in self.children])
 
     def series(self, order):
         out = self.children[0].series(order)
@@ -209,12 +220,8 @@ class Mul(Expr):
         return out
 
     def diff(self):
-        terms = []
-        for i in range(len(self.children)):
-            factors = list(self.children)
-            factors[i] = factors[i].diff()
-            terms.append(Mul(factors))
-        return Add(terms)
+        kids = self.children
+        return add([mul(kids[:i] + (c.diff(),) + kids[i + 1:]) for i, c in enumerate(kids)])
 
     def series(self, order):
         out = self.children[0].series(order)
@@ -251,8 +258,8 @@ class Pow(Expr):
 
     def diff(self):
         if self.k == 0:
-            return Poly([GaussRat(0)])
-        return Mul([Poly([GaussRat(self.k)]), Pow(self.base, self.k - 1), self.base.diff()])
+            return Poly([])
+        return mul([const_expr(self.k), power(self.base, self.k - 1), self.base.diff()])
 
     def series(self, order):
         return self.base.series(order) ** self.k
@@ -272,22 +279,52 @@ def t_expr() -> Poly:
     return Poly([GaussRat(0), GaussRat(1)])
 
 
+def _fold(node, children: Sequence[Expr], op, unit: tuple) -> Expr:
+    """node(children) with the Poly children folded by op into one Poly at
+    the place of the first, dropped when it equals unit."""
+    polys = [c for c in children if isinstance(c, Poly)]
+    coeffs = [p.coeffs for p in polys]
+    folded = polys[0] if len(polys) == 1 else Poly(functools.reduce(op, coeffs) if coeffs else unit)
+    pending, kept = folded.coeffs != unit, []
+    for c in children:
+        if not isinstance(c, Poly):
+            kept.append(c)
+        elif pending:
+            kept.append(folded)
+            pending = False
+    if len(kept) > 1:
+        return node(kept)
+    return kept[0] if kept else folded
+
+
+def add(terms: Sequence[Expr]) -> Expr:
+    """The sum of terms; polynomial terms fold into one Poly."""
+    return _fold(Add, terms, unipoly.poly_add, ())
+
+
+def mul(factors: Sequence[Expr]) -> Expr:
+    """The product of factors; polynomial factors fold into one Poly, and a
+    zero one makes the product zero."""
+    if any(isinstance(c, Poly) and not c.coeffs for c in factors):
+        return Poly([])
+    return _fold(Mul, factors, unipoly.poly_mul, (ONE,))
+
+
+def power(base: Expr, k: int) -> Expr:
+    """base^k; a polynomial base is expanded, and base^0 is 1."""
+    if k < 0:
+        raise ValueError("negative powers are not allowed")
+    if k <= 1 or isinstance(base, Poly):
+        return mul([base] * k)
+    return Pow(base, k)
+
+
 def expr_from_mvpoly(p: MVPoly, components: Sequence[Expr]) -> Expr:
     """Compose a polynomial in n variables with curve components."""
     if len(components) != p.nvars():
         raise ValueError("component count mismatch")
-    terms: list[Expr] = []
-    for e, c in p.sorted_terms():
-        factors: list[Expr] = [const_expr(c)]
-        for i, k in enumerate(e):
-            if k == 1:
-                factors.append(components[i])
-            elif k > 1:
-                factors.append(Pow(components[i], k))
-        terms.append(Mul(factors) if len(factors) > 1 else factors[0])
-    if not terms:
-        return Poly([])
-    return Add(terms) if len(terms) > 1 else terms[0]
+    return add([mul([const_expr(c)] + [power(components[i], k) for i, k in enumerate(e)])
+                for e, c in p.sorted_terms()])
 
 
 def order_at(expr: Expr, t0: complex, max_order: int) -> int | float:

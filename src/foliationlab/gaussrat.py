@@ -189,7 +189,12 @@ class GaussRat:
         return NotImplemented if o is None else self._abd == o
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """Equal values hash equal: a real value hashes as the int or
+        Fraction it equals, any other as its canonical triple."""
+        a, b, d = self._abd
+        if b:
+            return hash(self._abd)
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __bool__(self):
         return bool(self._abd[0] or self._abd[1])

@@ -248,6 +248,8 @@ class MVPoly:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_constant():  # equal to its scalar, so hashed like it
+            return hash(self.constant_term())
         return hash((self.variables, self.den, frozenset(self.num.items())))
 
     # -- substitution ----------------------------------------------------------

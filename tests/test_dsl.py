@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from foliationlab.exprtree import Poly
+from foliationlab.exprtree import Add, Exp, Mul, Poly, Pow, add, const_expr, mul, power, t_expr
 from foliationlab.gaussrat import GaussRat
 from foliationlab.series import TruncatedSeries
 from foliationlab.dsl import (
@@ -218,3 +220,66 @@ def test_series_product_and_derivative_match_sympy(tree_a, tree_b):
     got = [_sympy_number(c, sympy) for c in product.coeffs + derivative.coeffs]
     want = _taylor(ea * eb, t, order, sympy) + _taylor(sympy.diff(ea, t), t, order - 1, sympy)
     assert [sympy.expand(g - w) for g, w in zip(got, want)] == [0] * len(want)
+
+
+def _build(tree, raw: bool):
+    """The tree through the folding algebra, or through the node classes
+    with nothing folded.  An exp argument is folded either way: Exp takes a
+    Poly."""
+    kind, *args = tree
+    if kind == "exp":
+        return Exp(mul([t_expr(), _build(args[0], False)]))
+    sub = [_build(a, raw) if isinstance(a, tuple) else a for a in args]
+    plus, times, pw = (Add, Mul, Pow) if raw else (add, mul, power)
+    if kind == "t":
+        return t_expr()
+    if kind == "c":
+        return const_expr(args[0])
+    if kind in ("sub", "neg"):
+        sub[-1] = times([const_expr(-1), sub[-1]])
+    if kind in ("add", "sub"):
+        return plus(sub)
+    if kind == "pow":
+        return pw(*sub)
+    if kind == "div":
+        sub[1] = const_expr(1 / args[1])
+    return times(sub)  # mul, neg, div
+
+
+def _mag(e, t: complex) -> float:
+    """The sum of the magnitudes a float evaluation of e at t adds up, a
+    scale for its round-off."""
+    if isinstance(e, Poly):
+        return sum(abs(c.to_complex()) * abs(t) ** k for k, c in enumerate(e.coeffs))
+    if isinstance(e, Exp):
+        return abs(e.eval_complex(t)) * (1.0 + _mag(e.arg, t))
+    if isinstance(e, (Add, Mul)):
+        parts = [_mag(c, t) for c in e.children]
+        return sum(parts) if isinstance(e, Add) else math.prod(parts)
+    return _mag(e.base, t) ** e.k
+
+
+@given(_trees(True))
+@settings(max_examples=80, deadline=None)
+def test_folded_tree_matches_the_unfolded_one(tree):
+    folded, raw = _build(tree, False), _build(tree, True)
+    polynomial = "exp" not in _kinds(tree)
+    for _ in range(3):  # the trees, then two derivatives
+        assert isinstance(folded, Poly) or not polynomial
+        assert folded.series(6) == raw.series(6)  # every exp argument vanishes at 0
+        for t in (0.4 + 0.3j, -0.6 + 0.1j, 0.2 - 0.5j):
+            scale = max(_mag(folded, t), _mag(raw, t))
+            assume(scale < 1e200)
+            a, b = folded.eval_complex(t), raw.eval_complex(t)
+            assert abs(a - b) <= 1e-9 * scale
+            if abs(b) > 1e-6 * scale:
+                la, lb = folded.logabs2(np.array([t])), raw.logabs2(np.array([t]))
+                assert abs(la[0] - lb[0]) <= 1e-6
+        folded, raw = folded.diff(), raw.diff()
+
+
+def _kinds(tree):
+    yield tree[0]
+    for a in tree[1:]:
+        if isinstance(a, tuple):
+            yield from _kinds(a)

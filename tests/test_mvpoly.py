@@ -212,3 +212,32 @@ def test_operations_leave_operands_unchanged(rp, rq, c):
             setattr(p, name, None)
     with pytest.raises(TypeError):
         p.terms[(0, 0)] = ONE
+
+
+def test_equal_scalars_hash_equal():
+    half = Fraction(1, 2)
+    assert GaussRat(3) in {3} and 3 in {GaussRat(3)}
+    assert GaussRat(half) in {half} and GaussRat(Fraction(-7, 3)) in {Fraction(-7, 3)}
+    assert GaussRat(half, 1) not in {half}
+    const = MVPoly.const(VARS, 3)
+    assert hash(const) == hash(3) == hash(GaussRat(3)) and const in {3} and GaussRat(3) in {const}
+    assert MVPoly.zero(VARS) in {0} and MVPoly.const(VARS, GaussRat(half, -1)) in {GaussRat(half, -1)}
+
+
+@given(st.one_of(st.integers(-BIG, BIG).map(Fraction), st.builds(Fraction, INTS, DENS),
+                 COEFFS.map(lambda c: GaussRat(c.re)), COEFFS))
+@settings(max_examples=150, deadline=None)
+def test_equal_values_hash_equal(q):
+    """x == y implies hash(x) == hash(y) over ints, Fractions, GaussRats and
+    constant MVPolys (in two variable sets) of one value."""
+    z = GaussRat.coerce(q)
+    forms = [z, MVPoly.const(VARS, z), MVPoly.const(("z",), z)]
+    if not z.im:
+        forms.append(z.re)
+        if z.re.denominator == 1:
+            forms.append(int(z.re))
+    assert all(f == z and z == f for f in forms)
+    for a in forms:
+        for b in forms:
+            if a == b:
+                assert hash(a) == hash(b)

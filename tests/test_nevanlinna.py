@@ -427,3 +427,61 @@ def test_logabs2_matches_scaled_evaluation():
     for e in (p, exprs[3], exprs[4], exprs[5]):
         la = e.logabs2(t)
         assert np.isneginf(la).any() and np.isfinite(la).any()
+
+
+def test_folding_rules():
+    from foliationlab.exprtree import Add, add, mul, power
+
+    e, e2 = Exp(t_expr()), Exp(_poly(0, 2))
+    assert mul([_poly(2), e, _poly()]).coeffs == () and mul([_poly(1), e]) is e and add([_poly(), e]) is e
+    assert power(e, 0).coeffs == (GaussRat(1),) and power(e, 1) is e and power(_poly(1, 1), 2).coeffs == tuple(
+        GaussRat(c) for c in (1, 2, 1))
+    s = add([e, _poly(1), e2, _poly(-1, 1), Mul([e, e2])])  # the polys fold at the place of the first
+    assert isinstance(s, Add) and [type(c) for c in s.children] == [Exp, Poly, Exp, Mul]
+    assert s.children[1].coeffs == (GaussRat(0), GaussRat(1)) and s.children[3].children == (e, e2)
+    assert mul([]).coeffs == (GaussRat(1),) and add([]).coeffs == ()
+
+
+def test_polynomial_composition_folds_to_poly():
+    from foliationlab.exprtree import expr_from_mvpoly
+
+    comps = (_poly(1, 1), _poly(0, 0, 1))  # (t + 1, t^2)
+    p = X**2 * 3 - X * Y + Y + 5
+    g = expr_from_mvpoly(p, comps)
+    assert isinstance(g, Poly) and isinstance(g.diff(), Poly)
+    # 3 (t + 1)^2 - (t + 1) t^2 + t^2 + 5 = 8 + 6t + 3t^2 - t^3
+    assert g.coeffs == tuple(GaussRat(c) for c in (8, 6, 3, -1))
+    assert isinstance(expr_from_mvpoly(X, comps), Poly) and expr_from_mvpoly(Y - Y, comps).coeffs == ()
+    # an exp component keeps its node, without a unit factor or a zero term
+    e = expr_from_mvpoly(Y, (t_expr(), Exp(t_expr())))
+    assert isinstance(e, Exp) and isinstance(e.diff(), Exp)
+
+
+def test_fmt_on_a_polynomial_curve_takes_the_direct_path(monkeypatch):
+    """The README FMT example: the composed generators are Polys, so the
+    log-domain FS term never runs, and T, m and the bounds agree with the
+    unfolded trees within the reported bounds."""
+    from foliationlab import exprtree
+    from foliationlab.dsl import parse_curve
+    from foliationlab.exprtree import Add, Pow
+
+    curve = parse_curve("f(t) = (t, t^2) zeros: ideal at 0 order 1")
+    radii = [2.0 * 2 ** k for k in range(5)]  # 2:32:5
+
+    def log_domain(*args):
+        raise AssertionError("log-domain FS term on a polynomial curve")
+
+    with monkeypatch.context() as m:
+        m.setattr(nv, "_fs_term_log", log_domain)
+        rep = nv.fmt_verify(curve, [X, Y], curve.zeros_for("ideal"), radii, QuadConfig())
+    with monkeypatch.context() as m:  # the trees as the node classes build them, nothing folded
+        m.setattr(exprtree, "add", Add)
+        m.setattr(exprtree, "mul", Mul)
+        m.setattr(exprtree, "power", Pow)
+        raw = nv.fmt_verify(curve, [X, Y], curve.zeros_for("ideal"), radii, QuadConfig())
+    assert rep.passed and raw.passed and not any(rep.profile.diverged)
+    fold, ref = rep.profile, raw.profile
+    for i in range(len(radii)):
+        tol = fold.bounds[i] + ref.bounds[i]
+        assert abs(fold.T[i] - ref.T[i]) <= tol and abs(fold.m[i] - ref.m[i]) <= tol
+        assert abs(fold.bounds[i] - ref.bounds[i]) <= tol
