@@ -32,9 +32,10 @@ from .foliation import (
     VectorFieldGerm,
     divisor_invariance_check,
     is_singular_at_origin,
+    milnor_number,
     translate_to_point,
 )
-from . import blowup, linalg, polygcd, unipoly
+from . import blowup, linalg, unipoly
 
 
 class NonSingularPoint(FoliationError):
@@ -300,9 +301,8 @@ def is_dicritical(v: VectorFieldGerm, assume_isolated: bool = False) -> bool:
     makes every bracket vanish, so the same case holds in every chart."""
     if not is_singular_at_origin(v):
         raise NonSingularPoint("germ is not singular at the origin")
-    if v.dim() == 2 and not assume_isolated:
-        if not polygcd.isolated_at_origin_dim2(v.components):
-            raise FoliationError("singular locus is not isolated at the origin")
+    if v.dim() == 2 and not assume_isolated and milnor_number(v) == math.inf:
+        raise FoliationError("singular locus is not isolated at the origin")
     n = v.dim()
     if n < 2:
         raise ValueError("blow-up needs ambient dimension >= 2")
@@ -409,7 +409,7 @@ def bounded_ais_probe(v: VectorFieldGerm, depth: int) -> ProbeResult:
     if not is_singular_at_origin(v):
         return ProbeResult("all_levels_finite", level=0, notes=["germ not singular at origin"])
     if n == 2:
-        if not polygcd.isolated_at_origin_dim2(v.components):
+        if milnor_number(v) == math.inf:
             return ProbeResult("non_isolated_found", level=0)
     elif any(c.is_zero() for c in v.components):
         return ProbeResult("non_isolated_found", level=0, notes=["a component vanishes identically"])

@@ -16,7 +16,7 @@ from itertools import product
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
 from .foliation import VectorFieldGerm, is_singular_at_origin
-from . import polygcd
+from . import unipoly
 
 VARS2 = ("x", "y")
 
@@ -40,6 +40,45 @@ def _monomials_up_to(deg: int):
     return out
 
 
+def _coprime(a: MVPoly, b: MVPoly) -> bool:
+    """Exact: a and b in Q(i)[x, y] share no nonconstant factor, decided by
+    specialising x.
+
+    In (Q(i)[x])[y], gcd(a, b) is the gcd of the x-contents times the gcd of
+    the primitive parts a', b', and a primitive part of y-degree 0 is a
+    unit.  Otherwise a', b' share a factor iff Res_y(a', b') = 0, and that
+    resultant has degree at most D = deg_x a deg_y b + deg_x b deg_y a in x.
+    At an x0 where neither leading coefficient in y vanishes,
+    Res_y(a', b')(x0) != 0 iff gcd(a(x0, y), b(x0, y)) = 1.  So the pair is
+    coprime iff one of D + 1 such points gives gcd 1."""
+    if a.is_zero() or b.is_zero():
+        other = a + b
+        return other.is_constant() and not other.is_zero()
+    rows_a, rows_b = unipoly.bivariate_rows(a, 0, 1), unipoly.bivariate_rows(b, 0, 1)
+    content: unipoly.Coeffs = []
+    for row in rows_a + rows_b:
+        content = unipoly.poly_gcd(content, row)
+        if len(content) == 1:
+            break
+    if len(content) > 1:
+        return False
+    if len(rows_a) == 1 or len(rows_b) == 1:
+        return True
+    bound = a.degree_in(0) * (len(rows_b) - 1) + b.degree_in(0) * (len(rows_a) - 1)
+    x0 = tried = 0
+    while tried <= bound:
+        x0 += 1
+        point = GaussRat(x0)
+        if unipoly.poly_eval(rows_a[-1], point).is_zero() or unipoly.poly_eval(rows_b[-1], point).is_zero():
+            continue
+        tried += 1
+        at_a = [unipoly.poly_eval(row, point) for row in rows_a]
+        at_b = [unipoly.poly_eval(row, point) for row in rows_b]
+        if len(unipoly.poly_gcd(at_a, at_b)) == 1:
+            return True
+    return False
+
+
 def seidenberg_corpus(max_random: int = 300, seed: int = 20260810) -> list[VectorFieldGerm]:
     germs: list[VectorFieldGerm] = []
     seen = set()
@@ -50,7 +89,7 @@ def seidenberg_corpus(max_random: int = 300, seed: int = 20260810) -> list[Vecto
             return
         if not is_singular_at_origin(v):
             return
-        if not polygcd.isolated_at_origin_dim2(v.components):
+        if not _coprime(*v.components):
             return
         seen.add(key)
         germs.append(v)

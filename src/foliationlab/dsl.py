@@ -19,6 +19,7 @@ order.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .gaussrat import GaussRat
@@ -402,17 +403,20 @@ def parse_curve(text: str):
         for (point, order) in decls:
             if order is None:
                 if re.fullmatch(r"f\d+", tgt):
-                    expr = comps[int(tgt[1:]) - 1]
+                    exprs = [comps[int(tgt[1:]) - 1]]
                 elif tgt == "fprime":
-                    expr = add([c.diff() for c in comps])
+                    # the order of f' is the least order of its components
+                    # that do not vanish identically
+                    exprs = [d for d in (c.diff() for c in comps) if not (isinstance(d, Poly) and not d.coeffs)]
                 else:
-                    expr = None
-                if expr is None:
                     raise ParseError("zero order required for target %r" % tgt)
                 z = point.to_complex()
-                order = order_at(expr, z, 12)
-                if order == 0 or order is None:
+                order = min((order_at(expr, z, 12) for expr in exprs), default=math.inf)
+                if order == 0:
                     raise ParseError("declared zero of %s at %s does not vanish" % (tgt, z))
+                if order == math.inf:
+                    raise ParseError("declared zero of %s at %s has order past 12 or vanishes "
+                                     "identically; give its order" % (tgt, z))
             out.append((point, int(order)))
         resolved[tgt] = out
     return ParametrizedCurve(tuple(comps), resolved)

@@ -8,6 +8,7 @@ provenance (original axis or exceptional divisor of some blow-up level).
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 from .gaussrat import GaussRat
@@ -178,6 +179,69 @@ def translate_to_point(v: VectorFieldGerm, point: Sequence[GaussRat]) -> VectorF
 
 def is_singular_at_origin(v: VectorFieldGerm) -> bool:
     return all(c.constant_term().is_zero() for c in v.components)
+
+
+def _x_axis(f: dict) -> tuple[int, int, tuple[int, int]] | None:
+    """(order, degree, leading coefficient) of f(x, 0), None when it is 0."""
+    xs = [e[0] for e in f if e[1] == 0]
+    if not xs:
+        return None
+    deg = max(xs)
+    return min(xs), deg, f[(deg, 0)]
+
+
+def milnor_number(v: VectorFieldGerm) -> int | float:
+    """Dim 2: the Milnor number mu_0(v) = I_0(a, b) = dim O_0/(a, b) of the
+    components a, b, or math.inf when they share a branch through 0, i.e.
+    when the singularity is not isolated; 0 off the singular locus.
+
+    Fulton's algorithm (Algebraic Curves, section 3.3) on the Z[i]
+    numerators, where constant factors leave I_0 unchanged.  Reduce: with
+    r = deg F(x, 0) <= s = deg G(x, 0), replace G by lc(F) G - lc(G)
+    x^(s-r) F, which lowers s.  Split: when G(x, 0) = 0, G = y H and
+    I(F, G) = ord_x F(x, 0) + I(F, H).  Both vanish at 0 throughout, until
+    a split leaves H(0) != 0 and I(F, H) = 0.  Each split adds at least 1,
+    and a finite I_0 is at most deg a deg b (Bezout, after dividing out any
+    common factor, which is a unit at 0), so a count past that bound means
+    a shared branch through 0; without the bound the algorithm would not
+    stop on one."""
+    if v.dim() != 2:
+        raise ValueError("the Milnor number by intersection needs dimension 2")
+    a, b = v.components
+    if not is_singular_at_origin(v):
+        return 0
+    if a.is_zero() or b.is_zero():
+        return math.inf
+    bound = a.total_degree() * b.total_degree()
+    f, g = dict(a.num), dict(b.num)
+    count = 0
+    while True:
+        rf, rg = _x_axis(f), _x_axis(g)
+        if rf is None and rg is None:
+            return math.inf  # y divides both
+        if rg is None or (rf is not None and rf[1] > rg[1]):
+            f, g, rf, rg = g, f, rg, rf
+        if rf is None:  # split y off f
+            count += rg[0]
+            if count > bound:
+                return math.inf
+            f = {(i, j - 1): c for (i, j), c in f.items()}
+            if (0, 0) in f:
+                return count
+            continue
+        (p, q), (s, t), shift = rf[2], rg[2], rg[1] - rf[1]
+        out = {e: (p * re - q * im, p * im + q * re) for e, (re, im) in g.items()}
+        for (i, j), (re, im) in f.items():
+            e = (i + shift, j)
+            o = out.get(e, (0, 0))
+            out[e] = (o[0] - s * re + t * im, o[1] - s * im - t * re)
+        out = {e: c for e, c in out.items() if c[0] or c[1]}
+        if not out:
+            return math.inf  # g was a multiple of f
+        content = math.gcd(*(x for c in out.values() for x in c))
+        if content != 1:
+            out = {e: (re // content, im // content) for e, (re, im) in out.items()}
+        g = out
 
 
 def divisor_invariance_check(v: VectorFieldGerm, axes) -> bool:

@@ -15,6 +15,7 @@ honestly, since its points cannot serve as exact blow-up centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,10 +28,11 @@ from .foliation import (
     divisor_at_point,
     divisor_invariance_check,
     is_singular_at_origin,
+    milnor_number,
     translate_to_point,
 )
 from .monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
-from . import blowup, classify, polygcd, unipoly
+from . import blowup, classify, unipoly
 
 
 class NonIsolatedSingularLocus(FoliationError):
@@ -340,7 +342,7 @@ def seidenberg_reduce(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> Res
     dicritical point violates."""
     if v.dim() != 2:
         raise classify.DimensionMismatch("Seidenberg reduction is the dim-2 driver")
-    if is_singular_at_origin(v) and not polygcd.isolated_at_origin_dim2(v.components):
+    if milnor_number(v) == math.inf:
         raise NonIsolatedSingularLocus("root singular locus is a curve")
     return _run_tower(v, None, max_depth, "seidenberg", lambda item: classify.seidenberg_terminal(item.germ))
 
@@ -356,7 +358,7 @@ def resolve_simple(v: VectorFieldGerm, divisor: LogDivisor, max_depth: int = DEF
         raise DivisorNotInvariant("root divisor is not invariant")
     probe = classify.bounded_ais_probe(v, min(max_depth, 3))
     if probe.status == "non_isolated_found":
-        # level 0: a dim-2 root whose components share a factor, or a component that vanishes identically
+        # level 0: a dim-2 root of infinite Milnor number, or a component that vanishes identically
         raise NonIsolatedSingularLocus("root singular locus is a curve" if probe.level == 0 else
                                        "bounded A.I.S. probe found a non-isolated locus at level %s" % probe.level)
     tower = _run_tower(v, divisor, max_depth, "simple", lambda item: classify.simple_terminal(item.germ, item.divisor))

@@ -1,19 +1,22 @@
 """Series, exact linear algebra, univariate roots, monomial ideals."""
 
 import collections
+import math
 import random
 from fractions import Fraction
 from math import isqrt
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly
 from foliationlab.series import TruncatedSeries, poly_eval_series
-from foliationlab import linalg, polygcd, unipoly
+from foliationlab import linalg, unipoly
+from foliationlab.corpus import _coprime, seidenberg_corpus
+from foliationlab.foliation import VectorFieldGerm, milnor_number
 from foliationlab.monomial import (
     MonomialIdeal,
     multiplier_ideal_trivial_monomial,
@@ -345,20 +348,64 @@ _biv = st.dictionaries(
 ).map(lambda d: MVPoly(("x", "y"), d))
 
 
-@given(_biv, _biv, _biv)
-@settings(max_examples=80, deadline=None)
-def test_bivariate_gcd_matches_sympy(a, b, g):
+def _to_sympy(p):
+    """p over sympy's Gaussian rationals QQ_I, i.e. Q(i)."""
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
+    return sympy.Poly({e: sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for e, c in p.terms.items()},
+                      x, y, domain="QQ_I")
 
-    def to_sympy(p):  # over sympy's Gaussian rationals QQ_I, i.e. Q(i)
-        return sympy.Poly({e: sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for e, c in p.terms.items()},
-                          x, y, domain="QQ_I")
 
+@given(_biv, _biv, _biv)
+@settings(max_examples=80, deadline=None)
+def test_corpus_coprimality_matches_sympy_gcd(a, b, g):
     p, q = a * g, b * g
     if p.is_zero() and q.is_zero():
         return
-    got = to_sympy(polygcd.bivariate_gcd(p, q))
-    want = to_sympy(p).gcd(to_sympy(q))
-    assert not got.is_zero
-    assert got * want.LC() == want * got.LC()  # equal up to a constant factor
+    assert _coprime(p, q) is (_to_sympy(p).gcd(_to_sympy(q)).total_degree() == 0)
+
+
+def _colength(a, b, n):
+    """dim Q(i)[x, y]/(a, b, x^n, y^n) from a sympy Groebner basis: the
+    standard monomials under the leading monomials of the basis."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    basis = sympy.groebner([_to_sympy(a).as_expr(), _to_sympy(b).as_expr(), x**n, y**n], x, y,
+                           order="grevlex", domain="QQ_I")
+    leads = [sympy.Poly(g, x, y).monoms(order="grevlex")[0] for g in basis.exprs]
+    return sum(1 for i in range(n) for j in range(n) if not any(i >= e[0] and j >= e[1] for e in leads))
+
+
+def _check_milnor_against_groebner(a, b):
+    """The quotient by (x^n, y^n) is local at 0.  For a finite mu, m^mu lies in
+    (a, b) locally, so n > mu gives colength mu; for mu = inf the colength
+    exceeds every n - 1, so n past the Bezout bound gives a colength past it."""
+    mu = milnor_number(VectorFieldGerm(("x", "y"), (a, b)))
+    bound = a.total_degree() * b.total_degree()
+    got = _colength(a, b, (bound if mu == math.inf else mu) + 1)
+    assert got > bound if mu == math.inf else got == mu
+
+
+def _low_degree(top):
+    """Polynomials of total degree <= top, up to three terms."""
+    exps = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
+    coeff = st.builds(GaussRat, st.integers(-2, 2), st.integers(-1, 1))
+    return st.dictionaries(st.sampled_from(exps), coeff, max_size=3).map(lambda d: MVPoly(("x", "y"), d))
+
+
+_vanishing = _low_degree(2).map(lambda p: p - MVPoly.const(("x", "y"), p.constant_term()))
+
+
+@given(_vanishing, _vanishing, _low_degree(1).filter(lambda p: not p.is_zero()))
+@settings(max_examples=40, deadline=None)
+@example(MVPoly(("x", "y"), {(2, 0): 1, (1, 1): -2}), MVPoly(("x", "y"), {(1, 1): -2, (1, 2): -1}),
+         MVPoly.const(("x", "y"), 1))  # a shared branch x = 0 that loops without the Bezout bound
+def test_milnor_number_matches_sympy_groebner(a, b, g):
+    # g(0) != 0 multiplies by a unit of the local ring, g(0) = 0 adds a shared branch
+    assume(not a.is_zero() and not b.is_zero())
+    _check_milnor_against_groebner(a * g, b * g)
+
+
+def test_milnor_number_matches_sympy_groebner_on_corpus_sample():
+    for v in random.Random(0).sample(seidenberg_corpus(), 25):
+        _check_milnor_against_groebner(*v.components)

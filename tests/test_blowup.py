@@ -5,7 +5,8 @@ import pytest
 
 from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly
-from foliationlab.foliation import LogDivisor, VectorFieldGerm, is_singular_at_origin
+from foliationlab.classify import algebraic_multiplicity, is_dicritical
+from foliationlab.foliation import LogDivisor, VectorFieldGerm, is_singular_at_origin, milnor_number, translate_to_point
 from foliationlab.blowup import (
     BlowupChart,
     SectionExists,
@@ -284,3 +285,28 @@ def test_chart2_locus_matches_root_search_on_seeded_towers():
             assert locus.points == _chart2_points_by_root_search(sat)
             found[bool(locus.points)] += 1
     assert found[True] and found[False]
+
+
+def test_milnor_conservation_over_one_blowup():
+    """Ledger for `blow_up`, the E-locus and `translate_to_point`: over one
+    blow-up of a center of multiplicity nu, the saturated transform's Milnor
+    numbers on E sum to mu_0 - nu^2 + nu + 1 (E invariant) or
+    mu_0 - nu^2 - nu + 1 (dicritical center) (Camacho-Lins Neto-Sad 1984).
+    Conjugate points have equal mu, so a cluster of degree d must leave a
+    positive remainder divisible by d."""
+    kinds = set()
+    for v in seidenberg_corpus():
+        nu, dicritical = algebraic_multiplicity(v), is_dicritical(v)
+        want = milnor_number(v) - nu * nu + (-nu if dicritical else nu) + 1
+        got, clusters = 0, []
+        for sat, locus in blow_up(v):
+            got += sum(milnor_number(translate_to_point(sat.saturated_field, p)) for p in locus.points)
+            clusters += locus.clusters
+        if not clusters:
+            assert got == want, v
+        else:
+            assert len(clusters) == 1, v
+            remainder = want - got
+            assert remainder > 0 and remainder % clusters[0].degree() == 0, v
+        kinds.add((bool(clusters), dicritical))
+    assert kinds == {(False, False), (False, True), (True, False)}

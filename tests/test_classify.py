@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,8 +8,15 @@ from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat, I
 from foliationlab.mvpoly import MVPoly
-from foliationlab.foliation import FoliationError, LogDivisor, VectorFieldGerm, is_singular_at_origin, translate_to_point
-from foliationlab import blowup, classify, linalg, polygcd
+from foliationlab.foliation import (
+    FoliationError,
+    LogDivisor,
+    VectorFieldGerm,
+    is_singular_at_origin,
+    milnor_number,
+    translate_to_point,
+)
+from foliationlab import blowup, classify, linalg
 from foliationlab.classify import (
     DimensionMismatch,
     NonSingularPoint,
@@ -148,9 +156,8 @@ def _dicritical_by_blowup(v, assume_isolated=False):
     """Reference: blow up once and test E-invariance in every chart."""
     if not is_singular_at_origin(v):
         raise NonSingularPoint("germ is not singular at the origin")
-    if v.dim() == 2 and not assume_isolated:
-        if not polygcd.isolated_at_origin_dim2(v.components):
-            raise FoliationError("singular locus is not isolated at the origin")
+    if v.dim() == 2 and not assume_isolated and milnor_number(v) == math.inf:
+        raise FoliationError("singular locus is not isolated at the origin")
     for chart in blowup.blowup_charts(v.dim()):
         sat = blowup.transform_vector_field(v, chart)
         if not sat.exceptional_invariant:

@@ -213,3 +213,26 @@ def test_classify_huge_real_eigenvalue_ratio(monkeypatch):
     doc = json.loads(out)["result"]
     assert doc["eigenvalues"]["values"] == ["1", "1000000000000000000117"]
     assert doc["simple_status"]["detail"] == "another eigenvalue is a positive rational multiple of 1"
+
+
+def test_unit_times_radial_is_isolated_and_dicritical():
+    # (1 + x)(x, y): the shared factor 1 + x is a unit at 0, so the
+    # singularity is isolated, and the radial leading form makes it dicritical
+    code, out = run_cli(["resolve", "v = (x + x^2) d/dx + (y + x*y) d/dy"])
+    assert code == 0
+    tower = json.loads(out)["result"]
+    assert tower["status"] == "complete" and tower["blowups"] == 1
+    code, out = run_cli(["classify", "v = (x + x^2) d/dx + (y + x*y) d/dy"])
+    assert code == 0 and json.loads(out)["result"]["dicritical"] is True
+
+
+def test_shared_branch_through_origin_is_rejected(capsys):
+    # x (y, y^2): the branch x = 0 through 0 is singular
+    assert cli.main(["resolve", "v = (x*y) d/dx + (x*y^2) d/dy"]) == 1
+    assert "root singular locus is a curve" in capsys.readouterr().err
+
+
+def test_undeclarable_fprime_zero_is_a_parse_error(capsys):
+    argv = ["nevanlinna", "f(t) = (t, -t) zeros: fprime at 0", "--check", "T", "--radii", "2:4:2"]
+    assert cli.main(argv) == 1
+    assert "does not vanish" in capsys.readouterr().err

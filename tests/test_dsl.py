@@ -65,6 +65,20 @@ def test_curve_examples():
     assert c.declared_zeros["f1"][0][0] == GaussRat(Fraction(1, 2))
 
 
+def test_fprime_order_is_the_least_component_order():
+    # f' = (1, -1) never vanishes, though the sum of its components does
+    with pytest.raises(ParseError, match="does not vanish"):
+        parse_curve("f(t) = (t, -t) zeros: fprime at 0")
+    # f' = (2t, -1) never vanishes, though its first component does at 0
+    with pytest.raises(ParseError, match="does not vanish"):
+        parse_curve("f(t) = (t^2, 1 - t) zeros: fprime at 1/2")
+    # a component with identically zero derivative does not count
+    assert parse_curve("f(t) = (t^3, 1) zeros: fprime at 0").declared_zeros["fprime"] == [(GaussRat(0), 2)]
+    assert parse_curve("f(t) = (t^2, t^3) zeros: fprime at 0").declared_zeros["fprime"] == [(GaussRat(0), 1)]
+    with pytest.raises(ParseError, match="identically"):
+        parse_curve("f(t) = (1, 2) zeros: fprime at 0")
+
+
 @pytest.mark.filterwarnings("error")
 def test_zeroth_power_is_one_at_a_zero_of_its_base():
     comp = parse_curve("f(t) = ((exp(t) - 1)^0)").components[0]

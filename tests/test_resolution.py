@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly
@@ -12,6 +14,7 @@ from foliationlab.resolution import (
     seidenberg_reduce,
     weakly_reduced_check,
 )
+from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
 from foliationlab import classify, linalg, unipoly
 
@@ -248,3 +251,37 @@ def test_terminal_germ_has_one_char_poly(monkeypatch):
                   resolve_simple(germ(X, Y), LogDivisor({0}), 0)):
         assert tower.pending and not tower.terminals
     assert calls["gaussian_rational_roots"] == 0
+
+
+def _verdicts(v):
+    """What `classify` and `resolve` decide about a dim-2 germ."""
+    try:
+        rep = classify.singularity_report(v)
+        tower = seidenberg_reduce(v, max_depth=4)
+    except NonIsolatedSingularLocus as exc:
+        return "non-isolated", str(exc)
+    term = [(t.reduced, t.dicritical, t.surface_type and t.surface_type.kind) for t in tower.terminals]
+    return (rep.multiplicity, rep.reduced, rep.dicritical, rep.surface_type.kind,
+            tower.status, len(tower.events), sorted(term, key=str))
+
+
+def _poly_strategy(top, low=0):
+    exps = [(i, j) for i in range(top + 1) for j in range(top + 1 - i) if i + j >= low]
+    coeff = st.builds(GaussRat, st.integers(-2, 2), st.integers(-1, 1))
+    return st.dictionaries(st.sampled_from(exps), coeff, max_size=3).map(lambda d: MVPoly(VARS, d))
+
+
+# corpus germs are isolated; random singular ones are often not
+_singular_germs = st.one_of(
+    st.sampled_from(seidenberg_corpus()),
+    st.builds(germ, _poly_strategy(3, low=1), _poly_strategy(3, low=1)).filter(
+        lambda v: not all(c.is_zero() for c in v.components)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_singular_germs, st.sampled_from([1, -1, 2, GaussRat(0, 1), GaussRat(1, 1)]), _poly_strategy(2, low=1))
+def test_unit_factor_keeps_verdicts(v, c, rest):
+    # u(0) = c != 0: u v and v define the same foliation germ at 0
+    u = rest + MVPoly.const(VARS, c)
+    assert _verdicts(germ(*(comp * u for comp in v.components))) == _verdicts(v)
