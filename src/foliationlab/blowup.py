@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .gaussrat import GaussRat
-from .mvpoly import MVPoly
+from .mvpoly import MVPoly, chart_transform
 from .foliation import (
     LogDivisor,
     VectorFieldGerm,
@@ -121,29 +121,16 @@ def transform_vector_field(
     The pole-cleared components are P_j = u * (a_j o sigma) and
     P_i = a_i o sigma - w_i * (a_j o sigma); for a singular center these are
     all divisible by u and raw = P / u is the actual pushforward.  The
-    saturated field divides out the remaining common power u^s."""
+    saturated field divides out the remaining common power u^s.  The
+    numerator kernel is `mvpoly.chart_transform`."""
     j = chart.index
-    n = chart.n
-    if v.dim() != n:
+    if v.dim() != chart.n:
         raise ValueError("chart dimension mismatch")
-    aj = chart.substitute(v.components[j])
-    cleared: list[MVPoly] = []
-    for i in range(n):
-        if i == j:
-            p = aj * MVPoly.var(v.variables, v.variables[j])
-        else:
-            ai = chart.substitute(v.components[i])
-            p = ai - MVPoly.var(v.variables, v.variables[i]) * aj
-        cleared.append(p)
-    vals = [p.min_exponent_in(j) for p in cleared]
-    c = min(vals)
-    if c is math.inf:
+    s, raw, saturated = chart_transform(v.components, j)
+    if s == math.inf:
         raise ValueError("cannot blow up the zero field")
-    c = int(c)
-    drop = min(1, c)
-    raw = VectorFieldGerm(v.variables, [p.divide_by_var_power(j, drop) for p in cleared])
-    s = c - drop
-    saturated = VectorFieldGerm(v.variables, [p.divide_by_var_power(j, s) for p in raw.components])
+    raw = VectorFieldGerm(v.variables, raw)
+    saturated = VectorFieldGerm(v.variables, saturated)
     e_invariant = divisor_invariance_check(saturated, [j])
     axes = {}
     if divisor is not None:

@@ -8,9 +8,10 @@ float approximations of the spectrum.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
-from .gaussrat import ZERO, GaussRat
+from .gaussrat import GaussRat, _abd_of, _gauss
 from . import unipoly
 
 Matrix = tuple[tuple[GaussRat, ...], ...]
@@ -27,14 +28,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_scale(a: Matrix, c: GaussRat) -> Matrix:
     return tuple(tuple(x * c for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), ZERO) for j in range(p))
-        for i in range(n)
-    )
 
 
 def _rref(rows: list[list[GaussRat]]) -> tuple[list[list[GaussRat]], list[int]]:
@@ -71,30 +64,6 @@ def rank(a: Matrix) -> int:
         return 0
     _, pivots = _rref([list(r) for r in a])
     return len(pivots)
-
-
-def det(a: Matrix) -> GaussRat:
-    n = len(a)
-    rows = [list(r) for r in a]
-    out = GaussRat(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return GaussRat(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            out = -out
-        out = out * rows[c][c]
-        inv = GaussRat(1) / rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            if not f.is_zero():
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out
 
 
 def solve(a: Matrix, b: Sequence[GaussRat]) -> Vector | None:
@@ -143,24 +112,57 @@ def inverse(a: Matrix) -> Matrix | None:
 def char_poly(a: Matrix) -> list[GaussRat]:
     """Characteristic polynomial det(tI - A), ascending coefficients: the
     closed form t^2 - tr t + det for n <= 2, the Faddeev-LeVerrier
-    recursion (exact; divisions by integers only) beyond."""
+    recursion beyond.  That recursion runs on the Gaussian-integer matrix
+    B = D*A, D the lcm of the entry denominators: every matrix it forms
+    and every coefficient c_k(B) lies in Z[i], so its division by k is
+    exact, and c_k(A) = c_k(B) / D^k."""
     n = len(a)
     if n == 1:
         return [-a[0][0], GaussRat(1)]
     if n == 2:
         return [a[0][0] * a[1][1] - a[0][1] * a[1][0], -(a[0][0] + a[1][1]), GaussRat(1)]
+    abd = [[_abd_of(x) for x in row] for row in a]
+    d = 1
+    for row in abd:
+        for _, _, q in row:
+            if q != d:
+                d = lcm(d, q)
+    b = [[(x * (d // q), y * (d // q)) for x, y, q in row] for row in abd]
     descending = [GaussRat(1)]
-    m = identity(n)
+    scale = 1
+    m = None  # M_k of the recursion; M_1 = I, so B M_1 = B
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        tr = sum((am[i][i] for i in range(n)), ZERO)
-        ck = -(tr / k)
-        descending.append(ck)
-        m = tuple(
-            tuple(am[i][j] + ck if i == j else am[i][j] for j in range(n))
-            for i in range(n)
-        )
+        if k < n:
+            bm = b if m is None else _zi_mat_mul(b, m)
+            tr_re, tr_im = sum(bm[i][i][0] for i in range(n)), sum(bm[i][i][1] for i in range(n))
+        else:  # the last step needs only the trace of B M_n
+            tr_re = tr_im = 0
+            for i in range(n):
+                for (x, y), (u, w) in zip(b[i], (row[i] for row in m)):
+                    tr_re += x * u - y * w
+                    tr_im += x * w + y * u
+        cr, ci = -tr_re // k, -tr_im // k
+        scale *= d
+        descending.append(_gauss(cr, ci, scale))
+        if k < n:
+            m = [[(x + cr, y + ci) if i == j else (x, y) for j, (x, y) in enumerate(row)] for i, row in enumerate(bm)]
     return descending[::-1]
+
+
+def _zi_mat_mul(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
+    """Product of square matrices of Gaussian-integer pairs (re, im)."""
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            re = im = 0
+            for (x, y), (u, w) in zip(row, col):
+                re += x * u - y * w
+                im += x * w + y * u
+            out_row.append((re, im))
+        out.append(out_row)
+    return out
 
 
 class Indeterminate:

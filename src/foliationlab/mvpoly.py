@@ -354,7 +354,7 @@ class MVPoly:
             return self
         if not self.divisible_by_var(i, k):
             raise ValueError("not divisible by %s^%d" % (self.variables[i], k))
-        return _poly(self.variables, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self.num.items()}, self.den)
+        return _shift_down(self, i, k)
 
     def derivative(self, i: int) -> "MVPoly":
         num = {e[:i] + (e[i] - 1,) + e[i + 1:]: (a * e[i], b * e[i]) for e, (a, b) in self.num.items() if e[i]}
@@ -393,6 +393,61 @@ _new = object.__new__
 _set_variables = MVPoly.variables.__set__
 _set_num = MVPoly.num.__set__
 _set_den = MVPoly.den.__set__
+
+
+def chart_transform(components: Sequence[MVPoly], j: int) -> tuple[int | float, list[MVPoly], list[MVPoly]]:
+    """Pullback of the vector field sum a_i d/dz_i to chart j of the point
+    blow-up (z_j = u, z_i = u*w_i), as (s, raw, saturated).
+
+    The chart map sends exponent e to e with e_j replaced by |e|; it is
+    injective, so a_j o sigma is a_j's numerators under new exponents.  The
+    pole-cleared components P_j = u*(a_j o sigma) and
+    P_i = a_i o sigma - w_i*(a_j o sigma) are built in one pass, P_i over
+    lcm(den_i, den_j).  With c their least exponent in u, raw = P/u^min(1, c)
+    and saturated = P/u^c, so s = c - min(1, c); the zero field has s = inf
+    and zero components."""
+    variables = components[0].variables
+    aj = components[j]
+    dj = aj.den
+    sigma_j = [(e[:j] + (sum(e),) + e[j + 1:], re, im) for e, (re, im) in aj.num.items()]
+    cleared: list[MVPoly] = []
+    for i, ai in enumerate(components):
+        if i == j:
+            cleared.append(_poly(variables, {e[:j] + (e[j] + 1,) + e[j + 1:]: (re, im) for e, re, im in sigma_j}, dj))
+            continue
+        di = ai.den
+        den = di if di == dj else lcm(di, dj)
+        si, sj = den // di, -(den // dj)
+        out = {e[:j] + (sum(e),) + e[j + 1:]: (re * si, im * si) for e, (re, im) in ai.num.items()}
+        for e, re, im in sigma_j:
+            e = e[:i] + (e[i] + 1,) + e[i + 1:]
+            old = out.get(e)
+            if old is None:
+                out[e] = (re * sj, im * sj)
+                continue
+            re, im = old[0] + re * sj, old[1] + im * sj
+            if re or im:
+                out[e] = (re, im)
+            else:
+                del out[e]
+        cleared.append(_normal(variables, out, den))
+    c = min((e[j] for p in cleared for e in p.num), default=inf)
+    if c == inf:
+        return inf, cleared, cleared
+    drop = min(1, c)
+    raw, saturated = [], []
+    for p in cleared:
+        r = _shift_down(p, j, drop)
+        raw.append(r)
+        saturated.append(r if c == drop else _shift_down(p, j, c))
+    return c - drop, raw, saturated
+
+
+def _shift_down(p: MVPoly, i: int, k: int) -> MVPoly:
+    """p / z_i^k for p divisible by z_i^k."""
+    if k == 0:
+        return p
+    return _poly(p.variables, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in p.num.items()}, p.den)
 
 
 def linear_part_matrix(components: Sequence[MVPoly]) -> tuple[tuple[GaussRat, ...], ...]:

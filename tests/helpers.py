@@ -1,22 +1,60 @@
 """Fixtures shared by the test modules: the Jordan-form stability fixtures,
-the Jensen corpus, the towers of the seeded corpora, and a matrix literal
-helper."""
+the Jensen corpus, the towers of the seeded corpora, matrix helpers, and
+the ring-operation blow-up chart transform that the one-pass kernel is
+checked against."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
 from foliationlab import unipoly
+from foliationlab.blowup import BlowupChart, SaturatedTransform
 from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_polynomial
-from foliationlab.foliation import LogDivisor, VectorFieldGerm
-from foliationlab.gaussrat import GaussRat
+from foliationlab.foliation import LogDivisor, VectorFieldGerm, divisor_invariance_check, exceptional_tag
+from foliationlab.gaussrat import ZERO, GaussRat
+from foliationlab.mvpoly import MVPoly
 from foliationlab.resolution import seidenberg_reduce
 
 
 def mat(rows):
     """Matrix literal: a tuple of GaussRat rows from ints, Fractions or GaussRats."""
     return tuple(tuple(GaussRat.coerce(x) for x in row) for row in rows)
+
+
+def mat_mul(a, b):
+    """Matrix product over Q(i)."""
+    n, m, p = len(a), len(b), len(b[0])
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(m)), ZERO) for j in range(p))
+        for i in range(n)
+    )
+
+
+def det(a) -> GaussRat:
+    """Determinant by Gaussian elimination over Q(i)."""
+    n = len(a)
+    rows = [list(r) for r in a]
+    out = GaussRat(1)
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if not rows[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            return GaussRat(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            out = -out
+        out = out * rows[c][c]
+        inv = GaussRat(1) / rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] * inv
+            if not f.is_zero():
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out
 
 
 @functools.cache
@@ -134,3 +172,37 @@ def jensen_corpus() -> list[tuple[list[GaussRat], list[tuple[GaussRat, int]]]]:
             counted[z] = counted.get(z, 0) + 1
         corpus.append((coeffs, sorted(counted.items(), key=lambda kv: str(kv[0]))))
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# Blow-up chart transform by ring operations
+
+
+def reference_transform(v: VectorFieldGerm, chart: BlowupChart, divisor: LogDivisor | None = None,
+                        level: int = 1) -> SaturatedTransform:
+    """`transform_vector_field` by chart substitution and MVPoly ring
+    operations: the pole-cleared components P_j = u*(a_j o sigma) and
+    P_i = a_i o sigma - w_i*(a_j o sigma) are divided by u^min(1, c) (raw)
+    and by u^c (saturated), c their least exponent in u."""
+    j, n = chart.index, chart.n
+    if v.dim() != n:
+        raise ValueError("chart dimension mismatch")
+    aj = chart.substitute(v.components[j])
+    cleared = []
+    for i in range(n):
+        if i == j:
+            p = aj * MVPoly.var(v.variables, v.variables[j])
+        else:
+            p = chart.substitute(v.components[i]) - MVPoly.var(v.variables, v.variables[i]) * aj
+        cleared.append(p)
+    c = min(p.min_exponent_in(j) for p in cleared)
+    if c == math.inf:
+        raise ValueError("cannot blow up the zero field")
+    drop = min(1, c)
+    raw = VectorFieldGerm(v.variables, [p.divide_by_var_power(j, drop) for p in cleared])
+    saturated = VectorFieldGerm(v.variables, [p.divide_by_var_power(j, c - drop) for p in raw.components])
+    e_invariant = divisor_invariance_check(saturated, [j])
+    axes = {a: divisor.history[a] for a in divisor.axes if a != j} if divisor is not None else {}
+    if e_invariant:
+        axes[j] = exceptional_tag(level)
+    return SaturatedTransform(chart, raw, c - drop, saturated, LogDivisor(axes.keys(), axes), e_invariant)

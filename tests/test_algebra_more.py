@@ -24,7 +24,7 @@ from foliationlab.monomial import (
     simplex_min,
 )
 
-from helpers import mat
+from helpers import det, mat, mat_mul
 
 
 def test_series_arithmetic_and_truncation():
@@ -91,7 +91,7 @@ def test_solve_and_kernel():
     assert linalg.solve(m, [GaussRat(1), GaussRat(3)]) is None
     assert len(linalg.kernel_basis(m)) == 1
     assert linalg.rank(m) == 1
-    assert linalg.det(m).is_zero()
+    assert det(m).is_zero()
     inv = linalg.inverse(mat([[1, 1], [0, 1]]))
     assert inv == mat([[1, -1], [0, 1]])
 
@@ -116,14 +116,39 @@ def test_eigenvalues_reproduce_char_poly(m):
     assert prod == unipoly.trim(cp)
 
 
-def _square_matrices():
-    coeff = st.builds(GaussRat, st.fractions(-9, 9, max_denominator=6), st.integers(-4, 4))
-    return st.integers(2, 4).flatmap(
-        lambda n: st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=n, max_size=n)
-    ).map(lambda rows: tuple(tuple(r) for r in rows))
+_BIG_PARTS = (2**64 + 13, -(3**41), 2**65 - 1)  # past 2^64
+
+
+@st.composite
+def _square_matrices(draw):
+    """Square matrices of size 2-6 over Q(i) with denominators from
+    {1, 2, 3, 5, 7} and up to two entries past 2^64, so that the
+    Faddeev-LeVerrier path scales by D^k and divides by k on large
+    integers."""
+    n = draw(st.integers(2, 6))
+    part, den = st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7])
+    entry = st.builds(lambda a, b, d, e: GaussRat(Fraction(a, d), Fraction(b, e)), part, part, den, den)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        big = draw(st.sampled_from(_BIG_PARTS))
+        rows[i][j] = rows[i][j] + (GaussRat(0, big) if draw(st.booleans()) else GaussRat(big))
+    return tuple(tuple(r) for r in rows)
+
+
+def _wide_matrix():
+    """Six by six, every denominator of `_square_matrices`, one real and one
+    imaginary part past 2^64."""
+    dens = (1, 2, 3, 5, 7)
+    rows = [[GaussRat(Fraction(i - j, dens[(i + 2 * j) % 5]), Fraction(i * j % 3 - 1, dens[(i + j) % 5]))
+             for j in range(6)] for i in range(6)]
+    rows[1][4] += 2**64 + 13
+    rows[5][0] += GaussRat(0, -(3**41))
+    return tuple(map(tuple, rows))
 
 
 @given(_square_matrices())
+@example(_wide_matrix())
 @settings(max_examples=40, deadline=None)
 def test_char_poly_cayley_hamilton(m):
     n = len(m)
@@ -131,12 +156,13 @@ def test_char_poly_cayley_hamilton(m):
     assert len(cp) == n + 1 and cp[n] == 1
     total, power = linalg.mat_scale(linalg.identity(n), cp[0]), linalg.identity(n)
     for c in cp[1:]:
-        power = linalg.mat_mul(power, m)
+        power = mat_mul(power, m)
         total = tuple(tuple(x + c * y for x, y in zip(rt, rp)) for rt, rp in zip(total, power))
     assert all(x.is_zero() for row in total for x in row)
 
 
 @given(_square_matrices())
+@example(_wide_matrix())
 @settings(max_examples=25, deadline=None)
 def test_char_poly_matches_sympy(m):
     sympy = pytest.importorskip("sympy")

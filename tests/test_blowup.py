@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly
@@ -24,7 +26,7 @@ from foliationlab import unipoly
 from foliationlab.corpus import oneform_corpus, seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
 
-from helpers import jordan_fixtures, seeded_towers
+from helpers import jordan_fixtures, reference_transform, seeded_towers
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -205,6 +207,73 @@ def test_effectivity_count_examples():
     assert ceil_nth_root(9, 3) == 3
     assert ceil_nth_root(64, 2) == 8
     assert ceil_nth_root(65, 2) == 9
+
+
+@st.composite
+def _fields(draw):
+    """(v, divisor, level) in dims 2-4, each component over its own
+    denominators.  Shapes: "any" (constant terms make non-singular centers,
+    empty components zero ones), "dicritical" (g * radial + terms of degree
+    >= 3 with g(0) != 0, so s > 0) and "zero" (the zero field)."""
+    n = draw(st.integers(2, 4))
+    names = ("x", "y", "z", "w")[:n]
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 3)
+    high = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 3 <= sum(e) <= 4)
+
+    def poly(exps, max_size):
+        den = draw(st.sampled_from([1, 2, 3, 4, 6, 9]))
+        part = st.integers(-4, 4)
+        coeff = st.builds(lambda a, b, d: GaussRat(Fraction(a, den * d), Fraction(b, den)), part, part,
+                          st.sampled_from([1, 2, 5]))
+        return MVPoly(names, draw(st.dictionaries(exps, coeff, max_size=max_size)))
+
+    shape = draw(st.sampled_from(["any", "any", "dicritical", "zero"]))
+    if shape == "zero":
+        comps = [MVPoly.zero(names)] * n
+    elif shape == "dicritical":
+        g = poly(exps.filter(any), 2) + draw(st.sampled_from([1, -2, GaussRat(1, 1), GaussRat(Fraction(1, 3))]))
+        comps = [g * MVPoly.var(names, x) + poly(high, 2) for x in names]
+    else:
+        comps = [poly(exps, 3) for _ in names]
+    divisor = LogDivisor(draw(st.sets(st.integers(0, n - 1))))
+    return VectorFieldGerm(names, comps), draw(st.none() | st.just(divisor)), draw(st.integers(1, 3))
+
+
+VARS3 = ("x", "y", "z")
+X3, Y3, Z3 = (MVPoly.var(VARS3, name) for name in VARS3)
+ZERO3 = MVPoly.zero(VARS3)
+
+
+@given(_fields())
+@example((VectorFieldGerm(VARS3, [X3 + 1, Y3 * Fraction(1, 2), ZERO3]), None, 1))  # non-singular: drop = 0
+@example((VectorFieldGerm(VARS3, [X3 * Fraction(1, 3), Y3 * Fraction(1, 3), Z3 * Fraction(1, 3) + X3**3]),
+          LogDivisor({1}), 2))  # dicritical: s = 1
+@example((VectorFieldGerm(VARS3, [ZERO3] * 3), None, 1))
+@settings(max_examples=150, deadline=None)
+def test_transform_matches_ring_operations(case):
+    """The one-pass chart transform against substitution plus MVPoly ring
+    operations, chart by chart."""
+    v, divisor, level = case
+    for chart in blowup_charts(v.dim()):
+        try:
+            want = reference_transform(v, chart, divisor, level)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                transform_vector_field(v, chart, divisor, level)
+            continue
+        got = transform_vector_field(v, chart, divisor, level)
+        for field in ("raw_field", "saturated_field"):
+            assert [(p.den, p.num) for p in getattr(got, field).components] == \
+                [(p.den, p.num) for p in getattr(want, field).components]
+        assert got.saturation_exponent == want.saturation_exponent
+        assert got.divisor == want.divisor
+        assert got.exceptional_invariant == want.exceptional_invariant
+        assert got == want
+
+
+def test_transform_chart_dimension_mismatch():
+    with pytest.raises(ValueError, match="chart dimension mismatch"):
+        transform_vector_field(VectorFieldGerm(VARS3, [X3, Y3, Z3]), BlowupChart(2, 1))
 
 
 def test_singular_points_on_E_dedupe():
