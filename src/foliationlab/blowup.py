@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .gaussrat import GaussRat
-from .mvpoly import MVPoly, chart_transform
+from .mvpoly import MVPoly, chart_exponent, chart_pullback, chart_transform
 from .foliation import (
     LogDivisor,
     VectorFieldGerm,
@@ -53,20 +53,11 @@ class BlowupChart:
     def __setattr__(self, name, value):
         raise AttributeError("BlowupChart is immutable")
 
-    def exponent_images(self) -> list[tuple[int, ...]]:
-        """Exponent image of each ambient variable under the substitution."""
-        j, n = self.index, self.n
-        images = []
-        for i in range(n):
-            e = [0] * n
-            e[j] += 1
-            if i != j:
-                e[i] += 1
-            images.append(tuple(e))
-        return images
-
     def substitute(self, p: MVPoly) -> MVPoly:
-        return p.subs_exponents(self.exponent_images())
+        """p o sigma, p a polynomial in the n ambient variables."""
+        if p.nvars() != self.n:
+            raise ValueError("chart dimension mismatch")
+        return chart_pullback(p, self.index)
 
     def point_to_ambient(self, point: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
         j = self.index
@@ -186,23 +177,21 @@ def pullback_one_form(b: Sequence[MVPoly], chart: BlowupChart) -> OneFormPullbac
     return OneFormPullback(chart=chart, dlog_coeff=q_log, dw_coeffs=q_dw, certified=True)
 
 
-def pullback_polynomial(p: MVPoly, chart_path: Sequence[int]) -> MVPoly:
-    n = p.nvars()
-    out = p
-    for j in chart_path:
-        out = BlowupChart(n, j).substitute(out)
-    return out
-
-
 def exceptional_multiplicity(p: MVPoly, chart_path: Sequence[int]) -> int:
     """Vanishing order of the full pullback of p along the exceptional
-    divisor of the last blow-up in the chart path."""
+    divisor of the last blow-up in the chart path: the least exponent of
+    the last chart's u over the exponents of p mapped along the path."""
     if p.is_zero():
         raise ValueError("zero polynomial has no exceptional multiplicity")
     if not chart_path:
         raise ValueError("empty chart path")
-    out = pullback_polynomial(p, chart_path)
-    return int(out.min_exponent_in(chart_path[-1]))
+    for j in chart_path:
+        BlowupChart(p.nvars(), j)  # raises on dimension < 2 or an index out of range
+    *path, last = chart_path
+    exps = list(p.num)
+    for j in path:
+        exps = [chart_exponent(e, j) for e in exps]
+    return min(chart_exponent(e, last)[last] for e in exps)
 
 
 # -- diophantine effectivity count ---------------------------------------------
@@ -302,7 +291,7 @@ def _eigendirection_loci(center: VectorFieldGerm) -> list[ELocus] | None:
                        notes=["eigenvalues outside Q(i); direction enumeration incomplete"]) for _ in range(n)]
     loci = [ELocus(points=[]) for _ in range(n)]
     for lam in dict.fromkeys(ev):
-        basis = linalg.kernel_basis(linalg.mat_sub(linear, linalg.mat_scale(linalg.identity(n), lam)))
+        basis = linalg.eigenspace(linear, lam)
         if len(basis) >= 2:
             return [ELocus(points=[], complete=False, non_isolated=True,
                            notes=["eigenspace of dimension >= 2: positive-dimensional eigendirection set"])

@@ -18,18 +18,6 @@ Matrix = tuple[tuple[GaussRat, ...], ...]
 Vector = tuple[GaussRat, ...]
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(GaussRat(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, c: GaussRat) -> Matrix:
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
 def _rref(rows: list[list[GaussRat]]) -> tuple[list[list[GaussRat]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     rows = [list(r) for r in rows]
@@ -206,8 +194,11 @@ def eigenvalues_of_char_poly(cp: list[GaussRat]) -> list[GaussRat] | Indetermina
     return Indeterminate(cp, _approx_roots(cp))
 
 
+def eigenspace(a: Matrix, lam: GaussRat) -> list[Vector]:
+    """Kernel basis of A - lam*I, with lam subtracted on the diagonal only."""
+    return kernel_basis(tuple(tuple(x - lam if i == k else x for k, x in enumerate(row)) for i, row in enumerate(a)))
+
+
 def eigenvector(a: Matrix, lam: GaussRat) -> Vector | None:
-    n = len(a)
-    shifted = mat_sub(a, mat_scale(identity(n), lam))
-    basis = kernel_basis(shifted)
+    basis = eigenspace(a, lam)
     return basis[0] if basis else None

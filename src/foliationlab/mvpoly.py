@@ -296,22 +296,6 @@ class MVPoly:
                 _accumulate(out, e, a * x - b * y, a * y + b * x)
         return _normal(target, _nonzero(out), self.den * den)
 
-    def subs_exponents(self, exp_images: Sequence[Exponent]) -> "MVPoly":
-        """Monomial substitution: variable i maps to the monomial with
-        exponent vector exp_images[i] (unit coefficient).  Used for blow-up
-        charts, where it is exact and fast."""
-        m = len(self.variables)
-        out: Numerators = {}
-        for exp, (a, b) in self.num.items():
-            new = [0] * m
-            for i, e in enumerate(exp):
-                if e:
-                    img = exp_images[i]
-                    for j in range(m):
-                        new[j] += e * img[j]
-            _accumulate(out, tuple(new), a, b)
-        return _normal(self.variables, _nonzero(out), self.den)
-
     def translate(self, point: Sequence[GaussRat]) -> "MVPoly":
         """Compose with z -> z + point: one exact Taylor shift per variable.
         With p = P/q and M the degree in z, z^k maps to
@@ -395,13 +379,27 @@ _set_num = MVPoly.num.__set__
 _set_den = MVPoly.den.__set__
 
 
+def chart_exponent(e: Exponent, j: int) -> Exponent:
+    """Chart j of the point blow-up (z_j = u, z_i = u*w_i) sends the
+    monomial z^e to u^|e| * prod_{i != j} w_i^e_i: e with e_j replaced by
+    |e|.  The map is injective."""
+    return e[:j] + (sum(e),) + e[j + 1:]
+
+
+def chart_pullback(p: MVPoly, j: int) -> MVPoly:
+    """p o sigma for chart j: p's numerators under `chart_exponent`, which
+    merges no terms, so the result is canonical as it stands."""
+    if not 0 <= j < len(p.variables):
+        raise ValueError("chart dimension mismatch")
+    return _poly(p.variables, {chart_exponent(e, j): c for e, c in p.num.items()}, p.den)
+
+
 def chart_transform(components: Sequence[MVPoly], j: int) -> tuple[int | float, list[MVPoly], list[MVPoly]]:
     """Pullback of the vector field sum a_i d/dz_i to chart j of the point
     blow-up (z_j = u, z_i = u*w_i), as (s, raw, saturated).
 
-    The chart map sends exponent e to e with e_j replaced by |e|; it is
-    injective, so a_j o sigma is a_j's numerators under new exponents.  The
-    pole-cleared components P_j = u*(a_j o sigma) and
+    By `chart_exponent`, a_j o sigma is a_j's numerators under new
+    exponents.  The pole-cleared components P_j = u*(a_j o sigma) and
     P_i = a_i o sigma - w_i*(a_j o sigma) are built in one pass, P_i over
     lcm(den_i, den_j).  With c their least exponent in u, raw = P/u^min(1, c)
     and saturated = P/u^c, so s = c - min(1, c); the zero field has s = inf
@@ -409,7 +407,7 @@ def chart_transform(components: Sequence[MVPoly], j: int) -> tuple[int | float, 
     variables = components[0].variables
     aj = components[j]
     dj = aj.den
-    sigma_j = [(e[:j] + (sum(e),) + e[j + 1:], re, im) for e, (re, im) in aj.num.items()]
+    sigma_j = [(chart_exponent(e, j), re, im) for e, (re, im) in aj.num.items()]
     cleared: list[MVPoly] = []
     for i, ai in enumerate(components):
         if i == j:
@@ -418,7 +416,7 @@ def chart_transform(components: Sequence[MVPoly], j: int) -> tuple[int | float, 
         di = ai.den
         den = di if di == dj else lcm(di, dj)
         si, sj = den // di, -(den // dj)
-        out = {e[:j] + (sum(e),) + e[j + 1:]: (re * si, im * si) for e, (re, im) in ai.num.items()}
+        out = {chart_exponent(e, j): (re * si, im * si) for e, (re, im) in ai.num.items()}
         for e, re, im in sigma_j:
             e = e[:i] + (e[i] + 1,) + e[i + 1:]
             old = out.get(e)

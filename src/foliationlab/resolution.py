@@ -32,6 +32,7 @@ from .foliation import (
     translate_to_point,
 )
 from .monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
+from .mvpoly import chart_exponent
 from . import blowup, classify, unipoly
 
 
@@ -461,15 +462,7 @@ def discrepancy_log_resolution(ideal: MonomialIdeal, germ: VectorFieldGerm | Non
         else:
             germ_singular = germ_here is not None
         for chart in blowup.blowup_charts(n):
-            images = chart.exponent_images()
-            new_gens = []
-            for g in node.gens:
-                e = [0] * n
-                for i, gi in enumerate(g):
-                    if gi:
-                        for t in range(n):
-                            e[t] += gi * images[i][t]
-                new_gens.append(tuple(e))
+            new_gens = [chart_exponent(g, chart.index) for g in node.gens]
             child_prov = list(node.provenance)
             child_prov[chart.index] = ("exc", new_id)
             child_path = (node.path + "/" if node.path else "") + "b%d.c%d" % (ev, chart.index + 1)

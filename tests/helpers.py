@@ -1,7 +1,7 @@
 """Fixtures shared by the test modules: the Jordan-form stability fixtures,
 the Jensen corpus, the towers of the seeded corpora, matrix helpers, and
-the ring-operation blow-up chart transform that the one-pass kernel is
-checked against."""
+the blow-up chart by ring homomorphism (its images and the chart transform)
+that the chart kernels are checked against."""
 
 import functools
 import math
@@ -21,6 +21,12 @@ from foliationlab.resolution import seidenberg_reduce
 def mat(rows):
     """Matrix literal: a tuple of GaussRat rows from ints, Fractions or GaussRats."""
     return tuple(tuple(GaussRat.coerce(x) for x in row) for row in rows)
+
+
+def scalar_matrix(n, c):
+    """c times the n x n identity matrix."""
+    c = GaussRat.coerce(c)
+    return tuple(tuple(c if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def mat_mul(a, b):
@@ -178,22 +184,31 @@ def jensen_corpus() -> list[tuple[list[GaussRat], list[tuple[GaussRat, int]]]]:
 # Blow-up chart transform by ring operations
 
 
+def chart_images(variables, j):
+    """Images of the ambient variables under chart j of the point blow-up,
+    z_j -> z_j and z_i -> z_j*z_i, as polynomials for `MVPoly.subs`."""
+    u = MVPoly.var(variables, variables[j])
+    return [u if i == j else u * MVPoly.var(variables, name) for i, name in enumerate(variables)]
+
+
 def reference_transform(v: VectorFieldGerm, chart: BlowupChart, divisor: LogDivisor | None = None,
                         level: int = 1) -> SaturatedTransform:
-    """`transform_vector_field` by chart substitution and MVPoly ring
-    operations: the pole-cleared components P_j = u*(a_j o sigma) and
+    """`transform_vector_field` by the ring homomorphism `MVPoly.subs` of
+    `chart_images` and MVPoly ring operations, sharing no code with the
+    chart map: the pole-cleared components P_j = u*(a_j o sigma) and
     P_i = a_i o sigma - w_i*(a_j o sigma) are divided by u^min(1, c) (raw)
     and by u^c (saturated), c their least exponent in u."""
     j, n = chart.index, chart.n
     if v.dim() != n:
         raise ValueError("chart dimension mismatch")
-    aj = chart.substitute(v.components[j])
+    images = chart_images(v.variables, j)
+    aj = v.components[j].subs(images)
     cleared = []
     for i in range(n):
         if i == j:
-            p = aj * MVPoly.var(v.variables, v.variables[j])
+            p = aj * images[j]
         else:
-            p = chart.substitute(v.components[i]) - MVPoly.var(v.variables, v.variables[i]) * aj
+            p = v.components[i].subs(images) - MVPoly.var(v.variables, v.variables[i]) * aj
         cleared.append(p)
     c = min(p.min_exponent_in(j) for p in cleared)
     if c == math.inf:

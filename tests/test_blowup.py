@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
-from foliationlab.mvpoly import MVPoly
+from foliationlab.mvpoly import MVPoly, chart_pullback
 from foliationlab.classify import algebraic_multiplicity, is_dicritical
 from foliationlab.foliation import LogDivisor, VectorFieldGerm, is_singular_at_origin, milnor_number, translate_to_point
 from foliationlab.blowup import (
@@ -26,7 +26,7 @@ from foliationlab import unipoly
 from foliationlab.corpus import oneform_corpus, seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
 
-from helpers import jordan_fixtures, reference_transform, seeded_towers
+from helpers import chart_images, jordan_fixtures, reference_transform, seeded_towers
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -274,6 +274,49 @@ def test_transform_matches_ring_operations(case):
 def test_transform_chart_dimension_mismatch():
     with pytest.raises(ValueError, match="chart dimension mismatch"):
         transform_vector_field(VectorFieldGerm(VARS3, [X3, Y3, Z3]), BlowupChart(2, 1))
+
+
+def test_chart_substitution_dimension_mismatch():
+    """A chart of another dimension than the polynomial's ring is refused,
+    not applied to the wrong variables or left to fail on an index."""
+    for chart, p in ((BlowupChart(3, 2), X * Y), (BlowupChart(2, 0), X3)):
+        with pytest.raises(ValueError, match="chart dimension mismatch"):
+            chart.substitute(p)
+    for j in (2, -1):
+        with pytest.raises(ValueError, match="chart dimension mismatch"):
+            chart_pullback(X * Y, j)
+    for p, path, message in ((MVPoly.zero(VARS), [0], "zero polynomial"), (Y, [], "empty chart path"),
+                             (Y, [0, 2], "chart index out of range"),
+                             (MVPoly.var(("x",), "x"), [0], "ambient dimension >= 2")):
+        with pytest.raises(ValueError, match=message):
+            exceptional_multiplicity(p, path)
+
+
+@st.composite
+def _polys_and_chart_paths(draw):
+    """A nonzero polynomial in 2-4 variables with coefficients over mixed
+    denominators, and a chart path of length 1-4."""
+    n = draw(st.integers(2, 4))
+    variables = ("x", "y", "z", "w")[:n]
+    part, den = st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7])
+    coeff = st.builds(lambda a, b, d, e: GaussRat(Fraction(a, d), Fraction(b, e)), part, part, den, den)
+    exps = st.tuples(*(st.integers(0, 3) for _ in range(n)))
+    terms = draw(st.dictionaries(exps, coeff.filter(lambda c: not c.is_zero()), min_size=1, max_size=5))
+    return MVPoly(variables, terms), draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+
+
+@given(_polys_and_chart_paths())
+@settings(max_examples=60, deadline=None)
+def test_chart_pullback_matches_substitution(case):
+    """The chart map on exponents agrees with the ring homomorphism of the
+    chart's images, and so does the exceptional multiplicity along a path."""
+    p, path = case
+    for j in range(p.nvars()):
+        assert chart_pullback(p, j) == p.subs(chart_images(p.variables, j))
+    q = p
+    for j in path:
+        q = q.subs(chart_images(p.variables, j))
+    assert exceptional_multiplicity(p, path) == q.min_exponent_in(path[-1])
 
 
 def test_singular_points_on_E_dedupe():

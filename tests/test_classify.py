@@ -31,7 +31,7 @@ from foliationlab.classify import (
 )
 from foliationlab.dsl import parse_vector_field
 
-from helpers import mat, seeded_towers
+from helpers import mat, scalar_matrix, seeded_towers
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -242,7 +242,7 @@ def test_seidenberg_terminal_dicritical_iff_scalar_linear_part():
         if not is_singular_at_origin(v) or algebraic_multiplicity(v) != 1:
             continue
         lp = v.linear_part()
-        scalar = lp == linalg.mat_scale(linalg.identity(2), lp[0][0])
+        scalar = lp == scalar_matrix(2, lp[0][0])
         assert is_dicritical(v, assume_isolated=True) == scalar
         if classify_reduced(v)[0]:
             assert (classify.seidenberg_terminal(v) == "reduced but dicritical") == scalar

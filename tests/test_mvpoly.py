@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import ONE, ZERO, GaussRat
-from foliationlab.mvpoly import MVPoly, linear_part_matrix
+from foliationlab.mvpoly import MVPoly, chart_pullback, linear_part_matrix
 
 VARS = ("x", "y")
 
@@ -65,8 +65,7 @@ def test_monomial_substitution_matches_general():
     x, y = MVPoly.var(VARS, "x"), MVPoly.var(VARS, "y")
     p = x**2 + 2 * x * y - y**3
     # blow-up chart substitution x -> x, y -> x*y
-    images_exp = [(1, 0), (1, 1)]
-    fast = p.subs_exponents(images_exp)
+    fast = chart_pullback(p, 0)
     slow = p.subs([x, x * y])
     assert fast == slow
 
@@ -176,8 +175,8 @@ def test_substitutions_match_oracle(rp, ra, rb, u, w):
     p = MVPoly(VARS, rp)
     check(p.subs([MVPoly(VARS, ra), MVPoly(VARS, rb)]), ref_subs(rp, [ra, rb]))
     check(p.translate([u, w]), ref_subs(rp, [{(1, 0): ONE, (0, 0): u}, {(0, 1): ONE, (0, 0): w}]))
-    chart = [(1, 0), (1, 1)]  # x -> x, y -> x*y
-    check(p.subs_exponents(chart), ref_subs(rp, [{(1, 0): ONE}, {(1, 1): ONE}]))
+    # chart 0 of the blow-up: x -> x, y -> x*y
+    check(chart_pullback(p, 0), ref_subs(rp, [{(1, 0): ONE}, {(1, 1): ONE}]))
     for i in (0, 1):
         unit = tuple(int(j == i) for j in range(2))
         check(p.derivative(i), {tuple(a - b for a, b in zip(e, unit)): c * e[i] for e, c in rp.items() if e[i]})
@@ -204,7 +203,7 @@ def test_operations_leave_operands_unchanged(rp, rq, c):
     p, q = MVPoly(VARS, rp), MVPoly(VARS, rq)
     before = [(dict(x.num), x.den) for x in (p, q)]
     for _ in (p + q, p - q, p * q, p * c, p**2, p.subs([q, p]), p.translate([c, c]), p.derivative(0),
-              p.set_vars_to_zero([1]), p.subs_exponents([(1, 0), (1, 1)]), -p):
+              p.set_vars_to_zero([1]), chart_pullback(p, 0), -p):
         pass
     assert [(dict(x.num), x.den) for x in (p, q)] == before
     for name in ("variables", "num", "den", "other"):
