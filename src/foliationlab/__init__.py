@@ -32,7 +32,6 @@ from .blowup import (
 from .classify import (
     SingularityReport,
     algebraic_multiplicity,
-    bounded_ais_probe,
     classify_reduced,
     classify_simple,
     is_dicritical,

@@ -2,9 +2,11 @@
 
 Covers algebraic multiplicity, the reduced test, the Seidenberg surface
 dichotomy (nondegenerate / degenerate of type k), simple points and
-corners relative to a log divisor, dicriticality, and a bounded probe of
-the absolutely-isolated condition.  Dicriticality is read from the tangent
-cone (the leading homogeneous part is radial) without blowing up.
+corners relative to a log divisor, and dicriticality, read from the
+tangent cone (the leading homogeneous part is radial) without blowing up.
+Nothing here blows up: in dim 2 an isolated singularity is absolutely
+isolated (Seidenberg 1968; Brunella, Birational Geometry of Foliations,
+ch. 1), and the dim >= 3 probe is a run of `resolution`'s tower driver.
 
 The report and the terminal tests of the blow-up towers (which return a
 terminal germ's report, or the reason the germ is not terminal) read every
@@ -33,9 +35,8 @@ from .foliation import (
     divisor_invariance_check,
     is_singular_at_origin,
     milnor_number,
-    translate_to_point,
 )
-from . import blowup, linalg, unipoly
+from . import linalg, unipoly
 
 
 class NonSingularPoint(FoliationError):
@@ -285,7 +286,7 @@ def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, char_poly) -> Simple
     return SIMPLE_B
 
 
-def is_dicritical(v: VectorFieldGerm, assume_isolated: bool = False) -> bool:
+def is_dicritical(v: VectorFieldGerm) -> bool:
     """Dicritical iff the exceptional divisor E of one blow-up is not
     invariant, read from the tangent cone without blowing up: iff the
     leading form a^(m) is radial, i.e. z_j a_i^(m) - z_i a_j^(m) = 0 for
@@ -301,7 +302,7 @@ def is_dicritical(v: VectorFieldGerm, assume_isolated: bool = False) -> bool:
     makes every bracket vanish, so the same case holds in every chart."""
     if not is_singular_at_origin(v):
         raise NonSingularPoint("germ is not singular at the origin")
-    if v.dim() == 2 and not assume_isolated and milnor_number(v) == math.inf:
+    if v.dim() == 2 and milnor_number(v) == math.inf:
         raise FoliationError("singular locus is not isolated at the origin")
     n = v.dim()
     if n < 2:
@@ -338,7 +339,7 @@ def singularity_report(v: VectorFieldGerm, divisor: LogDivisor | None = None) ->
         rep.notes.append("dicriticality unavailable: blow-up needs ambient dimension >= 2")
     else:
         try:
-            rep.dicritical = is_dicritical(v, assume_isolated=v.dim() > 2)
+            rep.dicritical = is_dicritical(v)
         except FoliationError as exc:
             rep.notes.append("dicriticality unavailable: %s" % exc)
     return rep
@@ -382,69 +383,3 @@ def simple_terminal(v: VectorFieldGerm, divisor: LogDivisor) -> SingularityRepor
     if v.dim() < 2:
         raise ValueError("blow-up needs ambient dimension >= 2")
     return _report(v, mult, lp, cp, why, status, False)
-
-
-# -- bounded absolutely-isolated probe -------------------------------------------
-
-
-@dataclass
-class ProbeResult:
-    status: str  # "all_levels_finite" | "non_isolated_found" | "depth_exceeded" | "unknown"
-    level: int | None = None
-    nodes_explored: int = 0
-    notes: list[str] = field(default_factory=list)
-
-
-PROBE_NODE_BUDGET = 2000
-
-
-def bounded_ais_probe(v: VectorFieldGerm, depth: int) -> ProbeResult:
-    """Explore the full blow-up tree at singular points to `depth`,
-    verifying finiteness of the singular locus at every node.
-
-    Exact in dimension 2.  In dimension >= 3 enumeration is complete only
-    for multiplicity-one centers (eigendirections); anything else downgrades
-    the verdict to `unknown`."""
-    n = v.dim()
-    notes: list[str] = []
-    if not is_singular_at_origin(v):
-        return ProbeResult("all_levels_finite", level=0, notes=["germ not singular at origin"])
-    if n == 2:
-        if milnor_number(v) == math.inf:
-            return ProbeResult("non_isolated_found", level=0)
-    elif any(c.is_zero() for c in v.components):
-        return ProbeResult("non_isolated_found", level=0, notes=["a component vanishes identically"])
-    queue: list[tuple[VectorFieldGerm, int]] = [(v, 0)]
-    explored = 0
-    blocked = False
-    unknown = False
-    while queue:
-        germ, level = queue.pop(0)
-        explored += 1
-        if explored > PROBE_NODE_BUDGET:
-            return ProbeResult("depth_exceeded", level=level, nodes_explored=explored,
-                               notes=notes + ["node budget exhausted"])
-        if level >= depth:
-            continue
-        for sat, locus in blowup.blow_up(germ):
-            if locus.non_isolated:
-                return ProbeResult("non_isolated_found", level=level + 1, nodes_explored=explored,
-                                   notes=notes + locus.notes)
-            if not locus.complete:
-                unknown = True
-                notes.extend(locus.notes)
-            if locus.clusters and level + 1 < depth:
-                blocked = True
-                notes.append(
-                    "level %d: conjugate singular cluster (degree %d) not expandable in Q(i)"
-                    % (level + 1, locus.clusters[0].degree())
-                )
-            for pt in locus.points:
-                child = translate_to_point(sat.saturated_field, pt)
-                if is_singular_at_origin(child):
-                    queue.append((child, level + 1))
-    if unknown:
-        return ProbeResult("unknown", level=None, nodes_explored=explored, notes=notes)
-    if blocked:
-        return ProbeResult("depth_exceeded", level=None, nodes_explored=explored, notes=notes)
-    return ProbeResult("all_levels_finite", level=depth, nodes_explored=explored, notes=notes)

@@ -11,6 +11,12 @@ cluster point is reduced iff trace or determinant of the Jacobian is
 nonzero there, which is a gcd computation against the cluster polynomial.
 Reduced clusters are terminal; a non-reduced cluster blocks the tower,
 honestly, since its points cannot serve as exact blow-up centers.
+
+A tower's root must be an isolated singularity.  In dim 2 it then stays
+isolated under every point blow-up, since the saturated strict transform
+is again saturated (Seidenberg, Amer. J. Math. 90 (1968); Brunella,
+Birational Geometry of Foliations, ch. 1).  Absolute isolation is a
+question only for n >= 3 (Camacho, Cano and Sad, Invent. Math. 97 (1989)).
 """
 
 from __future__ import annotations
@@ -291,10 +297,10 @@ def _run_tower(
                     "singular-point enumeration incomplete at %s: %s"
                     % (child_path, "; ".join(locus.notes) or "unknown")
                 )
-            for pt in sorted(locus.points, key=_fmt):
+            for label, pt in sorted(((_fmt(pt), pt) for pt in locus.points), key=lambda lp: lp[0]):
                 child = translate_to_point(sat.saturated_field, pt)
                 queue.append(_WorkItem(child_path, child, divisor_at_point(sat.divisor, pt),
-                                       level + 1, _fmt(pt)))
+                                       level + 1, label))
             for cl in locus.clusters:
                 verdict = _cluster_verdict(sat, cl)
                 if verdict.dicritical_part:
@@ -343,8 +349,7 @@ def seidenberg_reduce(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> Res
     dicritical point violates."""
     if v.dim() != 2:
         raise classify.DimensionMismatch("Seidenberg reduction is the dim-2 driver")
-    if milnor_number(v) == math.inf:
-        raise NonIsolatedSingularLocus("root singular locus is a curve")
+    _require_isolated_root(v)
     return _run_tower(v, None, max_depth, "seidenberg", lambda item: classify.seidenberg_terminal(item.germ))
 
 
@@ -354,18 +359,39 @@ def seidenberg_reduce(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> Res
 
 def resolve_simple(v: VectorFieldGerm, divisor: LogDivisor, max_depth: int = DEFAULT_DEPTH) -> ResolutionTower:
     """Blow up until every singularity is a simple point or corner and
-    non-dicritical, per the log-triple conventions."""
+    non-dicritical, per the log-triple conventions.  Outside dim 2 the
+    tower first runs `_ais_probe`."""
     if divisor.axes and not divisor_invariance_check(v, divisor):
         raise DivisorNotInvariant("root divisor is not invariant")
-    probe = classify.bounded_ais_probe(v, min(max_depth, 3))
-    if probe.status == "non_isolated_found":
-        # level 0: a dim-2 root of infinite Milnor number, or a component that vanishes identically
-        raise NonIsolatedSingularLocus("root singular locus is a curve" if probe.level == 0 else
-                                       "bounded A.I.S. probe found a non-isolated locus at level %s" % probe.level)
+    _require_isolated_root(v)
+    notes = [] if v.dim() == 2 else _ais_probe(v, min(max_depth, 3))
     tower = _run_tower(v, divisor, max_depth, "simple", lambda item: classify.simple_terminal(item.germ, item.divisor))
-    if probe.status != "all_levels_finite":
-        tower.notes.append("A.I.S. probe: %s" % probe.status)
+    tower.notes.extend(notes)
     return tower
+
+
+def _require_isolated_root(v: VectorFieldGerm) -> None:
+    """Raise unless the root is nonsingular or an isolated singularity:
+    mu_0 < inf in dim 2; in any other dimension, no component vanishes
+    identically."""
+    if (milnor_number(v) == math.inf if v.dim() == 2 else
+            is_singular_at_origin(v) and any(c.is_zero() for c in v.components)):
+        raise NonIsolatedSingularLocus("root singular locus is a curve")
+
+
+def _ais_probe(v: VectorFieldGerm, depth: int) -> list[str]:
+    """Bounded absolutely-isolated probe: `_run_tower` blows up every
+    singular point to `depth`, none of them terminal.  A non-isolated locus
+    on E raises; an incomplete enumeration or an exhausted node budget
+    returns the note that says so."""
+    walk = _run_tower(v, None, depth, "simple", lambda item: "A.I.S. probe")
+    if walk.reason.startswith("non-isolated"):
+        raise NonIsolatedSingularLocus("bounded A.I.S. probe found a non-isolated locus at level %d"
+                                       % (walk.events[-1].level + 1))
+    for prefix, status in (("singular-point enumeration incomplete", "unknown"), ("node budget", "depth_exceeded")):
+        if walk.reason.startswith(prefix):
+            return ["A.I.S. probe: %s" % status]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +477,7 @@ def discrepancy_log_resolution(ideal: MonomialIdeal, germ: VectorFieldGerm | Non
         ev = events
         d_new = min(sum(g) for g in node.gens)
         a_new = (n - 1) + sum(disc[ref].discrepancy for kind, ref in node.provenance if kind == "exc")
-        new_id = ev
-        disc[new_id] = DiscrepancyEntry(new_id, a_new, d_new, ev)
+        disc[ev] = DiscrepancyEntry(ev, a_new, d_new, ev)
         germ_here = node.germ
         if germ_here is not None and not is_singular_at_origin(germ_here):
             status, witness = "nonsingular_center", (
@@ -464,7 +489,7 @@ def discrepancy_log_resolution(ideal: MonomialIdeal, germ: VectorFieldGerm | Non
         for chart in blowup.blowup_charts(n):
             new_gens = [chart_exponent(g, chart.index) for g in node.gens]
             child_prov = list(node.provenance)
-            child_prov[chart.index] = ("exc", new_id)
+            child_prov[chart.index] = ("exc", ev)
             child_path = (node.path + "/" if node.path else "") + "b%d.c%d" % (ev, chart.index + 1)
             child_germ = None
             if germ_singular:
@@ -522,8 +547,7 @@ def weakly_reduced_check(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> 
                 "exceptional divisor %d has discrepancy %d < ideal order %d"
                 % (entry.divisor_id, entry.discrepancy, entry.ideal_order),
                 disc, sats, howald, notes)
-    cert = WeaklyReducedCertificate("certified", None, "", disc, sats, howald, notes)
-    return cert
+    return WeaklyReducedCertificate("certified", None, "", disc, sats, howald, notes)
 
 
 def multiplier_ideal_trivial_by_discrepancy(ideal: MonomialIdeal, max_depth: int = 64) -> bool:

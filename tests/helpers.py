@@ -1,21 +1,32 @@
 """Fixtures shared by the test modules: the Jordan-form stability fixtures,
-the Jensen corpus, the towers of the seeded corpora, matrix helpers, and
-the blow-up chart by ring homomorphism (its images and the chart transform)
-that the chart kernels are checked against."""
+the Jensen corpus, the towers of the seeded corpora, matrix helpers, the
+blow-up chart by ring homomorphism (its images and the chart transform)
+that the chart kernels are checked against, and the bounded
+absolutely-isolated probe as a blow-up walk of its own, which
+`resolve_simple` is checked against."""
 
 import functools
 import math
 import random
 from fractions import Fraction
 
-from foliationlab import unipoly
-from foliationlab.blowup import BlowupChart, SaturatedTransform
+from foliationlab import classify, unipoly
+from foliationlab.blowup import BlowupChart, SaturatedTransform, blow_up
 from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_polynomial
-from foliationlab.foliation import LogDivisor, VectorFieldGerm, divisor_invariance_check, exceptional_tag
+from foliationlab.foliation import (
+    DivisorNotInvariant,
+    LogDivisor,
+    VectorFieldGerm,
+    divisor_invariance_check,
+    exceptional_tag,
+    is_singular_at_origin,
+    milnor_number,
+    translate_to_point,
+)
 from foliationlab.gaussrat import ZERO, GaussRat
 from foliationlab.mvpoly import MVPoly
-from foliationlab.resolution import seidenberg_reduce
+from foliationlab.resolution import DEFAULT_DEPTH, NonIsolatedSingularLocus, _run_tower, seidenberg_reduce
 
 
 def mat(rows):
@@ -221,3 +232,63 @@ def reference_transform(v: VectorFieldGerm, chart: BlowupChart, divisor: LogDivi
     if e_invariant:
         axes[j] = exceptional_tag(level)
     return SaturatedTransform(chart, raw, c - drop, saturated, LogDivisor(axes.keys(), axes), e_invariant)
+
+
+# ---------------------------------------------------------------------------
+# The bounded absolutely-isolated probe as its own blow-up walk
+
+
+PROBE_NODE_BUDGET = 2000
+
+
+def probe_walk(v: VectorFieldGerm, depth: int) -> tuple[str, int | None]:
+    """Blow up every singular point of v to `depth`, breadth first, and
+    check that each singular locus on E is finite.  Returns the status,
+    "all_levels_finite", "non_isolated_found", "unknown" (an enumeration
+    was incomplete) or "depth_exceeded" (the node budget ran out, or a
+    conjugate cluster above the last level could not be blown up), and the
+    level of a non-isolated locus."""
+    if not is_singular_at_origin(v):
+        return "all_levels_finite", 0
+    if v.dim() == 2:
+        if milnor_number(v) == math.inf:
+            return "non_isolated_found", 0
+    elif any(c.is_zero() for c in v.components):
+        return "non_isolated_found", 0
+    queue = [(v, 0)]
+    explored = 0
+    unknown = blocked = False
+    while queue:
+        germ, level = queue.pop(0)
+        explored += 1
+        if explored > PROBE_NODE_BUDGET:
+            return "depth_exceeded", level
+        if level >= depth:
+            continue
+        for sat, locus in blow_up(germ):
+            if locus.non_isolated:
+                return "non_isolated_found", level + 1
+            unknown = unknown or not locus.complete
+            blocked = blocked or bool(locus.clusters) and level + 1 < depth
+            for pt in locus.points:
+                child = translate_to_point(sat.saturated_field, pt)
+                if is_singular_at_origin(child):
+                    queue.append((child, level + 1))
+    if unknown:
+        return "unknown", None
+    return "depth_exceeded" if blocked else "all_levels_finite", None
+
+
+def reference_resolve_simple(v: VectorFieldGerm, divisor: LogDivisor, max_depth: int = DEFAULT_DEPTH):
+    """`resolve_simple` with `probe_walk` to depth min(max_depth, 3) as its
+    probe, in every dimension."""
+    if divisor.axes and not divisor_invariance_check(v, divisor):
+        raise DivisorNotInvariant("root divisor is not invariant")
+    status, level = probe_walk(v, min(max_depth, 3))
+    if status == "non_isolated_found":
+        raise NonIsolatedSingularLocus("root singular locus is a curve" if level == 0 else
+                                       "bounded A.I.S. probe found a non-isolated locus at level %s" % level)
+    tower = _run_tower(v, divisor, max_depth, "simple", lambda item: classify.simple_terminal(item.germ, item.divisor))
+    if status != "all_levels_finite":
+        tower.notes.append("A.I.S. probe: %s" % status)
+    return tower

@@ -21,7 +21,6 @@ from foliationlab.classify import (
     DimensionMismatch,
     NonSingularPoint,
     algebraic_multiplicity,
-    bounded_ais_probe,
     classify_reduced,
     classify_simple,
     is_dicritical,
@@ -129,13 +128,6 @@ def test_conjugation_invariance():
             assert rep.dicritical == rep2.dicritical
 
 
-def test_probe_examples():
-    assert bounded_ais_probe(germ(X, -1 * Y), 3).status == "all_levels_finite"
-    res = bounded_ais_probe(germ(Y, MVPoly.zero(VARS)), 2)
-    assert res.status == "non_isolated_found" and res.level == 0
-    assert bounded_ais_probe(germ(Y, X * X), 1).status == "all_levels_finite"
-
-
 def test_report_serialization():
     rep = singularity_report(germ(Y, X * X))
     doc = rep.to_jsonable()
@@ -152,11 +144,11 @@ def test_report_serialization():
 VARS4 = ("x", "y", "z", "w")
 
 
-def _dicritical_by_blowup(v, assume_isolated=False):
+def _dicritical_by_blowup(v):
     """Reference: blow up once and test E-invariance in every chart."""
     if not is_singular_at_origin(v):
         raise NonSingularPoint("germ is not singular at the origin")
-    if v.dim() == 2 and not assume_isolated and milnor_number(v) == math.inf:
+    if v.dim() == 2 and milnor_number(v) == math.inf:
         raise FoliationError("singular locus is not isolated at the origin")
     for chart in blowup.blowup_charts(v.dim()):
         sat = blowup.transform_vector_field(v, chart)
@@ -165,9 +157,9 @@ def _dicritical_by_blowup(v, assume_isolated=False):
     return False
 
 
-def _outcome(fn, v, **kw):
+def _outcome(fn, v):
     try:
-        return ("value", fn(v, **kw))
+        return ("value", fn(v))
     except Exception as exc:  # compared by type and message
         return (type(exc), str(exc))
 
@@ -194,28 +186,24 @@ def _germs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_germs(), st.booleans())
-def test_is_dicritical_matches_one_blowup(v, assume_isolated):
-    assert _outcome(is_dicritical, v, assume_isolated=assume_isolated) == \
-        _outcome(_dicritical_by_blowup, v, assume_isolated=assume_isolated)
+@given(_germs())
+def test_is_dicritical_matches_one_blowup(v):
+    assert _outcome(is_dicritical, v) == _outcome(_dicritical_by_blowup, v)
 
 
 def test_is_dicritical_errors_match_one_blowup():
     vs3 = VARS4[:3]
     cases = [
-        (germ(MVPoly.zero(VARS), MVPoly.zero(VARS)), True),  # zero field
-        (VectorFieldGerm(vs3, [MVPoly.zero(vs3)] * 3), False),  # zero field, dim 3
-        (germ(MVPoly.const(VARS, 1), X), False),  # nonsingular
-        (germ(X * Y, Y * Y), False),  # dim 2, not isolated
-        (parse_vector_field("v = x^2 d/dx"), False),  # dim 1
+        germ(MVPoly.zero(VARS), MVPoly.zero(VARS)),  # zero field
+        VectorFieldGerm(vs3, [MVPoly.zero(vs3)] * 3),  # zero field, dim 3
+        germ(MVPoly.const(VARS, 1), X),  # nonsingular
+        germ(X * Y, Y * Y),  # dim 2, not isolated
+        parse_vector_field("v = x^2 d/dx"),  # dim 1
     ]
-    for v, assume_isolated in cases:
-        got = _outcome(is_dicritical, v, assume_isolated=assume_isolated)
+    for v in cases:
+        got = _outcome(is_dicritical, v)
         assert got[0] != "value"
-        assert got == _outcome(_dicritical_by_blowup, v, assume_isolated=assume_isolated)
-    # the isolation precondition is the caller's to waive
-    v = germ(X * Y, Y * Y)
-    assert is_dicritical(v, assume_isolated=True) is _dicritical_by_blowup(v, assume_isolated=True) is True
+        assert got == _outcome(_dicritical_by_blowup, v)
 
 
 def test_is_dicritical_makes_no_blowup(monkeypatch):
@@ -243,7 +231,7 @@ def test_seidenberg_terminal_dicritical_iff_scalar_linear_part():
             continue
         lp = v.linear_part()
         scalar = lp == scalar_matrix(2, lp[0][0])
-        assert is_dicritical(v, assume_isolated=True) == scalar
+        assert is_dicritical(v) == scalar
         if classify_reduced(v)[0]:
             assert (classify.seidenberg_terminal(v) == "reduced but dicritical") == scalar
         found[scalar] += 1

@@ -46,7 +46,7 @@ def test_saturation_exponent_chart_independent():
 def test_dicritical_implies_positive_saturation():
     for v in CORPUS[::2]:
         try:
-            dic = classify.is_dicritical(v, assume_isolated=True)
+            dic = classify.is_dicritical(v)
         except Exception:
             continue
         if dic:

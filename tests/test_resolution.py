@@ -1,10 +1,20 @@
+import itertools
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly
-from foliationlab.foliation import LogDivisor, VectorFieldGerm
+from foliationlab.foliation import (
+    LogDivisor,
+    VectorFieldGerm,
+    divisor_invariance_check,
+    milnor_number,
+    translate_to_point,
+)
 from foliationlab.monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
 from foliationlab.resolution import (
     NonIsolatedSingularLocus,
@@ -16,7 +26,9 @@ from foliationlab.resolution import (
 )
 from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
-from foliationlab import classify, linalg, unipoly
+from foliationlab import blowup, classify, linalg, unipoly
+
+from helpers import reference_resolve_simple
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -285,3 +297,100 @@ def test_unit_factor_keeps_verdicts(v, c, rest):
     # u(0) = c != 0: u v and v define the same foliation germ at 0
     u = rest + MVPoly.const(VARS, c)
     assert _verdicts(germ(*(comp * u for comp in v.components))) == _verdicts(v)
+
+
+# -- absolute isolation ----------------------------------------------------------
+
+
+def test_isolated_surface_singularities_stay_isolated():
+    """Seidenberg: the saturated strict transform of a saturated foliation
+    is saturated, so in dim 2 an isolated singularity stays isolated under
+    point blow-ups.  Checked by mu < inf at every singular point on E of
+    every blow-up to depth 3 over the criterion-1 corpus."""
+    level, blowups = seidenberg_corpus(), 0
+    for _ in range(3):
+        children = []
+        for v in level:
+            for sat, locus in blowup.blow_up(v):
+                blowups += 1
+                children += [translate_to_point(sat.saturated_field, pt) for pt in locus.points]
+        assert all(milnor_number(c) < math.inf for c in children)
+        level = children
+    assert blowups > 2000
+
+
+def test_isolated_cluster_germ_gets_no_probe_note():
+    # two of its singular directions on E (w^3 = -1) are conjugate over Q(i), so
+    # the tower is blocked there; an isolated dim-2 root needs no probe
+    t = resolve_simple(parse_vector_field("v = (-2*y^2) d/dx + (2*x^2) d/dy"), LogDivisor.empty())
+    assert t.status == "blocked"
+    assert not [note for note in t.notes if "A.I.S. probe" in note]
+
+
+def _resolved(resolve, v, divisor, depth):
+    """A tower's JSON, or the type and message of what the resolution raised."""
+    try:
+        return resolve(v, divisor, depth).to_jsonable()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _assert_probe_matches_walk(v, divisor, depth):
+    """`resolve_simple` equals the reference with the probe's own walk; in
+    dim 2 up to the reference's probe note, which the tower drops."""
+    got, want = (_resolved(f, v, divisor, depth) for f in (resolve_simple, reference_resolve_simple))
+    if v.dim() == 2 and isinstance(want, dict):
+        want["notes"] = [note for note in want["notes"] if not note.startswith("A.I.S. probe")]
+    if isinstance(want, dict):
+        got, want = json.dumps(got), json.dumps(want)
+    assert got == want
+
+
+VARS4 = ("x", "y", "z", "w")
+
+
+@st.composite
+def _probe_cases(draw):
+    """Germs of dims 1-4: an integer tridiagonal linear part (repeated
+    eigenvalues, Jordan blocks and eigenvalues outside Q(i) are common), or
+    none, plus one or two quadratic terms per component, now and then a
+    zero component; with up to two invariant axes as divisor and a depth cap of
+    0-3."""
+    n = draw(st.integers(1, 4))
+    variables = VARS4[:n]
+    quadratic = [e for e in itertools.product(range(3), repeat=n) if sum(e) == 2]
+    linear = draw(st.integers(0, 3)) > 0
+    comps = []
+    for i in range(n):
+        terms = draw(st.dictionaries(st.sampled_from(quadratic), st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=2))
+        for k, c in ((i, st.integers(-2, 2)), (i + 1, st.sampled_from([0, 0, 1])), (i - 1, st.sampled_from([0, 0, 2]))):
+            if linear and 0 <= k < n:
+                terms[tuple(int(t == k) for t in range(n))] = draw(c)
+        comps.append(MVPoly(variables, {} if draw(st.integers(0, 19)) == 7 else terms))
+    v = VectorFieldGerm(variables, comps)
+    axes = {j for j in draw(st.sets(st.integers(0, n - 1), max_size=2)) if divisor_invariance_check(v, [j])}
+    return v, LogDivisor(axes), draw(st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_probe_cases())
+def test_resolve_simple_matches_probe_walk(case):
+    _assert_probe_matches_walk(*case)
+
+
+def test_resolve_simple_probe_cases():
+    unknown = parse_vector_field("v = ((12)*x + (1)*x*y) d/dx + ((0 - 13*i)*y + (-1)*y*z) d/dy "
+                                 "+ ((1 - 1*i)*z + (2)*z*x) d/dz")  # a seed-0 simple_towers germ
+    cases = [
+        (parse_vector_field("v = x d/dx + y d/dy + 2*z d/dz"), LogDivisor.empty()),
+        (unknown, LogDivisor({0})),
+        (germ(Y, MVPoly.zero(VARS)), LogDivisor.empty()),
+        (parse_vector_field("v = x^2 d/dx"), LogDivisor.empty()),
+    ]
+    for v, divisor in cases:
+        _assert_probe_matches_walk(v, divisor, 16)
+    with pytest.raises(NonIsolatedSingularLocus, match="non-isolated locus at level 1$"):
+        resolve_simple(*cases[0])
+    assert "A.I.S. probe: unknown" in resolve_simple(*cases[1]).notes
+    with pytest.raises(NonIsolatedSingularLocus, match="root singular locus is a curve"):
+        resolve_simple(*cases[2])
