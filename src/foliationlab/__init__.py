@@ -26,7 +26,6 @@ from .blowup import (
     effectivity_count,
     exceptional_multiplicity,
     pullback_one_form,
-    singular_points_on_E,
     transform_vector_field,
 )
 from .classify import (

@@ -316,8 +316,9 @@ def blow_up(
     return [(sat, _locus_on_E(sat, eigen)) for sat in sats]
 
 
-def singular_points_on_E(sat: SaturatedTransform, parent: VectorFieldGerm | None = None) -> ELocus:
-    """Enumerate Sing(saturated field) on E in this chart.
+def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
+    """Sing(saturated field) on E in this chart, given the center's
+    eigendirection loci (or None); they answer for the charts with s = 0.
 
     Deduplication keeps only points whose direction coordinates vanish at
     every position before the chart index, so a point on E is reported by
@@ -326,13 +327,6 @@ def singular_points_on_E(sat: SaturatedTransform, parent: VectorFieldGerm | None
     enumeration is exact for multiplicity-one non-dicritical centers via
     eigendirections, and degrades to a documented incomplete probe
     otherwise."""
-    use_eigen = parent is not None and sat.saturation_exponent == 0
-    return _locus_on_E(sat, _eigendirection_loci(parent) if use_eigen else None)
-
-
-def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
-    """`singular_points_on_E`, given the center's eigendirection loci
-    (or None); they answer for the charts with s = 0."""
     j, n = sat.chart.index, sat.chart.n
     f = sat.saturated_field
     if n == 2:

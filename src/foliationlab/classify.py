@@ -186,31 +186,37 @@ def surface_seidenberg_type(v: VectorFieldGerm) -> SurfaceType:
 
 
 def _surface_type(v: VectorFieldGerm, lp: linalg.Matrix, cp: list[GaussRat]) -> SurfaceType:
-    """`surface_seidenberg_type` of a singular dim-2 germ; cp = t^2 - tr t + det."""
+    """`surface_seidenberg_type` of a singular dim-2 germ; cp = t^2 - tr t + det.
+
+    In the coordinates z = P w, P = (v_lam | v_ker), the field is
+    P^-1 a(P w), and the test reads it only on the kernel axis w_1 = 0,
+    where it is P^-1 a(w_2 v_ker).  The adjugate of P stands in for P^-1:
+    the two differ by the factor det P, which changes no exponent.  Since
+    L v_ker = 0, a(w_2 v_ker) = O(w_2^2), so the type k is at least 2."""
     if not cp[0].is_zero():
         return NON_DEGENERATE
     tr = -cp[1]
     if tr.is_zero():
         return unclassified("linear part nilpotent or zero: not in the reduced list")
-    lam = tr  # eigenvalues are (tr, 0) when the determinant vanishes
-    v_lam = linalg.eigenvector(lp, lam)
+    # eigenvalues are (tr, 0) when the determinant vanishes
+    v_lam = linalg.eigenvector(lp, tr)
     v_ker = linalg.eigenvector(lp, GaussRat(0))
-    if v_lam is None or v_ker is None:
-        return unclassified("eigenvector computation failed")
-    basis = ((v_lam[0], v_ker[0]), (v_lam[1], v_ker[1]))
-    w = v.conjugate_by(basis)
-    a2_on_axis = w.components[1].set_vars_to_zero([0])
-    k = a2_on_axis.min_exponent_in(1)
+    w2 = MVPoly.var(v.variables, v.variables[1])
+    on_axis = [c.subs([w2 * v_ker[0], w2 * v_ker[1]]) for c in v.components]
+    w = []
+    for row in ((v_ker[1], -v_ker[0]), (-v_lam[1], v_lam[0])):
+        acc = MVPoly.zero(v.variables)
+        for c, a in zip(row, on_axis):
+            if not c.is_zero():
+                acc = acc + a * c
+        w.append(acc)
+    k = w[1].min_exponent_in(1)
     if k is math.inf:
         return unclassified("second component vanishes on the kernel axis: type k unbounded")
-    k = int(k)
-    if k < 2:
-        return unclassified("kernel-axis order %d < 2 after normalization" % k)
-    for comp in w.components:
+    for comp in w:
         for e in comp.num:
-            if e[0] >= 1 or e[1] >= k:
-                continue
-            return unclassified("monomial z1^%d z2^%d escapes (z1, z2^%d): surrogate criterion fails" % (e[0], e[1], k))
+            if e[1] < k:
+                return unclassified("monomial z1^0 z2^%d escapes (z1, z2^%d): surrogate criterion fails" % (e[1], k))
     return SurfaceType("degenerate", k=k, note="surrogate criterion (exact ideal comparison)")
 
 

@@ -52,35 +52,8 @@ class VectorFieldGerm:
     def dim(self) -> int:
         return len(self.variables)
 
-    def scale(self, c: GaussRat) -> "VectorFieldGerm":
-        return VectorFieldGerm(self.variables, [p * c for p in self.components])
-
     def linear_part(self) -> linalg.Matrix:
         return linear_part_matrix(self.components)
-
-    def conjugate_by(self, m: linalg.Matrix) -> "VectorFieldGerm":
-        """Exact linear change of coordinates z = M w: the transformed field
-        has components M^{-1} (a o M)."""
-        minv = linalg.inverse(m)
-        if minv is None:
-            raise ValueError("change of coordinates must be invertible")
-        n = self.dim()
-        images = []
-        for i in range(n):
-            img = MVPoly.zero(self.variables)
-            for j, name in enumerate(self.variables):
-                if not m[i][j].is_zero():
-                    img = img + MVPoly.var(self.variables, name) * m[i][j]
-            images.append(img)
-        composed = [c.subs(images) for c in self.components]
-        new_comps = []
-        for i in range(n):
-            acc = MVPoly.zero(self.variables)
-            for j in range(n):
-                if not minv[i][j].is_zero():
-                    acc = acc + composed[j] * minv[i][j]
-            new_comps.append(acc)
-        return VectorFieldGerm(self.variables, new_comps)
 
     def evaluate(self, point: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
         return tuple(c.evaluate(point) for c in self.components)

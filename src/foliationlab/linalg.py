@@ -88,15 +88,6 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     return basis
 
 
-def inverse(a: Matrix) -> Matrix | None:
-    n = len(a)
-    aug = [list(row) + [GaussRat(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    rows, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
 def char_poly(a: Matrix) -> list[GaussRat]:
     """Characteristic polynomial det(tI - A), ascending coefficients: the
     closed form t^2 - tr t + det for n <= 2, the Faddeev-LeVerrier

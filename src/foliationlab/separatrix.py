@@ -1,16 +1,17 @@
 """Formal separatrices at simple singularities.
 
-The solver works in the graph gauge: after an exact linear change of
-coordinates putting the chosen eigendirection on the first axis and
-rescaling the field so that its eigenvalue is 1, the curve is sought as
+The solver works in the original coordinates.  With e the eigenvector of
+the chosen eigenvalue lambda and p its last nonzero entry, the curve is
+sought as a graph over z_p,
 
-    f(t) = (t, f_2(t), ..., f_n(t)),   f_i = O(t^2),
+    f_p(t) = e_p t,   f_i(t) = e_i t + g_i(t),   g_i = O(t^2)  (i != p),
 
-and the tangency equations f_i' * v_1(f) = v_i(f) are solved order by
-order.  The order-k coefficients satisfy a linear system with matrix
-k*I - L restricted off the eigendirection, so resonances k*lambda = mu
-show up exactly as singular systems; an inconsistent one stops the solver
-with the obstruction.
+and the tangency equations f_i' * a_p(f) / e_p = a_i(f) are solved order
+by order.  The order-k coefficients of the g_i satisfy a linear system
+with matrix k*I - S, where S_ij = (L_ij - e_i L_pj / e_p) / lambda for
+i, j != p is the linear part L seen along the shear y_i = z_i - e_i z_p / e_p,
+divided by lambda.  So resonances k*lambda = mu show up exactly as singular
+systems; an inconsistent one stops the solver with the obstruction.
 """
 
 from __future__ import annotations
@@ -51,10 +52,12 @@ class CurveInDivisor(FoliationError):
 _T = ("t",)
 
 
-def _tangency_residual(w: VectorFieldGerm, comps: Sequence[MVPoly]) -> list[MVPoly]:
-    """f_i' * w_1(f) - w_i(f) for i >= 2, at the graph-gauge curve f = comps."""
-    w1 = w.components[0].subs(comps)
-    return [comps[i].derivative(0) * w1 - w.components[i].subs(comps) for i in range(1, len(comps))]
+def _tangency_residual(v: VectorFieldGerm, f: Sequence[MVPoly], p: int, lam: GaussRat) -> list[MVPoly]:
+    """(f_i' * a_p(f) / e_p - a_i(f)) / lam for i != p, at the curve f with
+    f_p = e_p t."""
+    ap = v.components[p].subs(f) * (GaussRat(1) / (f[p].coeff((1,)) * lam))
+    inv_lam = GaussRat(1) / lam
+    return [f[i].derivative(0) * ap - v.components[i].subs(f) * inv_lam for i in range(len(f)) if i != p]
 
 
 @dataclass(frozen=True)
@@ -89,21 +92,6 @@ class Resonance:
         return {"resonance_order": self.order, "obstruction": list(self.obstruction)}
 
 
-def _completion_basis(e: Sequence[GaussRat], n: int) -> linalg.Matrix:
-    """Invertible matrix whose first column is e, completed greedily by
-    standard basis vectors."""
-    cols: list[tuple[GaussRat, ...]] = [tuple(e)]
-    for i in range(n):
-        cand = tuple(GaussRat(1 if k == i else 0) for k in range(n))
-        trial = cols + [cand]
-        m = tuple(zip(*trial))
-        if linalg.rank(tuple(tuple(r) for r in m)) == len(trial):
-            cols.append(cand)
-        if len(cols) == n:
-            break
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
 def direction_of_eigenvalue(v: VectorFieldGerm, lam: GaussRat) -> int:
     """Index, in the canonically sorted exact spectrum, of an eigenvalue."""
     ev = linalg.eigenvalues_exact(v.linear_part())
@@ -122,8 +110,10 @@ def formal_separatrix(v: VectorFieldGerm, direction: int, order: int, lam: Gauss
     `direction` indexes the canonically sorted exact eigenvalue list; the
     eigenvalue there must be nonzero.  A caller that holds the spectrum
     already passes that eigenvalue as `lam`, and the spectrum is not
-    computed again.  Returns a FormalCurve (components certified to
-    `order`) or a Resonance value."""
+    computed again.  The curve is solved in the original coordinates, as
+    a graph over the last coordinate the eigenvector does not vanish on
+    (see the module docstring).  Returns a FormalCurve (components
+    certified to `order`) or a Resonance value."""
     if order < 2:
         raise ValueError("truncation order must be >= 2")
     n = v.dim()
@@ -140,26 +130,23 @@ def formal_separatrix(v: VectorFieldGerm, direction: int, order: int, lam: Gauss
     e = linalg.eigenvector(lp, lam)
     if e is None:
         raise FoliationError("no eigenvector found (cannot happen for an exact eigenvalue)")
-    m = _completion_basis(e, n)
-    w = v.conjugate_by(m).scale(GaussRat(1) / lam)
-    # graph gauge: the curve components are univariate MVPolys in t
-    comps = [MVPoly.var(_T, "t")] + [MVPoly.zero(_T) for _ in range(n - 1)]
-    lres = w.linear_part()
+    p = max(i for i in range(n) if not e[i].is_zero())
+    rest = [i for i in range(n) if i != p]
+    t = MVPoly.var(_T, "t")
+    f = [t * c for c in e]
+    s = [[(lp[i][j] - e[i] * lp[p][j] / e[p]) / lam for j in rest] for i in rest]
     for k in range(2, order + 1):
-        known = [r.coeff((k,)) for r in _tangency_residual(w, comps)]
+        known = [r.coeff((k,)) for r in _tangency_residual(v, f, p, lam)]
         rows = tuple(
-            tuple((GaussRat(k) if i == j else GaussRat(0)) - lres[i + 1][j + 1] for j in range(n - 1))
-            for i in range(n - 1)
+            tuple((GaussRat(k) if i == j else GaussRat(0)) - x for j, x in enumerate(row)) for i, row in enumerate(s)
         )
         sol = linalg.solve(rows, tuple(-g for g in known))
         if sol is None:
             return Resonance(order=k, obstruction=tuple(str(g) for g in known))
-        for i in range(1, n):
-            comps[i] = comps[i] + MVPoly.monomial(_T, (k,), sol[i - 1])
-    res_order = min((r.vanishing_order() for r in _tangency_residual(w, comps)), default=math.inf)
-    # back to the original coordinates: f = M . f_graph
-    orig = [sum((comps[j] * m[i][j] for j in range(n)), MVPoly.zero(_T)) for i in range(n)]
-    series = tuple(TruncatedSeries([c.coeff((k,)) for k in range(order + 1)], order) for c in orig)
+        for i, x in zip(rest, sol):
+            f[i] = f[i] + MVPoly.monomial(_T, (k,), x)
+    res_order = min((r.vanishing_order() for r in _tangency_residual(v, f, p, lam)), default=math.inf)
+    series = tuple(TruncatedSeries([c.coeff((k,)) for k in range(order + 1)], order) for c in f)
     return FormalCurve(
         variables=v.variables,
         components=series,

@@ -1,21 +1,34 @@
 """Fixtures shared by the test modules: the Jordan-form stability fixtures,
-the Jensen corpus, the towers of the seeded corpora, matrix helpers, the
-blow-up chart by ring homomorphism (its images and the chart transform)
-that the chart kernels are checked against, and the bounded
-absolutely-isolated probe as a blow-up walk of its own, which
-`resolve_simple` is checked against."""
+the Jensen corpus, the towers of the seeded corpora and their germs,
+matrix helpers, the blow-up chart by ring homomorphism (its images and the
+chart transform) that the chart kernels are checked against, the
+chart-by-chart singular points on E that `blow_up` is checked against,
+the bounded absolutely-isolated probe as a blow-up walk of its own, which
+`resolve_simple` is checked against, and the linear change of coordinates
+with the separatrix solver and Seidenberg-type test that used it, which
+`formal_separatrix` and `_surface_type` are checked against."""
 
 import functools
 import math
 import random
 from fractions import Fraction
 
-from foliationlab import classify, unipoly
-from foliationlab.blowup import BlowupChart, SaturatedTransform, blow_up
+from foliationlab import classify, linalg, unipoly
+from foliationlab.blowup import (
+    BlowupChart,
+    ELocus,
+    SaturatedTransform,
+    _eigendirection_loci,
+    _locus_on_E,
+    blow_up,
+    blowup_charts,
+    transform_vector_field,
+)
 from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_polynomial
 from foliationlab.foliation import (
     DivisorNotInvariant,
+    FoliationError,
     LogDivisor,
     VectorFieldGerm,
     divisor_invariance_check,
@@ -27,6 +40,13 @@ from foliationlab.foliation import (
 from foliationlab.gaussrat import ZERO, GaussRat
 from foliationlab.mvpoly import MVPoly
 from foliationlab.resolution import DEFAULT_DEPTH, NonIsolatedSingularLocus, _run_tower, seidenberg_reduce
+from foliationlab.separatrix import (
+    FormalCurve,
+    IndeterminateEigenvalues,
+    Resonance,
+    ZeroEigenvalueDirection,
+)
+from foliationlab.series import TruncatedSeries
 
 
 def mat(rows):
@@ -78,6 +98,34 @@ def det(a) -> GaussRat:
 def seeded_towers() -> list:
     """Depth-8 Seidenberg towers of every germ of the seed 0-3 corpora."""
     return [seidenberg_reduce(v, 8) for seed in range(4) for v in seidenberg_corpus(seed=seed)]
+
+
+def points_on_E(sat: SaturatedTransform) -> ELocus:
+    """Singular points on E of a dim-2 chart, which need no parent germ."""
+    return _locus_on_E(sat, None)
+
+
+@functools.cache
+def seeded_tower_germs() -> list:
+    """The roots of the seeded towers and the germs at every singular point
+    on E of their nodes."""
+    germs = []
+    for tower in seeded_towers():
+        germs.append(tower.root)
+        for node in tower.nodes.values():
+            sat = node.transform
+            germs += [translate_to_point(sat.saturated_field, pt) for pt in points_on_E(sat).points]
+    return germs
+
+
+def chart_by_chart(v: VectorFieldGerm, divisor: LogDivisor | None, level: int) -> list[tuple[SaturatedTransform, ELocus]]:
+    """`blow_up` one chart at a time: each chart with s = 0 computes the
+    center's eigendirection loci afresh."""
+    out = []
+    for chart in blowup_charts(v.dim()):
+        sat = transform_vector_field(v, chart, divisor, level)
+        out.append((sat, _locus_on_E(sat, _eigendirection_loci(v) if sat.saturation_exponent == 0 else None)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +340,133 @@ def reference_resolve_simple(v: VectorFieldGerm, divisor: LogDivisor, max_depth:
     if status != "all_levels_finite":
         tower.notes.append("A.I.S. probe: %s" % status)
     return tower
+
+
+# ---------------------------------------------------------------------------
+# Linear changes of coordinates, and the solvers that used them
+
+
+def inverse(a):
+    """Inverse of a square matrix over Q(i) by row reduction, None when singular."""
+    n = len(a)
+    aug = [list(row) + [GaussRat(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
+    rows, pivots = linalg._rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(rows[i][n:]) for i in range(n))
+
+
+def conjugate_by(v: VectorFieldGerm, m) -> VectorFieldGerm:
+    """Exact linear change of coordinates z = M w: the transformed field
+    has components M^{-1} (a o M)."""
+    minv = inverse(m)
+    if minv is None:
+        raise ValueError("change of coordinates must be invertible")
+    n = v.dim()
+    images = []
+    for i in range(n):
+        img = MVPoly.zero(v.variables)
+        for j, name in enumerate(v.variables):
+            if not m[i][j].is_zero():
+                img = img + MVPoly.var(v.variables, name) * m[i][j]
+        images.append(img)
+    composed = [c.subs(images) for c in v.components]
+    new_comps = []
+    for i in range(n):
+        acc = MVPoly.zero(v.variables)
+        for j in range(n):
+            if not minv[i][j].is_zero():
+                acc = acc + composed[j] * minv[i][j]
+        new_comps.append(acc)
+    return VectorFieldGerm(v.variables, new_comps)
+
+
+def completion_basis(e, n: int):
+    """Invertible matrix whose first column is e, completed greedily by
+    standard basis vectors."""
+    cols = [tuple(e)]
+    for i in range(n):
+        cand = tuple(GaussRat(1 if k == i else 0) for k in range(n))
+        trial = cols + [cand]
+        m = tuple(zip(*trial))
+        if linalg.rank(tuple(tuple(r) for r in m)) == len(trial):
+            cols.append(cand)
+        if len(cols) == n:
+            break
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def reference_formal_separatrix(v: VectorFieldGerm, direction: int, order: int, lam=None):
+    """`formal_separatrix` in the graph gauge: conjugate by
+    `completion_basis` so that the eigendirection is the first axis, divide
+    the field by lambda, solve f = (t, f_2, ..., f_n) order by order with
+    the matrix k*I - L' off the first axis, and map the curve back by M."""
+    n = v.dim()
+    lp = v.linear_part()
+    if lam is None:
+        ev = linalg.eigenvalues_exact(lp)
+        if isinstance(ev, linalg.Indeterminate):
+            raise IndeterminateEigenvalues("linear part has eigenvalues outside Q(i)")
+        if not 0 <= direction < len(ev):
+            raise ValueError("direction index out of range")
+        lam = ev[direction]
+    if lam.is_zero():
+        raise ZeroEigenvalueDirection("chosen eigendirection has eigenvalue 0")
+    e = linalg.eigenvector(lp, lam)
+    if e is None:
+        raise FoliationError("no eigenvector found (cannot happen for an exact eigenvalue)")
+    m = completion_basis(e, n)
+    conj = conjugate_by(v, m)
+    w = VectorFieldGerm(v.variables, [c * (GaussRat(1) / lam) for c in conj.components])
+    t_ring = ("t",)
+
+    def residual(comps):
+        w1 = w.components[0].subs(comps)
+        return [comps[i].derivative(0) * w1 - w.components[i].subs(comps) for i in range(1, n)]
+
+    comps = [MVPoly.var(t_ring, "t")] + [MVPoly.zero(t_ring) for _ in range(n - 1)]
+    lres = w.linear_part()
+    for k in range(2, order + 1):
+        known = [r.coeff((k,)) for r in residual(comps)]
+        rows = tuple(
+            tuple((GaussRat(k) if i == j else GaussRat(0)) - lres[i + 1][j + 1] for j in range(n - 1))
+            for i in range(n - 1)
+        )
+        sol = linalg.solve(rows, tuple(-g for g in known))
+        if sol is None:
+            return Resonance(order=k, obstruction=tuple(str(g) for g in known))
+        for i in range(1, n):
+            comps[i] = comps[i] + MVPoly.monomial(t_ring, (k,), sol[i - 1])
+    res_order = min((r.vanishing_order() for r in residual(comps)), default=math.inf)
+    orig = [sum((comps[j] * m[i][j] for j in range(n)), MVPoly.zero(t_ring)) for i in range(n)]
+    series = tuple(TruncatedSeries([c.coeff((k,)) for k in range(order + 1)], order) for c in orig)
+    return FormalCurve(v.variables, series, direction, lam, order, res_order)
+
+
+def reference_surface_type(v: VectorFieldGerm) -> classify.SurfaceType:
+    """`surface_seidenberg_type` of a singular dim-2 germ from the whole
+    field conjugated by P = (v_lam | v_ker)."""
+    lp = v.linear_part()
+    cp = linalg.char_poly(lp)
+    if not cp[0].is_zero():
+        return classify.NON_DEGENERATE
+    tr = -cp[1]
+    if tr.is_zero():
+        return classify.unclassified("linear part nilpotent or zero: not in the reduced list")
+    v_lam = linalg.eigenvector(lp, tr)
+    v_ker = linalg.eigenvector(lp, GaussRat(0))
+    if v_lam is None or v_ker is None:
+        return classify.unclassified("eigenvector computation failed")
+    w = conjugate_by(v, ((v_lam[0], v_ker[0]), (v_lam[1], v_ker[1])))
+    k = w.components[1].set_vars_to_zero([0]).min_exponent_in(1)
+    if k is math.inf:
+        return classify.unclassified("second component vanishes on the kernel axis: type k unbounded")
+    if k < 2:
+        return classify.unclassified("kernel-axis order %d < 2 after normalization" % k)
+    for comp in w.components:
+        for e in comp.num:
+            if e[0] >= 1 or e[1] >= k:
+                continue
+            return classify.unclassified(
+                "monomial z1^%d z2^%d escapes (z1, z2^%d): surrogate criterion fails" % (e[0], e[1], k))
+    return classify.SurfaceType("degenerate", k=int(k), note="surrogate criterion (exact ideal comparison)")

@@ -66,10 +66,8 @@ def test_criterion_2_simple_stability():
         root = classify.classify_simple(v, divisor)
         assert root.kind == fx["root_kind"], (fx["name"], root)
         found = []
-        for chart in blowup.blowup_charts(v.dim()):
-            sat = blowup.transform_vector_field(v, chart, divisor)
-            locus = blowup.singular_points_on_E(sat, parent=v)
-            assert locus.complete, (fx["name"], chart.index, locus.notes)
+        for sat, locus in blowup.blow_up(v, divisor):
+            assert locus.complete, (fx["name"], sat.chart.index, locus.notes)
             assert not locus.clusters
             for pt in locus.points:
                 child = translate_to_point(sat.saturated_field, pt)
@@ -77,7 +75,7 @@ def test_criterion_2_simple_stability():
 
                 st = classify.classify_simple(child, divisor_at_point(sat.divisor, pt))
                 assert all(c.is_zero() for c in pt), (fx["name"], "non-origin point on E")
-                found.append((chart.index + 1, st.kind))
+                found.append((sat.chart.index + 1, st.kind))
         assert sorted(found) == sorted(fx["expected"]), (fx["name"], found, fx["expected"])
     _report(2, "simple-singularity stability", "20 Jordan fixtures, chart lists exact")
 

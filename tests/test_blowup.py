@@ -18,7 +18,6 @@ from foliationlab.blowup import (
     effectivity_count,
     exceptional_multiplicity,
     pullback_one_form,
-    singular_points_on_E,
     transform_vector_field,
     univariate_on_E,
 )
@@ -26,7 +25,7 @@ from foliationlab import unipoly
 from foliationlab.corpus import oneform_corpus, seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
 
-from helpers import chart_images, jordan_fixtures, reference_transform, seeded_towers
+from helpers import chart_by_chart, chart_images, jordan_fixtures, points_on_E, reference_transform, seeded_towers
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -322,10 +321,7 @@ def test_chart_pullback_matches_substitution(case):
 def test_singular_points_on_E_dedupe():
     # saddle: one point per chart (both eigendirections)
     saddle = germ(X, -1 * Y)
-    st0 = transform_vector_field(saddle, BlowupChart(2, 0))
-    st1 = transform_vector_field(saddle, BlowupChart(2, 1))
-    l0 = singular_points_on_E(st0, parent=saddle)
-    l1 = singular_points_on_E(st1, parent=saddle)
+    (_, l0), (_, l1) = blow_up(saddle)
     assert len(l0.points) == 1 and len(l1.points) == 1
 
 
@@ -333,17 +329,8 @@ def test_singular_cluster_detected():
     # y' directions at w^2 = 2: irrational cluster
     v = germ(X, 2 * Y + X * X + 0 * Y)
     v = germ(Y * Y - 2 * X * X, X * Y)
-    st = transform_vector_field(v, BlowupChart(2, 0))
-    locus = singular_points_on_E(st, parent=v)
+    _, locus = blow_up(v)[0]
     assert locus.clusters or locus.points
-
-
-def _chart_by_chart(v, divisor, level):
-    out = []
-    for chart in blowup_charts(v.dim()):
-        sat = transform_vector_field(v, chart, divisor, level)
-        out.append((sat, singular_points_on_E(sat, parent=v)))
-    return out
 
 
 def _snapshot(sat, locus):
@@ -357,7 +344,7 @@ def test_blow_up_equals_chart_by_chart():
     cases += [(v, None, 2) for v in seidenberg_corpus()[::5]]
     for v, divisor, level in cases:
         got = [_snapshot(*entry) for entry in blow_up(v, divisor, level)]
-        assert got == [_snapshot(*entry) for entry in _chart_by_chart(v, divisor, level)]
+        assert got == [_snapshot(*entry) for entry in chart_by_chart(v, divisor, level)]
 
 
 @pytest.mark.parametrize("text, divisor, s, note", [
@@ -369,7 +356,7 @@ def test_blow_up_equals_chart_by_chart():
 def test_blow_up_equals_chart_by_chart_dim3(text, divisor, s, note):
     v = parse_vector_field(text)
     got = blow_up(v, divisor, level=3)
-    assert [_snapshot(*entry) for entry in got] == [_snapshot(*entry) for entry in _chart_by_chart(v, divisor, 3)]
+    assert [_snapshot(*entry) for entry in got] == [_snapshot(*entry) for entry in chart_by_chart(v, divisor, 3)]
     assert [sat.saturation_exponent for sat, _ in got] == [s] * 3
     assert all((note in locus.notes[0]) if note else not locus.non_isolated for _, locus in got)
 
@@ -392,7 +379,7 @@ def test_chart2_locus_matches_root_search_on_seeded_towers():
             sat = node.transform
             if sat.chart.index != 1:
                 continue
-            locus = singular_points_on_E(sat)
+            locus = points_on_E(sat)
             assert not locus.non_isolated and locus.complete and not locus.clusters
             assert locus.points == _chart2_points_by_root_search(sat)
             found[bool(locus.points)] += 1

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat, I
@@ -14,7 +14,6 @@ from foliationlab.foliation import (
     VectorFieldGerm,
     is_singular_at_origin,
     milnor_number,
-    translate_to_point,
 )
 from foliationlab import blowup, classify, linalg
 from foliationlab.classify import (
@@ -30,7 +29,7 @@ from foliationlab.classify import (
 )
 from foliationlab.dsl import parse_vector_field
 
-from helpers import mat, scalar_matrix, seeded_towers
+from helpers import conjugate_by, inverse, mat, reference_surface_type, scalar_matrix, seeded_tower_germs
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -78,6 +77,45 @@ def test_surface_types():
         surface_seidenberg_type(VectorFieldGerm(vs3, [MVPoly.var(vs3, n) for n in vs3]))
 
 
+def test_surface_type_matches_conjugation_reference():
+    """The kernel-axis test gives the whole SurfaceType, note included, that
+    the test on the fully conjugated field gives, on every germ of the seed
+    0-3 Seidenberg towers; the escape notes name the same first monomial."""
+    kinds = set()
+    for v in seeded_tower_germs():
+        got = surface_seidenberg_type(v)
+        assert got == reference_surface_type(v), v
+        kinds.add(got.note.split(" ")[0] if got.kind == "unclassified" else got.kind)
+    assert kinds == {"non_degenerate", "degenerate", "linear", "second", "monomial"}
+
+
+@st.composite
+def _saddle_nodes(draw):
+    """Dim-2 germs with eigenvalues lam != 0 and 0, drawn in eigen-coordinates
+    as (lam*x + h_1, h_2) with h_2(0, y) of order k = 2-4 and h_1 of degree
+    2-4 (an escaping monomial y^j, j < k, or none), then moved to
+    coordinates z = U^-1 w, U an invertible integer matrix."""
+    small = st.integers(-2, 2)
+    coeff = st.builds(GaussRat, small, st.integers(-1, 1))
+    lam = draw(coeff.filter(lambda c: not c.is_zero()))
+    k = draw(st.integers(2, 4))
+    mons = [(i, d - i) for d in range(2, 5) for i in range(d + 1)]
+    h1 = draw(st.dictionaries(st.sampled_from(mons), coeff, max_size=4))
+    h2 = draw(st.dictionaries(st.sampled_from([e for e in mons if e[0] or e[1] > k]), coeff, max_size=4))
+    h2[(0, k)] = draw(coeff.filter(lambda c: not c.is_zero()))
+    h1[(1, 0)] = lam
+    w = VectorFieldGerm(VARS, [MVPoly(VARS, h1), MVPoly(VARS, h2)])
+    u = draw(st.lists(small, min_size=4, max_size=4).filter(lambda e: e[0] * e[3] != e[1] * e[2]))
+    return conjugate_by(w, inverse(mat([u[:2], u[2:]])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_saddle_nodes())
+@example(conjugate_by(germ(X + Y * Y, Y**3), inverse(mat([[1, 1], [1, -1]]))))
+def test_surface_type_matches_conjugation_reference_on_saddle_nodes(v):
+    assert surface_seidenberg_type(v) == reference_surface_type(v)
+
+
 def test_classify_simple_examples():
     assert classify_simple(germ(X, -1 * Y), LogDivisor({0})).kind == "simple_point_B"
     assert classify_simple(germ(X * X, -1 * Y), LogDivisor({0})).kind == "simple_point_A"
@@ -121,7 +159,7 @@ def test_conjugation_invariance():
     for v in germs:
         rep = singularity_report(v)
         for p in mats:
-            w = v.conjugate_by(p)
+            w = conjugate_by(v, p)
             rep2 = singularity_report(w)
             assert rep.multiplicity == rep2.multiplicity
             assert rep.reduced == rep2.reduced
@@ -219,14 +257,8 @@ def test_seidenberg_terminal_dicritical_iff_scalar_linear_part():
     """A multiplicity-1 germ is dicritical iff its linear part is scalar, the
     test `seidenberg_terminal` makes: checked against `is_dicritical` on the
     roots of the seed 0-3 corpora and every singular point of their towers."""
-    germs = []
-    for tower in seeded_towers():
-        germs.append(tower.root)
-        for node in tower.nodes.values():
-            points = blowup.singular_points_on_E(node.transform).points
-            germs += [translate_to_point(node.transform.saturated_field, pt) for pt in points]
     found = {True: 0, False: 0}
-    for v in germs:
+    for v in seeded_tower_germs():
         if not is_singular_at_origin(v) or algebraic_multiplicity(v) != 1:
             continue
         lp = v.linear_part()

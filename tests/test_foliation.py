@@ -14,7 +14,6 @@ from foliationlab.foliation import (
 from foliationlab.monomial import MonomialIdeal
 from foliationlab.dsl import parse_vector_field
 
-from helpers import mat
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -101,13 +100,3 @@ def test_serialization_round_trip():
     for text in fixtures:
         v = parse_vector_field(text)
         assert parse_vector_field(v.to_text()) == v
-
-
-def test_conjugation():
-    v = germ(Y, X * X)
-    from foliationlab import linalg
-
-    p = mat([[1, 1], [0, 1]])
-    w = v.conjugate_by(p)
-    back = w.conjugate_by(linalg.inverse(p))
-    assert back == v

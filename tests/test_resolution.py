@@ -92,9 +92,7 @@ def test_nondegenerate_blowup_dichotomy():
     for lam2 in (GaussRat(-1), GaussRat(-2), GaussRat(2), GaussRat(0, 1)):
         v = germ(X, lam2 * Y)
         found = []
-        for chart in blowup.blowup_charts(2):
-            sat = blowup.transform_vector_field(v, chart)
-            locus = blowup.singular_points_on_E(sat, parent=v)
+        for sat, locus in blowup.blow_up(v):
             for pt in locus.points:
                 child = translate_to_point(sat.saturated_field, pt)
                 found.append(classify.surface_seidenberg_type(child).kind)
@@ -109,9 +107,7 @@ def test_degenerate_type_blowup_dichotomy():
     for k in (2, 3, 4):
         v = germ(X, Y**k)
         kinds = []
-        for chart in blowup.blowup_charts(2):
-            sat = blowup.transform_vector_field(v, chart)
-            locus = blowup.singular_points_on_E(sat, parent=v)
+        for sat, locus in blowup.blow_up(v):
             for pt in locus.points:
                 child = translate_to_point(sat.saturated_field, pt)
                 st = classify.surface_seidenberg_type(child)

@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from foliationlab import linalg
 from foliationlab.gaussrat import GaussRat, I
 from foliationlab.mvpoly import MVPoly
 from foliationlab.series import TruncatedSeries
@@ -19,6 +22,8 @@ from foliationlab.separatrix import (
     separatrix_lift_check,
 )
 from foliationlab.series import poly_eval_series
+
+from helpers import inverse, mat, mat_mul, reference_formal_separatrix
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -185,3 +190,57 @@ PINNED = [
 def test_pinned_to_jsonable(v, order, expected):
     result = formal_separatrix(v, direction_of_eigenvalue(v, GaussRat(1)), order)
     assert result.to_jsonable() == expected
+
+
+_SPECTRUM = st.sampled_from([GaussRat(a, b) for a, b in
+                             [(1, 0), (-1, 0), (2, 0), (3, 0), (-2, 0), (0, 1), (0, -1), (1, 1), (0, 0)]])
+_COEFF = st.builds(lambda re, im, d: GaussRat(Fraction(re, d), im), st.integers(-2, 2), st.integers(-1, 1),
+                   st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _qi_spectrum_germs(draw):
+    """A germ of dim 2-4 whose linear part U T U^-1 has its spectrum (the
+    diagonal of the upper triangular T, repeats and resonant pairs
+    included) in Q(i); U is unitriangular lower times upper, so the
+    eigenvectors have no fixed support.  Plus terms of degree 2-3."""
+    n = draw(st.integers(2, 4))
+    names = ("x", "y", "z", "w")[:n]
+    small = st.integers(-1, 1)
+    t = [[draw(_SPECTRUM) if i == j else GaussRat(draw(small)) if j > i else GaussRat(0) for j in range(n)]
+         for i in range(n)]
+    lower = [[1 if i == j else draw(small) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else draw(small) if j > i else 0 for j in range(n)] for i in range(n)]
+    u = mat_mul(mat(lower), mat(upper))
+    lin = mat_mul(mat_mul(u, mat(t)), inverse(u))
+    comps = []
+    for i in range(n):
+        terms = {tuple(int(k == j) for k in range(n)): lin[i][j] for j in range(n)}
+        for _ in range(draw(st.integers(0, 3))):
+            exp = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+            if 2 <= sum(exp) <= 3:
+                terms[exp] = draw(_COEFF)
+        comps.append(MVPoly(names, terms))
+    return VectorFieldGerm(names, comps)
+
+
+def _outcome(solve, v, direction, order):
+    try:
+        return solve(v, direction, order).to_jsonable()
+    except Exception as exc:  # the exception itself is part of the contract
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_qi_spectrum_germs(), st.integers(2, 6))
+@example(germ(X, 2 * Y + X * X), 4)
+@example(germ(X, 3 * Y + X * X * X + X * Y), 6)
+@example(VectorFieldGerm(_VS3, (_X3, -1 * _Y3 + _Z3 + _X3 * _X3, -1 * _Z3 + _X3 * _Y3)), 6)
+def test_formal_separatrix_matches_graph_gauge_reference(v, order):
+    """Solving in the original coordinates gives the same curve, residual
+    order, resonance obstruction or error as the graph-gauge solver behind
+    a full linear change of coordinates, on every eigendirection."""
+    ev = linalg.eigenvalues_exact(v.linear_part())
+    assert not isinstance(ev, linalg.Indeterminate)
+    for d in range(len(ev)):
+        assert _outcome(formal_separatrix, v, d, order) == _outcome(reference_formal_separatrix, v, d, order)
