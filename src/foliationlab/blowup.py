@@ -249,7 +249,6 @@ class SingularCluster:
     our-search residual polynomial in the direction coordinate (dim 2)."""
 
     min_poly: tuple[GaussRat, ...]
-    exhaustive_search: bool
 
     def degree(self) -> int:
         return len(self.min_poly) - 1
@@ -325,27 +324,25 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
     exactly one chart.  Exact and complete in dimension 2 (irrational
     locations are returned as conjugate clusters); in higher dimension the
     enumeration is exact for multiplicity-one non-dicritical centers via
-    eigendirections, and degrades to a documented incomplete probe
-    otherwise."""
+    eigendirections and for a restricted system of degree <= 1 (whose
+    solution is zero at every index set to zero, so singular), and degrades
+    to a documented incomplete probe otherwise.  In dim 2 some saturated
+    component keeps a term free of u, so the two never both vanish on E."""
     j, n = sat.chart.index, sat.chart.n
     f = sat.saturated_field
     if n == 2:
-        a, b = (univariate_on_E(c, j, 1 - j) for c in f.components)
-        if not a and not b:
-            return ELocus(points=[], non_isolated=True, complete=True,
-                          notes=["both components vanish on E after saturation (impossible)"])
         if j == 1:
             # chart 2 reports only w = 0, a root of gcd(a, b) iff a(0) = b(0) = 0
             origin = (GaussRat(0), GaussRat(0))
             return ELocus(points=[origin] if is_singular_at_origin(f) else [], complete=True)
-        g = unipoly.poly_gcd(a, b)
+        g = unipoly.poly_gcd(*(univariate_on_E(c, j, 1 - j) for c in f.components))
         if unipoly.degree(g) <= 0:
             return ELocus(points=[], complete=True)
         res = unipoly.gaussian_rational_roots(g)
         points = [(GaussRat(0), w0) for w0 in res.roots]
         clusters = []
         if not res.split_completely():
-            clusters.append(SingularCluster(tuple(unipoly.poly_monic(res.residual)), res.exhaustive))
+            clusters.append(SingularCluster(tuple(unipoly.poly_monic(res.residual))))
         # drop duplicate points, keep deterministic order
         uniq = sorted(set(points), key=lambda q: (str(q[0]), str(q[1])))
         return ELocus(points=uniq, clusters=clusters, complete=True)
@@ -369,8 +366,7 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
         pt = [GaussRat(0)] * n
         for pos, i in enumerate(keep):
             pt[i] = sol[pos]
-        singular = all(c.evaluate(pt).is_zero() for c in f.components)
-        return ELocus(points=[tuple(pt)] if singular else [], complete=True)
+        return ELocus(points=[tuple(pt)], complete=True)
 
     origin = tuple(GaussRat(0) for _ in range(n))
     pts = [origin] if all(c.evaluate(origin).is_zero() for c in f.components) else []

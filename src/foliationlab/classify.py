@@ -240,16 +240,22 @@ def classify_simple(v: VectorFieldGerm, divisor: LogDivisor) -> SimpleStatus:
         raise NonSingularPoint("germ is not singular at the origin")
     if divisor.axis_count() == 0:
         raise NoDivisorThroughPoint("no divisor axis through the origin")
-    status = _simple_status(v, divisor, lambda: linalg.char_poly(v.linear_part()))
+    status = _simple_status(v, divisor, linalg.char_poly(v.linear_part()))
     if isinstance(status, str):
         raise DivisorNotInvariant(status)
     return status
 
 
-def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, char_poly) -> SimpleStatus | str:
-    """`classify_simple` of a singular germ, or the reason the divisor admits
-    no simple status there.  Only a single axis with a nonzero log
-    coefficient calls `char_poly()` for the characteristic polynomial."""
+def corner_witnesses(lam0: dict[int, GaussRat]) -> list[tuple[int, int]]:
+    """The axis pairs (p, q), in axis order, whose log coefficients make a
+    corner: lam0[p] != 0 and lam0[q] / lam0[p] is not a positive rational."""
+    axes = sorted(lam0)
+    return [(p, q) for p in axes for q in axes if q != p and ratio_in_Q_plus(lam0[p], lam0[q]) is False]
+
+
+def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, cp: list[GaussRat]) -> SimpleStatus | str:
+    """`classify_simple` of a singular germ with characteristic polynomial
+    cp, or the reason the divisor admits no simple status there."""
     e = divisor.axis_count()
     if e == 0:
         return "no divisor axis through the point"
@@ -258,16 +264,11 @@ def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, char_poly) -> Simple
     n = v.dim()
     lam0 = log_coefficients(v, divisor)
     if e >= 2:
-        axes = sorted(divisor.axes)
-        for p in axes:
-            if lam0[p].is_zero():
-                continue
-            for q in axes:
-                if q == p:
-                    continue
-                if ratio_in_Q_plus(lam0[p], lam0[q]) is False:
-                    return simple_corner("axes (%d, %d): ratio %s not in Q+" % (p + 1, q + 1, lam0[q] / lam0[p]))
-        return not_simple("every axis pair has a positive rational eigenvalue ratio (or zero pivot)")
+        pairs = corner_witnesses(lam0)
+        if not pairs:
+            return not_simple("every axis pair has a positive rational eigenvalue ratio (or zero pivot)")
+        p, q = pairs[0]
+        return simple_corner("axes (%d, %d): ratio %s not in Q+" % (p + 1, q + 1, lam0[q] / lam0[p]))
     (j0,) = divisor.axes
     lam = lam0[j0]
     if lam.is_zero():
@@ -284,7 +285,6 @@ def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, char_poly) -> Simple
             return not_simple("transverse axis not invariant in the given coordinates "
                               "(a formal change of coordinates is not attempted)")
         return not_simple("restricted linear part has rank < n-1")
-    cp = char_poly()
     if unipoly.root_multiplicity(cp, lam) != 1:
         return not_simple("eigenvalue %s has multiplicity > 1" % lam)
     if _has_other_eigenvalue_with_positive_ratio(cp, lam):
@@ -340,7 +340,7 @@ def _report(v: VectorFieldGerm, mult: int, lp: linalg.Matrix, cp: list[GaussRat]
 
 def singularity_report(v: VectorFieldGerm, divisor: LogDivisor | None = None) -> SingularityReport:
     mult, lp, cp, why = _facts(v)
-    rep = _report(v, mult, lp, cp, why, None if divisor is None else _simple_status(v, divisor, lambda: cp), None)
+    rep = _report(v, mult, lp, cp, why, None if divisor is None else _simple_status(v, divisor, cp), None)
     if v.dim() < 2:
         rep.notes.append("dicriticality unavailable: blow-up needs ambient dimension >= 2")
     else:
@@ -381,7 +381,7 @@ def simple_terminal(v: VectorFieldGerm, divisor: LogDivisor) -> SingularityRepor
     restricted linear part of rank < n-1.  A dim-1 germ has no blow-up, so
     the tower cannot certify it."""
     mult, lp, cp, why = _facts(v)
-    status = _simple_status(v, divisor, lambda: cp)
+    status = _simple_status(v, divisor, cp)
     if isinstance(status, str):
         return status
     if not status.is_simple():

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (including depth-exceeded results and --help), 1
 operational errors (usage errors, parse failures, bad preconditions), 2
-mathematical refutations and self-test failures (Refuted, Mismatch,
-counterexample candidates), 3 internal errors.
+mathematical refutations and self-test failures (Refuted, Mismatch), 3
+internal errors.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ EXIT_INTERNAL = 3
 
 
 def _emit_json(command: str, result, out) -> None:
-    doc = {"schema": SCHEMA, "command": command, "result": result}
+    doc = {"schema": SCHEMA, "command": command, "result": _sanitize(result)}
     out.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     out.write("\n")
 
@@ -155,7 +155,7 @@ def cmd_classify(args, out) -> int:
     germ = dsl.parse_vector_field(args.input)
     divisor = _divisor_for(args, germ)
     rep = classify.singularity_report(germ, divisor)
-    _emit_json("classify", _sanitize(rep.to_jsonable()), out)
+    _emit_json("classify", rep.to_jsonable(), out)
     return EXIT_OK
 
 
@@ -172,7 +172,7 @@ def cmd_blowup(args, out) -> int:
         entry["clusters"] = [[str(c) for c in cl.min_poly] for cl in locus.clusters]
         entry["enumeration_complete"] = locus.complete
         result["c%d" % (sat.chart.index + 1)] = entry
-    _emit_json("blowup", _sanitize(result), out)
+    _emit_json("blowup", result, out)
     return EXIT_OK
 
 
@@ -183,14 +183,14 @@ def cmd_resolve(args, out) -> int:
     else:
         divisor = _divisor_for(args, germ) or LogDivisor.empty()
         tower = resolution.resolve_simple(germ, divisor, args.depth)
-    _emit_json("resolve", _sanitize(tower.to_jsonable()), out)
+    _emit_json("resolve", tower.to_jsonable(), out)
     return EXIT_OK
 
 
 def cmd_weakly_reduced(args, out) -> int:
     germ = dsl.parse_vector_field(args.input)
     cert = resolution.weakly_reduced_check(germ, args.depth)
-    _emit_json("weakly-reduced", _sanitize(cert.to_jsonable()), out)
+    _emit_json("weakly-reduced", cert.to_jsonable(), out)
     return EXIT_REFUTED if cert.verdict == "refuted" else EXIT_OK
 
 
@@ -200,9 +200,9 @@ def cmd_separatrix(args, out) -> int:
     if args.check == "corner":
         if divisor is None:
             raise FoliationError("corner check needs --divisor")
-        rep = separatrix.corner_has_no_transverse_separatrix(germ, divisor, args.order)
-        _emit_json("separatrix", _sanitize(rep.to_jsonable()), out)
-        return EXIT_REFUTED if rep.outcome == "counterexample_candidate" else EXIT_OK
+        rep = separatrix.corner_has_no_transverse_separatrix(germ, divisor)
+        _emit_json("separatrix", rep.to_jsonable(), out)
+        return EXIT_OK
     direction, lam = args.direction, None
     if direction is None and args.eigenvalue is not None:
         lam = dsl.parse_polynomial(args.eigenvalue, ()).constant_term()
@@ -211,15 +211,15 @@ def cmd_separatrix(args, out) -> int:
         raise FoliationError("separatrix solve needs --direction or --eigenvalue")
     result = separatrix.formal_separatrix(germ, direction, args.order, lam)
     if isinstance(result, separatrix.Resonance):
-        _emit_json("separatrix", _sanitize(result.to_jsonable()), out)
+        _emit_json("separatrix", result.to_jsonable(), out)
         return EXIT_OK
     if args.check == "lift":
         if divisor is None:
             raise FoliationError("lift check needs --divisor")
         lift = separatrix.separatrix_lift_check(germ, divisor, result, args.order)
-        _emit_json("separatrix", _sanitize(lift.to_jsonable()), out)
+        _emit_json("separatrix", lift.to_jsonable(), out)
         return EXIT_REFUTED if lift.outcome == "mismatch" else EXIT_OK
-    _emit_json("separatrix", _sanitize(result.to_jsonable()), out)
+    _emit_json("separatrix", result.to_jsonable(), out)
     return EXIT_OK
 
 
@@ -233,17 +233,17 @@ def cmd_nevanlinna(args, out) -> int:
         if args.format == "csv":
             _emit_csv(prof.csv_rows(), out)
         else:
-            _emit_json("nevanlinna", _sanitize({"check": "T", "profile": prof.to_jsonable()}), out)
+            _emit_json("nevanlinna", {"check": "T", "profile": prof.to_jsonable()}, out)
         return EXIT_OK
     if check == "jensen":
         zeros = curve.zeros_for("f1")
         reports = [nevanlinna.jensen_verify(curve.components[0], zeros, r, cfg) for r in radii]
         worst = max(rep.residual - rep.quadrature_bound for rep in reports)
-        _emit_json("nevanlinna", _sanitize({
+        _emit_json("nevanlinna", {
             "check": "jensen",
             "reports": [rep.to_jsonable() for rep in reports],
             "max_excess_residual": worst,
-        }), out)
+        }, out)
         return EXIT_OK
     if check == "fmt":
         if args.ideal is None:
@@ -259,18 +259,17 @@ def cmd_nevanlinna(args, out) -> int:
             series = {"T": prof.T, "N": prof.N, "m": prof.m, "diff": rep.differences}[args.series]
             _emit_csv([["r", args.series]] + [[r, v] for r, v in zip(prof.r_grid, series)], out)
         else:
-            _emit_json("nevanlinna", _sanitize(rep.to_jsonable()), out)
+            _emit_json("nevanlinna", rep.to_jsonable(), out)
         return EXIT_OK if rep.passed else EXIT_REFUTED
     if check == "taut":
         rep = nevanlinna.tautological_pairing(curve, radii, cfg)
-        _emit_json("nevanlinna", _sanitize(rep.to_jsonable()), out)
+        _emit_json("nevanlinna", rep.to_jsonable(), out)
         return EXIT_REFUTED if rep.violation else EXIT_OK
-    if check == "logderiv":
-        zeros = curve.zeros_for("f1")
-        rep = nevanlinna.log_derivative_check(curve.components[0], zeros, radii, cfg)
-        _emit_json("nevanlinna", _sanitize(rep.to_jsonable()), out)
-        return EXIT_OK if rep.passed else EXIT_REFUTED
-    raise FoliationError("unknown check %r" % check)
+    # logderiv, the last of the parser's choices
+    zeros = curve.zeros_for("f1")
+    rep = nevanlinna.log_derivative_check(curve.components[0], zeros, radii, cfg)
+    _emit_json("nevanlinna", rep.to_jsonable(), out)
+    return EXIT_OK if rep.passed else EXIT_REFUTED
 
 
 def cmd_effectivity(args, out) -> int:
@@ -386,7 +385,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return HANDLERS[args.verb](args, sys.stdout)
-    except (dsl.ParseError, FoliationError, resolution.NonIsolatedSingularLocus, ValueError) as exc:
+    except (dsl.ParseError, FoliationError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_ERROR
     except blowup.InternalError as exc:

@@ -1,11 +1,11 @@
 """Deterministic fixture corpora.
 
 The Seidenberg corpus is the package's standing surface-germ test bed:
-dimension 2, component degree <= 3, coefficients in {0, +-1, +-2},
-singular and isolated at the origin.  The full cartesian space of such
-germs is astronomically large, so the corpus takes every monomial pair
-plus curated hard cases plus a seeded random sample; the construction is
-reproducible byte for byte.
+dimension 2, component degree <= 3, coefficients in {0, +-1, +-2}, no
+constant term (so singular at the origin) and an isolated singularity
+there.  The full cartesian space of such germs is astronomically large,
+so the corpus takes every monomial pair plus curated hard cases plus a
+seeded random sample; the construction is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import product
 
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
-from .foliation import VectorFieldGerm, is_singular_at_origin
+from .foliation import VectorFieldGerm
 from . import unipoly
 
 VARS2 = ("x", "y")
@@ -86,8 +86,6 @@ def seidenberg_corpus(max_random: int = 300, seed: int = 20260810) -> list[Vecto
     def push(v: VectorFieldGerm):
         key = v.components  # canonical numerators and denominator: equal germs, equal keys
         if key in seen:
-            return
-        if not is_singular_at_origin(v):
             return
         if not _coprime(*v.components):
             return

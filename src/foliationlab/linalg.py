@@ -56,8 +56,8 @@ def rank(a: Matrix) -> int:
 
 def solve(a: Matrix, b: Sequence[GaussRat]) -> Vector | None:
     """One solution of a x = b, or None when inconsistent.  Free variables
-    are set to zero, so underdetermined systems still return a witness."""
-    n = len(a)
+    are set to zero, so underdetermined systems still return a witness.
+    A pivot in the augmented column is a row caught by the first loop."""
     ncols = len(a[0]) if a else 0
     aug = [list(row) + [GaussRat.coerce(b[i])] for i, row in enumerate(a)]
     rows, pivots = _rref(aug)
@@ -66,15 +66,11 @@ def solve(a: Matrix, b: Sequence[GaussRat]) -> Vector | None:
             return None
     x = [GaussRat(0)] * ncols
     for r, c in enumerate(pivots):
-        if c < ncols:
-            x[c] = rows[r][-1]
-        elif not rows[r][-1].is_zero():
-            return None
+        x[c] = rows[r][-1]
     return tuple(x)
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
-    n = len(a)
     ncols = len(a[0]) if a else 0
     rows, pivots = _rref([list(r) for r in a])
     free = [c for c in range(ncols) if c not in pivots]

@@ -43,6 +43,8 @@ from .quadrature import (GK_NODES, GK_RULE, QuadConfig, QuadResult, ZeroOnCircle
 
 Zero = tuple[complex, int]  # (location, multiplicity); locations may be exact GaussRat
 ROUNDOFF = 50.0 * np.finfo(float).eps  # relative round-off floor of a quadrature sum
+DECLARED_ZERO_TOL = 1e-7  # tolerance of the numeric order check of a declared zero
+EUCLID_CUTOFF = 1e12  # cap of the Euclidean density and of each of its terms
 
 
 class NotALeaf(Exception):
@@ -111,14 +113,14 @@ class ParametrizedCurve:
                 return self.components[idx]
         return None
 
-    def verify_declared_zeros(self, tol: float = 1e-7):
+    def verify_declared_zeros(self):
         for name, zeros in self.declared_zeros.items():
             expr = self._target_expr(name)
             if expr is None:
                 continue  # joint targets ("fprime", "ideal") verified by their consumers
             for (t0, mult) in zeros:
                 z = t0.to_complex() if isinstance(t0, GaussRat) else complex(t0)
-                got = order_at_point(expr, z, mult + 2, tol)
+                got = order_at_point(expr, z, mult + 2, DECLARED_ZERO_TOL)
                 if got != mult:
                     raise ValueError(
                         "declared zero of %s at %s has order %s, not %d" % (name, z, got, mult))
@@ -195,15 +197,15 @@ def fs_sum_density(components: Sequence[Expr]) -> Callable[[np.ndarray], np.ndar
     return dens
 
 
-def euclidean_density(components: Sequence[Expr], cutoff: float = 1e12) -> Callable[[np.ndarray], np.ndarray]:
+def euclidean_density(components: Sequence[Expr]) -> Callable[[np.ndarray], np.ndarray]:
     derivs = [c.diff() for c in components]
 
     def dens(t: np.ndarray) -> np.ndarray:
         total = np.zeros(t.shape, dtype=float)
         for gp in derivs:
             lap = gp.logabs2(t)
-            total = total + np.exp(np.minimum(lap, math.log(cutoff)))
-        return np.minimum(total, cutoff) / math.pi
+            total = total + np.exp(np.minimum(lap, math.log(EUCLID_CUTOFF)))
+        return np.minimum(total, EUCLID_CUTOFF) / math.pi
 
     return dens
 
@@ -504,7 +506,7 @@ class BookkeepingResult:
 
 
 def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0,
-                             max_order: int = 16, tol: float = 1e-7) -> BookkeepingResult:
+                             max_order: int = 16) -> BookkeepingResult:
     """Orders at t0 of f' (mu), of the reparametrization factor (eta), and
     of the coefficient ideal along the curve (nu), with the exact identity
     mu = eta + nu checked.

@@ -31,6 +31,8 @@ import numpy as np
 MIN_CIRCLE_POINTS = 64
 MAX_CIRCLE_POINTS = 1 << 16
 CHUNK_POINTS = MIN_CIRCLE_POINTS * 64  # largest (radius x angle) array; a longer row goes alone
+NUDGE_TOL = 1e-9  # relative distance a nudged radius keeps from each declared zero modulus
+NUDGE_BUMP = 1e-6  # relative step of each nudge
 
 
 def _env_budget() -> int:
@@ -64,14 +66,14 @@ class ZeroOnCircle(Exception):
     pass
 
 
-def nudge_radius(r: float, zero_moduli, tol: float = 1e-9, bump: float = 1e-6) -> float:
+def nudge_radius(r: float, zero_moduli) -> float:
     """Deterministically shift a radius off declared zero moduli."""
     moduli = sorted(float(m) for m in zero_moduli)
     out = float(r)
     for _ in range(64):
-        if all(abs(out - m) > tol * max(1.0, out) for m in moduli):
+        if all(abs(out - m) > NUDGE_TOL * max(1.0, out) for m in moduli):
             return out
-        out *= 1.0 + bump
+        out *= 1.0 + NUDGE_BUMP
     return out
 
 

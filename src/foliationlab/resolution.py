@@ -189,26 +189,16 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
     bu = blowup.univariate_on_E(b.derivative(j), j, w)
     bw = blowup.univariate_on_E(b.derivative(w), j, w)
     # trace = au + bw, det = au*bw - aw*bu (as polynomials in the direction coordinate)
-    tr = blowup.univariate_on_E(a.derivative(j) + b.derivative(w), j, w)
+    tr = unipoly.poly_add(au, bw)
     det = unipoly.poly_sub(unipoly.poly_mul(au, bw), unipoly.poly_mul(aw, bu))
+    # min_poly and every gcd are monic, so a gcd of degree 0 is [1]
     h = list(cluster.min_poly)
-    dh = unipoly.poly_derivative(h)
-    sq = unipoly.poly_gcd(h, dh)
-    if unipoly.degree(sq) > 0:
-        h_sf, rem = unipoly.poly_divmod(h, sq)
-        assert not rem
-    else:
-        h_sf = unipoly.poly_monic(h)
-    g1 = unipoly.poly_gcd(h_sf, tr)
-    nonred = unipoly.poly_gcd(g1, det)
+    h_sf = unipoly.poly_divmod(h, unipoly.poly_gcd(h, unipoly.poly_derivative(h)))[0]
+    nonred = unipoly.poly_gcd(unipoly.poly_gcd(h_sf, tr), det)
     if unipoly.degree(nonred) > 0:
         return ClusterVerdict(unipoly.degree(h_sf), False, [], [], [])
     sn = unipoly.poly_gcd(h_sf, det)
-    if unipoly.degree(sn) > 0:
-        nd, rem = unipoly.poly_divmod(h_sf, sn)
-        assert not rem
-    else:
-        nd, sn = list(h_sf), []
+    nd = unipoly.poly_divmod(h_sf, sn)[0]
     # dicritical cluster points have scalar Jacobian: aw = bu = 0 and au = bw
     # (the m = 1 case of the radial tangent cone in classify.is_dicritical)
     diff = unipoly.poly_sub(au, bw)
@@ -313,7 +303,7 @@ def _run_tower(
                         "saddle-node cluster at non-Q(i) points: type-k normalization unavailable")
                     for part, surface_type in ((verdict.nondegenerate_part, classify.NON_DEGENERATE),
                                                (verdict.saddle_node_part, saddle_node)):
-                        if part and unipoly.degree(part) > 0:
+                        if unipoly.degree(part) > 0:
                             tower.terminals.append(TerminalSingularity(
                                 node_path=child_path, location=None, cluster_poly=_fmt(part),
                                 cluster_size=unipoly.degree(part), reduced=True, surface_type=surface_type,

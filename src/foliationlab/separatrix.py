@@ -12,6 +12,9 @@ with matrix k*I - S, where S_ij = (L_ij - e_i L_pj / e_p) / lambda for
 i, j != p is the linear part L seen along the shear y_i = z_i - e_i z_p / e_p,
 divided by lambda.  So resonances k*lambda = mu show up exactly as singular
 systems; an inconsistent one stops the solver with the obstruction.
+
+The corner report cites the eigenvalue ratios that forbid a transverse
+separatrix at a simple corner; it solves for no curve (see its docstring).
 """
 
 from __future__ import annotations
@@ -159,9 +162,9 @@ def formal_separatrix(v: VectorFieldGerm, direction: int, order: int, lam: Gauss
 
 @dataclass
 class CornerSeparatrixReport:
-    outcome: str  # "confirmed" | "counterexample_candidate"
+    outcome: str  # always "confirmed"
     ratio_witnesses: list[str]
-    attempts: list[dict]
+    attempts: list[dict]  # always empty
     notes: list[str] = field(default_factory=list)
 
     def to_jsonable(self):
@@ -173,62 +176,27 @@ class CornerSeparatrixReport:
         }
 
 
-def corner_has_no_transverse_separatrix(v: VectorFieldGerm, divisor: LogDivisor, order: int) -> CornerSeparatrixReport:
+def corner_has_no_transverse_separatrix(v: VectorFieldGerm, divisor: LogDivisor) -> CornerSeparatrixReport:
     """Confirm, by exact arithmetic, that a simple corner admits no
     separatrix transverse to the divisor.
 
     A transverse separatrix would force positive integer vanishing orders
     with nu_p / nu_q equal to the eigenvalue ratio of two divisor axes,
-    impossible when that ratio is not a positive rational.  Eigendirection
-    attempts with all divisor components nonzero act as a self-test: any
-    survivor is reported as a counterexample candidate."""
+    impossible when that ratio is not a positive rational (Camacho-Sad,
+    Ann. of Math. 115 (1982)).  No eigendirection is tried.  On a divisor
+    axis j, z_j divides a_j, so row j of the linear part is lambda_j e_j
+    and an eigenvector nonzero at j has eigenvalue lambda_j.  One nonzero
+    on every axis makes all lambda_j equal; then no pair is a witness and
+    the germ is no corner.  So `outcome` is "confirmed", `attempts` empty."""
     status = classify.classify_simple(v, divisor)
     if status.kind != "simple_corner":
         raise NotACorner("classify_simple returned %s" % status.kind)
-    axes = sorted(divisor.axes)
     lam0 = classify.log_coefficients(v, divisor)
-    witnesses = []
-    for p in axes:
-        if lam0[p].is_zero():
-            continue
-        for q in axes:
-            if q != p and classify.ratio_in_Q_plus(lam0[p], lam0[q]) is False:
-                witnesses.append(
-                    "axes (%d, %d): nu_%d/nu_%d would equal %s, not a positive rational"
-                    % (p + 1, q + 1, q + 1, p + 1, str(lam0[q] / lam0[p])))
-    attempts = []
-    notes = []
-    lp = v.linear_part()
-    ev = linalg.eigenvalues_exact(lp)
-    outcome = "confirmed"
-    if isinstance(ev, linalg.Indeterminate):
-        notes.append("eigenvalues outside Q(i): eigendirection attempts skipped")
-        ev = []
-    seen = set()
-    for idx, lam in enumerate(ev):
-        key = (lam.re, lam.im)
-        if key in seen:
-            continue
-        seen.add(key)
-        vec = linalg.eigenvector(lp, lam)
-        if vec is None:
-            continue
-        if any(vec[j].is_zero() for j in axes):
-            continue
-        if lam.is_zero():
-            notes.append("transverse eigendirection has eigenvalue 0: solver inapplicable")
-            continue
-        result = formal_separatrix(v, idx, order, lam)
-        if isinstance(result, Resonance):
-            attempts.append({"direction": idx, "result": "resonance", "order": result.order})
-            continue
-        vals = result.component_valuations()
-        if all(vals[j] is not math.inf for j in axes):
-            attempts.append({"direction": idx, "result": "transverse curve survived to order %d" % order})
-            outcome = "counterexample_candidate"
-        else:
-            attempts.append({"direction": idx, "result": "curve fell into the divisor"})
-    return CornerSeparatrixReport(outcome, witnesses, attempts, notes)
+    witnesses = ["axes (%d, %d): nu_%d/nu_%d would equal %s, not a positive rational"
+                 % (p + 1, q + 1, q + 1, p + 1, lam0[q] / lam0[p]) for p, q in classify.corner_witnesses(lam0)]
+    exact = not isinstance(linalg.eigenvalues_exact(v.linear_part()), linalg.Indeterminate)
+    notes = [] if exact else ["eigenvalues outside Q(i): eigendirection attempts skipped"]
+    return CornerSeparatrixReport("confirmed", witnesses, [], notes)
 
 
 @dataclass

@@ -250,33 +250,32 @@ def gaussian_rational_roots(p: Coeffs) -> RootResult:
     Splits completely whenever the polynomial factors into linears over
     Q(i) through rational-root candidates and the quadratic formula.  The
     residual, when present, has no Q(i) root that the bounded candidate
-    search could certify (`exhaustive` records whether the search covered
-    every candidate).
+    search could certify; `exhaustive` is False only when an outer
+    coefficient's norm passed ``DIVISOR_NORM_CAP`` and the search stopped.
     """
     p = trim(list(p))
     if not p:
         raise ValueError("zero polynomial has every root")
     roots: list[GaussRat] = []
-    exhaustive = True
-    while not p[0] or p[0].is_zero():
+    while p[0].is_zero():
         roots.append(GaussRat(0))
         p = p[1:]
     while True:
         d = len(p) - 1
         if d <= 0:
-            return RootResult(roots, None, exhaustive)
+            return RootResult(roots, None, True)
         if d == 1:
             roots.append(-p[0] / p[1])
-            return RootResult(roots, None, exhaustive)
+            return RootResult(roots, None, True)
         if d == 2:
             a, b, c = p[2], p[1], p[0]
             disc = b * b - 4 * a * c
             s = disc.sqrt()
             if s is None:
-                return RootResult(roots, p, exhaustive)
+                return RootResult(roots, p, True)
             roots.append((-b + s) / (2 * a))
             roots.append((-b - s) / (2 * a))
-            return RootResult(roots, None, exhaustive)
+            return RootResult(roots, None, True)
         ints = _clear_denominators(p)
         d0 = _gauss_int_divisors(ints[0])
         dn = _gauss_int_divisors(ints[-1])
@@ -284,7 +283,7 @@ def gaussian_rational_roots(p: Coeffs) -> RootResult:
             return RootResult(roots, p, False)
         found = _first_root(ints, d0, dn)
         if found is None:
-            return RootResult(roots, p, exhaustive)
+            return RootResult(roots, p, True)
         roots.append(found)
         p = deflate(p, found)
 

@@ -4,9 +4,12 @@ matrix helpers, the blow-up chart by ring homomorphism (its images and the
 chart transform) that the chart kernels are checked against, the
 chart-by-chart singular points on E that `blow_up` is checked against,
 the bounded absolutely-isolated probe as a blow-up walk of its own, which
-`resolve_simple` is checked against, and the linear change of coordinates
+`resolve_simple` is checked against, the linear change of coordinates
 with the separatrix solver and Seidenberg-type test that used it, which
-`formal_separatrix` and `_surface_type` are checked against."""
+`formal_separatrix` and `_surface_type` are checked against, and the
+corner report, `linalg.solve` and the cluster verdict with the runtime
+checks that their theorems make redundant, which the current versions
+are checked against."""
 
 import functools
 import math
@@ -23,6 +26,7 @@ from foliationlab.blowup import (
     blow_up,
     blowup_charts,
     transform_vector_field,
+    univariate_on_E,
 )
 from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_polynomial
@@ -39,12 +43,21 @@ from foliationlab.foliation import (
 )
 from foliationlab.gaussrat import ZERO, GaussRat
 from foliationlab.mvpoly import MVPoly
-from foliationlab.resolution import DEFAULT_DEPTH, NonIsolatedSingularLocus, _run_tower, seidenberg_reduce
+from foliationlab.resolution import (
+    DEFAULT_DEPTH,
+    ClusterVerdict,
+    NonIsolatedSingularLocus,
+    _run_tower,
+    seidenberg_reduce,
+)
 from foliationlab.separatrix import (
+    CornerSeparatrixReport,
     FormalCurve,
     IndeterminateEigenvalues,
+    NotACorner,
     Resonance,
     ZeroEigenvalueDirection,
+    formal_separatrix,
 )
 from foliationlab.series import TruncatedSeries
 
@@ -470,3 +483,121 @@ def reference_surface_type(v: VectorFieldGerm) -> classify.SurfaceType:
             return classify.unclassified(
                 "monomial z1^%d z2^%d escapes (z1, z2^%d): surrogate criterion fails" % (e[0], e[1], k))
     return classify.SurfaceType("degenerate", k=int(k), note="surrogate criterion (exact ideal comparison)")
+
+
+# ---------------------------------------------------------------------------
+# Runtime checks that a theorem or the construction makes redundant, as they
+# ran before their deletion
+
+
+def reference_corner_report(v: VectorFieldGerm, divisor: LogDivisor, order: int) -> CornerSeparatrixReport:
+    """`corner_has_no_transverse_separatrix` with its eigendirection
+    attempts: every eigendirection nonzero on all divisor axes goes to the
+    separatrix solver, and a transverse survivor makes the outcome
+    "counterexample_candidate"."""
+    status = classify.classify_simple(v, divisor)
+    if status.kind != "simple_corner":
+        raise NotACorner("classify_simple returned %s" % status.kind)
+    axes = sorted(divisor.axes)
+    lam0 = classify.log_coefficients(v, divisor)
+    witnesses = []
+    for p in axes:
+        if lam0[p].is_zero():
+            continue
+        for q in axes:
+            if q != p and classify.ratio_in_Q_plus(lam0[p], lam0[q]) is False:
+                witnesses.append(
+                    "axes (%d, %d): nu_%d/nu_%d would equal %s, not a positive rational"
+                    % (p + 1, q + 1, q + 1, p + 1, str(lam0[q] / lam0[p])))
+    attempts = []
+    notes = []
+    lp = v.linear_part()
+    ev = linalg.eigenvalues_exact(lp)
+    outcome = "confirmed"
+    if isinstance(ev, linalg.Indeterminate):
+        notes.append("eigenvalues outside Q(i): eigendirection attempts skipped")
+        ev = []
+    seen = set()
+    for idx, lam in enumerate(ev):
+        key = (lam.re, lam.im)
+        if key in seen:
+            continue
+        seen.add(key)
+        vec = linalg.eigenvector(lp, lam)
+        if vec is None:
+            continue
+        if any(vec[j].is_zero() for j in axes):
+            continue
+        if lam.is_zero():
+            notes.append("transverse eigendirection has eigenvalue 0: solver inapplicable")
+            continue
+        result = formal_separatrix(v, idx, order, lam)
+        if isinstance(result, Resonance):
+            attempts.append({"direction": idx, "result": "resonance", "order": result.order})
+            continue
+        vals = result.component_valuations()
+        if all(vals[j] is not math.inf for j in axes):
+            attempts.append({"direction": idx, "result": "transverse curve survived to order %d" % order})
+            outcome = "counterexample_candidate"
+        else:
+            attempts.append({"direction": idx, "result": "curve fell into the divisor"})
+    return CornerSeparatrixReport(outcome, witnesses, attempts, notes)
+
+
+def reference_solve(a, b):
+    """`linalg.solve` with its branch for a pivot in the augmented column."""
+    ncols = len(a[0]) if a else 0
+    aug = [list(row) + [GaussRat.coerce(b[i])] for i, row in enumerate(a)]
+    rows, pivots = linalg._rref(aug)
+    for row in rows:
+        if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
+            return None
+    x = [GaussRat(0)] * ncols
+    for r, c in enumerate(pivots):
+        if c < ncols:
+            x[c] = rows[r][-1]
+        elif not rows[r][-1].is_zero():
+            return None
+    return tuple(x)
+
+
+def reference_cluster_verdict(sat: SaturatedTransform, cluster) -> ClusterVerdict:
+    """`resolution._cluster_verdict` with the trace as a second derivative
+    sum restricted to E, and an if/else on the degree of each gcd it
+    divides by."""
+    j = sat.chart.index
+    w = 1 - j
+    a, b = sat.saturated_field.components[j], sat.saturated_field.components[w]
+    au = univariate_on_E(a.derivative(j), j, w)
+    aw = univariate_on_E(a.derivative(w), j, w)
+    bu = univariate_on_E(b.derivative(j), j, w)
+    bw = univariate_on_E(b.derivative(w), j, w)
+    tr = univariate_on_E(a.derivative(j) + b.derivative(w), j, w)
+    det = unipoly.poly_sub(unipoly.poly_mul(au, bw), unipoly.poly_mul(aw, bu))
+    h = list(cluster.min_poly)
+    dh = unipoly.poly_derivative(h)
+    sq = unipoly.poly_gcd(h, dh)
+    if unipoly.degree(sq) > 0:
+        h_sf, rem = unipoly.poly_divmod(h, sq)
+        assert not rem
+    else:
+        h_sf = unipoly.poly_monic(h)
+    g1 = unipoly.poly_gcd(h_sf, tr)
+    nonred = unipoly.poly_gcd(g1, det)
+    if unipoly.degree(nonred) > 0:
+        return ClusterVerdict(unipoly.degree(h_sf), False, [], [], [])
+    sn = unipoly.poly_gcd(h_sf, det)
+    if unipoly.degree(sn) > 0:
+        nd, rem = unipoly.poly_divmod(h_sf, sn)
+        assert not rem
+    else:
+        nd, sn = list(h_sf), []
+    diff = unipoly.poly_sub(au, bw)
+    dic = list(nd)
+    for q in (aw, bu, diff):
+        if unipoly.degree(dic) <= 0:
+            break
+        dic = unipoly.poly_gcd(dic, q)
+    if unipoly.degree(dic) <= 0:
+        dic = []
+    return ClusterVerdict(unipoly.degree(h_sf), True, nd, sn, dic)

@@ -173,7 +173,7 @@ def test_criterion_8_separatrix_solver():
     assert isinstance(res, Resonance) and res.order == 2
 
     for lam in (GaussRat(-1), GaussRat(-2), GaussRat(Fraction(-1, 2)), I):
-        rep = corner_has_no_transverse_separatrix(germ(X, lam * Y), LogDivisor({0, 1}), 8)
+        rep = corner_has_no_transverse_separatrix(germ(X, lam * Y), LogDivisor({0, 1}))
         assert rep.outcome == "confirmed", (str(lam), rep)
 
     fixtures = [

@@ -24,7 +24,7 @@ from foliationlab.monomial import (
     simplex_min,
 )
 
-from helpers import det, inverse, mat, mat_mul, scalar_matrix
+from helpers import det, inverse, mat, mat_mul, reference_solve, scalar_matrix
 
 
 def test_series_arithmetic_and_truncation():
@@ -117,6 +117,37 @@ def test_eigenvalues_reproduce_char_poly(m):
     for lam in ev:
         prod = unipoly.poly_mul(prod, [-lam, GaussRat(1)])
     assert prod == unipoly.trim(cp)
+
+
+_SOLVE_ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), GaussRat(0, 1), GaussRat(1, -3)]).map(
+    GaussRat.coerce)
+
+
+@st.composite
+def _linear_systems(draw):
+    """(A, b) with 1-4 rows and 0-4 columns, sparse, of rank anywhere up to
+    full; half of them get a multiple of one row appended with its
+    right-hand side shifted, which makes them inconsistent."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    rows = [[draw(_SOLVE_ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [draw(_SOLVE_ENTRY) for _ in range(nrows)]
+    if draw(st.booleans()):
+        i, c = draw(st.integers(0, nrows - 1)), draw(_SOLVE_ENTRY)
+        rows.append([c * x for x in rows[i]])
+        rhs.append(c * rhs[i] + draw(_SOLVE_ENTRY.filter(bool)))
+    return tuple(map(tuple, rows)), tuple(rhs)
+
+
+@given(_linear_systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_reference(system):
+    """`solve` without a branch for a pivot in the augmented column returns
+    what the reference with that branch returns, None included."""
+    a, b = system
+    got = linalg.solve(a, b)
+    assert got == reference_solve(a, b)
+    if got is not None:
+        assert all(sum((x * y for x, y in zip(row, got)), GaussRat(0)) == c for row, c in zip(a, b))
 
 
 _BIG_PARTS = (2**64 + 13, -(3**41), 2**65 - 1)  # past 2^64

@@ -335,7 +335,7 @@ def test_singular_cluster_detected():
 
 def _snapshot(sat, locus):
     return (sat.to_jsonable(), sat.raw_field.to_text(), locus.points,
-            [(cl.min_poly, cl.exhaustive_search) for cl in locus.clusters],
+            [cl.min_poly for cl in locus.clusters],
             locus.complete, locus.non_isolated, locus.notes)
 
 
@@ -359,6 +359,34 @@ def test_blow_up_equals_chart_by_chart_dim3(text, divisor, s, note):
     assert [_snapshot(*entry) for entry in got] == [_snapshot(*entry) for entry in chart_by_chart(v, divisor, 3)]
     assert [sat.saturation_exponent for sat, _ in got] == [s] * 3
     assert all((note in locus.notes[0]) if note else not locus.non_isolated for _, locus in got)
+
+
+@st.composite
+def _singular_fields_dim3_4(draw):
+    """Germs of dims 3-4 singular at the origin, each component with one to
+    three terms of degree 1-3, or of degree 2-3 so that s >= 1 and the
+    restricted system on E answers."""
+    n = draw(st.integers(3, 4))
+    names = ("x", "y", "z", "w")[:n]
+    low = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: low <= sum(e) <= 3)
+    coeff = st.builds(GaussRat, st.integers(-3, 3), st.integers(-1, 1)).filter(lambda c: not c.is_zero())
+    return VectorFieldGerm(names, [MVPoly(names, draw(st.dictionaries(exps, coeff, min_size=1, max_size=3)))
+                                   for _ in names])
+
+
+@given(_singular_fields_dim3_4())
+@example(parse_vector_field("v = (x + y^2) d/dx + y d/dy + (z + x*z) d/dz"))  # radial: s = 1
+@example(parse_vector_field("v = x^2 d/dx + y^2 d/dy + (z^2 + x*y) d/dz"))
+@settings(max_examples=80, deadline=None)
+def test_complete_locus_points_are_singular(v):
+    """Every point of a complete singular locus on E in dims 3-4 is a zero
+    of every saturated component: an eigendirection of a multiplicity-one
+    center, or the solution of a restricted system of degree <= 1, which is
+    zero at every index set to zero."""
+    for sat, locus in blow_up(v):
+        if locus.complete:
+            assert all(c.evaluate(pt).is_zero() for pt in locus.points for c in sat.saturated_field.components)
 
 
 def _chart2_points_by_root_search(sat):

@@ -18,6 +18,7 @@ from foliationlab.foliation import (
 from foliationlab.monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
 from foliationlab.resolution import (
     NonIsolatedSingularLocus,
+    _cluster_verdict,
     discrepancy_log_resolution,
     multiplier_ideal_trivial_by_discrepancy,
     resolve_simple,
@@ -28,7 +29,7 @@ from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
 from foliationlab import blowup, classify, linalg, unipoly
 
-from helpers import reference_resolve_simple
+from helpers import points_on_E, reference_cluster_verdict, reference_resolve_simple, seeded_towers
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -76,6 +77,31 @@ def test_seidenberg_golden_cluster():
     clusters = [term for term in t.terminals if term.cluster_poly]
     assert clusters
     assert all(term.reduced for term in t.terminals)
+
+
+def _verdict_text(verdict):
+    parts = (verdict.nondegenerate_part, verdict.saddle_node_part, verdict.dicritical_part)
+    return verdict.size, verdict.all_reduced, [[str(c) for c in part] for part in parts]
+
+
+def test_cluster_verdict_matches_reference():
+    """On every cluster of the seed 0-3 Seidenberg towers and of the
+    golden-ratio germ, the verdict equals the reference's, except that a
+    saddle-node part of degree 0 is [1] here and [] there; the tower skips
+    both."""
+    golden = parse_vector_field("v = -y^3 d/dx + (x^3 + 2*x^2*y - x*y^2 - 2*y^3) d/dy")
+    seen = set()
+    for tower in seeded_towers() + [seidenberg_reduce(golden, 8)]:
+        for node in tower.nodes.values():
+            for cl in points_on_E(node.transform).clusters:
+                got = _cluster_verdict(node.transform, cl)
+                want = reference_cluster_verdict(node.transform, cl)
+                if got.all_reduced and unipoly.degree(got.saddle_node_part) == 0:
+                    assert got.saddle_node_part == [GaussRat(1)] and want.saddle_node_part == []
+                    got.saddle_node_part = []
+                assert _verdict_text(got) == _verdict_text(want)
+                seen.add((tower.root == golden, bool(got.saddle_node_part)))
+    assert seen == {(False, False), (False, True), (True, True)}
 
 
 def test_depth_exceeded_is_a_result():

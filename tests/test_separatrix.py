@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foliationlab import linalg
+from foliationlab import linalg, unipoly
+from foliationlab.classify import classify_simple
+from foliationlab.dsl import parse_divisor, parse_vector_field
 from foliationlab.gaussrat import GaussRat, I
 from foliationlab.mvpoly import MVPoly
 from foliationlab.series import TruncatedSeries
@@ -23,7 +26,7 @@ from foliationlab.separatrix import (
 )
 from foliationlab.series import poly_eval_series
 
-from helpers import inverse, mat, mat_mul, reference_formal_separatrix
+from helpers import inverse, mat, mat_mul, reference_corner_report, reference_formal_separatrix
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -88,7 +91,7 @@ def test_corner_confirmed_for_required_ratios():
     ratios = [GaussRat(-1), GaussRat(-2), GaussRat(Fraction(-1, 2)), I]
     for lam in ratios:
         v = germ(X, lam * Y)
-        rep = corner_has_no_transverse_separatrix(v, LogDivisor({0, 1}), 8)
+        rep = corner_has_no_transverse_separatrix(v, LogDivisor({0, 1}))
         assert rep.outcome == "confirmed"
         assert rep.ratio_witnesses
 
@@ -96,7 +99,7 @@ def test_corner_confirmed_for_required_ratios():
 def test_corner_gate():
     v = germ(2 * X, 3 * Y)  # ratio 3/2 in Q+: not a corner
     with pytest.raises(NotACorner):
-        corner_has_no_transverse_separatrix(v, LogDivisor({0, 1}), 6)
+        corner_has_no_transverse_separatrix(v, LogDivisor({0, 1}))
 
 
 def test_lift_type_a():
@@ -244,3 +247,75 @@ def test_formal_separatrix_matches_graph_gauge_reference(v, order):
     assert not isinstance(ev, linalg.Indeterminate)
     for d in range(len(ev)):
         assert _outcome(formal_separatrix, v, d, order) == _outcome(reference_formal_separatrix, v, d, order)
+
+
+_AXIS_SPECTRUM = st.sampled_from([GaussRat(a, b) for a, b in [(1, 0), (-1, 0), (2, 0), (0, 1), (1, 1), (0, 0)]])
+
+
+@st.composite
+def _corner_candidates(draw):
+    """(v, divisor) in dims 2-4 with two or more divisor axes.  On an axis j
+    the component is z_j (lambda_j + terms of degree 1-2), lambda_j from a
+    small spectrum so that axes share eigenvalues; off the axes it has
+    terms of degree 1-2.  The axes are invariant and v is singular."""
+    n = draw(st.integers(2, 4))
+    names = ("x", "y", "z", "w")[:n]
+    axes = draw(st.sets(st.integers(0, n - 1), min_size=2))
+
+    def terms(low):
+        exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: low <= sum(e) <= 2)
+        return MVPoly(names, draw(st.dictionaries(exps, _COEFF, max_size=3)))
+
+    comps = [MVPoly.var(names, names[i]) * (terms(1) + draw(_AXIS_SPECTRUM)) if i in axes else terms(1)
+             for i in range(n)]
+    return VectorFieldGerm(names, comps), LogDivisor(axes)
+
+
+# dim 4, eigenvalues 1, -1 and +-sqrt(2) outside Q(i): the report keeps its note
+_DIM4_NOTE = parse_vector_field("v = x d/dx - y d/dy + (z + w) d/dz + (z - w) d/dw")
+_DIM4_NOTE_CASE = (_DIM4_NOTE, parse_divisor("{x, y}", _DIM4_NOTE.variables))
+_VS3_CORNER = VectorFieldGerm(_VS3, (_X3, -1 * _Y3, _Z3 + _X3 * _Z3))
+
+
+@given(_corner_candidates())
+@example((_VS3_CORNER, LogDivisor({0, 1, 2})))  # eigenvalue 1 on axes x and z
+@settings(max_examples=120, deadline=None)
+def test_no_corner_eigenvector_is_nonzero_on_every_axis(case):
+    """Camacho-Sad: a simple corner has no eigendirection transverse to its
+    divisor.  Row j of the linear part is lambda_j e_j on an axis j, so an
+    eigenvector nonzero there has eigenvalue lambda_j."""
+    v, divisor = case
+    if classify_simple(v, divisor).kind != "simple_corner":
+        return
+    lp = v.linear_part()
+    for lam in unipoly.gaussian_rational_roots(linalg.char_poly(lp)).roots:
+        for vec in linalg.eigenspace(lp, lam):
+            assert any(vec[j].is_zero() for j in divisor.axes)
+            assert all(lp[j][j] == lam for j in divisor.axes if not vec[j].is_zero())
+
+
+@given(_corner_candidates())
+@example((_VS3_CORNER, LogDivisor({0, 1, 2})))
+@settings(max_examples=120, deadline=None)
+def test_corner_report_matches_eigendirection_reference(case):
+    """The corner report without eigendirection attempts writes the same
+    JSON as the reference that tries every eigendirection, or raises the
+    same NotACorner."""
+    v, divisor = case
+    try:
+        want = reference_corner_report(v, divisor, 6).to_jsonable()
+    except NotACorner as exc:
+        with pytest.raises(NotACorner, match=str(exc)):
+            corner_has_no_transverse_separatrix(v, divisor)
+        return
+    got = corner_has_no_transverse_separatrix(v, divisor).to_jsonable()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert got["outcome"] == "confirmed" and got["attempts"] == []
+
+
+def test_corner_report_keeps_the_note_outside_Q_i():
+    """A dim-4 corner whose spectrum leaves Q(i) keeps its note, and its
+    report equals the reference's."""
+    rep = corner_has_no_transverse_separatrix(*_DIM4_NOTE_CASE)
+    assert rep.notes == ["eigenvalues outside Q(i): eigendirection attempts skipped"]
+    assert rep.to_jsonable() == reference_corner_report(*_DIM4_NOTE_CASE, 8).to_jsonable()
