@@ -163,6 +163,15 @@ def _x_axis(f: dict) -> tuple[int, int, tuple[int, int]] | None:
     return min(xs), deg, f[(deg, 0)]
 
 
+def _zi_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A gcd in Z[i] of the pairs a, b: Euclid with the nearest quotient."""
+    while b[0] or b[1]:
+        n = b[0] * b[0] + b[1] * b[1]
+        q0, q1 = (2 * (a[0] * b[0] + a[1] * b[1]) + n) // (2 * n), (2 * (a[1] * b[0] - a[0] * b[1]) + n) // (2 * n)
+        a, b = b, (a[0] - q0 * b[0] + q1 * b[1], a[1] - q0 * b[1] - q1 * b[0])
+    return a
+
+
 def milnor_number(v: VectorFieldGerm) -> int | float:
     """Dim 2: the Milnor number mu_0(v) = I_0(a, b) = dim O_0/(a, b) of the
     components a, b, or math.inf when they share a branch through 0, i.e.
@@ -177,7 +186,11 @@ def milnor_number(v: VectorFieldGerm) -> int | float:
     and a finite I_0 is at most deg a deg b (Bezout, after dividing out any
     common factor, which is a unit at 0), so a count past that bound means
     a shared branch through 0; without the bound the algorithm would not
-    stop on one."""
+    stop on one.  Terms of degree >= bound + 1 - count are dropped: a
+    finite I_0(F, G) = k puts m^k in (F, G) O_0, so by Nakayama terms in
+    m^c keep min(I_0(F, G), c).  With the Z[i] content of each reduced G
+    divided out, this stops the growth of degrees and coefficients that
+    a shared branch otherwise causes before the count passes the bound."""
     if v.dim() != 2:
         raise ValueError("the Milnor number by intersection needs dimension 2")
     a, b = v.components
@@ -198,22 +211,29 @@ def milnor_number(v: VectorFieldGerm) -> int | float:
             count += rg[0]
             if count > bound:
                 return math.inf
-            f = {(i, j - 1): c for (i, j), c in f.items()}
+            f = {(i, j - 1): c for (i, j), c in f.items() if i + j < bound + 2 - count}
             if (0, 0) in f:
                 return count
             continue
         (p, q), (s, t), shift = rf[2], rg[2], rg[1] - rf[1]
-        out = {e: (p * re - q * im, p * im + q * re) for e, (re, im) in g.items()}
+        cap = bound + 1 - count
+        out = {e: (p * re - q * im, p * im + q * re) for e, (re, im) in g.items() if e[0] + e[1] < cap}
         for (i, j), (re, im) in f.items():
+            if i + j + shift >= cap:
+                continue
             e = (i + shift, j)
             o = out.get(e, (0, 0))
             out[e] = (o[0] - s * re + t * im, o[1] - s * im - t * re)
         out = {e: c for e, c in out.items() if c[0] or c[1]}
         if not out:
             return math.inf  # g was a multiple of f
-        content = math.gcd(*(x for c in out.values() for x in c))
-        if content != 1:
-            out = {e: (re // content, im // content) for e, (re, im) in out.items()}
+        c = (0, 0)
+        for z in out.values():
+            if (c := _zi_gcd(z, c))[0] ** 2 + c[1] ** 2 == 1:
+                break
+        else:
+            n = c[0] * c[0] + c[1] * c[1]
+            out = {e: ((re * c[0] + im * c[1]) // n, (im * c[0] - re * c[1]) // n) for e, (re, im) in out.items()}
         g = out
 
 

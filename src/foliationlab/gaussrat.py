@@ -226,6 +226,11 @@ def _gauss(a: int, b: int, d: int) -> GaussRat:
     return z
 
 
+def _zi_quotient(a: int, b: int, c: int, d: int) -> GaussRat:
+    """The GaussRat (a + b*i)/(c + d*i) of two Gaussian integers, c + d*i != 0."""
+    return _gauss(a * c + b * d, b * c - a * d, c * c + d * d)
+
+
 def _abd_of(x) -> tuple[int, int, int] | None:
     """The canonical (a, b, d) of a GaussRat, int or Fraction; None for
     any other operand."""

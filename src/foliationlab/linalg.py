@@ -1,87 +1,112 @@
 """Small exact linear algebra over the Gaussian rationals.
 
-Matrices are tuples of row tuples of GaussRat.  Eigenvalues are exact
+Matrices are tuples of row tuples of GaussRat.  Elimination runs on Z[i]
+pairs (re, im): each row becomes Gaussian integers once, scaled by the lcm
+of its denominators (which changes neither the RREF nor the kernel), and
+GaussRat values are built only from the results.  Eigenvalues are exact
 whenever the characteristic polynomial splits over Q(i); otherwise an
-Indeterminate value carries the characteristic polynomial together with
-float approximations of the spectrum.
-"""
+Indeterminate value carries it with float shadows of the spectrum
+(numpy's `roots`)."""
 
 from __future__ import annotations
 
-from math import lcm
+from operator import itemgetter
 from typing import Sequence
 
-from .gaussrat import GaussRat, _abd_of, _gauss
+from .gaussrat import ONE, ZERO, GaussRat, _gauss, _zi_quotient
+from .unipoly import _clear_denominators as _clear
 from . import unipoly
 
 Matrix = tuple[tuple[GaussRat, ...], ...]
 Vector = tuple[GaussRat, ...]
+ZiRow = list[tuple[int, int]]
 
 
-def _rref(rows: list[list[GaussRat]]) -> tuple[list[list[GaussRat]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def _rref(rows: list[ZiRow]) -> tuple[list[ZiRow], list[int], tuple[int, int]]:
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, Math. Comp.
+    22 (1968)); returns (rows, pivot column indices, last pivot).
+
+    A new pivot p in row r and column c turns every other row into
+    (p*row - f*rows[r]) / p_prev, f its entry in column c, p_prev the
+    previous pivot (1 at first), exactly by Sylvester's identity.  Each row
+    stays a nonzero multiple of its row over Q(i), so the pivot columns are
+    the same, and each pivot row ends with the last pivot p at its pivot:
+    rows / p is the reduced row echelon form, which is unique."""
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
+    qr, qi = 1, 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != (0, 0)), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = GaussRat(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        pr, pi = prow[c]
+        qn = qr * qr + qi * qi
         for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i == r:
+                continue
+            row = rows[i]
+            fr, fi = row[c]
+            if fr or fi:
+                row = [(pr * x - pi * y - fr * u + fi * w, pr * y + pi * x - fr * w - fi * u)
+                       for (x, y), (u, w) in zip(row, prow)]
+            elif (pr, pi) != (qr, qi):
+                row = [(pr * x - pi * y, pr * y + pi * x) for x, y in row]
+            else:  # f = 0 and p = p_prev leave the row as it is
+                continue
+            if qi or qr != 1:  # divide by p_prev: times its conjugate, over its norm
+                row = [((x * qr + y * qi) // qn, (y * qr - x * qi) // qn) for x, y in row]
+            rows[i] = row
+        qr, qi = pr, pi
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return rows, pivots, (qr, qi)
+
+
+def _kernel(rows: list[ZiRow]) -> list[Vector]:
+    """Kernel basis of a Z[i] matrix, one vector per free column f:
+    v[f] = 1 and v[c] = -rows[r][f] / p at the pivot column c of row r."""
+    ncols = len(rows[0]) if rows else 0
+    rows, pivots, p = _rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            x, y = rows[r][f]
+            v[c] = _zi_quotient(-x, -y, *p)
+        basis.append(tuple(v))
+    return basis
 
 
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    _, pivots = _rref([list(r) for r in a])
-    return len(pivots)
+    return len(_rref([_clear(row)[0] for row in a])[1])
 
 
 def solve(a: Matrix, b: Sequence[GaussRat]) -> Vector | None:
-    """One solution of a x = b, or None when inconsistent.  Free variables
-    are set to zero, so underdetermined systems still return a witness.
-    A pivot in the augmented column is a row caught by the first loop."""
+    """One solution of a x = b, or None when inconsistent, i.e. when the
+    augmented column holds a pivot.  Free variables are set to zero, so
+    underdetermined systems still return a witness."""
     ncols = len(a[0]) if a else 0
-    aug = [list(row) + [GaussRat.coerce(b[i])] for i, row in enumerate(a)]
-    rows, pivots = _rref(aug)
-    for row in rows:
-        if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
-            return None
-    x = [GaussRat(0)] * ncols
+    rows, pivots, p = _rref([_clear([*row, GaussRat.coerce(b[i])])[0] for i, row in enumerate(a)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [ZERO] * ncols
     for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
+        x[c] = _zi_quotient(*rows[r][-1], *p)
     return tuple(x)
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
-    ncols = len(a[0]) if a else 0
-    rows, pivots = _rref([list(r) for r in a])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [GaussRat(0)] * ncols
-        v[f] = GaussRat(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
+    return _kernel([_clear(row)[0] for row in a])
 
 
 def char_poly(a: Matrix) -> list[GaussRat]:
@@ -96,13 +121,8 @@ def char_poly(a: Matrix) -> list[GaussRat]:
         return [-a[0][0], GaussRat(1)]
     if n == 2:
         return [a[0][0] * a[1][1] - a[0][1] * a[1][0], -(a[0][0] + a[1][1]), GaussRat(1)]
-    abd = [[_abd_of(x) for x in row] for row in a]
-    d = 1
-    for row in abd:
-        for _, _, q in row:
-            if q != d:
-                d = lcm(d, q)
-    b = [[(x * (d // q), y * (d // q)) for x, y, q in row] for row in abd]
+    flat, d = _clear([x for row in a for x in row])
+    b = [flat[i * n:(i + 1) * n] for i in range(n)]
     descending = [GaussRat(1)]
     scale = 1
     m = None  # M_k of the recursion; M_1 = I, so B M_1 = B
@@ -177,13 +197,21 @@ def eigenvalues_of_char_poly(cp: list[GaussRat]) -> list[GaussRat] | Indetermina
     characteristic polynomial."""
     res = unipoly.gaussian_rational_roots(cp)
     if res.split_completely():
-        return sorted(res.roots, key=lambda z: (z.re, z.im))
+        # (re, im) order, read on the integers over one common denominator
+        keys = _clear(res.roots)[0]
+        return [z for _, z in sorted(zip(keys, res.roots), key=itemgetter(0))]
     return Indeterminate(cp, _approx_roots(cp))
 
 
 def eigenspace(a: Matrix, lam: GaussRat) -> list[Vector]:
-    """Kernel basis of A - lam*I, with lam subtracted on the diagonal only."""
-    return kernel_basis(tuple(tuple(x - lam if i == k else x for k, x in enumerate(row)) for i, row in enumerate(a)))
+    """Kernel basis of A - lam*I, each row built in Z[i] as L*(row - lam e_i),
+    L the lcm of the row's and lam's denominators."""
+    lam = GaussRat.coerce(lam)
+    rows = [_clear([*row, lam])[0] for row in a]
+    for i, ints in enumerate(rows):
+        (lr, li), (x, y) = ints.pop(), ints[i]
+        ints[i] = (x - lr, y - li)
+    return _kernel(rows)
 
 
 def eigenvector(a: Matrix, lam: GaussRat) -> Vector | None:

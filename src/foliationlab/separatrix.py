@@ -231,10 +231,8 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
     for j in sorted(divisor.axes):
         if vals[j] is math.inf:
             raise CurveInDivisor("curve component %d vanishes to working order: curve lies in D" % (j + 1))
-    finite = [(val, i) for i, val in enumerate(vals) if val is not math.inf]
-    if not finite:
-        raise FoliationError("curve is identically zero to working order")
-    vmin, c = min(finite)
+    # a simple point has one divisor axis, and its component is finite
+    c = min((val, i) for i, val in enumerate(vals) if val is not math.inf)[1]
     denom = curve.components[c]
     lifted: list[TruncatedSeries] = []
     point = []

@@ -2,26 +2,27 @@
 
 Polynomials are ascending coefficient lists.  This module holds their
 arithmetic, gcd and root extraction; other modules call it rather than do
-arithmetic on the lists.  The root finder extracts Gaussian rational roots
-by the rational root theorem transported to Z[i]
-(a UFD, so candidate roots are ratios of Gaussian-integer divisors of the
-outer coefficients), plus the exact quadratic formula.  The divisors of a
-Gaussian integer come from its factored norm: each rational prime splits
-into Gaussian primes, exact division of z fixes their exponents, and the
-products times the four units are every divisor.  Each candidate num/den
-is tested in integers by homogeneous Horner, sum C_k num^k den^(n-k) = 0,
-so only a root found becomes a GaussRat.  Anything that does not split this
-way, or whose outer coefficients have norm past ``DIVISOR_NORM_CAP``, is
-returned as an unfactored residual; callers treat residuals conservatively.
-"""
+arithmetic on the lists.  The root path works in Z[i]: the
+coefficients are cleared to Gaussian integers over their common
+denominator, and only a root found becomes a GaussRat (a rational root a
+Fraction).  Gaussian rational roots come from the rational root theorem
+transported to Z[i] (a UFD, so candidates are ratios of Gaussian-integer
+divisors of the outer coefficients), plus the exact quadratic formula.
+The divisors of a Gaussian integer come from its factored norm: each
+rational prime splits into Gaussian primes, exact division of z fixes
+their exponents, and the products times the four units are every divisor.
+Each candidate num/den is tested by homogeneous Horner, sum C_k num^k
+den^(n-k) = 0.  Anything that does not split this way, or whose outer
+coefficients have norm past ``DIVISOR_NORM_CAP``, is returned as an
+unfactored residual; callers treat residuals conservatively."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .gaussrat import ZERO, GaussRat, _gauss
+from .gaussrat import ZERO, GaussRat, _gauss, _zi_quotient
 
 Coeffs = list[GaussRat]
 
@@ -194,13 +195,13 @@ def _gauss_int_divisors(z: tuple[int, int], cap: int = DIVISOR_NORM_CAP) -> list
     return sorted(d for u, v in divs for d in ((u, v), (-v, u), (-u, -v), (v, -u)))
 
 
-def _clear_denominators(p: Coeffs) -> list[tuple[int, int]]:
-    from math import lcm
-
-    l = 1
-    for c in p:
-        l = lcm(l, c.re.denominator, c.im.denominator)
-    return [(int(c.re * l), int(c.im * l)) for c in p]
+def _clear_denominators(cs: Sequence[GaussRat]) -> tuple[list[tuple[int, int]], int]:
+    """The Gaussian integers l*c, as (re, im) pairs, and l, the lcm of the
+    denominators d of the (a + b*i)/d.  Since gcd(a, b, d) = 1, d is the lcm
+    of the denominators of the real and imaginary parts."""
+    abd = [c._abd for c in cs]
+    l = lcm(*(d for _, _, d in abd))
+    return [(a * (l // d), b * (l // d)) for a, b, d in abd], l
 
 
 def _first_root(ints: list[tuple[int, int]], d0: list[tuple[int, int]],
@@ -226,7 +227,7 @@ def _first_root(ints: list[tuple[int, int]], d0: list[tuple[int, int]],
             for tr, ti in terms:
                 sr, si = sr * a - si * b + tr, sr * b + si * a + ti
             if not (sr or si):
-                return GaussRat(a, b) / GaussRat(c, d)
+                return _zi_quotient(a, b, c, d)
     return None
 
 
@@ -276,7 +277,7 @@ def gaussian_rational_roots(p: Coeffs) -> RootResult:
             roots.append((-b + s) / (2 * a))
             roots.append((-b - s) / (2 * a))
             return RootResult(roots, None, True)
-        ints = _clear_denominators(p)
+        ints = _clear_denominators(p)[0]
         d0 = _gauss_int_divisors(ints[0])
         dn = _gauss_int_divisors(ints[-1])
         if d0 is None or dn is None:
@@ -311,31 +312,57 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _int_gcd(*polys: list[int]) -> list[int]:
+    """Primitive gcd over Z[t], leading coefficient positive, of integer
+    polynomials, by the primitive pseudo-remainder sequence; [] for zeros."""
+    f: list[int] = []
+    for g in polys:
+        while any(g):
+            while not g[-1]:
+                g = g[:-1]
+            content = gcd(*g) if g[-1] > 0 else -gcd(*g)
+            g, r = [c // content for c in g], list(f)
+            while len(r) >= len(g):  # pseudo-division by g, one lc(g) per step
+                k, c = len(r) - len(g), r[-1]
+                r = [x * g[-1] for x in r]
+                for j, b in enumerate(g):
+                    r[k + j] -= c * b
+                r.pop()
+            f, g = g, r
+    return f
+
+
 def real_rational_roots(p: Coeffs) -> list[Fraction]:
     """Rational (real) roots of a Q(i)-coefficient polynomial, sorted,
     without multiplicity.
 
-    A rational q is a root iff it is a common root of the real and
-    imaginary coefficient parts, i.e. a rational root of their gcd over Q;
-    the rational root theorem bounds the candidates.
+    With l*p = R + i*I for integer polynomials R and I (l clears the
+    denominators), a rational q is a root iff it is a common root of R and
+    I, i.e. a rational root of their gcd over Z; the rational root theorem
+    bounds the candidates num/den, each tested in integers by homogeneous
+    Horner, sum g_k num^k den^(n-k) = 0.
     """
     p = trim(list(p))
     if not p:
         raise ValueError("zero polynomial")
-    g = poly_gcd([GaussRat(c.re) for c in p], [GaussRat(c.im) for c in p])
+    ints = _clear_denominators(p)[0]
+    g = _int_gcd([a for a, _ in ints], [b for _, b in ints])
     roots = set()
-    while len(g) > 1 and g[0].is_zero():
+    while len(g) > 1 and not g[0]:
         roots.add(Fraction(0))
         g = g[1:]
     if len(g) == 2:
-        roots.add((-g[0] / g[1]).re)
+        roots.add(Fraction(-g[0], g[1]))
     elif len(g) > 2:
-        ints = _clear_denominators(g)
-        for num in _int_divisors(ints[0][0]):
-            for den in _int_divisors(ints[-1][0]):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if poly_eval(g, GaussRat(cand)).is_zero():
-                        roots.add(cand)
+        for num in _int_divisors(g[0]):
+            for den in _int_divisors(g[-1]):
+                for cand in (num, -num):
+                    s, dk = 0, 1
+                    for c in reversed(g):
+                        s = s * cand + c * dk
+                        dk *= den
+                    if not s:
+                        roots.add(Fraction(cand, den))
     return sorted(roots)
 
 

@@ -9,7 +9,10 @@ with the separatrix solver and Seidenberg-type test that used it, which
 `formal_separatrix` and `_surface_type` are checked against, and the
 corner report, `linalg.solve` and the cluster verdict with the runtime
 checks that their theorems make redundant, which the current versions
-are checked against."""
+are checked against, and Gauss-Jordan elimination on GaussRat rows (the
+RREF, kernel basis and eigenspace), the Fraction clearing of
+denominators and the Fraction-candidate `real_rational_roots`, which the
+Z[i] elimination and the integer root path are checked against."""
 
 import functools
 import math
@@ -363,7 +366,7 @@ def inverse(a):
     """Inverse of a square matrix over Q(i) by row reduction, None when singular."""
     n = len(a)
     aug = [list(row) + [GaussRat(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    rows, pivots = linalg._rref(aug)
+    rows, pivots = reference_rref(aug)
     if pivots[:n] != list(range(n)):
         return None
     return tuple(tuple(rows[i][n:]) for i in range(n))
@@ -548,7 +551,7 @@ def reference_solve(a, b):
     """`linalg.solve` with its branch for a pivot in the augmented column."""
     ncols = len(a[0]) if a else 0
     aug = [list(row) + [GaussRat.coerce(b[i])] for i, row in enumerate(a)]
-    rows, pivots = linalg._rref(aug)
+    rows, pivots = reference_rref(aug)
     for row in rows:
         if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
             return None
@@ -601,3 +604,89 @@ def reference_cluster_verdict(sat: SaturatedTransform, cluster) -> ClusterVerdic
     if unipoly.degree(dic) <= 0:
         dic = []
     return ClusterVerdict(unipoly.degree(h_sf), True, nd, sn, dic)
+
+
+# ---------------------------------------------------------------------------
+# Elimination and rational roots over Q(i) with GaussRat and Fraction
+# arithmetic throughout, which the Z[i] versions are checked against
+
+
+def reference_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination on GaussRat
+    rows; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if not rows[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = GaussRat(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def reference_kernel_basis(a):
+    """Kernel basis read off `reference_rref`: v[f] = 1 at a free column f."""
+    ncols = len(a[0]) if a else 0
+    rows, pivots = reference_rref(a)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [GaussRat(0)] * ncols
+        v[f] = GaussRat(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_eigenspace(a, lam):
+    """Kernel basis of A - lam*I, subtracted in GaussRat arithmetic."""
+    return reference_kernel_basis([[x - lam if i == k else x for k, x in enumerate(row)] for i, row in enumerate(a)])
+
+
+def reference_clear_denominators(p):
+    """`unipoly._clear_denominators` on Fractions: l*p as (re, im) pairs and
+    l, the lcm of the denominators of every real and imaginary part."""
+    l = math.lcm(1, *(q.denominator for c in p for q in (c.re, c.im)))
+    return [(int(c.re * l), int(c.im * l)) for c in p], l
+
+
+def reference_real_rational_roots(p):
+    """Rational roots of a Q(i) polynomial, sorted, without multiplicity:
+    the rational roots of the monic gcd over Q of its real and imaginary
+    parts, by the rational root theorem with Fraction candidates."""
+    p = unipoly.trim(list(p))
+    g = unipoly.poly_gcd([GaussRat(c.re) for c in p], [GaussRat(c.im) for c in p])
+    roots = set()
+    while len(g) > 1 and g[0].is_zero():
+        roots.add(Fraction(0))
+        g = g[1:]
+    if len(g) == 2:
+        roots.add((-g[0] / g[1]).re)
+    elif len(g) > 2:
+        den = math.lcm(*(c.re.denominator for c in g))
+        ints = [int(c.re * den) for c in g]
+        for num in unipoly._int_divisors(ints[0]):
+            for d in unipoly._int_divisors(ints[-1]):
+                for cand in (Fraction(num, d), Fraction(-num, d)):
+                    if unipoly.poly_eval(g, GaussRat(cand)).is_zero():
+                        roots.add(cand)
+    return sorted(roots)

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from foliationlab.gaussrat import GaussRat
+from foliationlab.gaussrat import GaussRat, _zi_quotient
 from foliationlab.mvpoly import MVPoly
 from foliationlab.series import TruncatedSeries, poly_eval_series
 from foliationlab import linalg, unipoly
 from foliationlab.corpus import _coprime, seidenberg_corpus
+from foliationlab.dsl import parse_vector_field
 from foliationlab.foliation import VectorFieldGerm, milnor_number
 from foliationlab.monomial import (
     MonomialIdeal,
@@ -24,7 +25,19 @@ from foliationlab.monomial import (
     simplex_min,
 )
 
-from helpers import det, inverse, mat, mat_mul, reference_solve, scalar_matrix
+from helpers import (
+    det,
+    inverse,
+    mat,
+    mat_mul,
+    reference_clear_denominators,
+    reference_eigenspace,
+    reference_kernel_basis,
+    reference_real_rational_roots,
+    reference_rref,
+    reference_solve,
+    scalar_matrix,
+)
 
 
 def test_series_arithmetic_and_truncation():
@@ -335,11 +348,14 @@ _root_strategy = st.builds(GaussRat, _small_q, _small_q)
 @given(st.lists(_root_strategy, min_size=1, max_size=5), st.sampled_from(_IRREDUCIBLE_CUBICS),
        st.builds(GaussRat, st.integers(1, 6), st.integers(-3, 3)))
 @example([GaussRat(-1, -2), GaussRat(0, -1), GaussRat(-1, -1)], None, GaussRat(1))  # order-sensitive
+@example([GaussRat(0, Fraction(-7, 2))] * 2 + [GaussRat(0, Fraction(-5, 3))], _IRREDUCIBLE_CUBICS[1],
+         GaussRat(1))  # stopped by the divisor cap
 @settings(max_examples=40, deadline=None)
 def test_gaussian_rational_roots_match_candidate_loop(roots, cubic, lead):
     p = _from_roots(lead, roots, cubic or (GaussRat(1),))
     res = unipoly.gaussian_rational_roots(p)
-    with mock.patch.object(unipoly, "_first_root", _candidate_loop_first_root):
+    with mock.patch.object(unipoly, "_first_root", _candidate_loop_first_root), \
+            mock.patch.object(unipoly, "_clear_denominators", reference_clear_denominators):
         want = unipoly.gaussian_rational_roots(p)
     assert res.roots == want.roots
     assert res.residual == want.residual
@@ -469,3 +485,187 @@ def test_milnor_number_matches_sympy_groebner(a, b, g):
 def test_milnor_number_matches_sympy_groebner_on_corpus_sample():
     for v in random.Random(0).sample(seidenberg_corpus(), 25):
         _check_milnor_against_groebner(*v.components)
+
+
+def test_milnor_number_of_a_shared_branch_is_inf():
+    """A factor h through 0 shared by both components makes mu infinite.
+    Without the truncation each such h ran for seconds or longer on some of
+    these seeded cofactors, the first germ below past 20 s."""
+    xy = ("x", "y")
+    x, y = MVPoly.var(xy, "x"), MVPoly.var(xy, "y")
+    rng = random.Random(0)
+
+    def cofactor():
+        exps = [(i, j) for i in range(5) for j in range(5 - i) if i + j]
+        return MVPoly(xy, {rng.choice(exps): GaussRat(rng.randint(-2, 2), rng.randint(-2, 2))
+                           for _ in range(rng.randint(1, 6))})
+
+    for h in (x, x + y, x - y * y, y - x * x, x + y + x * y):
+        for _ in range(10):
+            a, b = cofactor(), cofactor()
+            if not (a.is_zero() or b.is_zero()):
+                assert milnor_number(VectorFieldGerm(xy, (h * a, h * b))) == math.inf
+    for src in ("v = ((-2+i)*x*y^2 + (-1+i)*x^2*y + (1-i)*x^3 - i*x*y^3 + i*x^2*y^2 + (2+i)*x^4"
+                " + 2*x*y^4 + i*x^2*y^3) d/dx + ((-2-i)*x*y^2 + x^2*y + i*x^3 + i*x^4 + (1+i)*x*y^4"
+                " - 2*x^2*y^3 + (2-i)*x^4*y) d/dy",
+                "v = ((-2+i)*x^3*y^2) d/dx + ((-2-2*i)*x^2 + (2-i)*x*y^3 + (-1+2*i)*x^2*y^2"
+                " - i*x^3*y^2) d/dy"):
+        assert milnor_number(parse_vector_field(src)) == math.inf
+
+
+# -- Z[i] elimination and integer root paths against their GaussRat references
+
+_ELIM_ENTRY = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1, 2]),
+    st.builds(lambda a, b, d, e: GaussRat(Fraction(a, d), Fraction(b, e)),
+              st.integers(-5, 5), st.integers(-3, 3), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 5])),
+    st.builds(lambda big, d, imag: GaussRat(0, Fraction(big, d)) if imag else GaussRat(Fraction(big, d)),
+              st.sampled_from(_BIG_PARTS), st.sampled_from([1, 3]), st.booleans()),
+).map(GaussRat.coerce)
+
+
+@st.composite
+def _elimination_systems(draw):
+    """(A, b): A with 1-5 rows and 1-6 columns over Q(i), entries with
+    denominators, Gaussian parts and parts past 2^64; rows replaced by
+    combinations of others or columns by multiples of others make it
+    rank-deficient, and a shifted right-hand side on a combination row
+    makes the system inconsistent."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = [[draw(_ELIM_ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [draw(_ELIM_ENTRY) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        c1, c2 = draw(_ELIM_ENTRY), draw(_ELIM_ENTRY)
+        rows[k] = [c1 * x + c2 * y for x, y in zip(rows[i], rows[j])]
+        rhs[k] = c1 * rhs[i] + c2 * rhs[j] + (draw(_ELIM_ENTRY) if draw(st.booleans()) else 0)
+    if ncols > 1 and draw(st.booleans()):
+        i, j, c = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1)), draw(_ELIM_ENTRY)
+        for row in rows:
+            row[j] = c * row[i]
+    return tuple(map(tuple, rows)), tuple(rhs)
+
+
+def _seeded_systems(count):
+    """`_elimination_systems`-like inputs from a seeded generator."""
+    rng = random.Random(0)
+    values = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7), GaussRat(0, 1), GaussRat(Fraction(2, 3), -1),
+              GaussRat(2**64 + 13, Fraction(1, 5)), GaussRat(0, -(3**41))]
+    out = []
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[GaussRat.coerce(rng.choice(values)) for _ in range(ncols)] for _ in range(nrows)]
+        rhs = [GaussRat.coerce(rng.choice(values)) for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:
+            i, j, k = rng.randrange(nrows), rng.randrange(nrows), rng.randrange(nrows)
+            rows[k] = [x + 2 * y for x, y in zip(rows[i], rows[j])]
+            rhs[k] = rhs[i] + 2 * rhs[j] + rng.choice([0, 1])
+        out.append((tuple(map(tuple, rows)), tuple(rhs)))
+    return out
+
+
+def _check_elimination(a, b):
+    want_rows, want_pivots = reference_rref(a)
+    rows, pivots, p = linalg._rref([linalg._clear(row)[0] for row in a])
+    assert pivots == want_pivots
+    assert [[_zi_quotient(*x, *p) for x in row] for row in rows] == want_rows
+    assert linalg.rank(a) == len(want_pivots)
+    assert linalg.kernel_basis(a) == reference_kernel_basis(a)
+    assert linalg.solve(a, b) == reference_solve(a, b)
+
+
+@given(_elimination_systems())
+@example((mat([[2**64 + 13, GaussRat(0, Fraction(1, 3))], [2 * (2**64 + 13), GaussRat(0, Fraction(2, 3))]]),
+          (GaussRat(1), GaussRat(3))))  # rank 1, inconsistent
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_gaussrat_reference(system):
+    """Bareiss elimination on Z[i] gives the pivots and, divided by the last
+    pivot, the RREF of Gauss-Jordan elimination on GaussRat; rank, kernel
+    basis and solve equal their references, None included."""
+    _check_elimination(*system)
+
+
+def test_elimination_matches_gaussrat_reference_on_seeded_systems():
+    for a, b in _seeded_systems(300):
+        _check_elimination(a, b)
+
+
+_MIXED_Q = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 5, 7]))
+_MIXED_ROOT = st.builds(GaussRat, _MIXED_Q, st.sampled_from([0, 0, 1, -1]) | _MIXED_Q)
+
+
+@st.composite
+def _spectral_matrices(draw):
+    """(M, spectrum): M = U T U^-1 in dims 2-4, T upper triangular with the
+    spectrum on its diagonal (values repeat, mixed denominators) and
+    entries above it that are often zero, U unit lower triangular."""
+    n = draw(st.integers(2, 4))
+    spectrum = [draw(_MIXED_ROOT) for _ in range(n)]
+    if draw(st.booleans()):
+        spectrum[-1] = spectrum[0]
+    above = st.sampled_from([0, 0, 1, GaussRat(0, 1), Fraction(-1, 2)]).map(GaussRat.coerce)
+    t = [[spectrum[i] if i == j else draw(above) if j > i else GaussRat(0) for j in range(n)] for i in range(n)]
+    u = [[1 if i == j else draw(st.integers(-2, 2)) if j < i else 0 for j in range(n)] for i in range(n)]
+    return mat_mul(mat_mul(mat(u), mat(t)), inverse(mat(u))), spectrum
+
+
+@given(_spectral_matrices())
+@example((mat([[Fraction(1, 2), 0, 0], [0, GaussRat(Fraction(1, 3), 1), 0], [0, 0, GaussRat(Fraction(1, 2), -1)]]),
+          [GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 3), 1), GaussRat(Fraction(1, 2), -1)]))
+@settings(max_examples=80, deadline=None)
+def test_spectrum_order_and_eigenspaces_match_reference(case):
+    """The exact spectrum comes in the (re, im) Fraction order, and every
+    eigenspace equals the one computed on A - lam*I in GaussRat."""
+    m, spectrum = case
+    ev = linalg.eigenvalues_exact(m)
+    if not isinstance(ev, linalg.Indeterminate):  # the divisor cap can stop the root search
+        assert ev == sorted(spectrum, key=lambda z: (z.re, z.im))
+    for lam in dict.fromkeys(spectrum + [GaussRat(0)]):
+        assert linalg.eigenspace(m, lam) == reference_eigenspace(m, lam)
+
+
+@given(st.lists(_MIXED_ROOT, min_size=1, max_size=5))
+@example([GaussRat(Fraction(-1, 2), 1), GaussRat(Fraction(-1, 3), 1), GaussRat(Fraction(-1, 2)), GaussRat(0, -1)])
+@settings(max_examples=80, deadline=None)
+def test_eigenvalue_order_matches_fraction_key(spectrum):
+    """Integer keys over one common denominator sort a mixed-denominator
+    spectrum as the (re, im) Fraction key does."""
+    ev = linalg.eigenvalues_of_char_poly(_from_roots(1, spectrum))
+    if isinstance(ev, linalg.Indeterminate):
+        return
+    assert ev == sorted(spectrum, key=lambda z: (z.re, z.im))
+
+
+_HUGE_LEADS = [GaussRat(1), GaussRat(Fraction(2, 3)), GaussRat(0, 1), GaussRat(2**64 + 13),
+               GaussRat(2**64 + 13, -(3**41)), GaussRat(Fraction(1, 2**65 - 1), 3)]
+_EXTRA_FACTORS = [(GaussRat(1),), (GaussRat(-2), GaussRat(0), GaussRat(1)),  # t^2 - 2
+                  (GaussRat(1), GaussRat(0), GaussRat(1)),  # t^2 + 1
+                  (GaussRat(0, -2), GaussRat(0), GaussRat(1))]  # t^2 - 2i
+
+
+@given(st.lists(_MIXED_ROOT, max_size=4), st.sampled_from(_EXTRA_FACTORS), st.sampled_from(_HUGE_LEADS),
+       st.booleans())
+@example([GaussRat(0, Fraction(-7, 2))] * 2 + [GaussRat(0, Fraction(-5, 3))],
+         (GaussRat(-2), GaussRat(0), GaussRat(0), GaussRat(1)), GaussRat(1), False)  # cleared constant 490i
+@settings(max_examples=120, deadline=None)
+def test_real_rational_roots_match_reference(roots, extra, lead, huge_root):
+    """The integer gcd and Horner test give the Fraction reference's roots;
+    the cleared integers are the Fraction reference's.  One optional root
+    with an imaginary part past 2^64 puts such parts in every coefficient."""
+    if huge_root:
+        roots = roots + [GaussRat(1, 2**64 + 13)]
+    p = _from_roots(lead, roots, extra)
+    assert unipoly._clear_denominators(p) == reference_clear_denominators(p)
+    assert unipoly.real_rational_roots(p) == reference_real_rational_roots(p)
+
+
+def test_divisor_cap_still_stops_the_490i_polynomial():
+    """(t + 7i/2)^2 (t + 5i/3)(t^3 - 2): the cleared constant term 490i has
+    norm 240,100, past `DIVISOR_NORM_CAP`, so no root comes back."""
+    p = _from_roots(1, [GaussRat(0, Fraction(-7, 2))] * 2 + [GaussRat(0, Fraction(-5, 3))],
+                    [GaussRat(-2), GaussRat(0), GaussRat(0), GaussRat(1)])
+    ints, l = unipoly._clear_denominators(p)
+    assert (ints[0], l) == ((0, 490), 12)
+    res = unipoly.gaussian_rational_roots(p)
+    assert res.roots == [] and res.residual == p and not res.exhaustive
+    assert unipoly.real_rational_roots(p) == []

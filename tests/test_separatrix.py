@@ -253,14 +253,14 @@ _AXIS_SPECTRUM = st.sampled_from([GaussRat(a, b) for a, b in [(1, 0), (-1, 0), (
 
 
 @st.composite
-def _corner_candidates(draw):
-    """(v, divisor) in dims 2-4 with two or more divisor axes.  On an axis j
-    the component is z_j (lambda_j + terms of degree 1-2), lambda_j from a
-    small spectrum so that axes share eigenvalues; off the axes it has
-    terms of degree 1-2.  The axes are invariant and v is singular."""
+def _log_germs(draw, min_axes):
+    """(v, divisor) in dims 2-4 with `min_axes` or more divisor axes.  On an
+    axis j the component is z_j (lambda_j + terms of degree 1-2), lambda_j
+    from a small spectrum so that axes share eigenvalues; off the axes it
+    has terms of degree 1-2.  The axes are invariant and v is singular."""
     n = draw(st.integers(2, 4))
     names = ("x", "y", "z", "w")[:n]
-    axes = draw(st.sets(st.integers(0, n - 1), min_size=2))
+    axes = draw(st.sets(st.integers(0, n - 1), min_size=min_axes))
 
     def terms(low):
         exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: low <= sum(e) <= 2)
@@ -277,7 +277,20 @@ _DIM4_NOTE_CASE = (_DIM4_NOTE, parse_divisor("{x, y}", _DIM4_NOTE.variables))
 _VS3_CORNER = VectorFieldGerm(_VS3, (_X3, -1 * _Y3, _Z3 + _X3 * _Z3))
 
 
-@given(_corner_candidates())
+@given(_log_germs(1))
+@example((germ(X * X, -1 * Y), LogDivisor({0})))  # simple_point_A
+@example((_VS3_CORNER, LogDivisor({1})))  # simple_point_B
+@settings(max_examples=150, deadline=None)
+def test_simple_points_have_one_divisor_axis(case):
+    """`classify_simple` calls a germ a simple point only with one divisor
+    axis.  `separatrix_lift_check` checks that the curve's component on
+    that axis is finite, so the curve always has a finite component."""
+    v, divisor = case
+    if classify_simple(v, divisor).kind in ("simple_point_A", "simple_point_B"):
+        assert divisor.axis_count() == 1
+
+
+@given(_log_germs(2))
 @example((_VS3_CORNER, LogDivisor({0, 1, 2})))  # eigenvalue 1 on axes x and z
 @settings(max_examples=120, deadline=None)
 def test_no_corner_eigenvector_is_nonzero_on_every_axis(case):
@@ -294,7 +307,7 @@ def test_no_corner_eigenvector_is_nonzero_on_every_axis(case):
             assert all(lp[j][j] == lam for j in divisor.axes if not vec[j].is_zero())
 
 
-@given(_corner_candidates())
+@given(_log_germs(2))
 @example((_VS3_CORNER, LogDivisor({0, 1, 2})))
 @settings(max_examples=120, deadline=None)
 def test_corner_report_matches_eigendirection_reference(case):
