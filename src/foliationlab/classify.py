@@ -14,10 +14,11 @@ verdict from one multiplicity, linear part and characteristic polynomial
 per germ, computed once.
 
 Eigenvalue-ratio exclusions are decided exactly even when eigenvalues do
-not live in Q(i): the multiplicity of the known eigenvalue comes from
-deflation of the characteristic polynomial, and a positive-rational-ratio
-eigenvalue exists iff the rescaled characteristic polynomial has a
-positive rational root, which the rational root theorem certifies.
+not live in Q(i): one deflation of the characteristic polynomial by the
+known eigenvalue lam leaves the other eigenvalues, lam is repeated iff it
+is still a root, and another eigenvalue lies in lam*Q+ iff the deflated
+polynomial rescaled by lam has a positive rational root, which the
+rational root theorem certifies.
 """
 
 from __future__ import annotations
@@ -220,15 +221,6 @@ def _surface_type(v: VectorFieldGerm, lp: linalg.Matrix, cp: list[GaussRat]) -> 
     return SurfaceType("degenerate", k=k, note="surrogate criterion (exact ideal comparison)")
 
 
-def _has_other_eigenvalue_with_positive_ratio(cp: list[GaussRat], lam: GaussRat) -> bool:
-    """True iff the characteristic polynomial, with one copy of lam removed,
-    has a root of the form q*lam with q a positive rational."""
-    deflated = unipoly.deflate(cp, lam)
-    # roots mu = q*lam of deflated <-> positive rational roots s of deflated(lam*s)
-    rescaled = [c * lam**k for k, c in enumerate(deflated)]
-    return unipoly.has_positive_rational_root(rescaled)
-
-
 def log_coefficients(v: VectorFieldGerm, divisor: LogDivisor) -> dict[int, GaussRat]:
     """Constants a_j(0) of the factored components z_j a_j along divisor axes."""
     return {j: v.components[j].divide_by_var_power(j, 1).constant_term() for j in sorted(divisor.axes)}
@@ -285,9 +277,12 @@ def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, cp: list[GaussRat]) 
             return not_simple("transverse axis not invariant in the given coordinates "
                               "(a formal change of coordinates is not attempted)")
         return not_simple("restricted linear part has rank < n-1")
-    if unipoly.root_multiplicity(cp, lam) != 1:
+    # row j0 of the linear part is lam*e_j0, so lam is a root of cp
+    others = unipoly.deflate(cp, lam)
+    if unipoly.poly_eval(others, lam).is_zero():
         return not_simple("eigenvalue %s has multiplicity > 1" % lam)
-    if _has_other_eigenvalue_with_positive_ratio(cp, lam):
+    # roots mu = s*lam of others <-> positive rational roots s of others(lam*s)
+    if any(s > 0 for s in unipoly.real_rational_roots([c * lam**k for k, c in enumerate(others)])):
         return not_simple("another eigenvalue is a positive rational multiple of %s" % lam)
     return SIMPLE_B
 

@@ -216,7 +216,7 @@ def cmd_separatrix(args, out) -> int:
     if args.check == "lift":
         if divisor is None:
             raise FoliationError("lift check needs --divisor")
-        lift = separatrix.separatrix_lift_check(germ, divisor, result, args.order)
+        lift = separatrix.separatrix_lift_check(germ, divisor, result)
         _emit_json("separatrix", lift.to_jsonable(), out)
         return EXIT_REFUTED if lift.outcome == "mismatch" else EXIT_OK
     _emit_json("separatrix", result.to_jsonable(), out)

@@ -24,7 +24,7 @@ import re
 
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
-from .exprtree import Exp, Poly, add, const_expr, mul, order_at, power, t_expr
+from .exprtree import Exp, Poly, const_expr, order_at, t_expr
 
 
 class ParseError(Exception):
@@ -94,42 +94,29 @@ class _Tokens:
 
 
 # ---------------------------------------------------------------------------
-# generic expression parsing over a pluggable algebra
+# expression parsing over MVPoly or Expr trees: + - * ^ are the operands'
+# own operators, and an algebra supplies constants, variables, / and exp
 
 
-class _Algebra:
-    """Operations the parser needs; instantiated for MVPoly or Expr trees."""
-
-    def const(self, c: GaussRat): ...
-    def var(self, name: str, toks: _Tokens): ...
-    def add(self, a, b): ...
-    def sub(self, a, b): ...
-    def neg(self, a): ...
-    def mul(self, a, b): ...
-    def div(self, a, b, toks: _Tokens): ...
-    def pow(self, a, k: int): ...
-    def exp(self, a, toks: _Tokens): ...
-
-
-def _parse_expr(toks: _Tokens, alg: _Algebra):
+def _parse_expr(toks: _Tokens, alg: _PolyAlgebra | _ExprAlgebra):
     node = _parse_term(toks, alg)
     while True:
         kind, val, _ = toks.peek()
         if val in ("+", "-"):
             toks.next()
             rhs = _parse_term(toks, alg)
-            node = alg.add(node, rhs) if val == "+" else alg.sub(node, rhs)
+            node = node + rhs if val == "+" else node - rhs
         else:
             return node
 
 
-def _parse_term(toks: _Tokens, alg: _Algebra):
+def _parse_term(toks: _Tokens, alg: _PolyAlgebra | _ExprAlgebra):
     node = _parse_unary(toks, alg)
     while True:
         kind, val, _ = toks.peek()
         if val == "*":
             toks.next()
-            node = alg.mul(node, _parse_unary(toks, alg))
+            node = node * _parse_unary(toks, alg)
         elif val == "/":
             toks.next()
             node = alg.div(node, _parse_unary(toks, alg), toks)
@@ -137,18 +124,18 @@ def _parse_term(toks: _Tokens, alg: _Algebra):
             return node
 
 
-def _parse_unary(toks: _Tokens, alg: _Algebra):
+def _parse_unary(toks: _Tokens, alg: _PolyAlgebra | _ExprAlgebra):
     kind, val, _ = toks.peek()
     if val == "+":
         toks.next()
         return _parse_unary(toks, alg)
     if val == "-":
         toks.next()
-        return alg.neg(_parse_unary(toks, alg))
+        return -_parse_unary(toks, alg)
     return _parse_power(toks, alg)
 
 
-def _parse_power(toks: _Tokens, alg: _Algebra):
+def _parse_power(toks: _Tokens, alg: _PolyAlgebra | _ExprAlgebra):
     node = _parse_atom(toks, alg)
     kind, val, _ = toks.peek()
     if val == "^":
@@ -156,11 +143,11 @@ def _parse_power(toks: _Tokens, alg: _Algebra):
         k2, v2, _ = toks.next()
         if k2 != "num":
             toks.error("exponent must be a nonnegative integer")
-        return alg.pow(node, int(v2))
+        return node ** int(v2)
     return node
 
 
-def _parse_atom(toks: _Tokens, alg: _Algebra):
+def _parse_atom(toks: _Tokens, alg: _PolyAlgebra | _ExprAlgebra):
     kind, val, off = toks.peek()
     if val == "(":
         toks.next()
@@ -183,7 +170,7 @@ def _parse_atom(toks: _Tokens, alg: _Algebra):
     toks.error("expected a factor, found %r" % (val,))
 
 
-class _PolyAlgebra(_Algebra):
+class _PolyAlgebra:
     def __init__(self, variables: tuple[str, ...]):
         self.variables = variables
 
@@ -195,18 +182,6 @@ class _PolyAlgebra(_Algebra):
             toks.error("unknown variable %r (declared: %s)" % (name, ", ".join(self.variables)))
         return MVPoly.var(self.variables, name)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def div(self, a, b, toks):
         if not b.is_constant():
             raise NonPolynomial("division by a non-constant expression")
@@ -215,14 +190,11 @@ class _PolyAlgebra(_Algebra):
             toks.error("division by zero")
         return a * (GaussRat(1) / c)
 
-    def pow(self, a, k):
-        return a**k
-
     def exp(self, a, toks):
         raise NonPolynomial("exp is not allowed in polynomial vector fields")
 
 
-class _ExprAlgebra(_Algebra):
+class _ExprAlgebra:
     def const(self, c):
         return const_expr(c)
 
@@ -231,27 +203,12 @@ class _ExprAlgebra(_Algebra):
             toks.error("curves are functions of t only (found %r)" % name)
         return t_expr()
 
-    def add(self, a, b):
-        return add([a, b])
-
-    def sub(self, a, b):
-        return add([a, self.neg(b)])
-
-    def neg(self, a):
-        return mul([const_expr(-1), a])
-
-    def mul(self, a, b):
-        return mul([a, b])
-
     def div(self, a, b, toks):
         if not isinstance(b, Poly) or b.degree() > 0:
             raise ParseError("poles are not allowed in curve components (division by non-constant)")
         if not b.coeffs:
             toks.error("division by zero")
-        return self.mul(a, const_expr(GaussRat(1) / b.coeffs[0]))
-
-    def pow(self, a, k):
-        return power(a, k)
+        return a * const_expr(GaussRat(1) / b.coeffs[0])
 
     def exp(self, a, toks):
         if not isinstance(a, Poly):

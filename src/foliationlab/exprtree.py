@@ -11,12 +11,13 @@ vanishes at 0; otherwise SeriesNotRational is raised and callers fall back
 to numeric order detection.
 
 Every tree is built through one folding algebra, `add`, `mul` and `power`
-(the DSL, `expr_from_mvpoly` and each `diff()` call it; the node classes
-never fold): polynomial operands fold exactly into one `Poly` at the place
-of the first, zero terms and unit factors drop out, a zero factor zeroes
-the product, a lone child is unwrapped, and other children keep their order
-and structure.  So a tree of polynomials is a `Poly`, as is its derivative,
-and takes the float engine's direct Horner path.
+(the `Expr` operators the DSL parses with, `expr_from_mvpoly` and each
+`diff()` call it; the node classes never fold): polynomial operands fold
+exactly into one `Poly` at the place of the first, zero terms and unit
+factors drop out, a zero factor zeroes the product, a lone child is
+unwrapped, and other children keep their order and structure.  So a tree
+of polynomials is a `Poly`, as is its derivative, and takes the float
+engine's direct Horner path.
 """
 
 from __future__ import annotations
@@ -73,6 +74,22 @@ class Expr:
 
     def to_text(self) -> str:
         raise NotImplementedError
+
+    # the DSL's arithmetic, each a call into the folding algebra below
+    def __add__(self, other: "Expr") -> "Expr":
+        return add([self, other])
+
+    def __sub__(self, other: "Expr") -> "Expr":
+        return add([self, -other])
+
+    def __neg__(self) -> "Expr":
+        return mul([const_expr(-1), self])
+
+    def __mul__(self, other: "Expr") -> "Expr":
+        return mul([self, other])
+
+    def __pow__(self, k: int) -> "Expr":
+        return power(self, k)
 
 
 def _normalize(v):

@@ -38,13 +38,17 @@ from .exprtree import (
     order_at,
     order_at_point,
 )
-from .quadrature import (GK_NODES, GK_RULE, QuadConfig, QuadResult, ZeroOnCircle, circle_mean,
-                         circle_mean_arrays, circle_means, nudge_radius)
+from .quadrature import (GK_NODES, GK_RULE, QuadConfig, QuadResult, ZeroOnCircle, circle_mean_arrays,
+                         circle_means, nudge_radius)
 
 Zero = tuple[complex, int]  # (location, multiplicity); locations may be exact GaussRat
 ROUNDOFF = 50.0 * np.finfo(float).eps  # relative round-off floor of a quadrature sum
 DECLARED_ZERO_TOL = 1e-7  # tolerance of the numeric order check of a declared zero
 EUCLID_CUTOFF = 1e12  # cap of the Euclidean density and of each of its terms
+FMT_SLOPE_TOL = 0.05  # largest |slope| of T - N - m against log r that passes FMT
+TAUT_TOL = 1e-3  # normalized tautological trend below -TAUT_TOL is a violation
+LOGDERIV_RESIDUAL_TOL = 1.0  # largest top-half fit residual that passes the lemma
+BOOKKEEPING_MAX_ORDER = 16  # working order of the bookkeeping's vanishing orders
 
 
 class NotALeaf(Exception):
@@ -335,7 +339,7 @@ def circle_average_log(g: Expr, r: float, cfg: QuadConfig | None = None,
         for (t0, _mult) in declared_zeros:
             if abs(_zero_abs(t0) - r) <= 1e-9 * max(1.0, r):
                 raise ZeroOnCircle("declared zero at modulus %s sits on the circle r = %s" % (_zero_abs(t0), r))
-    return circle_mean(lambda t: g.logabs2(t), r, cfg)
+    return circle_means(g.logabs2, [r], cfg)[0]
 
 
 def counting_function(zeros: Sequence[Zero], r: float) -> float:
@@ -438,7 +442,7 @@ def _fit_slope(xs: list[float], ys: list[float]) -> float:
 
 def fmt_verify(curve: ParametrizedCurve, ideal_gens: Sequence[MVPoly],
                ideal_zeros: Sequence[Zero], r_grid: Sequence[float],
-               cfg: QuadConfig | None = None, slope_tol: float = 0.05) -> FmtReport:
+               cfg: QuadConfig | None = None) -> FmtReport:
     """First Main Theorem at finite radius: T - N - m must not grow.
 
     On the compactified model the exceptional characteristic is
@@ -477,7 +481,7 @@ def fmt_verify(curve: ParametrizedCurve, ideal_gens: Sequence[MVPoly],
     return FmtReport(
         profile=NevanlinnaProfile(grid, T, N, m_vals, bounds, diverged),
         differences=diffs, slope_vs_log_r=slope, oscillation=osc,
-        passed=abs(slope) <= slope_tol,
+        passed=abs(slope) <= FMT_SLOPE_TOL,
     )
 
 
@@ -505,8 +509,7 @@ class BookkeepingResult:
         }
 
 
-def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0,
-                             max_order: int = 16) -> BookkeepingResult:
+def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0) -> BookkeepingResult:
     """Orders at t0 of f' (mu), of the reparametrization factor (eta), and
     of the coefficient ideal along the curve (nu), with the exact identity
     mu = eta + nu checked.
@@ -530,13 +533,13 @@ def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0,
                 scale = max(1.0, abs(lhs), abs(rhs))
                 if abs(lhs - rhs) > 1e-6 * scale:
                     raise NotALeaf("tangency residual %.2e at t = %s" % (abs(lhs - rhs) / scale, s))
-    mu = min(order_at(d, z0, max_order) for d in derivs)
-    nu = min(order_at(g, z0, max_order) for g in on_curve)
+    mu = min(order_at(d, z0, BOOKKEEPING_MAX_ORDER) for d in derivs)
+    nu = min(order_at(g, z0, BOOKKEEPING_MAX_ORDER) for g in on_curve)
     eta: int | float = math.inf
     for i in range(n):
-        oi = order_at(on_curve[i], z0, max_order)
+        oi = order_at(on_curve[i], z0, BOOKKEEPING_MAX_ORDER)
         if oi is not math.inf:
-            di = order_at(derivs[i], z0, max_order)
+            di = order_at(derivs[i], z0, BOOKKEEPING_MAX_ORDER)
             eta = di - oi
             break
     if eta is math.inf:
@@ -567,7 +570,7 @@ class TautologicalReport:
 
 
 def tautological_pairing(curve: ParametrizedCurve, r_grid: Sequence[float],
-                         cfg: QuadConfig | None = None, tol: float = 1e-3) -> TautologicalReport:
+                         cfg: QuadConfig | None = None) -> TautologicalReport:
     """Finite-radius pairing against the tautological bundle, normalized by
     the characteristic; reports the trend and flags nonnegativity failures
     beyond the tolerance.  Algebraic curves are NotApplicable."""
@@ -597,7 +600,7 @@ def tautological_pairing(curve: ParametrizedCurve, r_grid: Sequence[float],
         normalized.append(val / t_prof.T[i] if t_prof.T[i] > 0 else math.inf)
     top = normalized[len(normalized) // 2:]
     trend = min(top) if top else None
-    violation = trend is not None and trend < -tol
+    violation = trend is not None and trend < -TAUT_TOL
     return TautologicalReport(True, grid, values, normalized, trend, violation, t_prof.bounds, t_prof.diverged)
 
 
@@ -620,7 +623,7 @@ class LogDerivativeReport:
 
 
 def log_derivative_check(g: Expr, zeros: Sequence[Zero], r_grid: Sequence[float],
-                         cfg: QuadConfig | None = None, residual_tol: float = 1.0) -> LogDerivativeReport:
+                         cfg: QuadConfig | None = None) -> LogDerivativeReport:
     """Circle means of log+ |g'/g| fitted against a log T + b log r + c."""
     cfg = cfg or QuadConfig()
     gp = g.diff()
@@ -645,5 +648,5 @@ def log_derivative_check(g: Expr, zeros: Sequence[Zero], r_grid: Sequence[float]
     max_res = float(top.max()) if len(top) else 0.0
     return LogDerivativeReport(
         grid, lhs, [res.error_bound for res in means], [res.converged for res in means],
-        (float(sol[0]), float(sol[1]), float(sol[2])), max_res, max_res <= residual_tol,
+        (float(sol[0]), float(sol[1]), float(sol[2])), max_res, max_res <= LOGDERIV_RESIDUAL_TOL,
     )

@@ -142,8 +142,3 @@ def circle_means(fn, radii, cfg: QuadConfig) -> list[QuadResult]:
     """circle_mean_arrays as one QuadResult per radius."""
     return [QuadResult(float(m), float(b), int(e), bool(c))
             for m, b, e, c in zip(*circle_mean_arrays(fn, radii, cfg))]
-
-
-def circle_mean(fn, r: float, cfg: QuadConfig) -> QuadResult:
-    """Mean over the circle |t| = r: the one-radius case of circle_means."""
-    return circle_means(fn, [r], cfg)[0]

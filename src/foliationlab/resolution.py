@@ -48,6 +48,7 @@ class NonIsolatedSingularLocus(FoliationError):
 
 DEFAULT_DEPTH = 16
 TOWER_NODE_BUDGET = 4000
+DISCREPANCY_CHECK_DEPTH = 64  # depth cap of the discrepancy cross-check's log resolution
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +506,12 @@ def weakly_reduced_check(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> 
             "unknown", None, "coefficient ideal is not monomial; log resolution not attempted",
             [], [], None)
     notes: list[str] = []
+    howald = multiplier_ideal_trivial_monomial(ideal)
     if ideal.is_trivial():
-        howard = multiplier_ideal_trivial_monomial(ideal)
         return WeaklyReducedCertificate(
             "certified", None, "coefficient ideal is trivial; identity log resolution",
-            [], [], howard, ["germ has a unit component; J_F = (1)"])
+            [], [], howald, ["germ has a unit component; J_F = (1)"])
     disc, sats, axis_orders, status, witness = discrepancy_log_resolution(ideal, v, max_depth)
-    howald = multiplier_ideal_trivial_monomial(ideal)
     if status == "unknown":
         return WeaklyReducedCertificate("unknown", None, witness, disc, sats, howald, notes)
     if status == "nonsingular_center":
@@ -540,13 +540,13 @@ def weakly_reduced_check(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> 
     return WeaklyReducedCertificate("certified", None, "", disc, sats, howald, notes)
 
 
-def multiplier_ideal_trivial_by_discrepancy(ideal: MonomialIdeal, max_depth: int = 64) -> bool:
+def multiplier_ideal_trivial_by_discrepancy(ideal: MonomialIdeal) -> bool:
     """Independent route to multiplier-ideal triviality: principalize and
     test K - D effectivity on the ledger.  Used as the cross-check against
     the Newton-polyhedron oracle."""
     if ideal.is_trivial():
         return True
-    disc, _sats, axis_orders, status, witness = discrepancy_log_resolution(ideal, None, max_depth)
+    disc, _sats, axis_orders, status, witness = discrepancy_log_resolution(ideal, None, DISCREPANCY_CHECK_DEPTH)
     if status != "ok":
         raise FoliationError("log resolution failed: %s" % witness)
     if axis_orders:

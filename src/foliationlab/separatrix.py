@@ -221,7 +221,7 @@ class LiftCheckResult:
         }
 
 
-def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: FormalCurve, order: int) -> LiftCheckResult:
+def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: FormalCurve) -> LiftCheckResult:
     """Lift a separatrix through one blow-up and verify it lands on the
     unique simple point of the transformed foliation on E."""
     status = classify.classify_simple(v, divisor)

@@ -289,15 +289,6 @@ def gaussian_rational_roots(p: Coeffs) -> RootResult:
         p = deflate(p, found)
 
 
-def root_multiplicity(p: Coeffs, root: GaussRat) -> int:
-    m = 0
-    p = trim(list(p))
-    while p and poly_eval(p, root).is_zero():
-        p = deflate(p, root)
-        m += 1
-    return m
-
-
 # -- real-rational root certificates -------------------------------------------
 
 
@@ -364,7 +355,3 @@ def real_rational_roots(p: Coeffs) -> list[Fraction]:
                     if not s:
                         roots.add(Fraction(cand, den))
     return sorted(roots)
-
-
-def has_positive_rational_root(p: Coeffs) -> bool:
-    return any(r > 0 for r in real_rational_roots(p))

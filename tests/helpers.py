@@ -12,7 +12,9 @@ checks that their theorems make redundant, which the current versions
 are checked against, and Gauss-Jordan elimination on GaussRat rows (the
 RREF, kernel basis and eigenspace), the Fraction clearing of
 denominators and the Fraction-candidate `real_rational_roots`, which the
-Z[i] elimination and the integer root path are checked against."""
+Z[i] elimination and the integer root path are checked against, and the
+type-B verdict from the two deflations (a root multiplicity and a
+positive-ratio test) that `classify._simple_status` is checked against."""
 
 import functools
 import math
@@ -690,3 +692,31 @@ def reference_real_rational_roots(p):
                     if unipoly.poly_eval(g, GaussRat(cand)).is_zero():
                         roots.add(cand)
     return sorted(roots)
+
+
+def reference_root_multiplicity(p, root) -> int:
+    m = 0
+    p = unipoly.trim(list(p))
+    while p and unipoly.poly_eval(p, root).is_zero():
+        p = unipoly.deflate(p, root)
+        m += 1
+    return m
+
+
+def reference_has_other_eigenvalue_with_positive_ratio(cp, lam) -> bool:
+    """True iff cp, with one copy of lam removed, has a root q*lam with q a
+    positive rational."""
+    deflated = unipoly.deflate(cp, lam)
+    # roots mu = q*lam of deflated <-> positive rational roots s of deflated(lam*s)
+    rescaled = [c * lam**k for k, c in enumerate(deflated)]
+    return any(r > 0 for r in unipoly.real_rational_roots(rescaled))
+
+
+def reference_simple_b_status(cp, lam) -> classify.SimpleStatus:
+    """The verdict of `_simple_status` at one invariant divisor axis with
+    eigenvalue lam != 0, from the two helpers above."""
+    if reference_root_multiplicity(cp, lam) != 1:
+        return classify.not_simple("eigenvalue %s has multiplicity > 1" % lam)
+    if reference_has_other_eigenvalue_with_positive_ratio(cp, lam):
+        return classify.not_simple("another eigenvalue is a positive rational multiple of %s" % lam)
+    return classify.SIMPLE_B

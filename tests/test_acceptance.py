@@ -239,7 +239,7 @@ def test_criterion_11_tautological_trend():
     t0 = time.time()
     grid = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
     curve = nv.ParametrizedCurve((Exp(t_expr()),))
-    rep = nv.tautological_pairing(curve, grid, QuadConfig(tol=1e-8), tol=1e-3)
+    rep = nv.tautological_pairing(curve, grid, QuadConfig(tol=1e-8))
     assert rep.applicable
     assert rep.trend is not None and rep.trend >= -1e-3, rep.trend
     assert not rep.violation

@@ -238,12 +238,14 @@ def test_root_multiplicity_and_real_roots():
     # (t-1)^2 (t+2)
     p = unipoly.poly_mul([GaussRat(-1), GaussRat(1)], [GaussRat(-1), GaussRat(1)])
     p = unipoly.poly_mul(p, [GaussRat(2), GaussRat(1)])
-    assert unipoly.root_multiplicity(p, GaussRat(1)) == 2
+    once = unipoly.deflate(p, GaussRat(1))
+    assert unipoly.poly_eval(once, GaussRat(1)).is_zero()
+    assert not unipoly.poly_eval(unipoly.deflate(once, GaussRat(1)), GaussRat(1)).is_zero()
     res = unipoly.gaussian_rational_roots(p)
     assert res.split_completely()
     assert sorted(str(r) for r in res.roots) == ["-2", "1", "1"]
     assert unipoly.real_rational_roots(p) == [Fraction(-2), Fraction(1)]
-    assert unipoly.has_positive_rational_root(p)
+    assert any(r > 0 for r in unipoly.real_rational_roots(p))
 
 
 def _from_roots(lead, roots, extra=(GaussRat(1),)):
@@ -267,7 +269,6 @@ def _from_roots(lead, roots, extra=(GaussRat(1),)):
 ], ids=["zero_root", "imaginary", "gcd_degree_3", "none", "fractional_lead"])
 def test_real_rational_roots_cases(p, expected):
     assert unipoly.real_rational_roots(p) == expected
-    assert unipoly.has_positive_rational_root(p) == any(r > 0 for r in expected)
 
 
 def test_gaussian_integer_root():

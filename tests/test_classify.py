@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,7 @@ from foliationlab.foliation import (
     is_singular_at_origin,
     milnor_number,
 )
-from foliationlab import blowup, classify, linalg
+from foliationlab import blowup, classify, linalg, unipoly
 from foliationlab.classify import (
     DimensionMismatch,
     NonSingularPoint,
@@ -29,7 +30,15 @@ from foliationlab.classify import (
 )
 from foliationlab.dsl import parse_vector_field
 
-from helpers import conjugate_by, inverse, mat, reference_surface_type, scalar_matrix, seeded_tower_germs
+from helpers import (
+    conjugate_by,
+    inverse,
+    mat,
+    reference_simple_b_status,
+    reference_surface_type,
+    scalar_matrix,
+    seeded_tower_germs,
+)
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -138,6 +147,84 @@ def test_simple_type_b_with_irrational_others():
     w = VectorFieldGerm(vs3, (x3, y3 + z3, 2 * y3 + z3))  # block eigenvalues 1 +- sqrt 2... trace 2
     status = classify_simple(w, LogDivisor({0}))
     assert status.kind in ("simple_point_B", "not_simple")
+
+
+_SPECTRUM = [GaussRat(a, b) for a, b in [(1, 0), (-1, 0), (2, 0), (0, 1), (1, 1)]]
+_RATIOS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(3)]
+
+
+@st.composite
+def _one_axis_germs(draw):
+    """(v, divisor, lam) in dims 2-4 with one invariant divisor axis j0:
+    v_j0 = z_j0 (lam + terms of degree 1-2), lam != 0.  The other rows of
+    the linear part are upper triangular half the time, with diagonal
+    entries from lam*{1, 2, 1/2, -1, 3} and a small spectrum, so repeated
+    lam and rational ratios are common; they also get terms of degree 2."""
+    n = draw(st.integers(2, 4))
+    names = ("x", "y", "z", "w")[:n]
+    j0 = draw(st.integers(0, n - 1))
+    lam = draw(st.sampled_from(_SPECTRUM))
+    small = st.builds(GaussRat, st.integers(-2, 2), st.integers(-1, 1))
+    diagonal = st.one_of(st.sampled_from([lam * q for q in _RATIOS] + _SPECTRUM), small)
+    triangular = draw(st.booleans())
+
+    def terms(low, high):
+        exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: low <= sum(e) <= high)
+        return MVPoly(names, draw(st.dictionaries(exps, small, max_size=3)))
+
+    def unit(k):
+        return tuple(int(i == k) for i in range(n))
+
+    comps = []
+    for i in range(n):
+        if i == j0:
+            comps.append(MVPoly.var(names, names[i]) * (terms(1, 2) + lam))
+            continue
+        row = {unit(k): draw(diagonal if k == i else small) for k in range(n) if not (triangular and k < i)}
+        comps.append(MVPoly(names, row) + terms(2, 2))
+    return VectorFieldGerm(names, comps), LogDivisor({j0}), lam
+
+
+def _case(text, axis, lam):
+    return parse_vector_field(text), LogDivisor({axis}), GaussRat.coerce(lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_axis_germs())
+def test_divisor_eigenvalue_is_a_root_of_the_char_poly(case):
+    """Row j0 of the linear part is lam*e_j0, so lam is an eigenvalue."""
+    v, divisor, lam = case
+    assert classify.log_coefficients(v, divisor) == {min(divisor.axes): lam}
+    assert unipoly.poly_eval(linalg.char_poly(v.linear_part()), lam).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_axis_germs())
+@example(_case("v = x d/dx - y d/dy", 0, 1))  # simple_point_B
+@example(_case("v = x d/dx + y^2 d/dy", 0, 1))  # simple_point_B, another eigenvalue 0
+@example(_case("v = x d/dx + y d/dy", 0, 1))  # lam repeated
+@example(_case("v = x d/dx + (x + y) d/dy", 0, 1))  # lam in a Jordan block
+@example(_case("v = x d/dx + y d/dy + 3*z d/dz", 1, 1))  # lam repeated, another ratio 3
+@example(_case("v = 2*x d/dx + (x + y) d/dy", 0, 2))  # ratio 1/2
+@example(_case("v = i*x d/dx + 3*i*y d/dy", 0, GaussRat(0, 1)))  # ratio 3 on a Gaussian lam
+@example(_case("v = x d/dx + 2*z d/dy + y d/dz", 0, 1))  # others +-sqrt(2), outside Q(i)
+@example(_case("v = x d/dx + 2*z d/dy + 8*y d/dz", 0, 1))  # others +-4: ratio 4
+def test_simple_status_matches_two_deflation_reference(case):
+    v, divisor, lam = case
+    cp = linalg.char_poly(v.linear_part())
+    assert classify._simple_status(v, divisor, cp) == reference_simple_b_status(cp, lam)
+
+
+def test_simple_status_deflates_once(monkeypatch):
+    calls = []
+    deflate = unipoly.deflate
+    monkeypatch.setattr(unipoly, "deflate", lambda p, root: calls.append(root) or deflate(p, root))
+    for text, kind in [("v = x d/dx - y d/dy + i*z d/dz", "simple_point_B"),
+                       ("v = x d/dx + y d/dy - z d/dz", "not_simple"),  # 1 repeated
+                       ("v = x d/dx + 2*z d/dy + 8*y d/dz", "not_simple")]:  # ratio 4
+        calls.clear()
+        assert classify_simple(parse_vector_field(text), LogDivisor({0})).kind == kind
+        assert calls == [GaussRat(1)]
 
 
 def test_dicriticality_fixtures():

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 from foliationlab import cli
 
@@ -39,6 +40,11 @@ def test_exit_codes():
     assert code == 0
     code, _ = run_cli(["weakly-reduced", "v = x d/dx + y d/dy"])
     assert code == 2
+    code, out = run_cli(["weakly-reduced", "v = d/dx + y d/dy"])  # J_F = (1)
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["verdict"] == "certified" and doc["howald_agrees"] is True
+    assert doc["witness"] == "coefficient ideal is trivial; identity log resolution"
     code, _ = run_cli(["classify", "v = exp(x) d/dx"])
     assert code == 1
     code, _ = run_cli(["classify", "v = x d/dx + "])
@@ -102,7 +108,7 @@ def test_blowup_report():
     assert doc["result"]["c1"]["exceptional_invariant"] is False
 
 
-def test_separatrix_commands():
+def test_separatrix_commands(capsys):
     code, out = run_cli(["separatrix", "v = x d/dx + (-y + x^2) d/dy",
                          "--eigenvalue", "1", "--order", "4"])
     assert code == 0
@@ -116,6 +122,17 @@ def test_separatrix_commands():
                          "--check", "corner", "--divisor", "{x, y}", "--order", "6"])
     assert code == 0
     assert json.loads(out)["result"]["outcome"] == "confirmed"
+    code, out = run_cli(["separatrix", "v = x d/dx - 2*y d/dy", "--check", "lift",
+                         "--divisor", "{x}", "--eigenvalue", "1"])
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["outcome"] == "meets_simple_point"
+    assert doc["simple_status"] == {"kind": "simple_point_B"}
+    assert doc["unique_simple"] is True and doc["chart"] == 1 and doc["point"] == ["0", "0"]
+    # the separatrix of x^2 d/dx - y d/dy along eigenvalue -1 is the y-axis, inside D = {x = 0}
+    argv = ["separatrix", "v = x^2 d/dx - y d/dy", "--check", "lift", "--divisor", "{x}", "--eigenvalue", "-1"]
+    assert cli.main(argv) == 1
+    assert "curve lies in D" in capsys.readouterr().err
 
 
 def test_effectivity_command():
@@ -139,6 +156,29 @@ def test_nevanlinna_csv_and_series():
                          "--radii", "2:8:3", "--series", "diff"])
     assert code == 0
     assert out.splitlines()[0] == "r,diff"
+    code, out = run_cli(["nevanlinna", "f(t) = (t, t^2) zeros: ideal at 0 order 1",
+                         "--check", "fmt", "--ideal", "x, y", "--radii", "2:8:3"])
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["passed"] is True and abs(doc["slope_vs_log_r"]) <= 0.05
+    assert doc["profile"]["r"] == [2.0, 4.0, 8.0] and not any(doc["profile"]["diverged"])
+    assert max(doc["differences"]) - min(doc["differences"]) < 1e-9
+    argv = ["nevanlinna", "f(t) = (exp(t))", "--check", "T", "--radii", "4:16:3"]
+    code, out = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "r,T,N,m,error_bound" and len(lines) == 4
+    prof = json.loads(run_cli(argv)[1])["result"]["profile"]
+    assert [float(line.split(",")[1]) for line in lines[1:]] == prof["T"]
+
+
+def test_nevanlinna_logderiv():
+    # g = exp(t^2): log+ |g'/g| = log+ |2t| = log 2r on the circle |t| = r >= 1
+    code, out = run_cli(["nevanlinna", "f(t) = (exp(t^2))", "--check", "logderiv", "--radii", "4:16:3"])
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["passed"] is True and all(doc["converged"])
+    assert all(abs(v - math.log(2 * r)) < 1e-9 for v, r in zip(doc["lhs"], doc["r_grid"]))
 
 
 def test_nevanlinna_taut_not_applicable():

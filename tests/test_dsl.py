@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from foliationlab.exprtree import Add, Exp, Mul, Poly, Pow, add, const_expr, mul, power, t_expr
@@ -63,6 +63,10 @@ def test_curve_examples():
         parse_curve("f(t) = (1/t, t)")
     c = parse_curve("f(t) = (t - 1/2) zeros: f1 at 1/2 order 1")
     assert c.declared_zeros["f1"][0][0] == GaussRat(Fraction(1, 2))
+    c = parse_curve("f(t) = (t - 2, t) zeros: f 1 at 2; f 2 at 0")  # a spaced target index
+    assert c.declared_zeros == {"f1": [(GaussRat(2), 1)], "f2": [(GaussRat(0), 1)]}
+    with pytest.raises(ParseError, match="unknown zero target 'f'"):
+        parse_curve("f(t) = (t - 2) zeros: f at 2")
 
 
 def test_fprime_order_is_the_least_component_order():
@@ -128,8 +132,10 @@ def test_polynomial_entry_point():
 _const = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=3), st.integers(-2, 2))
 
 
-def _trees(with_exp: bool):
+def _trees(with_exp: bool, exp_leaves: bool = False):
     leaf = st.one_of(st.just(("t",)), st.tuples(st.just("c"), _const))
+    if exp_leaves:  # exp subtrees as operands of every operator, not only at the top
+        leaf = leaf | st.tuples(st.just("exp"), _trees(False))
 
     def extend(sub):
         nodes = [
@@ -299,6 +305,48 @@ def test_folded_tree_matches_the_unfolded_one(tree):
                 la, lb = folded.logabs2(np.array([t])), raw.logabs2(np.array([t]))
                 assert abs(la[0] - lb[0]) <= 1e-6
         folded, raw = folded.diff(), raw.diff()
+
+
+def _build_with_operators(tree):
+    """The tree through the Expr operators + - * ** and unary -."""
+    kind, *args = tree
+    if kind == "exp":
+        return Exp(t_expr() * _build_with_operators(args[0]))
+    sub = [_build_with_operators(a) if isinstance(a, tuple) else a for a in args]
+    if kind == "t":
+        return t_expr()
+    if kind == "c":
+        return const_expr(args[0])
+    if kind == "add":
+        return sub[0] + sub[1]
+    if kind == "sub":
+        return sub[0] - sub[1]
+    if kind == "neg":
+        return -sub[0]
+    if kind == "pow":
+        return sub[0] ** sub[1]
+    if kind == "div":
+        return sub[0] * const_expr(1 / args[1])
+    return sub[0] * sub[1]
+
+
+@given(_trees(True, exp_leaves=True))
+@example(("pow", ("exp", ("t",)), 2))
+@example(("add", ("exp", ("t",)), ("t",)))
+@example(("sub", ("exp", ("t",)), ("mul", ("exp", ("t",)), ("exp", ("c", GaussRat(2))))))
+@example(("neg", ("pow", ("exp", ("c", GaussRat(1))), 3)))
+@settings(max_examples=80, deadline=None)
+def test_operators_and_parser_build_the_folding_algebra_tree(tree):
+    """a + b, a - b, -a, a * b and a ** k build add([a, b]),
+    add([a, mul([-1, b])]), mul([-1, a]), mul([a, b]) and power(a, k), and
+    the parser builds the same tree from the tree's DSL text."""
+    want = _build(tree, False)
+    t = np.array([0.4 + 0.3j, -2.5 + 0.1j, 0.0, 7.0 - 3.0j])
+    for got in (_build_with_operators(tree), parse_curve("f(t) = (%s)" % _to_dsl(tree)).components[0]):
+        assert type(got) is type(want)
+        assert got.to_text() == want.to_text()
+        with np.errstate(all="ignore"):
+            assert got.logabs2(t).tobytes() == want.logabs2(t).tobytes()
 
 
 def _kinds(tree):

@@ -105,7 +105,7 @@ def test_corner_gate():
 def test_lift_type_a():
     v = germ(X * X, -1 * Y)
     curve = _axis_curve(6, axis=0)
-    res = separatrix_lift_check(v, LogDivisor({0}), curve, 6)
+    res = separatrix_lift_check(v, LogDivisor({0}), curve)
     assert res.outcome == "meets_simple_point"
     assert res.chart == 0
     assert res.status.kind == "simple_point_A"
@@ -115,7 +115,7 @@ def test_lift_type_a():
 def test_lift_saddle_transverse():
     v = germ(X, -1 * Y)
     curve = _axis_curve(6, axis=1)
-    res = separatrix_lift_check(v, LogDivisor({1}), curve, 6)
+    res = separatrix_lift_check(v, LogDivisor({1}), curve)
     assert res.outcome == "meets_simple_point"
     assert res.chart == 1
 
@@ -124,7 +124,7 @@ def test_lift_curve_in_divisor():
     v = germ(X, -1 * Y)
     curve = _axis_curve(6, axis=0)
     with pytest.raises(CurveInDivisor):
-        separatrix_lift_check(v, LogDivisor({1}), curve, 6)
+        separatrix_lift_check(v, LogDivisor({1}), curve)
 
 
 def test_nonresonant_solvability():
