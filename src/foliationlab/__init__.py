@@ -19,10 +19,8 @@ from .foliation import (
 )
 from .linalg import Indeterminate, char_poly, eigenvalues_exact
 from .blowup import (
-    BlowupChart,
     SaturatedTransform,
     blow_up,
-    blowup_charts,
     effectivity_count,
     exceptional_multiplicity,
     pullback_one_form,

@@ -37,63 +37,37 @@ class InternalError(Exception):
     """A certified-impossible condition fired; indicates a bug, not bad input."""
 
 
-class BlowupChart:
-    """Chart `index` of the point blow-up in dimension n."""
-
-    __slots__ = ("n", "index")
-
-    def __init__(self, n: int, index: int):
-        if n < 2:
-            raise ValueError("blow-up needs ambient dimension >= 2")
-        if not 0 <= index < n:
-            raise ValueError("chart index out of range")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlowupChart is immutable")
-
-    def substitute(self, p: MVPoly) -> MVPoly:
-        """p o sigma, p a polynomial in the n ambient variables."""
-        if p.nvars() != self.n:
-            raise ValueError("chart dimension mismatch")
-        return chart_pullback(p, self.index)
-
-    def point_to_ambient(self, point: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
-        j = self.index
-        u = GaussRat.coerce(point[j])
-        return tuple(u if i == j else u * GaussRat.coerce(point[i]) for i in range(self.n))
-
-    def ambient_to_chart(self, z: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
-        j = self.index
-        zj = GaussRat.coerce(z[j])
-        if zj.is_zero():
-            raise ValueError("point not in chart %d" % j)
-        return tuple(zj if i == j else GaussRat.coerce(z[i]) / zj for i in range(self.n))
-
-    def __eq__(self, other):
-        return isinstance(other, BlowupChart) and (self.n, self.index) == (other.n, other.index)
-
-    def __repr__(self):
-        return "BlowupChart(n=%d, index=%d)" % (self.n, self.index)
-
-
-def blowup_charts(n: int) -> list[BlowupChart]:
-    return [BlowupChart(n, j) for j in range(n)]
+def check_chart(n: int, j: int) -> None:
+    """Raise ValueError unless j indexes a chart of the point blow-up in
+    dimension n."""
+    if n < 2:
+        raise ValueError("blow-up needs ambient dimension >= 2")
+    if not 0 <= j < n:
+        raise ValueError("chart index out of range")
 
 
 @dataclass(frozen=True)
 class SaturatedTransform:
-    chart: BlowupChart
-    raw_field: VectorFieldGerm
+    chart: int
     saturation_exponent: int
     saturated_field: VectorFieldGerm
     divisor: LogDivisor
-    exceptional_invariant: bool
+
+    @property
+    def raw_field(self) -> VectorFieldGerm:
+        """The pushforward before saturation: the saturated field times u^s."""
+        f = self.saturated_field
+        twist = MVPoly.var(f.variables, f.variables[self.chart]) ** self.saturation_exponent
+        return VectorFieldGerm(f.variables, [c * twist for c in f.components])
+
+    @property
+    def exceptional_invariant(self) -> bool:
+        """E is invariant exactly when it joins the divisor."""
+        return self.chart in self.divisor.axes
 
     def to_jsonable(self):
         return {
-            "chart": self.chart.index + 1,
+            "chart": self.chart + 1,
             "saturation_exponent": self.saturation_exponent,
             "saturated_field": self.saturated_field.to_text(),
             "divisor": self.divisor.to_jsonable(),
@@ -103,41 +77,31 @@ class SaturatedTransform:
 
 def transform_vector_field(
     v: VectorFieldGerm,
-    chart: BlowupChart,
+    j: int,
     divisor: LogDivisor | None = None,
     level: int = 1,
 ) -> SaturatedTransform:
-    """Pushforward of v to one blow-up chart, saturated.
+    """Pushforward of v to chart j of the blow-up, saturated.
 
     The pole-cleared components are P_j = u * (a_j o sigma) and
-    P_i = a_i o sigma - w_i * (a_j o sigma); for a singular center these are
-    all divisible by u and raw = P / u is the actual pushforward.  The
-    saturated field divides out the remaining common power u^s.  The
-    numerator kernel is `mvpoly.chart_transform`."""
-    j = chart.index
-    if v.dim() != chart.n:
-        raise ValueError("chart dimension mismatch")
-    s, raw, saturated = chart_transform(v.components, j)
+    P_i = a_i o sigma - w_i * (a_j o sigma); the saturated field divides
+    out their common power of u, and s is that power less the one u of the
+    actual pushforward at a singular center.  The numerator kernel is
+    `mvpoly.chart_transform`."""
+    check_chart(v.dim(), j)
+    s, saturated = chart_transform(v.components, j)
     if s == math.inf:
         raise ValueError("cannot blow up the zero field")
-    raw = VectorFieldGerm(v.variables, raw)
     saturated = VectorFieldGerm(v.variables, saturated)
-    e_invariant = divisor_invariance_check(saturated, [j])
     axes = {}
     if divisor is not None:
         for a in divisor.axes:
             if a != j:
                 axes[a] = divisor.history[a]
-    if e_invariant:
+    if divisor_invariance_check(saturated, [j]):
         axes[j] = exceptional_tag(level)
-    return SaturatedTransform(
-        chart=chart,
-        raw_field=raw,
-        saturation_exponent=s,
-        saturated_field=saturated,
-        divisor=LogDivisor(axes.keys(), axes),
-        exceptional_invariant=e_invariant,
-    )
+    return SaturatedTransform(chart=j, saturation_exponent=s, saturated_field=saturated,
+                              divisor=LogDivisor(axes.keys(), axes))
 
 
 @dataclass(frozen=True)
@@ -145,21 +109,23 @@ class OneFormPullback:
     """pi* of sum b_i dz_i in the log basis (dlog u, dw_i), after dividing
     the certified common factor u out of every coefficient."""
 
-    chart: BlowupChart
+    chart: int
     dlog_coeff: MVPoly
     dw_coeffs: dict[int, MVPoly]
     certified: bool
 
 
-def pullback_one_form(b: Sequence[MVPoly], chart: BlowupChart) -> OneFormPullback:
-    """Express pi*(sum b_i dz_i) in the basis (dlog u, dw_i) and certify
-    divisibility of every coefficient by u (Siu containment).  Divisibility
-    failure would contradict the lemma and raises InternalError."""
-    j, n = chart.index, chart.n
-    if len(b) != n:
-        raise ValueError("need %d coefficients" % n)
+def pullback_one_form(b: Sequence[MVPoly], j: int) -> OneFormPullback:
+    """Express pi*(sum b_i dz_i) on chart j in the basis (dlog u, dw_i) and
+    certify divisibility of every coefficient by u (Siu containment).
+    Divisibility failure would contradict the lemma and raises
+    InternalError."""
+    n = len(b)
+    check_chart(n, j)
     variables = b[0].variables
-    subs = [chart.substitute(p) for p in b]
+    if len(variables) != n:
+        raise ValueError("need %d coefficients" % len(variables))
+    subs = [chart_pullback(p, j) for p in b]
     u = MVPoly.var(variables, variables[j])
     c_log = subs[j] * u
     for i in range(n):
@@ -174,7 +140,7 @@ def pullback_one_form(b: Sequence[MVPoly], chart: BlowupChart) -> OneFormPullbac
     ok = (q_log * u == c_log) and all(q_dw[i] * u == dw[i] for i in q_dw)
     if not ok:
         raise InternalError("Siu certificate re-multiplication failed")
-    return OneFormPullback(chart=chart, dlog_coeff=q_log, dw_coeffs=q_dw, certified=True)
+    return OneFormPullback(chart=j, dlog_coeff=q_log, dw_coeffs=q_dw, certified=True)
 
 
 def exceptional_multiplicity(p: MVPoly, chart_path: Sequence[int]) -> int:
@@ -186,7 +152,7 @@ def exceptional_multiplicity(p: MVPoly, chart_path: Sequence[int]) -> int:
     if not chart_path:
         raise ValueError("empty chart path")
     for j in chart_path:
-        BlowupChart(p.nvars(), j)  # raises on dimension < 2 or an index out of range
+        check_chart(p.nvars(), j)
     *path, last = chart_path
     exps = list(p.num)
     for j in path:
@@ -310,7 +276,7 @@ def blow_up(
     """One point blow-up of v at the origin: the saturated transform of
     every chart, each with its deduplicated singular points on E.  The
     eigendirections of the center are computed once for all charts."""
-    sats = [transform_vector_field(v, chart, divisor, level) for chart in blowup_charts(v.dim())]
+    sats = [transform_vector_field(v, j, divisor, level) for j in range(v.dim())]
     eigen = _eigendirection_loci(v) if any(s.saturation_exponent == 0 for s in sats) else None
     return [(sat, _locus_on_E(sat, eigen)) for sat in sats]
 
@@ -328,8 +294,8 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
     solution is zero at every index set to zero, so singular), and degrades
     to a documented incomplete probe otherwise.  In dim 2 some saturated
     component keeps a term free of u, so the two never both vanish on E."""
-    j, n = sat.chart.index, sat.chart.n
-    f = sat.saturated_field
+    j, f = sat.chart, sat.saturated_field
+    n = f.dim()
     if n == 2:
         if j == 1:
             # chart 2 reports only w = 0, a root of gcd(a, b) iff a(0) = b(0) = 0

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .gaussrat import GaussRat
@@ -162,16 +163,17 @@ def cmd_classify(args, out) -> int:
 def cmd_blowup(args, out) -> int:
     germ = dsl.parse_vector_field(args.input)
     divisor = _divisor_for(args, germ)
-    chart = None if args.chart is None else blowup.BlowupChart(germ.dim(), args.chart - 1)
+    if args.chart is not None:
+        blowup.check_chart(germ.dim(), args.chart - 1)
     entries = blowup.blow_up(germ, divisor)
     result = {}
-    for sat, locus in entries if chart is None else [entries[chart.index]]:
+    for sat, locus in entries if args.chart is None else [entries[args.chart - 1]]:
         entry = sat.to_jsonable()
         entry["raw_field"] = sat.raw_field.to_text()
         entry["singular_points_on_E"] = [[str(c) for c in pt] for pt in locus.points]
         entry["clusters"] = [[str(c) for c in cl.min_poly] for cl in locus.clusters]
         entry["enumeration_complete"] = locus.complete
-        result["c%d" % (sat.chart.index + 1)] = entry
+        result["c%d" % (sat.chart + 1)] = entry
     _emit_json("blowup", result, out)
     return EXIT_OK
 
@@ -294,10 +296,9 @@ def cmd_selftest(args, out) -> int:
     failures = []
     # Siu divisibility battery
     for variables, coeffs in oneform_corpus(100, seed=args.seed):
-        n = len(variables)
-        for chart in blowup.blowup_charts(n):
+        for j in range(len(variables)):
             try:
-                blowup.pullback_one_form(coeffs, chart)
+                blowup.pullback_one_form(coeffs, j)
             except blowup.InternalError as exc:
                 failures.append("siu: %s" % exc)
     # Jensen convention pin: P = t - 2 at r = 4
@@ -333,7 +334,7 @@ def _charts_compatible(germ) -> bool:
     ambient vectors at matching rational points."""
     from fractions import Fraction
 
-    sats = [blowup.transform_vector_field(germ, chart) for chart in blowup.blowup_charts(2)]
+    sats = [blowup.transform_vector_field(germ, j) for j in range(2)]
     samples = [
         (GaussRat(Fraction(1, 3)), GaussRat(2)),
         (GaussRat(Fraction(-1, 2)), GaussRat(Fraction(3, 4))),
@@ -341,7 +342,7 @@ def _charts_compatible(germ) -> bool:
     ]
 
     def ambient_vector(sat, point):
-        j = sat.chart.index
+        j = sat.chart
         vec = sat.saturated_field.evaluate(point)
         u = point[j]
         out = []
@@ -356,8 +357,7 @@ def _charts_compatible(germ) -> bool:
         if u.is_zero() or w.is_zero():
             continue
         p0 = (u, w)
-        z = sats[0].chart.point_to_ambient(p0)
-        p1 = sats[1].chart.ambient_to_chart(z)
+        p1 = (GaussRat(1) / w, u * w)  # the ambient point (u, u*w) of chart 1 in chart 2
         v0 = ambient_vector(sats[0], p0)
         v1 = ambient_vector(sats[1], p1)
         cross = v0[0] * v1[1] - v0[1] * v1[0]
@@ -384,7 +384,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        return HANDLERS[args.verb](args, sys.stdout)
+        code = HANDLERS[args.verb](args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader stopped reading: no fault, nothing left to report
+        sys.stdout = open(os.devnull, "w")  # the interpreter's last flush goes nowhere
+        return EXIT_ERROR
     except (dsl.ParseError, FoliationError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_ERROR

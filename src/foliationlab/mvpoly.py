@@ -394,16 +394,17 @@ def chart_pullback(p: MVPoly, j: int) -> MVPoly:
     return _poly(p.variables, {chart_exponent(e, j): c for e, c in p.num.items()}, p.den)
 
 
-def chart_transform(components: Sequence[MVPoly], j: int) -> tuple[int | float, list[MVPoly], list[MVPoly]]:
+def chart_transform(components: Sequence[MVPoly], j: int) -> tuple[int | float, list[MVPoly]]:
     """Pullback of the vector field sum a_i d/dz_i to chart j of the point
-    blow-up (z_j = u, z_i = u*w_i), as (s, raw, saturated).
+    blow-up (z_j = u, z_i = u*w_i), as (s, saturated).
 
     By `chart_exponent`, a_j o sigma is a_j's numerators under new
     exponents.  The pole-cleared components P_j = u*(a_j o sigma) and
     P_i = a_i o sigma - w_i*(a_j o sigma) are built in one pass, P_i over
-    lcm(den_i, den_j).  With c their least exponent in u, raw = P/u^min(1, c)
-    and saturated = P/u^c, so s = c - min(1, c); the zero field has s = inf
-    and zero components."""
+    lcm(den_i, den_j).  With c their least exponent in u, the saturated
+    field is P/u^c and s = c - min(1, c), the power of u left over from
+    the pushforward P/u^min(1, c); the zero field has s = inf and zero
+    components."""
     variables = components[0].variables
     aj = components[j]
     dj = aj.den
@@ -431,14 +432,8 @@ def chart_transform(components: Sequence[MVPoly], j: int) -> tuple[int | float, 
         cleared.append(_normal(variables, out, den))
     c = min((e[j] for p in cleared for e in p.num), default=inf)
     if c == inf:
-        return inf, cleared, cleared
-    drop = min(1, c)
-    raw, saturated = [], []
-    for p in cleared:
-        r = _shift_down(p, j, drop)
-        raw.append(r)
-        saturated.append(r if c == drop else _shift_down(p, j, c))
-    return c - drop, raw, saturated
+        return inf, cleared
+    return c - min(1, c), [_shift_down(p, j, c) for p in cleared]
 
 
 def _shift_down(p: MVPoly, i: int, k: int) -> MVPoly:

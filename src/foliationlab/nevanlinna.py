@@ -216,29 +216,22 @@ def euclidean_density(components: Sequence[Expr]) -> Callable[[np.ndarray], np.n
 
 def direction_map_density(gens_on_curve: Sequence[Expr]) -> Callable[[np.ndarray], np.ndarray]:
     """Fubini-Study pullback density of the projectivized map
-    t -> [G_1 : ... : G_k], computed scale-invariantly.  Smooth across
-    common zeros of the G_i (the map extends); identically zero for a
+    t -> [G_1 : ... : G_k], by Lagrange's identity
+    sum_{i<j} |G_i G_j' - G_j G_i'|^2 / (sum_i |G_i|^2)^2 / pi, in the log
+    domain: no cancellation where G' is parallel to G, and smooth across
+    common zeros of the G_i (the map extends).  Identically zero for a
     single generator."""
     gs = list(gens_on_curve)
-    gps = [g.diff() for g in gs]
+    wronskians = [gs[i] * gs[j].diff() - gs[j] * gs[i].diff()
+                  for i in range(len(gs)) for j in range(i + 1, len(gs))]
 
     def dens(t: np.ndarray) -> np.ndarray:
-        sc = [g.eval_scaled(t) for g in gs]
-        scp = [g.eval_scaled(t) for g in gps]
-        m = np.full(t.shape, -np.inf)
-        for a, _ in sc + scp:
-            m = np.maximum(m, a)
-        safe = np.where(np.isneginf(m), 0.0, m)
-        q = np.zeros(t.shape, dtype=float)
-        s1 = np.zeros(t.shape, dtype=float)
-        s2 = np.zeros(t.shape, dtype=complex)
-        for (a, u), (ap, up) in zip(sc, scp):
-            q = q + np.exp(2.0 * (a - safe))
-            s1 = s1 + np.exp(2.0 * (ap - safe))
-            s2 = s2 + up * np.conj(u) * np.exp(ap + a - 2.0 * safe)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (q * s1 - np.abs(s2) ** 2) / (q * q) / math.pi
-        return np.where(q > 0, out, 0.0)
+        if not wronskians:
+            return np.zeros(t.shape)
+        log_q = _logsumexp([g.logabs2(t) for g in gs])
+        with np.errstate(invalid="ignore"):  # -inf - -inf where every G_i is 0
+            out = np.exp(_logsumexp([w.logabs2(t) for w in wronskians]) - 2.0 * log_q) / math.pi
+        return np.where(np.isneginf(log_q), 0.0, out)
 
     return dens
 

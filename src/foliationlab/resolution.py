@@ -113,17 +113,16 @@ class TowerNode:
 
 @dataclass
 class DiscrepancyEntry:
-    divisor_id: int
+    divisor_id: int  # also the blow-up event that created the divisor
     discrepancy: int
-    ideal_order: int | None
-    created_at_event: int
+    ideal_order: int
 
     def to_jsonable(self):
         return {
             "divisor": self.divisor_id,
             "discrepancy": self.discrepancy,
             "ideal_order": self.ideal_order,
-            "event": self.created_at_event,
+            "event": self.divisor_id,
         }
 
 
@@ -138,7 +137,6 @@ class ResolutionTower:
     events: list[TowerEvent]
     terminals: list[TerminalSingularity]
     pending: list[dict]
-    discrepancies: list[DiscrepancyEntry] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def to_jsonable(self):
@@ -153,7 +151,7 @@ class ResolutionTower:
             "nodes": {p: n.to_jsonable() for p, n in sorted(self.nodes.items())},
             "terminal_singularities": [t.to_jsonable() for t in self.terminals],
             "pending": self.pending,
-            "discrepancies": [d.to_jsonable() for d in self.discrepancies],
+            "discrepancies": [],
             "notes": list(self.notes),
         }
 
@@ -182,7 +180,7 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
     trace and determinant are polynomials in w0; a point is reduced iff one
     of them is nonzero, so the non-reduced points are the common roots with
     the cluster polynomial."""
-    j = sat.chart.index
+    j = sat.chart
     w = 1 - j
     a, b = sat.saturated_field.components[j], sat.saturated_field.components[w]
     au = blowup.univariate_on_E(a.derivative(j), j, w)
@@ -276,8 +274,8 @@ def _run_tower(
         s_by_chart: dict[int, int] = {}
         tower.events.append(TowerEvent(ev_index, item.path, item.location, level, s_by_chart))
         for sat, locus in blowup.blow_up(item.germ, item.divisor, level=ev_index):
-            s_by_chart[sat.chart.index] = sat.saturation_exponent
-            child_path = (item.path + "/" if item.path else "") + "b%d.c%d" % (ev_index, sat.chart.index + 1)
+            s_by_chart[sat.chart] = sat.saturation_exponent
+            child_path = (item.path + "/" if item.path else "") + "b%d.c%d" % (ev_index, sat.chart + 1)
             tower.nodes[child_path] = TowerNode(child_path, level + 1, sat)
             if locus.non_isolated:
                 tower.status = "blocked"
@@ -468,7 +466,7 @@ def discrepancy_log_resolution(ideal: MonomialIdeal, germ: VectorFieldGerm | Non
         ev = events
         d_new = min(sum(g) for g in node.gens)
         a_new = (n - 1) + sum(disc[ref].discrepancy for kind, ref in node.provenance if kind == "exc")
-        disc[ev] = DiscrepancyEntry(ev, a_new, d_new, ev)
+        disc[ev] = DiscrepancyEntry(ev, a_new, d_new)
         germ_here = node.germ
         if germ_here is not None and not is_singular_at_origin(germ_here):
             status, witness = "nonsingular_center", (
@@ -477,15 +475,15 @@ def discrepancy_log_resolution(ideal: MonomialIdeal, germ: VectorFieldGerm | Non
             germ_singular = False
         else:
             germ_singular = germ_here is not None
-        for chart in blowup.blowup_charts(n):
-            new_gens = [chart_exponent(g, chart.index) for g in node.gens]
+        for j in range(n):
+            new_gens = [chart_exponent(g, j) for g in node.gens]
             child_prov = list(node.provenance)
-            child_prov[chart.index] = ("exc", ev)
-            child_path = (node.path + "/" if node.path else "") + "b%d.c%d" % (ev, chart.index + 1)
+            child_prov[j] = ("exc", ev)
+            child_path = (node.path + "/" if node.path else "") + "b%d.c%d" % (ev, j + 1)
             child_germ = None
             if germ_singular:
-                sat = blowup.transform_vector_field(germ_here, chart, level=ev)
-                sats.append(SaturationRecord(ev, chart.index, sat.saturation_exponent))
+                sat = blowup.transform_vector_field(germ_here, j, level=ev)
+                sats.append(SaturationRecord(ev, j, sat.saturation_exponent))
                 child_germ = sat.saturated_field
             queue.append(_IdealNode(child_path, new_gens, child_prov, child_germ, node.level + 1))
     return list(disc.values()), sats, original_axis_orders, status, witness
@@ -505,7 +503,6 @@ def weakly_reduced_check(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> 
         return WeaklyReducedCertificate(
             "unknown", None, "coefficient ideal is not monomial; log resolution not attempted",
             [], [], None)
-    notes: list[str] = []
     howald = multiplier_ideal_trivial_monomial(ideal)
     if ideal.is_trivial():
         return WeaklyReducedCertificate(
@@ -513,9 +510,9 @@ def weakly_reduced_check(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> 
             [], [], howald, ["germ has a unit component; J_F = (1)"])
     disc, sats, axis_orders, status, witness = discrepancy_log_resolution(ideal, v, max_depth)
     if status == "unknown":
-        return WeaklyReducedCertificate("unknown", None, witness, disc, sats, howald, notes)
+        return WeaklyReducedCertificate("unknown", None, witness, disc, sats, howald)
     if status == "nonsingular_center":
-        return WeaklyReducedCertificate("refuted", 1, witness, disc, sats, howald, notes)
+        return WeaklyReducedCertificate("refuted", 1, witness, disc, sats, howald)
     bad_s = [s for s in sats if s.s != 0]
     if bad_s:
         w = bad_s[0]
@@ -523,21 +520,22 @@ def weakly_reduced_check(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> 
             "refuted", 1,
             "saturation exponent s = %d at event %d chart %d: T_F-hat differs from the pullback by %d E"
             % (w.s, w.event, w.chart + 1, w.s),
-            disc, sats, howald, notes)
-    for path, axis, order in axis_orders:
+            disc, sats, howald)
+    if axis_orders:
+        path, axis, order = axis_orders[0]
         return WeaklyReducedCertificate(
             "refuted", 2,
             "principalized pullback contains the strict transform of original axis %d "
             "with multiplicity %d at %s (discrepancy 0 < %d)" % (axis + 1, order, path or "root", order),
-            disc, sats, howald, notes)
+            disc, sats, howald)
     for entry in disc:
-        if entry.discrepancy < (entry.ideal_order or 0):
+        if entry.discrepancy < entry.ideal_order:
             return WeaklyReducedCertificate(
                 "refuted", 2,
                 "exceptional divisor %d has discrepancy %d < ideal order %d"
                 % (entry.divisor_id, entry.discrepancy, entry.ideal_order),
-                disc, sats, howald, notes)
-    return WeaklyReducedCertificate("certified", None, "", disc, sats, howald, notes)
+                disc, sats, howald)
+    return WeaklyReducedCertificate("certified", None, "", disc, sats, howald)
 
 
 def multiplier_ideal_trivial_by_discrepancy(ideal: MonomialIdeal) -> bool:
@@ -551,4 +549,4 @@ def multiplier_ideal_trivial_by_discrepancy(ideal: MonomialIdeal) -> bool:
         raise FoliationError("log resolution failed: %s" % witness)
     if axis_orders:
         return False
-    return all(e.discrepancy >= (e.ideal_order or 0) for e in disc)
+    return all(e.discrepancy >= e.ideal_order for e in disc)

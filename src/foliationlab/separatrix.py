@@ -259,7 +259,7 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
     point_is_simple_point = st.kind in ("simple_point_A", "simple_point_B")
     for sat_ch, locus in entries:
         if not locus.complete:
-            notes.append("enumeration incomplete in chart %d" % (sat_ch.chart.index + 1))
+            notes.append("enumeration incomplete in chart %d" % (sat_ch.chart + 1))
         for pt in locus.points:
             g = translate_to_point(sat_ch.saturated_field, pt)
             d = divisor_at_point(sat_ch.divisor, pt)

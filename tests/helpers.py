@@ -23,13 +23,11 @@ from fractions import Fraction
 
 from foliationlab import classify, linalg, unipoly
 from foliationlab.blowup import (
-    BlowupChart,
     ELocus,
     SaturatedTransform,
     _eigendirection_loci,
     _locus_on_E,
     blow_up,
-    blowup_charts,
     transform_vector_field,
     univariate_on_E,
 )
@@ -140,8 +138,8 @@ def chart_by_chart(v: VectorFieldGerm, divisor: LogDivisor | None, level: int) -
     """`blow_up` one chart at a time: each chart with s = 0 computes the
     center's eigendirection loci afresh."""
     out = []
-    for chart in blowup_charts(v.dim()):
-        sat = transform_vector_field(v, chart, divisor, level)
+    for j in range(v.dim()):
+        sat = transform_vector_field(v, j, divisor, level)
         out.append((sat, _locus_on_E(sat, _eigendirection_loci(v) if sat.saturation_exponent == 0 else None)))
     return out
 
@@ -268,16 +266,15 @@ def chart_images(variables, j):
     return [u if i == j else u * MVPoly.var(variables, name) for i, name in enumerate(variables)]
 
 
-def reference_transform(v: VectorFieldGerm, chart: BlowupChart, divisor: LogDivisor | None = None,
-                        level: int = 1) -> SaturatedTransform:
-    """`transform_vector_field` by the ring homomorphism `MVPoly.subs` of
-    `chart_images` and MVPoly ring operations, sharing no code with the
-    chart map: the pole-cleared components P_j = u*(a_j o sigma) and
-    P_i = a_i o sigma - w_i*(a_j o sigma) are divided by u^min(1, c) (raw)
-    and by u^c (saturated), c their least exponent in u."""
-    j, n = chart.index, chart.n
-    if v.dim() != n:
-        raise ValueError("chart dimension mismatch")
+def reference_transform(v: VectorFieldGerm, j: int, divisor: LogDivisor | None = None,
+                        level: int = 1) -> tuple[SaturatedTransform, VectorFieldGerm]:
+    """`transform_vector_field` on chart j, and the raw pushforward, by the
+    ring homomorphism `MVPoly.subs` of `chart_images` and MVPoly ring
+    operations, sharing no code with the chart map: the pole-cleared
+    components P_j = u*(a_j o sigma) and P_i = a_i o sigma - w_i*(a_j o sigma)
+    are divided by u^min(1, c) (raw) and by u^c (saturated), c their least
+    exponent in u."""
+    n = v.dim()
     images = chart_images(v.variables, j)
     aj = v.components[j].subs(images)
     cleared = []
@@ -297,7 +294,7 @@ def reference_transform(v: VectorFieldGerm, chart: BlowupChart, divisor: LogDivi
     axes = {a: divisor.history[a] for a in divisor.axes if a != j} if divisor is not None else {}
     if e_invariant:
         axes[j] = exceptional_tag(level)
-    return SaturatedTransform(chart, raw, c - drop, saturated, LogDivisor(axes.keys(), axes), e_invariant)
+    return SaturatedTransform(j, c - drop, saturated, LogDivisor(axes.keys(), axes)), raw
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +567,7 @@ def reference_cluster_verdict(sat: SaturatedTransform, cluster) -> ClusterVerdic
     """`resolution._cluster_verdict` with the trace as a second derivative
     sum restricted to E, and an if/else on the degree of each gcd it
     divides by."""
-    j = sat.chart.index
+    j = sat.chart
     w = 1 - j
     a, b = sat.saturated_field.components[j], sat.saturated_field.components[w]
     au = univariate_on_E(a.derivative(j), j, w)

@@ -10,10 +10,8 @@ from foliationlab.mvpoly import MVPoly, chart_pullback
 from foliationlab.classify import algebraic_multiplicity, is_dicritical
 from foliationlab.foliation import LogDivisor, VectorFieldGerm, is_singular_at_origin, milnor_number, translate_to_point
 from foliationlab.blowup import (
-    BlowupChart,
     SectionExists,
     blow_up,
-    blowup_charts,
     ceil_nth_root,
     effectivity_count,
     exceptional_multiplicity,
@@ -37,46 +35,42 @@ def germ(*comps):
 
 
 def test_charts_and_substitution():
-    charts = blowup_charts(2)
-    assert [c.index for c in charts] == [0, 1]
     # chart 1: (x, y) = (u, u w); chart 2: (x, y) = (u w, u)
-    assert charts[0].substitute(Y) == X * Y
-    assert charts[1].substitute(X) == X * Y
-    assert charts[1].substitute(Y) == Y
-    with pytest.raises(ValueError):
-        blowup_charts(1)
-    charts3 = blowup_charts(3)
+    assert chart_pullback(Y, 0) == X * Y
+    assert chart_pullback(X, 1) == X * Y
+    assert chart_pullback(Y, 1) == Y
+    with pytest.raises(ValueError, match="ambient dimension >= 2"):
+        transform_vector_field(VectorFieldGerm(("x",), [MVPoly.var(("x",), "x")]), 0)
     vs3 = ("x", "y", "z")
     z = MVPoly.var(vs3, "z")
-    assert charts3[0].substitute(z) == MVPoly.var(vs3, "x") * z
+    assert chart_pullback(z, 0) == MVPoly.var(vs3, "x") * z
 
 
 def test_chart_transition_round_trip():
-    chart0, chart1 = blowup_charts(2)
-    p = (GaussRat(Fraction(1, 3)), GaussRat(2))
-    z = chart0.point_to_ambient(p)
-    q = chart1.ambient_to_chart(z)
-    assert chart1.point_to_ambient(q) == z
-    # transition: u' = u w, w' = 1/w
-    assert q[1] == p[0] * p[1]
-    assert q[0] == GaussRat(1) / p[1]
+    """The ambient point (u, u w) of chart 1 is (1/w, u w) in chart 2 (the
+    transition `cli._charts_compatible` uses): every polynomial pulled
+    back to either chart takes one value there."""
+    u, w = GaussRat(Fraction(1, 3)), GaussRat(2)
+    p0, p1 = (u, w), (GaussRat(1) / w, u * w)
+    for p in (X, Y, X * Y + 3 * X**3, Y**2 - X):
+        assert chart_pullback(p, 0).evaluate(p0) == chart_pullback(p, 1).evaluate(p1) == p.evaluate((u, u * w))
 
 
 def test_transform_fixtures():
     radial = germ(X, Y)
-    st = transform_vector_field(radial, BlowupChart(2, 0))
+    st = transform_vector_field(radial, 0)
     assert st.saturation_exponent == 1
     assert not st.exceptional_invariant
     assert st.saturated_field.components[0] == MVPoly.const(VARS, 1)
 
     saddle = germ(X, -1 * Y)
-    st = transform_vector_field(saddle, BlowupChart(2, 0))
+    st = transform_vector_field(saddle, 0)
     assert st.saturation_exponent == 0
     assert st.exceptional_invariant
     assert st.raw_field.components[1] == -2 * Y
 
     nilp = germ(Y, X * X)
-    st = transform_vector_field(nilp, BlowupChart(2, 0))
+    st = transform_vector_field(nilp, 0)
     assert st.saturation_exponent == 0
     assert st.saturated_field.components[0] == X * Y
     assert st.saturated_field.components[1] == X - Y * Y
@@ -84,18 +78,18 @@ def test_transform_fixtures():
 
 def test_divisor_tracking():
     saddle = germ(X, -1 * Y)
-    st = transform_vector_field(saddle, BlowupChart(2, 0), LogDivisor({0, 1}), level=3)
+    st = transform_vector_field(saddle, 0, LogDivisor({0, 1}), level=3)
     # strict transform of {y=0} plus the exceptional axis at position 0
     assert st.divisor.axes == frozenset({0, 1})
     assert st.divisor.history[0] == "exceptional:3"
     assert st.divisor.history[1] == "original"
     radial = germ(X, Y)
-    st = transform_vector_field(radial, BlowupChart(2, 0), LogDivisor({1}))
+    st = transform_vector_field(radial, 0, LogDivisor({1}))
     assert 0 not in st.divisor.axes  # dicritical: E stays out
 
 
 def _ambient_vector(sat, point):
-    j = sat.chart.index
+    j = sat.chart
     vec = sat.saturated_field.evaluate(point)
     u = point[j]
     out = []
@@ -126,10 +120,9 @@ def test_chart_compatibility_on_corpus():
         v = VectorFieldGerm(VARS, (MVPoly(VARS, terms1), MVPoly(VARS, terms2)))
         if not is_singular_at_origin(v) or all(c.is_zero() for c in v.components):
             continue
-        sats = [transform_vector_field(v, c) for c in blowup_charts(2)]
-        for p0 in samples:
-            z = sats[0].chart.point_to_ambient(p0)
-            p1 = sats[1].chart.ambient_to_chart(z)
+        sats = [transform_vector_field(v, j) for j in range(2)]
+        for u, w in samples:
+            p0, p1 = (u, w), (GaussRat(1) / w, u * w)  # one ambient point in charts 1 and 2
             v0 = _ambient_vector(sats[0], p0)
             v1 = _ambient_vector(sats[1], p1)
             assert (v0[0] * v1[1] - v0[1] * v1[0]).is_zero()
@@ -152,28 +145,27 @@ def test_saturation_lower_bound():
         if not is_singular_at_origin(v) or all(c.is_zero() for c in v.components):
             continue
         m = min(c.vanishing_order() for c in v.components)
-        for chart in blowup_charts(2):
-            st = transform_vector_field(v, chart)
+        for j in range(2):
+            st = transform_vector_field(v, j)
             assert st.saturation_exponent >= m - 1
         checked += 1
 
 
 def test_pullback_one_form_examples():
-    chart = BlowupChart(2, 0)
-    pb = pullback_one_form([MVPoly.const(VARS, 1), MVPoly.zero(VARS)], chart)
+    pb = pullback_one_form([MVPoly.const(VARS, 1), MVPoly.zero(VARS)], 0)
     assert pb.dlog_coeff == MVPoly.const(VARS, 1)
     assert pb.dw_coeffs[1].is_zero()
-    pb = pullback_one_form([MVPoly.zero(VARS), MVPoly.const(VARS, 1)], chart)
+    pb = pullback_one_form([MVPoly.zero(VARS), MVPoly.const(VARS, 1)], 0)
     assert pb.dlog_coeff == Y and pb.dw_coeffs[1] == MVPoly.const(VARS, 1)
-    pb = pullback_one_form([-1 * Y, X], chart)
+    pb = pullback_one_form([-1 * Y, X], 0)
     assert pb.dlog_coeff.is_zero()
     assert pb.dw_coeffs[1] == X
 
 
 def test_siu_divisibility_battery_small():
     for variables, coeffs in oneform_corpus(60, seed=3):
-        for chart in blowup_charts(len(variables)):
-            pb = pullback_one_form(coeffs, chart)
+        for j in range(len(variables)):
+            pb = pullback_one_form(coeffs, j)
             assert pb.certified
 
 
@@ -253,17 +245,16 @@ def test_transform_matches_ring_operations(case):
     """The one-pass chart transform against substitution plus MVPoly ring
     operations, chart by chart."""
     v, divisor, level = case
-    for chart in blowup_charts(v.dim()):
+    for j in range(v.dim()):
         try:
-            want = reference_transform(v, chart, divisor, level)
+            want, want_raw = reference_transform(v, j, divisor, level)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
-                transform_vector_field(v, chart, divisor, level)
+                transform_vector_field(v, j, divisor, level)
             continue
-        got = transform_vector_field(v, chart, divisor, level)
-        for field in ("raw_field", "saturated_field"):
-            assert [(p.den, p.num) for p in getattr(got, field).components] == \
-                [(p.den, p.num) for p in getattr(want, field).components]
+        got = transform_vector_field(v, j, divisor, level)
+        for got_field, want_field in ((got.raw_field, want_raw), (got.saturated_field, want.saturated_field)):
+            assert [(p.den, p.num) for p in got_field.components] == [(p.den, p.num) for p in want_field.components]
         assert got.saturation_exponent == want.saturation_exponent
         assert got.divisor == want.divisor
         assert got.exceptional_invariant == want.exceptional_invariant
@@ -271,16 +262,17 @@ def test_transform_matches_ring_operations(case):
 
 
 def test_transform_chart_dimension_mismatch():
-    with pytest.raises(ValueError, match="chart dimension mismatch"):
-        transform_vector_field(VectorFieldGerm(VARS3, [X3, Y3, Z3]), BlowupChart(2, 1))
+    """A chart index past the germ's dimension is refused."""
+    for v, j in ((VectorFieldGerm(VARS3, [X3, Y3, Z3]), 3), (germ(X, Y), 2), (germ(X, Y), -1)):
+        with pytest.raises(ValueError, match="chart index out of range"):
+            transform_vector_field(v, j)
+    with pytest.raises(ValueError, match="chart index out of range"):
+        pullback_one_form([X, Y], 2)
 
 
 def test_chart_substitution_dimension_mismatch():
     """A chart of another dimension than the polynomial's ring is refused,
     not applied to the wrong variables or left to fail on an index."""
-    for chart, p in ((BlowupChart(3, 2), X * Y), (BlowupChart(2, 0), X3)):
-        with pytest.raises(ValueError, match="chart dimension mismatch"):
-            chart.substitute(p)
     for j in (2, -1):
         with pytest.raises(ValueError, match="chart dimension mismatch"):
             chart_pullback(X * Y, j)
@@ -405,7 +397,7 @@ def test_chart2_locus_matches_root_search_on_seeded_towers():
     for tower in seeded_towers():
         for node in tower.nodes.values():
             sat = node.transform
-            if sat.chart.index != 1:
+            if sat.chart != 1:
                 continue
             locus = points_on_E(sat)
             assert not locus.non_isolated and locus.complete and not locus.clusters

@@ -275,8 +275,8 @@ def _dicritical_by_blowup(v):
         raise NonSingularPoint("germ is not singular at the origin")
     if v.dim() == 2 and milnor_number(v) == math.inf:
         raise FoliationError("singular locus is not isolated at the origin")
-    for chart in blowup.blowup_charts(v.dim()):
-        sat = blowup.transform_vector_field(v, chart)
+    for j in range(v.dim()):
+        sat = blowup.transform_vector_field(v, j)
         if not sat.exceptional_invariant:
             return True
     return False

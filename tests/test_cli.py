@@ -204,6 +204,24 @@ def test_blowup_chart_flag(capsys):
                                 sort_keys=True, indent=2) + "\n"
 
 
+def test_closed_output_pipe_exits_one_quietly(monkeypatch, capsys):
+    """A reader that stops reading is not an internal error: exit 1, nothing
+    on stderr, and stdout left pointing at the null device."""
+    import os
+    import sys
+
+    class ClosedPipe(io.StringIO):
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = cli.main(["blowup", "v = x d/dx + y d/dy"])
+    devnull = sys.stdout
+    assert code == 1 and devnull.name == os.devnull
+    devnull.close()
+    assert capsys.readouterr().err == ""
+
+
 def test_classify_dim1_reports_without_dicriticality():
     code, out = run_cli(["classify", "v = x^2 d/dx"])
     assert code == 0

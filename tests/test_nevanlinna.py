@@ -116,6 +116,20 @@ def test_euclidean_form():
         assert T == pytest.approx((r * r - 1) / 2.0, rel=1e-4)
 
 
+def test_direction_map_density_by_lagrange_identity():
+    import numpy as np
+
+    # [t : t^2] = [1 : t] away from 0: the Fubini-Study density of P^1
+    t = np.array([0.5 + 0.2j, 2.0, 10 + 3j, 1e-3, 200 - 100j])
+    fs = 1.0 / (math.pi * (1.0 + np.abs(t) ** 2) ** 2)
+    assert np.allclose(nv.direction_map_density([t_expr(), _poly(0, 0, 1)])(t), fs, rtol=1e-12, atol=0)
+    assert not nv.direction_map_density([Exp(t_expr())])(t).any()
+    # [t - 3 : (t - 3)^2] = [1 : t - 3] away from 3, so the density extends across 3
+    s = np.array([1e-2, 1e-3j, 1e-4 + 1e-4j])
+    dens = nv.direction_map_density([_poly(-3, 1), _poly(9, -6, 1)])(3.0 + s)
+    assert np.allclose(dens, 1.0 / (math.pi * (1.0 + np.abs(s) ** 2) ** 2), rtol=1e-6, atol=0)
+
+
 def test_fmt_trivial_ideal():
     curve = nv.ParametrizedCurve((t_expr(), _poly(0, 0, 1)))
     rep = nv.fmt_verify(curve, [MVPoly.const(VARS, 1)], [], [2.0, 4.0, 8.0], CFG)
