@@ -242,14 +242,16 @@ def univariate_on_E(p: MVPoly, u: int, w: int) -> unipoly.Coeffs:
 
 
 def _eigendirection_loci(center: VectorFieldGerm) -> list[ELocus] | None:
-    """Sing on E, chart by chart, in the charts with s = 0 of a
-    multiplicity-one center in dim >= 3: exactly the eigendirections of the
-    center's linear part, from one eigenvalue computation.  None for any
-    other center."""
+    """Sing on E, chart by chart, of a multiplicity-one center in dim >= 3
+    whose linear part A is not scalar: the eigendirections of A, from one
+    eigenvalue computation; None for any other center.  Such a center has
+    s = 0 in every chart: in chart j the u^1 coefficient of P_i is
+    (A(e_j + w))_i - w_i * (A(e_j + w))_j, which vanishes for every i != j
+    only if every e_j + w is an eigenvector, i.e. A = cI."""
     n = center.dim()
-    if n < 3 or min(c.vanishing_order() for c in center.components) != 1:
+    if (n < 3 or min(c.vanishing_order() for c in center.components) != 1
+            or linalg.is_scalar(linear := center.linear_part())):
         return None
-    linear = center.linear_part()
     ev = linalg.eigenvalues_exact(linear)
     if isinstance(ev, linalg.Indeterminate):
         return [ELocus(points=[], complete=False,
@@ -277,13 +279,19 @@ def blow_up(
     every chart, each with its deduplicated singular points on E.  The
     eigendirections of the center are computed once for all charts."""
     sats = [transform_vector_field(v, j, divisor, level) for j in range(v.dim())]
-    eigen = _eigendirection_loci(v) if any(s.saturation_exponent == 0 for s in sats) else None
+    eigen = _eigendirection_loci(v)
     return [(sat, _locus_on_E(sat, eigen)) for sat in sats]
+
+
+def exceptional_loci(v: VectorFieldGerm) -> list[ELocus]:
+    """The loci of `blow_up(v)`, chart by chart: from the center's spectrum
+    where it decides them, without the chart transforms."""
+    return _eigendirection_loci(v) or [locus for _, locus in blow_up(v)]
 
 
 def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
     """Sing(saturated field) on E in this chart, given the center's
-    eigendirection loci (or None); they answer for the charts with s = 0.
+    eigendirection loci (or None); they answer for every chart.
 
     Deduplication keeps only points whose direction coordinates vanish at
     every position before the chart index, so a point on E is reported by
@@ -313,7 +321,7 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
         uniq = sorted(set(points), key=lambda q: (str(q[0]), str(q[1])))
         return ELocus(points=uniq, clusters=clusters, complete=True)
 
-    if eigen is not None and sat.saturation_exponent == 0:
+    if eigen is not None:
         return eigen[j]
 
     # restricted system on E, with dedupe constraints

@@ -360,8 +360,7 @@ def seidenberg_terminal(v: VectorFieldGerm) -> SingularityReport | str:
         return why
     if v.dim() < 2:
         raise ValueError("blow-up needs ambient dimension >= 2")
-    c = lp[0][0]
-    if all((x == c) if i == k else x.is_zero() for i, row in enumerate(lp) for k, x in enumerate(row)):
+    if linalg.is_scalar(lp):
         return "reduced but dicritical"
     return _report(v, mult, lp, cp, why, None, False)
 

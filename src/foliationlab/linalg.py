@@ -217,3 +217,7 @@ def eigenspace(a: Matrix, lam: GaussRat) -> list[Vector]:
 def eigenvector(a: Matrix, lam: GaussRat) -> Vector | None:
     basis = eigenspace(a, lam)
     return basis[0] if basis else None
+
+
+def is_scalar(a: Matrix) -> bool:
+    return all(x == a[0][0] if i == k else x.is_zero() for i, row in enumerate(a) for k, x in enumerate(row))

@@ -369,17 +369,31 @@ def _require_isolated_root(v: VectorFieldGerm) -> None:
 
 
 def _ais_probe(v: VectorFieldGerm, depth: int) -> list[str]:
-    """Bounded absolutely-isolated probe: `_run_tower` blows up every
-    singular point to `depth`, none of them terminal.  A non-isolated locus
-    on E raises; an incomplete enumeration or an exhausted node budget
-    returns the note that says so."""
-    walk = _run_tower(v, None, depth, "simple", lambda item: "A.I.S. probe")
+    """Bounded absolutely-isolated probe: every singular point is blown up
+    to `depth`, none of them terminal.  A non-isolated locus on E raises;
+    an incomplete enumeration or an exhausted node budget returns the note
+    that says so.  The last level needs only its loci on E, which
+    `blowup.exceptional_loci` reads from the spectrum when the center's
+    linear part is not scalar (then s = 0 in every chart), so `_run_tower`
+    stops a level short; each item it pops is blown up or left pending."""
+    found = "bounded A.I.S. probe found a non-isolated locus at level %d"
+    last: list[blowup.ELocus] = []
+
+    def last_level(item: _WorkItem) -> str:
+        loci = blowup.exceptional_loci(item.germ) if item.level == depth - 1 else []
+        if any(locus.non_isolated for locus in loci):
+            raise NonIsolatedSingularLocus(found % depth)
+        last.extend(loci)
+        return "A.I.S. probe"
+
+    walk = _run_tower(v, None, depth - 1, "simple", last_level)
     if walk.reason.startswith("non-isolated"):
-        raise NonIsolatedSingularLocus("bounded A.I.S. probe found a non-isolated locus at level %d"
-                                       % (walk.events[-1].level + 1))
-    for prefix, status in (("singular-point enumeration incomplete", "unknown"), ("node budget", "depth_exceeded")):
-        if walk.reason.startswith(prefix):
-            return ["A.I.S. probe: %s" % status]
+        raise NonIsolatedSingularLocus(found % (walk.events[-1].level + 1))
+    nodes = len(walk.events) + len(walk.pending) + sum(len(locus.points) for locus in last)
+    if walk.reason.startswith("node budget") or nodes > TOWER_NODE_BUDGET:
+        return ["A.I.S. probe: depth_exceeded"]
+    if walk.reason.startswith("singular-point enumeration incomplete") or not all(locus.complete for locus in last):
+        return ["A.I.S. probe: unknown"]
     return []
 
 

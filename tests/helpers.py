@@ -4,9 +4,10 @@ matrix helpers, the blow-up chart by ring homomorphism (its images and the
 chart transform) that the chart kernels are checked against, the
 chart-by-chart singular points on E that `blow_up` is checked against,
 the bounded absolutely-isolated probe as a blow-up walk of its own, which
-`resolve_simple` is checked against, the linear change of coordinates
-with the separatrix solver and Seidenberg-type test that used it, which
-`formal_separatrix` and `_surface_type` are checked against, and the
+`resolve_simple` is checked against, and as the `_run_tower` walk that
+blows up its last level too, which `_ais_probe` is checked against, the
+linear change of coordinates with the separatrix solver and Seidenberg-type
+test that used it, which `formal_separatrix` and `_surface_type` are checked against, and the
 corner report, `linalg.solve` and the cluster verdict with the runtime
 checks that their theorems make redundant, which the current versions
 are checked against, and Gauss-Jordan elimination on GaussRat rows (the
@@ -298,7 +299,8 @@ def reference_transform(v: VectorFieldGerm, j: int, divisor: LogDivisor | None =
 
 
 # ---------------------------------------------------------------------------
-# The bounded absolutely-isolated probe as its own blow-up walk
+# The bounded absolutely-isolated probe as its own blow-up walk, and as a
+# `_run_tower` walk that blows up the last level
 
 
 PROBE_NODE_BUDGET = 2000
@@ -340,6 +342,20 @@ def probe_walk(v: VectorFieldGerm, depth: int) -> tuple[str, int | None]:
     if unknown:
         return "unknown", None
     return "depth_exceeded" if blocked else "all_levels_finite", None
+
+
+def reference_ais_probe(v: VectorFieldGerm, depth: int) -> list[str]:
+    """The bounded absolutely-isolated probe as a depth-`depth` run of
+    `_run_tower` with no point terminal, which blows up every singular
+    point of the last level too."""
+    walk = _run_tower(v, None, depth, "simple", lambda item: "A.I.S. probe")
+    if walk.reason.startswith("non-isolated"):
+        raise NonIsolatedSingularLocus("bounded A.I.S. probe found a non-isolated locus at level %d"
+                                       % (walk.events[-1].level + 1))
+    for prefix, status in (("singular-point enumeration incomplete", "unknown"), ("node budget", "depth_exceeded")):
+        if walk.reason.startswith(prefix):
+            return ["A.I.S. probe: %s" % status]
+    return []
 
 
 def reference_resolve_simple(v: VectorFieldGerm, divisor: LogDivisor, max_depth: int = DEFAULT_DEPTH):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
@@ -14,6 +14,7 @@ from foliationlab.blowup import (
     blow_up,
     ceil_nth_root,
     effectivity_count,
+    exceptional_loci,
     exceptional_multiplicity,
     pullback_one_form,
     transform_vector_field,
@@ -23,7 +24,15 @@ from foliationlab import unipoly
 from foliationlab.corpus import oneform_corpus, seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
 
-from helpers import chart_by_chart, chart_images, jordan_fixtures, points_on_E, reference_transform, seeded_towers
+from helpers import (
+    chart_by_chart,
+    chart_images,
+    jordan_fixtures,
+    points_on_E,
+    reference_transform,
+    scalar_matrix,
+    seeded_towers,
+)
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -379,6 +388,60 @@ def test_complete_locus_points_are_singular(v):
     for sat, locus in blow_up(v):
         if locus.complete:
             assert all(c.evaluate(pt).is_zero() for pt in locus.points for c in sat.saturated_field.components)
+
+
+@st.composite
+def _centers_dim3_4(draw, kinds=("matrix", "scalar", "none")):
+    """Germs of dims 3-4 singular at the origin: a linear part that is a
+    sparse Gaussian-integer matrix, a nonzero scalar matrix or none (so
+    multiplicity >= 2), plus up to two terms of degree 2-3 per component."""
+    n = draw(st.integers(3, 4))
+    names = ("x", "y", "z", "w")[:n]
+    kind = draw(st.sampled_from(kinds))
+    scale = draw(st.sampled_from([GaussRat(1), GaussRat(-2), GaussRat(0, 1), GaussRat(Fraction(1, 2), 1)]))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, GaussRat(0, 1), GaussRat(1, -2)])
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 2 <= sum(e) <= 3)
+    coeff = st.builds(GaussRat, st.integers(-3, 3), st.integers(-1, 1)).filter(lambda c: not c.is_zero())
+    comps = []
+    for i in range(n):
+        terms = draw(st.dictionaries(exps, coeff, min_size=int(kind == "none"), max_size=2))
+        for k in range(n):
+            a = draw(entry) if kind == "matrix" else scale if kind == "scalar" and k == i else 0
+            if a != 0:
+                terms[tuple(int(t == k) for t in range(n))] = GaussRat.coerce(a)
+        comps.append(MVPoly(names, terms))
+    assume(any(not p.is_zero() for p in comps))
+    return VectorFieldGerm(names, comps)
+
+
+@given(_centers_dim3_4(("matrix", "scalar")))
+@settings(max_examples=80, deadline=None)
+def test_multiplicity_one_center_has_s_zero_everywhere_iff_not_scalar(v):
+    """For a multiplicity-one center with linear part A, the u^1 coefficient
+    of P_i in chart j is (A(e_j + w))_i - w_i (A(e_j + w))_j: every chart
+    has s = 0 unless A = cI, and then every chart has s >= 1."""
+    assume(algebraic_multiplicity(v) == 1)
+    lp = v.linear_part()
+    s = [transform_vector_field(v, j).saturation_exponent for j in range(v.dim())]
+    if lp == scalar_matrix(v.dim(), lp[0][0]):
+        assert min(s) >= 1
+    else:
+        assert s == [0] * v.dim()
+
+
+def _fields(locus):
+    return locus.points, locus.clusters, locus.complete, locus.non_isolated, locus.notes
+
+
+@given(_centers_dim3_4())
+@example(parse_vector_field("v = x d/dx + y d/dy + 5*z d/dz"))  # a plane of eigendirections
+@example(parse_vector_field("v = y d/dx + 2*x d/dy + z d/dz"))  # eigenvalues outside Q(i)
+@example(parse_vector_field("v = (x + y^2) d/dx + y d/dy + (z + x*z) d/dz"))  # scalar: s = 1
+@settings(max_examples=80, deadline=None)
+def test_exceptional_loci_equal_blow_up_loci(v):
+    """The loci read from the spectrum, or from `blow_up` when the center
+    is scalar or of multiplicity >= 2, are `blow_up`'s loci field by field."""
+    assert [_fields(locus) for locus in exceptional_loci(v)] == [_fields(locus) for _, locus in blow_up(v)]
 
 
 def _chart2_points_by_root_search(sat):

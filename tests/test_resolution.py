@@ -17,7 +17,9 @@ from foliationlab.foliation import (
 )
 from foliationlab.monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
 from foliationlab.resolution import (
+    TOWER_NODE_BUDGET,
     NonIsolatedSingularLocus,
+    _ais_probe,
     _cluster_verdict,
     discrepancy_log_resolution,
     multiplier_ideal_trivial_by_discrepancy,
@@ -27,9 +29,15 @@ from foliationlab.resolution import (
 )
 from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
-from foliationlab import blowup, classify, linalg, unipoly
+from foliationlab import blowup, classify, linalg, resolution, unipoly
 
-from helpers import points_on_E, reference_cluster_verdict, reference_resolve_simple, seeded_towers
+from helpers import (
+    points_on_E,
+    reference_ais_probe,
+    reference_cluster_verdict,
+    reference_resolve_simple,
+    seeded_towers,
+)
 
 VARS = ("x", "y")
 X = MVPoly.var(VARS, "x")
@@ -400,12 +408,14 @@ def test_resolve_simple_matches_probe_walk(case):
     _assert_probe_matches_walk(*case)
 
 
+UNKNOWN_PROBE_GERM = parse_vector_field("v = ((12)*x + (1)*x*y) d/dx + ((0 - 13*i)*y + (-1)*y*z) d/dy "
+                                        "+ ((1 - 1*i)*z + (2)*z*x) d/dz")  # a seed-0 simple_towers germ
+
+
 def test_resolve_simple_probe_cases():
-    unknown = parse_vector_field("v = ((12)*x + (1)*x*y) d/dx + ((0 - 13*i)*y + (-1)*y*z) d/dy "
-                                 "+ ((1 - 1*i)*z + (2)*z*x) d/dz")  # a seed-0 simple_towers germ
     cases = [
         (parse_vector_field("v = x d/dx + y d/dy + 2*z d/dz"), LogDivisor.empty()),
-        (unknown, LogDivisor({0})),
+        (UNKNOWN_PROBE_GERM, LogDivisor({0})),
         (germ(Y, MVPoly.zero(VARS)), LogDivisor.empty()),
         (parse_vector_field("v = x^2 d/dx"), LogDivisor.empty()),
     ]
@@ -416,3 +426,52 @@ def test_resolve_simple_probe_cases():
     assert "A.I.S. probe: unknown" in resolve_simple(*cases[1]).notes
     with pytest.raises(NonIsolatedSingularLocus, match="root singular locus is a curve"):
         resolve_simple(*cases[2])
+
+
+def _probe_outcome(probe, v, depth):
+    """A probe's notes, or the type and message of what it raised."""
+    try:
+        return probe(v, depth)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _assert_probe_matches_reference(v, depth, budgets):
+    """`_ais_probe` raises and notes as the walk that blows up the last
+    level too, under each node budget."""
+    for budget in budgets:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolution, "TOWER_NODE_BUDGET", budget)
+            assert _probe_outcome(_ais_probe, v, depth) == _probe_outcome(reference_ais_probe, v, depth), budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(_probe_cases())
+def test_ais_probe_matches_reference(case):
+    # the probe runs outside dim 2 only, where no locus on E has a cluster
+    v, _divisor, depth = case
+    if v.dim() != 2:
+        _assert_probe_matches_reference(v, depth, (1, 4, 16, 64, TOWER_NODE_BUDGET))
+
+
+@pytest.mark.parametrize("v", [
+    parse_vector_field("v = x d/dx + 3*y d/dy + 7*z d/dz"),
+    parse_vector_field("v = x d/dx + 2*y d/dy + 5*z d/dz + 11*w d/dw"),
+    UNKNOWN_PROBE_GERM,
+])
+def test_ais_probe_matches_reference_on_pinned_germs(v):
+    _assert_probe_matches_reference(v, 3, (*range(1, 16), TOWER_NODE_BUDGET))
+
+
+def test_ais_probe_reads_the_last_level_from_the_spectrum(monkeypatch):
+    """x + 3y + 7z is isolated two blow-ups down, but the center
+    diag(1, 1, 5) at b1.c1/b2.c1 has a plane of eigendirections, so level 3
+    is non-isolated.  Its spectrum decides that without chart transforms:
+    only the four centers above level 2 are transformed."""
+    v = parse_vector_field("v = x d/dx + 3*y d/dy + 7*z d/dz")
+    calls = []
+    transform = blowup.transform_vector_field
+    monkeypatch.setattr(blowup, "transform_vector_field", lambda *args: calls.append(args) or transform(*args))
+    with pytest.raises(NonIsolatedSingularLocus, match="non-isolated locus at level 3$"):
+        _ais_probe(v, 3)
+    assert len(calls) == 4 * 3
