@@ -1,6 +1,8 @@
 """foliation-lab: symbolic and numeric laboratory for singularities of
 holomorphic foliations by curves."""
 
+import importlib
+
 from .gaussrat import GaussRat, I, rational_sqrt
 from .mvpoly import MVPoly, linear_part_matrix
 from .series import TruncatedSeries, poly_eval_series
@@ -52,19 +54,24 @@ from .separatrix import (
     formal_separatrix,
     separatrix_lift_check,
 )
-from .nevanlinna import (
-    NevanlinnaProfile,
-    ParametrizedCurve,
-    characteristic_T,
-    circle_average_log,
-    counting_function,
-    fmt_verify,
-    jensen_verify,
-    log_derivative_check,
-    multiplicity_bookkeeping,
-    tautological_pairing,
-)
-from .quadrature import QuadConfig
 from .dsl import ParseError, parse_curve, parse_divisor, parse_vector_field
 
 __version__ = "0.1.0"
+
+# The float engine (numpy) loads on first use of one of its names (PEP 562),
+# so the exact engine and its CLI commands start without numpy.
+_FLOAT_NAMES = {
+    **dict.fromkeys((
+        "NevanlinnaProfile", "ParametrizedCurve", "characteristic_T", "circle_average_log",
+        "counting_function", "fmt_verify", "jensen_verify", "log_derivative_check",
+        "multiplicity_bookkeeping", "tautological_pairing",
+    ), "nevanlinna"),
+    "QuadConfig": "quadrature",
+}
+
+
+def __getattr__(name):
+    module = _FLOAT_NAMES.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + module, __name__), name)

@@ -17,8 +17,7 @@ import sys
 
 from .gaussrat import GaussRat
 from .foliation import FoliationError, LogDivisor
-from .quadrature import QuadConfig
-from . import blowup, classify, dsl, nevanlinna, resolution, separatrix
+from . import blowup, classify, dsl, resolution, separatrix
 
 SCHEMA = "foliation-lab/1"
 
@@ -36,16 +35,15 @@ def _emit_json(command: str, result, out) -> None:
 
 def _sanitize(obj):
     """JSON cannot carry inf/nan or numpy scalars; normalize them."""
-    import numpy as np
-
-    if isinstance(obj, (bool, np.bool_)):
+    np = sys.modules.get("numpy")  # while numpy is not loaded, no value is a numpy scalar
+    if isinstance(obj, bool) or np and isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float) or np and isinstance(obj, np.floating):
         obj = float(obj)
         if math.isinf(obj) or math.isnan(obj):
             return str(obj)
         return obj
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int) or np and isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
@@ -67,12 +65,18 @@ def _parse_radii(spec: str) -> list[float]:
     if len(parts) != 3:
         raise dsl.ParseError("radii must be a:b:steps")
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1 or a <= 0 or b < a:
+    if n < 1 or not 0 < a <= b < math.inf:  # false for nan
         raise dsl.ParseError("bad radii range %r" % spec)
     if n == 1:
         return [a]
     ratio = (b / a) ** (1.0 / (n - 1))
-    return [a * ratio**k for k in range(n)]
+    try:
+        radii = [a * ratio**k for k in range(n)]
+    except OverflowError:  # a power of the ratio past the largest float
+        radii = [math.inf]
+    if not all(map(math.isfinite, radii)):
+        raise dsl.ParseError("radii grid %r is not finite" % spec)
+    return radii
 
 
 def _ideal_gens(spec: str, nvars: int):
@@ -178,7 +182,13 @@ def cmd_blowup(args, out) -> int:
     return EXIT_OK
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise dsl.ParseError("--depth must be >= 0")
+
+
 def cmd_resolve(args, out) -> int:
+    _check_depth(args.depth)
     germ = dsl.parse_vector_field(args.input)
     if args.mode == "seidenberg":
         tower = resolution.seidenberg_reduce(germ, args.depth)
@@ -190,6 +200,7 @@ def cmd_resolve(args, out) -> int:
 
 
 def cmd_weakly_reduced(args, out) -> int:
+    _check_depth(args.depth)
     germ = dsl.parse_vector_field(args.input)
     cert = resolution.weakly_reduced_check(germ, args.depth)
     _emit_json("weakly-reduced", cert.to_jsonable(), out)
@@ -226,6 +237,11 @@ def cmd_separatrix(args, out) -> int:
 
 
 def cmd_nevanlinna(args, out) -> int:
+    from . import nevanlinna
+    from .quadrature import QuadConfig
+
+    if not 0 < args.tol < math.inf:  # false for nan
+        raise dsl.ParseError("--tol must be a finite positive number")
     curve = dsl.parse_curve(args.input)
     cfg = QuadConfig(tol=args.tol)
     radii = _parse_radii(args.radii)
@@ -289,6 +305,7 @@ def cmd_effectivity(args, out) -> int:
 def cmd_selftest(args, out) -> int:
     import random
 
+    from . import nevanlinna
     from .corpus import oneform_corpus
     from .exprtree import Poly
     from .mvpoly import MVPoly

@@ -24,7 +24,6 @@ import re
 
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
-from .exprtree import Exp, Poly, const_expr, order_at, t_expr
 
 
 class ParseError(Exception):
@@ -195,25 +194,33 @@ class _PolyAlgebra:
 
 
 class _ExprAlgebra:
+    """Curve components as `exprtree` trees; the float engine (numpy) loads
+    when the first curve is parsed, never for a field."""
+
+    def __init__(self):
+        from . import exprtree
+
+        self.tree = exprtree
+
     def const(self, c):
-        return const_expr(c)
+        return self.tree.const_expr(c)
 
     def var(self, name, toks):
         if name != "t":
             toks.error("curves are functions of t only (found %r)" % name)
-        return t_expr()
+        return self.tree.t_expr()
 
     def div(self, a, b, toks):
-        if not isinstance(b, Poly) or b.degree() > 0:
+        if not isinstance(b, self.tree.Poly) or b.degree() > 0:
             raise ParseError("poles are not allowed in curve components (division by non-constant)")
         if not b.coeffs:
             toks.error("division by zero")
-        return a * const_expr(GaussRat(1) / b.coeffs[0])
+        return a * self.tree.const_expr(GaussRat(1) / b.coeffs[0])
 
     def exp(self, a, toks):
-        if not isinstance(a, Poly):
+        if not isinstance(a, self.tree.Poly):
             raise ParseError("exp arguments must be polynomial in t")
-        return Exp(a)
+        return self.tree.Exp(a)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +297,7 @@ def _parse_point(toks: _Tokens) -> GaussRat:
 
 def parse_curve(text: str):
     """Parse to a ParametrizedCurve with declared-zero data."""
+    from .exprtree import Poly, order_at
     from .nevanlinna import ParametrizedCurve
 
     toks = _Tokens(text)

@@ -163,14 +163,20 @@ def _zi_mat_mul(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int]]]) 
 class Indeterminate:
     """Eigenvalue multiset that could not be represented in Q(i).
 
-    Carries the exact characteristic polynomial and float shadows of the
-    spectrum so callers can still report diagnostics."""
+    Carries the exact characteristic polynomial; the float shadows of the
+    spectrum, for diagnostics, are computed (with numpy) on first read."""
 
-    __slots__ = ("char_poly", "approx")
+    __slots__ = ("char_poly", "_approx")
 
-    def __init__(self, cp: list[GaussRat], approx: list[complex]):
+    def __init__(self, cp: list[GaussRat]):
         self.char_poly = cp
-        self.approx = approx
+        self._approx = None
+
+    @property
+    def approx(self) -> list[complex]:
+        if self._approx is None:
+            self._approx = _approx_roots(self.char_poly)
+        return self._approx
 
     def __repr__(self):
         return "Indeterminate(approx=%s)" % (self.approx,)
@@ -200,7 +206,7 @@ def eigenvalues_of_char_poly(cp: list[GaussRat]) -> list[GaussRat] | Indetermina
         # (re, im) order, read on the integers over one common denominator
         keys = _clear(res.roots)[0]
         return [z for _, z in sorted(zip(keys, res.roots), key=itemgetter(0))]
-    return Indeterminate(cp, _approx_roots(cp))
+    return Indeterminate(cp)
 
 
 def eigenspace(a: Matrix, lam: GaussRat) -> list[Vector]:

@@ -229,9 +229,12 @@ def test_eigenvalue_examples():
     assert [str(e) for e in linalg.eigenvalues_exact(mat([[0, 1], [0, 0]]))] == ["0", "0"]
     ev = linalg.eigenvalues_exact(mat([[0, -1], [1, 0]]))
     assert {str(e) for e in ev} == {"i", "-i"}
-    ind = linalg.eigenvalues_exact(mat([[0, 2], [1, 0]]))  # +-sqrt(2)
-    assert isinstance(ind, linalg.Indeterminate)
-    assert len(ind.approx) == 2
+    with mock.patch.object(linalg, "_approx_roots", wraps=linalg._approx_roots) as approx_roots:
+        ind = linalg.eigenvalues_exact(mat([[0, 2], [1, 0]]))  # +-sqrt(2)
+        assert isinstance(ind, linalg.Indeterminate)
+        assert approx_roots.call_count == 0  # the float shadows wait for their first read
+        assert sorted(z.real for z in ind.approx) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
+        assert ind.approx is ind.approx and approx_roots.call_count == 1
 
 
 def test_root_multiplicity_and_real_roots():

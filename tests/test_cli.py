@@ -1,8 +1,14 @@
 import io
 import json
 import math
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
-from foliationlab import cli
+import pytest
+
+from foliationlab import cli, dsl
 
 
 def run_cli(argv):
@@ -294,3 +300,72 @@ def test_undeclarable_fprime_zero_is_a_parse_error(capsys):
     argv = ["nevanlinna", "f(t) = (t, -t) zeros: fprime at 0", "--check", "T", "--radii", "2:4:2"]
     assert cli.main(argv) == 1
     assert "does not vanish" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nevanlinna", "f(t) = (t)", "--check", "T", "--radii", "nan:4:3"],
+    ["nevanlinna", "f(t) = (t)", "--check", "T", "--radii", "1:inf:3"],
+    ["nevanlinna", "f(t) = (t)", "--check", "T", "--radii", "1e-300:1e300:3"],
+    ["nevanlinna", "f(t) = (t)", "--check", "T", "--tol", "-1"],
+    ["nevanlinna", "f(t) = (t)", "--check", "T", "--tol", "nan"],
+    ["resolve", "v = y d/dx + x^2 d/dy", "--depth", "-2"],
+    ["weakly-reduced", "v = x d/dx + y d/dy", "--depth", "-1"],
+], ids=["radii-nan", "radii-inf", "radii-overflow", "tol-negative", "tol-nan", "resolve-depth", "weakly-reduced-depth"])
+def test_bad_numeric_argument_is_a_parse_error(argv, capsys):
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(dsl.ParseError):
+        cli.HANDLERS[args.verb](args, io.StringIO())
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def readme_examples():
+    """The argv of every `foliation-lab` line in the README."""
+    text = Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("foliation-lab ")]
+
+
+# Run in a fresh interpreter: the exact README examples, then the float names
+# and commands.  Prints one JSON object of facts.
+IMPORT_BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:] = json.loads(sys.argv[1])
+import foliationlab
+import foliationlab.corpus  # with the package and cli, every module of the exact engine
+from foliationlab import cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+facts = {"exact_codes": [run(argv) for argv in json.loads(sys.argv[2])]}
+facts["numpy_after_exact"] = "numpy" in sys.modules
+try:
+    foliationlab.no_such_name
+except AttributeError as exc:
+    facts["unknown_name"] = str(exc)
+from foliationlab import QuadConfig, ParametrizedCurve, characteristic_T
+from foliationlab import nevanlinna, quadrature
+facts["float_names"] = [characteristic_T is nevanlinna.characteristic_T,
+                        ParametrizedCurve is nevanlinna.ParametrizedCurve, QuadConfig is quadrature.QuadConfig]
+facts["float_codes"] = [run(["nevanlinna", "f(t) = (exp(t))", "--check", "T", "--radii", "4:64:5"]),
+                        run(["selftest", "--seed", "7"])]
+print(json.dumps(facts))
+"""
+
+
+def test_exact_commands_start_without_numpy():
+    exact = [argv for argv in readme_examples() if argv[0] not in ("nevanlinna", "selftest")]
+    assert [argv[0] for argv in exact] == ["classify", "blowup", "resolve", "resolve", "weakly-reduced",
+                                           "separatrix", "separatrix", "separatrix", "separatrix", "effectivity"]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, json.dumps(sys.path), json.dumps(exact)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    assert facts["exact_codes"] == [run_cli(argv)[0] for argv in exact]
+    assert facts["numpy_after_exact"] is False
+    assert facts["unknown_name"] == "module 'foliationlab' has no attribute 'no_such_name'"
+    assert facts["float_names"] == [True, True, True]
+    assert facts["float_codes"] == [0, 0]

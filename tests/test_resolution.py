@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
@@ -381,12 +381,12 @@ VARS4 = ("x", "y", "z", "w")
 
 @st.composite
 def _probe_cases(draw):
-    """Germs of dims 1-4: an integer tridiagonal linear part (repeated
+    """Germs of dims 2-4: an integer tridiagonal linear part (repeated
     eigenvalues, Jordan blocks and eigenvalues outside Q(i) are common), or
     none, plus one or two quadratic terms per component, now and then a
     zero component; with up to two invariant axes as divisor and a depth cap of
-    0-3."""
-    n = draw(st.integers(1, 4))
+    1-3.  Dim 1 and depth 0 are explicit examples."""
+    n = draw(st.integers(2, 4))
     variables = VARS4[:n]
     quadratic = [e for e in itertools.product(range(3), repeat=n) if sum(e) == 2]
     linear = draw(st.integers(0, 3)) > 0
@@ -399,17 +399,23 @@ def _probe_cases(draw):
         comps.append(MVPoly(variables, {} if draw(st.integers(0, 19)) == 7 else terms))
     v = VectorFieldGerm(variables, comps)
     axes = {j for j in draw(st.sets(st.integers(0, n - 1), max_size=2)) if divisor_invariance_check(v, [j])}
-    return v, LogDivisor(axes), draw(st.integers(0, 3))
-
-
-@settings(max_examples=80, deadline=None)
-@given(_probe_cases())
-def test_resolve_simple_matches_probe_walk(case):
-    _assert_probe_matches_walk(*case)
+    return v, LogDivisor(axes), draw(st.integers(1, 3))
 
 
 UNKNOWN_PROBE_GERM = parse_vector_field("v = ((12)*x + (1)*x*y) d/dx + ((0 - 13*i)*y + (-1)*y*z) d/dy "
                                         "+ ((1 - 1*i)*z + (2)*z*x) d/dz")  # a seed-0 simple_towers germ
+# the cases where the probe blows up nothing: no blow-up exists in dim 1,
+# and a depth cap of 0 stops before the first
+DIM1_PROBE_CASE = (parse_vector_field("v = x^2 d/dx"), LogDivisor.empty(), 2)
+DEPTH0_PROBE_CASE = (UNKNOWN_PROBE_GERM, LogDivisor({0}), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_probe_cases())
+@example(DIM1_PROBE_CASE)
+@example(DEPTH0_PROBE_CASE)
+def test_resolve_simple_matches_probe_walk(case):
+    _assert_probe_matches_walk(*case)
 
 
 def test_resolve_simple_probe_cases():
@@ -447,6 +453,8 @@ def _assert_probe_matches_reference(v, depth, budgets):
 
 @settings(max_examples=100, deadline=None)
 @given(_probe_cases())
+@example(DIM1_PROBE_CASE)
+@example(DEPTH0_PROBE_CASE)
 def test_ais_probe_matches_reference(case):
     # the probe runs outside dim 2 only, where no locus on E has a cluster
     v, _divisor, depth = case
