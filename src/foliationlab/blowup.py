@@ -238,7 +238,7 @@ class ELocus:
 def univariate_on_E(p: MVPoly, u: int, w: int) -> unipoly.Coeffs:
     """Dim 2: p restricted to the exceptional divisor u = 0, as an ascending
     coefficient list in the direction coordinate w."""
-    return unipoly.bivariate_rows(p.set_vars_to_zero([u]), w, u)[0]
+    return unipoly.bivariate_rows(p, w, u)[0]
 
 
 def _eigendirection_loci(center: VectorFieldGerm) -> list[ELocus] | None:

@@ -99,9 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="foliation-lab",
         description="Singularity lab for holomorphic foliations by curves",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    sub = p.add_subparsers(dest="verb", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+    sub = p.add_subparsers(dest="verb", required=True)
 
     c = sub.add_parser("classify", help="full singularity taxonomy at the origin")
     c.add_argument("input")
@@ -137,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--radii", default="2:16:4")
     n.add_argument("--form", choices=["fs", "euclid"], default="fs")
     n.add_argument("--tol", type=float, default=1e-8)
+    n.add_argument("--format", choices=["json", "csv"], default="json", help="csv for --check T or fmt")
     n.add_argument("--series", choices=["T", "N", "m", "diff"], default=None,
-                   help="emit a single (r, value) series as plot data")
+                   help="emit a single (r, value) series of --check fmt as plot data")
 
     e = sub.add_parser("effectivity", help="diophantine effectivity count")
     e.add_argument("--dim", type=int, required=True)
@@ -242,6 +241,10 @@ def cmd_nevanlinna(args, out) -> int:
 
     if not 0 < args.tol < math.inf:  # false for nan
         raise dsl.ParseError("--tol must be a finite positive number")
+    if args.format == "csv" and args.check not in ("T", "fmt"):
+        raise dsl.ParseError("--format csv is for --check T or fmt, not %s" % args.check)
+    if args.series is not None and args.check != "fmt":
+        raise dsl.ParseError("--series is for --check fmt, not %s" % args.check)
     curve = dsl.parse_curve(args.input)
     cfg = QuadConfig(tol=args.tol)
     radii = _parse_radii(args.radii)

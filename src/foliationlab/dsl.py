@@ -19,7 +19,6 @@ order.
 
 from __future__ import annotations
 
-import math
 import re
 
 from .gaussrat import GaussRat
@@ -296,8 +295,8 @@ def _parse_point(toks: _Tokens) -> GaussRat:
 
 
 def parse_curve(text: str):
-    """Parse to a ParametrizedCurve with declared-zero data."""
-    from .exprtree import Poly, order_at
+    """Parse to a ParametrizedCurve, which resolves and checks the zero
+    declarations, passed on as written (order None where omitted)."""
     from .nevanlinna import ParametrizedCurve
 
     toks = _Tokens(text)
@@ -361,30 +360,7 @@ def parse_curve(text: str):
             break
     if not toks.at_end():
         toks.error("trailing input after curve")
-    # auto-detect omitted orders
-    resolved: dict[str, list] = {}
-    for tgt, decls in zeros.items():
-        out = []
-        for (point, order) in decls:
-            if order is None:
-                if re.fullmatch(r"f\d+", tgt):
-                    exprs = [comps[int(tgt[1:]) - 1]]
-                elif tgt == "fprime":
-                    # the order of f' is the least order of its components
-                    # that do not vanish identically
-                    exprs = [d for d in (c.diff() for c in comps) if not (isinstance(d, Poly) and not d.coeffs)]
-                else:
-                    raise ParseError("zero order required for target %r" % tgt)
-                z = point.to_complex()
-                order = min((order_at(expr, z, 12) for expr in exprs), default=math.inf)
-                if order == 0:
-                    raise ParseError("declared zero of %s at %s does not vanish" % (tgt, z))
-                if order == math.inf:
-                    raise ParseError("declared zero of %s at %s has order past 12 or vanishes "
-                                     "identically; give its order" % (tgt, z))
-            out.append((point, int(order)))
-        resolved[tgt] = out
-    return ParametrizedCurve(tuple(comps), resolved)
+    return ParametrizedCurve(tuple(comps), zeros)
 
 
 def parse_divisor(text: str, variables) -> "object":

@@ -31,17 +31,11 @@ import numpy as np
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
 from .foliation import VectorFieldGerm
-from .exprtree import (
-    Expr,
-    Poly,
-    expr_from_mvpoly,
-    order_at,
-    order_at_point,
-)
+from .exprtree import Expr, Poly, expr_from_mvpoly, order_at, order_at_point
 from .quadrature import (GK_NODES, GK_RULE, QuadConfig, QuadResult, ZeroOnCircle, circle_mean_arrays,
                          circle_means, nudge_radius)
 
-Zero = tuple[complex, int]  # (location, multiplicity); locations may be exact GaussRat
+Zero = tuple[GaussRat, int]  # (location, multiplicity)
 ROUNDOFF = 50.0 * np.finfo(float).eps  # relative round-off floor of a quadrature sum
 DECLARED_ZERO_TOL = 1e-7  # tolerance of the numeric order check of a declared zero
 EUCLID_CUTOFF = 1e12  # cap of the Euclidean density and of each of its terms
@@ -55,10 +49,35 @@ class NotALeaf(Exception):
     pass
 
 
-def _zero_abs(t0) -> float:
-    if isinstance(t0, GaussRat):
-        return math.sqrt(float(t0.abs2()))
-    return abs(complex(t0))
+def _zero_abs(t0: GaussRat) -> float:
+    return math.sqrt(float(t0.abs2()))
+
+
+def _checked_zeros(name: str, exprs: Sequence[Expr] | None, zeros) -> list[Zero]:
+    """Zeros (location, order or None) of target `name`, which vanishes to
+    the least order of `exprs` (None where they are not known), with each
+    omitted order computed (exact at t = 0, up to 12) and each stated one
+    checked: at least 1, and exact up to order + 2."""
+    out = []
+    for (t0, mult) in zeros:
+        z = t0.to_complex()
+        if mult is None:
+            if exprs is None:
+                raise ValueError("zero order required for target %r" % name)
+            mult = min((order_at(e, z, 12) for e in exprs), default=math.inf)
+            if mult == 0:
+                raise ValueError("declared zero of %s at %s does not vanish" % (name, z))
+            if mult == math.inf:
+                raise ValueError("declared zero of %s at %s has order past 12 or vanishes "
+                                 "identically; give its order" % (name, z))
+        elif mult < 1:
+            raise ValueError("declared zero of %s at %s has order %d; a zero has order >= 1" % (name, z, mult))
+        elif exprs is not None:
+            got = min((order_at_point(e, z, mult + 2, DECLARED_ZERO_TOL) for e in exprs), default=math.inf)
+            if got != mult:
+                raise ValueError("declared zero of %s at %s has order %s, not %d" % (name, z, got, mult))
+        out.append((t0, mult))
+    return out
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -88,17 +107,28 @@ def _logsumexp(rows: list[np.ndarray]) -> np.ndarray:
 class ParametrizedCurve:
     """Entire curve components as expression trees, with declared zero data.
 
-    declared_zeros maps a target name ("f1", "f2", .., "fprime", "ideal")
-    to a list of (location, multiplicity).  Declarations are verified at
-    construction: the target must vanish to the declared order within
-    tolerance."""
+    declared_zeros maps a target name to (location, order or None) pairs,
+    resolved and checked at construction: "f<k>" (1 <= k <= n) reads
+    component k, "fprime" the components of f' that are not identically 0,
+    "ideal" the ideal's generators, which fmt_verify holds and checks."""
 
     components: tuple[Expr, ...]
     declared_zeros: dict[str, list[Zero]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.components = tuple(self.components)
-        self.verify_declared_zeros()
+        resolved = {}
+        for name, zeros in self.declared_zeros.items():
+            if name == "fprime":
+                exprs = [d for d in self.derivative_exprs() if not (isinstance(d, Poly) and not d.coeffs)]
+            elif name == "ideal":
+                exprs = None
+            elif name in ["f%d" % (k + 1) for k in range(self.dim())]:
+                exprs = [self.components[int(name[1:]) - 1]]
+            else:
+                raise ValueError("unknown zero target %r: the curve has %d component(s)" % (name, self.dim()))
+            resolved[name] = _checked_zeros(name, exprs, zeros)
+        self.declared_zeros = resolved
 
     def dim(self) -> int:
         return len(self.components)
@@ -109,25 +139,6 @@ class ParametrizedCurve:
 
     def derivative_exprs(self) -> tuple[Expr, ...]:
         return tuple(c.diff() for c in self.components)
-
-    def _target_expr(self, name: str) -> Expr | None:
-        if name.startswith("f") and name[1:].isdigit():
-            idx = int(name[1:]) - 1
-            if 0 <= idx < len(self.components):
-                return self.components[idx]
-        return None
-
-    def verify_declared_zeros(self):
-        for name, zeros in self.declared_zeros.items():
-            expr = self._target_expr(name)
-            if expr is None:
-                continue  # joint targets ("fprime", "ideal") verified by their consumers
-            for (t0, mult) in zeros:
-                z = t0.to_complex() if isinstance(t0, GaussRat) else complex(t0)
-                got = order_at_point(expr, z, mult + 2, DECLARED_ZERO_TOL)
-                if got != mult:
-                    raise ValueError(
-                        "declared zero of %s at %s has order %s, not %d" % (name, z, got, mult))
 
     def zeros_for(self, name: str) -> list[Zero]:
         return list(self.declared_zeros.get(name, []))
@@ -279,8 +290,9 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
         rho = (lo[done:] + half)[:, None] + half[:, None] * GK_NODES
         mean, bound, counts, converged = circle_mean_arrays(density, rho, cfg)
         evals += int(counts.sum())
-        scale = 2.0 * math.pi * half[:, None] * rho
-        q, qb = scale * mean.reshape(rho.shape), scale * bound.reshape(rho.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # radii past the float range read diverged
+            scale = 2.0 * math.pi * half[:, None] * rho
+            q, qb = scale * mean.reshape(rho.shape), scale * bound.reshape(rho.shape)
         lg = np.log(np.maximum(rho, 1.0))
         with np.errstate(invalid="ignore"):  # infinite circle bounds give nan, read as inf below
             f = np.stack([q, q * lg, np.abs(q), np.abs(q) * lg, qb, qb * lg], axis=1)
@@ -445,9 +457,11 @@ def fmt_verify(curve: ParametrizedCurve, ideal_gens: Sequence[MVPoly],
     area quadrature, N from the declared zeros, m from circle averages, so
     the three sides are computed independently.  The bounds add m's circle
     bounds to T's, and a radius whose m circle did not converge reads
-    diverged."""
+    diverged.  Each ideal zero must vanish on the generators to its stated
+    order; a false one is refused before anything is integrated."""
     cfg = cfg or QuadConfig()
     gens_on_curve = [expr_from_mvpoly(g, curve.components) for g in ideal_gens]
+    ideal_zeros = _checked_zeros("ideal", gens_on_curve, ideal_zeros)
     moduli = [_zero_abs(z) for z, _ in ideal_zeros]
     grid = [nudge_radius(float(r), moduli) for r in r_grid]
     T_fs, b1, d1, _ = characteristic_on_grid(fs_sum_density(gens_on_curve), grid, cfg, moduli)
@@ -502,7 +516,7 @@ class BookkeepingResult:
         }
 
 
-def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0) -> BookkeepingResult:
+def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0: GaussRat) -> BookkeepingResult:
     """Orders at t0 of f' (mu), of the reparametrization factor (eta), and
     of the coefficient ideal along the curve (nu), with the exact identity
     mu = eta + nu checked.
@@ -511,7 +525,7 @@ def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0) -
     to numeric derivative probing."""
     if curve.dim() != v.dim():
         raise ValueError("curve and germ dimension mismatch")
-    z0 = t0.to_complex() if isinstance(t0, GaussRat) else complex(t0)
+    z0 = t0.to_complex()
     derivs = curve.derivative_exprs()
     on_curve = [expr_from_mvpoly(c, curve.components) for c in v.components]
     # tangency: f_i' a_j(f) = f_j' a_i(f) for all pairs, to working order

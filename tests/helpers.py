@@ -15,7 +15,8 @@ RREF, kernel basis and eigenspace), the Fraction clearing of
 denominators and the Fraction-candidate `real_rational_roots`, which the
 Z[i] elimination and the integer root path are checked against, and the
 type-B verdict from the two deflations (a root multiplicity and a
-positive-ratio test) that `classify._simple_status` is checked against."""
+positive-ratio test) that `classify._simple_status` is checked against,
+and the false zero declarations that the curve and the CLI must refuse."""
 
 import functools
 import math
@@ -733,3 +734,17 @@ def reference_simple_b_status(cp, lam) -> classify.SimpleStatus:
     if reference_has_other_eigenvalue_with_positive_ratio(cp, lam):
         return classify.not_simple("another eigenvalue is a positive rational multiple of %s" % lam)
     return classify.SIMPLE_B
+
+
+# (curve, the rest of a `nevanlinna` argv, the target the refusal names):
+# a target that is not a component, a zero of order 0, and stated orders
+# that the component, the ideal's generators or f' do not have
+FALSE_DECLARATIONS = [
+    ("f(t) = (t) zeros: f5 at 0", ["--check", "T", "--radii", "4:4:1"], "f5"),
+    ("f(t) = (t) zeros: f5 at 0 order 1", ["--check", "T", "--radii", "4:4:1"], "f5"),
+    ("f(t) = (t - 2, t) zeros: f0 at 0", ["--check", "T", "--radii", "4:4:1"], "f0"),
+    ("f(t) = (t - 2) zeros: f1 at 3 order 0", ["--check", "T", "--radii", "4:4:1"], "f1"),
+    ("f(t) = (t, t^2) zeros: ideal at 10 order 1", ["--check", "fmt", "--ideal", "x, y", "--radii", "2:32:5"],
+     "ideal"),
+    ("f(t) = (exp(t)) zeros: fprime at 3 order 2", ["--check", "taut", "--radii", "4:256:7"], "fprime"),
+]

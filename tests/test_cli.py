@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from foliationlab import cli, dsl
+from helpers import FALSE_DECLARATIONS
 
 
 def run_cli(argv):
@@ -76,7 +77,7 @@ def test_shared_parser_built_once_with_fresh_parser_output(monkeypatch, capsys):
         ["resolve", "v = x^2 d/dx - y d/dy", "--mode", "simple", "--divisor", "{x}"],
         ["weakly-reduced", "v = x d/dx + y d/dy"],
         ["separatrix", "v = x d/dx + (-y + x^2) d/dy", "--eigenvalue", "1", "--order", "8"],
-        ["nevanlinna", "f(t) = (t - 2) zeros: f1 at 2", "--check", "jensen", "--radii", "4:16:3", "--format", "csv"],
+        ["nevanlinna", "f(t) = (t - 2) zeros: f1 at 2", "--check", "jensen", "--radii", "4:16:3"],
         ["effectivity", "--dim", "2", "--power", "4", "--alpha", "3"],
         ["selftest", "--seed", "7"],
     )
@@ -97,6 +98,27 @@ def test_shared_parser_built_once_with_fresh_parser_output(monkeypatch, capsys):
     assert shared == fresh
     assert [code for code, _, _ in shared["80"]] == [1, 1, 1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
     assert shared["40"][3] != shared["80"][3]  # the help text follows the width at print time
+
+
+def test_options_are_accepted_only_where_they_are_read(capsys):
+    for argv, message in (
+        (["classify", "v = y d/dx", "--format", "csv"], "unrecognized arguments: --format csv"),
+        (["nevanlinna", "f(t) = (t - 2) zeros: f1 at 2", "--check", "jensen", "--format", "csv"],
+         "--format csv is for --check T or fmt, not jensen"),
+        (["nevanlinna", "f(t) = (exp(t))", "--check", "taut", "--format", "csv"], "not taut"),
+        (["nevanlinna", "f(t) = (exp(t))", "--check", "logderiv", "--format", "csv"], "not logderiv"),
+        (["nevanlinna", "f(t) = (exp(t))", "--check", "T", "--series", "m"], "--series is for --check fmt, not T"),
+    ):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert message in err and not out
+
+
+@pytest.mark.parametrize("text, argv, target", FALSE_DECLARATIONS)
+def test_false_declaration_exits_one_naming_its_target(capsys, text, argv, target):
+    assert cli.main(["nevanlinna", text, *argv]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and target in err and not out
 
 
 def test_resolve_depth_exceeded_exit_zero():

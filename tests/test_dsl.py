@@ -71,15 +71,15 @@ def test_curve_examples():
 
 def test_fprime_order_is_the_least_component_order():
     # f' = (1, -1) never vanishes, though the sum of its components does
-    with pytest.raises(ParseError, match="does not vanish"):
+    with pytest.raises(ValueError, match="does not vanish"):
         parse_curve("f(t) = (t, -t) zeros: fprime at 0")
     # f' = (2t, -1) never vanishes, though its first component does at 0
-    with pytest.raises(ParseError, match="does not vanish"):
+    with pytest.raises(ValueError, match="does not vanish"):
         parse_curve("f(t) = (t^2, 1 - t) zeros: fprime at 1/2")
     # a component with identically zero derivative does not count
     assert parse_curve("f(t) = (t^3, 1) zeros: fprime at 0").declared_zeros["fprime"] == [(GaussRat(0), 2)]
     assert parse_curve("f(t) = (t^2, t^3) zeros: fprime at 0").declared_zeros["fprime"] == [(GaussRat(0), 1)]
-    with pytest.raises(ParseError, match="identically"):
+    with pytest.raises(ValueError, match="identically"):
         parse_curve("f(t) = (1, 2) zeros: fprime at 0")
 
 

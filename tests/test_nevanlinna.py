@@ -9,6 +9,7 @@ from foliationlab.foliation import VectorFieldGerm
 from foliationlab.exprtree import Exp, Mul, Poly, SeriesNotRational, t_expr
 from foliationlab.quadrature import QuadConfig, ZeroOnCircle, nudge_radius
 from foliationlab import nevanlinna as nv
+from helpers import FALSE_DECLARATIONS
 
 CFG = QuadConfig(tol=1e-9)
 VARS = ("x", "y")
@@ -197,6 +198,51 @@ def test_declared_zero_verification():
         nv.ParametrizedCurve((_poly(0, 0, 1),), declared_zeros={"f1": [(GaussRat(0), 1)]})
     c = nv.ParametrizedCurve((_poly(0, 0, 1),), declared_zeros={"f1": [(GaussRat(0), 2)]})
     assert c.zeros_for("f1")
+    # omitted orders are resolved, stated ones checked, by the curve for every target
+    from foliationlab.dsl import parse_curve
+
+    c = parse_curve("f(t) = (exp(t) - 1 - t, t^3) zeros: f1 at 0; f2 at 0; fprime at 0")
+    assert c.declared_zeros == {"f1": [(GaussRat(0), 2)], "f2": [(GaussRat(0), 3)], "fprime": [(GaussRat(0), 1)]}
+    assert parse_curve("f(t) = (t^3, 1) zeros: fprime at 0 order 2").zeros_for("fprime") == [(GaussRat(0), 2)]
+    with pytest.raises(ValueError, match="declared zero of fprime at 0j has order 2, not 1"):
+        parse_curve("f(t) = (t^3, 1) zeros: fprime at 0 order 1")
+    with pytest.raises(ValueError, match="zero order required for target 'ideal'"):
+        parse_curve("f(t) = (t, t^2) zeros: ideal at 0")
+    with pytest.raises(ValueError, match="ideal at 0j has order 0; a zero has order >= 1"):
+        parse_curve("f(t) = (t, t^2) zeros: ideal at 0 order 0")
+    with pytest.raises(ValueError, match="unknown zero target 'g1'"):
+        nv.ParametrizedCurve((t_expr(),), declared_zeros={"g1": [(GaussRat(0), 1)]})
+
+
+@pytest.mark.parametrize("text, argv, target", FALSE_DECLARATIONS)
+def test_false_declaration_is_refused_naming_its_target(text, argv, target):
+    from foliationlab.dsl import parse_curve
+
+    with pytest.raises(ValueError, match=target):
+        curve = parse_curve(text)
+        assert target == "ideal"  # the curve refuses every other target itself
+        nv.fmt_verify(curve, [X, Y], curve.zeros_for("ideal"), [2.0, 4.0], CFG)
+
+
+def test_fmt_refuses_a_false_ideal_zero_before_integrating(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(nv, "characteristic_on_grid", no_quadrature)
+    monkeypatch.setattr(nv, "circle_means", no_quadrature)
+    curve = nv.ParametrizedCurve((t_expr(), _poly(0, 0, 1)))
+    for zeros, message in (([(GaussRat(10), 1)], "order 0, not 1"), ([(GaussRat(0), 2)], "order 1, not 2"),
+                           ([(GaussRat(0), 0)], "order >= 1")):
+        with pytest.raises(ValueError, match=message):
+            nv.fmt_verify(curve, [X, Y], zeros, [2.0, 4.0], CFG)
+    with pytest.raises(AssertionError, match="integrated"):  # a true zero gets as far as the quadrature
+        nv.fmt_verify(curve, [X, Y], [(GaussRat(0), 1)], [2.0, 4.0], CFG)
+
+
+@pytest.mark.filterwarnings("error")
+def test_radii_past_the_float_range_read_diverged_without_a_warning():
+    prof = nv.characteristic_T(nv.ParametrizedCurve((t_expr(),)), "fs", [1e200, 1e300], QuadConfig())
+    assert prof.diverged == [True, True]
 
 
 def test_softplus_large_argument_no_overflow_warning():
