@@ -5,7 +5,6 @@ import importlib
 
 from .gaussrat import GaussRat, I, rational_sqrt
 from .mvpoly import MVPoly, linear_part_matrix
-from .series import TruncatedSeries, poly_eval_series
 from .monomial import MonomialIdeal, multiplier_ideal_trivial_monomial, newton_interior_margin
 from .foliation import (
     CoeffIdealPresentation,

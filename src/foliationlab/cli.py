@@ -79,18 +79,6 @@ def _parse_radii(spec: str) -> list[float]:
     return radii
 
 
-def _ideal_gens(spec: str, nvars: int):
-    names = ("x", "y", "z", "w")[:nvars]
-    gens = []
-    for part in spec.split(","):
-        part = part.strip().strip("()")
-        if part:
-            gens.append(dsl.parse_polynomial(part, names))
-    if not gens:
-        raise dsl.ParseError("empty ideal")
-    return gens
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on the first call and shared by every later
@@ -269,7 +257,7 @@ def cmd_nevanlinna(args, out) -> int:
     if check == "fmt":
         if args.ideal is None:
             raise FoliationError("fmt check needs --ideal")
-        gens = _ideal_gens(args.ideal, curve.dim())
+        gens = dsl.parse_ideal(args.ideal, ("x", "y", "z", "w")[:curve.dim()])
         zeros = curve.zeros_for("ideal")
         rep = nevanlinna.fmt_verify(curve, gens, zeros, radii, cfg)
         if args.format == "csv":

@@ -9,6 +9,7 @@ Grammar sketch (whitespace-insensitive):
     decl    :=  target "at" point ["order" INT]
     target  :=  "f" INT | "both" | "all" | "fprime" | "f'" | "ideal"
     divisor :=  ["D" "="] "{" (VAR|INT) ("," (VAR|INT))* "}"
+    ideal   :=  gens | "(" gens ")"       gens := poly ("," poly)*
 
 Coefficients are rational literals, `i`, and parenthesized arithmetic;
 `^` takes nonnegative integer exponents; division is allowed by nonzero
@@ -233,6 +234,36 @@ def parse_polynomial(text: str, variables) -> MVPoly:
     if not toks.at_end():
         toks.error("trailing input after polynomial")
     return node
+
+
+def parse_ideal(text: str, variables) -> list[MVPoly]:
+    """Ideal generators: polynomials separated by ",", optionally inside one
+    outer pair of parentheses.  Where both readings parse, they agree."""
+    toks = _Tokens(text)
+    alg = _PolyAlgebra(tuple(variables))
+
+    def gens(wrapped: bool) -> list[MVPoly]:
+        toks.i = 0
+        if wrapped:
+            toks.expect("(")
+        out = [_parse_expr(toks, alg)]
+        while toks.peek()[1] == ",":
+            toks.next()
+            out.append(_parse_expr(toks, alg))
+        if wrapped:
+            toks.expect(")")
+        if not toks.at_end():
+            toks.error("trailing input after ideal")
+        return out
+
+    if [val for _, val, _ in toks.toks] in ([], ["(", ")"]):
+        raise ParseError("empty ideal")
+    try:
+        return gens(False)
+    except ParseError:
+        if toks.toks[0][1] != "(":
+            raise
+        return gens(True)
 
 
 def parse_vector_field(text: str):

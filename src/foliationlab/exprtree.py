@@ -7,8 +7,9 @@ never overflow; log|value|^2 = 2a is exact in the log domain.  Exponential
 arguments are restricted to polynomials, which keeps the scale exact.
 
 Series expansions at t = 0 are exact over Q(i) whenever every exp argument
-vanishes at 0; otherwise SeriesNotRational is raised and callers fall back
-to numeric order detection.
+vanishes at 0: `series(order)` returns the Taylor coefficients up to t^order
+as a trimmed `unipoly` coefficient list.  Otherwise SeriesNotRational is
+raised and callers fall back to numeric order detection.
 
 Every tree is built through one folding algebra, `add`, `mul` and `power`
 (the `Expr` operators the DSL parses with, `expr_from_mvpoly` and each
@@ -31,7 +32,6 @@ import numpy as np
 
 from .gaussrat import ONE, GaussRat
 from .mvpoly import MVPoly
-from .series import TruncatedSeries
 from . import unipoly
 
 
@@ -50,7 +50,7 @@ class Expr:
     def diff(self) -> "Expr":
         raise NotImplementedError
 
-    def series(self, order: int) -> TruncatedSeries:
+    def series(self, order: int) -> unipoly.Coeffs:
         raise NotImplementedError
 
     def is_polynomial(self) -> bool:
@@ -129,7 +129,7 @@ class Poly(Expr):
         return Poly(unipoly.poly_derivative(self.coeffs))
 
     def series(self, order):
-        return TruncatedSeries(list(self.coeffs[: order + 1]), order)
+        return unipoly.trim(list(self.coeffs[: order + 1]))
 
     def is_polynomial(self):
         return True
@@ -163,15 +163,15 @@ class Exp(Expr):
 
     def series(self, order):
         s = self.arg.series(order)
-        if not s.coeffs[0].is_zero():
+        if s and not s[0].is_zero():
             raise SeriesNotRational("exp argument has nonzero constant term")
-        out = TruncatedSeries.const(1, order)
-        term = TruncatedSeries.const(1, order)
+        out = term = [ONE]
         fact = Fraction(1)
         for k in range(1, order + 1):
-            term = term * s
+            term = unipoly.series_mul(term, s, order)
             fact *= k
-            out = out + term * GaussRat(Fraction(1, fact))
+            scale = GaussRat(Fraction(1, fact))
+            out = unipoly.poly_add(out, [c * scale for c in term])
         return out
 
     def is_polynomial(self):
@@ -204,10 +204,7 @@ class Add(Expr):
         return add([c.diff() for c in self.children])
 
     def series(self, order):
-        out = self.children[0].series(order)
-        for c in self.children[1:]:
-            out = out + c.series(order)
-        return out
+        return functools.reduce(unipoly.poly_add, (c.series(order) for c in self.children))
 
     def is_polynomial(self):
         return all(c.is_polynomial() for c in self.children)
@@ -241,10 +238,8 @@ class Mul(Expr):
         return add([mul(kids[:i] + (c.diff(),) + kids[i + 1:]) for i, c in enumerate(kids)])
 
     def series(self, order):
-        out = self.children[0].series(order)
-        for c in self.children[1:]:
-            out = out * c.series(order)
-        return out
+        return functools.reduce(lambda p, q: unipoly.series_mul(p, q, order),
+                                (c.series(order) for c in self.children))
 
     def is_polynomial(self):
         return all(c.is_polynomial() for c in self.children)
@@ -279,7 +274,12 @@ class Pow(Expr):
         return mul([const_expr(self.k), power(self.base, self.k - 1), self.base.diff()])
 
     def series(self, order):
-        return self.base.series(order) ** self.k
+        out, base, k = [ONE], self.base.series(order), self.k
+        while k:  # by squaring
+            if k & 1:
+                out = unipoly.series_mul(out, base, order)
+            base, k = unipoly.series_mul(base, base, order), k >> 1
+        return out
 
     def is_polynomial(self):
         return self.base.is_polynomial()
@@ -345,23 +345,17 @@ def expr_from_mvpoly(p: MVPoly, components: Sequence[Expr]) -> Expr:
 
 
 def order_at(expr: Expr, t0: complex, max_order: int) -> int | float:
-    """Vanishing order at t0: exact from the rational series at t0 = 0,
-    numeric derivative probing elsewhere and where exp units block the
-    series."""
+    """Vanishing order at t0, math.inf past max_order: exact from the
+    rational series at t0 = 0; elsewhere, and where exp units block the
+    series, the first derivative whose value passes 1e-9 in modulus."""
     if t0 == 0:
         try:
-            return expr.series(max_order).valuation()
+            return unipoly.valuation(expr.series(max_order))
         except SeriesNotRational:
             pass
-    return order_at_point(expr, t0, max_order)
-
-
-def order_at_point(expr: Expr, t0: complex, max_order: int, tol: float = 1e-9) -> int | float:
-    """Numeric vanishing order at an arbitrary point."""
     g = expr
     for m in range(max_order + 1):
-        val = g.eval_complex(t0)
-        if abs(val) > tol:
+        if abs(g.eval_complex(t0)) > 1e-9:
             return m
         g = g.diff()
     return math.inf

@@ -31,13 +31,13 @@ import numpy as np
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
 from .foliation import VectorFieldGerm
-from .exprtree import Expr, Poly, expr_from_mvpoly, order_at, order_at_point
+from .exprtree import Expr, Poly, expr_from_mvpoly, order_at
 from .quadrature import (GK_NODES, GK_RULE, QuadConfig, QuadResult, ZeroOnCircle, circle_mean_arrays,
                          circle_means, nudge_radius)
 
 Zero = tuple[GaussRat, int]  # (location, multiplicity)
 ROUNDOFF = 50.0 * np.finfo(float).eps  # relative round-off floor of a quadrature sum
-DECLARED_ZERO_TOL = 1e-7  # tolerance of the numeric order check of a declared zero
+ZERO_ORDER_CAP = 12  # largest order of a declared zero, read or stated
 EUCLID_CUTOFF = 1e12  # cap of the Euclidean density and of each of its terms
 FMT_SLOPE_TOL = 0.05  # largest |slope| of T - N - m against log r that passes FMT
 TAUT_TOL = 1e-3  # normalized tautological trend below -TAUT_TOL is a violation
@@ -55,27 +55,30 @@ def _zero_abs(t0: GaussRat) -> float:
 
 def _checked_zeros(name: str, exprs: Sequence[Expr] | None, zeros) -> list[Zero]:
     """Zeros (location, order or None) of target `name`, which vanishes to
-    the least order of `exprs` (None where they are not known), with each
-    omitted order computed (exact at t = 0, up to 12) and each stated one
-    checked: at least 1, and exact up to order + 2."""
+    the least order of `exprs` (None where they are not known).  One rule
+    reads every order, `order_at` up to ZERO_ORDER_CAP (exact at t = 0): an
+    omitted order is the one it reads, and a stated one, 1 to the cap,
+    must equal it."""
     out = []
     for (t0, mult) in zeros:
         z = t0.to_complex()
-        if mult is None:
-            if exprs is None:
-                raise ValueError("zero order required for target %r" % name)
-            mult = min((order_at(e, z, 12) for e in exprs), default=math.inf)
-            if mult == 0:
-                raise ValueError("declared zero of %s at %s does not vanish" % (name, z))
-            if mult == math.inf:
-                raise ValueError("declared zero of %s at %s has order past 12 or vanishes "
-                                 "identically; give its order" % (name, z))
-        elif mult < 1:
+        if mult is not None and mult < 1:
             raise ValueError("declared zero of %s at %s has order %d; a zero has order >= 1" % (name, z, mult))
-        elif exprs is not None:
-            got = min((order_at_point(e, z, mult + 2, DECLARED_ZERO_TOL) for e in exprs), default=math.inf)
-            if got != mult:
+        if mult is not None and mult > ZERO_ORDER_CAP:
+            raise ValueError("declared zero of %s at %s has order %d, past the cap of %d on zero orders"
+                             % (name, z, mult, ZERO_ORDER_CAP))
+        if exprs is not None:
+            got = min((order_at(e, z, ZERO_ORDER_CAP) for e in exprs), default=math.inf)
+            if mult is not None and got != mult:
                 raise ValueError("declared zero of %s at %s has order %s, not %d" % (name, z, got, mult))
+            if got == 0:
+                raise ValueError("declared zero of %s at %s does not vanish" % (name, z))
+            if got == math.inf:
+                raise ValueError("declared zero of %s at %s has order past %d or vanishes identically"
+                                 % (name, z, ZERO_ORDER_CAP))
+            mult = got
+        elif mult is None:
+            raise ValueError("zero order required for target %r" % name)
         out.append((t0, mult))
     return out
 

@@ -25,7 +25,6 @@ from typing import Sequence
 
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
-from .series import TruncatedSeries
 from .foliation import (
     FoliationError,
     LogDivisor,
@@ -33,7 +32,7 @@ from .foliation import (
     divisor_at_point,
     translate_to_point,
 )
-from . import blowup, classify, linalg
+from . import blowup, classify, linalg, unipoly
 
 
 class ZeroEigenvalueDirection(FoliationError):
@@ -66,19 +65,19 @@ def _tangency_residual(v: VectorFieldGerm, f: Sequence[MVPoly], p: int, lam: Gau
 @dataclass(frozen=True)
 class FormalCurve:
     variables: tuple[str, ...]
-    components: tuple[TruncatedSeries, ...]
+    components: tuple[tuple[GaussRat, ...], ...]  # each t^0..t^truncation_order
     tangent_direction: int
     eigenvalue: GaussRat
     truncation_order: int
     residual_order: int | float  # math.inf when the residual vanishes exactly
 
     def component_valuations(self) -> tuple[int | float, ...]:
-        return tuple(c.valuation() for c in self.components)
+        return tuple(map(unipoly.valuation, self.components))
 
     def to_jsonable(self):
         return {
             "variables": list(self.variables),
-            "components": [[str(c) for c in comp.coeffs] for comp in self.components],
+            "components": [[str(c) for c in comp] for comp in self.components],
             "tangent_direction": self.tangent_direction,
             "eigenvalue": str(self.eigenvalue),
             "truncation_order": self.truncation_order,
@@ -149,10 +148,9 @@ def formal_separatrix(v: VectorFieldGerm, direction: int, order: int, lam: Gauss
         for i, x in zip(rest, sol):
             f[i] = f[i] + MVPoly.monomial(_T, (k,), x)
     res_order = min((r.vanishing_order() for r in _tangency_residual(v, f, p, lam)), default=math.inf)
-    series = tuple(TruncatedSeries([c.coeff((k,)) for k in range(order + 1)], order) for c in f)
     return FormalCurve(
         variables=v.variables,
-        components=series,
+        components=tuple(tuple(c.coeff((k,)) for k in range(order + 1)) for c in f),
         tangent_direction=direction,
         eigenvalue=lam,
         truncation_order=order,
@@ -233,17 +231,10 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
             raise CurveInDivisor("curve component %d vanishes to working order: curve lies in D" % (j + 1))
     # a simple point has one divisor axis, and its component is finite
     c = min((val, i) for i, val in enumerate(vals) if val is not math.inf)[1]
+    # so the quotients are series: val(comp) >= val(denom), which is finite
     denom = curve.components[c]
-    lifted: list[TruncatedSeries] = []
-    point = []
-    for i, comp in enumerate(curve.components):
-        if i == c:
-            lifted.append(comp)
-            point.append(GaussRat(0))
-        else:
-            q = comp.divide(denom)
-            lifted.append(q)
-            point.append(q.coeffs[0])
+    lifted = [comp if i == c else unipoly.series_divide(comp, denom) for i, comp in enumerate(curve.components)]
+    point = [GaussRat(0) if i == c else q[0] for i, q in enumerate(lifted)]
     entries = blowup.blow_up(v, divisor)
     sat = entries[c][0]
     germ_at = translate_to_point(sat.saturated_field, point)
@@ -252,7 +243,7 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
         st = classify.classify_simple(germ_at, div_at)
     except FoliationError as exc:
         return LiftCheckResult("mismatch", c, tuple(str(p) for p in point), None, False,
-                               [[str(cc) for cc in s.coeffs] for s in lifted],
+                               [[str(cc) for cc in s] for s in lifted],
                                ["classification failed at the lift point: %s" % exc])
     notes = []
     simple_count = 0
@@ -276,4 +267,4 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
     return LiftCheckResult(
         "meets_simple_point" if ok else "mismatch",
         c, tuple(str(p) for p in point), st, unique,
-        [[str(cc) for cc in s.coeffs] for s in lifted], notes)
+        [[str(cc) for cc in s] for s in lifted], notes)

@@ -19,7 +19,7 @@ unfactored residual; callers treat residuals conservatively."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 from typing import Sequence
 
 from .gaussrat import ZERO, GaussRat, _gauss, _zi_quotient
@@ -120,6 +120,33 @@ def poly_gcd(p: Coeffs, q: Coeffs) -> Coeffs:
 
 def poly_derivative(p: Coeffs) -> Coeffs:
     return trim([p[k] * k for k in range(1, len(p))])
+
+
+# -- truncated power series: the known Taylor coefficients at t = 0 -----------
+
+
+def valuation(p: Sequence[GaussRat]) -> int | float:
+    """Index of the first nonzero coefficient; inf when every one is zero."""
+    return next((k for k, c in enumerate(p) if not c.is_zero()), inf)
+
+
+def series_mul(p: Coeffs, q: Coeffs, order: int) -> Coeffs:
+    """p*q with the terms past t^order dropped."""
+    return trim(poly_mul(p[: order + 1], q[: order + 1])[: order + 1])
+
+
+def series_divide(num: Sequence[GaussRat], den: Sequence[GaussRat]) -> Coeffs:
+    """The coefficients of num/den that the known ones determine,
+    min(len(num), len(den)) - valuation(den) of them, untrimmed.  den must
+    have a nonzero coefficient, and num must vanish to at least its order."""
+    v = valuation(den)
+    out: Coeffs = []
+    for k in range(min(len(num), len(den)) - v):
+        acc = num[v + k]
+        for j in range(k):
+            acc = acc - out[j] * den[v + k - j]
+        out.append(acc / den[v])
+    return out
 
 
 def deflate(p: Coeffs, root: GaussRat) -> Coeffs:

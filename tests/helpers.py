@@ -64,7 +64,6 @@ from foliationlab.separatrix import (
     ZeroEigenvalueDirection,
     formal_separatrix,
 )
-from foliationlab.series import TruncatedSeries
 
 
 def mat(rows):
@@ -471,7 +470,7 @@ def reference_formal_separatrix(v: VectorFieldGerm, direction: int, order: int, 
             comps[i] = comps[i] + MVPoly.monomial(t_ring, (k,), sol[i - 1])
     res_order = min((r.vanishing_order() for r in residual(comps)), default=math.inf)
     orig = [sum((comps[j] * m[i][j] for j in range(n)), MVPoly.zero(t_ring)) for i in range(n)]
-    series = tuple(TruncatedSeries([c.coeff((k,)) for k in range(order + 1)], order) for c in orig)
+    series = tuple(tuple(c.coeff((k,)) for k in range(order + 1)) for c in orig)
     return FormalCurve(v.variables, series, direction, lam, order, res_order)
 
 

@@ -165,7 +165,7 @@ def test_criterion_7_diophantine_effectivity():
 def test_criterion_8_separatrix_solver():
     v = germ(X, -1 * Y + X * X)
     fc = formal_separatrix(v, direction_of_eigenvalue(v, GaussRat(1)), 8)
-    assert fc.components[1].coeffs[2] == GaussRat(Fraction(1, 3))
+    assert fc.components[1][2] == GaussRat(Fraction(1, 3))
     assert fc.residual_order >= 8
 
     v = germ(X, 2 * Y + X * X)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,53 @@ def test_separatrix_commands(capsys):
     argv = ["separatrix", "v = x^2 d/dx - y d/dy", "--check", "lift", "--divisor", "{x}", "--eigenvalue", "-1"]
     assert cli.main(argv) == 1
     assert "curve lies in D" in capsys.readouterr().err
+
+
+def _lift_doc(lifted):
+    return {"command": "separatrix", "schema": "foliation-lab/1", "result": {
+        "chart": 1, "lifted_components": lifted, "notes": [], "outcome": "meets_simple_point",
+        "point": ["0", "0"], "simple_status": {"kind": "simple_point_B"}, "unique_simple": True}}
+
+
+PARABOLA = "v = x d/dx + (-y + x^2) d/dy"
+PINNED_SEPARATRIX_OUTPUTS = {
+    "lift-order-6": (["separatrix", PARABOLA, "--check", "lift", "--divisor", "{x}", "--eigenvalue", "1",
+                      "--order", "6"], _lift_doc([["0", "1"] + ["0"] * 5, ["0", "1/3"] + ["0"] * 4])),
+    "readme-lift": (["separatrix", "v = x d/dx - 2*y d/dy", "--check", "lift", "--divisor", "{x}",
+                     "--eigenvalue", "1"], _lift_doc([["0", "1"] + ["0"] * 7, ["0"] * 8])),
+    "solve-order-8": (["separatrix", PARABOLA, "--eigenvalue", "1", "--order", "8"], {
+        "command": "separatrix", "schema": "foliation-lab/1", "result": {
+            "components": [["0", "1"] + ["0"] * 7, ["0", "0", "1/3"] + ["0"] * 6], "eigenvalue": "1",
+            "residual_order": None, "tangent_direction": 1, "truncation_order": 8, "variables": ["x", "y"]}}),
+}
+
+
+@pytest.mark.parametrize("argv, doc", PINNED_SEPARATRIX_OUTPUTS.values(), ids=PINNED_SEPARATRIX_OUTPUTS)
+def test_separatrix_json_text_is_pinned(argv, doc):
+    code, out = run_cli(argv)
+    assert code == 0 and out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_stated_zero_order_past_the_cap_is_refused_at_once(capsys):
+    def too_slow(signum, frame):
+        raise TimeoutError("the order check of a stated zero did not stop")
+
+    argv = ["nevanlinna", "f(t) = (0, t) zeros: f1 at 1 order 100000000", "--check", "T", "--radii", "4:4:1"]
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 1 and "past the cap of 12 on zero orders" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ideal", ["x*(y + 1), y", "(x + 1)*y, x"])
+def test_ideal_generators_are_parsed_by_the_grammar(ideal):
+    code, out = run_cli(["nevanlinna", "f(t) = (t, t^2) zeros: ideal at 0 order 1", "--check", "fmt",
+                         "--ideal", ideal, "--radii", "2:32:5"])
+    assert code == 0 and json.loads(out)["result"]["passed"] is True
 
 
 def test_effectivity_command():

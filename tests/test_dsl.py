@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from foliationlab.exprtree import Add, Exp, Mul, Poly, Pow, add, const_expr, mul, power, t_expr
 from foliationlab.gaussrat import GaussRat
-from foliationlab.series import TruncatedSeries
+from foliationlab import unipoly
 from foliationlab.dsl import (
     NonPolynomial,
     ParseError,
     parse_curve,
     parse_divisor,
+    parse_ideal,
     parse_polynomial,
     parse_vector_field,
 )
@@ -91,7 +93,7 @@ def test_zeroth_power_is_one_at_a_zero_of_its_base():
     assert a.tolist() == [0.0] * 3 and u.tolist() == [1] * 3
     assert comp.logabs2(t).tolist() == [0.0] * 3
     assert comp.eval_complex(0) == 1
-    assert comp.series(4) == TruncatedSeries.const(1, 4)
+    assert comp.series(4) == [GaussRat(1)]
 
 
 def test_divisor_parsing():
@@ -242,10 +244,12 @@ def test_series_product_and_derivative_match_sympy(tree_a, tree_b):
     a, b = parse_curve("f(t) = (%s, %s)" % (_to_dsl(tree_a), _to_dsl(tree_b))).components
     ea, eb = _to_sympy(tree_a, sympy), _to_sympy(tree_b, sympy)
     sa, sb = a.series(order), b.series(order)
-    product, derivative = sa * sb, sa.derivative()
-    assert (product.order, derivative.order) == (order, order - 1)
+    product, derivative = unipoly.series_mul(sa, sb, order), unipoly.poly_derivative(sa)
+    assert len(product) <= order + 1 and len(derivative) <= order  # trimmed: the rest is zero
+    product += [GaussRat(0)] * (order + 1 - len(product))
+    derivative += [GaussRat(0)] * (order - len(derivative))
     ca, cb = _taylor(ea, t, order, sympy), _taylor(eb, t, order, sympy)
-    got = [_sympy_number(c, sympy) for c in product.coeffs + derivative.coeffs]
+    got = [_sympy_number(c, sympy) for c in product + derivative]
     want = [sum(ca[j] * cb[k - j] for j in range(k + 1)) for k in range(order + 1)]
     want += [(k + 1) * ca[k + 1] for k in range(order)]
     assert [sympy.expand(g - w) for g, w in zip(got, want)] == [0] * len(want)
@@ -355,3 +359,17 @@ def _kinds(tree):
     for a in tree[1:]:
         if isinstance(a, tuple):
             yield from _kinds(a)
+
+
+def test_ideal_parsing():
+    vs = ("x", "y")
+    x, y = (parse_polynomial(n, vs) for n in vs)
+    for text in ("x, y", "(x, y)", " ( x ,y ) ", "(x), (y)"):
+        assert parse_ideal(text, vs) == [x, y]
+    assert parse_ideal("x*(y + 1), y", vs) == [x * y + x, y]
+    assert parse_ideal("(x + 1)*y, x", vs) == [x * y + y, x]
+    assert parse_ideal("(x + y)*(x - y)", vs) == [x * x - y * y]
+    for text, message in (("", "empty ideal"), ("()", "empty ideal"), ("x, y)", "trailing input after ideal"),
+                          ("(x, y", "expected ')'"), ("x,", "expected a factor"), ("x, z", "unknown variable 'z'")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_ideal(text, vs)

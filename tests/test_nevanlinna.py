@@ -214,6 +214,21 @@ def test_declared_zero_verification():
         nv.ParametrizedCurve((t_expr(),), declared_zeros={"g1": [(GaussRat(0), 1)]})
 
 
+def test_stated_and_omitted_orders_are_read_by_one_rule():
+    from foliationlab.dsl import parse_curve
+
+    # a true zero of a component with small coefficients, stated or omitted
+    for decl in ("f1 at 2", "f1 at 2 order 1"):
+        assert parse_curve("f(t) = ((t - 2)/100000000) zeros: " + decl).zeros_for("f1") == [(GaussRat(2), 1)]
+    assert parse_curve("f(t) = (t^12) zeros: f1 at 0 order 12").zeros_for("f1") == [(GaussRat(0), 12)]
+    with pytest.raises(ValueError, match="has order 13, past the cap of 12 on zero orders"):
+        parse_curve("f(t) = (t^13) zeros: f1 at 0 order 13")
+    with pytest.raises(ValueError, match="has order past 12 or vanishes identically"):
+        parse_curve("f(t) = (t^13) zeros: f1 at 0")
+    with pytest.raises(ValueError, match="ideal at 0j has order 13, past the cap of 12"):
+        nv.fmt_verify(nv.ParametrizedCurve((t_expr(), _poly(0, 1))), [X, Y], [(GaussRat(0), 13)], [2.0], CFG)
+
+
 @pytest.mark.parametrize("text, argv, target", FALSE_DECLARATIONS)
 def test_false_declaration_is_refused_naming_its_target(text, argv, target):
     from foliationlab.dsl import parse_curve
