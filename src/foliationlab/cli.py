@@ -257,6 +257,9 @@ def cmd_nevanlinna(args, out) -> int:
     if check == "fmt":
         if args.ideal is None:
             raise FoliationError("fmt check needs --ideal")
+        if curve.dim() > 4:
+            raise dsl.ParseError("--ideal names one variable per component (x, y, z, w), so a curve with %d "
+                                 "components has no name for its fifth" % curve.dim())
         gens = dsl.parse_ideal(args.ideal, ("x", "y", "z", "w")[:curve.dim()])
         zeros = curve.zeros_for("ideal")
         rep = nevanlinna.fmt_verify(curve, gens, zeros, radii, cfg)

@@ -6,10 +6,11 @@ Evaluation is scaled: a node returns (a, u) with value = u * e^a and
 never overflow; log|value|^2 = 2a is exact in the log domain.  Exponential
 arguments are restricted to polynomials, which keeps the scale exact.
 
-Series expansions at t = 0 are exact over Q(i) whenever every exp argument
-vanishes at 0: `series(order)` returns the Taylor coefficients up to t^order
-as a trimmed `unipoly` coefficient list.  Otherwise SeriesNotRational is
-raised and callers fall back to numeric order detection.
+Series are exact at every z in Q(i): with t = z + s a tree is a finite sum
+of e^c * S_c(s) over exp values c = A(z) in Q(i), and `series(order, z)`
+returns c -> S_c as trimmed `unipoly` lists up to s^order.  By the
+Lindemann-Weierstrass theorem an s^m coefficient vanishes iff it vanishes
+in every group; `order_at` reads every vanishing order so.
 
 Every tree is built through one folding algebra, `add`, `mul` and `power`
 (the `Expr` operators the DSL parses with, `expr_from_mvpoly` and each
@@ -30,17 +31,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussrat import ONE, GaussRat
+from .gaussrat import ONE, ZERO, GaussRat
 from .mvpoly import MVPoly
 from . import unipoly
 
+Groups = dict[GaussRat, unipoly.Coeffs]  # exp value c -> the nonzero series S_c
+GROUP_PRODUCT_LIMIT = 4096  # most pairs of exp groups that one series product multiplies
 
-class SeriesNotRational(Exception):
-    pass
+
+def _merge(parts) -> Groups:
+    """The sum of the groups in parts, zero series dropped."""
+    out: Groups = {}
+    for groups in parts:
+        for c, s in groups.items():
+            out[c] = unipoly.poly_add(out.get(c, []), s)
+    return {c: s for c, s in out.items() if s}
 
 
-def _as_array(t):
-    return np.asarray(t, dtype=complex)
+def _times(p: Groups, q: Groups, order: int) -> Groups:
+    """The product of two group sums; exp values add."""
+    if len(p) * len(q) > GROUP_PRODUCT_LIMIT:
+        raise ValueError("an exact series product of %d by %d exp groups is past the limit of %d group products"
+                         % (len(p), len(q), GROUP_PRODUCT_LIMIT))
+    return _merge({c + d: unipoly.series_mul(s, r, order)} for c, s in p.items() for d, r in q.items())
 
 
 class Expr:
@@ -50,20 +63,8 @@ class Expr:
     def diff(self) -> "Expr":
         raise NotImplementedError
 
-    def series(self, order: int) -> unipoly.Coeffs:
+    def series(self, order: int, z: GaussRat = ZERO) -> Groups:
         raise NotImplementedError
-
-    def is_polynomial(self) -> bool:
-        raise NotImplementedError
-
-    def eval_complex(self, t: complex) -> complex:
-        a, u = self.eval_scaled(_as_array(t))
-        a, u = float(a), complex(u)
-        if a == -math.inf:
-            return 0j
-        if a > 700.0:
-            raise OverflowError("value exceeds float range; use eval_scaled")
-        return u * math.exp(a)
 
     def logabs2(self, t):
         """log |value|^2 as a float array (-inf at exact zeros).  Nodes
@@ -110,7 +111,7 @@ class Poly(Expr):
 
     def eval_plain(self, t):
         """Horner's rule from the leading coefficient."""
-        t = _as_array(t)
+        t = np.asarray(t, dtype=complex)
         lead, *rest = self.horner
         out = np.full_like(t, lead)
         for c in rest:
@@ -128,17 +129,19 @@ class Poly(Expr):
     def diff(self):
         return Poly(unipoly.poly_derivative(self.coeffs))
 
-    def series(self, order):
-        return unipoly.trim(list(self.coeffs[: order + 1]))
-
-    def is_polynomial(self):
-        return True
+    def series(self, order, z=ZERO):
+        shifted = self._mvpoly().translate([z])  # the Taylor shift t = z + s
+        s = unipoly.trim([shifted.coeff((k,)) for k in range(order + 1)])
+        return {ZERO: s} if s else {}
 
     def degree(self):
         return len(self.coeffs) - 1
 
+    def _mvpoly(self) -> MVPoly:
+        return MVPoly(("t",), {(k,): c for k, c in enumerate(self.coeffs)})
+
     def to_text(self):
-        return MVPoly(("t",), {(k,): c for k, c in enumerate(self.coeffs)}).to_string()
+        return self._mvpoly().to_string()
 
 
 class Exp(Expr):
@@ -161,21 +164,15 @@ class Exp(Expr):
     def diff(self):
         return mul([self.arg.diff(), self])
 
-    def series(self, order):
-        s = self.arg.series(order)
-        if s and not s[0].is_zero():
-            raise SeriesNotRational("exp argument has nonzero constant term")
+    def series(self, order, z=ZERO):
+        a = self.arg.series(order, z).get(ZERO, [])  # e^A(z + s) = e^A(z) * e^(A(z + s) - A(z))
+        s = [ZERO] + a[1:]
         out = term = [ONE]
-        fact = Fraction(1)
-        for k in range(1, order + 1):
-            term = unipoly.series_mul(term, s, order)
-            fact *= k
-            scale = GaussRat(Fraction(1, fact))
-            out = unipoly.poly_add(out, [c * scale for c in term])
-        return out
-
-    def is_polynomial(self):
-        return False
+        for k in range(1, order + 1):  # term = s^k / k!
+            inv = GaussRat(Fraction(1, k))
+            term = [c * inv for c in unipoly.series_mul(term, s, order)]
+            out = unipoly.poly_add(out, term)
+        return {a[0] if a else ZERO: out}
 
     def to_text(self):
         return "exp(%s)" % self.arg.to_text()
@@ -203,11 +200,8 @@ class Add(Expr):
     def diff(self):
         return add([c.diff() for c in self.children])
 
-    def series(self, order):
-        return functools.reduce(unipoly.poly_add, (c.series(order) for c in self.children))
-
-    def is_polynomial(self):
-        return all(c.is_polynomial() for c in self.children)
+    def series(self, order, z=ZERO):
+        return _merge(c.series(order, z) for c in self.children)
 
     def to_text(self):
         return " + ".join(c.to_text() for c in self.children)
@@ -237,12 +231,8 @@ class Mul(Expr):
         kids = self.children
         return add([mul(kids[:i] + (c.diff(),) + kids[i + 1:]) for i, c in enumerate(kids)])
 
-    def series(self, order):
-        return functools.reduce(lambda p, q: unipoly.series_mul(p, q, order),
-                                (c.series(order) for c in self.children))
-
-    def is_polynomial(self):
-        return all(c.is_polynomial() for c in self.children)
+    def series(self, order, z=ZERO):
+        return functools.reduce(lambda p, q: _times(p, q, order), (c.series(order, z) for c in self.children))
 
     def to_text(self):
         return "*".join("(%s)" % c.to_text() for c in self.children)
@@ -273,16 +263,14 @@ class Pow(Expr):
             return Poly([])
         return mul([const_expr(self.k), power(self.base, self.k - 1), self.base.diff()])
 
-    def series(self, order):
-        out, base, k = [ONE], self.base.series(order), self.k
-        while k:  # by squaring
+    def series(self, order, z=ZERO):
+        out, base, k = {ZERO: [ONE]}, self.base.series(order, z), self.k
+        while k:  # by squaring, with no square past the top bit
             if k & 1:
-                out = unipoly.series_mul(out, base, order)
-            base, k = unipoly.series_mul(base, base, order), k >> 1
+                out = _times(out, base, order)
+            k >>= 1
+            base = _times(base, base, order) if k else base
         return out
-
-    def is_polynomial(self):
-        return self.base.is_polynomial()
 
     def to_text(self):
         return "(%s)^%d" % (self.base.to_text(), self.k)
@@ -344,18 +332,16 @@ def expr_from_mvpoly(p: MVPoly, components: Sequence[Expr]) -> Expr:
                 for e, c in p.sorted_terms()])
 
 
-def order_at(expr: Expr, t0: complex, max_order: int) -> int | float:
-    """Vanishing order at t0, math.inf past max_order: exact from the
-    rational series at t0 = 0; elsewhere, and where exp units block the
-    series, the first derivative whose value passes 1e-9 in modulus."""
-    if t0 == 0:
-        try:
-            return unipoly.valuation(expr.series(max_order))
-        except SeriesNotRational:
-            pass
-    g = expr
-    for m in range(max_order + 1):
-        if abs(g.eval_complex(t0)) > 1e-9:
-            return m
-        g = g.diff()
-    return math.inf
+def order_at(expr: Expr, z: GaussRat, max_order: int) -> int | float:
+    """Vanishing order at z, math.inf past max_order: the least valuation
+    over the exact groups of `series`.  An exp does not vanish, and the
+    orders of a product's factors add, so no product is expanded for them."""
+    if isinstance(expr, Exp):
+        return 0
+    if isinstance(expr, Mul):
+        m = sum(order_at(c, z, max_order) for c in expr.children)
+    elif isinstance(expr, Pow):
+        m = expr.k * order_at(expr.base, z, max_order) if expr.k else 0
+    else:
+        m = min(map(unipoly.valuation, expr.series(max_order, z).values()), default=math.inf)
+    return m if m <= max_order else math.inf

@@ -56,7 +56,7 @@ def _zero_abs(t0: GaussRat) -> float:
 def _checked_zeros(name: str, exprs: Sequence[Expr] | None, zeros) -> list[Zero]:
     """Zeros (location, order or None) of target `name`, which vanishes to
     the least order of `exprs` (None where they are not known).  One rule
-    reads every order, `order_at` up to ZERO_ORDER_CAP (exact at t = 0): an
+    reads every order, `order_at` up to ZERO_ORDER_CAP (exact at every t0): an
     omitted order is the one it reads, and a stated one, 1 to the cap,
     must equal it."""
     out = []
@@ -68,7 +68,7 @@ def _checked_zeros(name: str, exprs: Sequence[Expr] | None, zeros) -> list[Zero]
             raise ValueError("declared zero of %s at %s has order %d, past the cap of %d on zero orders"
                              % (name, z, mult, ZERO_ORDER_CAP))
         if exprs is not None:
-            got = min((order_at(e, z, ZERO_ORDER_CAP) for e in exprs), default=math.inf)
+            got = min((order_at(e, t0, ZERO_ORDER_CAP) for e in exprs), default=math.inf)
             if mult is not None and got != mult:
                 raise ValueError("declared zero of %s at %s has order %s, not %d" % (name, z, got, mult))
             if got == 0:
@@ -138,7 +138,7 @@ class ParametrizedCurve:
 
     def is_algebraic(self) -> bool:
         """Polynomial components factor through a rational curve."""
-        return all(c.is_polynomial() for c in self.components)
+        return all(isinstance(c, Poly) for c in self.components)
 
     def derivative_exprs(self) -> tuple[Expr, ...]:
         return tuple(c.diff() for c in self.components)
@@ -260,9 +260,9 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
     with q(rho) = 2 pi rho * (mean of density over |t| = rho).
 
     Adaptive Gauss-Kronrod 7/15 on segments between the breakpoints
-    {0, 1, r_grid, zero moduli below max r_grid}; the nodes are interior, so
-    no circle passes through a declared zero.  Each segment carries
-    I0 = int q and I1 = int q log max(rho, 1), and
+    {0, 1, the octaves 2^k, r_grid, zero moduli below max r_grid}; the nodes
+    are interior, so no circle passes through a declared zero.  Each
+    segment carries I0 = int q and I1 = int q log max(rho, 1), and
     T(r) = log r * sum I0 - sum I1 over the segments inside [0, r].  Each
     round evaluates the circles of every open segment in one batched call,
     then bisects the segments with the largest K - G (the most any radius
@@ -281,7 +281,9 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
     # (|log r|, 1) it is the magnitude of what T(r) adds up
     weights = np.vstack([np.log(radii), -np.ones(radii.size)])
     last = weights[:, radii.argmax()]  # the largest radius sees every segment
-    breaks = np.array(sorted({0.0, *(x for x in (1.0, *radii, *zero_moduli) if 0.0 < x <= r_max)}))
+    # octaves, so that no segment is so long that its rule sees only the tail of q
+    octaves = [math.ldexp(1.0, k) for k in range(1, math.frexp(r_max)[1])]
+    breaks = np.array(sorted({0.0, *(x for x in (1.0, *octaves, *radii, *zero_moduli) if 0.0 < x <= r_max)}))
     lo, hi = breaks[:-1], breaks[1:]
     # per evaluated segment (they come first), the rule's (K, K - G) of q,
     # q lg, |q|, |q| lg, qb and qb lg, and whether all its circles converged
@@ -522,34 +524,28 @@ class BookkeepingResult:
 def multiplicity_bookkeeping(curve: ParametrizedCurve, v: VectorFieldGerm, t0: GaussRat) -> BookkeepingResult:
     """Orders at t0 of f' (mu), of the reparametrization factor (eta), and
     of the coefficient ideal along the curve (nu), with the exact identity
-    mu = eta + nu checked.
-
-    Orders at t0 = 0 are exact (rational series); elsewhere they fall back
-    to numeric derivative probing."""
+    mu = eta + nu checked.  Every order, the tangency residuals' included,
+    is exact (`order_at`) to the working order BOOKKEEPING_MAX_ORDER."""
     if curve.dim() != v.dim():
         raise ValueError("curve and germ dimension mismatch")
-    z0 = t0.to_complex()
     derivs = curve.derivative_exprs()
     on_curve = [expr_from_mvpoly(c, curve.components) for c in v.components]
     # tangency: f_i' a_j(f) = f_j' a_i(f) for all pairs, to working order
     notes = []
     n = curve.dim()
-    sample = [0.37 + 0.21j, -0.52 + 0.33j, 0.11 - 0.44j]
     for i in range(n):
         for j in range(i + 1, n):
-            for s in sample:
-                lhs = derivs[i].eval_complex(s) * on_curve[j].eval_complex(s)
-                rhs = derivs[j].eval_complex(s) * on_curve[i].eval_complex(s)
-                scale = max(1.0, abs(lhs), abs(rhs))
-                if abs(lhs - rhs) > 1e-6 * scale:
-                    raise NotALeaf("tangency residual %.2e at t = %s" % (abs(lhs - rhs) / scale, s))
-    mu = min(order_at(d, z0, BOOKKEEPING_MAX_ORDER) for d in derivs)
-    nu = min(order_at(g, z0, BOOKKEEPING_MAX_ORDER) for g in on_curve)
+            residual = order_at(derivs[i] * on_curve[j] - derivs[j] * on_curve[i], t0, BOOKKEEPING_MAX_ORDER)
+            if residual != math.inf:
+                raise NotALeaf("tangency residual f%d' a%d(f) - f%d' a%d(f) has order %d at t = %s"
+                               % (i + 1, j + 1, j + 1, i + 1, residual, t0.to_complex()))
+    mu = min(order_at(d, t0, BOOKKEEPING_MAX_ORDER) for d in derivs)
+    nu = min(order_at(g, t0, BOOKKEEPING_MAX_ORDER) for g in on_curve)
     eta: int | float = math.inf
     for i in range(n):
-        oi = order_at(on_curve[i], z0, BOOKKEEPING_MAX_ORDER)
+        oi = order_at(on_curve[i], t0, BOOKKEEPING_MAX_ORDER)
         if oi is not math.inf:
-            di = order_at(derivs[i], z0, BOOKKEEPING_MAX_ORDER)
+            di = order_at(derivs[i], t0, BOOKKEEPING_MAX_ORDER)
             eta = di - oi
             break
     if eta is math.inf:

@@ -204,6 +204,37 @@ def test_stated_zero_order_past_the_cap_is_refused_at_once(capsys):
     assert code == 1 and "past the cap of 12 on zero orders" in capsys.readouterr().err
 
 
+EXP_SUM_50 = "(exp(t) + exp(2*i*t) + exp(3*t) + exp(5*i*t))^50"
+
+
+@pytest.mark.parametrize("component, code, message", [
+    ("(exp(t) - exp(t^2))^12", 0, ""),  # one exp group at 1, of order 1, to the 12th power
+    (EXP_SUM_50, 1, "does not vanish"),  # four distinct exp values at 1: order 0 without expanding the power
+    (EXP_SUM_50 + " + t", 1, "past the limit of 4096 group products"),
+])
+def test_orders_of_large_exp_powers_come_in_bounded_time(capsys, component, code, message):
+    def too_slow(signum, frame):
+        raise TimeoutError("the order of a declared zero took too long")
+
+    argv = ["nevanlinna", "f(t) = (%s) zeros: f1 at 1" % component, "--check", "jensen", "--radii", "4:4:1"]
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        assert cli.main(argv) == code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert message in capsys.readouterr().err
+
+
+def test_ideal_of_a_curve_past_four_components_is_refused_by_name(capsys):
+    argv = ["nevanlinna", "f(t) = (t, t, t, t, t) zeros: ideal at 0 order 1", "--check", "fmt", "--ideal", "x",
+            "--radii", "2:32:5"]
+    assert cli.main(argv) == 1
+    assert ("--ideal names one variable per component (x, y, z, w), so a curve with 5 components has no name "
+            "for its fifth") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ideal", ["x*(y + 1), y", "(x + 1)*y, x"])
 def test_ideal_generators_are_parsed_by_the_grammar(ideal):
     code, out = run_cli(["nevanlinna", "f(t) = (t, t^2) zeros: ideal at 0 order 1", "--check", "fmt",

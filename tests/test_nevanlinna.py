@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly
 from foliationlab.foliation import VectorFieldGerm
-from foliationlab.exprtree import Exp, Mul, Poly, SeriesNotRational, t_expr
+from foliationlab.exprtree import Exp, Mul, Poly, t_expr
 from foliationlab.quadrature import QuadConfig, ZeroOnCircle, nudge_radius
 from foliationlab import nevanlinna as nv
 from helpers import FALSE_DECLARATIONS
@@ -29,10 +31,11 @@ def test_exprtree_scaled_eval_no_overflow():
     la = g.logabs2(t)
     assert la[0] == pytest.approx(1200.0)
     assert la[1] == pytest.approx(-1200.0)
-    s = g.series(5)
+    s = g.series(5)[GaussRat(0)]
     assert s[3] == GaussRat(Fraction(8, 6))
-    with pytest.raises(SeriesNotRational):
-        Exp(_poly(1, 1)).series(3)
+    # exp(t + 1) = e^1 * exp(t): one group under the exp value 1
+    assert Exp(_poly(1, 1)).series(3) == {GaussRat(1): [GaussRat(1), GaussRat(1), GaussRat(Fraction(1, 2)),
+                                                        GaussRat(Fraction(1, 6))]}
 
 
 def test_circle_average_log_examples():
@@ -219,7 +222,9 @@ def test_stated_and_omitted_orders_are_read_by_one_rule():
 
     # a true zero of a component with small coefficients, stated or omitted
     for decl in ("f1 at 2", "f1 at 2 order 1"):
-        assert parse_curve("f(t) = ((t - 2)/100000000) zeros: " + decl).zeros_for("f1") == [(GaussRat(2), 1)]
+        for scale in ("100000000", "1000000000000"):
+            curve = parse_curve("f(t) = ((t - 2)/%s) zeros: %s" % (scale, decl))
+            assert curve.zeros_for("f1") == [(GaussRat(2), 1)]
     assert parse_curve("f(t) = (t^12) zeros: f1 at 0 order 12").zeros_for("f1") == [(GaussRat(0), 12)]
     with pytest.raises(ValueError, match="has order 13, past the cap of 12 on zero orders"):
         parse_curve("f(t) = (t^13) zeros: f1 at 0 order 13")
@@ -227,6 +232,49 @@ def test_stated_and_omitted_orders_are_read_by_one_rule():
         parse_curve("f(t) = (t^13) zeros: f1 at 0")
     with pytest.raises(ValueError, match="ideal at 0j has order 13, past the cap of 12"):
         nv.fmt_verify(nv.ParametrizedCurve((t_expr(), _poly(0, 1))), [X, Y], [(GaussRat(0), 13)], [2.0], CFG)
+
+
+@st.composite
+def _exp_polynomial_at_a_point(draw):
+    """(text, (a, b, d)): a DSL sum of terms P(t)*exp(A(t)) and the point
+    z = (a + b i)/d.  Factors (t - z)^m, exp arguments that agree at z and
+    negated copies of a term with another argument make orders past 0 and
+    cancelling groups common."""
+    a, b, d = draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), draw(st.integers(1, 3))
+    z = "((%d + %d*i)/%d)" % (a, b, d)
+    ints = st.integers(-3, 3)
+    shared = "%d*t + %d*t^2" % (draw(ints), draw(ints))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        if terms and draw(st.booleans()):
+            factor = "-(%s)" % terms[-1][0]
+        else:
+            factor = "(%d + %d*i*t)*(t - %s)^%d" % (draw(ints), draw(ints), z, draw(st.integers(0, 2)))
+        arg = "%s + (t - %s)*(%d + %d*t)" % (shared, z, draw(ints), draw(ints))
+        if draw(st.booleans()):
+            arg = "%d*i*t + %d*t^2" % (draw(ints), draw(ints))
+        terms.append((factor, arg))
+    return " + ".join("%s*exp(%s)" % term for term in terms), (a, b, d)
+
+
+@given(_exp_polynomial_at_a_point())
+@example(("exp(2*t) - exp(t^2)", (2, 0, 1)))  # the exp values agree at 2: a simple zero
+@example(("(exp(t) - exp(t^2))^3", (1, 0, 1)))
+@example(("(exp(t) - exp(t^2))*(exp(2*t) - exp(t + t^2))", (1, 0, 1)))  # the factors' orders add
+@example(("(t - 2)/1000000000000", (2, 0, 1)))
+@settings(max_examples=40, deadline=None)
+def test_order_at_matches_the_sympy_derivatives(case):
+    sympy = pytest.importorskip("sympy")
+    from foliationlab.dsl import parse_curve
+    from foliationlab.exprtree import order_at
+
+    text, (a, b, d) = case
+    t, max_order = sympy.Symbol("t"), 6
+    e = sympy.sympify(text.replace("^", "**"), locals={"i": sympy.I, "t": t})
+    z = sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d)
+    want = next((k for k in range(max_order + 1) if sympy.expand(sympy.diff(e, t, k).subs(t, z)) != 0), math.inf)
+    comp = parse_curve("f(t) = (%s)" % text).components[0]
+    assert order_at(comp, GaussRat(Fraction(a, d), Fraction(b, d)), max_order) == want
 
 
 @pytest.mark.parametrize("text, argv, target", FALSE_DECLARATIONS)
@@ -328,6 +376,15 @@ def test_T_closed_form_within_bound(c, d):
     for r, T, b in zip(radii, prof.T, prof.bounds):
         exact = 0.5 * (math.log1p(c2 * r ** (2 * d)) - math.log1p(c2))
         assert abs(T - exact) <= b, (r, T - exact, b)
+
+
+@pytest.mark.parametrize("r", [1e8, 1e12])
+def test_T_past_the_first_octaves_within_bound(r):
+    # one segment [1, r] would put every Kronrod node where q is below 1e-16,
+    # so that K - G read 0 and T half its value; octave breakpoints prevent it
+    prof = nv.characteristic_T(nv.ParametrizedCurve((t_expr(),)), "fs", [r], QuadConfig())
+    exact = 0.5 * math.log((1 + r * r) / 2)
+    assert not prof.diverged[0] and abs(prof.T[0] - exact) <= prof.bounds[0], (prof.T[0] - exact, prof.bounds[0])
 
 
 def test_T_budget_cut_within_bounds(monkeypatch):
