@@ -61,9 +61,9 @@ __version__ = "0.1.0"
 # so the exact engine and its CLI commands start without numpy.
 _FLOAT_NAMES = {
     **dict.fromkeys((
-        "NevanlinnaProfile", "ParametrizedCurve", "characteristic_T", "circle_average_log",
-        "counting_function", "fmt_verify", "jensen_verify", "log_derivative_check",
-        "multiplicity_bookkeeping", "tautological_pairing",
+        "NevanlinnaProfile", "ParametrizedCurve", "characteristic_T", "counting_function",
+        "fmt_verify", "jensen_verify", "log_derivative_check", "multiplicity_bookkeeping",
+        "tautological_pairing",
     ), "nevanlinna"),
     "QuadConfig": "quadrature",
 }

@@ -34,17 +34,9 @@ def _emit_json(command: str, result, out) -> None:
 
 
 def _sanitize(obj):
-    """JSON cannot carry inf/nan or numpy scalars; normalize them."""
-    np = sys.modules.get("numpy")  # while numpy is not loaded, no value is a numpy scalar
-    if isinstance(obj, bool) or np and isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, float) or np and isinstance(obj, np.floating):
-        obj = float(obj)
-        if math.isinf(obj) or math.isnan(obj):
-            return str(obj)
-        return obj
-    if isinstance(obj, int) or np and isinstance(obj, np.integer):
-        return int(obj)
+    """JSON cannot carry inf/nan; they become strings."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -121,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--check", choices=["T", "jensen", "fmt", "taut", "logderiv"], required=True)
     n.add_argument("--ideal", default=None, help="ideal generators, e.g. 'x, y'")
     n.add_argument("--radii", default="2:16:4")
-    n.add_argument("--form", choices=["fs", "euclid"], default="fs")
+    n.add_argument("--form", choices=["fs", "euclid"], default=None, help="form of --check T (default fs)")
     n.add_argument("--tol", type=float, default=1e-8)
     n.add_argument("--format", choices=["json", "csv"], default="json", help="csv for --check T or fmt")
     n.add_argument("--series", choices=["T", "N", "m", "diff"], default=None,
@@ -229,16 +221,23 @@ def cmd_nevanlinna(args, out) -> int:
 
     if not 0 < args.tol < math.inf:  # false for nan
         raise dsl.ParseError("--tol must be a finite positive number")
-    if args.format == "csv" and args.check not in ("T", "fmt"):
-        raise dsl.ParseError("--format csv is for --check T or fmt, not %s" % args.check)
-    if args.series is not None and args.check != "fmt":
-        raise dsl.ParseError("--series is for --check fmt, not %s" % args.check)
+    # each option given, the argument that decides whether it is read, and the values that read it
+    for option, given, key, readers in (
+        ("--format csv", args.format == "csv", "check", ("T", "fmt")),
+        ("--series", args.series is not None, "check", ("fmt",)),
+        ("--series", args.series is not None, "format", ("json",)),
+        ("--ideal", args.ideal is not None, "check", ("fmt",)),
+        ("--form", args.form is not None, "check", ("T",)),
+    ):
+        value = getattr(args, key)
+        if given and value not in readers:
+            raise dsl.ParseError("%s is for --%s %s, not %s" % (option, key, " or ".join(readers), value))
     curve = dsl.parse_curve(args.input)
     cfg = QuadConfig(tol=args.tol)
     radii = _parse_radii(args.radii)
     check = args.check
     if check == "T":
-        prof = nevanlinna.characteristic_T(curve, args.form, radii, cfg)
+        prof = nevanlinna.characteristic_T(curve, args.form or "fs", radii, cfg)
         if args.format == "csv":
             _emit_csv(prof.csv_rows(), out)
         else:
@@ -246,7 +245,7 @@ def cmd_nevanlinna(args, out) -> int:
         return EXIT_OK
     if check == "jensen":
         zeros = curve.zeros_for("f1")
-        reports = [nevanlinna.jensen_verify(curve.components[0], zeros, r, cfg) for r in radii]
+        reports = nevanlinna.jensen_verify(curve.components[0], zeros, radii, cfg)
         worst = max(rep.residual - rep.quadrature_bound for rep in reports)
         _emit_json("nevanlinna", {
             "check": "jensen",
@@ -313,7 +312,7 @@ def cmd_selftest(args, out) -> int:
             except blowup.InternalError as exc:
                 failures.append("siu: %s" % exc)
     # Jensen convention pin: P = t - 2 at r = 4
-    jr = nevanlinna.jensen_verify(Poly([GaussRat(-2), GaussRat(1)]), [(GaussRat(2), 1)], 4.0)
+    jr, = nevanlinna.jensen_verify(Poly([GaussRat(-2), GaussRat(1)]), [(GaussRat(2), 1)], [4.0])
     if jr.residual > 1e-6:
         failures.append("jensen convention residual %.2e" % jr.residual)
     # chart compatibility at random rational points

@@ -32,8 +32,7 @@ from .gaussrat import GaussRat
 from .mvpoly import MVPoly
 from .foliation import VectorFieldGerm
 from .exprtree import Expr, Poly, expr_from_mvpoly, order_at
-from .quadrature import (GK_NODES, GK_RULE, QuadConfig, QuadResult, ZeroOnCircle, circle_mean_arrays,
-                         circle_means, nudge_radius)
+from .quadrature import GK_NODES, GK_RULE, QuadConfig, circle_mean_arrays, nudge_radius
 
 Zero = tuple[GaussRat, int]  # (location, multiplicity)
 ROUNDOFF = 50.0 * np.finfo(float).eps  # relative round-off floor of a quadrature sum
@@ -51,6 +50,12 @@ class NotALeaf(Exception):
 
 def _zero_abs(t0: GaussRat) -> float:
     return math.sqrt(float(t0.abs2()))
+
+
+def _nudged(r_grid: Sequence[float], zeros: Sequence[Zero]) -> tuple[list[float], list[float]]:
+    """The grid with each radius shifted off the zero moduli, and the moduli."""
+    moduli = [_zero_abs(z) for z, _ in zeros]
+    return [nudge_radius(float(r), moduli) for r in r_grid], moduli
 
 
 def _checked_zeros(name: str, exprs: Sequence[Expr] | None, zeros) -> list[Zero]:
@@ -255,7 +260,7 @@ def direction_map_density(gens_on_curve: Sequence[Expr]) -> Callable[[np.ndarray
 
 
 def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
-                           zero_moduli: Sequence[float] = ()) -> tuple[list[float], list[float], list[bool], int]:
+                           zero_moduli: Sequence[float] = ()) -> tuple[list[float], list[float], list[bool]]:
     """T(r) = int_0^r q(rho) log(r/max(rho,1)) d rho for every r at once,
     with q(rho) = 2 pi rho * (mean of density over |t| = rho).
 
@@ -274,7 +279,7 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
     round-off floor of 50 eps times the sum of the magnitudes added up.  A
     radius is diverged when a circle below it did not converge, the budget
     cut the refinement short, or its bound exceeds 1e-3 * max(1, |T(r)|).
-    Returns (T, bounds, diverged, evaluations)."""
+    Returns (T, bounds, diverged)."""
     radii = np.asarray([float(r) for r in r_grid])
     r_max = radii.max()
     # a segment's (I0, I1) row times (log r, -1) is its part of T(r); times
@@ -334,22 +339,11 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
     bounds = total(np.abs(est @ weights)) + total(circle) + ROUNDOFF * total(mag @ np.abs(weights))
     diverged = ((inside & ~ok[:, None]).any(axis=0) | (evals > cfg.budget)
                 | (bounds > 1e-3 * np.maximum(1.0, np.abs(T))))
-    return T.tolist(), bounds.tolist(), diverged.tolist(), evals
+    return T.tolist(), bounds.tolist(), diverged.tolist()
 
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def circle_average_log(g: Expr, r: float, cfg: QuadConfig | None = None,
-                       declared_zeros: Sequence[Zero] | None = None) -> QuadResult:
-    """(1/2 pi) integral of log|g|^2 over the circle |t| = r."""
-    cfg = cfg or QuadConfig()
-    if declared_zeros:
-        for (t0, _mult) in declared_zeros:
-            if abs(_zero_abs(t0) - r) <= 1e-9 * max(1.0, r):
-                raise ZeroOnCircle("declared zero at modulus %s sits on the circle r = %s" % (_zero_abs(t0), r))
-    return circle_means(g.logabs2, [r], cfg)[0]
 
 
 def counting_function(zeros: Sequence[Zero], r: float) -> float:
@@ -390,25 +384,25 @@ class JensenReport:
         return self.__dict__.copy()
 
 
-def jensen_verify(p: Expr, zeros: Sequence[Zero], r: float, cfg: QuadConfig | None = None) -> JensenReport:
-    """Residual of the exact Jensen identity for log|P|^2.
+def jensen_verify(p: Expr, zeros: Sequence[Zero], r_grid: Sequence[float],
+                  cfg: QuadConfig | None = None) -> list[JensenReport]:
+    """Residual of the exact Jensen identity for log|P|^2, one report per
+    radius; the unit circle and every radius are integrated in one call.
 
-    The declared zeros must exhaust the zeros of P in |t| < r."""
+    The declared zeros must exhaust the zeros of P in |t| < max r_grid."""
     cfg = cfg or QuadConfig()
-    moduli = [_zero_abs(z) for z, _ in zeros]
-    r_use = nudge_radius(r, moduli)
-    one_use = nudge_radius(1.0, moduli)
-    avg_r, avg_1 = circle_means(p.logabs2, [r_use, one_use], cfg)
-    mass = 2.0 * _annulus_counting(zeros, r_use)
-    counting = counting_function(zeros, r_use)
-    correction = counting - _annulus_counting(zeros, r_use)
-    residual = abs(mass - avg_r.value + avg_1.value)
-    return JensenReport(
-        r=r_use, residual=residual,
-        quadrature_bound=avg_r.error_bound + avg_1.error_bound,
-        counting_term=counting, average_r=avg_r.value, average_1=avg_1.value,
-        unit_disk_correction=correction,
-    )
+    grid, moduli = _nudged(r_grid, zeros)
+    mean, bound, _, _ = circle_mean_arrays(p.logabs2, [nudge_radius(1.0, moduli), *grid], cfg)
+    (avg_1, *avgs), (bound_1, *bounds) = mean.tolist(), bound.tolist()
+    reports = []
+    for r, avg_r, bound_r in zip(grid, avgs, bounds):
+        counting = counting_function(zeros, r)
+        annulus = _annulus_counting(zeros, r)
+        reports.append(JensenReport(
+            r=r, residual=abs(2.0 * annulus - avg_r + avg_1), quadrature_bound=bound_r + bound_1,
+            counting_term=counting, average_r=avg_r, average_1=avg_1, unit_disk_correction=counting - annulus,
+        ))
+    return reports
 
 
 def characteristic_T(curve: ParametrizedCurve, form: str, r_grid: Sequence[float],
@@ -422,7 +416,7 @@ def characteristic_T(curve: ParametrizedCurve, form: str, r_grid: Sequence[float
     else:
         raise ValueError("unknown form %r (use 'fs' or 'euclid')" % form)
     moduli = [_zero_abs(z) for zeros in curve.declared_zeros.values() for z, _ in zeros]
-    T, bounds, diverged, _ = characteristic_on_grid(dens, r_grid, cfg, moduli)
+    T, bounds, diverged = characteristic_on_grid(dens, r_grid, cfg, moduli)
     return NevanlinnaProfile(list(map(float, r_grid)), T, None, None, bounds, diverged)
 
 
@@ -463,15 +457,18 @@ def fmt_verify(curve: ParametrizedCurve, ideal_gens: Sequence[MVPoly],
     the three sides are computed independently.  The bounds add m's circle
     bounds to T's, and a radius whose m circle did not converge reads
     diverged.  Each ideal zero must vanish on the generators to its stated
-    order; a false one is refused before anything is integrated."""
+    order, and the slope needs two distinct radii; a false zero or a
+    shorter grid is refused before anything is integrated."""
     cfg = cfg or QuadConfig()
     gens_on_curve = [expr_from_mvpoly(g, curve.components) for g in ideal_gens]
     ideal_zeros = _checked_zeros("ideal", gens_on_curve, ideal_zeros)
-    moduli = [_zero_abs(z) for z, _ in ideal_zeros]
-    grid = [nudge_radius(float(r), moduli) for r in r_grid]
-    T_fs, b1, d1, _ = characteristic_on_grid(fs_sum_density(gens_on_curve), grid, cfg, moduli)
+    grid, moduli = _nudged(r_grid, ideal_zeros)
+    if len(set(grid)) < 2:
+        raise ValueError("fmt fits the slope of T - N - m against log r, which needs two distinct radii, "
+                         "not %d" % len(set(grid)))
+    T_fs, b1, d1 = characteristic_on_grid(fs_sum_density(gens_on_curve), grid, cfg, moduli)
     if len(gens_on_curve) > 1:
-        T_dir, b2, d2, _ = characteristic_on_grid(direction_map_density(gens_on_curve), grid, cfg, moduli)
+        T_dir, b2, d2 = characteristic_on_grid(direction_map_density(gens_on_curve), grid, cfg, moduli)
     else:
         T_dir, b2, d2 = [0.0] * len(grid), [0.0] * len(grid), [False] * len(grid)
     N = [counting_function(ideal_zeros, r) for r in grid]
@@ -480,11 +477,10 @@ def fmt_verify(curve: ParametrizedCurve, ideal_gens: Sequence[MVPoly],
         las = [g.logabs2(t) for g in gens_on_curve]
         return 0.5 * (sum(_softplus(la) for la in las) - _logsumexp(las))
 
-    m_res = circle_means(m_integrand, grid, cfg)
-    m_vals = [res.value for res in m_res]
+    m_vals, m_bounds, _, m_converged = (a.tolist() for a in circle_mean_arrays(m_integrand, grid, cfg))
     T = [a - b for a, b in zip(T_fs, T_dir)]
-    bounds = [x + y + res.error_bound for x, y, res in zip(b1, b2, m_res)]
-    diverged = [x or y or not res.converged for x, y, res in zip(d1, d2, m_res)]
+    bounds = [x + y + z for x, y, z in zip(b1, b2, m_bounds)]
+    diverged = [x or y or not c for x, y, c in zip(d1, d2, m_converged)]
     diffs = [T[i] - N[i] - m_vals[i] for i in range(len(grid))]
     logs = [math.log(r) for r in grid]
     slope = _fit_slope(logs, diffs)
@@ -595,13 +591,12 @@ def tautological_pairing(curve: ParametrizedCurve, r_grid: Sequence[float],
         return _logsumexp(rows)
 
     mu_zeros = curve.zeros_for("fprime")
-    moduli = [_zero_abs(z) for z, _ in mu_zeros]
-    grid = [nudge_radius(float(r), moduli) for r in r_grid]
+    grid, moduli = _nudged(r_grid, mu_zeros)
     t_prof = characteristic_T(curve, "fs", grid, cfg)
-    avg1, *avgs = circle_means(log_fprime_omega, [nudge_radius(1.0, moduli), *grid], cfg)
+    avg1, *avgs = circle_mean_arrays(log_fprime_omega, [nudge_radius(1.0, moduli), *grid], cfg)[0].tolist()
     values, normalized = [], []
     for i, (r, avg_r) in enumerate(zip(grid, avgs)):
-        val = _annulus_counting(mu_zeros, r) - 0.5 * avg_r.value + 0.5 * avg1.value
+        val = _annulus_counting(mu_zeros, r) - 0.5 * avg_r + 0.5 * avg1
         values.append(val)
         normalized.append(val / t_prof.T[i] if t_prof.T[i] > 0 else math.inf)
     top = normalized[len(normalized) // 2:]
@@ -620,7 +615,7 @@ class LogDerivativeReport:
     lhs: list[float]
     error_bounds: list[float]  # of the circle means in lhs
     converged: list[bool]
-    fit_coefficients: tuple[float, float, float]
+    fit_coefficients: list[float]  # a, b, c
     max_residual_top_half: float
     passed: bool
 
@@ -633,14 +628,12 @@ def log_derivative_check(g: Expr, zeros: Sequence[Zero], r_grid: Sequence[float]
     """Circle means of log+ |g'/g| fitted against a log T + b log r + c."""
     cfg = cfg or QuadConfig()
     gp = g.diff()
-    moduli = [_zero_abs(z) for z, _ in zeros]
-    grid = [nudge_radius(float(r), moduli) for r in r_grid]
+    grid, moduli = _nudged(r_grid, zeros)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, 0.5 * (gp.logabs2(t) - g.logabs2(t)))
 
-    means = circle_means(integrand, grid, cfg)
-    lhs = [res.value for res in means]
+    lhs, lhs_bounds, _, converged = (a.tolist() for a in circle_mean_arrays(integrand, grid, cfg))
     t_prof = characteristic_on_grid(fs_sum_density([g]), grid, cfg, moduli)[0]
     rows = np.vstack([
         np.log(np.maximum(t_prof, 1e-12)),
@@ -653,6 +646,6 @@ def log_derivative_check(g: Expr, zeros: Sequence[Zero], r_grid: Sequence[float]
     top = residuals[len(grid) // 2:]
     max_res = float(top.max()) if len(top) else 0.0
     return LogDerivativeReport(
-        grid, lhs, [res.error_bound for res in means], [res.converged for res in means],
-        (float(sol[0]), float(sol[1]), float(sol[2])), max_res, max_res <= LOGDERIV_RESIDUAL_TOL,
+        grid, lhs, lhs_bounds, converged,
+        sol.tolist(), max_res, max_res <= LOGDERIV_RESIDUAL_TOL,
     )

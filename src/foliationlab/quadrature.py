@@ -14,16 +14,14 @@ are the Kronrod weights and the Kronrod minus Gauss weights.  So one
 product gives a segment's Kronrod value K and K - G, the error estimate
 by which `nevanlinna.characteristic_on_grid` bisects segments.
 
-The FOLIATION_LAB_BUDGET environment variable, a positive integer, caps
-the evaluations of each circle mean and stops the radial refinement of a
-profile once its total evaluations pass it.
+QuadConfig.budget caps the evaluations of each circle mean and stops the
+radial refinement of a profile once its total evaluations pass it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,35 +33,10 @@ NUDGE_TOL = 1e-9  # relative distance a nudged radius keeps from each declared z
 NUDGE_BUMP = 1e-6  # relative step of each nudge
 
 
-def _env_budget() -> int:
-    raw = os.environ.get("FOLIATION_LAB_BUDGET")
-    if raw is None:
-        return 1 << 24
-    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
-        raise ValueError("FOLIATION_LAB_BUDGET must be a positive integer, got %r" % raw)
-    return int(raw)
-
-
 @dataclass
 class QuadConfig:
     tol: float = 1e-8
-    budget: int = 0
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            self.budget = _env_budget()
-
-
-@dataclass
-class QuadResult:
-    value: float
-    error_bound: float
-    evaluations: int
-    converged: bool
-
-
-class ZeroOnCircle(Exception):
-    pass
+    budget: int = 1 << 24
 
 
 def nudge_radius(r: float, zero_moduli) -> float:
@@ -137,8 +110,3 @@ def circle_mean_arrays(fn, radii, cfg: QuadConfig):
     converged = bound <= cfg.tol * np.maximum(1.0, np.abs(mean))
     return mean, bound, counts, converged
 
-
-def circle_means(fn, radii, cfg: QuadConfig) -> list[QuadResult]:
-    """circle_mean_arrays as one QuadResult per radius."""
-    return [QuadResult(float(m), float(b), int(e), bool(c))
-            for m, b, e, c in zip(*circle_mean_arrays(fn, radii, cfg))]

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules: the Jordan-form stability fixtures,
-the Jensen corpus, the towers of the seeded corpora and their germs,
+the Jensen corpus and the Jensen check of one radius, which integrated the
+unit circle again for every radius and which `jensen_verify` is checked
+against, the towers of the seeded corpora and their germs,
 matrix helpers, the blow-up chart by ring homomorphism (its images and the
 chart transform) that the chart kernels are checked against, the
 chart-by-chart singular points on E that `blow_up` is checked against,
@@ -254,6 +256,26 @@ def jensen_corpus() -> list[tuple[list[GaussRat], list[tuple[GaussRat, int]]]]:
             counted[z] = counted.get(z, 0) + 1
         corpus.append((coeffs, sorted(counted.items(), key=lambda kv: str(kv[0]))))
     return corpus
+
+
+def reference_jensen_verify(p, zeros, r: float, cfg):
+    """The Jensen report of one radius r, from the circle means of the
+    nudged r and the nudged unit circle."""
+    from foliationlab import nevanlinna as nv
+    from foliationlab.quadrature import circle_mean_arrays, nudge_radius
+
+    moduli = [nv._zero_abs(z) for z, _ in zeros]
+    r_use = nudge_radius(r, moduli)
+    one_use = nudge_radius(1.0, moduli)
+    mean, bound, _, _ = circle_mean_arrays(p.logabs2, [r_use, one_use], cfg)
+    (avg_r, avg_1), (bound_r, bound_1) = mean.tolist(), bound.tolist()
+    mass = 2.0 * nv._annulus_counting(zeros, r_use)
+    counting = nv.counting_function(zeros, r_use)
+    correction = counting - nv._annulus_counting(zeros, r_use)
+    return nv.JensenReport(
+        r=r_use, residual=abs(mass - avg_r + avg_1), quadrature_bound=bound_r + bound_1,
+        counting_term=counting, average_r=avg_r, average_1=avg_1, unit_disk_correction=correction,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -196,10 +196,8 @@ def test_criterion_9_jensen_fmt_numerics():
     corpus = jensen_corpus()
     assert len(corpus) == 20
     for coeffs, zeros in corpus:
-        p = Poly(coeffs)
-        for r in (2.0, 5.0, 10.0):
-            rep = nv.jensen_verify(p, zeros, r, cfg)
-            assert rep.residual <= 1e-6, (rep.residual, r)
+        for rep in nv.jensen_verify(Poly(coeffs), zeros, (2.0, 5.0, 10.0), cfg):
+            assert rep.residual <= 1e-6, (rep.residual, rep.r)
     fmt_cfg = QuadConfig(tol=1e-8)
     curve = nv.ParametrizedCurve((t_expr(), Poly([GaussRat(0), GaussRat(0), GaussRat(1)])),
                                  declared_zeros={"ideal": [(GaussRat(0), 1)]})

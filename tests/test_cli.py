@@ -109,6 +109,12 @@ def test_options_are_accepted_only_where_they_are_read(capsys):
         (["nevanlinna", "f(t) = (exp(t))", "--check", "taut", "--format", "csv"], "not taut"),
         (["nevanlinna", "f(t) = (exp(t))", "--check", "logderiv", "--format", "csv"], "not logderiv"),
         (["nevanlinna", "f(t) = (exp(t))", "--check", "T", "--series", "m"], "--series is for --check fmt, not T"),
+        (["nevanlinna", "f(t) = (exp(t))", "--check", "taut", "--form", "euclid"],
+         "--form is for --check T, not taut"),
+        (["nevanlinna", "f(t) = (t - 2) zeros: f1 at 2", "--check", "jensen", "--ideal", "x"],
+         "--ideal is for --check fmt, not jensen"),
+        (["nevanlinna", "f(t) = (t, t^2) zeros: ideal at 0 order 1", "--check", "fmt", "--ideal", "x, y",
+          "--series", "m", "--format", "csv"], "--series is for --format json, not csv"),
     ):
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()

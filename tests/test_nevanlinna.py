@@ -9,9 +9,9 @@ from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly
 from foliationlab.foliation import VectorFieldGerm
 from foliationlab.exprtree import Exp, Mul, Poly, t_expr
-from foliationlab.quadrature import QuadConfig, ZeroOnCircle, nudge_radius
+from foliationlab.quadrature import QuadConfig, nudge_radius
 from foliationlab import nevanlinna as nv
-from helpers import FALSE_DECLARATIONS
+from helpers import FALSE_DECLARATIONS, reference_jensen_verify
 
 CFG = QuadConfig(tol=1e-9)
 VARS = ("x", "y")
@@ -39,14 +39,16 @@ def test_exprtree_scaled_eval_no_overflow():
 
 
 def test_circle_average_log_examples():
-    res = nv.circle_average_log(t_expr(), math.e, CFG)
-    assert res.value == pytest.approx(2.0, abs=1e-9)
-    res = nv.circle_average_log(_poly(-1, 1), 3.0, CFG)
-    assert res.value == pytest.approx(2 * math.log(3), abs=1e-7)
-    res = nv.circle_average_log(Exp(t_expr()), 5.0, CFG)
-    assert res.value == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ZeroOnCircle):
-        nv.circle_average_log(_poly(-2, 1), 2.0, CFG, declared_zeros=[(GaussRat(2), 1)])
+    # the mean of log|g|^2 over |t| = r is Jensen's average_r
+    rep, = nv.jensen_verify(t_expr(), [(GaussRat(0), 1)], [math.e], CFG)
+    assert rep.average_r == pytest.approx(2.0, abs=1e-9)
+    rep, = nv.jensen_verify(_poly(-1, 1), [(GaussRat(1), 1)], [3.0], CFG)
+    assert rep.average_r == pytest.approx(2 * math.log(3), abs=1e-7)
+    rep, = nv.jensen_verify(Exp(t_expr()), [], [5.0], CFG)
+    assert rep.average_r == pytest.approx(0.0, abs=1e-9)
+    # a radius on a declared zero's modulus is nudged off it
+    rep, = nv.jensen_verify(_poly(-2, 1), [(GaussRat(2), 1)], [2.0], CFG)
+    assert rep.r == nudge_radius(2.0, [2.0]) > 2.0
 
 
 def test_nudge_radius():
@@ -75,17 +77,95 @@ def test_counting_monotone_and_additive():
 
 
 def test_jensen_examples():
-    rep = nv.jensen_verify(_poly(-2, 1), [(GaussRat(2), 1)], 4.0, CFG)
+    rep, = nv.jensen_verify(_poly(-2, 1), [(GaussRat(2), 1)], [4.0], CFG)
     assert rep.residual <= max(rep.quadrature_bound, 1e-9)
-    rep = nv.jensen_verify(_poly(7), [], 4.0, CFG)
+    rep, = nv.jensen_verify(_poly(7), [], [4.0], CFG)
     assert rep.residual <= 1e-12
     p = _poly(Fraction(3, 2), Fraction(-7, 2), 1)  # (t - 1/2)(t - 3)
-    rep = nv.jensen_verify(p, [(GaussRat(Fraction(1, 2)), 1), (GaussRat(3), 1)], 5.0, CFG)
+    rep, = nv.jensen_verify(p, [(GaussRat(Fraction(1, 2)), 1), (GaussRat(3), 1)], [5.0], CFG)
     assert rep.residual <= max(rep.quadrature_bound, 1e-8)
     # zero inside the unit disk exercises the correction term
-    rep = nv.jensen_verify(p, [(GaussRat(Fraction(1, 2)), 1), (GaussRat(3), 1)], 2.0, CFG)
+    rep, = nv.jensen_verify(p, [(GaussRat(Fraction(1, 2)), 1), (GaussRat(3), 1)], [2.0], CFG)
     assert rep.residual <= max(rep.quadrature_bound, 1e-8)
     assert rep.unit_disk_correction == pytest.approx(math.log(2))
+
+
+@st.composite
+def _polynomial_with_zeros_and_grid(draw):
+    """(P, its zeros, radii): P = lead * prod (t - z)^nu over Gaussian-rational
+    zeros, and a grid of radii >= 1, some of them on a zero's modulus."""
+    from foliationlab import unipoly
+
+    parts = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    zeros = draw(st.dictionaries(st.builds(GaussRat, parts, parts), st.integers(1, 3), max_size=4))
+    coeffs = [GaussRat(draw(st.sampled_from([1, -2, 7])), draw(st.sampled_from([0, 1])))]
+    for z, nu in zeros.items():
+        for _ in range(nu):
+            coeffs = unipoly.poly_mul(coeffs, [-z, GaussRat(1)])
+    on_zero = [float(z.abs2()) ** 0.5 for z in zeros if z.abs2() >= 1]
+    radius = st.floats(1.0, 40.0) | (st.sampled_from(on_zero) if on_zero else st.just(1.0))
+    return Poly(coeffs), sorted(zeros.items(), key=lambda kv: str(kv[0])), draw(st.lists(radius, max_size=6))
+
+
+@given(_polynomial_with_zeros_and_grid())
+@settings(max_examples=30, deadline=None)
+def test_jensen_over_a_grid_matches_one_radius_at_a_time(case):
+    p, zeros, radii = case
+    reports = nv.jensen_verify(p, zeros, radii, CFG)
+    assert [rep.__dict__ for rep in reports] == [reference_jensen_verify(p, zeros, r, CFG).__dict__ for r in radii]
+
+
+def test_jensen_integrates_the_unit_circle_once(monkeypatch, capsys):
+    from foliationlab import cli
+    from foliationlab.quadrature import circle_mean_arrays
+
+    calls = []
+
+    def counted(fn, radii, cfg):
+        calls.append(list(radii))
+        return circle_mean_arrays(fn, radii, cfg)
+
+    monkeypatch.setattr(nv, "circle_mean_arrays", counted)
+    reports = nv.jensen_verify(_poly(-1, 1), [(GaussRat(1), 1)], [1.0, 3.0, 9.0], CFG)
+    one = nudge_radius(1.0, [1.0])
+    assert calls == [[one, one, 3.0, 9.0]] and [rep.r for rep in reports] == [one, 3.0, 9.0]
+    calls.clear()
+    assert cli.main(["nevanlinna", "f(t) = (t - 2) zeros: f1 at 2", "--check", "jensen", "--radii", "4:16:3"]) == 0
+    assert [len(radii) for radii in calls] == [4]  # the README example: 4 circles, the unit circle once
+    capsys.readouterr()
+
+
+def test_reports_hold_only_json_types():
+    from foliationlab.dsl import parse_curve
+
+    def walk(node):
+        assert type(node) in (dict, list, str, int, float, bool, type(None)), type(node)
+        for child in node.values() if type(node) is dict else node if type(node) is list else ():
+            walk(child)
+
+    radii = [2.0, 4.0, 8.0]
+    for text in ("f(t) = (t, t^2) zeros: f1 at 0; ideal at 0 order 1", "f(t) = (exp(t), exp(2*t))"):
+        curve = parse_curve(text)
+        g = curve.components[0]
+        for rep in (nv.characteristic_T(curve, "fs", radii, CFG),
+                    *nv.jensen_verify(g, curve.zeros_for("f1"), radii, CFG),
+                    nv.fmt_verify(curve, [X, Y], curve.zeros_for("ideal"), radii, CFG),
+                    nv.tautological_pairing(curve, radii, CFG),
+                    nv.log_derivative_check(g, curve.zeros_for("f1"), radii, CFG)):
+            walk(rep.to_jsonable())
+
+
+def test_fmt_refuses_a_grid_without_two_radii(capsys):
+    from foliationlab import cli
+
+    curve = nv.ParametrizedCurve((t_expr(), _poly(0, 0, 1)))
+    for radii in ([4.0], [32.0], [4.0, 4.0]):
+        with pytest.raises(ValueError, match="needs two distinct radii"):
+            nv.fmt_verify(curve, [X, Y], [(GaussRat(0), 1)], radii, CFG)
+    for text in ("f(t) = (t, t^2) zeros: ideal at 0 order 1", "f(t) = (exp(t), exp(2*t))"):
+        assert cli.main(["nevanlinna", text, "--check", "fmt", "--ideal", "x, y", "--radii", "4:4:1"]) == 1
+        out, err = capsys.readouterr()
+        assert "needs two distinct radii" in err and not out
 
 
 def test_characteristic_T_closed_forms():
@@ -159,26 +239,23 @@ def test_bookkeeping_examples():
 
 def test_taut_cross_check_exp():
     # the -mean log|f'|^2 term vanishes identically for exp (euclidean norm)
-    res = nv.circle_average_log(Exp(t_expr()), 17.0, CFG)
-    assert res.value == pytest.approx(0.0, abs=1e-9)
+    rep, = nv.jensen_verify(Exp(t_expr()), [], [17.0], CFG)
+    assert rep.average_r == pytest.approx(0.0, abs=1e-9)
     rep = nv.tautological_pairing(nv.ParametrizedCurve((Exp(t_expr()),)), [4.0, 8.0, 16.0], CFG)
     assert rep.applicable and not rep.violation
 
 
-def test_taut_carries_T_bounds_and_divergence(monkeypatch, capsys):
+def test_taut_carries_T_bounds_and_divergence(capsys):
     import json
 
     from foliationlab import cli
 
-    argv = ["nevanlinna", "f(t) = (exp(t))", "--check", "taut", "--radii", "4:256:7"]
-    monkeypatch.delenv("FOLIATION_LAB_BUDGET", raising=False)
-    cli.main(argv)
+    cli.main(["nevanlinna", "f(t) = (exp(t))", "--check", "taut", "--radii", "4:256:7"])
     rep = json.loads(capsys.readouterr().out)["result"]
     assert len(rep["error_bounds"]) == 7 and not any(rep["diverged"])
-    monkeypatch.setenv("FOLIATION_LAB_BUDGET", "1")
-    cli.main(argv)
-    rep = json.loads(capsys.readouterr().out)["result"]
-    assert len(rep["diverged"]) == 7 and all(rep["diverged"])
+    curve = nv.ParametrizedCurve((Exp(t_expr()),))
+    rep = nv.tautological_pairing(curve, [4.0 * 2 ** k for k in range(7)], QuadConfig(budget=1))
+    assert len(rep.diverged) == 7 and all(rep.diverged)
     cli.main(["nevanlinna", "f(t) = (t)", "--check", "taut", "--radii", "4:8:2"])  # algebraic: no T profile
     rep = json.loads(capsys.readouterr().out)["result"]
     assert rep["error_bounds"] == rep["diverged"] == []
@@ -292,7 +369,7 @@ def test_fmt_refuses_a_false_ideal_zero_before_integrating(monkeypatch):
         raise AssertionError("integrated")
 
     monkeypatch.setattr(nv, "characteristic_on_grid", no_quadrature)
-    monkeypatch.setattr(nv, "circle_means", no_quadrature)
+    monkeypatch.setattr(nv, "circle_mean_arrays", no_quadrature)
     curve = nv.ParametrizedCurve((t_expr(), _poly(0, 0, 1)))
     for zeros, message in (([(GaussRat(10), 1)], "order 0, not 1"), ([(GaussRat(0), 2)], "order 1, not 2"),
                            ([(GaussRat(0), 0)], "order >= 1")):
@@ -322,40 +399,15 @@ def test_softplus_large_argument_no_overflow_warning():
     assert out[3] == math.exp(-40.0) and out[4] == math.exp(-700.0)
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "0", "", "1.5"])
-def test_budget_env_rejects_non_positive_integers(monkeypatch, value):
-    monkeypatch.setenv("FOLIATION_LAB_BUDGET", value)
-    with pytest.raises(ValueError, match="FOLIATION_LAB_BUDGET"):
-        QuadConfig()
-
-
-def test_budget_env_cli_exit_code(monkeypatch, capsys):
-    from foliationlab import cli
-
-    monkeypatch.setenv("FOLIATION_LAB_BUDGET", "abc")
-    assert cli.main(["nevanlinna", "f(t) = (exp(t))", "--check", "T", "--radii", "4:64:5"]) == 1
-    assert "FOLIATION_LAB_BUDGET" in capsys.readouterr().err
-
-
-def test_budget_env_default_and_value(monkeypatch):
-    monkeypatch.delenv("FOLIATION_LAB_BUDGET", raising=False)
-    assert QuadConfig().budget == 1 << 24
-    monkeypatch.setenv("FOLIATION_LAB_BUDGET", "5000")
-    assert QuadConfig().budget == 5000
-    assert QuadConfig(budget=7).budget == 7
-
-
-def test_T_error_bounds_cover_budget_cuts(monkeypatch):
+def test_T_error_bounds_cover_budget_cuts():
     from foliationlab.dsl import parse_curve
 
     curve = parse_curve("f(t) = (exp(t))")
     radii = [4.0, 8.0, 16.0, 32.0, 64.0]
-    monkeypatch.delenv("FOLIATION_LAB_BUDGET", raising=False)
     ref = nv.characteristic_T(curve, "fs", radii, QuadConfig())
     assert not any(ref.diverged)
-    for budget in ("1", "300"):
-        monkeypatch.setenv("FOLIATION_LAB_BUDGET", budget)
-        prof = nv.characteristic_T(curve, "fs", radii, QuadConfig())
+    for budget in (1, 300):
+        prof = nv.characteristic_T(curve, "fs", radii, QuadConfig(budget=budget))
         assert all(prof.diverged)
         assert not any(math.isnan(b) for b in prof.bounds + ref.bounds)
         for T, b, T0, b0 in zip(prof.T, prof.bounds, ref.T, ref.bounds):
@@ -387,16 +439,14 @@ def test_T_past_the_first_octaves_within_bound(r):
     assert not prof.diverged[0] and abs(prof.T[0] - exact) <= prof.bounds[0], (prof.T[0] - exact, prof.bounds[0])
 
 
-def test_T_budget_cut_within_bounds(monkeypatch):
-    # a profile cut short by FOLIATION_LAB_BUDGET must still bound its error
+def test_T_budget_cut_within_bounds():
+    # a profile cut short by QuadConfig.budget must still bound its error
     from foliationlab.dsl import parse_curve
 
     curve = parse_curve("f(t) = (t^3 - 2, t)")
     radii = [2.0 * 2 ** k for k in range(6)]  # 2:64:6
-    monkeypatch.delenv("FOLIATION_LAB_BUDGET", raising=False)
     ref = nv.characteristic_T(curve, "fs", radii, QuadConfig())
-    monkeypatch.setenv("FOLIATION_LAB_BUDGET", "2000")
-    cut = nv.characteristic_T(curve, "fs", radii, QuadConfig())
+    cut = nv.characteristic_T(curve, "fs", radii, QuadConfig(budget=2000))
     assert all(cut.diverged) and not any(ref.diverged)
     for T, b, T0, b0 in zip(cut.T, cut.bounds, ref.T, ref.bounds):
         assert abs(T - T0) <= b + b0
@@ -458,31 +508,36 @@ def test_fmt_zero_on_a_grid_circle_converges():
 
 def test_checks_carry_circle_bounds(monkeypatch):
     import numpy as np
-    from foliationlab.quadrature import QuadResult, circle_means
+    from foliationlab.quadrature import circle_mean_arrays
 
     def unconverged(fn, radii, cfg):  # m's circle means, each off by up to 1
-        return [QuadResult(res.value, 1.0, res.evaluations, False) for res in circle_means(fn, radii, cfg)]
+        mean, bound, counts, converged = circle_mean_arrays(fn, radii, cfg)
+        if fn.__name__ == "m_integrand":
+            bound, converged = np.ones_like(bound), np.zeros_like(converged)
+        return mean, bound, counts, converged
 
     ec = nv.ParametrizedCurve((Exp(t_expr()), Exp(_poly(0, 2))))
     radii = [4.0, 8.0, 16.0]
     rep = nv.fmt_verify(ec, [X, Y], [], radii, CFG)
     assert not any(rep.profile.diverged) and all(b < 1e-3 for b in rep.profile.bounds)
-    monkeypatch.setattr(nv, "circle_means", unconverged)
+    monkeypatch.setattr(nv, "circle_mean_arrays", unconverged)
     rep = nv.fmt_verify(ec, [X, Y], [], radii, CFG)
     assert all(rep.profile.diverged) and all(b >= 1.0 for b in rep.profile.bounds)
     monkeypatch.undo()
     g = _poly(0, 0, 1)
     rep = nv.log_derivative_check(g, [(GaussRat(0), 2)], radii, CFG)
-    means = circle_means(lambda t: np.maximum(0.0, 0.5 * (g.diff().logabs2(t) - g.logabs2(t))), radii, CFG)
-    assert rep.error_bounds == [m.error_bound for m in means]
+    _, bounds, _, _ = circle_mean_arrays(lambda t: np.maximum(0.0, 0.5 * (g.diff().logabs2(t) - g.logabs2(t))),
+                                         radii, CFG)
+    assert rep.error_bounds == bounds.tolist()
     assert rep.converged == [True] * 3
     assert {"error_bounds", "converged"} <= set(rep.to_jsonable())
 
 
 def _serial_circle_mean(fn, r, cfg):
-    """The one-circle trapezoid doubling loop that circle_means batches."""
+    """The one-circle trapezoid doubling loop that circle_mean_arrays batches,
+    as (mean, error bound, evaluations, converged)."""
     import numpy as np
-    from foliationlab.quadrature import MAX_CIRCLE_POINTS, MIN_CIRCLE_POINTS, QuadResult
+    from foliationlab.quadrature import MAX_CIRCLE_POINTS, MIN_CIRCLE_POINTS
 
     n = evals = MIN_CIRCLE_POINTS
     theta = 2.0 * math.pi * np.arange(n) / n
@@ -495,13 +550,13 @@ def _serial_circle_mean(fn, r, cfg):
         mean_new = 0.5 * (mean + float(np.mean(vals)))
         bound, mean, n = abs(mean_new - mean), mean_new, 2 * n
         if bound <= cfg.tol * max(1.0, abs(mean)):
-            return QuadResult(mean, bound, evals, True)
-    return QuadResult(mean, bound, evals, bound <= cfg.tol * max(1.0, abs(mean)))
+            return mean, bound, evals, True
+    return mean, bound, evals, bound <= cfg.tol * max(1.0, abs(mean))
 
 
 def test_circle_means_match_serial_doubling():
     import numpy as np
-    from foliationlab.quadrature import CHUNK_POINTS, MAX_CIRCLE_POINTS, circle_means
+    from foliationlab.quadrature import CHUNK_POINTS, MAX_CIRCLE_POINTS, circle_mean_arrays
 
     z0 = 2.0 * np.exp(0.1j)  # a zero on |t| = 2, off every node
     sizes = []
@@ -520,19 +575,18 @@ def test_circle_means_match_serial_doubling():
         (lambda t: 1e6 + log_dist(t), [2.05, 2.5, 4.0], CFG),  # |mean| > 1 scales the stopping test
     ]
     for fn, radii, cfg in cases:
-        got = circle_means(fn, radii, cfg)
+        got = list(zip(*(a.tolist() for a in circle_mean_arrays(fn, radii, cfg))))
         assert len(got) == len(radii)
-        for r, res in zip(radii, got):
-            ref = _serial_circle_mean(fn, r, cfg)
-            assert (res.evaluations, res.converged) == (ref.evaluations, ref.converged)
-            for a, b in ((res.value, ref.value), (res.error_bound, ref.error_bound)):
+        for r, (mean, bound, evals, converged) in zip(radii, got):
+            ref_mean, ref_bound, ref_evals, ref_converged = _serial_circle_mean(fn, r, cfg)
+            assert (evals, converged) == (ref_evals, ref_converged)
+            for a, b in ((mean, ref_mean), (bound, ref_bound)):
                 assert a == b or math.isclose(a, b, rel_tol=1e-13)
-    evals = [res.evaluations for res in circle_means(log_dist, [1.0, 2.0, 4.0], CFG)]
-    assert evals == [128, MAX_CIRCLE_POINTS, 128]
+    assert circle_mean_arrays(log_dist, [1.0, 2.0, 4.0], CFG)[2].tolist() == [128, MAX_CIRCLE_POINTS, 128]
     assert max(rows * cols for rows, cols in sizes) == MAX_CIRCLE_POINTS // 2
     assert all(rows * cols <= CHUNK_POINTS for rows, cols in sizes if rows > 1)
-    capped = circle_means(fs, [0.5, 3.0, 9.0], QuadConfig(tol=1e-14, budget=300))
-    assert [(r.evaluations, r.converged) for r in capped] == [(128, True), (256, True), (256, False)]
+    _, _, evals, converged = circle_mean_arrays(fs, [0.5, 3.0, 9.0], QuadConfig(tol=1e-14, budget=300))
+    assert list(zip(evals.tolist(), converged.tolist())) == [(128, True), (256, True), (256, False)]
 
 
 def test_logabs2_matches_scaled_evaluation():
