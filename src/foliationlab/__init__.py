@@ -29,13 +29,9 @@ from .blowup import (
 )
 from .classify import (
     SingularityReport,
-    algebraic_multiplicity,
-    classify_reduced,
     classify_simple,
     is_dicritical,
-    ratio_in_Q_plus,
     singularity_report,
-    surface_seidenberg_type,
 )
 from .resolution import (
     ResolutionTower,

@@ -211,8 +211,9 @@ def effectivity_count(n: int, k: int, alpha: int):
 
 @dataclass(frozen=True)
 class SingularCluster:
-    """Conjugate singular points on E at the roots of an irreducible-over-
-    our-search residual polynomial in the direction coordinate (dim 2)."""
+    """Conjugate singular points on E at the roots of a residual polynomial
+    in the direction coordinate that an exhaustive search found to have no
+    root in Q(i) (dim 2)."""
 
     min_poly: tuple[GaussRat, ...]
 
@@ -295,8 +296,9 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
 
     Deduplication keeps only points whose direction coordinates vanish at
     every position before the chart index, so a point on E is reported by
-    exactly one chart.  Exact and complete in dimension 2 (irrational
-    locations are returned as conjugate clusters); in higher dimension the
+    exactly one chart.  Exact in dimension 2 (irrational locations are
+    returned as conjugate clusters), and complete unless the root search
+    stops at the divisor-norm cap; in higher dimension the
     enumeration is exact for multiplicity-one non-dicritical centers via
     eigendirections and for a restricted system of degree <= 1 (whose
     solution is zero at every index set to zero, so singular), and degrades
@@ -313,13 +315,14 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
         if unipoly.degree(g) <= 0:
             return ELocus(points=[], complete=True)
         res = unipoly.gaussian_rational_roots(g)
-        points = [(GaussRat(0), w0) for w0 in res.roots]
-        clusters = []
-        if not res.split_completely():
-            clusters.append(SingularCluster(tuple(unipoly.poly_monic(res.residual))))
         # drop duplicate points, keep deterministic order
-        uniq = sorted(set(points), key=lambda q: (str(q[0]), str(q[1])))
-        return ELocus(points=uniq, clusters=clusters, complete=True)
+        points = sorted({(GaussRat(0), w0) for w0 in res.roots}, key=lambda q: (str(q[0]), str(q[1])))
+        if not res.exhaustive:
+            return ELocus(points=points, complete=False, notes=[
+                "root search stopped at the divisor-norm cap %d; a residual of degree %d is not enumerated"
+                % (unipoly.DIVISOR_NORM_CAP, unipoly.degree(res.residual))])
+        clusters = [] if res.split_completely() else [SingularCluster(tuple(unipoly.poly_monic(res.residual)))]
+        return ELocus(points=points, clusters=clusters, complete=True)
 
     if eigen is not None:
         return eigen[j]

@@ -10,8 +10,8 @@ ch. 1), and the dim >= 3 probe is a run of `resolution`'s tower driver.
 
 The report and the terminal tests of the blow-up towers (which return a
 terminal germ's report, or the reason the germ is not terminal) read every
-verdict from one multiplicity, linear part and characteristic polynomial
-per germ, computed once.
+verdict from one gate, the multiplicity of a singular nonzero germ, and one
+linear part and characteristic polynomial per germ, computed once.
 
 Eigenvalue-ratio exclusions are decided exactly even when eigenvalues do
 not live in Q(i): one deflation of the characteristic polynomial by the
@@ -52,13 +52,8 @@ class NoDivisorThroughPoint(FoliationError):
     pass
 
 
-def ratio_in_Q_plus(lam: GaussRat, mu: GaussRat) -> bool | None:
-    """Is mu/lam a strictly positive rational?  None when lam = 0."""
-    lam = GaussRat.coerce(lam)
-    mu = GaussRat.coerce(mu)
-    if lam.is_zero():
-        return None
-    return (mu / lam).is_positive_rational()
+_NO_BLOWUP = "blow-up needs ambient dimension >= 2"
+_NOT_ISOLATED = "singular locus is not isolated at the origin"
 
 
 @dataclass(frozen=True)
@@ -143,8 +138,10 @@ class SingularityReport:
         }
 
 
-def algebraic_multiplicity(v: VectorFieldGerm) -> int:
-    """min over components of the vanishing order at the origin."""
+def _multiplicity(v: VectorFieldGerm) -> int:
+    """The gate of every verdict on a germ: its algebraic multiplicity, the
+    least vanishing order of a component at the origin, for a singular
+    nonzero germ."""
     if not is_singular_at_origin(v):
         raise NonSingularPoint("germ is not singular at the origin")
     m = min(c.vanishing_order() for c in v.components)
@@ -157,7 +154,7 @@ def _facts(v: VectorFieldGerm) -> tuple[int, linalg.Matrix, list[GaussRat], str]
     """Multiplicity, linear part, characteristic polynomial, and the reason the
     germ is not reduced: "" for multiplicity 1 and a linear part that is not
     nilpotent, i.e. a characteristic polynomial other than t^n."""
-    mult = algebraic_multiplicity(v)
+    mult = _multiplicity(v)
     lp = v.linear_part()
     cp = linalg.char_poly(lp)
     if mult != 1:
@@ -167,27 +164,11 @@ def _facts(v: VectorFieldGerm) -> tuple[int, linalg.Matrix, list[GaussRat], str]
     return mult, lp, cp, ""
 
 
-def classify_reduced(v: VectorFieldGerm) -> tuple[bool, str]:
-    """Reduced iff multiplicity 1 and the linear part is not nilpotent;
-    returns the verdict and the reason when it is False."""
-    why = _facts(v)[3]
-    return not why, why
-
-
-def surface_seidenberg_type(v: VectorFieldGerm) -> SurfaceType:
-    """Dimension-2 dichotomy: nondegenerate (invertible linear part) or
-    degenerate of type k, tested through the exact monomial surrogate of
-    the metric comparison after diagonalizing the nonzero eigendirection."""
-    if v.dim() != 2:
-        raise DimensionMismatch("surface types need dimension 2")
-    if not is_singular_at_origin(v):
-        raise NonSingularPoint("germ is not singular at the origin")
-    lp = v.linear_part()
-    return _surface_type(v, lp, linalg.char_poly(lp))
-
-
 def _surface_type(v: VectorFieldGerm, lp: linalg.Matrix, cp: list[GaussRat]) -> SurfaceType:
-    """`surface_seidenberg_type` of a singular dim-2 germ; cp = t^2 - tr t + det.
+    """Dimension-2 dichotomy of a singular germ with characteristic
+    polynomial cp = t^2 - tr t + det: nondegenerate (invertible linear part)
+    or degenerate of type k, tested through the exact monomial surrogate of
+    the metric comparison after diagonalizing the nonzero eigendirection.
 
     In the coordinates z = P w, P = (v_lam | v_ker), the field is
     P^-1 a(P w), and the test reads it only on the kernel axis w_1 = 0,
@@ -242,7 +223,8 @@ def corner_witnesses(lam0: dict[int, GaussRat]) -> list[tuple[int, int]]:
     """The axis pairs (p, q), in axis order, whose log coefficients make a
     corner: lam0[p] != 0 and lam0[q] / lam0[p] is not a positive rational."""
     axes = sorted(lam0)
-    return [(p, q) for p in axes for q in axes if q != p and ratio_in_Q_plus(lam0[p], lam0[q]) is False]
+    return [(p, q) for p in axes for q in axes
+            if q != p and not lam0[p].is_zero() and not (lam0[q] / lam0[p]).is_positive_rational()]
 
 
 def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, cp: list[GaussRat]) -> SimpleStatus | str:
@@ -301,16 +283,17 @@ def is_dicritical(v: VectorFieldGerm) -> bool:
     O(u^(m+2)), every P_i is O(u^(m+1)), s = m, and the saturated j-th
     component starts with h(w) != 0: E is not invariant.  A radial a^(m)
     makes every bracket vanish, so the same case holds in every chart."""
-    if not is_singular_at_origin(v):
-        raise NonSingularPoint("germ is not singular at the origin")
     if v.dim() == 2 and milnor_number(v) == math.inf:
-        raise FoliationError("singular locus is not isolated at the origin")
+        raise FoliationError(_NOT_ISOLATED)
+    m = _multiplicity(v)
+    if v.dim() < 2:
+        raise ValueError(_NO_BLOWUP)
+    return _radial(v, m)
+
+
+def _radial(v: VectorFieldGerm, m: int) -> bool:
+    """Is the leading form a^(m) of a germ of multiplicity m radial?"""
     n = v.dim()
-    if n < 2:
-        raise ValueError("blow-up needs ambient dimension >= 2")
-    m = min(c.vanishing_order() for c in v.components)
-    if m is math.inf:
-        raise ValueError("cannot blow up the zero field")
     z = [MVPoly.var(v.variables, name) for name in v.variables]
     a = [comp.homogeneous_part(m) for comp in v.components]
     return all((z[j] * a[i] - z[i] * a[j]).is_zero() for i in range(n) for j in range(i + 1, n))
@@ -337,12 +320,11 @@ def singularity_report(v: VectorFieldGerm, divisor: LogDivisor | None = None) ->
     mult, lp, cp, why = _facts(v)
     rep = _report(v, mult, lp, cp, why, None if divisor is None else _simple_status(v, divisor, cp), None)
     if v.dim() < 2:
-        rep.notes.append("dicriticality unavailable: blow-up needs ambient dimension >= 2")
+        rep.notes.append("dicriticality unavailable: " + _NO_BLOWUP)
+    elif v.dim() == 2 and milnor_number(v) == math.inf:
+        rep.notes.append("dicriticality unavailable: " + _NOT_ISOLATED)
     else:
-        try:
-            rep.dicritical = is_dicritical(v)
-        except FoliationError as exc:
-            rep.notes.append("dicriticality unavailable: %s" % exc)
+        rep.dicritical = _radial(v, mult)
     return rep
 
 
@@ -359,7 +341,7 @@ def seidenberg_terminal(v: VectorFieldGerm) -> SingularityReport | str:
     if why:
         return why
     if v.dim() < 2:
-        raise ValueError("blow-up needs ambient dimension >= 2")
+        raise ValueError(_NO_BLOWUP)
     if linalg.is_scalar(lp):
         return "reduced but dicritical"
     return _report(v, mult, lp, cp, why, None, False)
@@ -381,5 +363,5 @@ def simple_terminal(v: VectorFieldGerm, divisor: LogDivisor) -> SingularityRepor
     if not status.is_simple():
         return status.detail or status.kind
     if v.dim() < 2:
-        raise ValueError("blow-up needs ambient dimension >= 2")
+        raise ValueError(_NO_BLOWUP)
     return _report(v, mult, lp, cp, why, status, False)

@@ -262,7 +262,9 @@ def direction_map_density(gens_on_curve: Sequence[Expr]) -> Callable[[np.ndarray
 def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
                            zero_moduli: Sequence[float] = ()) -> tuple[list[float], list[float], list[bool]]:
     """T(r) = int_0^r q(rho) log(r/max(rho,1)) d rho for every r at once,
-    with q(rho) = 2 pi rho * (mean of density over |t| = rho).
+    with q(rho) = 2 pi rho * (mean of density over |t| = rho).  The density
+    must be nonnegative (every pullback density here is), so q is its own
+    magnitude.
 
     Adaptive Gauss-Kronrod 7/15 on segments between the breakpoints
     {0, 1, the octaves 2^k, r_grid, zero moduli below max r_grid}; the nodes
@@ -291,8 +293,8 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
     breaks = np.array(sorted({0.0, *(x for x in (1.0, *octaves, *radii, *zero_moduli) if 0.0 < x <= r_max)}))
     lo, hi = breaks[:-1], breaks[1:]
     # per evaluated segment (they come first), the rule's (K, K - G) of q,
-    # q lg, |q|, |q| lg, qb and qb lg, and whether all its circles converged
-    seg, ok = np.zeros((0, 6, 2)), np.zeros(0, dtype=bool)
+    # q lg, qb and qb lg, and whether all its circles converged
+    seg, ok = np.zeros((0, 4, 2)), np.zeros(0, dtype=bool)
     evals = 0
     while True:
         done = seg.shape[0]
@@ -305,16 +307,16 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
             q, qb = scale * mean.reshape(rho.shape), scale * bound.reshape(rho.shape)
         lg = np.log(np.maximum(rho, 1.0))
         with np.errstate(invalid="ignore"):  # infinite circle bounds give nan, read as inf below
-            f = np.stack([q, q * lg, np.abs(q), np.abs(q) * lg, qb, qb * lg], axis=1)
+            f = np.stack([q, q * lg, qb, qb * lg], axis=1)
             seg = np.concatenate([seg, f @ GK_RULE])
         ok = np.concatenate([ok, converged.reshape(rho.shape).all(axis=1)])
-        # (I0, I1) rows: Kronrod values, their K - G, magnitudes, circle bounds
-        kron, est, mag, circ = seg[:, 0:2, 0], seg[:, 0:2, 1], seg[:, 2:4, 0], seg[:, 4:6, 0]
+        # (I0, I1) rows: Kronrod values (q >= 0: also their magnitudes), their K - G, circle bounds
+        kron, est, circ = seg[:, 0:2, 0], seg[:, 0:2, 1], seg[:, 2:4, 0]
         inside = hi[:, None] <= radii
         # each segment's K - G at the radius that sees the most of it
         errs = np.where(inside, np.abs(est @ weights), 0.0).max(axis=1)
         target = max(cfg.tol * max(1.0, abs(kron.sum(axis=0) @ last)),
-                     ROUNDOFF * (mag.sum(axis=0) @ np.abs(last)))
+                     ROUNDOFF * (kron.sum(axis=0) @ np.abs(last)))
         if errs.sum() <= target or evals > cfg.budget:
             break
         order = np.argsort(-errs)
@@ -336,7 +338,7 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
     T = total(kron @ weights)
     with np.errstate(invalid="ignore"):
         circle = np.nan_to_num(np.abs(circ @ weights), nan=math.inf)
-    bounds = total(np.abs(est @ weights)) + total(circle) + ROUNDOFF * total(mag @ np.abs(weights))
+    bounds = total(np.abs(est @ weights)) + total(circle) + ROUNDOFF * total(kron @ np.abs(weights))
     diverged = ((inside & ~ok[:, None]).any(axis=0) | (evals > cfg.budget)
                 | (bounds > 1e-3 * np.maximum(1.0, np.abs(T))))
     return T.tolist(), bounds.tolist(), diverged.tolist()

@@ -497,8 +497,8 @@ def reference_formal_separatrix(v: VectorFieldGerm, direction: int, order: int, 
 
 
 def reference_surface_type(v: VectorFieldGerm) -> classify.SurfaceType:
-    """`surface_seidenberg_type` of a singular dim-2 germ from the whole
-    field conjugated by P = (v_lam | v_ker)."""
+    """The surface type of a singular dim-2 germ, as `singularity_report`
+    gives it, from the whole field conjugated by P = (v_lam | v_ker)."""
     lp = v.linear_part()
     cp = linalg.char_poly(lp)
     if not cp[0].is_zero():
@@ -545,7 +545,7 @@ def reference_corner_report(v: VectorFieldGerm, divisor: LogDivisor, order: int)
         if lam0[p].is_zero():
             continue
         for q in axes:
-            if q != p and classify.ratio_in_Q_plus(lam0[p], lam0[q]) is False:
+            if q != p and not (lam0[q] / lam0[p]).is_positive_rational():
                 witnesses.append(
                     "axes (%d, %d): nu_%d/nu_%d would equal %s, not a positive rational"
                     % (p + 1, q + 1, q + 1, p + 1, str(lam0[q] / lam0[p])))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly, chart_pullback
-from foliationlab.classify import algebraic_multiplicity, is_dicritical
+from foliationlab.classify import singularity_report
 from foliationlab.foliation import LogDivisor, VectorFieldGerm, is_singular_at_origin, milnor_number, translate_to_point
 from foliationlab.blowup import (
     SectionExists,
@@ -420,7 +420,7 @@ def test_multiplicity_one_center_has_s_zero_everywhere_iff_not_scalar(v):
     """For a multiplicity-one center with linear part A, the u^1 coefficient
     of P_i in chart j is (A(e_j + w))_i - w_i (A(e_j + w))_j: every chart
     has s = 0 unless A = cI, and then every chart has s >= 1."""
-    assume(algebraic_multiplicity(v) == 1)
+    assume(singularity_report(v).multiplicity == 1)
     lp = v.linear_part()
     s = [transform_vector_field(v, j).saturation_exponent for j in range(v.dim())]
     if lp == scalar_matrix(v.dim(), lp[0][0]):
@@ -478,7 +478,8 @@ def test_milnor_conservation_over_one_blowup():
     positive remainder divisible by d."""
     kinds = set()
     for v in seidenberg_corpus():
-        nu, dicritical = algebraic_multiplicity(v), is_dicritical(v)
+        rep = singularity_report(v)
+        nu, dicritical = rep.multiplicity, rep.dicritical
         want = milnor_number(v) - nu * nu + (-nu if dicritical else nu) + 1
         got, clusters = 0, []
         for sat, locus in blow_up(v):

@@ -18,15 +18,11 @@ from foliationlab.foliation import (
 )
 from foliationlab import blowup, classify, linalg, unipoly
 from foliationlab.classify import (
-    DimensionMismatch,
     NonSingularPoint,
-    algebraic_multiplicity,
-    classify_reduced,
     classify_simple,
+    corner_witnesses,
     is_dicritical,
-    ratio_in_Q_plus,
     singularity_report,
-    surface_seidenberg_type,
 )
 from foliationlab.dsl import parse_vector_field
 
@@ -50,40 +46,63 @@ def germ(*comps):
 
 
 def test_ratio_in_q_plus():
-    assert ratio_in_Q_plus(GaussRat(1), GaussRat(2)) is True
-    assert ratio_in_Q_plus(GaussRat(1), GaussRat(-1)) is False
-    assert ratio_in_Q_plus(I, 2 * I) is True
-    assert ratio_in_Q_plus(GaussRat(0), GaussRat(1)) is None
-    assert ratio_in_Q_plus(GaussRat(1), GaussRat(0)) is False
+    """A pair (p, q) of divisor axes is a corner witness iff lam_p != 0 and
+    lam_q / lam_p is not a positive rational."""
+    def witnessed(lam, mu):
+        return (0, 1) in corner_witnesses({0: GaussRat.coerce(lam), 1: GaussRat.coerce(mu)})
+
+    assert not witnessed(GaussRat(1), GaussRat(2))
+    assert witnessed(GaussRat(1), GaussRat(-1))
+    assert not witnessed(I, 2 * I)
+    assert not witnessed(GaussRat(0), GaussRat(1))  # zero pivot
+    assert witnessed(GaussRat(1), GaussRat(0))
+    assert corner_witnesses({0: GaussRat(0), 1: GaussRat(1)}) == [(1, 0)]
 
 
 def test_multiplicity():
-    assert algebraic_multiplicity(germ(X, Y)) == 1
-    assert algebraic_multiplicity(germ(Y, X * X)) == 1
-    assert algebraic_multiplicity(germ(X * X, Y**3)) == 2
+    assert singularity_report(germ(X, Y)).multiplicity == 1
+    assert singularity_report(germ(Y, X * X)).multiplicity == 1
+    assert singularity_report(germ(X * X, Y**3)).multiplicity == 2
     with pytest.raises(NonSingularPoint):
-        algebraic_multiplicity(parse_vector_field("v = d/dx + y d/dy"))
+        singularity_report(parse_vector_field("v = d/dx + y d/dy"))
 
 
 def test_reduced():
-    assert classify_reduced(germ(X, -1 * Y))[0]
-    ok, why = classify_reduced(germ(Y, X * X))
-    assert not ok and "nilpotent" in why
-    ok, why = classify_reduced(germ(X * X, Y * Y))
-    assert not ok and "multiplicity" in why
+    assert singularity_report(germ(X, -1 * Y)).reduced
+    rep = singularity_report(germ(Y, X * X))
+    assert not rep.reduced and "nilpotent" in rep.notes[0]
+    rep = singularity_report(germ(X * X, Y * Y))
+    assert not rep.reduced and "multiplicity" in rep.notes[0]
 
 
 def test_surface_types():
-    assert surface_seidenberg_type(germ(X, -1 * Y)).kind == "non_degenerate"
-    t = surface_seidenberg_type(germ(X, Y**3))
+    assert singularity_report(germ(X, -1 * Y)).surface_type.kind == "non_degenerate"
+    t = singularity_report(germ(X, Y**3)).surface_type
     assert t.kind == "degenerate" and t.k == 3
-    assert surface_seidenberg_type(germ(Y, X * X)).kind == "unclassified"
+    assert singularity_report(germ(Y, X * X)).surface_type.kind == "unclassified"
     # saddle-node with the nonzero eigenvalue on the second axis
-    t = surface_seidenberg_type(germ(X * X, Y))
+    t = singularity_report(germ(X * X, Y)).surface_type
     assert t.kind == "degenerate" and t.k == 2
-    with pytest.raises(DimensionMismatch):
-        vs3 = ("x", "y", "z")
-        surface_seidenberg_type(VectorFieldGerm(vs3, [MVPoly.var(vs3, n) for n in vs3]))
+    vs3 = ("x", "y", "z")
+    rep = singularity_report(VectorFieldGerm(vs3, [MVPoly.var(vs3, n) for n in vs3]))
+    assert rep.surface_type.kind == "not_applicable"
+
+
+def test_one_report_runs_the_gate_once(monkeypatch):
+    """The report reads its dicriticality off the multiplicity its gate
+    returned: one singular test and one multiplicity per call."""
+    gates, singular_tests = [], []
+    gate, singular = classify._multiplicity, classify.is_singular_at_origin
+    monkeypatch.setattr(classify, "_multiplicity", lambda v: gates.append(v) or gate(v))
+    monkeypatch.setattr(classify, "is_singular_at_origin", lambda v: singular_tests.append(v) or singular(v))
+    for text, divisor in [("v = (x + x^2) d/dx + (y + x*y) d/dy", None),
+                          ("v = x d/dx - y d/dy", LogDivisor({0})),
+                          ("v = x*y d/dx + x*y^2 d/dy", None),
+                          ("v = x d/dx + y d/dy + 2*z d/dz", None)]:
+        gates.clear()
+        singular_tests.clear()
+        singularity_report(parse_vector_field(text), divisor)
+        assert len(gates) == 1 and len(singular_tests) == 1, text
 
 
 def test_surface_type_matches_conjugation_reference():
@@ -92,7 +111,7 @@ def test_surface_type_matches_conjugation_reference():
     0-3 Seidenberg towers; the escape notes name the same first monomial."""
     kinds = set()
     for v in seeded_tower_germs():
-        got = surface_seidenberg_type(v)
+        got = singularity_report(v).surface_type
         assert got == reference_surface_type(v), v
         kinds.add(got.note.split(" ")[0] if got.kind == "unclassified" else got.kind)
     assert kinds == {"non_degenerate", "degenerate", "linear", "second", "monomial"}
@@ -122,7 +141,7 @@ def _saddle_nodes(draw):
 @given(_saddle_nodes())
 @example(conjugate_by(germ(X + Y * Y, Y**3), inverse(mat([[1, 1], [1, -1]]))))
 def test_surface_type_matches_conjugation_reference_on_saddle_nodes(v):
-    assert surface_seidenberg_type(v) == reference_surface_type(v)
+    assert singularity_report(v).surface_type == reference_surface_type(v)
 
 
 def test_classify_simple_examples():
@@ -132,6 +151,9 @@ def test_classify_simple_examples():
     assert classify_simple(germ(X, I * Y), LogDivisor({0, 1})).kind == "simple_corner"
     with pytest.raises(classify.NoDivisorThroughPoint):
         classify_simple(germ(X, Y), LogDivisor.empty())
+    # no multiplicity gate here: the zero field is not simple
+    zero = germ(MVPoly.zero(VARS), MVPoly.zero(VARS))
+    assert classify_simple(zero, LogDivisor({0})).kind == "not_simple"
 
 
 def test_simple_type_b_with_irrational_others():
@@ -270,11 +292,14 @@ VARS4 = ("x", "y", "z", "w")
 
 
 def _dicritical_by_blowup(v):
-    """Reference: blow up once and test E-invariance in every chart."""
+    """Reference: blow up once and test E-invariance in every chart; the
+    zero field has no multiplicity, so no blow-up of it is read."""
     if not is_singular_at_origin(v):
         raise NonSingularPoint("germ is not singular at the origin")
     if v.dim() == 2 and milnor_number(v) == math.inf:
         raise FoliationError("singular locus is not isolated at the origin")
+    if all(c.is_zero() for c in v.components):
+        raise FoliationError("zero vector field has no multiplicity")
     for j in range(v.dim()):
         sat = blowup.transform_vector_field(v, j)
         if not sat.exceptional_invariant:
@@ -346,12 +371,12 @@ def test_seidenberg_terminal_dicritical_iff_scalar_linear_part():
     roots of the seed 0-3 corpora and every singular point of their towers."""
     found = {True: 0, False: 0}
     for v in seeded_tower_germs():
-        if not is_singular_at_origin(v) or algebraic_multiplicity(v) != 1:
+        if not is_singular_at_origin(v) or (rep := singularity_report(v)).multiplicity != 1:
             continue
         lp = v.linear_part()
         scalar = lp == scalar_matrix(2, lp[0][0])
         assert is_dicritical(v) == scalar
-        if classify_reduced(v)[0]:
+        if rep.reduced:
             assert (classify.seidenberg_terminal(v) == "reduced but dicritical") == scalar
         found[scalar] += 1
     assert found[True] and found[False]

@@ -195,6 +195,69 @@ def test_separatrix_json_text_is_pinned(argv, doc):
     assert code == 0 and out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _classify_doc(lp, values, mult, notes, reduced, surface_type, dicritical, simple_status=None):
+    return {"command": "classify", "schema": "foliation-lab/1", "result": {
+        "dicritical": dicritical, "eigenvalues": {"indeterminate": False, "values": values},
+        "linear_part": lp, "multiplicity": mult, "notes": notes, "reduced": reduced,
+        "simple_status": simple_status, "surface_type": surface_type}}
+
+
+NILPOTENT = "linear part nilpotent or zero: not in the reduced list"
+PINNED_CLASSIFY_OUTPUTS = {
+    "readme": (["classify", "v = y d/dx + x^2 d/dy"], _classify_doc(
+        [["0", "1"], ["0", "0"]], ["0", "0"], 1,
+        ["nilpotent linear part (characteristic polynomial t^n)", NILPOTENT], False,
+        {"kind": "unclassified", "note": NILPOTENT}, False)),
+    "dim1": (["classify", "v = x d/dx"], _classify_doc(
+        [["1"]], ["1"], 1, ["dicriticality unavailable: blow-up needs ambient dimension >= 2"], True,
+        {"kind": "not_applicable"}, None)),
+    "not-isolated": (["classify", "v = x*y d/dx + x*y^2 d/dy"], _classify_doc(
+        [["0", "0"], ["0", "0"]], ["0", "0"], 2,
+        ["multiplicity 2 > 1", NILPOTENT, "dicriticality unavailable: singular locus is not isolated at the origin"],
+        False, {"kind": "unclassified", "note": NILPOTENT}, None)),
+    "dicritical": (["classify", "v = (x + x^2) d/dx + (y + x*y) d/dy"], _classify_doc(
+        [["1", "0"], ["0", "1"]], ["1", "1"], 1, [], True, {"kind": "non_degenerate"}, True)),
+    "dim3": (["classify", "v = x d/dx + y d/dy + 2*z d/dz"], _classify_doc(
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]], ["1", "1", "2"], 1, [], True,
+        {"kind": "not_applicable"}, False)),
+    "simple-b": (["classify", "v = x d/dx - y d/dy", "--divisor", "{x}"], _classify_doc(
+        [["1", "0"], ["0", "-1"]], ["-1", "1"], 1, [], True, {"kind": "non_degenerate"}, False,
+        {"kind": "simple_point_B"})),
+}
+
+
+@pytest.mark.parametrize("argv, doc", PINNED_CLASSIFY_OUTPUTS.values(), ids=PINNED_CLASSIFY_OUTPUTS)
+def test_classify_json_text_is_pinned(argv, doc):
+    code, out = run_cli(argv)
+    assert code == 0 and out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_classify_zero_field_exits_one(capsys):
+    assert cli.main(["classify", "v = 0*x d/dx + 0*y d/dy"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: zero vector field has no multiplicity\n"
+
+
+# points on E at w = 1000, 1001, 1002: the outer coefficient of their cubic
+# has norm past the divisor-norm cap, so the root search stops
+CAPPED = "v = (-y^2 + 3003*x*y - 3005002*x^2) d/dx + (-1003002000*x^2) d/dy"
+
+
+def test_capped_root_search_is_not_a_conjugate_cluster():
+    code, out = run_cli(["blowup", CAPPED])
+    assert code == 0
+    c1 = json.loads(out)["result"]["c1"]
+    assert c1["enumeration_complete"] is False
+    assert c1["clusters"] == [] and c1["singular_points_on_E"] == []
+    for mode in ("simple", "seidenberg"):
+        code, out = run_cli(["resolve", CAPPED, "--mode", mode])
+        assert code == 0
+        doc = json.loads(out)["result"]
+        assert doc["status"] == "blocked" and doc["terminal_singularities"] == []
+        assert doc["reason"].startswith("singular-point enumeration incomplete at b1.c1: "
+                                        "root search stopped at the divisor-norm cap 200000")
+
+
 def test_stated_zero_order_past_the_cap_is_refused_at_once(capsys):
     def too_slow(signum, frame):
         raise TimeoutError("the order check of a stated zero did not stop")

@@ -61,7 +61,7 @@ def test_reduced_nonresonant_is_simple_on_invariant_axis():
     # simple classification never fails for ratio reasons
     for lam in (GaussRat(-1), GaussRat(-3), GaussRat(Fraction := __import__("fractions").Fraction(-2, 3)), I):
         v = germ(X, GaussRat.coerce(lam) * Y)
-        assert classify.classify_reduced(v)[0]
+        assert classify.singularity_report(v).reduced
         status = classify.classify_simple(v, LogDivisor({0}))
         assert status.kind != "not_simple"
 

@@ -129,7 +129,7 @@ def test_nondegenerate_blowup_dichotomy():
         for sat, locus in blowup.blow_up(v):
             for pt in locus.points:
                 child = translate_to_point(sat.saturated_field, pt)
-                found.append(classify.surface_seidenberg_type(child).kind)
+                found.append(classify.singularity_report(child).surface_type.kind)
         assert found == ["non_degenerate", "non_degenerate"]
 
 
@@ -144,7 +144,7 @@ def test_degenerate_type_blowup_dichotomy():
         for sat, locus in blowup.blow_up(v):
             for pt in locus.points:
                 child = translate_to_point(sat.saturated_field, pt)
-                st = classify.surface_seidenberg_type(child)
+                st = classify.singularity_report(child).surface_type
                 kinds.append((st.kind, st.k))
         assert ("non_degenerate", None) in kinds
         assert ("degenerate", k) in kinds
