@@ -247,12 +247,13 @@ def cmd_nevanlinna(args, out) -> int:
         zeros = curve.zeros_for("f1")
         reports = nevanlinna.jensen_verify(curve.components[0], zeros, radii, cfg)
         worst = max(rep.residual - rep.quadrature_bound for rep in reports)
+        floor = args.tol * max(max(1.0, abs(rep.average_r), abs(rep.average_1)) for rep in reports)
         _emit_json("nevanlinna", {
             "check": "jensen",
             "reports": [rep.to_jsonable() for rep in reports],
             "max_excess_residual": worst,
         }, out)
-        return EXIT_OK
+        return EXIT_REFUTED if worst > floor else EXIT_OK  # a residual past its bound: an undeclared zero
     if check == "fmt":
         if args.ideal is None:
             raise FoliationError("fmt check needs --ideal")

@@ -113,8 +113,11 @@ class Poly(Expr):
         """Horner's rule from the leading coefficient."""
         t = np.asarray(t, dtype=complex)
         lead, *rest = self.horner
-        out = np.full_like(t, lead)
-        for c in rest:
+        if not rest:
+            return np.full_like(t, lead)
+        out = lead * t  # the first step, with no array of the leading coefficient
+        out += rest[0]
+        for c in rest[1:]:
             out *= t
             out += c
         return out

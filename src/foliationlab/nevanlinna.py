@@ -31,7 +31,7 @@ import numpy as np
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
 from .foliation import VectorFieldGerm
-from .exprtree import Expr, Poly, expr_from_mvpoly, order_at
+from .exprtree import Exp, Expr, Poly, expr_from_mvpoly, order_at
 from .quadrature import GK_NODES, GK_RULE, QuadConfig, circle_mean_arrays, nudge_radius
 
 Zero = tuple[GaussRat, int]  # (location, multiplicity)
@@ -205,11 +205,20 @@ def _fs_term_poly(g: Poly, gp: Poly, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fs_term_exp(g: Exp, ap: Poly, t: np.ndarray) -> np.ndarray:
+    """|g'|^2 / (1 + |g|^2)^2 for g = e^A, in closed form |A'|^2 / (4 cosh^2 Re A)."""
+    with np.errstate(over="ignore"):  # a cosh past the float range makes the term exactly 0
+        return (np.abs(ap.eval_plain(t)) / (2.0 * np.cosh(np.real(g.arg.eval_plain(t))))) ** 2
+
+
 def fs_sum_density(components: Sequence[Expr]) -> Callable[[np.ndarray], np.ndarray]:
     """Sum of the Fubini-Study pullback densities of the components.
-    Polynomial components are evaluated directly, the others in the log
-    domain."""
-    terms = [(_fs_term_poly if isinstance(c, Poly) else _fs_term_log, c, c.diff()) for c in components]
+    Polynomial components are evaluated directly, a bare exp(A) in the
+    closed form |A'|^2 / (4 cosh^2 Re A), and every other kind (products,
+    sums, powers, c * exp(A)) in the log domain."""
+    terms = [(_fs_term_poly, c, c.diff()) if isinstance(c, Poly) else
+             (_fs_term_exp, c, c.arg.diff()) if isinstance(c, Exp) else
+             (_fs_term_log, c, c.diff()) for c in components]
 
     def dens(t: np.ndarray) -> np.ndarray:
         total = np.zeros(t.shape, dtype=float)

@@ -18,7 +18,9 @@ denominators and the Fraction-candidate `real_rational_roots`, which the
 Z[i] elimination and the integer root path are checked against, and the
 type-B verdict from the two deflations (a root multiplicity and a
 positive-ratio test) that `classify._simple_status` is checked against,
-and the false zero declarations that the curve and the CLI must refuse."""
+the false zero declarations that the curve and the CLI must refuse, and
+Horner's rule from an array of the leading coefficient, which
+`Poly.eval_plain` is checked against bit for bit."""
 
 import functools
 import math
@@ -276,6 +278,20 @@ def reference_jensen_verify(p, zeros, r: float, cfg):
         r=r_use, residual=abs(mass - avg_r + avg_1), quadrature_bound=bound_r + bound_1,
         counting_term=counting, average_r=avg_r, average_1=avg_1, unit_disk_correction=correction,
     )
+
+
+def reference_horner(p, t):
+    """Horner's rule on Poly p from an array filled with the leading
+    coefficient, multiplied in place by t before each coefficient is added."""
+    import numpy as np
+
+    t = np.asarray(t, dtype=complex)
+    lead, *rest = p.horner
+    out = np.full_like(t, lead)
+    for c in rest:
+        out *= t
+        out += c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,16 @@ def test_exit_codes():
     assert code == 1
 
 
+def test_jensen_exits_two_when_a_residual_passes_its_bound():
+    # the zero at 2 is not declared: the residual 2 log 2 against a bound of 0
+    code, out = run_cli(["nevanlinna", "f(t) = (t - 2)", "--check", "jensen", "--radii", "4:4:1"])
+    assert code == 2
+    assert json.loads(out)["result"]["max_excess_residual"] == pytest.approx(2.0 * math.log(2.0))
+    code, out = run_cli(["nevanlinna", "f(t) = (t - 2) zeros: f1 at 2", "--check", "jensen", "--radii", "4:16:3"])
+    assert code == 0
+    assert json.loads(out)["result"]["max_excess_residual"] <= 1e-14
+
+
 def test_usage_errors_exit_one(capsys):
     # argparse exits 2 on its own; 2 is reserved for mathematical refutations
     assert cli.main(["classify"]) == 1
@@ -277,7 +287,9 @@ EXP_SUM_50 = "(exp(t) + exp(2*i*t) + exp(3*t) + exp(5*i*t))^50"
 
 
 @pytest.mark.parametrize("component, code, message", [
-    ("(exp(t) - exp(t^2))^12", 0, ""),  # one exp group at 1, of order 1, to the 12th power
+    # one exp group at 1, of order 1, to the 12th power: the declaration is accepted, and Jensen
+    # refutes it, since the zeros at 0 and off Q(i) inside |t| < 4 are not declared
+    ("(exp(t) - exp(t^2))^12", 2, ""),
     (EXP_SUM_50, 1, "does not vanish"),  # four distinct exp values at 1: order 0 without expanding the power
     (EXP_SUM_50 + " + t", 1, "past the limit of 4096 group products"),
 ])

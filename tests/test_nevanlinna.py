@@ -11,7 +11,7 @@ from foliationlab.foliation import VectorFieldGerm
 from foliationlab.exprtree import Exp, Mul, Poly, t_expr
 from foliationlab.quadrature import QuadConfig, nudge_radius
 from foliationlab import nevanlinna as nv
-from helpers import FALSE_DECLARATIONS, reference_jensen_verify
+from helpers import FALSE_DECLARATIONS, reference_horner, reference_jensen_verify
 
 CFG = QuadConfig(tol=1e-9)
 VARS = ("x", "y")
@@ -494,6 +494,45 @@ def test_T_exp_within_bound(text, a):
         assert abs(T - ref) <= b
 
 
+_small_gauss = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=4), st.fractions(-3, 3, max_denominator=4))
+
+
+@given(st.lists(_small_gauss, min_size=2, max_size=3).filter(lambda cs: not cs[-1].is_zero()),
+       st.lists(st.complex_numbers(max_magnitude=400, allow_nan=False, allow_infinity=False), min_size=1, max_size=32))
+@example([GaussRat(0), GaussRat(2)], [400, -400, 360, 180, 200j, 0.5 + 1j])  # |Re A| = 800, 720, 360: cosh^2 overflows
+@example([GaussRat(1), GaussRat(0), GaussRat(0, 1)], [20 + 20j, 15 - 17j, 1j])  # A' = 2it vanishes at 0
+@settings(max_examples=100, deadline=None)
+def test_exp_term_matches_the_log_domain(coeffs, points):
+    """|A'|^2 / (4 cosh^2 Re A) equals the log-domain FS term of e^A, with no
+    warning past the float range of cosh."""
+    import warnings
+
+    import numpy as np
+
+    a = Poly(coeffs)
+    g = Exp(a)
+    t = np.array(points, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nv._fs_term_exp(g, a.diff(), t)
+        ref = nv._fs_term_log(g, g.diff(), t)
+    big = ref > 1e-290
+    assert np.all(np.abs(got[big] - ref[big]) <= 1e-11 * ref[big])
+    assert np.all(got[~big] <= 1e-290)
+
+
+@pytest.mark.parametrize("text", ["f(t) = (exp(t))", "f(t) = (exp(-2*t))"])
+def test_T_of_a_bare_exp_takes_the_closed_form(monkeypatch, text):
+    from foliationlab.dsl import parse_curve
+
+    def log_domain(*args):
+        raise AssertionError("log-domain FS term on a bare exp component")
+
+    monkeypatch.setattr(nv, "_fs_term_log", log_domain)
+    prof = nv.characteristic_T(parse_curve(text), "fs", [4.0 * 2 ** k for k in range(7)], QuadConfig())
+    assert not any(prof.diverged)
+
+
 def test_fmt_zero_on_a_grid_circle_converges():
     # the ideal zero at -3 lies between grid radii; no radial node may put a
     # circle through it
@@ -613,6 +652,34 @@ def test_logabs2_matches_scaled_evaluation():
     for e in (p, exprs[3], exprs[4], exprs[5]):
         la = e.logabs2(t)
         assert np.isneginf(la).any() and np.isfinite(la).any()
+
+
+_qi_coeff = st.builds(GaussRat, st.fractions(-50, 50, max_denominator=9), st.fractions(-50, 50, max_denominator=9))
+
+
+@given(st.lists(_qi_coeff, min_size=1, max_size=9),
+       st.sampled_from([(1,), (2,), (7,), (1, 1), (1, 3), (4, 1), (3, 5)]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_horner_is_bit_for_bit_the_full_array_start(coeffs, shape, data):
+    """Starting Horner from lead * t gives the bits of starting from an
+    array of the leading coefficient, on 1-D and 2-D arrays of two points or
+    more.  On one point numpy rounds the in-place product without the fused
+    multiply-add of its vector loop, so there the two agree to the Horner
+    error bound."""
+    import numpy as np
+
+    points = data.draw(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                                min_size=math.prod(shape), max_size=math.prod(shape)))
+    p = Poly(coeffs)
+    t = np.array(points, dtype=complex).reshape(shape)
+    got, ref = p.eval_plain(t), reference_horner(p, t)
+    assert got.shape == ref.shape == t.shape
+    if t.size > 1:
+        assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+    else:
+        scale = sum(abs(c) * np.abs(t) ** k for k, c in enumerate(reversed(p.horner)))
+        assert np.all(np.abs(got - ref) <= 8 * len(p.horner) * np.finfo(float).eps * scale)
 
 
 def test_folding_rules():
