@@ -174,24 +174,22 @@ def _surface_type(v: VectorFieldGerm, lp: linalg.Matrix, cp: list[GaussRat]) -> 
     P^-1 a(P w), and the test reads it only on the kernel axis w_1 = 0,
     where it is P^-1 a(w_2 v_ker).  The adjugate of P stands in for P^-1:
     the two differ by the factor det P, which changes no exponent.  Since
-    L v_ker = 0, a(w_2 v_ker) = O(w_2^2), so the type k is at least 2."""
+    L v_ker = 0, a(w_2 v_ker) = O(w_2^2), so the type k is at least 2.
+
+    With det = 0 and tr != 0, L = [[a, b], [c, d]] has rank one: v_ker =
+    (b, -a), or (d, -c) if the first row is 0; v_lam = (a, c), or (b, d) if
+    the first column is 0.  Their scale multiplies each w_2^j term by a
+    nonzero factor, so it changes neither k nor the escapes."""
     if not cp[0].is_zero():
         return NON_DEGENERATE
-    tr = -cp[1]
-    if tr.is_zero():
+    if cp[1].is_zero():
         return unclassified("linear part nilpotent or zero: not in the reduced list")
-    # eigenvalues are (tr, 0) when the determinant vanishes
-    v_lam = linalg.eigenvector(lp, tr)
-    v_ker = linalg.eigenvector(lp, GaussRat(0))
+    (a, b), (c, d) = lp
+    v_ker = (d, -c) if a.is_zero() and b.is_zero() else (b, -a)
+    v_lam = (b, d) if a.is_zero() and c.is_zero() else (a, c)
     w2 = MVPoly.var(v.variables, v.variables[1])
-    on_axis = [c.subs([w2 * v_ker[0], w2 * v_ker[1]]) for c in v.components]
-    w = []
-    for row in ((v_ker[1], -v_ker[0]), (-v_lam[1], v_lam[0])):
-        acc = MVPoly.zero(v.variables)
-        for c, a in zip(row, on_axis):
-            if not c.is_zero():
-                acc = acc + a * c
-        w.append(acc)
+    a0, a1 = (comp.subs([w2 * v_ker[0], w2 * v_ker[1]]) for comp in v.components)
+    w = [a0 * v_ker[1] - a1 * v_ker[0], a1 * v_lam[0] - a0 * v_lam[1]]
     k = w[1].min_exponent_in(1)
     if k is math.inf:
         return unclassified("second component vanishes on the kernel axis: type k unbounded")

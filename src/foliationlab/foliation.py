@@ -151,7 +151,7 @@ def translate_to_point(v: VectorFieldGerm, point: Sequence[GaussRat]) -> VectorF
 
 
 def is_singular_at_origin(v: VectorFieldGerm) -> bool:
-    return all(c.constant_term().is_zero() for c in v.components)
+    return all((0,) * len(v.variables) not in c.num for c in v.components)
 
 
 def _x_axis(f: dict) -> tuple[int, int, tuple[int, int]] | None:
@@ -175,7 +175,9 @@ def _zi_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 def milnor_number(v: VectorFieldGerm) -> int | float:
     """Dim 2: the Milnor number mu_0(v) = I_0(a, b) = dim O_0/(a, b) of the
     components a, b, or math.inf when they share a branch through 0, i.e.
-    when the singularity is not isolated; 0 off the singular locus.
+    when the singularity is not isolated; 0 off the singular locus.  It is
+    1 iff a_x b_y - a_y b_x != 0 at 0, read from the linear numerators
+    before Fulton's loop runs.
 
     Fulton's algorithm (Algebraic Curves, section 3.3) on the Z[i]
     numerators, where constant factors leave I_0 unchanged.  Reduce: with
@@ -196,6 +198,10 @@ def milnor_number(v: VectorFieldGerm) -> int | float:
     a, b = v.components
     if not is_singular_at_origin(v):
         return 0
+    (p, q), (r, s) = a.num.get((1, 0), (0, 0)), b.num.get((0, 1), (0, 0))  # a_x, b_y
+    (t, u), (w, z) = a.num.get((0, 1), (0, 0)), b.num.get((1, 0), (0, 0))  # a_y, b_x
+    if p * r - q * s != t * w - u * z or p * s + q * r != t * z + u * w:
+        return 1  # a_x b_y != a_y b_x at 0: the Jacobian is invertible
     if a.is_zero() or b.is_zero():
         return math.inf
     bound = a.total_degree() * b.total_degree()

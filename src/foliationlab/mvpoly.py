@@ -15,7 +15,8 @@ den = 1.  GaussRat appears only at the boundary: ``coeff``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, inf, lcm
+from functools import cache
+from math import comb, gcd, inf, lcm, prod
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -257,15 +258,34 @@ class MVPoly:
     def subs(self, images: Sequence["MVPoly"]) -> "MVPoly":
         """Ring homomorphism sending variable i to images[i].
 
-        All images must share one target ring.  Monomial powers are cached
-        per variable; the terms are summed into one dict over the lcm of
-        their denominators."""
+        All images must share one target ring.  Single-term images (zero
+        included) send each term to one term or none, summed over
+        prod q_i^m_i (image denominators q_i, top exponents m_i).  Other
+        images: monomial powers are cached per variable; the terms are
+        summed into one dict over the lcm of their denominators."""
         if len(images) != len(self.variables):
             raise ValueError("need one image per variable")
         target = images[0].variables
         for im in images:
             if im.variables != target:
                 raise ValueError("images live in different rings")
+        if all(len(im.num) <= 1 for im in images):
+            heads = [next(iter(im.num.items()), None) for im in images]
+            kept = [(e, c) for e, c in self.num.items() if all(h or not k for h, k in zip(heads, e))]
+            tops = [max([e[i] for e, _ in kept], default=0) for i in range(len(images))]
+            out: Numerators = {}
+            for e, (a, b) in kept:
+                exp = (0,) * len(target)
+                for h, im, k, m in zip(heads, images, e, tops):
+                    if k:
+                        f, (x, y) = h
+                        for _ in range(k):
+                            a, b = a * x - b * y, a * y + b * x
+                        exp = tuple([u + k * v for u, v in zip(exp, f)])
+                    s = im.den ** (m - k)
+                    a, b = a * s, b * s
+                _accumulate(out, exp, a, b)
+            return _normal(target, _nonzero(out), self.den * prod(im.den**m for im, m in zip(images, tops)))
         one = MVPoly.const(target, 1)
         powers: list[dict[int, MVPoly]] = [{0: one} for _ in images]
 
@@ -443,12 +463,17 @@ def _shift_down(p: MVPoly, i: int, k: int) -> MVPoly:
     return _poly(p.variables, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in p.num.items()}, p.den)
 
 
+@cache
+def _unit_exponents(n: int) -> tuple[Exponent, ...]:
+    return tuple(tuple(int(k == j) for k in range(n)) for j in range(n))
+
+
 def linear_part_matrix(components: Sequence[MVPoly]) -> tuple[tuple[GaussRat, ...], ...]:
     """Matrix L with L[i][j] = coefficient of z_j in component i."""
+    units = _unit_exponents(len(components))
     rows = []
     for comp in components:
-        nv = comp.nvars()
-        rows.append(tuple(comp.coeff(tuple(int(k == j) for k in range(nv))) for j in range(nv)))
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("component count must match variable count (got %d)" % len(rows))
+        if comp.nvars() != len(units):
+            raise ValueError("component count must match variable count (got %d)" % len(units))
+        rows.append(tuple(ZERO if (c := comp.num.get(e)) is None else _gauss(*c, comp.den) for e in units))
     return tuple(rows)

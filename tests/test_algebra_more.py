@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from foliationlab.gaussrat import GaussRat, _zi_quotient
 from foliationlab.mvpoly import MVPoly
-from foliationlab import linalg, unipoly
+from foliationlab import foliation, linalg, unipoly
 from foliationlab.corpus import _coprime, seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
 from foliationlab.foliation import VectorFieldGerm, milnor_number
@@ -472,10 +472,24 @@ _vanishing = _low_degree(2).map(lambda p: p - MVPoly.const(("x", "y"), p.constan
 @settings(max_examples=40, deadline=None)
 @example(MVPoly(("x", "y"), {(2, 0): 1, (1, 1): -2}), MVPoly(("x", "y"), {(1, 1): -2, (1, 2): -1}),
          MVPoly.const(("x", "y"), 1))  # a shared branch x = 0 that loops without the Bezout bound
+@example(MVPoly(("x", "y"), {(1, 0): 1, (0, 2): 1}), MVPoly(("x", "y"), {(0, 1): 1, (1, 1): 1}),
+         MVPoly(("x", "y"), {(0, 0): 1, (1, 0): 1}))  # invertible Jacobian times a non-constant unit: mu = 1
 def test_milnor_number_matches_sympy_groebner(a, b, g):
     # g(0) != 0 multiplies by a unit of the local ring, g(0) = 0 adds a shared branch
     assume(not a.is_zero() and not b.is_zero())
     _check_milnor_against_groebner(a * g, b * g)
+
+
+def test_milnor_number_one_is_read_from_the_jacobian():
+    """An invertible Jacobian gives mu = 1 without Fulton's loop; a singular
+    one at multiplicity 1 still runs it."""
+    xy = ("x", "y")
+    x, y = MVPoly.var(xy, "x"), MVPoly.var(xy, "y")
+    unit = 1 + x
+    with mock.patch.object(foliation, "_x_axis", side_effect=AssertionError("Fulton's loop ran")):
+        assert milnor_number(VectorFieldGerm(xy, ((x + y * y) * unit, (y + x * y) * unit))) == 1
+        assert milnor_number(VectorFieldGerm(xy, (x + y * y, y * GaussRat(0, 1) + x * x))) == 1  # det J = i
+    assert milnor_number(VectorFieldGerm(xy, (x + y * y, y * y))) == 2
 
 
 def test_milnor_number_matches_sympy_groebner_on_corpus_sample():

@@ -140,6 +140,8 @@ def _saddle_nodes(draw):
 @settings(max_examples=100, deadline=None)
 @given(_saddle_nodes())
 @example(conjugate_by(germ(X + Y * Y, Y**3), inverse(mat([[1, 1], [1, -1]]))))
+@example(parse_vector_field("v = (y^2) d/dx + (x + 2*y) d/dy"))  # first row zero: v_ker from the second
+@example(parse_vector_field("v = (2*y + x^2) d/dx + (3*y) d/dy"))  # first column zero: v_lam is the second
 def test_surface_type_matches_conjugation_reference_on_saddle_nodes(v):
     assert singularity_report(v).surface_type == reference_surface_type(v)
 

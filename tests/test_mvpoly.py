@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import ONE, ZERO, GaussRat
@@ -169,11 +169,24 @@ def test_ring_operations_match_oracle(rp, rq, c, k):
     assert p.constant_term() == rp.get((0, 0), ZERO)
 
 
-@given(REFS, REFS, REFS, COEFFS, COEFFS)
+# images of at most one term, zero included
+SINGLES = st.one_of(st.just({}), st.builds(lambda e, c: {e: c} if c else {}, EXPS, COEFFS))
+HALF_THIRD = GaussRat(Fraction(1, 2), Fraction(-1, 3))
+
+
+@given(REFS, REFS, REFS, COEFFS, COEFFS, SINGLES, SINGLES, st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_substitutions_match_oracle(rp, ra, rb, u, w):
+@example({(1, 0): ONE, (0, 1): -ONE, (2, 0): HALF_THIRD}, {}, {}, ONE, ONE,
+         {(1, 1): HALF_THIRD}, {(1, 1): HALF_THIRD}, False)  # x - y merges into 0
+@example({(2, 1): HALF_THIRD, (0, 3): ONE}, {}, {}, ONE, ONE,
+         {(0, 2): GaussRat(Fraction(2, 7), Fraction(1, 5))}, {(1, 0): GaussRat(0, Fraction(5, 9))}, False)
+def test_substitutions_match_oracle(rp, ra, rb, u, w, sa, sb, same_monomial):
     p = MVPoly(VARS, rp)
     check(p.subs([MVPoly(VARS, ra), MVPoly(VARS, rb)]), ref_subs(rp, [ra, rb]))
+    if same_monomial and sa and sb:  # both variables to one monomial: terms merge
+        sb = {e: c for e in sa for c in sb.values()}
+    check(p.subs([MVPoly(VARS, sa), MVPoly(VARS, sb)]), ref_subs(rp, [sa, sb]))
+    check(p.subs([MVPoly(VARS, sa), MVPoly(VARS, rb)]), ref_subs(rp, [sa, rb]))
     check(p.translate([u, w]), ref_subs(rp, [{(1, 0): ONE, (0, 0): u}, {(0, 1): ONE, (0, 0): w}]))
     # chart 0 of the blow-up: x -> x, y -> x*y
     check(chart_pullback(p, 0), ref_subs(rp, [{(1, 0): ONE}, {(1, 1): ONE}]))
