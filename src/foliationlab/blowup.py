@@ -215,10 +215,10 @@ class SingularCluster:
     in the direction coordinate that an exhaustive search found to have no
     root in Q(i) (dim 2)."""
 
-    min_poly: tuple[GaussRat, ...]
+    min_poly: unipoly.UPoly
 
     def degree(self) -> int:
-        return len(self.min_poly) - 1
+        return unipoly.degree(self.min_poly)
 
 
 @dataclass
@@ -234,12 +234,6 @@ class ELocus:
     complete: bool = True
     non_isolated: bool = False
     notes: list[str] = field(default_factory=list)
-
-
-def univariate_on_E(p: MVPoly, u: int, w: int) -> unipoly.Coeffs:
-    """Dim 2: p restricted to the exceptional divisor u = 0, as an ascending
-    coefficient list in the direction coordinate w."""
-    return unipoly.bivariate_rows(p, w, u)[0]
 
 
 def _eigendirection_loci(center: VectorFieldGerm) -> list[ELocus] | None:
@@ -311,7 +305,7 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
             # chart 2 reports only w = 0, a root of gcd(a, b) iff a(0) = b(0) = 0
             origin = (GaussRat(0), GaussRat(0))
             return ELocus(points=[origin] if is_singular_at_origin(f) else [], complete=True)
-        g = unipoly.poly_gcd(*(univariate_on_E(c, j, 1 - j) for c in f.components))
+        g = unipoly.poly_gcd(*(unipoly.from_mvpoly(c, 1 - j) for c in f.components))
         if unipoly.degree(g) <= 0:
             return ELocus(points=[], complete=True)
         res = unipoly.gaussian_rational_roots(g)
@@ -321,7 +315,7 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
             return ELocus(points=points, complete=False, notes=[
                 "root search stopped at the divisor-norm cap %d; a residual of degree %d is not enumerated"
                 % (unipoly.DIVISOR_NORM_CAP, unipoly.degree(res.residual))])
-        clusters = [] if res.split_completely() else [SingularCluster(tuple(unipoly.poly_monic(res.residual)))]
+        clusters = [] if res.split_completely() else [SingularCluster(unipoly.poly_monic(res.residual))]
         return ELocus(points=points, clusters=clusters, complete=True)
 
     if eigen is not None:

@@ -121,7 +121,7 @@ class SingularityReport:
         if isinstance(self.eigenvalues, linalg.Indeterminate):
             ev = {
                 "indeterminate": True,
-                "char_poly": [str(c) for c in self.eigenvalues.char_poly],
+                "char_poly": unipoly.to_strings(self.eigenvalues.char_poly),
                 "approx": [[z.real, z.imag] for z in self.eigenvalues.approx],
             }
         else:
@@ -150,7 +150,7 @@ def _multiplicity(v: VectorFieldGerm) -> int:
     return int(m)
 
 
-def _facts(v: VectorFieldGerm) -> tuple[int, linalg.Matrix, list[GaussRat], str]:
+def _facts(v: VectorFieldGerm) -> tuple[int, linalg.Matrix, unipoly.UPoly, str]:
     """Multiplicity, linear part, characteristic polynomial, and the reason the
     germ is not reduced: "" for multiplicity 1 and a linear part that is not
     nilpotent, i.e. a characteristic polynomial other than t^n."""
@@ -159,12 +159,12 @@ def _facts(v: VectorFieldGerm) -> tuple[int, linalg.Matrix, list[GaussRat], str]
     cp = linalg.char_poly(lp)
     if mult != 1:
         return mult, lp, cp, "multiplicity %d > 1" % mult
-    if all(c.is_zero() for c in cp[:-1]):
+    if unipoly.valuation(cp) == unipoly.degree(cp):
         return mult, lp, cp, "nilpotent linear part (characteristic polynomial t^n)"
     return mult, lp, cp, ""
 
 
-def _surface_type(v: VectorFieldGerm, lp: linalg.Matrix, cp: list[GaussRat]) -> SurfaceType:
+def _surface_type(v: VectorFieldGerm, lp: linalg.Matrix, cp: unipoly.UPoly) -> SurfaceType:
     """Dimension-2 dichotomy of a singular germ with characteristic
     polynomial cp = t^2 - tr t + det: nondegenerate (invertible linear part)
     or degenerate of type k, tested through the exact monomial surrogate of
@@ -180,9 +180,9 @@ def _surface_type(v: VectorFieldGerm, lp: linalg.Matrix, cp: list[GaussRat]) -> 
     (b, -a), or (d, -c) if the first row is 0; v_lam = (a, c), or (b, d) if
     the first column is 0.  Their scale multiplies each w_2^j term by a
     nonzero factor, so it changes neither k nor the escapes."""
-    if not cp[0].is_zero():
+    if unipoly.valuation(cp) == 0:  # det != 0
         return NON_DEGENERATE
-    if cp[1].is_zero():
+    if unipoly.valuation(cp) == 2:  # det = tr = 0
         return unclassified("linear part nilpotent or zero: not in the reduced list")
     (a, b), (c, d) = lp
     v_ker = (d, -c) if a.is_zero() and b.is_zero() else (b, -a)
@@ -225,7 +225,7 @@ def corner_witnesses(lam0: dict[int, GaussRat]) -> list[tuple[int, int]]:
             if q != p and not lam0[p].is_zero() and not (lam0[q] / lam0[p]).is_positive_rational()]
 
 
-def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, cp: list[GaussRat]) -> SimpleStatus | str:
+def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, cp: unipoly.UPoly) -> SimpleStatus | str:
     """`classify_simple` of a singular germ with characteristic polynomial
     cp, or the reason the divisor admits no simple status there."""
     e = divisor.axis_count()
@@ -262,7 +262,7 @@ def _simple_status(v: VectorFieldGerm, divisor: LogDivisor, cp: list[GaussRat]) 
     if unipoly.poly_eval(others, lam).is_zero():
         return not_simple("eigenvalue %s has multiplicity > 1" % lam)
     # roots mu = s*lam of others <-> positive rational roots s of others(lam*s)
-    if any(s > 0 for s in unipoly.real_rational_roots([c * lam**k for k, c in enumerate(others)])):
+    if any(s > 0 for s in unipoly.real_rational_roots(unipoly.poly_dilate(others, lam))):
         return not_simple("another eigenvalue is a positive rational multiple of %s" % lam)
     return SIMPLE_B
 
@@ -297,7 +297,7 @@ def _radial(v: VectorFieldGerm, m: int) -> bool:
     return all((z[j] * a[i] - z[i] * a[j]).is_zero() for i in range(n) for j in range(i + 1, n))
 
 
-def _report(v: VectorFieldGerm, mult: int, lp: linalg.Matrix, cp: list[GaussRat], why: str,
+def _report(v: VectorFieldGerm, mult: int, lp: linalg.Matrix, cp: unipoly.UPoly, why: str,
             simple: SimpleStatus | str | None, dicritical: bool | None) -> SingularityReport:
     """The report of a singular germ from its `_facts`.  `simple` is the simple
     status, the note that stands in for it, or None without a divisor."""

@@ -17,7 +17,7 @@ import sys
 
 from .gaussrat import GaussRat
 from .foliation import FoliationError, LogDivisor
-from . import blowup, classify, dsl, resolution, separatrix
+from . import blowup, classify, dsl, resolution, separatrix, unipoly
 
 SCHEMA = "foliation-lab/1"
 
@@ -154,7 +154,7 @@ def cmd_blowup(args, out) -> int:
         entry = sat.to_jsonable()
         entry["raw_field"] = sat.raw_field.to_text()
         entry["singular_points_on_E"] = [[str(c) for c in pt] for pt in locus.points]
-        entry["clusters"] = [[str(c) for c in cl.min_poly] for cl in locus.clusters]
+        entry["clusters"] = [unipoly.to_strings(cl.min_poly) for cl in locus.clusters]
         entry["enumeration_complete"] = locus.complete
         result["c%d" % (sat.chart + 1)] = entry
     _emit_json("blowup", result, out)

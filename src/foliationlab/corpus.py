@@ -44,6 +44,7 @@ def _coprime(a: MVPoly, b: MVPoly) -> bool:
     """Exact: a and b in Q(i)[x, y] share no nonconstant factor, decided by
     specialising x.
 
+    The x-content, gcd of the p_k(x) in p = sum p_k y^k, is that of p(x, 0..deg_y p) (Vandermonde).
     In (Q(i)[x])[y], gcd(a, b) is the gcd of the x-contents times the gcd of
     the primitive parts a', b', and a primitive part of y-degree 0 is a
     unit.  Otherwise a', b' share a factor iff Res_y(a', b') = 0, and that
@@ -54,27 +55,25 @@ def _coprime(a: MVPoly, b: MVPoly) -> bool:
     if a.is_zero() or b.is_zero():
         other = a + b
         return other.is_constant() and not other.is_zero()
-    rows_a, rows_b = unipoly.bivariate_rows(a, 0, 1), unipoly.bivariate_rows(b, 0, 1)
-    content: unipoly.Coeffs = []
-    for row in rows_a + rows_b:
-        content = unipoly.poly_gcd(content, row)
-        if len(content) == 1:
+    da, db = a.degree_in(1), b.degree_in(1)
+    content = unipoly.ZERO_POLY
+    for value in (unipoly.from_mvpoly(p, 0, y0) for p, d in ((a, da), (b, db)) for y0 in range(d + 1)):
+        content = unipoly.poly_gcd(content, value)
+        if unipoly.degree(content) == 0:
             break
-    if len(content) > 1:
+    if unipoly.degree(content) > 0:
         return False
-    if len(rows_a) == 1 or len(rows_b) == 1:
+    if da == 0 or db == 0:
         return True
-    bound = a.degree_in(0) * (len(rows_b) - 1) + b.degree_in(0) * (len(rows_a) - 1)
+    bound = a.degree_in(0) * db + b.degree_in(0) * da
     x0 = tried = 0
     while tried <= bound:
         x0 += 1
-        point = GaussRat(x0)
-        if unipoly.poly_eval(rows_a[-1], point).is_zero() or unipoly.poly_eval(rows_b[-1], point).is_zero():
-            continue
+        at_a, at_b = unipoly.from_mvpoly(a, 1, x0), unipoly.from_mvpoly(b, 1, x0)
+        if unipoly.degree(at_a) < da or unipoly.degree(at_b) < db:
+            continue  # a leading coefficient vanishes at x0
         tried += 1
-        at_a = [unipoly.poly_eval(row, point) for row in rows_a]
-        at_b = [unipoly.poly_eval(row, point) for row in rows_b]
-        if len(unipoly.poly_gcd(at_a, at_b)) == 1:
+        if unipoly.degree(unipoly.poly_gcd(at_a, at_b)) == 0:
             return True
     return False
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import re
 
-from .gaussrat import GaussRat
+from .gaussrat import ZERO, GaussRat
 from .mvpoly import MVPoly
+from . import unipoly
 
 
 class ParseError(Exception):
@@ -213,9 +214,9 @@ class _ExprAlgebra:
     def div(self, a, b, toks):
         if not isinstance(b, self.tree.Poly) or b.degree() > 0:
             raise ParseError("poles are not allowed in curve components (division by non-constant)")
-        if not b.coeffs:
+        if not b.coeffs.num:
             toks.error("division by zero")
-        return a * self.tree.const_expr(GaussRat(1) / b.coeffs[0])
+        return a * self.tree.const_expr(GaussRat(1) / unipoly.poly_eval(b.coeffs, ZERO))
 
     def exp(self, a, toks):
         if not isinstance(a, self.tree.Poly):

@@ -8,7 +8,7 @@ arguments are restricted to polynomials, which keeps the scale exact.
 
 Series are exact at every z in Q(i): with t = z + s a tree is a finite sum
 of e^c * S_c(s) over exp values c = A(z) in Q(i), and `series(order, z)`
-returns c -> S_c as trimmed `unipoly` lists up to s^order.  By the
+returns c -> S_c as `unipoly` polynomials up to s^order.  By the
 Lindemann-Weierstrass theorem an s^m coefficient vanishes iff it vanishes
 in every group; `order_at` reads every vanishing order so.
 
@@ -31,11 +31,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussrat import ONE, ZERO, GaussRat
-from .mvpoly import MVPoly
+from .gaussrat import ZERO, GaussRat
+from .mvpoly import MVPoly, _poly
 from . import unipoly
 
-Groups = dict[GaussRat, unipoly.Coeffs]  # exp value c -> the nonzero series S_c
+Groups = dict[GaussRat, unipoly.UPoly]  # exp value c -> the nonzero series S_c
 GROUP_PRODUCT_LIMIT = 4096  # most pairs of exp groups that one series product multiplies
 
 
@@ -44,8 +44,8 @@ def _merge(parts) -> Groups:
     out: Groups = {}
     for groups in parts:
         for c, s in groups.items():
-            out[c] = unipoly.poly_add(out.get(c, []), s)
-    return {c: s for c, s in out.items() if s}
+            out[c] = unipoly.poly_add(out.get(c, unipoly.ZERO_POLY), s)
+    return {c: s for c, s in out.items() if s.num}
 
 
 def _times(p: Groups, q: Groups, order: int) -> Groups:
@@ -104,10 +104,10 @@ def _normalize(v):
 class Poly(Expr):
     __slots__ = ("coeffs", "horner")
 
-    def __init__(self, coeffs: Sequence[GaussRat]):
-        self.coeffs = tuple(unipoly.trim([GaussRat.coerce(c) for c in coeffs]))
-        # the coefficients as complex numbers, leading first, for eval_plain
-        self.horner = tuple(map(GaussRat.to_complex, reversed(self.coeffs))) or (0j,)
+    def __init__(self, coeffs: unipoly.UPoly | Sequence[GaussRat]):
+        self.coeffs = c = coeffs if isinstance(coeffs, unipoly.UPoly) else unipoly.from_coeffs(coeffs)
+        # leading first, for eval_plain; int true division rounds correctly, so each is its GaussRat's to_complex
+        self.horner = tuple(complex(x / c.den, y / c.den) for x, y in c.num[::-1]) or (0j,)
 
     def eval_plain(self, t):
         """Horner's rule from the leading coefficient."""
@@ -133,15 +133,15 @@ class Poly(Expr):
         return Poly(unipoly.poly_derivative(self.coeffs))
 
     def series(self, order, z=ZERO):
-        shifted = self._mvpoly().translate([z])  # the Taylor shift t = z + s
-        s = unipoly.trim([shifted.coeff((k,)) for k in range(order + 1)])
-        return {ZERO: s} if s else {}
+        s = unipoly.from_mvpoly(self._mvpoly().translate([z]), order=order)  # the Taylor shift t = z + s
+        return {ZERO: s} if s.num else {}
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return unipoly.degree(self.coeffs)
 
     def _mvpoly(self) -> MVPoly:
-        return MVPoly(("t",), {(k,): c for k, c in enumerate(self.coeffs)})
+        num, den = self.coeffs
+        return _poly(("t",), {(k,): c for k, c in enumerate(num) if c[0] or c[1]}, den)
 
     def to_text(self):
         return self._mvpoly().to_string()
@@ -168,14 +168,14 @@ class Exp(Expr):
         return mul([self.arg.diff(), self])
 
     def series(self, order, z=ZERO):
-        a = self.arg.series(order, z).get(ZERO, [])  # e^A(z + s) = e^A(z) * e^(A(z + s) - A(z))
-        s = [ZERO] + a[1:]
-        out = term = [ONE]
+        a = self.arg.series(order, z).get(ZERO, unipoly.ZERO_POLY)  # e^A(z + s) = e^A(z) * e^(A(z + s) - A(z))
+        c = unipoly.poly_eval(a, ZERO)
+        s = unipoly.poly_add(a, unipoly.from_coeffs([c]), -1)
+        out = term = unipoly.ONE_POLY
         for k in range(1, order + 1):  # term = s^k / k!
-            inv = GaussRat(Fraction(1, k))
-            term = [c * inv for c in unipoly.series_mul(term, s, order)]
+            term = unipoly.poly_mul(unipoly.series_mul(term, s, order), unipoly.from_coeffs([Fraction(1, k)]))
             out = unipoly.poly_add(out, term)
-        return {a[0] if a else ZERO: out}
+        return {c: out}
 
     def to_text(self):
         return "exp(%s)" % self.arg.to_text()
@@ -263,11 +263,11 @@ class Pow(Expr):
 
     def diff(self):
         if self.k == 0:
-            return Poly([])
+            return Poly(unipoly.ZERO_POLY)
         return mul([const_expr(self.k), power(self.base, self.k - 1), self.base.diff()])
 
     def series(self, order, z=ZERO):
-        out, base, k = {ZERO: [ONE]}, self.base.series(order, z), self.k
+        out, base, k = {ZERO: unipoly.ONE_POLY}, self.base.series(order, z), self.k
         while k:  # by squaring, with no square past the top bit
             if k & 1:
                 out = _times(out, base, order)
@@ -280,14 +280,14 @@ class Pow(Expr):
 
 
 def const_expr(c) -> Poly:
-    return Poly([GaussRat.coerce(c)])
+    return Poly([c])
 
 
 def t_expr() -> Poly:
-    return Poly([GaussRat(0), GaussRat(1)])
+    return Poly([0, 1])
 
 
-def _fold(node, children: Sequence[Expr], op, unit: tuple) -> Expr:
+def _fold(node, children: Sequence[Expr], op, unit: unipoly.UPoly) -> Expr:
     """node(children) with the Poly children folded by op into one Poly at
     the place of the first, dropped when it equals unit."""
     polys = [c for c in children if isinstance(c, Poly)]
@@ -307,15 +307,15 @@ def _fold(node, children: Sequence[Expr], op, unit: tuple) -> Expr:
 
 def add(terms: Sequence[Expr]) -> Expr:
     """The sum of terms; polynomial terms fold into one Poly."""
-    return _fold(Add, terms, unipoly.poly_add, ())
+    return _fold(Add, terms, unipoly.poly_add, unipoly.ZERO_POLY)
 
 
 def mul(factors: Sequence[Expr]) -> Expr:
     """The product of factors; polynomial factors fold into one Poly, and a
     zero one makes the product zero."""
-    if any(isinstance(c, Poly) and not c.coeffs for c in factors):
-        return Poly([])
-    return _fold(Mul, factors, unipoly.poly_mul, (ONE,))
+    if any(isinstance(c, Poly) and not c.coeffs.num for c in factors):
+        return Poly(unipoly.ZERO_POLY)
+    return _fold(Mul, factors, unipoly.poly_mul, unipoly.ONE_POLY)
 
 
 def power(base: Expr, k: int) -> Expr:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .gaussrat import GaussRat
+from .gaussrat import GaussRat, _zi_primitive
 from .mvpoly import MVPoly, linear_part_matrix
 from . import linalg
 
@@ -163,15 +163,6 @@ def _x_axis(f: dict) -> tuple[int, int, tuple[int, int]] | None:
     return min(xs), deg, f[(deg, 0)]
 
 
-def _zi_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """A gcd in Z[i] of the pairs a, b: Euclid with the nearest quotient."""
-    while b[0] or b[1]:
-        n = b[0] * b[0] + b[1] * b[1]
-        q0, q1 = (2 * (a[0] * b[0] + a[1] * b[1]) + n) // (2 * n), (2 * (a[1] * b[0] - a[0] * b[1]) + n) // (2 * n)
-        a, b = b, (a[0] - q0 * b[0] + q1 * b[1], a[1] - q0 * b[1] - q1 * b[0])
-    return a
-
-
 def milnor_number(v: VectorFieldGerm) -> int | float:
     """Dim 2: the Milnor number mu_0(v) = I_0(a, b) = dim O_0/(a, b) of the
     components a, b, or math.inf when they share a branch through 0, i.e.
@@ -233,14 +224,7 @@ def milnor_number(v: VectorFieldGerm) -> int | float:
         out = {e: c for e, c in out.items() if c[0] or c[1]}
         if not out:
             return math.inf  # g was a multiple of f
-        c = (0, 0)
-        for z in out.values():
-            if (c := _zi_gcd(z, c))[0] ** 2 + c[1] ** 2 == 1:
-                break
-        else:
-            n = c[0] * c[0] + c[1] * c[1]
-            out = {e: ((re * c[0] + im * c[1]) // n, (im * c[0] - re * c[1]) // n) for e, (re, im) in out.items()}
-        g = out
+        g = dict(zip(out, _zi_primitive(list(out.values()))))
 
 
 def divisor_invariance_check(v: VectorFieldGerm, axes) -> bool:

@@ -15,7 +15,7 @@ the parts as Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -229,6 +229,32 @@ def _gauss(a: int, b: int, d: int) -> GaussRat:
 def _zi_quotient(a: int, b: int, c: int, d: int) -> GaussRat:
     """The GaussRat (a + b*i)/(c + d*i) of two Gaussian integers, c + d*i != 0."""
     return _gauss(a * c + b * d, b * c - a * d, c * c + d * d)
+
+
+def _zi_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A gcd in Z[i] of the pairs a, b: Euclid with the nearest quotient."""
+    while b[0] or b[1]:
+        n = b[0] * b[0] + b[1] * b[1]
+        q0, q1 = (2 * (a[0] * b[0] + a[1] * b[1]) + n) // (2 * n), (2 * (a[1] * b[0] - a[0] * b[1]) + n) // (2 * n)
+        a, b = b, (a[0] - q0 * b[0] + q1 * b[1], a[1] - q0 * b[1] - q1 * b[0])
+    return a
+
+
+def _zi_primitive(zs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pairs zs over their Gaussian content c, times conj(c) over |c|^2; zs for a unit c."""
+    c = (0, 0)
+    for z in zs:
+        if (c := _zi_gcd(z, c))[0] ** 2 + c[1] ** 2 == 1:
+            return zs
+    n = c[0] * c[0] + c[1] * c[1]
+    return [((x * c[0] + y * c[1]) // n, (y * c[0] - x * c[1]) // n) for x, y in zs]
+
+
+def _clear_denominators(cs) -> tuple[list[tuple[int, int]], int]:
+    """(l*c as (re, im) pairs, l) for GaussRats c = (a + b*i)/d, l = lcm(every d): content 1."""
+    abd = [c._abd for c in cs]
+    l = lcm(*(d for _, _, d in abd))
+    return [(a * (l // d), b * (l // d)) for a, b, d in abd], l
 
 
 def _abd_of(x) -> tuple[int, int, int] | None:

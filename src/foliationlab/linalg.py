@@ -3,8 +3,9 @@
 Matrices are tuples of row tuples of GaussRat.  Elimination runs on Z[i]
 pairs (re, im): each row becomes Gaussian integers once, scaled by the lcm
 of its denominators (which changes neither the RREF nor the kernel), and
-GaussRat values are built only from the results.  Eigenvalues are exact
-whenever the characteristic polynomial splits over Q(i); otherwise an
+GaussRat values are built only from the results, as the characteristic
+polynomial, a `unipoly.UPoly`, is.  Eigenvalues are exact whenever it
+splits over Q(i); otherwise an
 Indeterminate value carries it with float shadows of the spectrum
 (numpy's `roots`)."""
 
@@ -13,8 +14,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Sequence
 
-from .gaussrat import ONE, ZERO, GaussRat, _gauss, _zi_quotient
-from .unipoly import _clear_denominators as _clear
+from .gaussrat import ONE, ZERO, GaussRat, _clear_denominators as _clear, _zi_quotient
 from . import unipoly
 
 Matrix = tuple[tuple[GaussRat, ...], ...]
@@ -109,25 +109,23 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     return _kernel([_clear(row)[0] for row in a])
 
 
-def char_poly(a: Matrix) -> list[GaussRat]:
-    """Characteristic polynomial det(tI - A), ascending coefficients: the
-    closed form t^2 - tr t + det for n <= 2, the Faddeev-LeVerrier
-    recursion beyond.  That recursion runs on the Gaussian-integer matrix
-    B = D*A, D the lcm of the entry denominators: every matrix it forms
-    and every coefficient c_k(B) lies in Z[i], so its division by k is
-    exact, and c_k(A) = c_k(B) / D^k."""
+def char_poly(a: Matrix) -> unipoly.UPoly:
+    """Characteristic polynomial det(tI - A) by the Faddeev-LeVerrier
+    recursion on the Gaussian-integer matrix B = D*A, D the lcm of the
+    entry denominators: every matrix it forms and every coefficient c_k(B)
+    of t^(n-k) lies in Z[i], so its division by k is exact, and
+    c_k(A) = c_k(B) / D^k = c_k(B) D^(n-k) / D^n."""
     n = len(a)
-    if n == 1:
-        return [-a[0][0], GaussRat(1)]
-    if n == 2:
-        return [a[0][0] * a[1][1] - a[0][1] * a[1][0], -(a[0][0] + a[1][1]), GaussRat(1)]
     flat, d = _clear([x for row in a for x in row])
+    if n == 2:  # t^2 - tr t + det in closed form
+        (p, q), (r, s), (u, v), (w, x) = flat
+        num = [(p * w - q * x - r * u + s * v, p * x + q * w - r * v - s * u), (-(p + w) * d, -(q + x) * d), (d * d, 0)]
+        return unipoly.normal(num, d * d)
     b = [flat[i * n:(i + 1) * n] for i in range(n)]
-    descending = [GaussRat(1)]
-    scale = 1
+    num = [(d**n, 0)]  # descending: c_k(B) D^(n-k)
     m = None  # M_k of the recursion; M_1 = I, so B M_1 = B
     for k in range(1, n + 1):
-        if k < n:
+        if k < n or m is None:
             bm = b if m is None else _zi_mat_mul(b, m)
             tr_re, tr_im = sum(bm[i][i][0] for i in range(n)), sum(bm[i][i][1] for i in range(n))
         else:  # the last step needs only the trace of B M_n
@@ -137,11 +135,10 @@ def char_poly(a: Matrix) -> list[GaussRat]:
                     tr_re += x * u - y * w
                     tr_im += x * w + y * u
         cr, ci = -tr_re // k, -tr_im // k
-        scale *= d
-        descending.append(_gauss(cr, ci, scale))
+        num.append((cr * d ** (n - k), ci * d ** (n - k)))
         if k < n:
             m = [[(x + cr, y + ci) if i == j else (x, y) for j, (x, y) in enumerate(row)] for i, row in enumerate(bm)]
-    return descending[::-1]
+    return unipoly.normal(num[::-1], d**n)
 
 
 def _zi_mat_mul(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
@@ -168,7 +165,7 @@ class Indeterminate:
 
     __slots__ = ("char_poly", "_approx")
 
-    def __init__(self, cp: list[GaussRat]):
+    def __init__(self, cp: unipoly.UPoly):
         self.char_poly = cp
         self._approx = None
 
@@ -182,11 +179,11 @@ class Indeterminate:
         return "Indeterminate(approx=%s)" % (self.approx,)
 
 
-def _approx_roots(cp: list[GaussRat]) -> list[complex]:
+def _approx_roots(cp: unipoly.UPoly) -> list[complex]:
     import numpy as np
 
-    cs = [c.to_complex() for c in cp]
-    arr = np.array(cs[::-1], dtype=complex)  # numpy wants descending order
+    den = cp.den
+    arr = np.array([complex(re / den, im / den) for re, im in reversed(cp.num)], dtype=complex)  # descending
     if len(arr) <= 1:
         return []
     return [complex(z) for z in np.roots(arr)]
@@ -198,7 +195,7 @@ def eigenvalues_exact(a: Matrix) -> list[GaussRat] | Indeterminate:
     return eigenvalues_of_char_poly(char_poly(a))
 
 
-def eigenvalues_of_char_poly(cp: list[GaussRat]) -> list[GaussRat] | Indeterminate:
+def eigenvalues_of_char_poly(cp: unipoly.UPoly) -> list[GaussRat] | Indeterminate:
     """`eigenvalues_exact` for a caller that already holds the
     characteristic polynomial."""
     res = unipoly.gaussian_rational_roots(cp)

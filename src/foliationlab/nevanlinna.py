@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussrat import GaussRat
+from .gaussrat import ZERO, GaussRat
 from .mvpoly import MVPoly
 from .foliation import VectorFieldGerm
 from .exprtree import Exp, Expr, Poly, expr_from_mvpoly, order_at
@@ -128,7 +128,7 @@ class ParametrizedCurve:
         resolved = {}
         for name, zeros in self.declared_zeros.items():
             if name == "fprime":
-                exprs = [d for d in self.derivative_exprs() if not (isinstance(d, Poly) and not d.coeffs)]
+                exprs = [d for d in self.derivative_exprs() if not (isinstance(d, Poly) and not d.coeffs.num)]
             elif name == "ideal":
                 exprs = None
             elif name in ["f%d" % (k + 1) for k in range(self.dim())]:
@@ -468,10 +468,14 @@ def fmt_verify(curve: ParametrizedCurve, ideal_gens: Sequence[MVPoly],
     the three sides are computed independently.  The bounds add m's circle
     bounds to T's, and a radius whose m circle did not converge reads
     diverged.  Each ideal zero must vanish on the generators to its stated
-    order, and the slope needs two distinct radii; a false zero or a
-    shorter grid is refused before anything is integrated."""
+    order, and the slope needs two distinct radii; a false zero, an ideal
+    vanishing along the curve or a shorter grid is refused before anything
+    is integrated."""
     cfg = cfg or QuadConfig()
     gens_on_curve = [expr_from_mvpoly(g, curve.components) for g in ideal_gens]
+    if all(order_at(g, ZERO, ZERO_ORDER_CAP) == math.inf for g in gens_on_curve):
+        raise ValueError("the ideal vanishes along the curve to an order past %d at t = 0, or identically"
+                         % ZERO_ORDER_CAP)
     ideal_zeros = _checked_zeros("ideal", gens_on_curve, ideal_zeros)
     grid, moduli = _nudged(r_grid, ideal_zeros)
     if len(set(grid)) < 2:

@@ -160,17 +160,17 @@ class ResolutionTower:
 # helpers
 
 
-def _fmt(coeffs: Sequence[GaussRat]) -> tuple[str, ...]:
-    return tuple(str(c) for c in coeffs)
+def _fmt(point: Sequence[GaussRat]) -> tuple[str, ...]:
+    return tuple(str(c) for c in point)
 
 
 @dataclass
 class ClusterVerdict:
     size: int  # degree of the squarefree part carrying the points
     all_reduced: bool
-    nondegenerate_part: list[GaussRat]
-    saddle_node_part: list[GaussRat]
-    dicritical_part: list[GaussRat]
+    nondegenerate_part: unipoly.UPoly
+    saddle_node_part: unipoly.UPoly
+    dicritical_part: unipoly.UPoly
 
 
 def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularCluster) -> ClusterVerdict:
@@ -183,31 +183,29 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
     j = sat.chart
     w = 1 - j
     a, b = sat.saturated_field.components[j], sat.saturated_field.components[w]
-    au = blowup.univariate_on_E(a.derivative(j), j, w)
-    aw = blowup.univariate_on_E(a.derivative(w), j, w)
-    bu = blowup.univariate_on_E(b.derivative(j), j, w)
-    bw = blowup.univariate_on_E(b.derivative(w), j, w)
+    # the partial derivatives on E = {u = 0}, as polynomials in w
+    au, aw, bu, bw = (unipoly.from_mvpoly(c.derivative(i), w) for c in (a, b) for i in (j, w))
     # trace = au + bw, det = au*bw - aw*bu (as polynomials in the direction coordinate)
     tr = unipoly.poly_add(au, bw)
-    det = unipoly.poly_sub(unipoly.poly_mul(au, bw), unipoly.poly_mul(aw, bu))
-    # min_poly and every gcd are monic, so a gcd of degree 0 is [1]
-    h = list(cluster.min_poly)
+    det = unipoly.poly_add(unipoly.poly_mul(au, bw), unipoly.poly_mul(aw, bu), -1)
+    # min_poly and every gcd are monic, so a gcd of degree 0 is 1
+    h = cluster.min_poly
     h_sf = unipoly.poly_divmod(h, unipoly.poly_gcd(h, unipoly.poly_derivative(h)))[0]
     nonred = unipoly.poly_gcd(unipoly.poly_gcd(h_sf, tr), det)
     if unipoly.degree(nonred) > 0:
-        return ClusterVerdict(unipoly.degree(h_sf), False, [], [], [])
+        return ClusterVerdict(unipoly.degree(h_sf), False, unipoly.ZERO_POLY, unipoly.ZERO_POLY, unipoly.ZERO_POLY)
     sn = unipoly.poly_gcd(h_sf, det)
     nd = unipoly.poly_divmod(h_sf, sn)[0]
     # dicritical cluster points have scalar Jacobian: aw = bu = 0 and au = bw
     # (the m = 1 case of the radial tangent cone in classify.is_dicritical)
-    diff = unipoly.poly_sub(au, bw)
-    dic = list(nd)
+    diff = unipoly.poly_add(au, bw, -1)
+    dic = nd
     for q in (aw, bu, diff):
         if unipoly.degree(dic) <= 0:
             break
         dic = unipoly.poly_gcd(dic, q)
     if unipoly.degree(dic) <= 0:
-        dic = []
+        dic = unipoly.ZERO_POLY
     return ClusterVerdict(unipoly.degree(h_sf), True, nd, sn, dic)
 
 
@@ -292,7 +290,7 @@ def _run_tower(
                                        level + 1, label))
             for cl in locus.clusters:
                 verdict = _cluster_verdict(sat, cl)
-                if verdict.dicritical_part:
+                if verdict.dicritical_part.num:
                     tower.status = "blocked"
                     tower.reason = (
                         "reduced but dicritical singular points at non-Q(i) locations on %s" % child_path)
@@ -304,7 +302,7 @@ def _run_tower(
                                                (verdict.saddle_node_part, saddle_node)):
                         if unipoly.degree(part) > 0:
                             tower.terminals.append(TerminalSingularity(
-                                node_path=child_path, location=None, cluster_poly=_fmt(part),
+                                node_path=child_path, location=None, cluster_poly=tuple(unipoly.to_strings(part)),
                                 cluster_size=unipoly.degree(part), reduced=True, surface_type=surface_type,
                                 simple_status=None, dicritical=None, report=None))
                 else:

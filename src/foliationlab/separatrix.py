@@ -65,19 +65,16 @@ def _tangency_residual(v: VectorFieldGerm, f: Sequence[MVPoly], p: int, lam: Gau
 @dataclass(frozen=True)
 class FormalCurve:
     variables: tuple[str, ...]
-    components: tuple[tuple[GaussRat, ...], ...]  # each t^0..t^truncation_order
+    components: tuple[unipoly.UPoly, ...]  # each known to t^truncation_order
     tangent_direction: int
     eigenvalue: GaussRat
     truncation_order: int
     residual_order: int | float  # math.inf when the residual vanishes exactly
 
-    def component_valuations(self) -> tuple[int | float, ...]:
-        return tuple(map(unipoly.valuation, self.components))
-
     def to_jsonable(self):
         return {
             "variables": list(self.variables),
-            "components": [[str(c) for c in comp] for comp in self.components],
+            "components": [unipoly.to_strings(comp, self.truncation_order + 1) for comp in self.components],
             "tangent_direction": self.tangent_direction,
             "eigenvalue": str(self.eigenvalue),
             "truncation_order": self.truncation_order,
@@ -150,7 +147,7 @@ def formal_separatrix(v: VectorFieldGerm, direction: int, order: int, lam: Gauss
     res_order = min((r.vanishing_order() for r in _tangency_residual(v, f, p, lam)), default=math.inf)
     return FormalCurve(
         variables=v.variables,
-        components=tuple(tuple(c.coeff((k,)) for k in range(order + 1)) for c in f),
+        components=tuple(unipoly.from_mvpoly(c) for c in f),
         tangent_direction=direction,
         eigenvalue=lam,
         truncation_order=order,
@@ -225,16 +222,17 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
     status = classify.classify_simple(v, divisor)
     if status.kind not in ("simple_point_A", "simple_point_B"):
         raise FoliationError("lift check expects a simple point, got %s" % status.kind)
-    vals = curve.component_valuations()
+    vals = [unipoly.valuation(comp) for comp in curve.components]
     for j in sorted(divisor.axes):
         if vals[j] is math.inf:
             raise CurveInDivisor("curve component %d vanishes to working order: curve lies in D" % (j + 1))
     # a simple point has one divisor axis, and its component is finite
     c = min((val, i) for i, val in enumerate(vals) if val is not math.inf)[1]
     # so the quotients are series: val(comp) >= val(denom), which is finite
-    denom = curve.components[c]
-    lifted = [comp if i == c else unipoly.series_divide(comp, denom) for i, comp in enumerate(curve.components)]
-    point = [GaussRat(0) if i == c else q[0] for i, q in enumerate(lifted)]
+    denom, order = curve.components[c], curve.truncation_order
+    lifted = [comp if i == c else unipoly.series_divide(comp, denom, order) for i, comp in enumerate(curve.components)]
+    point = [GaussRat(0) if i == c else unipoly.poly_eval(q, GaussRat(0)) for i, q in enumerate(lifted)]
+    printed = [unipoly.to_strings(q, order + 1 - (0 if i == c else vals[c])) for i, q in enumerate(lifted)]
     entries = blowup.blow_up(v, divisor)
     sat = entries[c][0]
     germ_at = translate_to_point(sat.saturated_field, point)
@@ -242,8 +240,7 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
     try:
         st = classify.classify_simple(germ_at, div_at)
     except FoliationError as exc:
-        return LiftCheckResult("mismatch", c, tuple(str(p) for p in point), None, False,
-                               [[str(cc) for cc in s] for s in lifted],
+        return LiftCheckResult("mismatch", c, tuple(str(p) for p in point), None, False, printed,
                                ["classification failed at the lift point: %s" % exc])
     notes = []
     simple_count = 0
@@ -266,5 +263,4 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
         notes.append("lift point is simple but of type %s (root was %s)" % (st.kind, status.kind))
     return LiftCheckResult(
         "meets_simple_point" if ok else "mismatch",
-        c, tuple(str(p) for p in point), st, unique,
-        [[str(cc) for cc in s] for s in lifted], notes)
+        c, tuple(str(p) for p in point), st, unique, printed, notes)

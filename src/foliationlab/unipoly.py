@@ -1,167 +1,206 @@
 """The one dense univariate polynomial over the Gaussian rationals.
 
-Polynomials are ascending coefficient lists.  This module holds their
-arithmetic, gcd and root extraction; other modules call it rather than do
-arithmetic on the lists.  The root path works in Z[i]: the
-coefficients are cleared to Gaussian integers over their common
-denominator, and only a root found becomes a GaussRat (a rational root a
-Fraction).  Gaussian rational roots come from the rational root theorem
-transported to Z[i] (a UFD, so candidates are ratios of Gaussian-integer
-divisors of the outer coefficients), plus the exact quadratic formula.
-The divisors of a Gaussian integer come from its factored norm: each
-rational prime splits into Gaussian primes, exact division of z fixes
-their exponents, and the products times the four units are every divisor.
-Each candidate num/den is tested by homogeneous Horner, sum C_k num^k
-den^(n-k) = 0.  Anything that does not split this way, or whose outer
-coefficients have norm past ``DIVISOR_NORM_CAP``, is returned as an
-unfactored residual; callers treat residuals conservatively."""
+A `UPoly` (num, den) is stored as an `MVPoly` is: ascending Gaussian-integer
+numerators (re, im) over one denominator den > 0, with no trailing (0, 0)
+and gcd(den, every re and im) = 1, the zero polynomial ([], 1), so equal
+polynomials are equal values.  This module does their arithmetic, gcd and
+root extraction on the integers; GaussRat appears only at the boundary:
+`from_coeffs` clears coefficients coming in, `to_strings` prints,
+`poly_eval` returns a value, and roots are GaussRat (real ones Fractions).
+Division is pseudo-division over Z[i], and the monic gcd comes from the
+primitive pseudo-remainder sequence (Collins, J. ACM 14 (1967); Brown and
+Traub, J. ACM 18 (1971)).  Gaussian rational roots come from the rational
+root theorem transported to Z[i] (`_gauss_int_divisors`, `_first_root`)
+and the exact quadratic formula; anything that does not split so, or whose
+outer numerators have norm past ``DIVISOR_NORM_CAP``, is an unfactored
+residual, which callers treat conservatively."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, inf, isqrt, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .gaussrat import ZERO, GaussRat, _gauss, _zi_quotient
-
-Coeffs = list[GaussRat]
+from .gaussrat import ZERO, GaussRat, _clear_denominators, _gauss, _zi_primitive, _zi_quotient
 
 DIVISOR_NORM_CAP = 200_000
 
 
-def trim(p: Coeffs) -> Coeffs:
-    while p and p[-1].is_zero():
-        p = p[:-1]
-    return p
+class UPoly(NamedTuple):
+    num: list[tuple[int, int]]
+    den: int
 
 
-def bivariate_rows(p, x: int, y: int) -> list[Coeffs]:
-    """The MVPoly p in two variables as coefficients in variable y, each an
-    ascending coefficient list in variable x; at least one row."""
-    out: list[Coeffs] = [[] for _ in range(max(p.degree_in(y), 0) + 1)]
-    den = p.den
+ZERO_POLY = UPoly([], 1)
+ONE_POLY = UPoly([(1, 0)], 1)
+
+
+def normal(num: list[tuple[int, int]], den: int) -> UPoly:
+    """num/den (den > 0) in canonical form."""
+    while num and num[-1] == (0, 0):
+        num = num[:-1]
+    g = den
+    for re, im in num:
+        if (g := gcd(g, re, im)) == 1:
+            return UPoly(num, den)
+    return UPoly([(re // g, im // g) for re, im in num], den // g)
+
+
+def from_coeffs(cs: Sequence) -> UPoly:
+    """The polynomial of ascending ints, Fractions or GaussRats."""
+    return normal(*_clear_denominators([GaussRat.coerce(c) for c in cs]))
+
+
+def to_strings(p: UPoly, length: int = 0) -> list[str]:
+    """The coefficients of p as GaussRat strings, padded with "0" to length."""
+    out = [str(_gauss(re, im, p.den)) for re, im in p.num]
+    return out + ["0"] * (length - len(out))
+
+
+def from_mvpoly(p, var: int = 0, at: int = 0, order: int = -1) -> UPoly:
+    """The MVPoly p as a polynomial in variable `var`, every other variable
+    set to the integer `at`, without its terms past var^order (if >= 0)."""
+    num = [(0, 0)] * (p.degree_in(var) + 1 if order < 0 else order + 1)
     for e, (a, b) in p.num.items():
-        row = out[e[y]]
-        row.extend([ZERO] * (e[x] + 1 - len(row)))
-        row[e[x]] = _gauss(a, b, den)
-    return out
+        if e[var] < len(num):
+            s, (re, im) = at ** (sum(e) - e[var]), num[e[var]]
+            num[e[var]] = (re + a * s, im + b * s)
+    return normal(num, p.den)
 
 
-def degree(p: Coeffs) -> int:
-    p = trim(list(p))
-    return len(p) - 1
+def degree(p: UPoly) -> int:
+    return len(p.num) - 1
 
 
-def poly_eval(p: Sequence[GaussRat], x: GaussRat) -> GaussRat:
-    out = GaussRat(0)
-    for c in reversed(list(p)):
-        out = out * x + c
-    return out
+def poly_eval(p: UPoly, x: GaussRat) -> GaussRat:
+    """p(x) by homogeneous Horner on the integers, x = (a + b*i)/d."""
+    a, b, d = GaussRat.coerce(x)._abd
+    sr, si, dk = 0, 0, 1
+    for k, (cr, ci) in enumerate(reversed(p.num)):
+        dk *= d if k else 1
+        sr, si = sr * a - si * b + cr * dk, sr * b + si * a + ci * dk
+    return _gauss(sr, si, p.den * dk)
 
 
-def poly_add(p: Coeffs, q: Coeffs) -> Coeffs:
-    if len(p) < len(q):
-        p, q = q, p
-    return trim([a + b for a, b in zip(p, q)] + list(p[len(q):]))
+def poly_add(p: UPoly, q: UPoly, sign: int = 1) -> UPoly:
+    """p + sign*q over the lcm of the denominators."""
+    den = lcm(p.den, q.den)
+    s, t = den // p.den, sign * den // q.den
+    return normal([(a * s + c * t, b * s + d * t) for (a, b), (c, d) in zip_longest(p.num, q.num, fillvalue=(0, 0))],
+                  den)
 
 
-def poly_sub(p: Coeffs, q: Coeffs) -> Coeffs:
-    return poly_add(p, [-c for c in q])
+def poly_mul(p: UPoly, q: UPoly) -> UPoly:
+    re, im = [0] * (len(p.num) + len(q.num)), [0] * (len(p.num) + len(q.num))
+    for i, (a, b) in enumerate(p.num):
+        for j, (c, d) in enumerate(q.num):
+            re[i + j] += a * c - b * d
+            im[i + j] += a * d + b * c
+    return normal(list(zip(re, im)), p.den * q.den)
 
 
-def poly_mul(p: Coeffs, q: Coeffs) -> Coeffs:
-    if not p or not q:
-        return []
-    out = [GaussRat(0)] * (len(p) + len(q) - 1)
-    q_terms = [(j, b) for j, b in enumerate(q) if not b.is_zero()]
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in q_terms:
-            out[i + j] = out[i + j] + a * b
-    return trim(out)
+def _pseudo_divmod(a: list[tuple[int, int]],
+                   b: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[tuple[int, int]], tuple[int, int]]:
+    """(q, r, s) with s*a = q*b + r, deg r < deg b, on Z[i] numerators: a
+    quotient term c/lc(b) outside Z[i] first multiplies r, q and s by lc(b)."""
+    (lr, li), db = b[-1], len(b) - 1
+    n, (sr, si) = lr * lr + li * li, (1, 0)
+    r, q = list(a), [(0, 0)] * max(0, len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        cr, ci = r.pop()  # the coefficient of t^(k + db)
+        xr, xi = cr * lr + ci * li, ci * lr - cr * li  # c * conj(lc(b))
+        if xr % n or xi % n:
+            r, q = ([(x * lr - y * li, x * li + y * lr) for x, y in v] for v in (r, q))
+            (sr, si), (xr, xi) = (sr * lr - si * li, sr * li + si * lr), (cr, ci)
+        else:
+            xr, xi = xr // n, xi // n
+        q[k] = (xr, xi)
+        for j, (br, bi) in enumerate(b[:db]):
+            r[k + j] = (r[k + j][0] - xr * br + xi * bi, r[k + j][1] - xr * bi - xi * br)
+    return q, r, (sr, si)
 
 
-def poly_divmod(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
-    p, q = trim(list(p)), trim(list(q))
-    if not q:
+def poly_divmod(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
+    """(quotient, remainder) over Q(i): with s*P = Q*B + R on the numerators,
+    p = (Q*dq/(s*dp)) q + R/(s*dp), and 1/s = conj(s)/|s|^2."""
+    if not q.num:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [GaussRat(0)] * max(0, len(p) - len(q) + 1)
-    rem = list(p)
-    dq, lead = len(q) - 1, q[-1]
-    while len(rem) - 1 >= dq and rem:
-        k = len(rem) - 1 - dq
-        c = rem[-1] / lead
-        quot[k] = c
-        for j, b in enumerate(q):
-            rem[k + j] = rem[k + j] - c * b
-        rem = trim(rem)
-    return trim(quot), rem
+    quot, rem, (sr, si) = _pseudo_divmod(p.num, q.num)
+    quot, rem = ([(x * sr + y * si, y * sr - x * si) for x, y in v] for v in (quot, rem))
+    m = sr * sr + si * si
+    return normal([(x * q.den, y * q.den) for x, y in quot], m * p.den), normal(rem, m * p.den)
 
 
-def poly_monic(p: Coeffs) -> Coeffs:
-    p = trim(list(p))
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
+def poly_monic(p: UPoly) -> UPoly:
+    """p over its leading coefficient l: the numerators times conj(l) over |l|^2."""
+    lr, li = p.num[-1] if p.num else (1, 0)
+    return normal([(x * lr + y * li, y * lr - x * li) for x, y in p.num], lr * lr + li * li)
 
 
-def poly_gcd(p: Coeffs, q: Coeffs) -> Coeffs:
-    """Monic gcd over Q(i)."""
-    a, b = trim(list(p)), trim(list(q))
-    if len(a) < len(b):  # the first remainder step would only swap them
-        a, b = b, a
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
+def poly_gcd(p: UPoly, q: UPoly) -> UPoly:
+    """Monic gcd over Q(i), by the primitive pseudo-remainder sequence."""
+    a, b = (p.num, q.num) if len(p.num) >= len(q.num) else (q.num, p.num)
+    while len(b) > 1:  # a constant b leaves gcd 1
+        b = _zi_primitive(b)
+        a, b = b, normal(_pseudo_divmod(a, b)[1], 1).num
+    return poly_monic(UPoly(b or a, 1))
 
 
-def poly_derivative(p: Coeffs) -> Coeffs:
-    return trim([p[k] * k for k in range(1, len(p))])
+def poly_derivative(p: UPoly) -> UPoly:
+    return normal([(k * a, k * b) for k, (a, b) in enumerate(p.num) if k], p.den)
+
+
+def poly_dilate(p: UPoly, c: GaussRat) -> UPoly:
+    """p(c*t), c = (a + b*i)/d: the t^k numerator times (a + b*i)^k d^(n-k), over d^n."""
+    (a, b, d), n, (pr, pi), out = GaussRat.coerce(c)._abd, len(p.num) - 1, (1, 0), []
+    for k, (x, y) in enumerate(p.num):
+        out.append(((x * pr - y * pi) * d ** (n - k), (x * pi + y * pr) * d ** (n - k)))
+        pr, pi = pr * a - pi * b, pr * b + pi * a
+    return normal(out, p.den * d ** max(n, 0))
+
+
+def deflate(p: UPoly, root: GaussRat) -> UPoly:
+    """p / (t - r/d) for an exact root, by synthetic division on the numerators:
+    Q_(n-1) = C_n and Q_(k-1) = C_k d^(n-k) + r Q_k, the quotient Q_k d^k over d^(n-1)."""
+    if degree(p) < 1:
+        raise ValueError("cannot deflate a constant")
+    (a, b, d), (qr, qi), qs, dk = GaussRat.coerce(root)._abd, p.num[-1], [], 1
+    for cr, ci in reversed(p.num[:-1]):
+        qs.append((qr, qi))
+        dk *= d
+        qr, qi = cr * dk + qr * a - qi * b, ci * dk + qr * b + qi * a
+    if qr or qi:
+        raise ValueError("deflation at a non-root")
+    return normal([(x * d ** k, y * d ** k) for k, (x, y) in enumerate(reversed(qs))], p.den * dk // d)
 
 
 # -- truncated power series: the known Taylor coefficients at t = 0 -----------
 
 
-def valuation(p: Sequence[GaussRat]) -> int | float:
-    """Index of the first nonzero coefficient; inf when every one is zero."""
-    return next((k for k, c in enumerate(p) if not c.is_zero()), inf)
+def valuation(p: UPoly) -> int | float:
+    """Index of the first nonzero coefficient; inf for the zero series."""
+    for k, (re, im) in enumerate(p.num):
+        if re or im:
+            return k
+    return inf
 
 
-def series_mul(p: Coeffs, q: Coeffs, order: int) -> Coeffs:
-    """p*q with the terms past t^order dropped."""
-    return trim(poly_mul(p[: order + 1], q[: order + 1])[: order + 1])
+def series_mul(p: UPoly, q: UPoly, order: int) -> UPoly:
+    """p*q without the terms past t^order."""
+    pq = poly_mul(UPoly(p.num[: order + 1], p.den), UPoly(q.num[: order + 1], q.den))
+    return normal(pq.num[: order + 1], pq.den)
 
 
-def series_divide(num: Sequence[GaussRat], den: Sequence[GaussRat]) -> Coeffs:
-    """The coefficients of num/den that the known ones determine,
-    min(len(num), len(den)) - valuation(den) of them, untrimmed.  den must
-    have a nonzero coefficient, and num must vanish to at least its order."""
+def series_divide(num: UPoly, den: UPoly, order: int) -> UPoly:
+    """num/den to t^(m-1), m = order + 1 - valuation(den): the terms that num
+    and den, known to t^order, determine (num must vanish to den's order).
+    With N, D the m known terms from t^v on, it is the reversed quotient of
+    t^(2m-2) N(1/t) by t^(m-1) D(1/t), whose remainder reverses past t^(m-1)."""
     v = valuation(den)
-    out: Coeffs = []
-    for k in range(min(len(num), len(den)) - v):
-        acc = num[v + k]
-        for j in range(k):
-            acc = acc - out[j] * den[v + k - j]
-        out.append(acc / den[v])
-    return out
-
-
-def deflate(p: Coeffs, root: GaussRat) -> Coeffs:
-    """Divide by (x - root) via synthetic division; the root must be exact."""
-    p = trim(list(p))
-    n = len(p) - 1
-    if n < 1:
-        raise ValueError("cannot deflate a constant")
-    q = [GaussRat(0)] * n
-    q[n - 1] = p[n]
-    for k in range(n - 1, 0, -1):
-        q[k - 1] = p[k] + root * q[k]
-    if not (p[0] + root * q[0]).is_zero():
-        raise ValueError("deflation at a non-root")
-    return trim(q)
+    n, d = ((x.num[v: order + 1] + [(0, 0)] * (order + 1))[: order + 1 - v] for x in (num, den))
+    q = poly_divmod(UPoly([(0, 0)] * (len(n) - 1) + n[::-1], num.den), UPoly(d[::-1], den.den))[0]
+    return normal((q.num + [(0, 0)] * len(n))[len(n) - 1:: -1], q.den)
 
 
 # -- Gaussian integer helpers -------------------------------------------------
@@ -222,15 +261,6 @@ def _gauss_int_divisors(z: tuple[int, int], cap: int = DIVISOR_NORM_CAP) -> list
     return sorted(d for u, v in divs for d in ((u, v), (-v, u), (-u, -v), (v, -u)))
 
 
-def _clear_denominators(cs: Sequence[GaussRat]) -> tuple[list[tuple[int, int]], int]:
-    """The Gaussian integers l*c, as (re, im) pairs, and l, the lcm of the
-    denominators d of the (a + b*i)/d.  Since gcd(a, b, d) = 1, d is the lcm
-    of the denominators of the real and imaginary parts."""
-    abd = [c._abd for c in cs]
-    l = lcm(*(d for _, _, d in abd))
-    return [(a * (l // d), b * (l // d)) for a, b, d in abd], l
-
-
 def _first_root(ints: list[tuple[int, int]], d0: list[tuple[int, int]],
                 dn: list[tuple[int, int]]) -> GaussRat | None:
     """The first root num/den, num in d0 (outer) and den in dn (inner), of the
@@ -258,55 +288,45 @@ def _first_root(ints: list[tuple[int, int]], d0: list[tuple[int, int]],
     return None
 
 
-class RootResult:
+class RootResult(NamedTuple):
     """Roots found over Q(i) plus any unfactored residual."""
 
-    __slots__ = ("roots", "residual", "exhaustive")
-
-    def __init__(self, roots: list[GaussRat], residual: Coeffs | None, exhaustive: bool):
-        self.roots = roots
-        self.residual = residual  # None when the polynomial split completely
-        self.exhaustive = exhaustive
+    roots: list[GaussRat]
+    residual: UPoly | None  # None when the polynomial split completely
+    exhaustive: bool
 
     def split_completely(self) -> bool:
         return self.residual is None
 
 
-def gaussian_rational_roots(p: Coeffs) -> RootResult:
+def gaussian_rational_roots(p: UPoly) -> RootResult:
     """Extract Q(i)-roots with multiplicity.
 
     Splits completely whenever the polynomial factors into linears over
     Q(i) through rational-root candidates and the quadratic formula.  The
     residual, when present, has no Q(i) root that the bounded candidate
     search could certify; `exhaustive` is False only when an outer
-    coefficient's norm passed ``DIVISOR_NORM_CAP`` and the search stopped.
+    numerator's norm passed ``DIVISOR_NORM_CAP`` and the search stopped.
     """
-    p = trim(list(p))
-    if not p:
+    if not p.num:
         raise ValueError("zero polynomial has every root")
-    roots: list[GaussRat] = []
-    while p[0].is_zero():
-        roots.append(GaussRat(0))
-        p = p[1:]
+    roots: list[GaussRat] = [ZERO] * valuation(p)
+    p = UPoly(p.num[len(roots):], p.den)
     while True:
-        d = len(p) - 1
+        ints, d = p.num, len(p.num) - 1
         if d <= 0:
             return RootResult(roots, None, True)
         if d == 1:
-            roots.append(-p[0] / p[1])
+            roots.append(_zi_quotient(-ints[0][0], -ints[0][1], *ints[1]))
             return RootResult(roots, None, True)
         if d == 2:
-            a, b, c = p[2], p[1], p[0]
-            disc = b * b - 4 * a * c
-            s = disc.sqrt()
+            c, b, a = (_gauss(re, im, 1) for re, im in ints)
+            s = (b * b - 4 * a * c).sqrt()
             if s is None:
                 return RootResult(roots, p, True)
-            roots.append((-b + s) / (2 * a))
-            roots.append((-b - s) / (2 * a))
+            roots += [(-b + s) / (2 * a), (-b - s) / (2 * a)]
             return RootResult(roots, None, True)
-        ints = _clear_denominators(p)[0]
-        d0 = _gauss_int_divisors(ints[0])
-        dn = _gauss_int_divisors(ints[-1])
+        d0, dn = _gauss_int_divisors(ints[0]), _gauss_int_divisors(ints[-1])
         if d0 is None or dn is None:
             return RootResult(roots, p, False)
         found = _first_root(ints, d0, dn)
@@ -330,41 +350,22 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _int_gcd(*polys: list[int]) -> list[int]:
-    """Primitive gcd over Z[t], leading coefficient positive, of integer
-    polynomials, by the primitive pseudo-remainder sequence; [] for zeros."""
-    f: list[int] = []
-    for g in polys:
-        while any(g):
-            while not g[-1]:
-                g = g[:-1]
-            content = gcd(*g) if g[-1] > 0 else -gcd(*g)
-            g, r = [c // content for c in g], list(f)
-            while len(r) >= len(g):  # pseudo-division by g, one lc(g) per step
-                k, c = len(r) - len(g), r[-1]
-                r = [x * g[-1] for x in r]
-                for j, b in enumerate(g):
-                    r[k + j] -= c * b
-                r.pop()
-            f, g = g, r
-    return f
-
-
-def real_rational_roots(p: Coeffs) -> list[Fraction]:
+def real_rational_roots(p: UPoly) -> list[Fraction]:
     """Rational (real) roots of a Q(i)-coefficient polynomial, sorted,
     without multiplicity.
 
-    With l*p = R + i*I for integer polynomials R and I (l clears the
-    denominators), a rational q is a root iff it is a common root of R and
-    I, i.e. a rational root of their gcd over Z; the rational root theorem
-    bounds the candidates num/den, each tested in integers by homogeneous
-    Horner, sum g_k num^k den^(n-k) = 0.
+    With the numerators R + i*I for integer polynomials R and I, a
+    rational q is a root iff it is a root of their monic gcd, whose
+    numerators g are a primitive integer polynomial; the rational root
+    theorem bounds the candidates num/den, each tested in integers by
+    homogeneous Horner, sum g_k num^k den^(n-k) = 0.
     """
-    p = trim(list(p))
-    if not p:
+    if not p.num:
         raise ValueError("zero polynomial")
-    ints = _clear_denominators(p)[0]
-    g = _int_gcd([a for a, _ in ints], [b for _, b in ints])
+    if len(p.num) == 2:  # the root -p0/p1 = -p0 conj(p1)/|p1|^2 is real iff Im(p0 conj(p1)) = 0
+        (a, b), (c, d) = p.num
+        return [Fraction(-(a * c + b * d), c * c + d * d)] if b * c == a * d else []
+    g = [a for a, _ in poly_gcd(*(normal([(z[k], 0) for z in p.num], 1) for k in (0, 1))).num]
     roots = set()
     while len(g) > 1 and not g[0]:
         roots.add(Fraction(0))

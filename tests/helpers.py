@@ -35,7 +35,6 @@ from foliationlab.blowup import (
     _locus_on_E,
     blow_up,
     transform_vector_field,
-    univariate_on_E,
 )
 from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_polynomial
@@ -68,6 +67,11 @@ from foliationlab.separatrix import (
     ZeroEigenvalueDirection,
     formal_separatrix,
 )
+
+
+def coeffs(p) -> list[GaussRat]:
+    """The coefficients of a `unipoly` value as GaussRats."""
+    return [GaussRat(Fraction(re, p.den), Fraction(im, p.den)) for re, im in p.num]
 
 
 def mat(rows):
@@ -231,7 +235,7 @@ def jordan_fixtures() -> list[dict]:
 # Jensen corpus
 
 
-def jensen_corpus() -> list[tuple[list[GaussRat], list[tuple[GaussRat, int]]]]:
+def jensen_corpus() -> list[tuple[unipoly.UPoly, list[tuple[GaussRat, int]]]]:
     """Twenty polynomials with Gaussian-rational zeros kept away from the
     test circles r in {2, 5, 10}; returned as (coefficients, zeros)."""
     half = Fraction(1, 2)
@@ -250,13 +254,13 @@ def jensen_corpus() -> list[tuple[list[GaussRat], list[tuple[GaussRat, int]]]]:
     for k in range(20):
         deg = 1 + (k % 5)
         zeros = [pool[rng.randrange(len(pool))] for _ in range(deg)]
-        coeffs = [GaussRat(1)]
+        p = unipoly.ONE_POLY
         for z in zeros:
-            coeffs = unipoly.poly_mul(coeffs, [-z, GaussRat(1)])
+            p = unipoly.poly_mul(p, unipoly.from_coeffs([-z, 1]))
         counted: dict = {}
         for z in zeros:
             counted[z] = counted.get(z, 0) + 1
-        corpus.append((coeffs, sorted(counted.items(), key=lambda kv: str(kv[0]))))
+        corpus.append((p, sorted(counted.items(), key=lambda kv: str(kv[0]))))
     return corpus
 
 
@@ -508,7 +512,7 @@ def reference_formal_separatrix(v: VectorFieldGerm, direction: int, order: int, 
             comps[i] = comps[i] + MVPoly.monomial(t_ring, (k,), sol[i - 1])
     res_order = min((r.vanishing_order() for r in residual(comps)), default=math.inf)
     orig = [sum((comps[j] * m[i][j] for j in range(n)), MVPoly.zero(t_ring)) for i in range(n)]
-    series = tuple(tuple(c.coeff((k,)) for k in range(order + 1)) for c in orig)
+    series = tuple(unipoly.from_coeffs([c.coeff((k,)) for k in range(order + 1)]) for c in orig)
     return FormalCurve(v.variables, series, direction, lam, order, res_order)
 
 
@@ -516,7 +520,7 @@ def reference_surface_type(v: VectorFieldGerm) -> classify.SurfaceType:
     """The surface type of a singular dim-2 germ, as `singularity_report`
     gives it, from the whole field conjugated by P = (v_lam | v_ker)."""
     lp = v.linear_part()
-    cp = linalg.char_poly(lp)
+    cp = coeffs(linalg.char_poly(lp))
     if not cp[0].is_zero():
         return classify.NON_DEGENERATE
     tr = -cp[1]
@@ -591,7 +595,7 @@ def reference_corner_report(v: VectorFieldGerm, divisor: LogDivisor, order: int)
         if isinstance(result, Resonance):
             attempts.append({"direction": idx, "result": "resonance", "order": result.order})
             continue
-        vals = result.component_valuations()
+        vals = [unipoly.valuation(comp) for comp in result.components]
         if all(vals[j] is not math.inf for j in axes):
             attempts.append({"direction": idx, "result": "transverse curve survived to order %d" % order})
             outcome = "counterexample_candidate"
@@ -624,38 +628,38 @@ def reference_cluster_verdict(sat: SaturatedTransform, cluster) -> ClusterVerdic
     j = sat.chart
     w = 1 - j
     a, b = sat.saturated_field.components[j], sat.saturated_field.components[w]
-    au = univariate_on_E(a.derivative(j), j, w)
-    aw = univariate_on_E(a.derivative(w), j, w)
-    bu = univariate_on_E(b.derivative(j), j, w)
-    bw = univariate_on_E(b.derivative(w), j, w)
-    tr = univariate_on_E(a.derivative(j) + b.derivative(w), j, w)
-    det = unipoly.poly_sub(unipoly.poly_mul(au, bw), unipoly.poly_mul(aw, bu))
-    h = list(cluster.min_poly)
+    au = unipoly.from_mvpoly(a.derivative(j), w)
+    aw = unipoly.from_mvpoly(a.derivative(w), w)
+    bu = unipoly.from_mvpoly(b.derivative(j), w)
+    bw = unipoly.from_mvpoly(b.derivative(w), w)
+    tr = unipoly.from_mvpoly(a.derivative(j) + b.derivative(w), w)
+    det = unipoly.poly_add(unipoly.poly_mul(au, bw), unipoly.poly_mul(aw, bu), -1)
+    h = cluster.min_poly
     dh = unipoly.poly_derivative(h)
     sq = unipoly.poly_gcd(h, dh)
     if unipoly.degree(sq) > 0:
         h_sf, rem = unipoly.poly_divmod(h, sq)
-        assert not rem
+        assert not rem.num
     else:
         h_sf = unipoly.poly_monic(h)
     g1 = unipoly.poly_gcd(h_sf, tr)
     nonred = unipoly.poly_gcd(g1, det)
     if unipoly.degree(nonred) > 0:
-        return ClusterVerdict(unipoly.degree(h_sf), False, [], [], [])
+        return ClusterVerdict(unipoly.degree(h_sf), False, unipoly.ZERO_POLY, unipoly.ZERO_POLY, unipoly.ZERO_POLY)
     sn = unipoly.poly_gcd(h_sf, det)
     if unipoly.degree(sn) > 0:
         nd, rem = unipoly.poly_divmod(h_sf, sn)
-        assert not rem
+        assert not rem.num
     else:
-        nd, sn = list(h_sf), []
-    diff = unipoly.poly_sub(au, bw)
-    dic = list(nd)
+        nd, sn = h_sf, unipoly.ZERO_POLY
+    diff = unipoly.poly_add(au, bw, -1)
+    dic = nd
     for q in (aw, bu, diff):
         if unipoly.degree(dic) <= 0:
             break
         dic = unipoly.poly_gcd(dic, q)
     if unipoly.degree(dic) <= 0:
-        dic = []
+        dic = unipoly.ZERO_POLY
     return ClusterVerdict(unipoly.degree(h_sf), True, nd, sn, dic)
 
 
@@ -716,8 +720,9 @@ def reference_eigenspace(a, lam):
 
 
 def reference_clear_denominators(p):
-    """`unipoly._clear_denominators` on Fractions: l*p as (re, im) pairs and
-    l, the lcm of the denominators of every real and imaginary part."""
+    """`gaussrat._clear_denominators` on Fractions, for a list p of
+    GaussRats: l*p as (re, im) pairs and l, the lcm of the denominators of
+    every real and imaginary part."""
     l = math.lcm(1, *(q.denominator for c in p for q in (c.re, c.im)))
     return [(int(c.re * l), int(c.im * l)) for c in p], l
 
@@ -726,8 +731,8 @@ def reference_real_rational_roots(p):
     """Rational roots of a Q(i) polynomial, sorted, without multiplicity:
     the rational roots of the monic gcd over Q of its real and imaginary
     parts, by the rational root theorem with Fraction candidates."""
-    p = unipoly.trim(list(p))
-    g = unipoly.poly_gcd([GaussRat(c.re) for c in p], [GaussRat(c.im) for c in p])
+    p = coeffs(p)
+    g = coeffs(unipoly.poly_gcd(unipoly.from_coeffs([c.re for c in p]), unipoly.from_coeffs([c.im for c in p])))
     roots = set()
     while len(g) > 1 and g[0].is_zero():
         roots.add(Fraction(0))
@@ -740,15 +745,14 @@ def reference_real_rational_roots(p):
         for num in unipoly._int_divisors(ints[0]):
             for d in unipoly._int_divisors(ints[-1]):
                 for cand in (Fraction(num, d), Fraction(-num, d)):
-                    if unipoly.poly_eval(g, GaussRat(cand)).is_zero():
+                    if unipoly.poly_eval(unipoly.from_coeffs(g), GaussRat(cand)).is_zero():
                         roots.add(cand)
     return sorted(roots)
 
 
 def reference_root_multiplicity(p, root) -> int:
     m = 0
-    p = unipoly.trim(list(p))
-    while p and unipoly.poly_eval(p, root).is_zero():
+    while p.num and unipoly.poly_eval(p, root).is_zero():
         p = unipoly.deflate(p, root)
         m += 1
     return m
@@ -759,7 +763,7 @@ def reference_has_other_eigenvalue_with_positive_ratio(cp, lam) -> bool:
     positive rational."""
     deflated = unipoly.deflate(cp, lam)
     # roots mu = q*lam of deflated <-> positive rational roots s of deflated(lam*s)
-    rescaled = [c * lam**k for k, c in enumerate(deflated)]
+    rescaled = unipoly.from_coeffs([c * lam**k for k, c in enumerate(coeffs(deflated))])
     return any(r > 0 for r in unipoly.real_rational_roots(rescaled))
 
 

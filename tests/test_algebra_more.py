@@ -25,6 +25,7 @@ from foliationlab.monomial import (
 )
 
 from helpers import (
+    coeffs,
     det,
     inverse,
     mat,
@@ -40,23 +41,24 @@ from helpers import (
 
 
 def _g(*cs):
-    return [GaussRat.coerce(c) for c in cs]
+    return unipoly.from_coeffs(cs)
 
 
 def test_series_arithmetic_and_truncation():
     s = unipoly.series_mul(_g(1, 1), _g(1, -1), 5)
     assert s == _g(1, 0, -1)
     assert unipoly.series_mul(s, _g(1, 1), 2) == _g(1, 1, -1)  # (1 - t^2)(1 + t) to order 2
-    assert unipoly.series_mul(_g(0, 1), _g(0, 0, 1), 2) == []  # t^3 lies past order 2
+    assert unipoly.series_mul(_g(0, 1), _g(0, 0, 1), 2) == unipoly.ZERO_POLY  # t^3 lies past order 2
     assert unipoly.valuation(s) == 0 and unipoly.valuation(_g(0, 0, 3)) == 2
-    assert unipoly.valuation([]) == math.inf and unipoly.valuation(_g(0, 0)) == math.inf
+    assert unipoly.valuation(unipoly.ZERO_POLY) == math.inf and unipoly.valuation(_g(0, 0)) == math.inf
 
 
 def test_series_division():
-    den = _g(0, 1, 0, 0)  # t, known to order 3
-    q = unipoly.series_divide(_g(0, 0, 1, 1), den)  # t^2 (1 + t) / t, known to order 2
+    den = _g(0, 1)  # t, known to order 3
+    q = unipoly.series_divide(_g(0, 0, 1, 1), den, 3)  # t^2 (1 + t) / t, known to order 2
     assert q == _g(0, 1, 1) and unipoly.valuation(q) == 1
-    assert unipoly.series_divide(_g(0, 0, 0, 0), den) == _g(0, 0, 0)
+    assert unipoly.series_divide(unipoly.ZERO_POLY, den, 3) == unipoly.ZERO_POLY
+    assert unipoly.series_divide(_g(0, 0, 1, 1), den, 2) == _g(0, 1)  # known to order 2: t^2 / t to order 1
 
 
 @st.composite
@@ -68,11 +70,13 @@ def _divisions(draw):
     lead = draw(gauss.filter(lambda c: not c.is_zero()))
     den_rest = draw(st.lists(gauss, min_size=den_order - v, max_size=den_order - v))
     num_coeffs = [0] * draw(st.integers(v, v + 2)) + draw(st.lists(gauss, min_size=num_order + 1, max_size=num_order + 1))
-    return _g(*num_coeffs[: num_order + 1]), _g(*[0] * v, lead, *den_rest)
+    return ([GaussRat.coerce(c) for c in num_coeffs[: num_order + 1]],
+            [GaussRat.coerce(c) for c in (*[0] * v, lead, *den_rest)])
 
 
 @given(_divisions())
-@example((_g(0, 1, GaussRat(0, 1), -2, 1, 3), _g(0, 2, 1, -1, GaussRat(1, 1), 1)))
+@example(([GaussRat.coerce(c) for c in (0, 1, GaussRat(0, 1), -2, 1, 3)],
+          [GaussRat.coerce(c) for c in (0, 2, 1, -1, GaussRat(1, 1), 1)]))
 @settings(max_examples=12, deadline=None)
 def test_series_division_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
@@ -85,12 +89,13 @@ def test_series_division_matches_sympy(case):
 
     num, den = case
     t = sympy.Symbol("t")
-    q = unipoly.series_divide(num, den)
-    v = unipoly.valuation(den)
-    assert len(q) == min(len(num), len(den)) - v
+    order = min(len(num), len(den)) - 1
+    q = unipoly.series_divide(_g(*num), _g(*den), order)
+    v = unipoly.valuation(_g(*den))
+    assert unipoly.degree(q) <= order - v
     # a truncated quotient is unique: num = q*den up to the known order
-    rest = (to_poly(num) - to_poly(q) * to_poly(den)).all_coeffs()[::-1]
-    assert all(c == 0 for c in rest[: len(q) + v])
+    rest = (to_poly(num) - to_poly(coeffs(q)) * to_poly(den)).all_coeffs()[::-1]
+    assert all(c == 0 for c in rest[: order + 1])
 
 
 def test_solve_and_kernel():
@@ -118,10 +123,10 @@ def test_eigenvalues_reproduce_char_poly(m):
     ev = linalg.eigenvalues_exact(m)
     if isinstance(ev, linalg.Indeterminate):
         return
-    prod = [GaussRat(1)]
+    prod = unipoly.ONE_POLY
     for lam in ev:
-        prod = unipoly.poly_mul(prod, [-lam, GaussRat(1)])
-    assert prod == unipoly.trim(cp)
+        prod = unipoly.poly_mul(prod, _g(-lam, 1))
+    assert prod == cp
 
 
 _SOLVE_ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), GaussRat(0, 1), GaussRat(1, -3)]).map(
@@ -191,7 +196,7 @@ def _wide_matrix():
 @settings(max_examples=40, deadline=None)
 def test_char_poly_cayley_hamilton(m):
     n = len(m)
-    cp = linalg.char_poly(m)
+    cp = coeffs(linalg.char_poly(m))
     assert len(cp) == n + 1 and cp[n] == 1
     total, power = scalar_matrix(n, cp[0]), scalar_matrix(n, 1)
     for c in cp[1:]:
@@ -211,9 +216,10 @@ def test_char_poly_matches_sympy(m):
 
     t = sympy.Symbol("t")
     want = sympy.Matrix([[to_sympy(x) for x in row] for row in m]).charpoly(t).all_coeffs()[::-1]
-    assert len(want) == len(linalg.char_poly(m))
-    for got, c in zip(linalg.char_poly(m), want):
-        assert sympy.expand(to_sympy(got) - c) == 0
+    got = coeffs(linalg.char_poly(m))
+    assert len(want) == len(got)
+    for g, c in zip(got, want):
+        assert sympy.expand(to_sympy(g) - c) == 0
 
 
 def test_eigenvalue_examples():
@@ -231,8 +237,8 @@ def test_eigenvalue_examples():
 
 def test_root_multiplicity_and_real_roots():
     # (t-1)^2 (t+2)
-    p = unipoly.poly_mul([GaussRat(-1), GaussRat(1)], [GaussRat(-1), GaussRat(1)])
-    p = unipoly.poly_mul(p, [GaussRat(2), GaussRat(1)])
+    p = unipoly.poly_mul(_g(-1, 1), _g(-1, 1))
+    p = unipoly.poly_mul(p, _g(2, 1))
     once = unipoly.deflate(p, GaussRat(1))
     assert unipoly.poly_eval(once, GaussRat(1)).is_zero()
     assert not unipoly.poly_eval(unipoly.deflate(once, GaussRat(1)), GaussRat(1)).is_zero()
@@ -244,10 +250,10 @@ def test_root_multiplicity_and_real_roots():
 
 
 def _from_roots(lead, roots, extra=(GaussRat(1),)):
-    p = [GaussRat.coerce(lead)]
+    p = _g(lead)
     for r in roots:
-        p = unipoly.poly_mul(p, [-GaussRat.coerce(r), GaussRat(1)])
-    return unipoly.poly_mul(p, list(extra))
+        p = unipoly.poly_mul(p, _g(-GaussRat.coerce(r), 1))
+    return unipoly.poly_mul(p, _g(*extra))
 
 
 @pytest.mark.parametrize("p, expected", [
@@ -268,8 +274,8 @@ def test_real_rational_roots_cases(p, expected):
 
 def test_gaussian_integer_root():
     # roots 1+i and 2
-    p = unipoly.poly_mul([GaussRat(-1, -1), GaussRat(1)], [GaussRat(-2), GaussRat(1)])
-    p = unipoly.poly_mul(p, [GaussRat(-3), GaussRat(0), GaussRat(0), GaussRat(1)])  # t^3-3 residual
+    p = unipoly.poly_mul(_g(GaussRat(-1, -1), 1), _g(-2, 1))
+    p = unipoly.poly_mul(p, _g(-3, 0, 0, 1))  # t^3-3 residual
     res = unipoly.gaussian_rational_roots(p)
     assert not res.split_completely()
     assert {str(r) for r in res.roots} == {"1+i", "2"}
@@ -318,7 +324,7 @@ def test_gauss_int_divisors_match_lattice_walk():
 def _candidate_loop_first_root(ints, d0, dn):
     """The candidate loop before the integer Horner test: deduplicated
     GaussRat quotients in d0 x dn order, each tested by `poly_eval`."""
-    p = [GaussRat(a, b) for a, b in ints]
+    p = _g(*(GaussRat(a, b) for a, b in ints))
     seen = set()
     for (a, b) in d0:
         for (c, d) in dn:
@@ -350,8 +356,7 @@ _root_strategy = st.builds(GaussRat, _small_q, _small_q)
 def test_gaussian_rational_roots_match_candidate_loop(roots, cubic, lead):
     p = _from_roots(lead, roots, cubic or (GaussRat(1),))
     res = unipoly.gaussian_rational_roots(p)
-    with mock.patch.object(unipoly, "_first_root", _candidate_loop_first_root), \
-            mock.patch.object(unipoly, "_clear_denominators", reference_clear_denominators):
+    with mock.patch.object(unipoly, "_first_root", _candidate_loop_first_root):
         want = unipoly.gaussian_rational_roots(p)
     assert res.roots == want.roots
     assert res.residual == want.residual
@@ -368,10 +373,10 @@ def test_gaussian_rational_roots_match_sympy(roots, cubic):
 
     p = _from_roots(1, roots, cubic or (GaussRat(1),))
     t = sympy.Symbol("t")
-    want = sympy.roots(sum(to_sympy(c) * t ** k for k, c in enumerate(p)), t)
+    want = sympy.roots(sum(to_sympy(c) * t ** k for k, c in enumerate(coeffs(p))), t)
     res = unipoly.gaussian_rational_roots(p)
     got = collections.Counter(to_sympy(r) for r in res.roots)
-    assert sum(want.values()) == len(p) - 1
+    assert sum(want.values()) == unipoly.degree(p)
     if not res.exhaustive:  # an outer coefficient's norm passed the cap: a partial split
         assert all(want.get(r, 0) >= mult for r, mult in got.items())
         return
@@ -660,12 +665,13 @@ _EXTRA_FACTORS = [(GaussRat(1),), (GaussRat(-2), GaussRat(0), GaussRat(1)),  # t
 @settings(max_examples=120, deadline=None)
 def test_real_rational_roots_match_reference(roots, extra, lead, huge_root):
     """The integer gcd and Horner test give the Fraction reference's roots;
-    the cleared integers are the Fraction reference's.  One optional root
+    the numerators and denominator of the product, and of its coefficients
+    cleared again, are the Fraction reference's clearing.  One optional root
     with an imaginary part past 2^64 puts such parts in every coefficient."""
     if huge_root:
         roots = roots + [GaussRat(1, 2**64 + 13)]
     p = _from_roots(lead, roots, extra)
-    assert unipoly._clear_denominators(p) == reference_clear_denominators(p)
+    assert p == _g(*coeffs(p)) == reference_clear_denominators(coeffs(p))
     assert unipoly.real_rational_roots(p) == reference_real_rational_roots(p)
 
 
@@ -674,8 +680,82 @@ def test_divisor_cap_still_stops_the_490i_polynomial():
     norm 240,100, past `DIVISOR_NORM_CAP`, so no root comes back."""
     p = _from_roots(1, [GaussRat(0, Fraction(-7, 2))] * 2 + [GaussRat(0, Fraction(-5, 3))],
                     [GaussRat(-2), GaussRat(0), GaussRat(0), GaussRat(1)])
-    ints, l = unipoly._clear_denominators(p)
+    ints, l = p
     assert (ints[0], l) == ((0, 490), 12)
     res = unipoly.gaussian_rational_roots(p)
     assert res.roots == [] and res.residual == p and not res.exhaustive
     assert unipoly.real_rational_roots(p) == []
+
+
+# parts past 2^64 over denominators past 2^32, and small ones
+_HUGE_PART = st.sampled_from([0, 1, -2, 7, 2**64 + 13, -(3**41), 2**65 - 1])
+_HUGE_DEN = st.sampled_from([1, 3, 2**32 + 15, 2**33 + 3])
+_HUGE_COEFF = st.builds(lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)), _HUGE_PART, _HUGE_PART, _HUGE_DEN)
+_NONZERO_HUGE = _HUGE_COEFF.filter(lambda c: not c.is_zero())
+_HUGE_POLY = st.lists(_HUGE_COEFF, max_size=3).map(unipoly.from_coeffs)
+
+
+@given(_HUGE_POLY.filter(lambda p: p.num), _HUGE_POLY, _HUGE_POLY, _NONZERO_HUGE, st.integers(0, 2),
+       st.sampled_from([(1,), (-2, 0, 1), (1, 0, 1), (-2, 0, 0, 1)]))
+@example(_g(1), _g(2**64 + 13, 1), _g(GaussRat(Fraction(1, 2**33 + 3), 1)), GaussRat(Fraction(2**64 + 13, 3)), 2,
+         (-2, 0, 0, 1))
+@settings(max_examples=12, deadline=None)
+def test_unipoly_matches_sympy_over_gaussian_rationals(g, a, b, root, v, extra):
+    """gcd, division, deflation, series division and the Q(i) roots of
+    Z[i]-numerator values equal sympy's results over QQ<I>."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(re, p.den) + sympy.I * sympy.Rational(im, p.den) for re, im in p.num[::-1]]
+                          or [0], t, domain="QQ_I")
+
+    def number(z):
+        return sympy.Rational(z.re) + sympy.I * sympy.Rational(z.im)
+
+    ga, gb = unipoly.poly_mul(g, a), unipoly.poly_mul(g, b)
+    assert to_sympy(unipoly.poly_gcd(ga, gb)) == to_sympy(ga).gcd(to_sympy(gb))
+    if gb.num:
+        quot, rem = unipoly.poly_divmod(ga, gb)
+        assert (to_sympy(quot), to_sympy(rem)) == to_sympy(ga).div(to_sympy(gb))
+    lin = _g(-root, 1)
+    assert unipoly.deflate(unipoly.poly_mul(g, lin), root) == g
+    # t^v g / (t^v (1 + t b)), both known to t^4
+    shift, order = _g(*[0] * v, 1), 4
+    num = unipoly.series_mul(shift, g, order)
+    den = unipoly.series_mul(shift, unipoly.poly_add(_g(1), unipoly.poly_mul(_g(0, 1), b)), order)
+    q = unipoly.series_divide(num, den, order)
+    assert unipoly.degree(q) <= order - v
+    rest = (to_sympy(num) - to_sympy(q) * to_sympy(den)).all_coeffs()[::-1]
+    assert all(c == 0 for c in rest[: order + 1])
+    # roots: g's leading coefficient times (t - root)^2 (t - 1/2) and an extra factor
+    p = unipoly.poly_mul(unipoly.poly_mul(unipoly.poly_mul(lin, lin), _g(Fraction(-1, 2), 1)),
+                         unipoly.poly_mul(_g(*extra), _g(coeffs(g)[-1])))
+    res = unipoly.gaussian_rational_roots(p)
+    found = sympy.Poly(1, t, domain="QQ_I")
+    for r in res.roots:
+        found *= sympy.Poly(t - number(r), t, domain="QQ_I")
+    assert to_sympy(p) == found * (to_sympy(res.residual) if res.residual else to_sympy(_g(coeffs(p)[-1])))
+    if res.exhaustive and res.residual is not None:
+        assert all(f.degree() > 1 for f, _ in to_sympy(res.residual).factor_list()[1])
+
+
+@given(st.lists(_HUGE_COEFF | _MIXED_ROOT, min_size=1, max_size=6).filter(lambda cs: not cs[-1].is_zero()))
+@example([GaussRat(Fraction(1, 3)), GaussRat(Fraction(1, 2), Fraction(5, 6)), GaussRat(Fraction(2**65 - 1, 2**33 + 3))])
+@settings(max_examples=60, deadline=None)
+def test_float_shadows_are_the_gaussrat_floats_bit_for_bit(cs):
+    """Each Horner coefficient of `Poly`, re/den and im/den of the shared
+    denominator, is `GaussRat.to_complex` of its coefficient bit for bit:
+    int true division rounds correctly, and both are the same rational.
+    So `Indeterminate.approx` is numpy's roots of the same array."""
+    import numpy as np
+
+    from foliationlab.exprtree import Poly
+
+    def bits(zs):
+        return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+    want = [c.to_complex() for c in reversed(cs)]
+    assert bits(Poly(cs).horner) == bits(want)
+    got = linalg.Indeterminate(_g(*cs)).approx
+    assert bits(got) == bits(complex(z) for z in np.roots(np.array(want, dtype=complex)))

@@ -18,7 +18,6 @@ from foliationlab.blowup import (
     exceptional_multiplicity,
     pullback_one_form,
     transform_vector_field,
-    univariate_on_E,
 )
 from foliationlab import unipoly
 from foliationlab.corpus import oneform_corpus, seidenberg_corpus
@@ -447,7 +446,7 @@ def test_exceptional_loci_equal_blow_up_loci(v):
 def _chart2_points_by_root_search(sat):
     """Chart 2's points on E by the general path: the roots of gcd(a, b) on
     E, of which the chart keeps only w = 0."""
-    a, b = (univariate_on_E(c, 1, 0) for c in sat.saturated_field.components)
+    a, b = (unipoly.from_mvpoly(c, 0) for c in sat.saturated_field.components)
     g = unipoly.poly_gcd(a, b)
     if unipoly.degree(g) <= 0:
         return []

@@ -10,8 +10,8 @@ from foliationlab.mvpoly import MVPoly
 from foliationlab.foliation import VectorFieldGerm
 from foliationlab.exprtree import Exp, Mul, Poly, t_expr
 from foliationlab.quadrature import QuadConfig, nudge_radius
-from foliationlab import nevanlinna as nv
-from helpers import FALSE_DECLARATIONS, reference_horner, reference_jensen_verify
+from foliationlab import nevanlinna as nv, unipoly
+from helpers import FALSE_DECLARATIONS, coeffs, reference_horner, reference_jensen_verify
 
 CFG = QuadConfig(tol=1e-9)
 VARS = ("x", "y")
@@ -32,10 +32,9 @@ def test_exprtree_scaled_eval_no_overflow():
     assert la[0] == pytest.approx(1200.0)
     assert la[1] == pytest.approx(-1200.0)
     s = g.series(5)[GaussRat(0)]
-    assert s[3] == GaussRat(Fraction(8, 6))
+    assert coeffs(s)[3] == GaussRat(Fraction(8, 6))
     # exp(t + 1) = e^1 * exp(t): one group under the exp value 1
-    assert Exp(_poly(1, 1)).series(3) == {GaussRat(1): [GaussRat(1), GaussRat(1), GaussRat(Fraction(1, 2)),
-                                                        GaussRat(Fraction(1, 6))]}
+    assert Exp(_poly(1, 1)).series(3) == {GaussRat(1): unipoly.from_coeffs([1, 1, Fraction(1, 2), Fraction(1, 6)])}
 
 
 def test_circle_average_log_examples():
@@ -94,17 +93,15 @@ def test_jensen_examples():
 def _polynomial_with_zeros_and_grid(draw):
     """(P, its zeros, radii): P = lead * prod (t - z)^nu over Gaussian-rational
     zeros, and a grid of radii >= 1, some of them on a zero's modulus."""
-    from foliationlab import unipoly
-
     parts = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     zeros = draw(st.dictionaries(st.builds(GaussRat, parts, parts), st.integers(1, 3), max_size=4))
-    coeffs = [GaussRat(draw(st.sampled_from([1, -2, 7])), draw(st.sampled_from([0, 1])))]
+    p = unipoly.from_coeffs([GaussRat(draw(st.sampled_from([1, -2, 7])), draw(st.sampled_from([0, 1])))])
     for z, nu in zeros.items():
         for _ in range(nu):
-            coeffs = unipoly.poly_mul(coeffs, [-z, GaussRat(1)])
+            p = unipoly.poly_mul(p, unipoly.from_coeffs([-z, 1]))
     on_zero = [float(z.abs2()) ** 0.5 for z in zeros if z.abs2() >= 1]
     radius = st.floats(1.0, 40.0) | (st.sampled_from(on_zero) if on_zero else st.just(1.0))
-    return Poly(coeffs), sorted(zeros.items(), key=lambda kv: str(kv[0])), draw(st.lists(radius, max_size=6))
+    return Poly(p), sorted(zeros.items(), key=lambda kv: str(kv[0])), draw(st.lists(radius, max_size=6))
 
 
 @given(_polynomial_with_zeros_and_grid())
@@ -166,6 +163,24 @@ def test_fmt_refuses_a_grid_without_two_radii(capsys):
         assert cli.main(["nevanlinna", text, "--check", "fmt", "--ideal", "x, y", "--radii", "4:4:1"]) == 1
         out, err = capsys.readouterr()
         assert "needs two distinct radii" in err and not out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["f(t) = (t, t)", "f(t) = (exp(t), exp(t))"])
+def test_fmt_refuses_an_ideal_that_vanishes_along_the_curve(capsys, text):
+    """x - y vanishes identically on these curves, so m(r) would be +inf:
+    fmt exits 1 before integrating, with nothing from numpy on stderr.  On
+    (exp(t), exp(2t)) it vanishes to order 1 at 0 and is accepted."""
+    from foliationlab import cli
+    from foliationlab.exprtree import order_at
+
+    argv = ["--check", "fmt", "--ideal", "x - y", "--radii", "2:4:2"]
+    assert cli.main(["nevanlinna", text, *argv]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: the ideal vanishes along the curve to an order past 12 at t = 0, or identically\n"
+    assert not out
+    g = nv.ParametrizedCurve((Exp(t_expr()), Exp(_poly(0, 2))))
+    assert order_at(g.components[0] - g.components[1], GaussRat(0), nv.ZERO_ORDER_CAP) == 1
 
 
 def test_characteristic_T_closed_forms():
@@ -686,13 +701,14 @@ def test_folding_rules():
     from foliationlab.exprtree import Add, add, mul, power
 
     e, e2 = Exp(t_expr()), Exp(_poly(0, 2))
-    assert mul([_poly(2), e, _poly()]).coeffs == () and mul([_poly(1), e]) is e and add([_poly(), e]) is e
-    assert power(e, 0).coeffs == (GaussRat(1),) and power(e, 1) is e and power(_poly(1, 1), 2).coeffs == tuple(
-        GaussRat(c) for c in (1, 2, 1))
+    assert mul([_poly(2), e, _poly()]).coeffs == unipoly.ZERO_POLY and mul([_poly(1), e]) is e
+    assert add([_poly(), e]) is e
+    assert power(e, 0).coeffs == unipoly.ONE_POLY and power(e, 1) is e
+    assert power(_poly(1, 1), 2).coeffs == unipoly.from_coeffs([1, 2, 1])
     s = add([e, _poly(1), e2, _poly(-1, 1), Mul([e, e2])])  # the polys fold at the place of the first
     assert isinstance(s, Add) and [type(c) for c in s.children] == [Exp, Poly, Exp, Mul]
-    assert s.children[1].coeffs == (GaussRat(0), GaussRat(1)) and s.children[3].children == (e, e2)
-    assert mul([]).coeffs == (GaussRat(1),) and add([]).coeffs == ()
+    assert s.children[1].coeffs == unipoly.from_coeffs([0, 1]) and s.children[3].children == (e, e2)
+    assert mul([]).coeffs == unipoly.ONE_POLY and add([]).coeffs == unipoly.ZERO_POLY
 
 
 def test_polynomial_composition_folds_to_poly():
@@ -703,8 +719,8 @@ def test_polynomial_composition_folds_to_poly():
     g = expr_from_mvpoly(p, comps)
     assert isinstance(g, Poly) and isinstance(g.diff(), Poly)
     # 3 (t + 1)^2 - (t + 1) t^2 + t^2 + 5 = 8 + 6t + 3t^2 - t^3
-    assert g.coeffs == tuple(GaussRat(c) for c in (8, 6, 3, -1))
-    assert isinstance(expr_from_mvpoly(X, comps), Poly) and expr_from_mvpoly(Y - Y, comps).coeffs == ()
+    assert g.coeffs == unipoly.from_coeffs([8, 6, 3, -1])
+    assert isinstance(expr_from_mvpoly(X, comps), Poly) and expr_from_mvpoly(Y - Y, comps).coeffs == unipoly.ZERO_POLY
     # an exp component keeps its node, without a unit factor or a zero term
     e = expr_from_mvpoly(Y, (t_expr(), Exp(t_expr())))
     assert isinstance(e, Exp) and isinstance(e.diff(), Exp)
