@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .gaussrat import GaussRat
-from .mvpoly import MVPoly, chart_exponent, chart_pullback, chart_transform
+from .mvpoly import MVPoly, chart_exponent, chart_one_form, chart_transform, shift_var
 from .foliation import (
     LogDivisor,
     VectorFieldGerm,
@@ -118,26 +118,24 @@ class OneFormPullback:
 def pullback_one_form(b: Sequence[MVPoly], j: int) -> OneFormPullback:
     """Express pi*(sum b_i dz_i) on chart j in the basis (dlog u, dw_i) and
     certify divisibility of every coefficient by u (Siu containment).
-    Divisibility failure would contradict the lemma and raises
-    InternalError."""
+
+    Since dz_j = u dlog u and dz_i = u dw_i + w_i u dlog u, u divides every
+    coefficient by construction: `mvpoly.chart_one_form` builds them as
+    exponent relabellings.  So the divisibility test and the
+    re-multiplication certificate (the quotient shifted back up by u) guard
+    the kernel's arithmetic; either failing raises InternalError."""
     n = len(b)
     check_chart(n, j)
     variables = b[0].variables
     if len(variables) != n:
         raise ValueError("need %d coefficients" % len(variables))
-    subs = [chart_pullback(p, j) for p in b]
-    u = MVPoly.var(variables, variables[j])
-    c_log = subs[j] * u
-    for i in range(n):
-        if i != j:
-            c_log = c_log + subs[i] * u * MVPoly.var(variables, variables[i])
-    dw = {i: subs[i] * u for i in range(n) if i != j}
+    c_log, dw = chart_one_form(b, j)
     for name, coeff in [("dlog", c_log)] + [("dw%d" % i, q) for i, q in dw.items()]:
         if not coeff.divisible_by_var(j):
             raise InternalError("Siu divisibility failed for %s" % name)
-    q_log = c_log.divide_by_var_power(j, 1)
-    q_dw = {i: p.divide_by_var_power(j, 1) for i, p in dw.items()}
-    ok = (q_log * u == c_log) and all(q_dw[i] * u == dw[i] for i in q_dw)
+    q_log = shift_var(c_log, j, -1)
+    q_dw = {i: shift_var(p, j, -1) for i, p in dw.items()}
+    ok = shift_var(q_log, j, 1) == c_log and all(shift_var(q_dw[i], j, 1) == dw[i] for i in q_dw)
     if not ok:
         raise InternalError("Siu certificate re-multiplication failed")
     return OneFormPullback(chart=j, dlog_coeff=q_log, dw_coeffs=q_dw, certified=True)

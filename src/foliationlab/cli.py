@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .gaussrat import GaussRat
 from .foliation import FoliationError, LogDivisor
@@ -28,20 +28,37 @@ EXIT_INTERNAL = 3
 
 
 def _emit_json(command: str, result, out) -> None:
-    doc = {"schema": SCHEMA, "command": command, "result": _sanitize(result)}
-    out.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
-    out.write("\n")
+    parts: list[str] = []
+    _encode({"schema": SCHEMA, "command": command, "result": result}, parts, "\n")
+    out.write("".join(parts) + "\n")
 
 
-def _sanitize(obj):
-    """JSON cannot carry inf/nan; they become strings."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+def _encode(obj, parts: list[str], nl: str) -> None:
+    """Append the text of json.dumps(obj, sort_keys=True, indent=2), nested
+    at the line break nl, for str keys only; inf and nan, which JSON cannot
+    carry, are written as the strings str(x)."""
+    if isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        parts.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(float.__repr__(obj) if math.isfinite(obj) else _quote(str(obj)))
+    elif isinstance(obj, dict):
+        inner = nl + "  "
+        for k, (key, value) in enumerate(sorted(obj.items())):
+            parts.append("%s%s%s: " % ("," if k else "{", inner, _quote(key)))  # a key that is no str: TypeError
+            _encode(value, parts, inner)
+        parts.append(nl + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = nl + "  "
+        for k, value in enumerate(obj):
+            parts.append(("," if k else "[") + inner)
+            _encode(value, parts, inner)
+        parts.append(nl + "]" if obj else "[]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 def _emit_csv(rows, out) -> None:
@@ -302,6 +319,7 @@ def cmd_selftest(args, out) -> int:
     from . import nevanlinna
     from .corpus import oneform_corpus
     from .exprtree import Poly
+    from .foliation import VectorFieldGerm, is_singular_at_origin
     from .mvpoly import MVPoly
 
     failures = []
@@ -328,8 +346,6 @@ def cmd_selftest(args, out) -> int:
                 if 1 <= sum(e) <= 3:
                     terms[e] = GaussRat(rng.choice([1, -1, 2, -2]))
             comps.append(MVPoly(vs, terms))
-        from .foliation import VectorFieldGerm, is_singular_at_origin
-
         germ = VectorFieldGerm(vs, comps)
         if not is_singular_at_origin(germ) or all(c.is_zero() for c in comps):
             continue
@@ -353,20 +369,10 @@ def _charts_compatible(germ) -> bool:
     ]
 
     def ambient_vector(sat, point):
-        j = sat.chart
-        vec = sat.saturated_field.evaluate(point)
-        u = point[j]
-        out = []
-        for i in range(2):
-            if i == j:
-                out.append(vec[j])
-            else:
-                out.append(vec[i] * u + point[i] * vec[j])
-        return out
+        j, vec = sat.chart, sat.saturated_field.evaluate(point)
+        return [vec[j] if i == j else vec[i] * point[j] + point[i] * vec[j] for i in range(2)]
 
-    for (u, w) in samples:
-        if u.is_zero() or w.is_zero():
-            continue
+    for (u, w) in samples:  # u, w != 0
         p0 = (u, w)
         p1 = (GaussRat(1) / w, u * w)  # the ambient point (u, u*w) of chart 1 in chart 2
         v0 = ambient_vector(sats[0], p0)

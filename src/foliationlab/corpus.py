@@ -14,7 +14,7 @@ import random
 from itertools import product
 
 from .gaussrat import GaussRat
-from .mvpoly import MVPoly
+from .mvpoly import MVPoly, _poly
 from .foliation import VectorFieldGerm
 from . import unipoly
 
@@ -154,9 +154,9 @@ def oneform_corpus(count: int, seed: int = 7) -> list[tuple[tuple[str, ...], lis
                 e = tuple(rng.randrange(0, 3) for _ in range(n))
                 if sum(e) > 4:
                     continue
-                c = GaussRat(rng.randrange(-3, 4), rng.randrange(-2, 3))
-                if not c.is_zero():
+                c = (rng.randrange(-3, 4), rng.randrange(-2, 3))
+                if c != (0, 0):
                     terms[e] = c
-            coeffs.append(MVPoly(variables, terms))
+            coeffs.append(_poly(variables, terms, 1))  # integer numerators: canonical over 1
         out.append((variables, coeffs))
     return out

@@ -33,6 +33,17 @@ def _qstr(n: int, d: int) -> str:
     return str(n // g) if d == g else "%d/%d" % (n // g, d // g)
 
 
+def _gstr(a: int, b: int, d: int) -> str:
+    """str(GaussRat) of (a + b*i)/d for d > 0, reduced or not."""
+    if not b:
+        return _qstr(a, d)
+    mag = _qstr(abs(b), d)
+    istr = ("" if b > 0 else "-") + ("i" if mag == "1" else mag + "*i")
+    if not a:
+        return istr
+    return _qstr(a, d) + ("+" if b > 0 else "") + istr
+
+
 def rational_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if q < 0:
@@ -204,14 +215,7 @@ class GaussRat:
         return "GaussRat(%s, %s)" % (_qstr(a, d), _qstr(b, d))
 
     def __str__(self):
-        a, b, d = self._abd
-        if not b:
-            return _qstr(a, d)
-        mag = _qstr(abs(b), d)
-        istr = ("" if b > 0 else "-") + ("i" if mag == "1" else mag + "*i")
-        if not a:
-            return istr
-        return _qstr(a, d) + ("+" if b > 0 else "") + istr
+        return _gstr(*self._abd)
 
 
 _new = object.__new__

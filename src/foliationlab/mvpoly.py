@@ -9,7 +9,7 @@ with the zero polynomial ({}, 1).  Equal polynomials therefore have equal
 ``(variables, den, num)``.  Each operation works on the integers and
 divides out its result's content once, skipping that gcd pass when
 den = 1.  GaussRat appears only at the boundary: ``coeff``,
-``constant_term``, ``terms``, ``sorted_terms``, ``evaluate``, ``to_string``.
+``constant_term``, ``terms``, ``sorted_terms`` and the value of ``evaluate``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .gaussrat import ZERO, GaussRat, _abd_of, _gauss
+from .gaussrat import ZERO, GaussRat, _abd_of, _gauss, _gstr
 
 Exponent = tuple[int, ...]
 Numerators = dict[Exponent, tuple[int, int]]
@@ -358,7 +358,7 @@ class MVPoly:
             return self
         if not self.divisible_by_var(i, k):
             raise ValueError("not divisible by %s^%d" % (self.variables[i], k))
-        return _shift_down(self, i, k)
+        return shift_var(self, i, -k)
 
     def derivative(self, i: int) -> "MVPoly":
         num = {e[:i] + (e[i] - 1,) + e[i + 1:]: (a * e[i], b * e[i]) for e, (a, b) in self.num.items() if e[i]}
@@ -367,15 +367,29 @@ class MVPoly:
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate(self, point: Sequence[GaussRat]) -> GaussRat:
-        point = [GaussRat.coerce(p) for p in point]
-        out = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = v * point[i] ** k
-            out = out + v
-        return out
+        """p(point) on the integers: with coordinate i = P_i/q_i and m_i the
+        degree in z_i, the term of exponent e contributes its numerator times
+        prod P_i^e_i q_i^(m_i - e_i), and the sum is over den * prod q_i^m_i."""
+        if len(point) != len(self.variables):
+            raise ValueError("point dimension mismatch")
+        num, den = self.num, self.den
+        cols = []
+        for i, c in enumerate(point):
+            x, y, q = _scalar(c)
+            m = max((e[i] for e in num), default=0)
+            col = [(q**m, 0)]
+            for k in range(m):  # col[k] = P^k q^(m - k)
+                a, b = col[-1]
+                col.append(((a * x - b * y) // q, (a * y + b * x) // q))
+            cols.append(col)
+            den *= col[0][0]
+        re = im = 0
+        for e, (a, b) in num.items():
+            for col, k in zip(cols, e):
+                x, y = col[k]
+                a, b = a * x - b * y, a * y + b * x
+            re, im = re + a, im + b
+        return _gauss(re, im, den)
 
     def __repr__(self):
         return "MVPoly(%s)" % self.to_string()
@@ -384,8 +398,8 @@ class MVPoly:
         if not self.num:
             return "0"
         parts = []
-        for exp, c in self.sorted_terms():
-            cs = str(c)
+        for exp, (a, b) in sorted(self.num.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+            cs = _gstr(a, b, self.den)
             if ("+" in cs[1:]) or ("-" in cs[1:]) or ("i" in cs and cs not in ("i", "-i")):
                 cs = "(%s)" % cs
             factors = "*".join(name if e == 1 else "%s^%d" % (name, e) for name, e in zip(self.variables, exp) if e)
@@ -453,14 +467,34 @@ def chart_transform(components: Sequence[MVPoly], j: int) -> tuple[int | float, 
     c = min((e[j] for p in cleared for e in p.num), default=inf)
     if c == inf:
         return inf, cleared
-    return c - min(1, c), [_shift_down(p, j, c) for p in cleared]
+    return c - min(1, c), [shift_var(p, j, -c) for p in cleared]
 
 
-def _shift_down(p: MVPoly, i: int, k: int) -> MVPoly:
-    """p / z_i^k for p divisible by z_i^k."""
+def chart_one_form(b: Sequence[MVPoly], j: int) -> tuple[MVPoly, dict[int, MVPoly]]:
+    """The coefficients of `blowup.pullback_one_form` before dividing by u,
+    as (dlog, {i: dw_i}): b_i's numerators under `chart_exponent` and the u
+    and w_i shifts, dlog's merged once over the lcm of the denominators."""
+    variables = b[0].variables
+    if any(p.variables != variables for p in b):
+        raise ValueError("polynomials live in different rings")
+    den = lcm(*(p.den for p in b))
+    log: Numerators = {}
+    dw = {}
+    for i, p in enumerate(b):
+        s = den // p.den
+        up = {e[:j] + (sum(e) + 1,) + e[j + 1:]: c for e, c in p.num.items()}  # u*(b_i o sigma)
+        for e, (re, im) in up.items():
+            _accumulate(log, e if i == j else e[:i] + (e[i] + 1,) + e[i + 1:], re * s, im * s)
+        if i != j:
+            dw[i] = _poly(variables, up, p.den)
+    return _normal(variables, _nonzero(log), den), dw
+
+
+def shift_var(p: MVPoly, i: int, k: int) -> MVPoly:
+    """p * z_i^k; for k < 0, p / z_i^-k, which must divide p."""
     if k == 0:
         return p
-    return _poly(p.variables, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in p.num.items()}, p.den)
+    return _poly(p.variables, {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in p.num.items()}, p.den)
 
 
 @cache

@@ -2,8 +2,9 @@
 the Jensen corpus and the Jensen check of one radius, which integrated the
 unit circle again for every radius and which `jensen_verify` is checked
 against, the towers of the seeded corpora and their germs,
-matrix helpers, the blow-up chart by ring homomorphism (its images and the
-chart transform) that the chart kernels are checked against, the
+matrix helpers, the blow-up chart by ring homomorphism (its images, the
+chart transform and the pullback of a 1-form) that the chart kernels are
+checked against, the
 chart-by-chart singular points on E that `blow_up` is checked against,
 the bounded absolutely-isolated probe as a blow-up walk of its own, which
 `resolve_simple` is checked against, and as the `_run_tower` walk that
@@ -20,7 +21,10 @@ type-B verdict from the two deflations (a root multiplicity and a
 positive-ratio test) that `classify._simple_status` is checked against,
 the false zero declarations that the curve and the CLI must refuse, and
 Horner's rule from an array of the leading coefficient, which
-`Poly.eval_plain` is checked against bit for bit."""
+`Poly.eval_plain` is checked against bit for bit, the term-by-term GaussRat
+value of a polynomial, which `MVPoly.evaluate` is checked against, and the
+inf/nan sanitizer in front of `json.dumps`, which the CLI's JSON encoder is
+checked against."""
 
 import functools
 import math
@@ -307,6 +311,21 @@ def chart_images(variables, j):
     z_j -> z_j and z_i -> z_j*z_i, as polynomials for `MVPoly.subs`."""
     u = MVPoly.var(variables, variables[j])
     return [u if i == j else u * MVPoly.var(variables, name) for i, name in enumerate(variables)]
+
+
+def reference_pullback_one_form(b, j) -> tuple[MVPoly, dict[int, MVPoly]]:
+    """`pullback_one_form` on chart j by `MVPoly.subs` of `chart_images` and
+    MVPoly products, sharing no code with the chart map or the exponent
+    shifts: since dz_j = u dlog u and dz_i = u (dw_i + w_i dlog u), the
+    coefficients over u are (b_j o sigma) + sum_{i != j} (b_i o sigma)*w_i
+    for dlog u and b_i o sigma for dw_i, returned as (dlog, {i: dw_i})."""
+    variables = b[0].variables
+    pulled = [p.subs(chart_images(variables, j)) for p in b]
+    q_log = pulled[j]
+    for i, p in enumerate(pulled):
+        if i != j:
+            q_log = q_log + p * MVPoly.var(variables, variables[i])
+    return q_log, {i: p for i, p in enumerate(pulled) if i != j}
 
 
 def reference_transform(v: VectorFieldGerm, j: int, divisor: LogDivisor | None = None,
@@ -789,3 +808,29 @@ FALSE_DECLARATIONS = [
      "ideal"),
     ("f(t) = (exp(t)) zeros: fprime at 3 order 2", ["--check", "taut", "--radii", "4:256:7"], "fprime"),
 ]
+
+
+# ---------------------------------------------------------------------------
+# Polynomial values and JSON documents
+
+
+def reference_evaluate(p: MVPoly, point) -> GaussRat:
+    """p(point) term by term in GaussRat arithmetic, powers included."""
+    out = ZERO
+    for e, c in p.terms.items():
+        for x, k in zip(point, e):
+            c = c * GaussRat.coerce(x) ** k
+        out = out + c
+    return out
+
+
+def reference_sanitize(obj):
+    """The tree with every inf and nan float replaced by str(x), lists for
+    tuples, for `json.dumps(..., allow_nan=False)`; JSON has no such numbers."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: reference_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_sanitize(v) for v in obj]
+    return obj

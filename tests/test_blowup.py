@@ -28,6 +28,7 @@ from helpers import (
     chart_images,
     jordan_fixtures,
     points_on_E,
+    reference_pullback_one_form,
     reference_transform,
     scalar_matrix,
     seeded_towers,
@@ -168,6 +169,33 @@ def test_pullback_one_form_examples():
     pb = pullback_one_form([-1 * Y, X], 0)
     assert pb.dlog_coeff.is_zero()
     assert pb.dw_coeffs[1] == X
+
+
+# Gaussian-rational coefficients whose real and imaginary parts have their
+# own denominators, so the one-form kernel merges over an lcm
+ONE_FORM_COEFFS = st.builds(lambda a, b, d, e: GaussRat(Fraction(a, d), Fraction(b, e)),
+                            st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def one_forms(draw):
+    n = draw(st.integers(2, 4))
+    variables = ("z1", "z2", "z3", "z4")[:n]
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    return [MVPoly(variables, draw(st.dictionaries(exps, ONE_FORM_COEFFS, max_size=4))) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_forms())
+@example([MVPoly(VARS, {(1, 0): GaussRat(Fraction(1, 2)), (0, 1): GaussRat(0, Fraction(1, 3))}),
+          MVPoly(VARS, {(0, 0): GaussRat(Fraction(-1, 6)), (0, 1): GaussRat(Fraction(1, 4), 1)})])
+def test_pullback_one_form_matches_the_ring_oracle(b):
+    """Every chart, dims 2-4: the exponent-relabelling kernel against
+    `MVPoly.subs` of the chart images and ring products."""
+    for j in range(len(b)):
+        pb = pullback_one_form(b, j)
+        q_log, q_dw = reference_pullback_one_form(b, j)
+        assert pb.certified and pb.dlog_coeff == q_log and pb.dw_coeffs == q_dw
 
 
 def test_siu_divisibility_battery_small():

@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foliationlab import cli, dsl
-from helpers import FALSE_DECLARATIONS
+from helpers import FALSE_DECLARATIONS, reference_sanitize
 
 
 def run_cli(argv):
@@ -551,3 +553,32 @@ def test_exact_commands_start_without_numpy():
     assert facts["unknown_name"] == "module 'foliationlab' has no attribute 'no_such_name'"
     assert facts["float_names"] == [True, True, True]
     assert facts["float_codes"] == [0, 0]
+
+
+JSON_KEYS = st.one_of(st.text(max_size=5), st.sampled_from(["é", "\x00", "\x1f\n", "\u2028", "\U0001f600", '"\\']))
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200), JSON_KEYS,
+    st.floats(), st.sampled_from([-0.0, 1e300, math.inf, -math.inf, math.nan]),
+)
+JSON_TREES = st.recursive(JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(JSON_KEYS, children, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=200)
+@given(JSON_TREES)
+@example({"a": [], "b": {}, "c": ([{}], ()), "é\x01": [-0.0, 1e300, math.inf, -math.inf, math.nan, 2**100, True, None]})
+def test_json_encoder_matches_json_dumps(tree):
+    """The CLI's encoder writes what json.dumps writes for the tree with
+    inf and nan as strings: sorted keys, two-space indent, ASCII escapes."""
+    buf = io.StringIO()
+    cli._emit_json("selftest", tree, buf)
+    doc = {"schema": cli.SCHEMA, "command": "selftest", "result": reference_sanitize(tree)}
+    assert buf.getvalue() == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("result", [{"x": {1, 2}}, [object()], {1: "int key"}, {"x": 1j}])
+def test_unsupported_json_value_is_an_internal_error(monkeypatch, result):
+    monkeypatch.setitem(cli.HANDLERS, "effectivity", lambda args, out: cli._emit_json("effectivity", result, out))
+    code, out = run_cli(["effectivity", "--dim", "2", "--power", "4", "--alpha", "3"])
+    assert code == cli.EXIT_INTERNAL and out == ""

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from foliationlab.gaussrat import ONE, ZERO, GaussRat
 from foliationlab.mvpoly import MVPoly, chart_pullback, linear_part_matrix
 
+from helpers import reference_evaluate
+
 VARS = ("x", "y")
 
 
@@ -253,3 +255,26 @@ def test_equal_values_hash_equal(q):
         for b in forms:
             if a == b:
                 assert hash(a) == hash(b)
+
+
+POINTS = st.lists(st.one_of(st.just(0), st.just(ZERO), COEFFS), min_size=2, max_size=2)
+
+
+@given(REFS, POINTS)
+@example({}, [ZERO, GaussRat(Fraction(1, 3))])
+@example({(0, 0): GaussRat(Fraction(2, 3), 1), (2, 1): GaussRat(-1)}, [ZERO, GaussRat(Fraction(1, 2), Fraction(1, 5))])
+def test_evaluate_on_the_numerators(ref, point):
+    """p(point) over the cleared point denominators equals the constant
+    term of p translated to the point and the term-by-term GaussRat sum;
+    zero coordinates and the zero polynomial included."""
+    p = MVPoly(VARS, ref)
+    value = p.evaluate(point)
+    assert value == p.translate(point).constant_term() == reference_evaluate(p, point)
+
+
+def test_evaluate_refuses_a_point_of_the_wrong_length():
+    x, y = MVPoly.var(VARS, "x"), MVPoly.var(VARS, "y")
+    for p in (x + 1, x * y, MVPoly.zero(VARS)):
+        for point in ([2], [1, 2, 3], []):
+            with pytest.raises(ValueError, match="point dimension mismatch"):
+                p.evaluate(point)
