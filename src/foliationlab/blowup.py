@@ -57,8 +57,7 @@ class SaturatedTransform:
     def raw_field(self) -> VectorFieldGerm:
         """The pushforward before saturation: the saturated field times u^s."""
         f = self.saturated_field
-        twist = MVPoly.var(f.variables, f.variables[self.chart]) ** self.saturation_exponent
-        return VectorFieldGerm(f.variables, [c * twist for c in f.components])
+        return VectorFieldGerm(f.variables, [shift_var(c, self.chart, self.saturation_exponent) for c in f.components])
 
     @property
     def exceptional_invariant(self) -> bool:
@@ -207,28 +206,18 @@ def effectivity_count(n: int, k: int, alpha: int):
 # -- singular locus on the exceptional divisor -----------------------------------
 
 
-@dataclass(frozen=True)
-class SingularCluster:
-    """Conjugate singular points on E at the roots of a residual polynomial
-    in the direction coordinate that an exhaustive search found to have no
-    root in Q(i) (dim 2)."""
-
-    min_poly: unipoly.UPoly
-
-    def degree(self) -> int:
-        return unipoly.degree(self.min_poly)
-
-
 @dataclass
 class ELocus:
     """Singular points of a saturated transform on E = {u = 0} in one chart.
 
     `points` are chart coordinates (exceptional coordinate included, = 0).
-    `complete` records whether points + clusters provably exhaust the locus
+    `cluster` is the monic residual (dim 2, chart 1) whose roots, none in
+    Q(i), are the conjugate singular points an exhaustive root search left.
+    `complete` records whether points + cluster provably exhaust the locus
     in the deduplicated chart slice."""
 
     points: list[tuple[GaussRat, ...]]
-    clusters: list[SingularCluster] = field(default_factory=list)
+    cluster: unipoly.UPoly | None = None
     complete: bool = True
     non_isolated: bool = False
     notes: list[str] = field(default_factory=list)
@@ -289,7 +278,7 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
     Deduplication keeps only points whose direction coordinates vanish at
     every position before the chart index, so a point on E is reported by
     exactly one chart.  Exact in dimension 2 (irrational locations are
-    returned as conjugate clusters), and complete unless the root search
+    returned as one conjugate cluster), and complete unless the root search
     stops at the divisor-norm cap; in higher dimension the
     enumeration is exact for multiplicity-one non-dicritical centers via
     eigendirections and for a restricted system of degree <= 1 (whose
@@ -313,8 +302,8 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
             return ELocus(points=points, complete=False, notes=[
                 "root search stopped at the divisor-norm cap %d; a residual of degree %d is not enumerated"
                 % (unipoly.DIVISOR_NORM_CAP, unipoly.degree(res.residual))])
-        clusters = [] if res.split_completely() else [SingularCluster(unipoly.poly_monic(res.residual))]
-        return ELocus(points=points, clusters=clusters, complete=True)
+        cluster = None if res.split_completely() else unipoly.poly_monic(res.residual)
+        return ELocus(points=points, cluster=cluster, complete=True)
 
     if eigen is not None:
         return eigen[j]
@@ -337,7 +326,6 @@ def _locus_on_E(sat: SaturatedTransform, eigen: list[ELocus] | None) -> ELocus:
             pt[i] = sol[pos]
         return ELocus(points=[tuple(pt)], complete=True)
 
-    origin = tuple(GaussRat(0) for _ in range(n))
-    pts = [origin] if all(c.evaluate(origin).is_zero() for c in f.components) else []
+    pts = [(GaussRat(0),) * n] if is_singular_at_origin(f) else []
     return ELocus(points=pts, complete=False,
                   notes=["dim >= 3 nonlinear restricted system: origin probe only"])

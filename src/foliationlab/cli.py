@@ -171,7 +171,7 @@ def cmd_blowup(args, out) -> int:
         entry = sat.to_jsonable()
         entry["raw_field"] = sat.raw_field.to_text()
         entry["singular_points_on_E"] = [[str(c) for c in pt] for pt in locus.points]
-        entry["clusters"] = [unipoly.to_strings(cl.min_poly) for cl in locus.clusters]
+        entry["clusters"] = [] if locus.cluster is None else [unipoly.to_strings(locus.cluster)]
         entry["enumeration_complete"] = locus.complete
         result["c%d" % (sat.chart + 1)] = entry
     _emit_json("blowup", result, out)

@@ -9,7 +9,7 @@ with the zero polynomial ({}, 1).  Equal polynomials therefore have equal
 ``(variables, den, num)``.  Each operation works on the integers and
 divides out its result's content once, skipping that gcd pass when
 den = 1.  GaussRat appears only at the boundary: ``coeff``,
-``constant_term``, ``terms``, ``sorted_terms`` and the value of ``evaluate``.
+``constant_term``, ``sorted_terms`` and the value of ``evaluate``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import cache
 from math import comb, gcd, inf, lcm, prod
 from operator import add
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .gaussrat import ZERO, GaussRat, _abd_of, _gauss, _gstr
@@ -96,12 +95,6 @@ class MVPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MVPoly is immutable")
-
-    @property
-    def terms(self) -> Mapping[Exponent, GaussRat]:
-        """Read-only view exponent -> GaussRat coefficient, built per access."""
-        den = self.den
-        return MappingProxyType({e: _gauss(a, b, den) for e, (a, b) in self.num.items()})
 
     # -- constructors --------------------------------------------------------
 
@@ -418,14 +411,6 @@ def chart_exponent(e: Exponent, j: int) -> Exponent:
     monomial z^e to u^|e| * prod_{i != j} w_i^e_i: e with e_j replaced by
     |e|.  The map is injective."""
     return e[:j] + (sum(e),) + e[j + 1:]
-
-
-def chart_pullback(p: MVPoly, j: int) -> MVPoly:
-    """p o sigma for chart j: p's numerators under `chart_exponent`, which
-    merges no terms, so the result is canonical as it stands."""
-    if not 0 <= j < len(p.variables):
-        raise ValueError("chart dimension mismatch")
-    return _poly(p.variables, {chart_exponent(e, j): c for e, c in p.num.items()}, p.den)
 
 
 def chart_transform(components: Sequence[MVPoly], j: int) -> tuple[int | float, list[MVPoly]]:

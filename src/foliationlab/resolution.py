@@ -5,11 +5,12 @@ Towers are deterministic: singular points are processed breadth-first in
 lexicographic chart-path order, blow-up events are numbered in processing
 order, and chart nodes are addressed as "b<event>.c<chart>" path segments.
 
-Singular points at locations outside Q(i) (conjugate clusters over an
-irreducible residual polynomial) are decided without coordinates: a
-cluster point is reduced iff trace or determinant of the Jacobian is
-nonzero there, which is a gcd computation against the cluster polynomial.
-Reduced clusters are terminal; a non-reduced cluster blocks the tower,
+Singular points at locations outside Q(i) (a conjugate cluster over an
+irreducible residual polynomial, at most one per locus on E) are decided
+without coordinates, like a point: a cluster point is reduced iff trace or
+determinant of the Jacobian is nonzero there, which is a gcd computation
+against the cluster polynomial.  Reduced non-dicritical clusters are
+terminal in Seidenberg reduction; any other cluster blocks the tower,
 honestly, since its points cannot serve as exact blow-up centers.
 
 A tower's root must be an isolated singularity.  In dim 2 it then stays
@@ -101,7 +102,6 @@ class TowerEvent:
 
 @dataclass
 class TowerNode:
-    path: str
     level: int
     transform: blowup.SaturatedTransform
 
@@ -164,22 +164,15 @@ def _fmt(point: Sequence[GaussRat]) -> tuple[str, ...]:
     return tuple(str(c) for c in point)
 
 
-@dataclass
-class ClusterVerdict:
-    size: int  # degree of the squarefree part carrying the points
-    all_reduced: bool
-    nondegenerate_part: unipoly.UPoly
-    saddle_node_part: unipoly.UPoly
-    dicritical_part: unipoly.UPoly
-
-
-def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularCluster) -> ClusterVerdict:
-    """Reducedness of every conjugate point via gcd certificates.
+def _cluster_outcome(sat: blowup.SaturatedTransform, h: unipoly.UPoly, goal: str,
+                     path: str) -> list[TerminalSingularity] | str:
+    """The terminal records of the conjugate singular points on E at the
+    roots of the monic residual h, or the reason they block the tower.
 
     At a singular point (u=0, w=w0) of the saturated field the Jacobian
     trace and determinant are polynomials in w0; a point is reduced iff one
     of them is nonzero, so the non-reduced points are the common roots with
-    the cluster polynomial."""
+    h, decided by gcds."""
     j = sat.chart
     w = 1 - j
     a, b = sat.saturated_field.components[j], sat.saturated_field.components[w]
@@ -188,12 +181,12 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
     # trace = au + bw, det = au*bw - aw*bu (as polynomials in the direction coordinate)
     tr = unipoly.poly_add(au, bw)
     det = unipoly.poly_add(unipoly.poly_mul(au, bw), unipoly.poly_mul(aw, bu), -1)
-    # min_poly and every gcd are monic, so a gcd of degree 0 is 1
-    h = cluster.min_poly
+    # h and every gcd are monic, so a gcd of degree 0 is 1
     h_sf = unipoly.poly_divmod(h, unipoly.poly_gcd(h, unipoly.poly_derivative(h)))[0]
-    nonred = unipoly.poly_gcd(unipoly.poly_gcd(h_sf, tr), det)
-    if unipoly.degree(nonred) > 0:
-        return ClusterVerdict(unipoly.degree(h_sf), False, unipoly.ZERO_POLY, unipoly.ZERO_POLY, unipoly.ZERO_POLY)
+    where = "singular points at non-Q(i) locations on " + path
+    size = " (minimal polynomial degree %d)" % unipoly.degree(h_sf)
+    if unipoly.degree(unipoly.poly_gcd(unipoly.poly_gcd(h_sf, tr), det)) > 0:
+        return "non-reduced " + where + size
     sn = unipoly.poly_gcd(h_sf, det)
     nd = unipoly.poly_divmod(h_sf, sn)[0]
     # dicritical cluster points have scalar Jacobian: aw = bu = 0 and au = bw
@@ -204,9 +197,16 @@ def _cluster_verdict(sat: blowup.SaturatedTransform, cluster: blowup.SingularClu
         if unipoly.degree(dic) <= 0:
             break
         dic = unipoly.poly_gcd(dic, q)
-    if unipoly.degree(dic) <= 0:
-        dic = unipoly.ZERO_POLY
-    return ClusterVerdict(unipoly.degree(h_sf), True, nd, sn, dic)
+    if unipoly.degree(dic) > 0:
+        return "reduced but dicritical " + where
+    if goal == "simple":
+        return "simple " + where + size
+    saddle_node = classify.unclassified("saddle-node cluster at non-Q(i) points: type-k normalization unavailable")
+    return [TerminalSingularity(node_path=path, location=None, cluster_poly=tuple(unipoly.to_strings(part)),
+                                cluster_size=unipoly.degree(part), reduced=True, surface_type=surface_type,
+                                simple_status=None, dicritical=None, report=None)
+            for part, surface_type in ((nd, classify.NON_DEGENERATE), (sn, saddle_node))
+            if unipoly.degree(part) > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,8 @@ def _run_tower(
     first, until terminal everywhere or the depth cap is hit.
 
     `terminal(item)` returns the report of a terminal item, or the reason
-    the item is not terminal."""
+    the item is not terminal; `_cluster_outcome` decides a conjugate
+    cluster on E the same way, except that its reason blocks the tower."""
     n = v.dim()
     div0 = divisor if divisor is not None else LogDivisor.empty()
     tower = ResolutionTower(
@@ -274,7 +275,7 @@ def _run_tower(
         for sat, locus in blowup.blow_up(item.germ, item.divisor, level=ev_index):
             s_by_chart[sat.chart] = sat.saturation_exponent
             child_path = (item.path + "/" if item.path else "") + "b%d.c%d" % (ev_index, sat.chart + 1)
-            tower.nodes[child_path] = TowerNode(child_path, level + 1, sat)
+            tower.nodes[child_path] = TowerNode(level + 1, sat)
             if locus.non_isolated:
                 tower.status = "blocked"
                 tower.reason = "non-isolated singular locus on E at %s" % child_path
@@ -288,30 +289,13 @@ def _run_tower(
                 child = translate_to_point(sat.saturated_field, pt)
                 queue.append(_WorkItem(child_path, child, divisor_at_point(sat.divisor, pt),
                                        level + 1, label))
-            for cl in locus.clusters:
-                verdict = _cluster_verdict(sat, cl)
-                if verdict.dicritical_part.num:
+            if locus.cluster is not None:
+                outcome = _cluster_outcome(sat, locus.cluster, goal, child_path)
+                if isinstance(outcome, str):
                     tower.status = "blocked"
-                    tower.reason = (
-                        "reduced but dicritical singular points at non-Q(i) locations on %s" % child_path)
+                    tower.reason = outcome
                     return tower
-                if goal == "seidenberg" and verdict.all_reduced:
-                    saddle_node = classify.unclassified(
-                        "saddle-node cluster at non-Q(i) points: type-k normalization unavailable")
-                    for part, surface_type in ((verdict.nondegenerate_part, classify.NON_DEGENERATE),
-                                               (verdict.saddle_node_part, saddle_node)):
-                        if unipoly.degree(part) > 0:
-                            tower.terminals.append(TerminalSingularity(
-                                node_path=child_path, location=None, cluster_poly=tuple(unipoly.to_strings(part)),
-                                cluster_size=unipoly.degree(part), reduced=True, surface_type=surface_type,
-                                simple_status=None, dicritical=None, report=None))
-                else:
-                    tower.status = "blocked"
-                    which = "non-reduced" if not verdict.all_reduced else goal
-                    tower.reason = (
-                        "%s singular points at non-Q(i) locations on %s (minimal polynomial degree %d)"
-                        % (which, child_path, verdict.size))
-                    return tower
+                tower.terminals.extend(outcome)
     if blocked_reason:
         tower.status = "blocked"
         tower.reason = blocked_reason

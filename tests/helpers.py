@@ -4,7 +4,8 @@ unit circle again for every radius and which `jensen_verify` is checked
 against, the towers of the seeded corpora and their germs,
 matrix helpers, the blow-up chart by ring homomorphism (its images, the
 chart transform and the pullback of a 1-form) that the chart kernels are
-checked against, the
+checked against, a polynomial relabelled by the chart map on exponents,
+which is checked against the images, the
 chart-by-chart singular points on E that `blow_up` is checked against,
 the bounded absolutely-isolated probe as a blow-up walk of its own, which
 `resolve_simple` is checked against, and as the `_run_tower` walk that
@@ -29,6 +30,7 @@ checked against."""
 import functools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from foliationlab import classify, linalg, unipoly
@@ -54,10 +56,9 @@ from foliationlab.foliation import (
     translate_to_point,
 )
 from foliationlab.gaussrat import ZERO, GaussRat
-from foliationlab.mvpoly import MVPoly
+from foliationlab.mvpoly import MVPoly, chart_exponent
 from foliationlab.resolution import (
     DEFAULT_DEPTH,
-    ClusterVerdict,
     NonIsolatedSingularLocus,
     _run_tower,
     seidenberg_reduce,
@@ -313,6 +314,12 @@ def chart_images(variables, j):
     return [u if i == j else u * MVPoly.var(variables, name) for i, name in enumerate(variables)]
 
 
+def chart_relabel(p: MVPoly, j: int) -> MVPoly:
+    """p with every exponent sent through `mvpoly.chart_exponent` for chart
+    j, coefficients unchanged: p o sigma if the chart map is right."""
+    return MVPoly(p.variables, {chart_exponent(e, j): c for e, c in p.sorted_terms()})
+
+
 def reference_pullback_one_form(b, j) -> tuple[MVPoly, dict[int, MVPoly]]:
     """`pullback_one_form` on chart j by `MVPoly.subs` of `chart_images` and
     MVPoly products, sharing no code with the chart map or the exponent
@@ -395,7 +402,7 @@ def probe_walk(v: VectorFieldGerm, depth: int) -> tuple[str, int | None]:
             if locus.non_isolated:
                 return "non_isolated_found", level + 1
             unknown = unknown or not locus.complete
-            blocked = blocked or bool(locus.clusters) and level + 1 < depth
+            blocked = blocked or locus.cluster is not None and level + 1 < depth
             for pt in locus.points:
                 child = translate_to_point(sat.saturated_field, pt)
                 if is_singular_at_origin(child):
@@ -640,10 +647,25 @@ def reference_solve(a, b):
     return tuple(x)
 
 
-def reference_cluster_verdict(sat: SaturatedTransform, cluster) -> ClusterVerdict:
-    """`resolution._cluster_verdict` with the trace as a second derivative
-    sum restricted to E, and an if/else on the degree of each gcd it
-    divides by."""
+@dataclass
+class ClusterVerdict:
+    """The reference's account of the conjugate cluster at the roots of h:
+    the squarefree part's degree, whether every point is reduced, and the
+    non-degenerate, saddle-node and dicritical parts of the squarefree
+    part."""
+
+    size: int
+    all_reduced: bool
+    nondegenerate_part: unipoly.UPoly
+    saddle_node_part: unipoly.UPoly
+    dicritical_part: unipoly.UPoly
+
+
+def reference_cluster_verdict(sat: SaturatedTransform, h: unipoly.UPoly) -> ClusterVerdict:
+    """The reducedness of every point of the conjugate cluster at the roots
+    of the monic h, as `resolution._cluster_outcome` decides it, with the
+    trace as a second derivative sum restricted to E, and an if/else on the
+    degree of each gcd it divides by."""
     j = sat.chart
     w = 1 - j
     a, b = sat.saturated_field.components[j], sat.saturated_field.components[w]
@@ -653,7 +675,6 @@ def reference_cluster_verdict(sat: SaturatedTransform, cluster) -> ClusterVerdic
     bw = unipoly.from_mvpoly(b.derivative(w), w)
     tr = unipoly.from_mvpoly(a.derivative(j) + b.derivative(w), w)
     det = unipoly.poly_add(unipoly.poly_mul(au, bw), unipoly.poly_mul(aw, bu), -1)
-    h = cluster.min_poly
     dh = unipoly.poly_derivative(h)
     sq = unipoly.poly_gcd(h, dh)
     if unipoly.degree(sq) > 0:
@@ -817,7 +838,7 @@ FALSE_DECLARATIONS = [
 def reference_evaluate(p: MVPoly, point) -> GaussRat:
     """p(point) term by term in GaussRat arithmetic, powers included."""
     out = ZERO
-    for e, c in p.terms.items():
+    for e, c in p.sorted_terms():
         for x, k in zip(point, e):
             c = c * GaussRat.coerce(x) ** k
         out = out + c

@@ -68,7 +68,7 @@ def test_criterion_2_simple_stability():
         found = []
         for sat, locus in blowup.blow_up(v, divisor):
             assert locus.complete, (fx["name"], sat.chart, locus.notes)
-            assert not locus.clusters
+            assert locus.cluster is None
             for pt in locus.points:
                 child = translate_to_point(sat.saturated_field, pt)
                 from foliationlab.foliation import divisor_at_point

@@ -429,7 +429,7 @@ def _to_sympy(p):
     """p over sympy's Gaussian rationals QQ_I, i.e. Q(i)."""
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
-    return sympy.Poly({e: sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for e, c in p.terms.items()},
+    return sympy.Poly({e: sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for e, c in p.sorted_terms()},
                       x, y, domain="QQ_I")
 
 

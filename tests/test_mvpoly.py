@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliationlab.gaussrat import ONE, ZERO, GaussRat
-from foliationlab.mvpoly import MVPoly, chart_pullback, linear_part_matrix
+from foliationlab.mvpoly import MVPoly, linear_part_matrix
 
-from helpers import reference_evaluate
+from helpers import chart_images, chart_relabel, reference_evaluate
 
 VARS = ("x", "y")
 
@@ -67,9 +67,7 @@ def test_monomial_substitution_matches_general():
     x, y = MVPoly.var(VARS, "x"), MVPoly.var(VARS, "y")
     p = x**2 + 2 * x * y - y**3
     # blow-up chart substitution x -> x, y -> x*y
-    fast = chart_pullback(p, 0)
-    slow = p.subs([x, x * y])
-    assert fast == slow
+    assert chart_relabel(p, 0) == p.subs([x, x * y]) == p.subs(chart_images(VARS, 0))
 
 
 def test_divide_by_var_power():
@@ -147,7 +145,7 @@ def check(p: MVPoly, ref: dict):
     """p is canonical and has the terms of ref."""
     assert p.den > 0 and all(re or im for re, im in p.num.values())
     assert math.gcd(p.den, *(x for pair in p.num.values() for x in pair)) == 1
-    assert dict(p.terms) == ref
+    assert dict(p.sorted_terms()) == ref
     assert p.to_string() == ref_to_string(ref)
 
 
@@ -191,7 +189,7 @@ def test_substitutions_match_oracle(rp, ra, rb, u, w, sa, sb, same_monomial):
     check(p.subs([MVPoly(VARS, sa), MVPoly(VARS, rb)]), ref_subs(rp, [sa, rb]))
     check(p.translate([u, w]), ref_subs(rp, [{(1, 0): ONE, (0, 0): u}, {(0, 1): ONE, (0, 0): w}]))
     # chart 0 of the blow-up: x -> x, y -> x*y
-    check(chart_pullback(p, 0), ref_subs(rp, [{(1, 0): ONE}, {(1, 1): ONE}]))
+    check(chart_relabel(p, 0), ref_subs(rp, [{(1, 0): ONE}, {(1, 1): ONE}]))
     for i in (0, 1):
         unit = tuple(int(j == i) for j in range(2))
         check(p.derivative(i), {tuple(a - b for a, b in zip(e, unit)): c * e[i] for e, c in rp.items() if e[i]})
@@ -204,7 +202,7 @@ def test_substitutions_match_oracle(rp, ra, rb, u, w, sa, sb, same_monomial):
 @settings(max_examples=60, deadline=None)
 def test_canonical_form_is_unique(rp, rq, c):
     p, q = MVPoly(VARS, rp), MVPoly(VARS, rq)
-    routes = [(p + q) - q, p * 1, MVPoly(VARS, p.terms), p.translate([c, ONE]).translate([-c, -ONE])]
+    routes = [(p + q) - q, p * 1, MVPoly(VARS, dict(p.sorted_terms())), p.translate([c, ONE]).translate([-c, -ONE])]
     if c:
         routes.append(p * c * (ONE / c))
     routes.append((p * q + p).subs([MVPoly.var(VARS, "x"), MVPoly.var(VARS, "y")]) - p * q)
@@ -218,14 +216,12 @@ def test_operations_leave_operands_unchanged(rp, rq, c):
     p, q = MVPoly(VARS, rp), MVPoly(VARS, rq)
     before = [(dict(x.num), x.den) for x in (p, q)]
     for _ in (p + q, p - q, p * q, p * c, p**2, p.subs([q, p]), p.translate([c, c]), p.derivative(0),
-              p.set_vars_to_zero([1]), chart_pullback(p, 0), -p):
+              p.set_vars_to_zero([1]), -p):
         pass
     assert [(dict(x.num), x.den) for x in (p, q)] == before
     for name in ("variables", "num", "den", "other"):
         with pytest.raises(AttributeError):
             setattr(p, name, None)
-    with pytest.raises(TypeError):
-        p.terms[(0, 0)] = ONE
 
 
 def test_equal_scalars_hash_equal():

@@ -20,7 +20,7 @@ from foliationlab.resolution import (
     TOWER_NODE_BUDGET,
     NonIsolatedSingularLocus,
     _ais_probe,
-    _cluster_verdict,
+    _cluster_outcome,
     discrepancy_log_resolution,
     multiplier_ideal_trivial_by_discrepancy,
     resolve_simple,
@@ -88,29 +88,74 @@ def test_seidenberg_golden_cluster():
     assert all(term.reduced for term in t.terminals)
 
 
-def _verdict_text(verdict):
-    parts = (verdict.nondegenerate_part, verdict.saddle_node_part, verdict.dicritical_part)
-    return verdict.size, verdict.all_reduced, [[str(c) for c in coeffs(part)] for part in parts]
+# no pinned output reaches a cluster that blocks the tower: a non-reduced
+# one (checked first, for either goal), a reduced dicritical one, and a
+# reduced one under the simple goal
+BLOCKING_CLUSTERS = [
+    ("v = ((y^2 - 2*x^2)*x^2 + y^5) d/dx + ((y^2 - 2*x^2)*(x*y + y^2 - 2*x^2) + x^5) d/dy", "seidenberg",
+     "non-reduced singular points at non-Q(i) locations on b1.c1 (minimal polynomial degree 2)"),
+    ("v = (-x*y^2 - 2*x^3) d/dx + (-2*y^3 - 2*x*y^2) d/dy", "seidenberg",
+     "reduced but dicritical singular points at non-Q(i) locations on b1.c1"),
+    ("v = (-2*y^2) d/dx + (2*x^2) d/dy", "simple",
+     "simple singular points at non-Q(i) locations on b1.c1 (minimal polynomial degree 2)"),
+]
+
+
+def _tower(text, goal):
+    v = parse_vector_field(text)
+    return seidenberg_reduce(v) if goal == "seidenberg" else resolve_simple(v, LogDivisor.empty())
+
+
+@pytest.mark.parametrize("text, goal, reason", BLOCKING_CLUSTERS)
+def test_blocking_cluster_reason(text, goal, reason):
+    t = _tower(text, goal)
+    assert (t.status, t.reason, t.terminals, t.pending) == ("blocked", reason, [], [])
+    assert [e.center for e in t.events] == [("0", "0")]
+
+
+def _implied_outcome(verdict, goal, path):
+    """The reason or the terminals (path, cluster polynomial, size, surface
+    type) that the reference verdict implies."""
+    if not verdict.all_reduced:
+        return ("non-reduced singular points at non-Q(i) locations on %s (minimal polynomial degree %d)"
+                % (path, verdict.size))
+    if verdict.dicritical_part.num:
+        return "reduced but dicritical singular points at non-Q(i) locations on %s" % path
+    if goal == "simple":
+        return ("simple singular points at non-Q(i) locations on %s (minimal polynomial degree %d)"
+                % (path, verdict.size))
+    return [(path, [str(c) for c in coeffs(part)], unipoly.degree(part), kind)
+            for part, kind in ((verdict.nondegenerate_part, "non_degenerate"),
+                               (verdict.saddle_node_part, "unclassified"))
+            if unipoly.degree(part) > 0]
+
+
+def _outcome_text(outcome):
+    if isinstance(outcome, str):
+        return outcome
+    for t in outcome:
+        assert (t.location, t.reduced, t.simple_status, t.dicritical, t.report) == (None, True, None, None, None)
+    return [(t.node_path, list(t.cluster_poly), t.cluster_size, t.surface_type.kind) for t in outcome]
 
 
 def test_cluster_verdict_matches_reference():
-    """On every cluster of the seed 0-3 Seidenberg towers and of the
-    golden-ratio germ, the verdict equals the reference's, except that a
-    saddle-node part of degree 0 is [1] here and [] there; the tower skips
-    both."""
+    """On every cluster of the seed 0-3 Seidenberg towers, of the
+    golden-ratio germ and of the blocking germs, under either goal, the
+    outcome is the one the reference verdict implies."""
     golden = parse_vector_field("v = -y^3 d/dx + (x^3 + 2*x^2*y - x*y^2 - 2*y^3) d/dy")
+    blocking = [_tower(text, goal) for text, goal, _reason in BLOCKING_CLUSTERS]
     seen = set()
-    for tower in seeded_towers() + [seidenberg_reduce(golden, 8)]:
-        for node in tower.nodes.values():
-            for cl in points_on_E(node.transform).clusters:
-                got = _cluster_verdict(node.transform, cl)
-                want = reference_cluster_verdict(node.transform, cl)
-                if got.all_reduced and unipoly.degree(got.saddle_node_part) == 0:
-                    assert got.saddle_node_part == unipoly.ONE_POLY and want.saddle_node_part == unipoly.ZERO_POLY
-                    got.saddle_node_part = unipoly.ZERO_POLY
-                assert _verdict_text(got) == _verdict_text(want)
-                seen.add((tower.root == golden, bool(got.saddle_node_part.num)))
-    assert seen == {(False, False), (False, True), (True, True)}
+    for tower in seeded_towers() + [seidenberg_reduce(golden, 8)] + blocking:
+        for path, node in tower.nodes.items():
+            h = points_on_E(node.transform).cluster
+            if h is None:
+                continue
+            verdict = reference_cluster_verdict(node.transform, h)
+            for goal in ("seidenberg", "simple"):
+                got = _outcome_text(_cluster_outcome(node.transform, h, goal, path))
+                assert got == _implied_outcome(verdict, goal, path)
+                seen.add(got.split(" singular")[0] if isinstance(got, str) else tuple(t[3] for t in got))
+    assert seen == {"non-reduced", "reduced but dicritical", "simple", ("non_degenerate",), ("unclassified",)}
 
 
 def test_depth_exceeded_is_a_result():
