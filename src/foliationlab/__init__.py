@@ -5,7 +5,7 @@ import importlib
 
 from .gaussrat import GaussRat, I, rational_sqrt
 from .mvpoly import MVPoly, linear_part_matrix
-from .monomial import MonomialIdeal, multiplier_ideal_trivial_monomial, newton_interior_margin
+from .monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
 from .foliation import (
     CoeffIdealPresentation,
     DivisorNotInvariant,

@@ -60,11 +60,8 @@ class _Tokens:
                     raise ParseError("unexpected character %r" % text[pos], self._linecol(pos))
                 break
             pos = m.end()
-            for kind in ("dmark", "name", "num", "op"):
-                val = m.group(kind)
-                if val is not None:
-                    self.toks.append((kind, val, m.start(kind)))
-                    break
+            kind = m.lastgroup
+            self.toks.append((kind, m.group(kind), m.start(kind)))
         self.i = 0
 
     def _linecol(self, offset: int) -> tuple[int, int]:
@@ -286,25 +283,14 @@ def parse_vector_field(text: str):
         toks.next()
         toks.expect("=")
     components = {name: MVPoly.zero(variables) for name in variables}
-    sign = 1
     first = True
     while not toks.at_end():
         kind, val, _ = toks.peek()
-        if not first:
-            if val == "+":
-                sign = 1
-                toks.next()
-            elif val == "-":
-                sign = -1
-                toks.next()
-            else:
-                toks.error("expected '+' or '-' between field terms")
-        else:
-            if val == "-":
-                sign = -1
-                toks.next()
-            elif val == "+":
-                toks.next()
+        sign = -1 if val == "-" else 1
+        if val in ("+", "-"):
+            toks.next()
+        elif not first:
+            toks.error("expected '+' or '-' between field terms")
         first = False
         kind, val, _ = toks.peek()
         if kind == "dmark":
@@ -316,7 +302,6 @@ def parse_vector_field(text: str):
             raise ParseError("expected a d/d marker after the coefficient, found %r" % (val,))
         name = val[3:]
         components[name] = components[name] + coeff * sign
-        sign = 1
     return VectorFieldGerm(variables, [components[name] for name in variables])
 
 

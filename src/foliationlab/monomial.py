@@ -1,11 +1,13 @@
 """Monomial ideals and Newton-polyhedron certificates.
 
-The multiplier-ideal triviality test for a monomial ideal is the interior
-test: the all-ones vector must lie strictly inside Newt(a) + R^n_{>=0}.
-Membership margins are computed by an exact rational simplex, so the
-certificate involves no floating point.  This criterion is an external
-standard fact used as a fast oracle; the resolution driver's discrepancy
-ledger provides the independent cross-check.
+The multiplier-ideal triviality test for a monomial ideal is Howald's
+interior test: the all-ones vector must lie strictly inside
+Newt(a) + R^n_{>=0}.  It is a yes/no answer from one canonical-form linear
+program, solved by one phase of an exact rational simplex, so no margin is
+computed and the certificate involves no floating point.  This
+criterion is an external standard fact used as a fast oracle; the
+resolution driver's discrepancy ledger provides the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -49,89 +51,6 @@ def _simplex_iterate(T: list[list[Fraction]], basis: list[int], obj: list[Fracti
             f = obj[enter]
             obj[:] = [x - f * y for x, y in zip(obj, T[r])]
         basis[r] = enter
-
-
-def simplex_min(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]):
-    """Solve min c.x subject to A x = b, x >= 0 over exact rationals.
-
-    Returns (value, x) or None when infeasible.  Raises LPError on an
-    unbounded program."""
-    m, n = len(A), len(A[0])
-    A = [[Fraction(x) for x in row] for row in A]
-    b = [Fraction(x) for x in b]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    ncols = n + m
-    T = [A[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(n):
-        obj[j] = -sum(T[i][j] for i in range(m))
-    obj[-1] = -sum(b)
-    _simplex_iterate(T, basis, obj, ncols)
-    if -obj[-1] != 0:
-        return None
-    # drive leftover artificials out of the basis, dropping redundant rows
-    keep = []
-    for i in range(len(T)):
-        if basis[i] >= n:
-            piv = next((j for j in range(n) if T[i][j] != 0), None)
-            if piv is None:
-                continue
-            pv = T[i][piv]
-            T[i] = [x / pv for x in T[i]]
-            for k in range(len(T)):
-                if k != i and T[k][piv] != 0:
-                    f = T[k][piv]
-                    T[k] = [x - f * y for x, y in zip(T[k], T[i])]
-            basis[i] = piv
-        keep.append(i)
-    T = [T[i][:n] + [T[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    m = len(T)
-    obj = [Fraction(c[j]) for j in range(n)] + [Fraction(0)]
-    for i in range(m):
-        cb = Fraction(c[basis[i]])
-        if cb:
-            obj = [x - cb * y for x, y in zip(obj, T[i])]
-    _simplex_iterate(T, basis, obj, n)
-    x = [Fraction(0)] * n
-    for i in range(m):
-        x[basis[i]] = T[i][-1]
-    value = sum(Fraction(c[j]) * x[j] for j in range(n))
-    return value, x
-
-
-def newton_interior_margin(gens: Sequence[Exponent], point: Sequence[Fraction]) -> Fraction:
-    """Largest delta with point - delta*(1,..,1) in conv(gens) + R^n_{>=0}.
-
-    Positive margin certifies interior membership; zero means boundary,
-    negative means outside."""
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        raise ValueError("empty generator set")
-    n = len(gens[0])
-    g_count = len(gens)
-    # variables: t_1..t_G, dp, dm, s_1..s_n
-    nvars = g_count + 2 + n
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    row = [Fraction(1)] * g_count + [Fraction(0)] * (2 + n)
-    A.append(row)
-    b.append(Fraction(1))
-    for i in range(n):
-        row = [Fraction(g[i]) for g in gens] + [Fraction(1), Fraction(-1)]
-        row += [Fraction(1 if j == i else 0) for j in range(n)]
-        A.append(row)
-        b.append(Fraction(point[i]))
-    c = [Fraction(0)] * g_count + [Fraction(-1), Fraction(1)] + [Fraction(0)] * n
-    res = simplex_min(A, b, c)
-    if res is None:
-        raise LPError("interior LP infeasible, which cannot happen")
-    value, _ = res
-    return -value
 
 
 def minimalize(gens: Iterable[Exponent]) -> frozenset[Exponent]:
@@ -215,8 +134,19 @@ class MonomialIdeal:
 
 def multiplier_ideal_trivial_monomial(a: MonomialIdeal) -> bool:
     """Multiplier-ideal triviality for a monomial ideal: (1,..,1) interior
-    to the Newton polyhedron."""
+    to the Newton polyhedron.
+
+    Interior means some convex combination of the generators has every
+    coordinate below 1.  For a nontrivial ideal that is max sum(x) > 1
+    subject to sum_g x_g g_i <= 1 for every i and x >= 0, a canonical-form
+    program whose slack basis is feasible, so one simplex phase solves it."""
     if a.is_zero():
         raise ValueError("zero ideal rejected")
-    point = [Fraction(1)] * a.ambient_dim
-    return newton_interior_margin(a.sorted_generators(), point) > 0
+    if a.is_trivial():
+        return True
+    gens, n = a.sorted_generators(), a.ambient_dim
+    one, zero = Fraction(1), Fraction(0)
+    T = [[Fraction(g[i]) for g in gens] + [one if j == i else zero for j in range(n)] + [one] for i in range(n)]
+    obj = [-one] * len(gens) + [zero] * (n + 1)
+    _simplex_iterate(T, [len(gens) + i for i in range(n)], obj, len(gens) + n)
+    return obj[-1] > 1

@@ -17,12 +17,7 @@ from foliationlab import foliation, linalg, unipoly
 from foliationlab.corpus import _coprime, seidenberg_corpus
 from foliationlab.dsl import parse_vector_field
 from foliationlab.foliation import VectorFieldGerm, milnor_number
-from foliationlab.monomial import (
-    MonomialIdeal,
-    multiplier_ideal_trivial_monomial,
-    newton_interior_margin,
-    simplex_min,
-)
+from foliationlab.monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
 
 from helpers import (
     coeffs,
@@ -385,20 +380,6 @@ def test_gaussian_rational_roots_match_sympy(roots, cubic):
     assert (res.residual is None) == (cubic is None)
 
 
-def test_simplex_basic():
-    # max delta s.t. delta <= 1 - t, t = 1  => delta = 0 style sanity
-    val, x = simplex_min(
-        [[Fraction(1), Fraction(1)]], [Fraction(1)], [Fraction(-1), Fraction(0)]
-    )
-    assert val == Fraction(-1)
-
-
-def test_newton_margin_values():
-    assert newton_interior_margin([(1, 0), (0, 1)], [Fraction(1), Fraction(1)]) == Fraction(1, 2)
-    assert newton_interior_margin([(2, 0), (1, 1), (0, 2)], [Fraction(1), Fraction(1)]) == Fraction(0)
-    assert newton_interior_margin([(2, 0), (0, 1)], [Fraction(1), Fraction(1)]) > 0
-
-
 def test_multiplier_ideal_examples():
     assert multiplier_ideal_trivial_monomial(MonomialIdeal(2, [(1, 0), (0, 1)])) is True
     assert multiplier_ideal_trivial_monomial(MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])) is False
@@ -406,6 +387,32 @@ def test_multiplier_ideal_examples():
     with pytest.raises(ValueError):
         MonomialIdeal(2, [])
         multiplier_ideal_trivial_monomial(MonomialIdeal(2, []))
+
+
+@st.composite
+def _monomial_ideals(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=6))
+
+
+@given(_monomial_ideals())
+@example((2, [(2, 0), (1, 1), (0, 2)]))  # (1, 1) on the Newton boundary: not interior
+@example((3, [(2, 1, 0), (0, 3, 0)]))  # with delta unbounded below, lpmax returns delta = 1 here
+@settings(max_examples=25, deadline=None)
+def test_multiplier_ideal_matches_sympy_lp(case):
+    """(1,..,1) is interior to conv(gens) + R^n_{>=0} iff the largest delta
+    with sum_g t_g g_i + delta <= 1, sum(t) = 1, t >= 0 is positive.  The
+    optimum is at least 1 - max exponent, so delta >= -max exponent bounds
+    the program without cutting it."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.simplex import lpmax
+
+    n, gens = case
+    t, delta = sympy.symbols("t0:%d" % len(gens)), sympy.Symbol("delta")
+    constraints = [sum(tg * g[i] for tg, g in zip(t, gens)) + delta <= 1 for i in range(n)]
+    constraints += [sympy.Eq(sum(t), 1), delta >= -max(max(g) for g in gens)] + [tg >= 0 for tg in t]
+    best, _ = lpmax(delta, constraints)
+    assert multiplier_ideal_trivial_monomial(MonomialIdeal(n, gens)) is bool(best > 0)
 
 
 def test_minimalization_and_ops():

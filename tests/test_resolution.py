@@ -88,9 +88,13 @@ def test_seidenberg_golden_cluster():
     assert all(term.reduced for term in t.terminals)
 
 
+# on E the locus is -(w^2 - 2)(w^2 - 3) and det J vanishes only where
+# w^2 = 3: one cluster with a non-degenerate part and a saddle-node part
+TWO_PART_CLUSTER = "v = (y^3 - 3*x^2*y + x^4) d/dx + (2*x*y^2 - 6*x^3 + y^4) d/dy"
+
 # no pinned output reaches a cluster that blocks the tower: a non-reduced
 # one (checked first, for either goal), a reduced dicritical one, and a
-# reduced one under the simple goal
+# reduced one under the simple goal, of one part or of two
 BLOCKING_CLUSTERS = [
     ("v = ((y^2 - 2*x^2)*x^2 + y^5) d/dx + ((y^2 - 2*x^2)*(x*y + y^2 - 2*x^2) + x^5) d/dy", "seidenberg",
      "non-reduced singular points at non-Q(i) locations on b1.c1 (minimal polynomial degree 2)"),
@@ -98,6 +102,8 @@ BLOCKING_CLUSTERS = [
      "reduced but dicritical singular points at non-Q(i) locations on b1.c1"),
     ("v = (-2*y^2) d/dx + (2*x^2) d/dy", "simple",
      "simple singular points at non-Q(i) locations on b1.c1 (minimal polynomial degree 2)"),
+    (TWO_PART_CLUSTER, "simple",
+     "simple singular points at non-Q(i) locations on b1.c1 (minimal polynomial degree 4)"),
 ]
 
 
@@ -141,8 +147,12 @@ def _outcome_text(outcome):
 def test_cluster_verdict_matches_reference():
     """On every cluster of the seed 0-3 Seidenberg towers, of the
     golden-ratio germ and of the blocking germs, under either goal, the
-    outcome is the one the reference verdict implies."""
+    outcome is the one the reference verdict implies.  The Seidenberg
+    tower of the two-part cluster lists its non-degenerate record first."""
     golden = parse_vector_field("v = -y^3 d/dx + (x^3 + 2*x^2*y - x*y^2 - 2*y^3) d/dy")
+    two_part = seidenberg_reduce(parse_vector_field(TWO_PART_CLUSTER))
+    assert [(t.node_path, t.cluster_poly, t.surface_type.kind) for t in two_part.terminals] == [
+        ("b1.c1", ("-2", "0", "1"), "non_degenerate"), ("b1.c1", ("-3", "0", "1"), "unclassified")]
     blocking = [_tower(text, goal) for text, goal, _reason in BLOCKING_CLUSTERS]
     seen = set()
     for tower in seeded_towers() + [seidenberg_reduce(golden, 8)] + blocking:
@@ -155,7 +165,8 @@ def test_cluster_verdict_matches_reference():
                 got = _outcome_text(_cluster_outcome(node.transform, h, goal, path))
                 assert got == _implied_outcome(verdict, goal, path)
                 seen.add(got.split(" singular")[0] if isinstance(got, str) else tuple(t[3] for t in got))
-    assert seen == {"non-reduced", "reduced but dicritical", "simple", ("non_degenerate",), ("unclassified",)}
+    assert seen == {"non-reduced", "reduced but dicritical", "simple", ("non_degenerate",), ("unclassified",),
+                    ("non_degenerate", "unclassified")}
 
 
 def test_depth_exceeded_is_a_result():
