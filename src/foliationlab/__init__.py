@@ -8,7 +8,6 @@ from .mvpoly import MVPoly, linear_part_matrix
 from .monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
 from .foliation import (
     CoeffIdealPresentation,
-    DivisorNotInvariant,
     FoliationError,
     LogDivisor,
     VectorFieldGerm,

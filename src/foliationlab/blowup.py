@@ -24,6 +24,7 @@ from typing import Sequence
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly, chart_exponent, chart_one_form, chart_transform, shift_var
 from .foliation import (
+    FoliationError,
     LogDivisor,
     VectorFieldGerm,
     divisor_invariance_check,
@@ -38,12 +39,12 @@ class InternalError(Exception):
 
 
 def check_chart(n: int, j: int) -> None:
-    """Raise ValueError unless j indexes a chart of the point blow-up in
+    """Raise FoliationError unless j indexes a chart of the point blow-up in
     dimension n."""
     if n < 2:
-        raise ValueError("blow-up needs ambient dimension >= 2")
+        raise FoliationError("blow-up needs ambient dimension >= 2")
     if not 0 <= j < n:
-        raise ValueError("chart index out of range")
+        raise FoliationError("chart index out of range")
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def transform_vector_field(
     check_chart(v.dim(), j)
     s, saturated = chart_transform(v.components, j)
     if s == math.inf:
-        raise ValueError("cannot blow up the zero field")
+        raise FoliationError("cannot blow up the zero field")
     saturated = VectorFieldGerm(v.variables, saturated)
     axes = {}
     if divisor is not None:
@@ -194,7 +195,7 @@ def effectivity_count(n: int, k: int, alpha: int):
     degree-<=d monomials exceeds the number killed by the ideal (the pure
     powers z_1^a with a < k, a <= d)."""
     if n < 1 or k < 1 or alpha < 1:
-        raise ValueError("n, k, alpha must be positive")
+        raise FoliationError("n, k, alpha must be positive")
     d = ceil_nth_root(k, n) * alpha
     total = math.comb(d + n, n)
     constraints = min(k, d + 1)

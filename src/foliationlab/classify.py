@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from .gaussrat import GaussRat
 from .mvpoly import MVPoly
 from .foliation import (
-    DivisorNotInvariant,
     FoliationError,
     LogDivisor,
     VectorFieldGerm,
@@ -38,18 +37,6 @@ from .foliation import (
     milnor_number,
 )
 from . import linalg, unipoly
-
-
-class NonSingularPoint(FoliationError):
-    pass
-
-
-class DimensionMismatch(FoliationError):
-    pass
-
-
-class NoDivisorThroughPoint(FoliationError):
-    pass
 
 
 _NO_BLOWUP = "blow-up needs ambient dimension >= 2"
@@ -143,7 +130,7 @@ def _multiplicity(v: VectorFieldGerm) -> int:
     least vanishing order of a component at the origin, for a singular
     nonzero germ."""
     if not is_singular_at_origin(v):
-        raise NonSingularPoint("germ is not singular at the origin")
+        raise FoliationError("germ is not singular at the origin")
     m = min(c.vanishing_order() for c in v.components)
     if m is math.inf:
         raise FoliationError("zero vector field has no multiplicity")
@@ -208,12 +195,12 @@ def log_coefficients(v: VectorFieldGerm, divisor: LogDivisor) -> dict[int, Gauss
 def classify_simple(v: VectorFieldGerm, divisor: LogDivisor) -> SimpleStatus:
     """Simple point / simple corner test relative to the log divisor."""
     if not is_singular_at_origin(v):
-        raise NonSingularPoint("germ is not singular at the origin")
+        raise FoliationError("germ is not singular at the origin")
     if divisor.axis_count() == 0:
-        raise NoDivisorThroughPoint("no divisor axis through the origin")
+        raise FoliationError("no divisor axis through the origin")
     status = _simple_status(v, divisor, linalg.char_poly(v.linear_part()))
     if isinstance(status, str):
-        raise DivisorNotInvariant(status)
+        raise FoliationError(status)
     return status
 
 
@@ -285,7 +272,7 @@ def is_dicritical(v: VectorFieldGerm) -> bool:
         raise FoliationError(_NOT_ISOLATED)
     m = _multiplicity(v)
     if v.dim() < 2:
-        raise ValueError(_NO_BLOWUP)
+        raise FoliationError(_NO_BLOWUP)
     return _radial(v, m)
 
 
@@ -339,7 +326,7 @@ def seidenberg_terminal(v: VectorFieldGerm) -> SingularityReport | str:
     if why:
         return why
     if v.dim() < 2:
-        raise ValueError(_NO_BLOWUP)
+        raise FoliationError(_NO_BLOWUP)
     if linalg.is_scalar(lp):
         return "reduced but dicritical"
     return _report(v, mult, lp, cp, why, None, False)
@@ -361,5 +348,5 @@ def simple_terminal(v: VectorFieldGerm, divisor: LogDivisor) -> SingularityRepor
     if not status.is_simple():
         return status.detail or status.kind
     if v.dim() < 2:
-        raise ValueError(_NO_BLOWUP)
+        raise FoliationError(_NO_BLOWUP)
     return _report(v, mult, lp, cp, why, status, False)

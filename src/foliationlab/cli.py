@@ -1,9 +1,10 @@
 """Command-line interface: parse the DSL, dispatch, emit JSON/CSV reports.
 
-Exit codes: 0 success (including depth-exceeded results and --help), 1
-operational errors (usage errors, parse failures, bad preconditions), 2
-mathematical refutations and self-test failures (Refuted, Mismatch), 3
-internal errors.
+Exit codes: 0 success (including depth-exceeded results and --help); 1 a
+usage error, a closed output pipe, or a `FoliationError` (the library's one
+input error, `dsl.ParseError` included); 2 a refutation or self-test failure
+that the handler returns; 3 any other exception, which is a fault of the
+program.
 """
 
 from __future__ import annotations
@@ -73,18 +74,23 @@ def _parse_radii(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise dsl.ParseError("radii must be a:b:steps")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise dsl.ParseError("bad radii %r: a and b are numbers, steps an integer" % spec) from None
     if n < 1 or not 0 < a <= b < math.inf:  # false for nan
         raise dsl.ParseError("bad radii range %r" % spec)
-    if n == 1:
-        return [a]
-    ratio = (b / a) ** (1.0 / (n - 1))
-    try:
-        radii = [a * ratio**k for k in range(n)]
-    except OverflowError:  # a power of the ratio past the largest float
-        radii = [math.inf]
+    radii = [a]
+    if n > 1:
+        ratio = (b / a) ** (1.0 / (n - 1))
+        try:
+            radii = [a * ratio**k for k in range(n)]
+        except OverflowError:  # a power of the ratio past the largest float
+            radii = [math.inf]
     if not all(map(math.isfinite, radii)):
         raise dsl.ParseError("radii grid %r is not finite" % spec)
+    if a < 1:
+        raise dsl.ParseError("radii grid %r starts below 1: every check needs r >= 1" % spec)
     return radii
 
 
@@ -404,16 +410,13 @@ def main(argv=None) -> int:
         code = HANDLERS[args.verb](args, sys.stdout)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
+    except FoliationError as exc:  # input the library refuses, ParseError included
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_ERROR
     except BrokenPipeError:  # the reader stopped reading: no fault, nothing left to report
         sys.stdout = open(os.devnull, "w")  # the interpreter's last flush goes nowhere
         return EXIT_ERROR
-    except (dsl.ParseError, FoliationError, ValueError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_ERROR
-    except blowup.InternalError as exc:
-        sys.stderr.write("internal error: %s\n" % exc)
-        return EXIT_INTERNAL
-    except Exception as exc:  # serialization and other internal failures
+    except Exception as exc:  # every other exception is a fault of the program
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         return EXIT_INTERNAL
 

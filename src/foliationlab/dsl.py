@@ -20,23 +20,21 @@ order.
 
 from __future__ import annotations
 
+import functools
 import re
 
+from .foliation import FoliationError, LogDivisor, VectorFieldGerm
 from .gaussrat import ZERO, GaussRat
 from .mvpoly import MVPoly
 from . import unipoly
 
 
-class ParseError(Exception):
+class ParseError(FoliationError):
     def __init__(self, message: str, pos: tuple[int, int] | None = None):
         if pos:
             message = "line %d, column %d: %s" % (pos[0], pos[1], message)
         super().__init__(message)
         self.pos = pos
-
-
-class NonPolynomial(ParseError):
-    pass
 
 
 _TOKEN_RE = re.compile(
@@ -61,6 +59,11 @@ class _Tokens:
                 break
             pos = m.end()
             kind = m.lastgroup
+            if kind == "num":
+                try:
+                    int(m.group(kind))
+                except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                    raise ParseError("integer literal too long", self._linecol(m.start(kind))) from None
             self.toks.append((kind, m.group(kind), m.start(kind)))
         self.i = 0
 
@@ -181,14 +184,14 @@ class _PolyAlgebra:
 
     def div(self, a, b, toks):
         if not b.is_constant():
-            raise NonPolynomial("division by a non-constant expression")
+            raise ParseError("division by a non-constant expression")
         c = b.constant_term()
         if c.is_zero():
             toks.error("division by zero")
         return a * (GaussRat(1) / c)
 
     def exp(self, a, toks):
-        raise NonPolynomial("exp is not allowed in polynomial vector fields")
+        raise ParseError("exp is not allowed in polynomial vector fields")
 
 
 class _ExprAlgebra:
@@ -225,6 +228,19 @@ class _ExprAlgebra:
 # public entry points
 
 
+def _bounded(parse):
+    """The entry point `parse`, with input nested past the interpreter's
+    recursion limit refused as a ParseError."""
+    @functools.wraps(parse)
+    def wrapper(text, *args):
+        try:
+            return parse(text, *args)
+        except RecursionError:
+            raise ParseError("input is nested too deeply") from None
+    return wrapper
+
+
+@_bounded
 def parse_polynomial(text: str, variables) -> MVPoly:
     toks = _Tokens(text)
     alg = _PolyAlgebra(tuple(variables))
@@ -234,6 +250,7 @@ def parse_polynomial(text: str, variables) -> MVPoly:
     return node
 
 
+@_bounded
 def parse_ideal(text: str, variables) -> list[MVPoly]:
     """Ideal generators: polynomials separated by ",", optionally inside one
     outer pair of parentheses.  Where both readings parse, they agree."""
@@ -264,11 +281,10 @@ def parse_ideal(text: str, variables) -> list[MVPoly]:
         return gens(True)
 
 
+@_bounded
 def parse_vector_field(text: str):
     """Parse to a VectorFieldGerm; variables come from the d/d markers in
     declaration order."""
-    from .foliation import VectorFieldGerm
-
     variables = []
     for m in re.finditer(r"d/d([a-zA-Z_][a-zA-Z_0-9]*)", text):
         if m.group(1) not in variables:
@@ -311,6 +327,7 @@ def _parse_point(toks: _Tokens) -> GaussRat:
     return node.constant_term()
 
 
+@_bounded
 def parse_curve(text: str):
     """Parse to a ParametrizedCurve, which resolves and checks the zero
     declarations, passed on as written (order None where omitted)."""
@@ -380,9 +397,7 @@ def parse_curve(text: str):
     return ParametrizedCurve(tuple(comps), zeros)
 
 
-def parse_divisor(text: str, variables) -> "object":
-    from .foliation import LogDivisor
-
+def parse_divisor(text: str, variables) -> LogDivisor:
     variables = tuple(variables)
     toks = _Tokens(text)
     kind, val, _ = toks.peek()

@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .foliation import FoliationError
 from .gaussrat import ZERO, GaussRat
 from .mvpoly import MVPoly, _poly
 from . import unipoly
@@ -51,8 +52,8 @@ def _merge(parts) -> Groups:
 def _times(p: Groups, q: Groups, order: int) -> Groups:
     """The product of two group sums; exp values add."""
     if len(p) * len(q) > GROUP_PRODUCT_LIMIT:
-        raise ValueError("an exact series product of %d by %d exp groups is past the limit of %d group products"
-                         % (len(p), len(q), GROUP_PRODUCT_LIMIT))
+        raise FoliationError("an exact series product of %d by %d exp groups is past the limit of %d group products"
+                             % (len(p), len(q), GROUP_PRODUCT_LIMIT))
     return _merge({c + d: unipoly.series_mul(s, r, order)} for c, s in p.items() for d, r in q.items())
 
 
@@ -245,25 +246,19 @@ class Pow(Expr):
     __slots__ = ("base", "k")
 
     def __init__(self, base: Expr, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not allowed")
+        if k < 2:
+            raise ValueError("Pow needs an exponent >= 2; `power` builds the others")
         self.base = base
         self.k = k
 
     def eval_scaled(self, t):
         a, u = self.base.eval_scaled(t)
-        if self.k == 0:  # b^0 = 1 also where b = 0, and 0 * log|0| is nan
-            return np.zeros_like(a), np.ones_like(u)
         return self.k * a, u**self.k
 
     def logabs2(self, t):
-        if self.k == 0:
-            return np.zeros(np.shape(t))
         return self.k * self.base.logabs2(t)
 
     def diff(self):
-        if self.k == 0:
-            return Poly(unipoly.ZERO_POLY)
         return mul([const_expr(self.k), power(self.base, self.k - 1), self.base.diff()])
 
     def series(self, order, z=ZERO):
@@ -344,7 +339,7 @@ def order_at(expr: Expr, z: GaussRat, max_order: int) -> int | float:
     if isinstance(expr, Mul):
         m = sum(order_at(c, z, max_order) for c in expr.children)
     elif isinstance(expr, Pow):
-        m = expr.k * order_at(expr.base, z, max_order) if expr.k else 0
+        m = expr.k * order_at(expr.base, z, max_order)
     else:
         m = min(map(unipoly.valuation, expr.series(max_order, z).values()), default=math.inf)
     return m if m <= max_order else math.inf

@@ -22,12 +22,8 @@ def exceptional_tag(level: int) -> str:
     return "exceptional:%d" % level
 
 
-class FoliationError(Exception):
-    pass
-
-
-class DivisorNotInvariant(FoliationError):
-    pass
+class FoliationError(ValueError):
+    """Input the library refuses: the CLI's one user error (exit 1)."""
 
 
 class VectorFieldGerm:
@@ -241,7 +237,7 @@ def coefficient_ideal(v: VectorFieldGerm, divisor: LogDivisor | None = None) -> 
     if divisor is None or not divisor.axes:
         return CoeffIdealPresentation(plain, None if divisor is None else plain, divisor)
     if not divisor_invariance_check(v, divisor):
-        raise DivisorNotInvariant("divisor axes %s not invariant" % sorted(divisor.axes))
+        raise FoliationError("divisor axes %s not invariant" % sorted(divisor.axes))
     log = []
     for j, comp in enumerate(v.components):
         log.append(comp.divide_by_var_power(j, 1) if j in divisor.axes else comp)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .foliation import FoliationError
 from .mvpoly import MVPoly
 
 Exponent = tuple[int, ...]
@@ -92,7 +93,7 @@ class MonomialIdeal:
                 return None
             gens.append(next(iter(p.num)))
         if not gens:
-            raise ValueError("zero ideal")
+            raise FoliationError("zero ideal")
         return cls(dim, gens)
 
     def is_zero(self) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .gaussrat import ZERO, GaussRat
 from .mvpoly import MVPoly
-from .foliation import VectorFieldGerm
+from .foliation import FoliationError, VectorFieldGerm
 from .exprtree import Exp, Expr, Poly, expr_from_mvpoly, order_at
 from .quadrature import GK_NODES, GK_RULE, QuadConfig, circle_mean_arrays, nudge_radius
 
@@ -68,22 +68,22 @@ def _checked_zeros(name: str, exprs: Sequence[Expr] | None, zeros) -> list[Zero]
     for (t0, mult) in zeros:
         z = t0.to_complex()
         if mult is not None and mult < 1:
-            raise ValueError("declared zero of %s at %s has order %d; a zero has order >= 1" % (name, z, mult))
+            raise FoliationError("declared zero of %s at %s has order %d; a zero has order >= 1" % (name, z, mult))
         if mult is not None and mult > ZERO_ORDER_CAP:
-            raise ValueError("declared zero of %s at %s has order %d, past the cap of %d on zero orders"
-                             % (name, z, mult, ZERO_ORDER_CAP))
+            raise FoliationError("declared zero of %s at %s has order %d, past the cap of %d on zero orders"
+                                 % (name, z, mult, ZERO_ORDER_CAP))
         if exprs is not None:
             got = min((order_at(e, t0, ZERO_ORDER_CAP) for e in exprs), default=math.inf)
             if mult is not None and got != mult:
-                raise ValueError("declared zero of %s at %s has order %s, not %d" % (name, z, got, mult))
+                raise FoliationError("declared zero of %s at %s has order %s, not %d" % (name, z, got, mult))
             if got == 0:
-                raise ValueError("declared zero of %s at %s does not vanish" % (name, z))
+                raise FoliationError("declared zero of %s at %s does not vanish" % (name, z))
             if got == math.inf:
-                raise ValueError("declared zero of %s at %s has order past %d or vanishes identically"
-                                 % (name, z, ZERO_ORDER_CAP))
+                raise FoliationError("declared zero of %s at %s has order past %d or vanishes identically"
+                                     % (name, z, ZERO_ORDER_CAP))
             mult = got
         elif mult is None:
-            raise ValueError("zero order required for target %r" % name)
+            raise FoliationError("zero order required for target %r" % name)
         out.append((t0, mult))
     return out
 
@@ -134,7 +134,7 @@ class ParametrizedCurve:
             elif name in ["f%d" % (k + 1) for k in range(self.dim())]:
                 exprs = [self.components[int(name[1:]) - 1]]
             else:
-                raise ValueError("unknown zero target %r: the curve has %d component(s)" % (name, self.dim()))
+                raise FoliationError("unknown zero target %r: the curve has %d component(s)" % (name, self.dim()))
             resolved[name] = _checked_zeros(name, exprs, zeros)
         self.declared_zeros = resolved
 
@@ -361,7 +361,7 @@ def counting_function(zeros: Sequence[Zero], r: float) -> float:
     """N(r) = sum nu_j log(r/|t_j|) over |t_j| < r, with the annulus
     convention nu log r for zeros at the origin."""
     if r < 1.0:
-        raise ValueError("counting function needs r >= 1")
+        raise FoliationError("counting function needs r >= 1")
     total = 0.0
     for (t0, mult) in zeros:
         a = _zero_abs(t0)
@@ -474,13 +474,13 @@ def fmt_verify(curve: ParametrizedCurve, ideal_gens: Sequence[MVPoly],
     cfg = cfg or QuadConfig()
     gens_on_curve = [expr_from_mvpoly(g, curve.components) for g in ideal_gens]
     if all(order_at(g, ZERO, ZERO_ORDER_CAP) == math.inf for g in gens_on_curve):
-        raise ValueError("the ideal vanishes along the curve to an order past %d at t = 0, or identically"
-                         % ZERO_ORDER_CAP)
+        raise FoliationError("the ideal vanishes along the curve to an order past %d at t = 0, or identically"
+                             % ZERO_ORDER_CAP)
     ideal_zeros = _checked_zeros("ideal", gens_on_curve, ideal_zeros)
     grid, moduli = _nudged(r_grid, ideal_zeros)
     if len(set(grid)) < 2:
-        raise ValueError("fmt fits the slope of T - N - m against log r, which needs two distinct radii, "
-                         "not %d" % len(set(grid)))
+        raise FoliationError("fmt fits the slope of T - N - m against log r, which needs two distinct radii, "
+                             "not %d" % len(set(grid)))
     T_fs, b1, d1 = characteristic_on_grid(fs_sum_density(gens_on_curve), grid, cfg, moduli)
     if len(gens_on_curve) > 1:
         T_dir, b2, d2 = characteristic_on_grid(direction_map_density(gens_on_curve), grid, cfg, moduli)

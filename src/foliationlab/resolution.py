@@ -28,7 +28,6 @@ from typing import Sequence
 
 from .gaussrat import GaussRat
 from .foliation import (
-    DivisorNotInvariant,
     FoliationError,
     LogDivisor,
     VectorFieldGerm,
@@ -41,10 +40,6 @@ from .foliation import (
 from .monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
 from .mvpoly import chart_exponent
 from . import blowup, classify, unipoly
-
-
-class NonIsolatedSingularLocus(FoliationError):
-    pass
 
 
 DEFAULT_DEPTH = 16
@@ -319,7 +314,7 @@ def seidenberg_reduce(v: VectorFieldGerm, max_depth: int = DEFAULT_DEPTH) -> Res
     pullback-tangent-bundle invariance for any further blow-up, which a
     dicritical point violates."""
     if v.dim() != 2:
-        raise classify.DimensionMismatch("Seidenberg reduction is the dim-2 driver")
+        raise FoliationError("Seidenberg reduction is the dim-2 driver")
     _require_isolated_root(v)
     return _run_tower(v, None, max_depth, "seidenberg", lambda item: classify.seidenberg_terminal(item.germ))
 
@@ -333,7 +328,7 @@ def resolve_simple(v: VectorFieldGerm, divisor: LogDivisor, max_depth: int = DEF
     non-dicritical, per the log-triple conventions.  Outside dim 2 the
     tower first runs `_ais_probe`."""
     if divisor.axes and not divisor_invariance_check(v, divisor):
-        raise DivisorNotInvariant("root divisor is not invariant")
+        raise FoliationError("root divisor is not invariant")
     _require_isolated_root(v)
     notes = [] if v.dim() == 2 else _ais_probe(v, min(max_depth, 3))
     tower = _run_tower(v, divisor, max_depth, "simple", lambda item: classify.simple_terminal(item.germ, item.divisor))
@@ -347,7 +342,7 @@ def _require_isolated_root(v: VectorFieldGerm) -> None:
     identically."""
     if (milnor_number(v) == math.inf if v.dim() == 2 else
             is_singular_at_origin(v) and any(c.is_zero() for c in v.components)):
-        raise NonIsolatedSingularLocus("root singular locus is a curve")
+        raise FoliationError("root singular locus is a curve")
 
 
 def _ais_probe(v: VectorFieldGerm, depth: int) -> list[str]:
@@ -364,13 +359,13 @@ def _ais_probe(v: VectorFieldGerm, depth: int) -> list[str]:
     def last_level(item: _WorkItem) -> str:
         loci = blowup.exceptional_loci(item.germ) if item.level == depth - 1 else []
         if any(locus.non_isolated for locus in loci):
-            raise NonIsolatedSingularLocus(found % depth)
+            raise FoliationError(found % depth)
         last.extend(loci)
         return "A.I.S. probe"
 
     walk = _run_tower(v, None, depth - 1, "simple", last_level)
     if walk.reason.startswith("non-isolated"):
-        raise NonIsolatedSingularLocus(found % (walk.events[-1].level + 1))
+        raise FoliationError(found % (walk.events[-1].level + 1))
     nodes = len(walk.events) + len(walk.pending) + sum(len(locus.points) for locus in last)
     if walk.reason.startswith("node budget") or nodes > TOWER_NODE_BUDGET:
         return ["A.I.S. probe: depth_exceeded"]

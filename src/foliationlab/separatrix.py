@@ -35,22 +35,6 @@ from .foliation import (
 from . import blowup, classify, linalg, unipoly
 
 
-class ZeroEigenvalueDirection(FoliationError):
-    pass
-
-
-class IndeterminateEigenvalues(FoliationError):
-    pass
-
-
-class NotACorner(FoliationError):
-    pass
-
-
-class CurveInDivisor(FoliationError):
-    pass
-
-
 _T = ("t",)
 
 
@@ -95,12 +79,12 @@ def direction_of_eigenvalue(v: VectorFieldGerm, lam: GaussRat) -> int:
     """Index, in the canonically sorted exact spectrum, of an eigenvalue."""
     ev = linalg.eigenvalues_exact(v.linear_part())
     if isinstance(ev, linalg.Indeterminate):
-        raise IndeterminateEigenvalues("linear part has eigenvalues outside Q(i)")
+        raise FoliationError("linear part has eigenvalues outside Q(i)")
     lam = GaussRat.coerce(lam)
     for i, e in enumerate(ev):
         if e == lam:
             return i
-    raise ValueError("%s is not an eigenvalue" % lam)
+    raise FoliationError("%s is not an eigenvalue" % lam)
 
 
 def formal_separatrix(v: VectorFieldGerm, direction: int, order: int, lam: GaussRat | None = None):
@@ -114,21 +98,21 @@ def formal_separatrix(v: VectorFieldGerm, direction: int, order: int, lam: Gauss
     (see the module docstring).  Returns a FormalCurve (components
     certified to `order`) or a Resonance value."""
     if order < 2:
-        raise ValueError("truncation order must be >= 2")
+        raise FoliationError("truncation order must be >= 2")
     n = v.dim()
     lp = v.linear_part()
     if lam is None:
         ev = linalg.eigenvalues_exact(lp)
         if isinstance(ev, linalg.Indeterminate):
-            raise IndeterminateEigenvalues("linear part has eigenvalues outside Q(i)")
+            raise FoliationError("linear part has eigenvalues outside Q(i)")
         if not 0 <= direction < len(ev):
-            raise ValueError("direction index out of range")
+            raise FoliationError("direction index out of range")
         lam = ev[direction]
     if lam.is_zero():
-        raise ZeroEigenvalueDirection("chosen eigendirection has eigenvalue 0")
+        raise FoliationError("chosen eigendirection has eigenvalue 0")
     e = linalg.eigenvector(lp, lam)
     if e is None:
-        raise FoliationError("no eigenvector found (cannot happen for an exact eigenvalue)")
+        raise blowup.InternalError("no eigenvector found (cannot happen for an exact eigenvalue)")
     p = max(i for i in range(n) if not e[i].is_zero())
     rest = [i for i in range(n) if i != p]
     t = MVPoly.var(_T, "t")
@@ -185,7 +169,7 @@ def corner_has_no_transverse_separatrix(v: VectorFieldGerm, divisor: LogDivisor)
     the germ is no corner.  So `outcome` is "confirmed", `attempts` empty."""
     status = classify.classify_simple(v, divisor)
     if status.kind != "simple_corner":
-        raise NotACorner("classify_simple returned %s" % status.kind)
+        raise FoliationError("classify_simple returned %s" % status.kind)
     lam0 = classify.log_coefficients(v, divisor)
     witnesses = ["axes (%d, %d): nu_%d/nu_%d would equal %s, not a positive rational"
                  % (p + 1, q + 1, q + 1, p + 1, lam0[q] / lam0[p]) for p, q in classify.corner_witnesses(lam0)]
@@ -225,7 +209,7 @@ def separatrix_lift_check(v: VectorFieldGerm, divisor: LogDivisor, curve: Formal
     vals = [unipoly.valuation(comp) for comp in curve.components]
     for j in sorted(divisor.axes):
         if vals[j] is math.inf:
-            raise CurveInDivisor("curve component %d vanishes to working order: curve lies in D" % (j + 1))
+            raise FoliationError("curve component %d vanishes to working order: curve lies in D" % (j + 1))
     # a simple point has one divisor axis, and its component is finite
     c = min((val, i) for i, val in enumerate(vals) if val is not math.inf)[1]
     # so the quotients are series: val(comp) >= val(denom), which is finite

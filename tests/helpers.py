@@ -36,6 +36,7 @@ from fractions import Fraction
 from foliationlab import classify, linalg, unipoly
 from foliationlab.blowup import (
     ELocus,
+    InternalError,
     SaturatedTransform,
     _eigendirection_loci,
     _locus_on_E,
@@ -45,7 +46,6 @@ from foliationlab.blowup import (
 from foliationlab.corpus import seidenberg_corpus
 from foliationlab.dsl import parse_polynomial
 from foliationlab.foliation import (
-    DivisorNotInvariant,
     FoliationError,
     LogDivisor,
     VectorFieldGerm,
@@ -59,17 +59,13 @@ from foliationlab.gaussrat import ZERO, GaussRat
 from foliationlab.mvpoly import MVPoly, chart_exponent
 from foliationlab.resolution import (
     DEFAULT_DEPTH,
-    NonIsolatedSingularLocus,
     _run_tower,
     seidenberg_reduce,
 )
 from foliationlab.separatrix import (
     CornerSeparatrixReport,
     FormalCurve,
-    IndeterminateEigenvalues,
-    NotACorner,
     Resonance,
-    ZeroEigenvalueDirection,
     formal_separatrix,
 )
 
@@ -355,7 +351,7 @@ def reference_transform(v: VectorFieldGerm, j: int, divisor: LogDivisor | None =
         cleared.append(p)
     c = min(p.min_exponent_in(j) for p in cleared)
     if c == math.inf:
-        raise ValueError("cannot blow up the zero field")
+        raise FoliationError("cannot blow up the zero field")
     drop = min(1, c)
     raw = VectorFieldGerm(v.variables, [p.divide_by_var_power(j, drop) for p in cleared])
     saturated = VectorFieldGerm(v.variables, [p.divide_by_var_power(j, c - drop) for p in raw.components])
@@ -418,8 +414,8 @@ def reference_ais_probe(v: VectorFieldGerm, depth: int) -> list[str]:
     point of the last level too."""
     walk = _run_tower(v, None, depth, "simple", lambda item: "A.I.S. probe")
     if walk.reason.startswith("non-isolated"):
-        raise NonIsolatedSingularLocus("bounded A.I.S. probe found a non-isolated locus at level %d"
-                                       % (walk.events[-1].level + 1))
+        raise FoliationError("bounded A.I.S. probe found a non-isolated locus at level %d"
+                             % (walk.events[-1].level + 1))
     for prefix, status in (("singular-point enumeration incomplete", "unknown"), ("node budget", "depth_exceeded")):
         if walk.reason.startswith(prefix):
             return ["A.I.S. probe: %s" % status]
@@ -430,11 +426,11 @@ def reference_resolve_simple(v: VectorFieldGerm, divisor: LogDivisor, max_depth:
     """`resolve_simple` with `probe_walk` to depth min(max_depth, 3) as its
     probe, in every dimension."""
     if divisor.axes and not divisor_invariance_check(v, divisor):
-        raise DivisorNotInvariant("root divisor is not invariant")
+        raise FoliationError("root divisor is not invariant")
     status, level = probe_walk(v, min(max_depth, 3))
     if status == "non_isolated_found":
-        raise NonIsolatedSingularLocus("root singular locus is a curve" if level == 0 else
-                                       "bounded A.I.S. probe found a non-isolated locus at level %s" % level)
+        raise FoliationError("root singular locus is a curve" if level == 0 else
+                             "bounded A.I.S. probe found a non-isolated locus at level %s" % level)
     tower = _run_tower(v, divisor, max_depth, "simple", lambda item: classify.simple_terminal(item.germ, item.divisor))
     if status != "all_levels_finite":
         tower.notes.append("A.I.S. probe: %s" % status)
@@ -505,15 +501,15 @@ def reference_formal_separatrix(v: VectorFieldGerm, direction: int, order: int, 
     if lam is None:
         ev = linalg.eigenvalues_exact(lp)
         if isinstance(ev, linalg.Indeterminate):
-            raise IndeterminateEigenvalues("linear part has eigenvalues outside Q(i)")
+            raise FoliationError("linear part has eigenvalues outside Q(i)")
         if not 0 <= direction < len(ev):
-            raise ValueError("direction index out of range")
+            raise FoliationError("direction index out of range")
         lam = ev[direction]
     if lam.is_zero():
-        raise ZeroEigenvalueDirection("chosen eigendirection has eigenvalue 0")
+        raise FoliationError("chosen eigendirection has eigenvalue 0")
     e = linalg.eigenvector(lp, lam)
     if e is None:
-        raise FoliationError("no eigenvector found (cannot happen for an exact eigenvalue)")
+        raise InternalError("no eigenvector found (cannot happen for an exact eigenvalue)")
     m = completion_basis(e, n)
     conj = conjugate_by(v, m)
     w = VectorFieldGerm(v.variables, [c * (GaussRat(1) / lam) for c in conj.components])
@@ -583,7 +579,7 @@ def reference_corner_report(v: VectorFieldGerm, divisor: LogDivisor, order: int)
     "counterexample_candidate"."""
     status = classify.classify_simple(v, divisor)
     if status.kind != "simple_corner":
-        raise NotACorner("classify_simple returned %s" % status.kind)
+        raise FoliationError("classify_simple returned %s" % status.kind)
     axes = sorted(divisor.axes)
     lam0 = classify.log_coefficients(v, divisor)
     witnesses = []

@@ -504,6 +504,134 @@ def test_bad_numeric_argument_is_a_parse_error(argv, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+def check_T(curve, *options):
+    return ["nevanlinna", curve, "--check", "T", *options]
+
+
+NESTED_FIELD = "v = %sx%s d/dx" % ("(" * 200, ")" * 200)
+NESTED_CURVE = "f(t) = (%st%s)" % ("(" * 200, ")" * 200)
+FIELD = "v = x d/dx - 2*y d/dy"
+
+# one input per raise site of a FoliationError that the CLI reaches, and the message it prints
+USER_ERRORS = {
+    "blowup-zero-field": (["blowup", "v = 0 d/dx + 0 d/dy"], "cannot blow up the zero field"),
+    "blowup-dim1": (["blowup", "v = x^2 d/dx"], "blow-up needs ambient dimension >= 2"),
+    "blowup-chart-3": (["blowup", "v = x d/dx + y d/dy", "--chart", "3"], "chart index out of range"),
+    "weakly-reduced-zero-ideal": (["weakly-reduced", "v = 0 d/dx + 0 d/dy"], "zero ideal"),
+    "resolve-simple-dim1": (["resolve", "v = x^2 d/dx", "--mode", "simple"], "blow-up needs ambient dimension >= 2"),
+    "resolve-seidenberg-dim3": (["resolve", "v = x d/dx + y d/dy + z d/dz"],
+                                "Seidenberg reduction is the dim-2 driver"),
+    "resolve-divisor-not-invariant": (["resolve", "v = y d/dx + x d/dy", "--mode", "simple", "--divisor", "{x}"],
+                                      "root divisor is not invariant"),
+    "resolve-shared-branch": (["resolve", "v = (x*y) d/dx + (x*y^2) d/dy"], "root singular locus is a curve"),
+    "resolve-level-3": (["resolve", "v = x d/dx + 3*y d/dy + 7*z d/dz", "--mode", "simple"],
+                        "bounded A.I.S. probe found a non-isolated locus at level 3"),
+    "separatrix-eigenvalue-3": (["separatrix", FIELD, "--eigenvalue", "3"], "3 is not an eigenvalue"),
+    "separatrix-direction-5": (["separatrix", FIELD, "--direction", "5"], "direction index out of range"),
+    "separatrix-order-1": (["separatrix", FIELD, "--direction", "0", "--order", "1"],
+                           "truncation order must be >= 2"),
+    "separatrix-zero-eigenvalue": (["separatrix", "v = y^2 d/dx + y d/dy", "--direction", "0"],
+                                   "chosen eigendirection has eigenvalue 0"),
+    "separatrix-indeterminate": (["separatrix", "v = y d/dx + 2*x d/dy", "--direction", "0"],
+                                 "linear part has eigenvalues outside Q(i)"),
+    "separatrix-indeterminate-eigenvalue": (["separatrix", "v = y d/dx + 2*x d/dy", "--eigenvalue", "1"],
+                                            "linear part has eigenvalues outside Q(i)"),
+    "separatrix-no-direction": (["separatrix", FIELD], "separatrix solve needs --direction or --eigenvalue"),
+    "separatrix-not-a-corner": (["separatrix", "v = 2*x d/dx + 3*y d/dy", "--check", "corner", "--divisor", "{x, y}"],
+                                "classify_simple returned not_simple"),
+    "separatrix-corner-no-divisor": (["separatrix", "v = x d/dx - y d/dy", "--check", "corner"],
+                                     "corner check needs --divisor"),
+    "separatrix-corner-no-axis": (["separatrix", "v = x d/dx - y d/dy", "--check", "corner", "--divisor", "{}"],
+                                  "no divisor axis through the origin"),
+    "separatrix-lift-no-divisor": (["separatrix", FIELD, "--check", "lift", "--eigenvalue", "1"],
+                                   "lift check needs --divisor"),
+    "separatrix-lift-at-a-corner": (["separatrix", "v = x d/dx - y d/dy", "--check", "lift", "--divisor", "{x, y}",
+                                     "--eigenvalue", "1"], "lift check expects a simple point, got simple_corner"),
+    "separatrix-curve-in-divisor": (["separatrix", "v = x^2 d/dx - y d/dy", "--check", "lift", "--divisor", "{x}",
+                                     "--eigenvalue", "-1"],
+                                    "curve component 1 vanishes to working order: curve lies in D"),
+    "classify-nonsingular": (["classify", "v = d/dx + y d/dy"], "germ is not singular at the origin"),
+    "classify-zero-field": (["classify", "v = 0*x d/dx + 0*y d/dy"], "zero vector field has no multiplicity"),
+    "classify-exp": (["classify", "v = exp(x) d/dx"], "exp is not allowed in polynomial vector fields"),
+    "classify-pole": (["classify", "v = (1/x) d/dx"], "division by a non-constant expression"),
+    "classify-trailing": (["classify", "v = x d/dx + "], "line 1, column 14: expected a factor, found None"),
+    "classify-nested": (["classify", NESTED_FIELD], "input is nested too deeply"),
+    "classify-divisor-axis": (["classify", "v = x d/dx", "--divisor", "{y}"],
+                              "line 1, column 3: unknown axis name 'y'"),
+    "effectivity-dim-0": (["effectivity", "--dim", "0", "--power", "1", "--alpha", "1"],
+                          "n, k, alpha must be positive"),
+    "zero-order-0": (check_T("f(t) = (t) zeros: f1 at 0 order 0", "--radii", "4:4:1"),
+                     "declared zero of f1 at 0j has order 0; a zero has order >= 1"),
+    "zero-order-past-cap": (check_T("f(t) = (t) zeros: f1 at 0 order 13", "--radii", "4:4:1"),
+                            "declared zero of f1 at 0j has order 13, past the cap of 12 on zero orders"),
+    "zero-wrong-order": (check_T("f(t) = (t) zeros: f1 at 0 order 2", "--radii", "4:4:1"),
+                         "declared zero of f1 at 0j has order 1, not 2"),
+    "zero-does-not-vanish": (check_T("f(t) = (t) zeros: f1 at 1", "--radii", "4:4:1"),
+                             "declared zero of f1 at (1+0j) does not vanish"),
+    "zero-identically": (check_T("f(t) = (0, t) zeros: f1 at 1", "--radii", "4:4:1"),
+                         "declared zero of f1 at (1+0j) has order past 12 or vanishes identically"),
+    "zero-order-required": (["nevanlinna", "f(t) = (t, t^2) zeros: ideal at 0", "--check", "fmt", "--ideal", "x, y",
+                             "--radii", "2:32:5"],
+                            "zero order required for target 'ideal'"),
+    "zero-unknown-target": (check_T("f(t) = (t) zeros: f5 at 0", "--radii", "4:4:1"),
+                            "unknown zero target 'f5': the curve has 1 component(s)"),
+    "group-product-4096": (["nevanlinna", "f(t) = (%s + t) zeros: f1 at 1" % EXP_SUM_50, "--check", "jensen",
+                            "--radii", "4:4:1"],
+                           "an exact series product of 165 by 165 exp groups is past the limit of 4096 group "
+                           "products"),
+    "fmt-one-radius": (["nevanlinna", "f(t) = (t, t^2) zeros: ideal at 0 order 1", "--check", "fmt", "--ideal", "x, y",
+                        "--radii", "4:4:1"],
+                       "fmt fits the slope of T - N - m against log r, which needs two distinct radii, not 1"),
+    "fmt-ideal-vanishes": (["nevanlinna", "f(t) = (t, t)", "--check", "fmt", "--ideal", "x - y", "--radii", "2:4:2"],
+                           "the ideal vanishes along the curve to an order past 12 at t = 0, or identically"),
+    "fmt-no-ideal": (["nevanlinna", "f(t) = (t, t)", "--check", "fmt", "--radii", "2:4:2"], "fmt check needs --ideal"),
+    "fmt-fifth-component": (["nevanlinna", "f(t) = (t, t, t, t, t) zeros: ideal at 0 order 1", "--check", "fmt",
+                             "--ideal", "x", "--radii", "2:32:5"],
+                            "--ideal names one variable per component (x, y, z, w), so a curve with 5 components "
+                            "has no name for its fifth"),
+    "curve-pole": (check_T("f(t) = (1/t)"),
+                   "poles are not allowed in curve components (division by non-constant)"),
+    "curve-nested": (check_T(NESTED_CURVE, "--radii", "2:4:2"), "input is nested too deeply"),
+    "radii-steps": (check_T("f(t) = (t)", "--radii", "2:16"), "radii must be a:b:steps"),
+    "radii-not-a-number": (check_T("f(t) = (t)", "--radii", "2:16:x"),
+                           "bad radii '2:16:x': a and b are numbers, steps an integer"),
+    "radii-nan": (check_T("f(t) = (t)", "--radii", "nan:4:3"), "bad radii range 'nan:4:3'"),
+    "radii-overflow": (check_T("f(t) = (t)", "--radii", "1e-300:1e300:3"),
+                       "radii grid '1e-300:1e300:3' is not finite"),
+    "radii-below-1": (check_T("f(t) = (t)", "--radii", "0.5:0.5:1"),
+                      "radii grid '0.5:0.5:1' starts below 1: every check needs r >= 1"),
+    "jensen-radii-below-1": (["nevanlinna", "f(t) = (t - 2) zeros: f1 at 2", "--check", "jensen",
+                              "--radii", "0.5:2:2"],
+                             "radii grid '0.5:2:2' starts below 1: every check needs r >= 1"),
+    "tol-negative": (check_T("f(t) = (t)", "--tol", "-1"), "--tol must be a finite positive number"),
+    "depth-negative": (["resolve", "v = y d/dx + x^2 d/dy", "--depth", "-2"], "--depth must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USER_ERRORS.values(), ids=USER_ERRORS)
+def test_user_error_exits_one_with_its_message(argv, message, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_foliation_error_is_the_one_input_error():
+    from foliationlab import foliation
+
+    assert issubclass(foliation.FoliationError, ValueError)
+    assert foliation.FoliationError.__subclasses__() == [dsl.ParseError]
+
+
+def test_a_fault_in_a_kernel_is_an_internal_error(monkeypatch, capsys):
+    from foliationlab import linalg
+
+    def broken(matrix):
+        raise ValueError("broken kernel")
+
+    monkeypatch.setattr(linalg, "char_poly", broken)
+    assert cli.main(["classify", "v = x d/dx - y d/dy"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == ("", "internal error: ValueError: broken kernel\n")
+
+
 def readme_examples():
     """The argv of every `foliation-lab` line in the README."""
     text = Path(__file__).resolve().parents[1].joinpath("README.md").read_text()

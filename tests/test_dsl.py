@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from foliationlab.exprtree import Add, Exp, Mul, Poly, Pow, add, const_expr, mul
 from foliationlab.gaussrat import GaussRat
 from foliationlab import unipoly
 from foliationlab.dsl import (
-    NonPolynomial,
     ParseError,
     parse_curve,
     parse_divisor,
@@ -41,7 +41,7 @@ def test_field_examples():
     assert v.components[0].coeff((1, 0)) == GaussRat(0, 1)
     assert v.components[1].coeff((0, 1)) == GaussRat(-1)
 
-    with pytest.raises(NonPolynomial):
+    with pytest.raises(ParseError, match="exp is not allowed in polynomial vector fields"):
         parse_vector_field("v = exp(x) d/dx")
 
 
@@ -55,11 +55,30 @@ def test_field_error_positions():
         parse_vector_field("x + y")  # no markers
 
 
+@pytest.mark.parametrize("parse, template", [
+    (parse_vector_field, "v = %sx%s d/dx"),
+    (parse_curve, "f(t) = (%st%s)"),
+], ids=["field", "curve"])
+def test_deep_nesting_is_a_parse_error(parse, template):
+    assert parse(template % ("(" * 150, ")" * 150)) is not None
+    with pytest.raises(ParseError, match="^input is nested too deeply$"):
+        parse(template % ("(" * 200, ")" * 200))
+
+
+def test_integer_literal_past_the_digit_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    assert parse_vector_field("v = %s*x d/dx" % ("7" * limit)) is not None
+    with pytest.raises(ParseError, match="^line 1, column 5: integer literal too long$"):
+        parse_vector_field("v = %s*x d/dx" % ("7" * (limit + 1)))
+
+
 def test_rational_and_complex_coefficients():
     v = parse_vector_field("v = 1/2*x d/dx + (2 - 3*i)*y d/dy")
     assert v.components[0].coeff((1, 0)) == GaussRat(Fraction(1, 2))
     assert v.components[1].coeff((0, 1)) == GaussRat(2, -3)
-    with pytest.raises(NonPolynomial):
+    with pytest.raises(ParseError, match="division by a non-constant expression"):
         parse_vector_field("v = (1/x) d/dx + y d/dy")
 
 
@@ -266,7 +285,7 @@ def test_series_product_and_derivative_match_sympy(tree_a, tree_b):
 def _build(tree, raw: bool):
     """The tree through the folding algebra, or through the node classes
     with nothing folded.  An exp argument is folded either way: Exp takes a
-    Poly."""
+    Poly.  Pow takes k >= 2, so a raw b^1 or b^0 is the Mul of one b or of 1."""
     kind, *args = tree
     if kind == "exp":
         return Exp(mul([t_expr(), _build(args[0], False)]))
@@ -281,7 +300,7 @@ def _build(tree, raw: bool):
     if kind in ("add", "sub"):
         return plus(sub)
     if kind == "pow":
-        return pw(*sub)
+        return pw(*sub) if sub[1] >= 2 or not raw else times([sub[0]] * sub[1] or [const_expr(1)])
     if kind == "div":
         sub[1] = const_expr(1 / args[1])
     return times(sub)  # mul, neg, div

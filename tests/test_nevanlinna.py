@@ -732,7 +732,7 @@ def test_fmt_on_a_polynomial_curve_takes_the_direct_path(monkeypatch):
     unfolded trees within the reported bounds."""
     from foliationlab import exprtree
     from foliationlab.dsl import parse_curve
-    from foliationlab.exprtree import Add, Pow
+    from foliationlab.exprtree import Add, Pow, const_expr
 
     curve = parse_curve("f(t) = (t, t^2) zeros: ideal at 0 order 1")
     radii = [2.0 * 2 ** k for k in range(5)]  # 2:32:5
@@ -745,8 +745,8 @@ def test_fmt_on_a_polynomial_curve_takes_the_direct_path(monkeypatch):
         rep = nv.fmt_verify(curve, [X, Y], curve.zeros_for("ideal"), radii, QuadConfig())
     with monkeypatch.context() as m:  # the trees as the node classes build them, nothing folded
         m.setattr(exprtree, "add", Add)
-        m.setattr(exprtree, "mul", Mul)
-        m.setattr(exprtree, "power", Pow)
+        m.setattr(exprtree, "mul", Mul)  # Pow takes k >= 2: b^1 and b^0 are the Mul of one b or of 1
+        m.setattr(exprtree, "power", lambda b, k: Pow(b, k) if k >= 2 else Mul([b] * k or [const_expr(1)]))
         raw = nv.fmt_verify(curve, [X, Y], curve.zeros_for("ideal"), radii, QuadConfig())
     assert rep.passed and raw.passed and not any(rep.profile.diverged)
     fold, ref = rep.profile, raw.profile

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from foliationlab.gaussrat import GaussRat
 from foliationlab.mvpoly import MVPoly
 from foliationlab.foliation import (
+    FoliationError,
     LogDivisor,
     VectorFieldGerm,
     divisor_invariance_check,
@@ -18,7 +19,6 @@ from foliationlab.foliation import (
 from foliationlab.monomial import MonomialIdeal, multiplier_ideal_trivial_monomial
 from foliationlab.resolution import (
     TOWER_NODE_BUDGET,
-    NonIsolatedSingularLocus,
     _ais_probe,
     _cluster_outcome,
     discrepancy_log_resolution,
@@ -73,7 +73,7 @@ def test_seidenberg_nilpotent_tower():
 
 
 def test_seidenberg_rejects_non_isolated():
-    with pytest.raises(NonIsolatedSingularLocus):
+    with pytest.raises(FoliationError, match="root singular locus is a curve"):
         seidenberg_reduce(germ(Y, MVPoly.zero(VARS)))
 
 
@@ -357,7 +357,7 @@ def _verdicts(v):
     try:
         rep = classify.singularity_report(v)
         tower = seidenberg_reduce(v, max_depth=4)
-    except NonIsolatedSingularLocus as exc:
+    except FoliationError as exc:
         return "non-isolated", str(exc)
     term = [(t.reduced, t.dicritical, t.surface_type and t.surface_type.kind) for t in tower.terminals]
     return (rep.multiplicity, rep.reduced, rep.dicritical, rep.surface_type.kind,
@@ -484,10 +484,10 @@ def test_resolve_simple_probe_cases():
     ]
     for v, divisor in cases:
         _assert_probe_matches_walk(v, divisor, 16)
-    with pytest.raises(NonIsolatedSingularLocus, match="non-isolated locus at level 1$"):
+    with pytest.raises(FoliationError, match="non-isolated locus at level 1$"):
         resolve_simple(*cases[0])
     assert "A.I.S. probe: unknown" in resolve_simple(*cases[1]).notes
-    with pytest.raises(NonIsolatedSingularLocus, match="root singular locus is a curve"):
+    with pytest.raises(FoliationError, match="root singular locus is a curve"):
         resolve_simple(*cases[2])
 
 
@@ -537,6 +537,6 @@ def test_ais_probe_reads_the_last_level_from_the_spectrum(monkeypatch):
     calls = []
     transform = blowup.transform_vector_field
     monkeypatch.setattr(blowup, "transform_vector_field", lambda *args: calls.append(args) or transform(*args))
-    with pytest.raises(NonIsolatedSingularLocus, match="non-isolated locus at level 3$"):
+    with pytest.raises(FoliationError, match="non-isolated locus at level 3$"):
         _ais_probe(v, 3)
     assert len(calls) == 4 * 3
