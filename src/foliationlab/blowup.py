@@ -162,13 +162,13 @@ def exceptional_multiplicity(p: MVPoly, chart_path: Sequence[int]) -> int:
 
 
 def ceil_nth_root(k: int, n: int) -> int:
-    """Smallest m with m^n >= k (exact integer arithmetic)."""
+    """Smallest m with m^n >= k, by integer Newton steps down from 2^ceil(bits(k)/n), so k may pass any float."""
     if k <= 1:
         return k
-    m = max(1, round(k ** (1.0 / n)) - 2)
-    while m**n < k:
-        m += 1
-    return m
+    m = 1 << -(-k.bit_length() // n)
+    while (step := ((n - 1) * m + k // m ** (n - 1)) // n) < m:
+        m = step
+    return m if m**n >= k else m + 1
 
 
 @dataclass(frozen=True)

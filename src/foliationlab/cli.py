@@ -29,9 +29,19 @@ EXIT_INTERNAL = 3
 
 
 def _emit_json(command: str, result, out) -> None:
+    """Write the report, to a byte stream in a loop: an unbuffered stdout's
+    raw file may take part of a write, and a closed pipe raises on the next."""
     parts: list[str] = []
     _encode({"schema": SCHEMA, "command": command, "result": result}, parts, "\n")
-    out.write("".join(parts) + "\n")
+    text = "".join(parts) + "\n"
+    raw = getattr(out, "buffer", None)
+    if raw is None:  # a text-only stream, such as io.StringIO
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding))
+    while data:
+        data = data[raw.write(data):]
 
 
 def _encode(obj, parts: list[str], nl: str) -> None:
@@ -269,14 +279,12 @@ def cmd_nevanlinna(args, out) -> int:
     if check == "jensen":
         zeros = curve.zeros_for("f1")
         reports = nevanlinna.jensen_verify(curve.components[0], zeros, radii, cfg)
-        worst = max(rep.residual - rep.quadrature_bound for rep in reports)
-        floor = args.tol * max(max(1.0, abs(rep.average_r), abs(rep.average_1)) for rep in reports)
-        _emit_json("nevanlinna", {
-            "check": "jensen",
-            "reports": [rep.to_jsonable() for rep in reports],
-            "max_excess_residual": worst,
-        }, out)
-        return EXIT_REFUTED if worst > floor else EXIT_OK  # a residual past its bound: an undeclared zero
+        bounded = [rep for rep in reports if math.isfinite(rep.quadrature_bound)]  # an infinite bound refutes nothing
+        worst = max((rep.residual - rep.quadrature_bound for rep in bounded), default=None)
+        floor = args.tol * max((max(1.0, abs(rep.average_r), abs(rep.average_1)) for rep in bounded), default=1.0)
+        _emit_json("nevanlinna", {"check": "jensen", "reports": [rep.to_jsonable() for rep in reports],
+                                  "max_excess_residual": worst}, out)
+        return EXIT_REFUTED if worst is not None and worst > floor else EXIT_OK  # past its bound: an undeclared zero
     if check == "fmt":
         if args.ideal is None:
             raise FoliationError("fmt check needs --ideal")

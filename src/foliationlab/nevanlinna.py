@@ -8,12 +8,12 @@ Conventions, pinned by self-tests:
   so each zero order carries point mass 2 in the squared-log convention.
 * Characteristics are reported in "form units": T for the Fubini-Study
   form on each projective-line factor matches T(r) = log sqrt(1+r^2) -
-  log sqrt(2) for f(t) = t.  The order-swapped radial formula
-  T(r) = int_0^r q(rho) log(r/max(rho,1)) d rho is used throughout, with
-  q(rho) the circle integral of the density.  It is integrated by adaptive
-  Gauss-Kronrod 7/15 over the circle means (`characteristic_on_grid`).
-  The error bound of T(r) adds the segments' Kronrod estimates, the circle
-  bounds weighted like T, and a round-off floor.
+  log sqrt(2) for f(t) = t.  T(r) = int_1^r A(s)/s ds is read by Cartan's
+  identity as mean_{|t|=r} phi - mean_{|t|=1} phi of the form's potential,
+  phi = sum_i (1/2) log(1 + |g_i|^2) (FS) or (1/2) sum_i |g_i|^2 (euclid):
+  Jensen's circle difference for log|P|^2, with one kernel for both.  Only
+  fmt integrates areas radially (`characteristic_on_grid`): T_dir by
+  Cartan's identity would read N itself and make FMT an identity.
 * The First Main Theorem comparison smooths the ideal weight with
   delta = 1: psi = (1/2) log(1 + sum |g_i o f|^2).  Then T_psi - N - m is
   an exact constant in r, so a vanishing regression slope against log r is
@@ -37,7 +37,6 @@ from .quadrature import GK_NODES, GK_RULE, QuadConfig, circle_mean_arrays, nudge
 Zero = tuple[GaussRat, int]  # (location, multiplicity)
 ROUNDOFF = 50.0 * np.finfo(float).eps  # relative round-off floor of a quadrature sum
 ZERO_ORDER_CAP = 12  # largest order of a declared zero, read or stated
-EUCLID_CUTOFF = 1e12  # cap of the Euclidean density and of each of its terms
 FMT_SLOPE_TOL = 0.05  # largest |slope| of T - N - m against log r that passes FMT
 TAUT_TOL = 1e-3  # normalized tautological trend below -TAUT_TOL is a violation
 LOGDERIV_RESIDUAL_TOL = 1.0  # largest top-half fit residual that passes the lemma
@@ -162,15 +161,9 @@ class NevanlinnaProfile:
     diverged: list[bool]
 
     def csv_rows(self) -> list[list]:
-        rows = [["r", "T", "N", "m", "error_bound"]]
-        for i, r in enumerate(self.r_grid):
-            rows.append([
-                r, self.T[i],
-                self.N[i] if self.N else "",
-                self.m[i] if self.m else "",
-                self.bounds[i],
-            ])
-        return rows
+        blank = [""] * len(self.r_grid)
+        rows = zip(self.r_grid, self.T, self.N or blank, self.m or blank, self.bounds)
+        return [["r", "T", "N", "m", "error_bound"], *map(list, rows)]
 
     def to_jsonable(self):
         return {
@@ -225,19 +218,6 @@ def fs_sum_density(components: Sequence[Expr]) -> Callable[[np.ndarray], np.ndar
         for term, g, gp in terms:
             total += term(g, gp, t)
         return total / math.pi
-
-    return dens
-
-
-def euclidean_density(components: Sequence[Expr]) -> Callable[[np.ndarray], np.ndarray]:
-    derivs = [c.diff() for c in components]
-
-    def dens(t: np.ndarray) -> np.ndarray:
-        total = np.zeros(t.shape, dtype=float)
-        for gp in derivs:
-            lap = gp.logabs2(t)
-            total = total + np.exp(np.minimum(lap, math.log(EUCLID_CUTOFF)))
-        return np.minimum(total, EUCLID_CUTOFF) / math.pi
 
     return dens
 
@@ -354,6 +334,24 @@ def characteristic_on_grid(density, r_grid: Sequence[float], cfg: QuadConfig,
 
 
 # ---------------------------------------------------------------------------
+# circle differences (Cartan's and Jensen's identities)
+
+
+def _circle_differences(phi, r_grid: Sequence[float], cfg: QuadConfig, zeros: Sequence[Zero] = ()):
+    """mean_r phi - mean_1 phi per radius r, the unit circle and the grid
+    nudged off the zero moduli, all means in one call.  The bound adds both
+    circle bounds and ROUNDOFF * (|mean_r| + |mean_1|).  Returns the arrays
+    (differences, bounds, converged, means with the unit circle's first)
+    and the grid."""
+    grid, moduli = _nudged(r_grid, zeros)
+    mean, bound, _, converged = circle_mean_arrays(phi, [nudge_radius(1.0, moduli), *grid], cfg)
+    with np.errstate(invalid="ignore"):  # inf - inf where both circles meet a zero: nan, not converged
+        diffs = mean[1:] - mean[0]
+    bounds = bound[1:] + bound[0] + ROUNDOFF * (np.abs(mean[1:]) + abs(mean[0]))
+    return diffs, bounds, converged[1:] & converged[0], mean, grid
+
+
+# ---------------------------------------------------------------------------
 # spec operations
 
 
@@ -390,6 +388,7 @@ class JensenReport:
     average_r: float
     average_1: float
     unit_disk_correction: float
+    converged: bool
 
     def to_jsonable(self):
         return self.__dict__.copy()
@@ -402,33 +401,37 @@ def jensen_verify(p: Expr, zeros: Sequence[Zero], r_grid: Sequence[float],
 
     The declared zeros must exhaust the zeros of P in |t| < max r_grid."""
     cfg = cfg or QuadConfig()
-    grid, moduli = _nudged(r_grid, zeros)
-    mean, bound, _, _ = circle_mean_arrays(p.logabs2, [nudge_radius(1.0, moduli), *grid], cfg)
-    (avg_1, *avgs), (bound_1, *bounds) = mean.tolist(), bound.tolist()
+    diffs, bounds, converged, means, grid = _circle_differences(p.logabs2, r_grid, cfg, zeros)
+    avg_1, *avgs = means.tolist()
     reports = []
-    for r, avg_r, bound_r in zip(grid, avgs, bounds):
+    for r, diff, bound, ok, avg_r in zip(grid, diffs.tolist(), bounds.tolist(), converged.tolist(), avgs):
         counting = counting_function(zeros, r)
         annulus = _annulus_counting(zeros, r)
         reports.append(JensenReport(
-            r=r, residual=abs(2.0 * annulus - avg_r + avg_1), quadrature_bound=bound_r + bound_1,
-            counting_term=counting, average_r=avg_r, average_1=avg_1, unit_disk_correction=counting - annulus,
+            r=r, residual=abs(2.0 * annulus - diff), quadrature_bound=bound, counting_term=counting,
+            average_r=avg_r, average_1=avg_1, unit_disk_correction=counting - annulus, converged=ok,
         ))
     return reports
 
 
 def characteristic_T(curve: ParametrizedCurve, form: str, r_grid: Sequence[float],
                      cfg: QuadConfig | None = None) -> NevanlinnaProfile:
-    """Growth characteristic for the built-in positive forms."""
+    """Growth characteristic for the built-in positive forms, by Cartan's
+    identity on the grid as given.  A radius is diverged when a circle did
+    not converge or its bound exceeds 1e-3 * max(1, |T(r)|)."""
     cfg = cfg or QuadConfig()
-    if form == "fs":
-        dens = fs_sum_density(curve.components)
-    elif form == "euclid":
-        dens = euclidean_density(curve.components)
-    else:
+    if form not in ("fs", "euclid"):
         raise ValueError("unknown form %r (use 'fs' or 'euclid')" % form)
-    moduli = [_zero_abs(z) for zeros in curve.declared_zeros.values() for z, _ in zeros]
-    T, bounds, diverged = characteristic_on_grid(dens, r_grid, cfg, moduli)
-    return NevanlinnaProfile(list(map(float, r_grid)), T, None, None, bounds, diverged)
+
+    def phi(t: np.ndarray) -> np.ndarray:  # log domain for FS; past the float range |g|^2 is inf: not converged
+        if form == "fs":
+            return 0.5 * sum(_softplus(g.logabs2(t)) for g in curve.components)
+        with np.errstate(over="ignore"):
+            return 0.5 * np.exp(_logsumexp([g.logabs2(t) for g in curve.components]))
+
+    T, bounds, converged, _, _ = _circle_differences(phi, r_grid, cfg)
+    diverged = ~converged | ~(bounds <= 1e-3 * np.maximum(1.0, np.abs(T)))
+    return NevanlinnaProfile(list(map(float, r_grid)), T.tolist(), None, None, bounds.tolist(), diverged.tolist())
 
 
 @dataclass
@@ -600,20 +603,13 @@ def tautological_pairing(curve: ParametrizedCurve, r_grid: Sequence[float],
     comps = curve.components
 
     def log_fprime_omega(t: np.ndarray) -> np.ndarray:
-        rows = []
-        for g, gp in zip(comps, derivs):
-            rows.append(gp.logabs2(t) - 2.0 * _softplus(g.logabs2(t)))
-        return _logsumexp(rows)
+        return _logsumexp([gp.logabs2(t) - 2.0 * _softplus(g.logabs2(t)) for g, gp in zip(comps, derivs)])
 
     mu_zeros = curve.zeros_for("fprime")
-    grid, moduli = _nudged(r_grid, mu_zeros)
+    diffs, _, _, _, grid = _circle_differences(log_fprime_omega, r_grid, cfg, mu_zeros)
     t_prof = characteristic_T(curve, "fs", grid, cfg)
-    avg1, *avgs = circle_mean_arrays(log_fprime_omega, [nudge_radius(1.0, moduli), *grid], cfg)[0].tolist()
-    values, normalized = [], []
-    for i, (r, avg_r) in enumerate(zip(grid, avgs)):
-        val = _annulus_counting(mu_zeros, r) - 0.5 * avg_r + 0.5 * avg1
-        values.append(val)
-        normalized.append(val / t_prof.T[i] if t_prof.T[i] > 0 else math.inf)
+    values = [_annulus_counting(mu_zeros, r) - 0.5 * diff for r, diff in zip(grid, diffs.tolist())]
+    normalized = [val / T if T > 0 else math.inf for val, T in zip(values, t_prof.T)]
     top = normalized[len(normalized) // 2:]
     trend = min(top) if top else None
     violation = trend is not None and trend < -TAUT_TOL
@@ -643,24 +639,16 @@ def log_derivative_check(g: Expr, zeros: Sequence[Zero], r_grid: Sequence[float]
     """Circle means of log+ |g'/g| fitted against a log T + b log r + c."""
     cfg = cfg or QuadConfig()
     gp = g.diff()
-    grid, moduli = _nudged(r_grid, zeros)
+    grid, _ = _nudged(r_grid, zeros)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, 0.5 * (gp.logabs2(t) - g.logabs2(t)))
 
     lhs, lhs_bounds, _, converged = (a.tolist() for a in circle_mean_arrays(integrand, grid, cfg))
-    t_prof = characteristic_on_grid(fs_sum_density([g]), grid, cfg, moduli)[0]
-    rows = np.vstack([
-        np.log(np.maximum(t_prof, 1e-12)),
-        np.log(grid),
-        np.ones(len(grid)),
-    ]).T
+    t_prof = characteristic_T(ParametrizedCurve((g,)), "fs", grid, cfg).T
+    rows = np.vstack([np.log(np.maximum(t_prof, 1e-12)), np.log(grid), np.ones(len(grid))]).T
     sol, *_ = np.linalg.lstsq(rows, np.asarray(lhs), rcond=None)
-    fitted = rows @ sol
-    residuals = np.abs(np.asarray(lhs) - fitted)
-    top = residuals[len(grid) // 2:]
+    top = np.abs(np.asarray(lhs) - rows @ sol)[len(grid) // 2:]
     max_res = float(top.max()) if len(top) else 0.0
-    return LogDerivativeReport(
-        grid, lhs, lhs_bounds, converged,
-        sol.tolist(), max_res, max_res <= LOGDERIV_RESIDUAL_TOL,
-    )
+    return LogDerivativeReport(grid, lhs, lhs_bounds, converged, sol.tolist(), max_res,
+                               max_res <= LOGDERIV_RESIDUAL_TOL)

@@ -2,20 +2,20 @@
 
 Circle means use the periodic trapezoid rule with doubling, from
 MIN_CIRCLE_POINTS up to MAX_CIRCLE_POINTS samples; the a-posteriori bound
-is the last refinement delta.  The means over many radii are batched: each
-doubling pass evaluates the new angles of every circle still refining as
-one (radius x angle) array of at most CHUNK_POINTS points, so the
-integrand sees 2-D arrays.  The unit roots of each doubling pass are
-computed once per process.
+is the last refinement delta, inf where the mean is not finite.  The means
+over many radii are batched: each doubling pass evaluates the new angles of
+every circle still refining as one (radius x angle) array of at most
+CHUNK_POINTS points, so the integrand sees 2-D arrays.  The unit roots of
+each doubling pass are computed once per process.
 
 Radial integrals use the 7-point Gauss / 15-point Kronrod pair (QUADPACK
 qk15, Piessens et al. 1983): GK_NODES on [-1, 1] and GK_RULE, whose columns
 are the Kronrod weights and the Kronrod minus Gauss weights.  So one
 product gives a segment's Kronrod value K and K - G, the error estimate
-by which `nevanlinna.characteristic_on_grid` bisects segments.
+by which fmt's area route (`nevanlinna.characteristic_on_grid`) bisects.
 
 QuadConfig.budget caps the evaluations of each circle mean and stops the
-radial refinement of a profile once its total evaluations pass it.
+radial refinement of an area profile once its total evaluations pass it.
 """
 
 from __future__ import annotations
@@ -92,13 +92,14 @@ def circle_mean_arrays(fn, radii, cfg: QuadConfig):
     `fn(t_array) -> float array` of the same shape; on each circle the
     trapezoid rule on a periodic domain doubles until two refinements agree
     to tolerance.  All circles still refining double together, so they
-    share one evaluation count and one budget test."""
+    share one evaluation count and one budget test.  A circle whose mean is
+    not finite stops, not converged."""
     radii = np.asarray(radii, dtype=float).ravel()
     n = evals = MIN_CIRCLE_POINTS
     mean = _row_means(fn, radii, _unit_roots(n, 0.0)) if radii.size else np.zeros(0)
     bound = np.full(radii.size, math.inf)
     counts = np.full(radii.size, n)
-    live = np.arange(radii.size)
+    live = np.flatnonzero(np.isfinite(mean))  # a circle through a zero of log|P|^2 means -inf and stops
     while live.size and n < MAX_CIRCLE_POINTS and evals + n <= cfg.budget:
         mean_new = 0.5 * (mean[live] + _row_means(fn, radii[live], _unit_roots(n, 0.5)))
         bound[live] = np.abs(mean_new - mean[live])
@@ -106,7 +107,8 @@ def circle_mean_arrays(fn, radii, cfg: QuadConfig):
         evals += n
         n *= 2
         counts[live] = evals
-        live = live[~(bound[live] <= cfg.tol * np.maximum(1.0, np.abs(mean_new)))]
-    converged = bound <= cfg.tol * np.maximum(1.0, np.abs(mean))
-    return mean, bound, counts, converged
+        live = live[bound[live] > cfg.tol * np.maximum(1.0, np.abs(mean_new))]
+    finite = np.isfinite(mean)
+    bound[~finite] = math.inf
+    return mean, bound, counts, finite & (bound <= cfg.tol * np.maximum(1.0, np.abs(mean)))
 

@@ -267,21 +267,24 @@ def jensen_corpus() -> list[tuple[unipoly.UPoly, list[tuple[GaussRat, int]]]]:
 
 def reference_jensen_verify(p, zeros, r: float, cfg):
     """The Jensen report of one radius r, from the circle means of the
-    nudged r and the nudged unit circle."""
+    nudged r and the nudged unit circle: the bound adds both circle bounds
+    and the round-off floor, and an infinite mean's circle has bound inf."""
     from foliationlab import nevanlinna as nv
     from foliationlab.quadrature import circle_mean_arrays, nudge_radius
 
     moduli = [nv._zero_abs(z) for z, _ in zeros]
     r_use = nudge_radius(r, moduli)
     one_use = nudge_radius(1.0, moduli)
-    mean, bound, _, _ = circle_mean_arrays(p.logabs2, [r_use, one_use], cfg)
+    mean, bound, _, converged = circle_mean_arrays(p.logabs2, [r_use, one_use], cfg)
     (avg_r, avg_1), (bound_r, bound_1) = mean.tolist(), bound.tolist()
     mass = 2.0 * nv._annulus_counting(zeros, r_use)
     counting = nv.counting_function(zeros, r_use)
     correction = counting - nv._annulus_counting(zeros, r_use)
     return nv.JensenReport(
-        r=r_use, residual=abs(mass - avg_r + avg_1), quadrature_bound=bound_r + bound_1,
+        r=r_use, residual=abs(mass - (avg_r - avg_1)),
+        quadrature_bound=bound_r + bound_1 + nv.ROUNDOFF * (abs(avg_r) + abs(avg_1)),
         counting_term=counting, average_r=avg_r, average_1=avg_1, unit_disk_correction=correction,
+        converged=bool(converged.all()),
     )
 
 

@@ -237,6 +237,14 @@ def test_effectivity_count_examples():
     assert ceil_nth_root(65, 2) == 9
 
 
+@given(st.integers(1, 10**1200), st.integers(1, 40))
+@example(10**400, 2)  # past the float range
+@example(2**600 + 1, 3)
+def test_ceil_nth_root_is_the_least_integer_root(k, n):
+    m = ceil_nth_root(k, n)
+    assert m**n >= k > (m - 1) ** n
+
+
 @st.composite
 def _fields(draw):
     """(v, divisor, level) in dims 2-4, each component over its own

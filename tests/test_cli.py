@@ -71,6 +71,22 @@ def test_jensen_exits_two_when_a_residual_passes_its_bound():
     assert json.loads(out)["result"]["max_excess_residual"] <= 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+def test_jensen_on_a_circle_through_a_zero_reads_unconverged(capsys):
+    """The radius 13/4 is nudged to 3.25000325, where Horner on the expanded
+    cube reads exactly 0 at a node: that circle's mean is -inf, so the
+    radius reads not converged with bound inf, refutes nothing and leaves
+    no nan in the report and nothing on stderr."""
+    argv = ["nevanlinna", "f(t) = ((t - 13/4)^3) zeros: f1 at 13/4", "--check", "jensen", "--radii", "3.25:3.25:1"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert not err and "nan" not in out
+    doc = json.loads(out)["result"]
+    rep, = doc["reports"]
+    assert rep["converged"] is False and rep["quadrature_bound"] == "inf" and rep["average_r"] == "-inf"
+    assert doc["max_excess_residual"] is None
+
+
 def test_usage_errors_exit_one(capsys):
     # argparse exits 2 on its own; 2 is reserved for mathematical refutations
     assert cli.main(["classify"]) == 1
@@ -331,6 +347,34 @@ def test_effectivity_command():
     doc = json.loads(out)
     assert doc["result"]["outcome"] == "section_exists"
     assert doc["result"]["surplus"] == 11
+
+
+def test_effectivity_past_the_float_range_answers_in_integers():
+    power = 10**400
+    code, out = run_cli(["effectivity", "--dim", "2", "--power", str(power), "--alpha", "1"])
+    assert code == 0
+    doc = json.loads(out)["result"]
+    d = 10**200  # the square root of the power, exactly
+    assert doc == {"outcome": "section_exists", "degree": d, "dimension_count": math.comb(d + 2, 2),
+                   "constraints": d + 1, "surplus": math.comb(d + 2, 2) - d - 1}
+
+
+def test_closed_pipe_under_unbuffered_stdout_exits_one():
+    """Unbuffered, stdout's raw file takes the first 64 KiB of the report and
+    the reader then closes the pipe: the rest must raise, not be dropped."""
+    import os
+
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-m", "foliationlab.cli", "nevanlinna", "f(t) = (exp(t))", "--check", "T",
+            "--radii", "2:256:1500"]
+    read_end, write_end = os.pipe()
+    with subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env) as proc:
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as reader:
+            assert reader.read(1) == b"{"
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
+    assert err == b""
 
 
 def test_nevanlinna_csv_and_series():

@@ -105,6 +105,9 @@ def _polynomial_with_zeros_and_grid(draw):
 
 
 @given(_polynomial_with_zeros_and_grid())
+# Horner on the expanded cube reads exactly 0 at a node of the nudged circle: mean -inf, bound inf
+@example((Poly(unipoly.from_coeffs([Fraction(-2197, 64), Fraction(507, 16), Fraction(-39, 4), 1])),
+          [(GaussRat(Fraction(13, 4)), 3)], [3.25]))
 @settings(max_examples=30, deadline=None)
 def test_jensen_over_a_grid_matches_one_radius_at_a_time(case):
     p, zeros, radii = case
@@ -395,9 +398,13 @@ def test_fmt_refuses_a_false_ideal_zero_before_integrating(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_radii_past_the_float_range_read_diverged_without_a_warning():
-    prof = nv.characteristic_T(nv.ParametrizedCurve((t_expr(),)), "fs", [1e200, 1e300], QuadConfig())
-    assert prof.diverged == [True, True]
+def test_radii_past_the_float_range_read_the_closed_form_without_a_warning():
+    radii = [1e200, 1e300]
+    prof = nv.characteristic_T(nv.ParametrizedCurve((t_expr(),)), "fs", radii, QuadConfig())
+    assert prof.diverged == [False, False]
+    for r, T, b in zip(radii, prof.T, prof.bounds):
+        exact = math.log(r) - 0.5 * math.log(2.0)  # 1/2 log((1 + r^2) / 2), 1 + r^2 past the float range
+        assert abs(T - exact) <= b, (r, T - exact, b)
 
 
 def test_softplus_large_argument_no_overflow_warning():
@@ -414,19 +421,32 @@ def test_softplus_large_argument_no_overflow_warning():
     assert out[3] == math.exp(-40.0) and out[4] == math.exp(-700.0)
 
 
-def test_T_error_bounds_cover_budget_cuts():
+def _assert_budget_cuts_bounded(text, radii, budgets):
+    """Under each budget, a radius reads diverged exactly when its circle or
+    the unit circle needs more evaluations than the budget allows, and every
+    bound still covers the distance to the uncut profile."""
     from foliationlab.dsl import parse_curve
+    from foliationlab.quadrature import circle_mean_arrays
 
-    curve = parse_curve("f(t) = (exp(t))")
-    radii = [4.0, 8.0, 16.0, 32.0, 64.0]
+    curve = parse_curve(text)
     ref = nv.characteristic_T(curve, "fs", radii, QuadConfig())
     assert not any(ref.diverged)
-    for budget in (1, 300):
+
+    def potential(t):  # sum_i (1/2) log(1 + |g_i|^2)
+        return 0.5 * sum(nv._softplus(g.logabs2(t)) for g in curve.components)
+
+    unit, *needed = circle_mean_arrays(potential, [1.0, *radii], QuadConfig())[2].tolist()
+    for budget in budgets:
         prof = nv.characteristic_T(curve, "fs", radii, QuadConfig(budget=budget))
-        assert all(prof.diverged)
+        assert prof.diverged == [max(unit, n) > budget for n in needed]
         assert not any(math.isnan(b) for b in prof.bounds + ref.bounds)
         for T, b, T0, b0 in zip(prof.T, prof.bounds, ref.T, ref.bounds):
             assert abs(T - T0) <= b + b0
+
+
+def test_T_error_bounds_cover_budget_cuts():
+    # exp(t): the circles to r = 64 need 128 to 1024 evaluations
+    _assert_budget_cuts_bounded("f(t) = (exp(t))", [4.0, 8.0, 16.0, 32.0, 64.0], (1, 300, 600))
 
 
 
@@ -456,15 +476,93 @@ def test_T_past_the_first_octaves_within_bound(r):
 
 def test_T_budget_cut_within_bounds():
     # a profile cut short by QuadConfig.budget must still bound its error
+    radii = [2.0 * 2 ** k for k in range(6)]  # 2:64:6
+    _assert_budget_cuts_bounded("f(t) = (t^3 - 2, t)", radii, (100, 2000))  # every circle takes 128
+    _assert_budget_cuts_bounded("f(t) = (t^3 - 2, exp(2*t))", radii, (100, 300, 600, 1500))
+
+
+EXP_SWEEP_CAP = 128  # largest r^deg(A) sum_k k |a_k| >= r max |A'| of an exp(A) component in the cross-check
+
+
+@st.composite
+def _curve_and_grid(draw):
+    """(components, radii): one or two components, each a polynomial of
+    degree 1 to 3 or the exp of one, with small Gaussian-integer
+    coefficients, and up to four radii from 1 to 10^12.  An exp(A) component
+    keeps its radii where r^deg(A) sum_k k |a_k| <= EXP_SWEEP_CAP: farther
+    out, the sech^2 bands of its density are narrow enough that the area
+    route's circle means can step over them (ROADMAP item 12), as
+    test_area_route_steps_over_the_mass_past_the_sweep_cap shows."""
+    coeff = st.builds(GaussRat, st.integers(-2, 2), st.integers(-2, 2))
+    comps, r_max = [], 1e12
+    for _ in range(draw(st.integers(1, 2))):
+        deg = draw(st.integers(1, 3))
+        cs = draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1).filter(lambda c: not c[-1].is_zero()))
+        p = Poly(unipoly.from_coeffs(cs))
+        if draw(st.booleans()):
+            comps.append(Exp(p))
+            sweep = sum(k * abs(c.to_complex()) for k, c in enumerate(cs))
+            r_max = min(r_max, (EXP_SWEEP_CAP / sweep) ** (1.0 / deg))  # sweep <= 17
+        else:
+            comps.append(p)
+    return comps, sorted(draw(st.lists(st.floats(1.0, r_max), min_size=1, max_size=4)))
+
+
+@given(_curve_and_grid())
+@example(([Poly(unipoly.from_coeffs([0, 1]))], [1.0, 1e8, 1e12]))
+@example(([Exp(Poly(unipoly.from_coeffs([0, 1]))), Poly(unipoly.from_coeffs([-2, 0, 0, 1]))], [4.0, 16.0, 64.0]))
+@settings(max_examples=50, deadline=None)
+def test_area_route_agrees_with_cartan(case):
+    """fmt's radial area integral over the FS density and Cartan's circle
+    difference of the FS potential are two computations of one T: they
+    agree within the sum of their bounds wherever neither diverged.  The
+    Cartan side is the reference, taken at tol 1e-12, since at the default
+    tol its two first trapezoid passes can agree by accident
+    (test_T_bound_misses_an_accidental_trapezoid_agreement)."""
+    comps, radii = case
+    T_area, b_area, d_area = nv.characteristic_on_grid(nv.fs_sum_density(comps), radii, QuadConfig())
+    prof = nv.characteristic_T(nv.ParametrizedCurve(tuple(comps)), "fs", radii, QuadConfig(tol=1e-12))
+    for r, a, ba, da, c, bc, dc in zip(radii, T_area, b_area, d_area, prof.T, prof.bounds, prof.diverged):
+        assert da or dc or abs(a - c) <= ba + bc, (r, a, c, ba, bc)
+
+
+@pytest.mark.xfail(strict=True, reason="fmt's area circles step over the mass of narrow bands (ROADMAP item 12)")
+def test_area_route_steps_over_the_mass_past_the_sweep_cap():
+    # exp((2 - i) t^2) at r = 20: r^2 * 2 |2 - i| is 1789, and T is about sqrt(5) r^2 / pi
     from foliationlab.dsl import parse_curve
 
-    curve = parse_curve("f(t) = (t^3 - 2, t)")
-    radii = [2.0 * 2 ** k for k in range(6)]  # 2:64:6
-    ref = nv.characteristic_T(curve, "fs", radii, QuadConfig())
-    cut = nv.characteristic_T(curve, "fs", radii, QuadConfig(budget=2000))
-    assert all(cut.diverged) and not any(ref.diverged)
-    for T, b, T0, b0 in zip(cut.T, cut.bounds, ref.T, ref.bounds):
-        assert abs(T - T0) <= b + b0
+    curve = parse_curve("f(t) = (exp((2 - i)*t^2))")
+    T_area, b_area, d_area = nv.characteristic_on_grid(nv.fs_sum_density(curve.components), [20.0], QuadConfig())
+    prof = nv.characteristic_T(curve, "fs", [20.0], QuadConfig())
+    assert d_area[0] or abs(T_area[0] - prof.T[0]) <= b_area[0] + prof.bounds[0]
+
+
+@pytest.mark.xfail(strict=True, reason="two trapezoid passes can agree by accident (ROADMAP item 12)")
+def test_T_bound_misses_an_accidental_trapezoid_agreement():
+    # on |t| = 9.728515625 the 64- and 128-point means of the FS potential agree to 1.35e-7 and both
+    # miss its mean by 1.15e-5, so at the default tol T stops at 128 points with a bound of 1.35e-7
+    from foliationlab.dsl import parse_curve
+
+    curve = parse_curve("f(t) = (exp(1 + (1 + 2*i)*t), exp(2 + (2 + 2*i)*t))")
+    prof = nv.characteristic_T(curve, "fs", [9.728515625], QuadConfig())
+    tight = nv.characteristic_T(curve, "fs", [9.728515625], QuadConfig(tol=1e-12))
+    assert abs(prof.T[0] - tight.T[0]) <= prof.bounds[0] + tight.bounds[0]
+
+
+def test_T_of_a_narrow_band_and_of_the_euclidean_form_within_bound():
+    """exp(10^25 t) at r = 4 is 3 10^25 / pi, where the FS density lies in a
+    band far narrower than any circle grid; the Euclidean T of exp(t) is
+    (I0(2r) - I0(2)) / 2, far past any density cap."""
+    import numpy as np
+    from foliationlab.dsl import parse_curve
+
+    prof = nv.characteristic_T(parse_curve("f(t) = (exp(10^25*t))"), "fs", [4.0], QuadConfig())
+    assert not prof.diverged[0] and abs(prof.T[0] - 3e25 / math.pi) <= prof.bounds[0]
+    prof = nv.characteristic_T(parse_curve("f(t) = (exp(t))"), "euclid", [4.0, 64.0], QuadConfig())
+    exact = [0.5 * (float(np.i0(2.0 * r)) - float(np.i0(2.0))) for r in prof.r_grid]
+    assert not any(prof.diverged)
+    for T, b, e in zip(prof.T, prof.bounds, exact):
+        assert abs(T - e) <= b, (T, e, b)
 
 
 def _exp_T_reference(a: float, radii):
@@ -544,8 +642,9 @@ def test_T_of_a_bare_exp_takes_the_closed_form(monkeypatch, text):
         raise AssertionError("log-domain FS term on a bare exp component")
 
     monkeypatch.setattr(nv, "_fs_term_log", log_domain)
-    prof = nv.characteristic_T(parse_curve(text), "fs", [4.0 * 2 ** k for k in range(7)], QuadConfig())
-    assert not any(prof.diverged)
+    dens = nv.fs_sum_density(parse_curve(text).components)  # the FS density of fmt's area route
+    _, _, diverged = nv.characteristic_on_grid(dens, [4.0 * 2 ** k for k in range(7)], QuadConfig())
+    assert not any(diverged)
 
 
 def test_fmt_zero_on_a_grid_circle_converges():
