@@ -266,6 +266,10 @@ def test_classify_zero_field_exits_one(capsys):
     assert captured.out == "" and captured.err == "error: zero vector field has no multiplicity\n"
 
 
+def check_T(curve, *options):
+    return ["nevanlinna", curve, "--check", "T", *options]
+
+
 # points on E at w = 1000, 1001, 1002: the outer coefficient of their cubic
 # has norm past the divisor-norm cap, so the root search stops
 CAPPED = "v = (-y^2 + 3003*x*y - 3005002*x^2) d/dx + (-1003002000*x^2) d/dy"
@@ -284,6 +288,95 @@ def test_capped_root_search_is_not_a_conjugate_cluster():
         assert doc["status"] == "blocked" and doc["terminal_singularities"] == []
         assert doc["reason"].startswith("singular-point enumeration incomplete at b1.c1: "
                                         "root search stopped at the divisor-norm cap 200000")
+        assert "non-Q(i)" not in doc["reason"]
+
+
+def _refuse_constant(token):
+    raise ValueError("bare JSON constant %s" % token)
+
+
+def _diverged(node):
+    """Every `diverged` flag in a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from value if key == "diverged" else _diverged(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _diverged(value)
+
+
+def _read_report(capsys):
+    """The result of the report just printed, which left nothing on stderr
+    and has no bare NaN or Infinity token and no diverged radius."""
+    out, err = capsys.readouterr()
+    assert err == ""
+    result = json.loads(out, parse_constant=_refuse_constant)["result"]
+    assert not any(_diverged(result)), result
+    return result
+
+
+def _T_closed_form(doc):
+    """T of f(t) = t is 1/2 log((1 + r^2)/2), within each radius's bound."""
+    p = doc["profile"]
+    return all(abs(T - (math.log(r) + 0.5 * math.log1p(1 / r / r) - 0.5 * math.log(2))) <= b
+               for r, T, b in zip(p["r"], p["T"], p["error_bounds"]))
+
+
+def _verdict(verdict, howald_agrees):
+    return lambda doc: (doc["verdict"], doc["howald_agrees"]) == (verdict, howald_agrees)
+
+
+def _jensen_at_4(curve, code):
+    return (["nevanlinna", curve, "--check", "jensen", "--radii", "4:4:1"], code,
+            lambda doc: all(rep["converged"] for rep in doc["reports"]))
+
+
+# argv, exit code and what the report reads
+REPORTS = {
+    # the divisor cap: the eigenvalue 400+300i (norm 250,000) leaves the spectrum indeterminate
+    "classify-past-the-divisor-cap": (["classify", "v = (400 + 300*i)*x d/dx + y d/dy + (2 + i)*z d/dz"], 0,
+                                      lambda doc: doc["eigenvalues"]["indeterminate"] is True),
+    # Howald's Newton test beside the ledger: (1, 1) lies on the segment from (2, 0) to (0, 2),
+    # the boundary, so (x^2, y^2) has a nontrivial multiplier ideal
+    "weakly-reduced-refuted": (["weakly-reduced", "v = x^2 d/dx + y^2 d/dy"], 2, _verdict("refuted", False)),
+    "weakly-reduced-dim2": (["weakly-reduced", "v = x d/dx + y^2 d/dy"], 0, _verdict("certified", True)),
+    "weakly-reduced-dim3": (["weakly-reduced", "v = x d/dx + y d/dy + z^2 d/dz"], 0, _verdict("certified", True)),
+    # a dim-3 simple point whose A.I.S. probe walks all three levels (8 blow-ups) without a note
+    "resolve-probe-three-levels": (["resolve", "v = (2*x + x*y) d/dx + (i*y + z + 2*z*x) d/dy + (i*z + i*x*y) d/dz",
+                                    "--mode", "simple", "--divisor", "{x}"], 0,
+                                   lambda doc: doc["status"] == "complete" and "A.I.S. probe" not in json.dumps(doc)),
+    # one cluster with two parts completes the Seidenberg tower: the non-degenerate
+    # record (w^2 = 2) comes before the saddle-node one (w^2 = 3)
+    "resolve-two-part-cluster": (["resolve", "v = (y^3 - 3*x^2*y + x^4) d/dx + (2*x*y^2 - 6*x^3 + y^4) d/dy"], 0,
+                                 lambda doc: (doc["status"], [(t["node"], t["cluster_poly"], t["surface_type"]["kind"])
+                                                              for t in doc["terminal_singularities"]]) == (
+                                     "complete", [("b1.c1", ["-2", "0", "1"], "non_degenerate"),
+                                                  ("b1.c1", ["-3", "0", "1"], "unclassified")])),
+    "selftest": (["selftest", "--seed", "7"], 0, lambda doc: doc == {"failures": [], "passed": True}),
+    # Jensen integrates the unit circle once: three reports share one average_1
+    "jensen-grid": (["nevanlinna", "f(t) = (t - 2) zeros: f1 at 2", "--check", "jensen", "--radii", "4:16:3"], 0,
+                    lambda doc: len(doc["reports"]) == 3 and len({rep["average_1"] for rep in doc["reports"]}) == 1),
+    # one rule reads every zero order: a simple zero with small coefficients, stated or omitted
+    "jensen-small-stated-1e8": _jensen_at_4("f(t) = ((t - 2)/100000000) zeros: f1 at 2 order 1", 0),
+    "jensen-small-stated-1e12": _jensen_at_4("f(t) = ((t - 2)/1000000000000) zeros: f1 at 2 order 1", 0),
+    "jensen-small-omitted-1e12": _jensen_at_4("f(t) = ((t - 2)/1000000000000) zeros: f1 at 2", 0),
+    # two exp terms whose values agree at 2: the declaration is accepted, and Jensen
+    # exits 2, since the zeros at 0 and off Q(i) inside |t| < 4 are not declared
+    "jensen-exp-pair": _jensen_at_4("f(t) = (exp(2*t) - exp(t^2)) zeros: f1 at 2 order 1", 2),
+    # a single radius past the first octaves, and radii past the float range, in log space
+    "T-closed-form-1e8": (check_T("f(t) = (t)", "--radii", "1e8:1e8:1"), 0, _T_closed_form),
+    "T-closed-form-1e300": (check_T("f(t) = (t)", "--radii", "1e200:1e300:2"), 0, _T_closed_form),
+    # exp(2t) on circles where |Re 2t| passes 710 and cosh overflows: T grows with slope 2/pi
+    "T-exp-slope": (check_T("f(t) = (exp(2*t))", "--radii", "512:1024:2"), 0,
+                    lambda doc: abs((doc["profile"]["T"][1] - doc["profile"]["T"][0]) / 512 - 2 / math.pi) <= 1e-3),
+}
+
+
+@pytest.mark.parametrize("argv, code, reads", REPORTS.values(), ids=REPORTS)
+def test_report_reads_its_fields(argv, code, reads, capsys):
+    assert cli.main(argv) == code
+    doc = _read_report(capsys)
+    assert reads(doc), doc
 
 
 def test_stated_zero_order_past_the_cap_is_refused_at_once(capsys):
@@ -548,10 +641,6 @@ def test_bad_numeric_argument_is_a_parse_error(argv, capsys):
     assert out == "" and err.startswith("error: ")
 
 
-def check_T(curve, *options):
-    return ["nevanlinna", curve, "--check", "T", *options]
-
-
 NESTED_FIELD = "v = %sx%s d/dx" % ("(" * 200, ")" * 200)
 NESTED_CURVE = "f(t) = (%st%s)" % ("(" * 200, ")" * 200)
 FIELD = "v = x d/dx - 2*y d/dy"
@@ -568,6 +657,8 @@ USER_ERRORS = {
     "resolve-divisor-not-invariant": (["resolve", "v = y d/dx + x d/dy", "--mode", "simple", "--divisor", "{x}"],
                                       "root divisor is not invariant"),
     "resolve-shared-branch": (["resolve", "v = (x*y) d/dx + (x*y^2) d/dy"], "root singular locus is a curve"),
+    "resolve-level-1": (["resolve", "v = x d/dx + y d/dy + 2*z d/dz", "--mode", "simple"],
+                        "bounded A.I.S. probe found a non-isolated locus at level 1"),
     "resolve-level-3": (["resolve", "v = x d/dx + 3*y d/dy + 7*z d/dz", "--mode", "simple"],
                         "bounded A.I.S. probe found a non-isolated locus at level 3"),
     "separatrix-eigenvalue-3": (["separatrix", FIELD, "--eigenvalue", "3"], "3 is not an eigenvalue"),
@@ -725,6 +816,18 @@ def test_exact_commands_start_without_numpy():
     assert facts["unknown_name"] == "module 'foliationlab' has no attribute 'no_such_name'"
     assert facts["float_names"] == [True, True, True]
     assert facts["float_codes"] == [0, 0]
+
+
+def test_readme_float_examples_read_no_diverged_radius(capsys):
+    examples = [argv for argv in readme_examples() if argv[0] == "nevanlinna"]
+    assert [argv[argv.index("--check") + 1] for argv in examples] == ["T", "jensen", "fmt", "taut"]
+    for argv in examples:
+        if "--format" in argv:  # the JSON report of the same request
+            k = argv.index("--format")
+            argv = argv[:k] + argv[k + 2:]
+        assert cli.main(argv) == 0
+        doc = _read_report(capsys)
+        assert "fmt" not in argv or doc["passed"] is True, doc
 
 
 JSON_KEYS = st.one_of(st.text(max_size=5), st.sampled_from(["é", "\x00", "\x1f\n", "\u2028", "\U0001f600", '"\\']))
